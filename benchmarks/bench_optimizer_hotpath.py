@@ -3,12 +3,12 @@
 Times the full Algorithm-1 frontier crawl -- cost-model fits included,
 all caches cold -- on the three headline A100 PP4 workloads (Table 10)
 plus one 64-stage emulation-scale DAG, once through the preserved seed
-path (``REPRO_SLOW_PATH=1``: dict event times, per-call ``FlowNetwork``
+oracle (``tests/reference/``: dict event times, per-call ``FlowNetwork``
 construction, reference Dinic) and once through the compiled flat-array
 kernel, asserting the two frontiers are bit-identical before recording
 the speedup.  With ``--exactness fast`` or ``both`` the
-``exactness="fast"`` kernel (warm-started min-cuts, series-parallel
-contraction, incremental event passes) is timed too, its every point
+``exactness="fast"`` kernel (warm-started min-cuts and series-parallel
+contraction) is timed too, its every point
 validated against the exact crawl's tolerance contract, and a small
 enumeration-oracle instance reports the provable optimality gap of
 both modes.  Results land in ``benchmarks/BENCH_optimizer.json`` --
@@ -36,6 +36,7 @@ quick matrix and emits the table through the shared results sink.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -89,6 +90,16 @@ def _frontier_fingerprint(frontier) -> list:
     ]
 
 
+def _seed_oracle():
+    """The seed oracle's context manager (``tests/reference/``)."""
+    tests_dir = os.path.join(REPO_ROOT, "tests")
+    if tests_dir not in sys.path:
+        sys.path.insert(0, tests_dir)
+    from reference import seed_oracle
+
+    return seed_oracle()
+
+
 def _cold_crawl(stack, tau: float, slow: bool, exactness: str = "exact"):
     """One cold characterization; returns (frontier, seconds)."""
     from repro.core.frontier import characterize_frontier
@@ -101,15 +112,11 @@ def _cold_crawl(stack, tau: float, slow: bool, exactness: str = "exact"):
     profile.__dict__.pop("_cost_model_cache", None)
     for op_profile in profile.ops.values():
         op_profile._pareto_cache = None
-    if slow:
-        os.environ["REPRO_SLOW_PATH"] = "1"
-    try:
+    with _seed_oracle() if slow else contextlib.nullcontext():
         started = time.perf_counter()
         frontier = characterize_frontier(stack.dag, profile, tau=tau,
                                          exactness=exactness)
         elapsed = time.perf_counter() - started
-    finally:
-        os.environ.pop("REPRO_SLOW_PATH", None)
     return frontier, elapsed
 
 
@@ -258,7 +265,7 @@ def run(quick: bool = False, only: Optional[List[str]] = None,
             if not identical:
                 raise AssertionError(
                     f"{key}: kernel frontier diverged from the "
-                    f"REPRO_SLOW_PATH oracle"
+                    f"seed oracle"
                 )
         rows.append(row)
         line = f"{key:24s} kernel {kernel_s:7.3f}s"
@@ -276,17 +283,16 @@ def run(quick: bool = False, only: Optional[List[str]] = None,
         "mode": "quick" if quick else "full",
         "exactness": exactness,
         "seed_definition": (
-            "REPRO_SLOW_PATH=1 oracle: the seed dict event-times / "
-            "per-call FlowNetwork implementation preserved verbatim in "
-            "core.nextschedule + graph.lowerbounds, with per-call "
-            "pareto filtering and per-crawl cost-model refits as the "
-            "seed had.  Exponential fits are the one shared component "
+            "seed oracle: the seed dict event-times / per-call "
+            "FlowNetwork implementation preserved verbatim in "
+            "tests/reference/, with per-call pareto filtering and "
+            "per-crawl cost-model refits as the seed had.  Exponential fits are the one shared component "
             "(both sides must plan from identical coefficients for the "
             "bit-identity check to be meaningful)."
         ),
         "fast_definition": (
-            "exactness='fast' kernel: warm-started min-cuts, "
-            "series-parallel contraction and incremental event passes; "
+            "exactness='fast' kernel: warm-started min-cuts and "
+            "series-parallel contraction; "
             "every frontier point validated within FAST_TOLERANCE of "
             "the exact crawl at the same iteration time, and the small "
             "oracle instance certifies neither mode dips below the "

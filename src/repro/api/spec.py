@@ -36,9 +36,9 @@ DEFAULT_FIDELITY = "fast"
 DEFAULT_STRATEGY = "perseus"
 
 #: Optimizer exactness modes: ``"exact"`` reproduces the reference
-#: crawl bit-for-bit; ``"fast"`` enables warm-started min-cuts,
-#: incremental event passes and series-parallel contraction (results
-#: stay within the documented tolerance of exact).
+#: crawl bit-for-bit; ``"fast"`` solves min cuts with warm starts and
+#: series-parallel contraction (results stay within the documented
+#: tolerance of exact).
 EXACTNESS_MODES = ("exact", "fast")
 DEFAULT_EXACTNESS = "exact"
 

@@ -200,8 +200,8 @@ def cmd_plan(args) -> int:
           f"{report.slowdown_pct:+.2f}% iteration time")
     if args.timings:
         # Force characterization so there is a crawl to report on, then
-        # show where its time went (kernel vs REPRO_SLOW_PATH oracle,
-        # event passes, instance builds, max-flow solves).
+        # show where its time went (flat or fast kernel, event passes,
+        # instance builds, max-flow solves).
         frontier = planner.frontier_for(spec)
         _print_timings(frontier.stats.get("timings"))
     if args.output:

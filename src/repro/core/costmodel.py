@@ -14,7 +14,6 @@ time-energy frontier's ``T*`` endpoint is defined (§3.1).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -131,14 +130,6 @@ def build_cost_models(profile: PipelineProfile) -> Dict[OpKey, OpCostModel]:
     :meth:`~repro.profiler.measurement.PipelineProfile.add_measurement`
     invalidates the cache.
     """
-    if os.environ.get("REPRO_SLOW_PATH", "") not in ("", "0"):
-        # Seed-faithful oracle mode: the seed refit every characterize
-        # call; skip the cache (same fitted values, seed work profile).
-        profile.validate()
-        return {
-            op: build_cost_model(op_profile, profile.blocking_power(op[0]))
-            for op, op_profile in profile.ops.items()
-        }
     cached = getattr(profile, "_cost_model_cache", None)
     if cached is not None:
         return cached

@@ -3,7 +3,7 @@
 Start from the minimum-energy schedule (every computation at the duration
 of its min-energy clock -- trivially Pareto-optimal), then repeatedly shave
 ``tau`` off the iteration time with minimal effective-energy increase via
-:func:`~repro.core.nextschedule.get_next_schedule`, collecting every
+:func:`~repro.core.nextschedule.next_schedule_flat`, collecting every
 intermediate schedule.  The crawl ends at ``T_min`` (everything at the
 maximum clock), which is appended explicitly so both endpoints of §3.1 are
 always present.
@@ -12,13 +12,15 @@ The crawl runs on the compiled flat-array kernel
 (:class:`~repro.graph.compiled.CompiledDag` + one
 :class:`~repro.graph.maxflow.FlowArena` reused across every min-cut):
 durations travel as ``array('d')`` indexed by computation id, and each
-accepted move reuses the kernel's event pass for every makespan check
-instead of re-deriving dict event times 3-4x per step.  Setting
-``REPRO_SLOW_PATH=1`` selects the original dict interpreter -- the
-bit-identical cross-check oracle.  Either way ``Frontier.stats["timings"]``
-records where the crawl's time went (event passes, instance builds,
-max-flow solves, schedule assembly) plus cut/repair counts, which is what
-``repro plan --timings`` and the hot-path benchmark surface.
+accepted move reuses the kernel's event pass for every makespan check.
+Exact and fast mode share the one crawl loop (:func:`_crawl`) and differ
+only in how each step solves its min cuts (see
+:mod:`repro.core.nextschedule`).  ``Frontier.stats["timings"]`` records
+where the crawl's time went (event passes, instance builds, max-flow
+solves, schedule assembly) plus cut/repair counts, which is what
+``repro plan --timings`` and the hot-path benchmark surface.  The seed's
+dict-of-float crawl lives in ``tests/reference/`` as the bit-identity
+oracle for exact mode.
 """
 
 from __future__ import annotations
@@ -42,10 +44,8 @@ from .nextschedule import (
     CostTable,
     FastState,
     compiled_kernel,
-    get_next_schedule,
     next_schedule_fast,
     next_schedule_flat,
-    slow_path_enabled,
 )
 from .schedule import EnergySchedule, make_schedule
 
@@ -125,12 +125,11 @@ def characterize_frontier(
         tau: Unit time reduction per step (trades runtime vs. granularity).
         max_steps: Safety bound on steps (defaults to a generous multiple
             of the Appendix-F bound ``O((t_max - t_min) / tau)``).
-        exactness: ``"exact"`` (bit-identical to the ``REPRO_SLOW_PATH=1``
-            oracle) or ``"fast"`` (warm-started min-cuts, SP contraction
-            and incremental event passes; every point stays within
+        exactness: ``"exact"`` (bit-identical to the seed oracle in
+            ``tests/reference/``) or ``"fast"`` (warm-started min-cuts
+            and SP contraction; every point stays within
             :data:`~repro.core.nextschedule.FAST_TOLERANCE` of the exact
-            crawl's cost).  ``REPRO_SLOW_PATH=1`` always selects the
-            dict oracle regardless.
+            crawl's cost).
     """
     if exactness not in ("exact", "fast"):
         raise OptimizationError(
@@ -165,21 +164,10 @@ def characterize_frontier(
     # frontiers stay bit-identical with tracing enabled.
     with obs_span("optimize.crawl", exactness=exactness,
                   num_computations=dag.num_computations, tau=tau):
-        if slow_path_enabled():
-            points, steps, timings = _crawl_dict(
-                dag, ecd, node_cost, cost_models, t_min_schedule, slowest,
-                tau, max_steps,
-            )
-        elif exactness == "fast":
-            points, steps, timings = _crawl_fast(
-                dag, ecd, node_cost, cost_models, t_min_schedule, slowest,
-                tau, max_steps,
-            )
-        else:
-            points, steps, timings = _crawl_flat(
-                dag, ecd, node_cost, cost_models, t_min_schedule, slowest,
-                tau, max_steps,
-            )
+        points, steps, timings = _crawl(
+            dag, ecd, node_cost, cost_models, t_min_schedule, slowest,
+            tau, max_steps, exactness,
+        )
         add_stage_spans(timings)
 
     # Guarantee a T_min endpoint exists: if the crawl stalled more than one
@@ -283,66 +271,22 @@ class _PointBuilder:
         )
 
 
-def _crawl_flat(
-    dag, ecd, node_cost, cost_models, t_min_schedule, slowest, tau, max_steps
+def _crawl(
+    dag, ecd, node_cost, cost_models, t_min_schedule, slowest, tau, max_steps,
+    exactness,
 ):
-    """The compiled-kernel crawl (the production path)."""
-    timings = _new_timings("flat")
-    kern = compiled_kernel(ecd, node_cost)
-    costs = [node_cost[c] for c in range(kern.num_comps)]
-    table = CostTable(costs, tau)
-    arena = FlowArena()
-    builder = _PointBuilder(dag, cost_models)
-    durations = array("d", (slowest[c] for c in range(kern.num_comps)))
+    """The Algorithm-1 loop; returns ``(points, steps, timings)``.
 
-    start = _time.perf_counter()
-    earliest, makespan = kern.forward_pass(durations)
-    timings["event_times_s"] += _time.perf_counter() - start
-
-    points: List[EnergySchedule] = []
-    steps = 0
-    t_min_time = t_min_schedule.iteration_time
-    while True:
-        start = _time.perf_counter()
-        points.append(builder.point(durations, makespan))
-        timings["schedule_s"] += _time.perf_counter() - start
-        if points[-1].iteration_time <= t_min_time + TIME_EPS:
-            break
-        if steps >= max_steps:
-            break
-        nxt = next_schedule_flat(
-            kern, durations, costs, tau,
-            arena=arena, timings=timings,
-            start_makespan=makespan, start_earliest=earliest,
-            cost_table=table,
-        )
-        if nxt is None:
-            break
-        if nxt.makespan >= points[-1].iteration_time - TIME_EPS:
-            break  # no forward progress; stop rather than loop
-        durations, makespan, earliest = nxt
-        steps += 1
-    return points, steps, timings
-
-
-def _crawl_fast(
-    dag, ecd, node_cost, cost_models, t_min_schedule, slowest, tau, max_steps
-):
-    """The fast-mode crawl (``exactness="fast"``).
-
-    Same Algorithm-1 loop as :func:`_crawl_flat`, but each step runs
-    :func:`~repro.core.nextschedule.next_schedule_fast`: warm-started
-    min-cuts shared through a crawl-scoped
-    :class:`~repro.core.nextschedule.FastState`, SP-contracted flow
-    instances and incremental event passes.  The fast stage counters
-    are merged into the timings record.
+    Fast mode shares warm cuts and its stage counters across steps
+    through one :class:`~repro.core.nextschedule.FastState`; the
+    counters are merged into the timings record at the end.
     """
-    timings = _new_timings("fast")
+    fast = FastState() if exactness == "fast" else None
+    timings = _new_timings("flat" if fast is None else "fast")
     kern = compiled_kernel(ecd, node_cost)
     costs = [node_cost[c] for c in range(kern.num_comps)]
     table = CostTable(costs, tau)
     arena = FlowArena()
-    fast = FastState()
     builder = _PointBuilder(dag, cost_models)
     durations = array("d", (slowest[c] for c in range(kern.num_comps)))
 
@@ -361,7 +305,8 @@ def _crawl_fast(
             break
         if steps >= max_steps:
             break
-        nxt = next_schedule_fast(
+        step = next_schedule_flat if fast is None else next_schedule_fast
+        nxt = step(
             kern, durations, costs, tau,
             arena=arena, timings=timings,
             start_makespan=makespan, start_earliest=earliest,
@@ -373,32 +318,6 @@ def _crawl_fast(
             break  # no forward progress; stop rather than loop
         durations, makespan, earliest = nxt
         steps += 1
-    fast.export(timings)
-    return points, steps, timings
-
-
-def _crawl_dict(
-    dag, ecd, node_cost, cost_models, t_min_schedule, slowest, tau, max_steps
-):
-    """The dict-oracle crawl (``REPRO_SLOW_PATH=1``), kept verbatim."""
-    timings = _new_timings("dict")
-    points: List[EnergySchedule] = []
-    durations = slowest
-    steps = 0
-    while True:
-        start = _time.perf_counter()
-        points.append(make_schedule(dag, durations, cost_models))
-        timings["schedule_s"] += _time.perf_counter() - start
-        if points[-1].iteration_time <= t_min_schedule.iteration_time + TIME_EPS:
-            break
-        if steps >= max_steps:
-            break
-        nxt = get_next_schedule(ecd, durations, node_cost, tau)
-        if nxt is None:
-            break
-        new_time = dag.iteration_time(nxt)
-        if new_time >= points[-1].iteration_time - TIME_EPS:
-            break  # no forward progress; stop rather than loop
-        durations = nxt
-        steps += 1
+    if fast is not None:
+        fast.export(timings)
     return points, steps, timings

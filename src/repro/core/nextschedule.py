@@ -30,38 +30,36 @@ Two robustness extensions beyond the paper's pseudocode:
 Returns ``None`` when the iteration time cannot be reduced further (an
 unspeedable critical path exists).
 
-Two implementations share this algorithm:
+The step runs on a :class:`~repro.graph.compiled.CompiledDag`:
+durations travel as ``array('d')`` indexed by computation id, min cuts
+reuse one :class:`~repro.graph.maxflow.FlowArena`, and each accepted move
+re-times only the event-time cone below the computations it changed.
+The two optimizer modes differ in one decision only -- how a bounded
+min cut is solved:
 
-* the **flat kernel** (:func:`next_schedule_flat`) -- durations travel as
-  ``array('d')`` indexed by computation id over a
-  :class:`~repro.graph.compiled.CompiledDag` and a reusable
-  :class:`~repro.graph.maxflow.FlowArena`; event times are computed once
-  per candidate move and reused for every makespan check.  This is what
-  :func:`~repro.core.frontier.characterize_frontier` runs.
-* the **dict oracle** -- the original dict-of-float interpreter, kept
-  verbatim and selected by setting ``REPRO_SLOW_PATH=1``.  Both paths
-  produce bit-identical schedules (enforced by
-  ``tests/test_compiled.py``), so the oracle is the ground truth any
-  kernel change must keep matching.
+* ``exactness="exact"`` (:func:`next_schedule_flat`) solves every
+  instance directly; frontiers are bit-identical to the seed oracle in
+  ``tests/reference/`` (enforced by ``tests/test_compiled.py``).
+* ``exactness="fast"`` (:func:`next_schedule_fast`) replays the previous
+  cut while it provably stays within :data:`FAST_WARM_SLACK` of minimal,
+  and otherwise solves the series-parallel-contracted instance; every
+  frontier point stays within :data:`FAST_TOLERANCE` of the exact crawl.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..exceptions import InfeasibleFlowError, OptimizationError
 from ..graph.compiled import CompiledDag
-from ..graph.critical import critical_subgraph, event_times
 from ..graph.edgecentric import EdgeCentricDag
 from ..graph.lowerbounds import (
-    BoundedEdge,
+    SPContraction,
     contract_series_parallel,
-    max_flow_with_lower_bounds_reference,
     solve_bounded_arrays,
 )
 from ..graph.maxflow import INF, FlowArena, WarmCutCache
@@ -75,14 +73,21 @@ CAPACITY_FLOOR = 1e-9
 #: so this only guards float-noise ping-pong).
 MAX_REPAIRS = 25
 
+#: Stated tolerance of fast mode: every fast-mode frontier point's
+#: effective energy is within ``(1 + FAST_TOLERANCE)`` of the exact
+#: crawl's cost at the same (or smaller) iteration-time budget.
+FAST_TOLERANCE = 0.05
 
-def slow_path_enabled() -> bool:
-    """Whether ``REPRO_SLOW_PATH`` selects the dict oracle."""
-    return os.environ.get("REPRO_SLOW_PATH", "") not in ("", "0")
+#: Warm-cut relative slack: the fraction of the recorded cut's value a
+#: replayed cut may be suboptimal by, per reuse.  Between adjacent
+#: partial moves capacities drift by the second-order curvature of
+#: ``eta`` (O(tau) relative), so 1% buys reuse runs at small tau while
+#: staying far inside FAST_TOLERANCE for the crawl as a whole.
+FAST_WARM_SLACK = 0.01
 
 
 # ---------------------------------------------------------------------------
-# Public entry point (dispatches kernel vs. oracle)
+# Public entry point (dict durations in and out)
 # ---------------------------------------------------------------------------
 
 
@@ -98,10 +103,7 @@ def get_next_schedule(
     their fastest duration mid-step (partial speed-ups), so moves are
     accumulated until the iteration time has dropped by ~``tau``.  Each
     partial move retires at least one computation to its bound, so the
-    inner loop is finite.
-
-    Runs on the compiled flat-array kernel unless ``REPRO_SLOW_PATH=1``
-    selects the dict oracle; the two are bit-identical.
+    inner loop is finite.  Runs :func:`next_schedule_flat` (exact mode).
 
     Args:
         ecd: Edge-centric DAG of the whole iteration.
@@ -111,8 +113,6 @@ def get_next_schedule(
     """
     if tau <= 0:
         raise OptimizationError("tau must be positive")
-    if slow_path_enabled():
-        return _get_next_schedule_dict(ecd, durations, node_cost, tau)
     kern = compiled_kernel(ecd, node_cost)
     costs = [node_cost[c] for c in range(kern.num_comps)]
     result = next_schedule_flat(
@@ -141,7 +141,7 @@ def compiled_kernel(
 
 
 # ---------------------------------------------------------------------------
-# Flat-array kernel (the production path)
+# The step kernel
 # ---------------------------------------------------------------------------
 
 
@@ -164,6 +164,11 @@ class _FlatInstance:
     num_compact: int
     s: int
     t: int
+
+    def relaxed(self) -> "_FlatInstance":
+        """The same instance with every slowdown credit (lower bound)
+        dropped: the speedup-only cut problem."""
+        return replace(self, blb=[0.0] * len(self.blb))
 
 
 class FlatStep(NamedTuple):
@@ -213,6 +218,45 @@ class CostTable:
         return cached
 
 
+class FastState:
+    """Crawl-scoped scratch for fast mode.
+
+    Holds the :class:`~repro.graph.maxflow.WarmCutCache` shared across
+    steps plus the stage counters the fast mode reports back through
+    ``Frontier.stats["timings"]`` (warm-start hits/misses, contraction
+    ratio, incremental-pass node counts).
+    """
+
+    __slots__ = ("warm", "last_contraction", "stats")
+
+    def __init__(self) -> None:
+        self.warm = WarmCutCache()
+        #: Contraction of the most recently solved instance (None when
+        #: that instance did not reduce); the zero-lb fallback re-solve
+        #: of the *same* instance reuses it instead of re-contracting.
+        self.last_contraction = None
+        self.stats = {
+            "contractions": 0,
+            "contract_edges_before": 0,
+            "contract_edges_after": 0,
+            "incremental_passes": 0,
+            "full_passes": 0,
+            "nodes_recomputed": 0,
+            "nodes_total": 0,
+        }
+
+    def export(self, timings: Optional[dict]) -> None:
+        """Merge the fast counters into a crawl's timings dict."""
+        if timings is None:
+            return
+        timings.update(self.stats)
+        timings["warm_hits"] = self.warm.hits
+        timings["warm_misses"] = self.warm.misses
+        before = self.stats["contract_edges_before"]
+        after = self.stats["contract_edges_after"]
+        timings["contraction_ratio"] = (after / before) if before else 1.0
+
+
 def next_schedule_flat(
     kern: CompiledDag,
     durations: array,
@@ -223,6 +267,7 @@ def next_schedule_flat(
     start_makespan: Optional[float] = None,
     start_earliest: Optional[List[float]] = None,
     cost_table: Optional[CostTable] = None,
+    fast: Optional[FastState] = None,
 ) -> Optional[FlatStep]:
     """One Algorithm-2 step on the compiled kernel.
 
@@ -238,6 +283,8 @@ def next_schedule_flat(
         start_earliest: Earliest event times matching ``start_makespan``
             (a prior step's :attr:`FlatStep.earliest`).
         cost_table: Crawl-scoped :class:`CostTable` (fresh if omitted).
+        fast: Crawl-scoped :class:`FastState` selecting fast mode's cut
+            solve (see :func:`next_schedule_fast`); ``None`` is exact.
 
     Returns:
         A :class:`FlatStep` (fresh duration array; the input is never
@@ -253,8 +300,8 @@ def next_schedule_flat(
     if cost_table is None:
         cost_table = CostTable(costs, tau)
     if start_makespan is None or start_earliest is None:
-        start_earliest, start_makespan = _timed_forward(
-            kern, durations, timings
+        start_earliest, start_makespan = _forward(
+            kern, durations, timings, fast
         )
     current = durations
     cur_makespan = start_makespan
@@ -262,9 +309,9 @@ def next_schedule_flat(
     moved = False
     max_inner = max(32, kern.num_comps)
     for _ in range(max_inner):
-        nxt = _solve_one_cut_flat(
+        nxt = _solve_one_cut(
             kern, current, cur_makespan, cur_earliest, cost_table, tau,
-            arena, timings,
+            arena, timings, fast,
         )
         if nxt is None:
             break
@@ -279,47 +326,120 @@ def next_schedule_flat(
     return FlatStep(current, cur_makespan, cur_earliest)
 
 
-def _timed_forward(kern, durations, timings) -> Tuple[List[float], float]:
+def next_schedule_fast(
+    kern: CompiledDag,
+    durations: array,
+    costs: Sequence[OpCostModel],
+    tau: float,
+    arena: Optional[FlowArena] = None,
+    timings: Optional[dict] = None,
+    start_makespan: Optional[float] = None,
+    start_earliest: Optional[List[float]] = None,
+    cost_table: Optional[CostTable] = None,
+    fast: Optional[FastState] = None,
+) -> Optional[FlatStep]:
+    """One Algorithm-2 step in fast mode (tolerance-validated).
+
+    Same contract as :func:`next_schedule_flat` -- the returned
+    durations still shave ~``tau`` off the makespan and every move is a
+    genuine cut move -- but the cut may be up to the warm-cut slack away
+    from minimal and min-cut solves run on the SP-contracted core, so
+    the resulting frontier is *not* bit-identical to the oracle.  Pass a
+    crawl-scoped :class:`FastState` to share warm cuts across steps.
+    """
+    return next_schedule_flat(
+        kern, durations, costs, tau, arena=arena, timings=timings,
+        start_makespan=start_makespan, start_earliest=start_earliest,
+        cost_table=cost_table, fast=FastState() if fast is None else fast,
+    )
+
+
+def _forward(
+    kern, durations, timings, fast, base_earliest=None, changed=()
+) -> Tuple[List[float], float]:
+    """Earliest event times + makespan of ``durations``.
+
+    With ``base_earliest`` -- the earliest times of durations that
+    differ from ``durations`` only on the ``changed`` computations --
+    just the cone below the changed computations is recomputed, which is
+    bit-identical to a full :meth:`CompiledDag.forward_pass`.
+    """
     start = perf_counter()
-    earliest, makespan = kern.forward_pass(durations)
+    if base_earliest is None:
+        ear, makespan = kern.forward_pass(durations)
+        recomputed = kern.num_nodes
+    else:
+        ear, makespan, recomputed = kern.forward_pass_incremental(
+            durations, base_earliest, kern.min_affected_pos(changed)
+        )
     if timings is not None:
         timings["event_times_s"] += perf_counter() - start
-    return earliest, makespan
+    if fast is not None:
+        st = fast.stats
+        if recomputed >= kern.num_nodes:
+            st["full_passes"] += 1
+        else:
+            st["incremental_passes"] += 1
+        st["nodes_recomputed"] += recomputed
+        st["nodes_total"] += kern.num_nodes
+    return ear, makespan
 
 
-def _solve_one_cut_flat(
-    kern, current, cur_makespan, cur_earliest, table, tau, arena, timings
+def _changed_comps(old: Sequence[float], new: Sequence[float]) -> List[int]:
+    return [c for c in range(len(old)) if old[c] != new[c]]
+
+
+def _critical_instance(
+    kern, current, cur_earliest, table, timings
+) -> Optional[_FlatInstance]:
+    """Critical pass + Eq. 8 instance; None if time is irreducible."""
+    t0 = perf_counter()
+    info = kern.critical_pass(current, forward=cur_earliest)
+    t1 = perf_counter()
+    inst = _build_instance(kern, current, table, info.critical)
+    if timings is not None:
+        timings["event_times_s"] += t1 - t0
+        timings["instance_build_s"] += perf_counter() - t1
+    return inst
+
+
+def _solve_one_cut(
+    kern, current, cur_makespan, cur_earliest, table, tau, arena, timings,
+    fast,
 ) -> Optional[FlatStep]:
     """One min-cut move (with energy repairs); None if time is irreducible."""
     for _ in range(MAX_REPAIRS):
-        t0 = perf_counter()
-        info = kern.critical_pass(current, forward=cur_earliest)
-        t1 = perf_counter()
-        inst = _build_instance_flat(kern, current, table, info.critical)
-        if timings is not None:
-            t2 = perf_counter()
-            timings["event_times_s"] += t1 - t0
-            timings["instance_build_s"] += t2 - t1
+        inst = _critical_instance(kern, current, cur_earliest, table, timings)
         if inst is None:
             return None
-        t0 = perf_counter()
-        try:
-            _, _, mask = solve_bounded_arrays(
+
+        if fast is not None:
+            mask = fast.warm.try_reuse(
                 inst.num_compact, inst.bu, inst.bv, inst.blb, inst.bub,
-                inst.s, inst.t, arena=arena, need_flows=False,
+                FAST_WARM_SLACK,
             )
+            if mask is not None:
+                step = _apply_cut(
+                    kern, current, cur_earliest, cur_makespan, tau, inst,
+                    mask, timings, fast,
+                )
+                if step is not None:
+                    return step
+                # The replayed cut no longer moves anything; solve fresh.
+                fast.warm.invalidate()
+
+        try:
+            mask = _min_cut(inst, arena, timings, fast)
         except InfeasibleFlowError as err:
-            if timings is not None:
-                timings["maxflow_s"] += perf_counter() - t0
-                timings["cuts"] += 1
             repaired = None
             if err.violating_set:
-                repaired = _apply_repair_flat(
+                repaired = _apply_repair(
                     kern, current, tau, inst, err.violating_set
                 )
             if repaired is not None:
-                rep_earliest, rep_makespan = _timed_forward(
-                    kern, repaired, timings
+                rep_earliest, rep_makespan = _forward(
+                    kern, repaired, timings, fast, cur_earliest,
+                    _changed_comps(current, repaired),
                 )
                 if rep_makespan <= cur_makespan + 1e-12:
                     current = repaired
@@ -329,27 +449,91 @@ def _solve_one_cut_flat(
                         timings["repairs"] += 1
                     continue
             # Repair unavailable: drop the slowdown credits for this step.
-            inst = _FlatInstance(
-                inst.bu, inst.bv, [0.0] * len(inst.blb), inst.bub,
-                inst.binf, inst.crit, inst.num_compact, inst.s, inst.t,
+            inst = inst.relaxed()
+            mask = _min_cut(inst, arena, timings, fast, reuse_last=True)
+        if fast is not None:
+            fast.warm.record(
+                inst.num_compact, inst.bu, inst.bv, inst.blb, inst.bub, mask
             )
-            t0 = perf_counter()
-            _, _, mask = solve_bounded_arrays(
-                inst.num_compact, inst.bu, inst.bv, inst.blb, inst.bub,
-                inst.s, inst.t, arena=arena, need_flows=False,
-            )
-        if timings is not None:
-            timings["maxflow_s"] += perf_counter() - t0
-            timings["cuts"] += 1
-        return _apply_cut_flat(
-            kern, current, cur_makespan, tau, inst, mask, timings
+        return _apply_cut(
+            kern, current, cur_earliest, cur_makespan, tau, inst, mask,
+            timings, fast,
         )
-    return _fallback_speedup_only_flat(
-        kern, current, cur_makespan, cur_earliest, table, tau, arena, timings
+    return _fallback_speedup_only(
+        kern, current, cur_makespan, cur_earliest, table, tau, arena,
+        timings, fast,
     )
 
 
-def _build_instance_flat(
+def _min_cut(inst: _FlatInstance, arena, timings, fast,
+             reuse_last: bool = False) -> bytearray:
+    """Source-side mask of ``inst``'s min cut.
+
+    Exact mode solves the instance directly.  Fast mode solves its
+    series-parallel contraction (:func:`_contract`) when one exists: the
+    contraction preserves feasibility and the min-cut value exactly, and
+    the cut is expanded back through the composition trees.  On an
+    infeasible instance, raises :class:`InfeasibleFlowError` with the
+    violating set in ``inst``'s compact node ids (a contracted violating
+    set is expanded the same way; the expansion preserves each
+    composite's cut contribution, so the set's negative value survives).
+    """
+    t0 = perf_counter()
+    try:
+        con = None if fast is None else _contract(inst, fast, reuse_last)
+        if con is None:
+            return solve_bounded_arrays(
+                inst.num_compact, inst.bu, inst.bv, inst.blb, inst.bub,
+                inst.s, inst.t, arena=arena, need_flows=False,
+            )[2]
+        try:
+            cmask = solve_bounded_arrays(
+                con.num_nodes, con.edge_u, con.edge_v, con.lower,
+                con.upper, con.s, con.t, arena=arena, need_flows=False,
+            )[2]
+        except InfeasibleFlowError as cerr:
+            vmask = bytearray(con.num_nodes)
+            for n in cerr.violating_set:
+                vmask[n] = 1
+            full = con.expand_mask(vmask)
+            err = InfeasibleFlowError(str(cerr))
+            err.violating_set = {
+                n for n in range(inst.num_compact) if full[n]
+            }
+            raise err from None
+        return con.expand_mask(cmask)
+    finally:
+        if timings is not None:
+            timings["maxflow_s"] += perf_counter() - t0
+            timings["cuts"] += 1
+
+
+def _contract(inst: _FlatInstance, fast: FastState,
+              reuse_last: bool) -> Optional[SPContraction]:
+    """Fast mode's SP contraction of ``inst`` (None if nothing reduces).
+
+    ``reuse_last`` (the zero-lb re-solve of the instance just solved)
+    reuses the last contraction with its lower bounds dropped instead of
+    re-contracting.
+    """
+    if reuse_last and fast.last_contraction is not None:
+        return fast.last_contraction.with_zero_lower()
+    st = fast.stats
+    st["contract_edges_before"] += len(inst.bu)
+    con = contract_series_parallel(
+        inst.num_compact, inst.bu, inst.bv, inst.blb, inst.bub,
+        inst.s, inst.t,
+    )
+    fast.last_contraction = con
+    if con is not None:
+        st["contractions"] += 1
+        st["contract_edges_after"] += len(con.edge_u)
+    else:
+        st["contract_edges_after"] += len(inst.bu)
+    return con
+
+
+def _build_instance(
     kern, current, table: CostTable, crit: List[int]
 ) -> Optional[_FlatInstance]:
     """Critical DAG -> Eq. 8 capacities; None if time is irreducible."""
@@ -365,7 +549,7 @@ def _build_instance_flat(
         entries[j] = entry
         speedable[j] = entry[0]
 
-    if _has_unspeedable_path_flat(kern, crit, speedable):
+    if _has_unspeedable_path(kern, crit, speedable):
         return None
 
     # Compact node ids over the critical subgraph's nodes (plus s and t),
@@ -409,7 +593,7 @@ def _build_instance_flat(
     )
 
 
-def _has_unspeedable_path_flat(kern, crit, speedable) -> bool:
+def _has_unspeedable_path(kern, crit, speedable) -> bool:
     """True if s reaches t through critical edges that cannot speed up."""
     eu, ev = kern.edge_u, kern.edge_v
     adj: Dict[int, List[int]] = {}
@@ -431,15 +615,16 @@ def _has_unspeedable_path_flat(kern, crit, speedable) -> bool:
     return False
 
 
-def _apply_repair_flat(
+def _apply_repair(
     kern, current, tau, inst: _FlatInstance, violating: Set[int]
 ) -> Optional[array]:
     """Apply the negative cut exposed by an infeasible lower-bound flow.
 
     ``violating`` is a compact-id node set whose cut value
-    ``sum(e+) - sum(e-)`` is negative; see the oracle's ``_apply_repair``
-    for the reasoning.  Returns repaired durations, or ``None`` if the
-    move is not actually improving (float-edge cases).
+    ``sum(e+) - sum(e-)`` is negative: speeding its outgoing critical
+    edges and slowing its incoming ones strictly reduces energy while the
+    makespan cannot increase.  Returns repaired durations, or ``None`` if
+    the move is not actually improving (float-edge cases).
     """
     ecomp = kern.edge_comp
     crit = inst.crit
@@ -471,387 +656,12 @@ def _apply_repair_flat(
     return new_durations
 
 
-def _apply_cut_flat(
-    kern, current, cur_makespan, tau, inst: _FlatInstance, mask, timings
-) -> Optional[FlatStep]:
-    """Apply a solved min cut: speed S->T edges, slow T->S edges."""
-    bu, bv = inst.bu, inst.bv
-    forward: List[int] = []
-    backward: List[int] = []
-    for i in range(len(bu)):
-        u_in = mask[bu[i]]
-        v_in = mask[bv[i]]
-        if u_in and not v_in:
-            forward.append(i)
-        elif v_in and not u_in:
-            backward.append(i)
-    if not forward:
-        return None
-
-    ecomp = kern.edge_comp
-    crit = inst.crit
-    t_min, t_max = kern.t_min, kern.t_max
-    new_durations = array("d", current)
-    for i in forward:
-        comp = ecomp[crit[i]]
-        if comp < 0:
-            raise OptimizationError(
-                "min cut crossed an infinite-capacity dependency edge"
-            )
-        new_durations[comp] = max(new_durations[comp] - tau, t_min[comp])
-    speedup_only = array("d", new_durations)
-    for i in backward:
-        comp = ecomp[crit[i]]
-        if comp < 0 or inst.blb[i] <= 0.0:
-            continue  # nothing to gain from slowing this edge
-        new_durations[comp] = min(new_durations[comp] + tau, t_max[comp])
-
-    # Slowing T->S cut edges is exact on the Critical DAG, but a slowed
-    # computation may sit on a *non-critical* path whose slack is < tau
-    # (and partially sped forward edges shorten paths by less than tau),
-    # eating into (or negating) the reduction.  Verify and fall back to
-    # the speedup-only schedule, which always shortens the critical paths.
-    if backward:
-        new_earliest, new_makespan = _timed_forward(
-            kern, new_durations, timings
-        )
-        if new_makespan >= cur_makespan - 1e-12:
-            so_earliest, so_makespan = _timed_forward(
-                kern, speedup_only, timings
-            )
-            return FlatStep(speedup_only, so_makespan, so_earliest)
-        return FlatStep(new_durations, new_makespan, new_earliest)
-    earliest, makespan = _timed_forward(kern, new_durations, timings)
-    return FlatStep(new_durations, makespan, earliest)
-
-
-def _fallback_speedup_only_flat(
-    kern, current, cur_makespan, cur_earliest, table, tau, arena, timings
-) -> Optional[FlatStep]:
-    """Last resort after repair ping-pong: pure speedup min cut."""
-    t0 = perf_counter()
-    info = kern.critical_pass(current, forward=cur_earliest)
-    t1 = perf_counter()
-    inst = _build_instance_flat(kern, current, table, info.critical)
-    if timings is not None:
-        t2 = perf_counter()
-        timings["event_times_s"] += t1 - t0
-        timings["instance_build_s"] += t2 - t1
-    if inst is None:
-        return None
-    inst = _FlatInstance(
-        inst.bu, inst.bv, [0.0] * len(inst.blb), inst.bub,
-        inst.binf, inst.crit, inst.num_compact, inst.s, inst.t,
-    )
-    t0 = perf_counter()
-    _, _, mask = solve_bounded_arrays(
-        inst.num_compact, inst.bu, inst.bv, inst.blb, inst.bub,
-        inst.s, inst.t, arena=arena, need_flows=False,
-    )
-    if timings is not None:
-        timings["maxflow_s"] += perf_counter() - t0
-        timings["cuts"] += 1
-    return _apply_cut_flat(
-        kern, current, cur_makespan, tau, inst, mask, timings
-    )
-
-
-# ---------------------------------------------------------------------------
-# Fast kernel (exactness="fast"): warm cuts, SP contraction, incremental
-# event passes.  Relaxes bit-identity with the oracle; validated to
-# FAST_TOLERANCE by tests/test_fast_mode.py and the optimizer benchmark.
-# ---------------------------------------------------------------------------
-
-#: Stated tolerance of fast mode: every fast-mode frontier point's
-#: effective energy is within ``(1 + FAST_TOLERANCE)`` of the exact
-#: crawl's cost at the same (or smaller) iteration-time budget.
-FAST_TOLERANCE = 0.05
-
-#: Env knob for the warm-cut relative slack (fraction of the recorded
-#: cut's value a replayed cut may be suboptimal by, per reuse).
-FAST_WARM_SLACK_ENV = "REPRO_FAST_WARM_SLACK"
-
-#: Default warm-cut slack.  Between adjacent partial moves capacities
-#: drift by the second-order curvature of ``eta`` (O(tau) relative), so
-#: 1% buys long reuse runs at small tau while staying far inside
-#: FAST_TOLERANCE for the crawl as a whole.
-FAST_WARM_SLACK_DEFAULT = 0.01
-
-
-class FastState:
-    """Crawl-scoped scratch for the fast kernel.
-
-    Holds the :class:`~repro.graph.maxflow.WarmCutCache` shared across
-    steps plus the stage counters the fast mode reports back through
-    ``Frontier.stats["timings"]`` (warm-start hits/misses, contraction
-    ratio, incremental-pass node counts).
-    """
-
-    __slots__ = ("warm", "warm_slack", "last_contraction", "stats")
-
-    def __init__(self, warm_slack: Optional[float] = None) -> None:
-        if warm_slack is None:
-            warm_slack = float(
-                os.environ.get(FAST_WARM_SLACK_ENV, "")
-                or FAST_WARM_SLACK_DEFAULT
-            )
-        self.warm = WarmCutCache()
-        self.warm_slack = warm_slack
-        #: Contraction of the most recently solved instance (None when
-        #: that instance did not reduce); the zero-lb fallback re-solve
-        #: of the *same* instance reuses it instead of re-contracting.
-        self.last_contraction = None
-        self.stats = {
-            "contractions": 0,
-            "contract_edges_before": 0,
-            "contract_edges_after": 0,
-            "incremental_passes": 0,
-            "full_passes": 0,
-            "nodes_recomputed": 0,
-            "nodes_total": 0,
-        }
-
-    def export(self, timings: Optional[dict]) -> None:
-        """Merge the fast counters into a crawl's timings dict."""
-        if timings is None:
-            return
-        timings.update(self.stats)
-        timings["warm_hits"] = self.warm.hits
-        timings["warm_misses"] = self.warm.misses
-        before = self.stats["contract_edges_before"]
-        after = self.stats["contract_edges_after"]
-        timings["contraction_ratio"] = (after / before) if before else 1.0
-
-
-def next_schedule_fast(
-    kern: CompiledDag,
-    durations: array,
-    costs: Sequence[OpCostModel],
-    tau: float,
-    arena: Optional[FlowArena] = None,
-    timings: Optional[dict] = None,
-    start_makespan: Optional[float] = None,
-    start_earliest: Optional[List[float]] = None,
-    cost_table: Optional[CostTable] = None,
-    fast: Optional[FastState] = None,
-) -> Optional[FlatStep]:
-    """One Algorithm-2 step on the fast (tolerance-validated) kernel.
-
-    Same contract as :func:`next_schedule_flat` -- the returned
-    durations still shave ~``tau`` off the makespan and every move is a
-    genuine cut move -- but the cut may be up to the warm-cut slack away
-    from minimal and min-cut solves run on the SP-contracted core, so
-    the resulting frontier is *not* bit-identical to the oracle.  Pass a
-    crawl-scoped :class:`FastState` to share warm cuts across steps.
-    """
-    if tau <= 0:
-        raise OptimizationError("tau must be positive")
-    if kern.t_min is None or kern.t_max is None:
-        raise OptimizationError(
-            "kernel was compiled without cost models; use "
-            "CompiledDag.from_edge_centric(ecd, node_cost)"
-        )
-    if cost_table is None:
-        cost_table = CostTable(costs, tau)
-    if fast is None:
-        fast = FastState()
-    if start_makespan is None or start_earliest is None:
-        start_earliest, start_makespan = _timed_forward(
-            kern, durations, timings
-        )
-        fast.stats["full_passes"] += 1
-        fast.stats["nodes_recomputed"] += kern.num_nodes
-        fast.stats["nodes_total"] += kern.num_nodes
-    current = durations
-    cur_makespan = start_makespan
-    cur_earliest: Optional[List[float]] = start_earliest
-    moved = False
-    max_inner = max(32, kern.num_comps)
-    for _ in range(max_inner):
-        nxt = _solve_one_cut_fast(
-            kern, current, cur_makespan, cur_earliest, cost_table, tau,
-            arena, timings, fast,
-        )
-        if nxt is None:
-            break
-        current, cur_makespan, cur_earliest = nxt
-        moved = True
-        if start_makespan - cur_makespan >= 0.9 * tau:
-            break
-    if not moved:
-        return None
-    if start_makespan - cur_makespan < 1e-12:
-        return None
-    return FlatStep(current, cur_makespan, cur_earliest)
-
-
-def _changed_comps(old: Sequence[float], new: Sequence[float]) -> List[int]:
-    return [c for c in range(len(old)) if old[c] != new[c]]
-
-
-def _fast_forward(
-    kern, base_earliest, new_durations, changed_comps, timings, fast
-) -> Tuple[List[float], float]:
-    """Forward pass recomputing only the cone below ``changed_comps``.
-
-    ``base_earliest`` must be the earliest times of the durations the
-    changed computations were edited from.  Bit-identical to a full
-    :meth:`CompiledDag.forward_pass` on ``new_durations``.
-    """
-    start = perf_counter()
-    from_pos = kern.min_affected_pos(changed_comps)
-    ear, makespan, recomputed = kern.forward_pass_incremental(
-        new_durations, base_earliest, from_pos
-    )
-    if timings is not None:
-        timings["event_times_s"] += perf_counter() - start
-    st = fast.stats
-    if recomputed >= kern.num_nodes:
-        st["full_passes"] += 1
-    else:
-        st["incremental_passes"] += 1
-    st["nodes_recomputed"] += recomputed
-    st["nodes_total"] += kern.num_nodes
-    return ear, makespan
-
-
-def _solve_instance_fast(inst: _FlatInstance, arena, timings, fast,
-                         reuse=None):
-    """Min-cut side mask of ``inst`` via the SP-contracted core.
-
-    The contraction preserves feasibility and the min-cut value exactly;
-    on an infeasible instance the contracted violating set is expanded
-    back through the composition trees (the expansion preserves each
-    composite's cut contribution, so the set's negative value survives)
-    and re-raised in the instance's own compact node ids for the repair
-    logic.  ``reuse`` supplies a ready
-    :class:`~repro.graph.lowerbounds.SPContraction` already matching
-    ``inst`` (the zero-lb fallback path) to skip re-contracting.
-    """
-    st = fast.stats
-    t0 = perf_counter()
-    try:
-        if reuse is not None:
-            con = reuse
-        else:
-            st["contract_edges_before"] += len(inst.bu)
-            con = contract_series_parallel(
-                inst.num_compact, inst.bu, inst.bv, inst.blb, inst.bub,
-                inst.s, inst.t,
-            )
-            fast.last_contraction = con
-            if con is not None:
-                st["contractions"] += 1
-                st["contract_edges_after"] += len(con.edge_u)
-            else:
-                st["contract_edges_after"] += len(inst.bu)
-        if con is None:
-            _, _, mask = solve_bounded_arrays(
-                inst.num_compact, inst.bu, inst.bv, inst.blb, inst.bub,
-                inst.s, inst.t, arena=arena, need_flows=False,
-            )
-            return mask
-        try:
-            _, _, cmask = solve_bounded_arrays(
-                con.num_nodes, con.edge_u, con.edge_v, con.lower,
-                con.upper, con.s, con.t, arena=arena, need_flows=False,
-            )
-        except InfeasibleFlowError as cerr:
-            vmask = bytearray(con.num_nodes)
-            for n in cerr.violating_set:
-                vmask[n] = 1
-            full = con.expand_mask(vmask)
-            err = InfeasibleFlowError(str(cerr))
-            err.violating_set = {
-                n for n in range(inst.num_compact) if full[n]
-            }
-            raise err from None
-        return con.expand_mask(cmask)
-    finally:
-        if timings is not None:
-            timings["maxflow_s"] += perf_counter() - t0
-            timings["cuts"] += 1
-
-
-def _solve_one_cut_fast(
-    kern, current, cur_makespan, cur_earliest, table, tau, arena, timings,
-    fast,
-) -> Optional[FlatStep]:
-    """Fast-mode counterpart of :func:`_solve_one_cut_flat`."""
-    for _ in range(MAX_REPAIRS):
-        t0 = perf_counter()
-        info = kern.critical_pass(current, forward=cur_earliest)
-        t1 = perf_counter()
-        inst = _build_instance_flat(kern, current, table, info.critical)
-        if timings is not None:
-            t2 = perf_counter()
-            timings["event_times_s"] += t1 - t0
-            timings["instance_build_s"] += t2 - t1
-        if inst is None:
-            return None
-
-        mask = fast.warm.try_reuse(
-            inst.num_compact, inst.bu, inst.bv, inst.blb, inst.bub,
-            fast.warm_slack,
-        )
-        if mask is not None:
-            step = _apply_cut_fast(
-                kern, current, cur_earliest, cur_makespan, tau, inst,
-                mask, timings, fast,
-            )
-            if step is not None:
-                return step
-            # The replayed cut no longer moves anything; solve fresh.
-            fast.warm.invalidate()
-
-        try:
-            mask = _solve_instance_fast(inst, arena, timings, fast)
-        except InfeasibleFlowError as err:
-            repaired = None
-            if err.violating_set:
-                repaired = _apply_repair_flat(
-                    kern, current, tau, inst, err.violating_set
-                )
-            if repaired is not None:
-                rep_earliest, rep_makespan = _fast_forward(
-                    kern, cur_earliest, repaired,
-                    _changed_comps(current, repaired), timings, fast,
-                )
-                if rep_makespan <= cur_makespan + 1e-12:
-                    current = repaired
-                    cur_makespan = rep_makespan
-                    cur_earliest = rep_earliest
-                    if timings is not None:
-                        timings["repairs"] += 1
-                    continue
-            # Repair unavailable: drop the slowdown credits for this step.
-            inst = _FlatInstance(
-                inst.bu, inst.bv, [0.0] * len(inst.blb), inst.bub,
-                inst.binf, inst.crit, inst.num_compact, inst.s, inst.t,
-            )
-            reuse = fast.last_contraction
-            mask = _solve_instance_fast(
-                inst, arena, timings, fast,
-                reuse=None if reuse is None else reuse.with_zero_lower(),
-            )
-        fast.warm.record(
-            inst.num_compact, inst.bu, inst.bv, inst.blb, inst.bub, mask
-        )
-        return _apply_cut_fast(
-            kern, current, cur_earliest, cur_makespan, tau, inst, mask,
-            timings, fast,
-        )
-    return _fallback_speedup_only_fast(
-        kern, current, cur_makespan, cur_earliest, table, tau, arena,
-        timings, fast,
-    )
-
-
-def _apply_cut_fast(
+def _apply_cut(
     kern, current, cur_earliest, cur_makespan, tau, inst: _FlatInstance,
     mask, timings, fast,
 ) -> Optional[FlatStep]:
-    """Apply a (possibly replayed) cut with incremental event passes."""
+    """Apply a solved (or replayed) min cut: speed S->T edges, slow T->S
+    edges."""
     bu, bv = inst.bu, inst.bv
     forward: List[int] = []
     backward: List[int] = []
@@ -887,300 +697,39 @@ def _apply_cut_fast(
         new_durations[comp] = min(new_durations[comp] + tau, t_max[comp])
         slow_comps.append(comp)
 
-    if slow_comps:
-        new_earliest, new_makespan = _fast_forward(
-            kern, cur_earliest, new_durations, fwd_comps + slow_comps,
-            timings, fast,
-        )
-        if new_makespan >= cur_makespan - 1e-12:
-            so_earliest, so_makespan = _fast_forward(
-                kern, cur_earliest, speedup_only, fwd_comps, timings, fast
-            )
-            return FlatStep(speedup_only, so_makespan, so_earliest)
-        return FlatStep(new_durations, new_makespan, new_earliest)
-    earliest, makespan = _fast_forward(
-        kern, cur_earliest, new_durations, fwd_comps, timings, fast
-    )
-    return FlatStep(new_durations, makespan, earliest)
-
-
-def _fallback_speedup_only_fast(
-    kern, current, cur_makespan, cur_earliest, table, tau, arena, timings,
-    fast,
-) -> Optional[FlatStep]:
-    """Last resort after repair ping-pong: pure speedup min cut."""
-    t0 = perf_counter()
-    info = kern.critical_pass(current, forward=cur_earliest)
-    t1 = perf_counter()
-    inst = _build_instance_flat(kern, current, table, info.critical)
-    if timings is not None:
-        t2 = perf_counter()
-        timings["event_times_s"] += t1 - t0
-        timings["instance_build_s"] += t2 - t1
-    if inst is None:
-        return None
-    inst = _FlatInstance(
-        inst.bu, inst.bv, [0.0] * len(inst.blb), inst.bub,
-        inst.binf, inst.crit, inst.num_compact, inst.s, inst.t,
-    )
-    mask = _solve_instance_fast(inst, arena, timings, fast)
-    return _apply_cut_fast(
-        kern, current, cur_earliest, cur_makespan, tau, inst, mask,
-        timings, fast,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Dict oracle (REPRO_SLOW_PATH=1) -- the original interpreter, verbatim
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _StepInstance:
-    """The bounded min-cut instance for one Critical DAG (oracle form)."""
-
-    bounded: List[BoundedEdge]
-    edge_of_bounded: List[int]  # critical-edge index per bounded edge
-    node_index: Dict[int, int]
-    s: int
-    t: int
-
-
-def _has_unspeedable_path(
-    ecd: EdgeCentricDag,
-    crit_edges: List[int],
-    speedable: Set[int],
-) -> bool:
-    """True if s reaches t through critical edges that cannot speed up.
-
-    Such a path pins the iteration time: any s-t cut would need to cut an
-    infinite-capacity edge, so time reduction is impossible.
-    """
-    adj: Dict[int, List[int]] = {}
-    for idx in crit_edges:
-        if idx in speedable:
-            continue
-        e = ecd.edges[idx]
-        adj.setdefault(e.u, []).append(e.v)
-    seen = {ecd.s}
-    queue = deque([ecd.s])
-    while queue:
-        u = queue.popleft()
-        if u == ecd.t:
-            return True
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return False
-
-
-def _build_instance(
-    ecd: EdgeCentricDag,
-    durations: Dict[int, float],
-    node_cost: Dict[int, OpCostModel],
-    tau: float,
-) -> Optional[_StepInstance]:
-    """Critical DAG -> Eq. 8 capacities; None if time is irreducible."""
-    crit_edges, crit_nodes, _ = critical_subgraph(ecd, durations)
-
-    speedable: Set[int] = set()
-    slowable: Set[int] = set()
-    for idx in crit_edges:
-        comp = ecd.edges[idx].comp
-        if comp is None:
-            continue
-        cm = node_cost[comp]
-        t = durations[comp]
-        if cm.can_speed_up(t, tau):
-            speedable.add(idx)
-        if cm.can_slow_down(t, tau):
-            slowable.add(idx)
-
-    if _has_unspeedable_path(ecd, crit_edges, speedable):
-        return None
-
-    node_index = {n: i for i, n in enumerate(sorted(crit_nodes))}
-    bounded: List[BoundedEdge] = []
-    edge_of_bounded: List[int] = []
-    for idx in crit_edges:
-        e = ecd.edges[idx]
-        comp = e.comp
-        if comp is None:
-            lb, ub = 0.0, INF
-        else:
-            cm = node_cost[comp]
-            t = durations[comp]
-            ub = (
-                max(cm.speedup_cost(t, tau), CAPACITY_FLOOR)
-                if idx in speedable
-                else INF
-            )
-            lb = max(cm.slowdown_gain(t, tau), 0.0) if idx in slowable else 0.0
-            if lb > ub:
-                # Convexity guarantees e- <= e+ for exact fits; float dust
-                # can still invert them by a hair.
-                lb = ub
-        bounded.append(BoundedEdge(node_index[e.u], node_index[e.v], lb, ub))
-        edge_of_bounded.append(idx)
-    return _StepInstance(
-        bounded=bounded,
-        edge_of_bounded=edge_of_bounded,
-        node_index=node_index,
-        s=node_index[ecd.s],
-        t=node_index[ecd.t],
-    )
-
-
-def _apply_repair(
-    ecd: EdgeCentricDag,
-    durations: Dict[int, float],
-    node_cost: Dict[int, OpCostModel],
-    tau: float,
-    inst: _StepInstance,
-    violating: Set[int],
-) -> Optional[Dict[int, float]]:
-    """Apply the negative cut exposed by an infeasible lower-bound flow.
-
-    ``violating`` is a node set (compact ids) whose cut value
-    ``sum(e+) - sum(e-)`` is negative: speeding its outgoing critical edges
-    and slowing its incoming ones strictly reduces energy while the
-    makespan cannot increase.  Returns the repaired durations, or ``None``
-    if the move is not actually improving (float-edge cases).
-    """
-    delta = 0.0
-    speed: List[int] = []
-    slow: List[int] = []
-    for i, be in enumerate(inst.bounded):
-        u_in = be.u in violating
-        v_in = be.v in violating
-        comp = ecd.edges[inst.edge_of_bounded[i]].comp
-        if u_in and not v_in:
-            if comp is None or be.ub is INF:
-                return None  # cut crosses an unspeedable edge: not a move
-            delta += be.ub
-            speed.append(comp)
-        elif v_in and not u_in:
-            if comp is not None and be.lb > 0.0:
-                delta -= be.lb
-                slow.append(comp)
-    if delta >= -1e-12 or not speed:
-        return None
-
-    new_durations = dict(durations)
-    for comp in speed:
-        new_durations[comp] = max(new_durations[comp] - tau, node_cost[comp].t_min)
-    for comp in slow:
-        new_durations[comp] = min(new_durations[comp] + tau, node_cost[comp].t_max)
-    return new_durations
-
-
-def _solve_one_cut(
-    ecd: EdgeCentricDag,
-    current: Dict[int, float],
-    node_cost: Dict[int, OpCostModel],
-    tau: float,
-) -> Optional[Dict[int, float]]:
-    """One min-cut move (with energy repairs); None if time is irreducible."""
-    for _ in range(MAX_REPAIRS):
-        inst = _build_instance(ecd, current, node_cost, tau)
-        if inst is None:
-            return None
-        try:
-            result = max_flow_with_lower_bounds_reference(
-                len(inst.node_index), inst.bounded, inst.s, inst.t
-            )
-        except InfeasibleFlowError as err:
-            repaired = None
-            if err.violating_set:
-                repaired = _apply_repair(
-                    ecd, current, node_cost, tau, inst, err.violating_set
-                )
-            if repaired is not None:
-                old_makespan = event_times(ecd, current).makespan
-                if event_times(ecd, repaired).makespan <= old_makespan + 1e-12:
-                    current = repaired
-                    continue
-            # Repair unavailable: drop the slowdown credits for this step.
-            bounded = [BoundedEdge(e.u, e.v, 0.0, e.ub) for e in inst.bounded]
-            result = max_flow_with_lower_bounds_reference(
-                len(inst.node_index), bounded, inst.s, inst.t
-            )
-            inst = _StepInstance(
-                bounded, inst.edge_of_bounded, inst.node_index, inst.s, inst.t
-            )
-        return _apply_cut(ecd, current, node_cost, tau, inst, result)
-    return _fallback_speedup_only(ecd, current, node_cost, tau)
-
-
-def _get_next_schedule_dict(
-    ecd: EdgeCentricDag,
-    durations: Dict[int, float],
-    node_cost: Dict[int, OpCostModel],
-    tau: float,
-) -> Optional[Dict[int, float]]:
-    """The dict-of-float oracle behind ``REPRO_SLOW_PATH=1``."""
-    start_makespan = event_times(ecd, durations).makespan
-    current = durations
-    max_inner = max(32, len(durations))
-    for _ in range(max_inner):
-        nxt = _solve_one_cut(ecd, current, node_cost, tau)
-        if nxt is None:
-            break
-        current = nxt
-        if start_makespan - event_times(ecd, current).makespan >= 0.9 * tau:
-            break
-    if current is durations:
-        return None
-    if start_makespan - event_times(ecd, current).makespan < 1e-12:
-        return None
-    return current
-
-
-def _apply_cut(ecd, current, node_cost, tau, inst, result):
-    """Apply a solved min cut: speed S->T edges, slow T->S edges."""
-    forward, backward = result.cut_edges(inst.bounded)
-    if not forward:
-        return None
-
-    new_durations = dict(current)
-    for i in forward:
-        comp = ecd.edges[inst.edge_of_bounded[i]].comp
-        if comp is None:
-            raise OptimizationError(
-                "min cut crossed an infinite-capacity dependency edge"
-            )
-        new_durations[comp] = max(new_durations[comp] - tau, node_cost[comp].t_min)
-    speedup_only = dict(new_durations)
-    for i in backward:
-        comp = ecd.edges[inst.edge_of_bounded[i]].comp
-        if comp is None or inst.bounded[i].lb <= 0.0:
-            continue  # nothing to gain from slowing this edge
-        cm = node_cost[comp]
-        new_durations[comp] = min(new_durations[comp] + tau, cm.t_max)
-
     # Slowing T->S cut edges is exact on the Critical DAG, but a slowed
     # computation may sit on a *non-critical* path whose slack is < tau
     # (and partially sped forward edges shorten paths by less than tau),
     # eating into (or negating) the reduction.  Verify and fall back to
     # the speedup-only schedule, which always shortens the critical paths.
-    if backward:
-        old_makespan = event_times(ecd, current).makespan
-        if event_times(ecd, new_durations).makespan >= old_makespan - 1e-12:
-            return speedup_only
-    return new_durations
+    if slow_comps:
+        new_earliest, new_makespan = _forward(
+            kern, new_durations, timings, fast, cur_earliest,
+            fwd_comps + slow_comps,
+        )
+        if new_makespan >= cur_makespan - 1e-12:
+            so_earliest, so_makespan = _forward(
+                kern, speedup_only, timings, fast, cur_earliest, fwd_comps
+            )
+            return FlatStep(speedup_only, so_makespan, so_earliest)
+        return FlatStep(new_durations, new_makespan, new_earliest)
+    earliest, makespan = _forward(
+        kern, new_durations, timings, fast, cur_earliest, fwd_comps
+    )
+    return FlatStep(new_durations, makespan, earliest)
 
 
-def _fallback_speedup_only(ecd, current, node_cost, tau):
+def _fallback_speedup_only(
+    kern, current, cur_makespan, cur_earliest, table, tau, arena, timings,
+    fast,
+) -> Optional[FlatStep]:
     """Last resort after repair ping-pong: pure speedup min cut."""
-    inst = _build_instance(ecd, current, node_cost, tau)
+    inst = _critical_instance(kern, current, cur_earliest, table, timings)
     if inst is None:
         return None
-    bounded = [BoundedEdge(e.u, e.v, 0.0, e.ub) for e in inst.bounded]
-    result = max_flow_with_lower_bounds_reference(
-        len(inst.node_index), bounded, inst.s, inst.t
+    inst = inst.relaxed()
+    mask = _min_cut(inst, arena, timings, fast)
+    return _apply_cut(
+        kern, current, cur_earliest, cur_makespan, tau, inst, mask,
+        timings, fast,
     )
-    inst = _StepInstance(
-        bounded, inst.edge_of_bounded, inst.node_index, inst.s, inst.t
-    )
-    return _apply_cut(ecd, current, node_cost, tau, inst, result)

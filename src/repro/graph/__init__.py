@@ -1,14 +1,6 @@
-"""Graph algorithms: max-flow, bounded min-cut, critical-path analysis."""
+"""Graph algorithms: edge-centric DAGs, event passes, bounded min-cut."""
 
 from .compiled import CompiledDag, FlatTimes
-from .critical import (
-    EventTimes,
-    critical_computations,
-    critical_edge_indices,
-    critical_subgraph,
-    edge_duration,
-    event_times,
-)
 from .edgecentric import ECEdge, EdgeCentricDag, to_edge_centric
 from .lowerbounds import (
     BoundedEdge,
@@ -16,27 +8,18 @@ from .lowerbounds import (
     max_flow_with_lower_bounds,
     solve_bounded_arrays,
 )
-from .maxflow import FLOW_EPS, INF, Dinic, FlowArena, FlowNetwork, edmonds_karp
+from .maxflow import FLOW_EPS, INF, FlowArena
 
 __all__ = [
     "BoundedEdge",
     "CompiledDag",
-    "Dinic",
     "ECEdge",
     "EdgeCentricDag",
-    "EventTimes",
     "FLOW_EPS",
     "FlatTimes",
     "FlowArena",
-    "FlowNetwork",
     "INF",
     "MinCutResult",
-    "critical_computations",
-    "critical_edge_indices",
-    "critical_subgraph",
-    "edge_duration",
-    "edmonds_karp",
-    "event_times",
     "max_flow_with_lower_bounds",
     "solve_bounded_arrays",
     "to_edge_centric",

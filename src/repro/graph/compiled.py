@@ -3,18 +3,18 @@
 :func:`~repro.core.frontier.characterize_frontier` spends almost all of
 its time in two inner loops: longest-path event times over the
 edge-centric DAG (recomputed a few times per Algorithm-2 step) and the
-min-cut solves.  The dict-of-float reference implementation in
-:mod:`.critical` re-derives the topological order on *every* call and
-pays a hash lookup per edge endpoint; on a few thousand steps that
-interpreter overhead dominates the crawl.
+min-cut solves.  The seed's dict-of-float event passes (kept as the
+reference in ``tests/reference/critical.py``) re-derive the topological
+order on *every* call and pay a hash lookup per edge endpoint; on a few
+thousand steps that interpreter overhead dominates the crawl.
 
 :class:`CompiledDag` compiles an :class:`~.edgecentric.EdgeCentricDag`
 once into immutable flat arrays:
 
 * ``edge_u`` / ``edge_v`` / ``edge_comp`` -- the edge list in original
   index order (``edge_comp`` is ``-1`` for dependency edges), so the
-  critical-edge indices it produces are directly comparable with
-  :func:`.critical.critical_edge_indices`;
+  critical-edge indices it produces are directly comparable with the
+  reference ``critical_edge_indices``;
 * two edge permutations -- edges sorted by the topological position of
   their tail (forward relaxation) and, reversed, of their head
   (backward relaxation) -- so an event pass is a single flat loop with
@@ -24,29 +24,27 @@ once into immutable flat arrays:
 
 :meth:`CompiledDag.critical_pass` fuses the forward pass, the backward
 pass and critical-edge extraction into one call and replaces the
-``event_times`` + ``critical_edge_indices`` pair.  When numpy is
+reference ``event_times`` + ``critical_edge_indices`` pair.  When numpy is
 importable and the DAG is large enough (:data:`NUMPY_MIN_EDGES`), the
 extraction runs vectorized; the relaxations stay scalar because
 pipeline DAGs are deep and narrow (level widths of a handful of edges),
 where per-level numpy dispatch costs more than the loop it replaces.
 
-Bit-identity with the dict path is a hard invariant (the
-``REPRO_SLOW_PATH=1`` oracle in :mod:`repro.core.nextschedule` checks
-it): every float here is produced by the same operations on the same
-values -- ``max``/``min`` are order-independent for totally ordered
-floats, ``x + 0.0 == x`` for the non-negative times involved, and the
-fused/vectorized slack is the same ``(latest[v] - earliest[u]) - dur``
-expression -- so frontiers from either path compare equal bit for bit.
+Bit-identity with the dict path is a hard invariant (the seed oracle
+in ``tests/reference/`` checks it): every float here is produced by the
+same operations on the same values -- ``max``/``min`` are
+order-independent for totally ordered floats, ``x + 0.0 == x`` for the
+non-negative times involved, and the fused/vectorized slack is the same
+``(latest[v] - earliest[u]) - dur`` expression -- so frontiers from
+either path compare equal bit for bit.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..units import TIME_EPS
-from .critical import EventTimes
 from .edgecentric import EdgeCentricDag
 
 try:  # numpy accelerates critical extraction on big DAGs; optional.
@@ -56,8 +54,8 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
 
 #: Edge count above which critical extraction uses numpy (when
 #: available).  Below it, numpy's per-call dispatch overhead loses to
-#: the plain loop.  Override with ``REPRO_NUMPY_MIN_EDGES``.
-NUMPY_MIN_EDGES = int(os.environ.get("REPRO_NUMPY_MIN_EDGES", "2048"))
+#: the plain loop.
+NUMPY_MIN_EDGES = 2048
 
 
 class FlatTimes:
@@ -75,14 +73,6 @@ class FlatTimes:
         self.latest = latest
         self.makespan = makespan
         self.critical = critical
-
-    def as_event_times(self) -> EventTimes:
-        """The dict-of-float view (for cross-checking with the oracle)."""
-        return EventTimes(
-            earliest=dict(enumerate(self.earliest)),
-            latest=dict(enumerate(self.latest)),
-            makespan=self.makespan,
-        )
 
 
 class CompiledDag:
@@ -147,8 +137,8 @@ class CompiledDag:
         self._bc = [ec_dense[k] for k in bwd]
         self._bidx = list(bwd)  # original edge index per backward slot
         self._np_eu = self._np_ev = self._np_ec = None
-        # Incremental-pass structures (fast mode only) are built lazily
-        # by _ensure_incremental so exact-mode compilation pays nothing.
+        # Incremental-pass structures are built lazily by
+        # _ensure_incremental, on the first incremental pass.
         self._pos = pos
         self._ie = None
         self._istart = None
@@ -284,11 +274,10 @@ class CompiledDag:
         critical.sort()
         return FlatTimes(ear, lat, makespan, critical)
 
-    # -- incremental forward pass (fast mode) --------------------------------
+    # -- incremental forward pass --------------------------------------------
     def _ensure_incremental(self) -> None:
         """Build the head-sorted edge permutation used by
-        :meth:`forward_pass_incremental` (lazily -- exact mode never
-        pays for it).
+        :meth:`forward_pass_incremental` (lazily, on first use).
 
         ``_ie`` holds ``(u, v, comp)`` triples sorted by ascending
         topological position of the *head*; ``_istart[p]`` is the first

@@ -17,8 +17,8 @@ There is exactly one implementation of this transform,
 reusable :class:`~.maxflow.FlowArena` (the optimizer hot path passes a
 long-lived arena so the thousands of min-cut calls per frontier crawl
 reuse one set of buffers).  :func:`max_flow_with_lower_bounds` is the
-object-level wrapper over the same core, so both the compiled kernel
-and the ``REPRO_SLOW_PATH=1`` dict oracle produce bit-identical cuts.
+object-level wrapper over the same core.  Both replicate the seed's
+per-call solve (``tests/reference/maxflow.py``) bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import GraphError, InfeasibleFlowError
-from .maxflow import FLOW_EPS, INF, Dinic, FlowArena, FlowNetwork
+from .maxflow import FLOW_EPS, INF, FlowArena
 
 
 @dataclass(frozen=True)
@@ -220,74 +220,6 @@ def max_flow_with_lower_bounds(
     )
     source_side = {n for n in range(num_nodes) if mask[n]}
     return MinCutResult(max_flow=flow, flows=flows, source_side=source_side)
-
-
-def max_flow_with_lower_bounds_reference(
-    num_nodes: int, edges: List[BoundedEdge], s: int, t: int
-) -> MinCutResult:
-    """The seed implementation, verbatim: object-per-call solve.
-
-    Builds a fresh :class:`~.maxflow.FlowNetwork` and runs the reference
-    :class:`~.maxflow.Dinic` -- no arenas, no buffer reuse.  This is the
-    solver the ``REPRO_SLOW_PATH=1`` oracle runs, so the oracle remains
-    the untouched seed algorithm end to end; it doubles as the
-    cross-check that :func:`solve_bounded_arrays` is bit-identical
-    (``tests/test_compiled.py``).
-    """
-    if not (0 <= s < num_nodes and 0 <= t < num_nodes) or s == t:
-        raise GraphError("bad source/sink")
-
-    s2, t2 = num_nodes, num_nodes + 1
-    net = FlowNetwork(num_nodes + 2)
-
-    # Reduced-capacity arcs for the original edges.
-    arc_of_edge: List[int] = []
-    excess: dict = {}
-    for e in edges:
-        arc_of_edge.append(net.add_edge(e.u, e.v, e.ub - e.lb))
-        excess[e.v] = excess.get(e.v, 0.0) + e.lb
-        excess[e.u] = excess.get(e.u, 0.0) - e.lb
-
-    # Dummy arcs forcing the lower bounds (node-excess formulation,
-    # equivalent to Algorithm 3's per-node sums).
-    required = 0.0
-    for v, ex in excess.items():
-        if ex > FLOW_EPS:
-            net.add_edge(s2, v, ex)
-            required += ex
-        elif ex < -FLOW_EPS:
-            net.add_edge(v, t2, -ex)
-
-    # Allow circulation through the original source/sink.
-    ts_arc = net.add_edge(t, s, INF)
-
-    solver = Dinic(net)
-    feasibility_flow = solver.max_flow(s2, t2)
-    if feasibility_flow < required - 1e-6 * max(1.0, required):
-        violating = net.reachable_from(s2)
-        violating.discard(s2)
-        violating.discard(t2)
-        err = InfeasibleFlowError(
-            f"no feasible flow: pushed {feasibility_flow:.6g} of {required:.6g}"
-        )
-        err.violating_set = violating
-        raise err
-
-    # Remove the circulation arc and augment s -> t on the residual.
-    net.zero_arc(ts_arc)
-    extra = solver.max_flow(s, t)
-
-    flows = []
-    for e, arc in zip(edges, arc_of_edge):
-        flows.append(e.lb + net.arc_flow(arc))
-
-    source_side = net.reachable_from(s)
-    source_side.discard(s2)
-    source_side.discard(t2)
-    total = sum(f for e, f in zip(edges, flows) if e.u == s) - sum(
-        f for e, f in zip(edges, flows) if e.v == s
-    )
-    return MinCutResult(max_flow=max(total, extra), flows=flows, source_side=source_side)
 
 
 # -- series-parallel contraction (fast mode) ---------------------------------

@@ -1,19 +1,14 @@
-"""Maximum-flow / minimum-cut solvers.
+"""Maximum-flow / minimum-cut solver.
 
-Three implementations over the same residual-arc representation:
-
-* :class:`FlowArena` -- the production solver: a reusable scratch
-  network whose ``to``/``cap``/``head`` buffers and Dinic level/iterator
-  arrays persist across solves, so the optimizer's thousands of min-cut
-  calls per frontier crawl stop paying network construction from
-  scratch.  Dinic's level graph lives in a reused buffer and dead ends
-  are gap-pruned (``level[u] = -1``) instead of re-discovered.
-* :class:`Dinic` over :class:`FlowNetwork` -- the original
-  object-per-network solver, kept as the arena's reference
-  implementation (same algorithm, same visit order, so both produce
-  bit-identical flows) and for direct construction in tests.
-* :func:`edmonds_karp` -- the solver named in the paper (§4.3); a slow
-  cross-checking reference.
+:class:`FlowArena` is a reusable scratch network whose
+``to``/``cap``/``head`` buffers and Dinic level/iterator arrays persist
+across solves, so the optimizer's thousands of min-cut calls per
+frontier crawl stop paying network construction from scratch.  Dinic's
+level graph lives in a reused buffer and dead ends are gap-pruned
+(``level[u] = -1``) instead of re-discovered.  The seed's
+object-per-network ``Dinic`` and the paper's Edmonds-Karp live in
+``tests/reference/maxflow.py``, where the arena is checked against them
+bit for bit.
 
 Capacities are floats (joules); residual comparisons use an absolute
 epsilon to keep augmentation terminating under float arithmetic.
@@ -22,7 +17,7 @@ epsilon to keep augmentation terminating under float arithmetic.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Set
+from typing import List
 
 from ..exceptions import GraphError
 
@@ -37,9 +32,9 @@ class FlowArena:
     re-initializes it as an empty network of ``num_nodes`` nodes while
     keeping every underlying buffer (arc lists, per-node adjacency
     lists, Dinic's level/iterator arrays) allocated.  The arc layout,
-    traversal order and epsilon handling are exactly those of
-    :class:`Dinic` over :class:`FlowNetwork`, so a solve through an
-    arena is bit-identical to a solve through a fresh network.
+    traversal order and epsilon handling are exactly those of the seed's
+    ``Dinic`` over a fresh ``FlowNetwork``, so a solve through an arena
+    is bit-identical to the seed solve.
 
     Not thread-safe: use one arena per worker.
     """
@@ -80,7 +75,7 @@ class FlowArena:
         self.num_nodes = num_nodes
         return self
 
-    # -- network construction (same arc-pair layout as FlowNetwork) ----------
+    # -- network construction (arc ``i`` reverses arc ``i ^ 1``) --------------
     def add_edge(self, u: int, v: int, capacity: float) -> int:
         """Add a directed arc ``u -> v``; returns its arc index."""
         to, cap = self.to, self.cap
@@ -122,7 +117,7 @@ class FlowArena:
 
     # -- Dinic ---------------------------------------------------------------
     def max_flow(self, s: int, t: int) -> float:
-        """Dinic's algorithm; identical arc choices to :class:`Dinic`.
+        """Dinic's algorithm; identical arc choices to the seed's ``Dinic``.
 
         One fused loop per level phase: the augmenting path persists
         across pushes and only retreats to the first saturated arc.
@@ -217,166 +212,6 @@ class FlowArena:
         return bytearray(
             1 if level[i] >= 0 else 0 for i in range(self.num_nodes)
         )
-
-
-class FlowNetwork:
-    """Residual network: arcs stored in pairs (arc ``i`` reverses ``i^1``)."""
-
-    def __init__(self, num_nodes: int):
-        if num_nodes <= 0:
-            raise GraphError("network needs at least one node")
-        self.num_nodes = num_nodes
-        self.head: List[List[int]] = [[] for _ in range(num_nodes)]
-        self.to: List[int] = []
-        self.cap: List[float] = []
-
-    def add_edge(self, u: int, v: int, capacity: float) -> int:
-        """Add a directed arc ``u -> v``; returns its arc index."""
-        if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-            raise GraphError(f"arc ({u}, {v}) out of range")
-        if capacity < 0:
-            raise GraphError("capacity must be non-negative")
-        idx = len(self.to)
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.head[u].append(idx)
-        self.to.append(u)
-        self.cap.append(0.0)
-        self.head[v].append(idx + 1)
-        return idx
-
-    def arc_flow(self, idx: int) -> float:
-        """Flow currently pushed through arc ``idx``.
-
-        The reverse arc starts at zero capacity and accumulates exactly
-        the pushed flow, which stays finite even for infinite-capacity
-        arcs.
-        """
-        return self.cap[idx ^ 1]
-
-    def residual(self, idx: int) -> float:
-        return self.cap[idx]
-
-    def zero_arc(self, idx: int) -> None:
-        """Remove an arc pair from the network (capacity to zero)."""
-        self.cap[idx] = 0.0
-        self.cap[idx ^ 1] = 0.0
-
-    def reachable_from(self, s: int) -> Set[int]:
-        """Nodes reachable from ``s`` in the residual graph (the S cut side)."""
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for idx in self.head[u]:
-                v = self.to[idx]
-                if v not in seen and self.cap[idx] > FLOW_EPS:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
-
-
-class Dinic:
-    """Dinic's algorithm over a :class:`FlowNetwork` (reference form)."""
-
-    def __init__(self, network: FlowNetwork):
-        self.net = network
-
-    def max_flow(self, s: int, t: int) -> float:
-        if s == t:
-            raise GraphError("source equals sink")
-        net = self.net
-        total = 0.0
-        while True:
-            level = self._bfs_levels(s, t)
-            if level[t] < 0:
-                return total
-            it = [0] * net.num_nodes
-            while True:
-                pushed = self._dfs(s, t, INF, level, it)
-                if pushed <= FLOW_EPS:
-                    break
-                total += pushed
-
-    def _bfs_levels(self, s: int, t: int) -> List[int]:
-        net = self.net
-        level = [-1] * net.num_nodes
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for idx in net.head[u]:
-                v = net.to[idx]
-                if level[v] < 0 and net.cap[idx] > FLOW_EPS:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level
-
-    def _dfs(self, s: int, t: int, limit: float, level: List[int], it: List[int]) -> float:
-        # Iterative DFS with an explicit stack (pipeline DAGs can be deep).
-        net = self.net
-        path: List[int] = []  # arc indices taken
-        u = s
-        while True:
-            if u == t:
-                pushed = limit if limit is not INF else INF
-                for idx in path:
-                    pushed = min(pushed, net.cap[idx])
-                for idx in path:
-                    net.cap[idx] -= pushed
-                    net.cap[idx ^ 1] += pushed
-                return pushed
-            advanced = False
-            while it[u] < len(net.head[u]):
-                idx = net.head[u][it[u]]
-                v = net.to[idx]
-                if net.cap[idx] > FLOW_EPS and level[v] == level[u] + 1:
-                    path.append(idx)
-                    u = v
-                    advanced = True
-                    break
-                it[u] += 1
-            if advanced:
-                continue
-            if u == s:
-                return 0.0
-            level[u] = -1  # dead end: prune
-            u_arc = path.pop()
-            u = net.to[u_arc ^ 1]
-            it[u] += 1
-
-
-def edmonds_karp(network: FlowNetwork, s: int, t: int) -> float:
-    """BFS-augmenting-path max flow; the paper's reference solver."""
-    if s == t:
-        raise GraphError("source equals sink")
-    total = 0.0
-    while True:
-        parent_arc = [-1] * network.num_nodes
-        parent_arc[s] = -2
-        queue = deque([s])
-        while queue and parent_arc[t] == -1:
-            u = queue.popleft()
-            for idx in network.head[u]:
-                v = network.to[idx]
-                if parent_arc[v] == -1 and network.cap[idx] > FLOW_EPS:
-                    parent_arc[v] = idx
-                    queue.append(v)
-        if parent_arc[t] == -1:
-            return total
-        bottleneck = INF
-        v = t
-        while v != s:
-            idx = parent_arc[v]
-            bottleneck = min(bottleneck, network.cap[idx])
-            v = network.to[idx ^ 1]
-        v = t
-        while v != s:
-            idx = parent_arc[v]
-            network.cap[idx] -= bottleneck
-            network.cap[idx ^ 1] += bottleneck
-            v = network.to[idx ^ 1]
-        total += bottleneck
 
 
 class WarmCutCache:

@@ -8,7 +8,6 @@ profiles plus the device's ``P_blocking``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -75,15 +74,6 @@ class OpProfile:
         self._pareto_cache = None
 
     def pareto(self) -> List[Measurement]:
-        if os.environ.get("REPRO_SLOW_PATH", "") not in ("", "0"):
-            # Seed-faithful oracle mode: the seed implementation filtered
-            # on every call, so the cross-check baseline must too (the
-            # values are identical either way -- this only restores the
-            # seed's work profile for honest timing comparisons).
-            front = pareto_filter(self.measurements)
-            if not front:
-                raise ProfilingError(f"op {self.op} has no measurements")
-            return front
         front = self._pareto_cache
         if front is None:
             front = pareto_filter(self.measurements)

@@ -91,6 +91,12 @@ EXPENSIVE_METHODS = frozenset({"plan", "register_spec", "submit_sweep"})
 #: Completed responses retained for idempotent replay, per daemon.
 REPLAY_CACHE_SIZE = 1024
 
+#: Largest ``/rpc`` body the daemon reads (HTTP 413 above it).  Specs
+#: and job-state calls are well under a kilobyte; the cap leaves room
+#: for sweeps of thousands of specs while bounding what one client can
+#: make the daemon buffer.
+MAX_RPC_BODY_BYTES = 4 * 1024 * 1024
+
 
 def _validate_tenant(tenant: str) -> str:
     if not tenant or not isinstance(tenant, str) or TENANT_SEP in tenant \
@@ -797,6 +803,35 @@ def _make_handler(daemon: PlanningDaemon):
             data = json.dumps(body).encode("utf-8")
             self._send(status, data, "application/json", headers or {})
 
+        def _send_error(self, status: int, message: str,
+                        close: bool = False) -> None:
+            headers = {}
+            if close:
+                # The body was left unread; it must not be parsed as the
+                # next request on this keep-alive connection.
+                self.close_connection = True
+                headers["Connection"] = "close"
+            self._send_json(status, {"error": error_to_wire(
+                ServiceError(message))}, headers)
+
+        def _read_body(self) -> Optional[bytes]:
+            """The request body, or None after answering a bad length."""
+            raw = self.headers.get("Content-Length", "0")
+            try:
+                length = int(raw)
+            except ValueError:
+                length = -1
+            if length < 0:
+                self._send_error(400, f"bad Content-Length {raw!r}",
+                                 close=True)
+                return None
+            if length > MAX_RPC_BODY_BYTES:
+                self._send_error(
+                    413, f"request body of {length} bytes exceeds the "
+                         f"{MAX_RPC_BODY_BYTES}-byte limit", close=True)
+                return None
+            return self.rfile.read(length)
+
         def do_GET(self) -> None:  # noqa: N802 (http.server API)
             if self.path == "/metrics":
                 text = daemon.metrics_text().encode("utf-8")
@@ -813,13 +848,17 @@ def _make_handler(daemon: PlanningDaemon):
                 self._send_json(404, {"error": error_to_wire(ServiceError(
                     f"unknown path {self.path!r}; POST to /rpc"))})
                 return
+            body = self._read_body()
+            if body is None:
+                return
             try:
-                length = int(self.headers.get("Content-Length", 0))
-                envelope = json.loads(
-                    self.rfile.read(length).decode("utf-8"))
+                envelope = json.loads(body.decode("utf-8"))
+            except RecursionError:
+                self._send_error(400, "request body nests too deeply")
+                return
             except (ValueError, UnicodeDecodeError) as exc:
-                self._send_json(400, {"error": error_to_wire(ServiceError(
-                    f"request body is not valid JSON: {exc}"))})
+                self._send_error(400, f"request body is not valid JSON: "
+                                      f"{exc}")
                 return
             status, body, headers = daemon.handle_rpc(
                 envelope, self.headers.get("X-Repro-Tenant"),

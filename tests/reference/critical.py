@@ -1,5 +1,7 @@
-"""Critical-path analysis on edge-centric DAGs (§4.3, Figure 6 step 3).
+"""Seed critical-path analysis on edge-centric DAGs (§4.3, Figure 6 step 3).
 
+The dict-of-float event-time passes the seed optimizer ran, kept as the
+reference :class:`~repro.graph.compiled.CompiledDag` is checked against.
 Annotates each event node with earliest/latest event times under a duration
 assignment and extracts the *Critical DAG*: the subgraph of edges with zero
 slack, i.e. edges lying on at least one critical (longest) path.  Only
@@ -12,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..units import TIME_EPS
-from .edgecentric import ECEdge, EdgeCentricDag
+from repro.graph.edgecentric import ECEdge, EdgeCentricDag
+from repro.units import TIME_EPS
 
 
 @dataclass
@@ -102,3 +104,12 @@ def critical_computations(
     return {
         ecd.edges[idx].comp for idx in crit if ecd.edges[idx].comp is not None
     }
+
+
+def as_event_times(flat) -> EventTimes:
+    """The dict-of-float view of a :class:`~repro.graph.compiled.FlatTimes`."""
+    return EventTimes(
+        earliest=dict(enumerate(flat.earliest)),
+        latest=dict(enumerate(flat.latest)),
+        makespan=flat.makespan,
+    )

