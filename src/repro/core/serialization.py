@@ -12,6 +12,7 @@ dispatch so sweep manifests live next to their artifacts.
 from __future__ import annotations
 
 import json
+import math
 from typing import IO, List, Sequence, Union
 
 from ..exceptions import ReproError
@@ -21,6 +22,12 @@ from .frontier import Frontier
 from .schedule import EnergySchedule
 
 FORMAT_VERSION = 1
+
+#: Frontier payloads are columnar with per-point deltas (see
+#: :func:`frontier_to_dict`); version 1 (a list of full points) stays
+#: readable because existing stores hold frontiers that take minutes to
+#: re-crawl.
+FRONTIER_FORMAT_VERSION = 2
 
 #: Pipeline-profile payloads carrying the per-stage ``stage_blocking_w``
 #: map (mixed-GPU clusters) are stamped version 2 so pre-mixed-cluster
@@ -128,23 +135,144 @@ def schedule_from_dict(payload: dict) -> EnergySchedule:
     )
 
 
+def _same(a, b) -> bool:
+    """Bit-level equality for JSON numbers (``0.0`` and ``-0.0`` differ)."""
+    return a == b and (a or math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+def _layout(point: EnergySchedule):
+    """``(ids, has_frequencies)`` when the point's frequencies are empty
+    or keyed exactly like its durations, else ``None`` (irregular)."""
+    ids = list(point.durations)
+    if not point.frequencies:
+        return ids, False
+    if list(point.frequencies) == ids:
+        return ids, True
+    return None
+
+
+def _full_row(point: EnergySchedule, regular: bool) -> dict:
+    row = {"ids": list(point.durations),
+           "durations": list(point.durations.values()),
+           "frequencies": list(point.frequencies.values())}
+    if not regular:
+        row["frequency_ids"] = list(point.frequencies)
+    return row
+
+
+def _delta_row(point: EnergySchedule, prev: EnergySchedule) -> list:
+    """Flat ``[index, duration, frequency, ...]`` of the entries that
+    changed from ``prev`` (same layout; frequency ``None`` when the
+    layout carries none)."""
+    row = []
+    none = [None] * len(point.durations)
+    for i, (d, pd, f, pf) in enumerate(zip(
+            point.durations.values(), prev.durations.values(),
+            point.frequencies.values() or none,
+            prev.frequencies.values() or none)):
+        if not (_same(d, pd) and f == pf):
+            row += (i, d, f)
+    return row
+
+
 def frontier_to_dict(frontier: Frontier) -> dict:
-    """JSON-ready representation of a characterized frontier."""
+    """JSON-ready representation of a characterized frontier (version 2).
+
+    Columnar: one list per scalar (``iteration_time``,
+    ``effective_energy``, ``compute_energy``) and one entry per point in
+    ``rows``.  The first point is a full row (``ids``, ``durations``,
+    ``frequencies`` -- the latter empty or aligned with ``ids``); each
+    later point is a flat ``[index, duration, frequency, ...]`` list of
+    the entries that changed from its predecessor.  A point whose key
+    set or key order differs from its predecessor's gets a full row
+    again (and one carrying ``frequency_ids`` when its frequencies are
+    keyed differently from its durations).
+    """
+    points = frontier.points
+    rows = []
+    prev = prev_layout = None
+    for point in points:
+        layout = _layout(point)
+        if layout is not None and layout == prev_layout:
+            rows.append(_delta_row(point, prev))
+        else:
+            rows.append(_full_row(point, layout is not None))
+        prev, prev_layout = point, layout
     return {
-        "version": FORMAT_VERSION,
+        "version": FRONTIER_FORMAT_VERSION,
         "kind": "frontier",
         "tau": frontier.tau,
         "optimizer_runtime_s": frontier.optimizer_runtime_s,
         "steps": frontier.steps,
         "stats": dict(frontier.stats),
-        "points": [schedule_to_dict(p) for p in frontier.points],
+        "iteration_time": [p.iteration_time for p in points],
+        "effective_energy": [p.effective_energy for p in points],
+        "compute_energy": [p.compute_energy for p in points],
+        "rows": rows,
     }
 
 
+def _points_from_columns(payload: dict) -> List[EnergySchedule]:
+    """Rebuild every point of a version-2 frontier payload."""
+    rows = payload["rows"]
+    times = payload["iteration_time"]
+    effective = payload["effective_energy"]
+    compute = payload["compute_energy"]
+    if not (len(rows) == len(times) == len(effective) == len(compute)):
+        raise SerializationError("frontier columns differ in length")
+    points = []
+    ids = durations = frequencies = None
+    regular = False
+    for k, row in enumerate(rows):
+        if isinstance(row, dict):
+            ids = [int(i) for i in row["ids"]]
+            values = [float(d) for d in row["durations"]]
+            clocks = [int(f) for f in row["frequencies"]]
+            frequency_ids = row.get("frequency_ids")
+            regular = frequency_ids is None
+            if regular:
+                frequency_ids = ids if clocks else []
+            else:
+                frequency_ids = [int(i) for i in frequency_ids]
+            durations = dict(zip(ids, values))
+            frequencies = dict(zip(frequency_ids, clocks))
+            if not (len(durations) == len(values) == len(ids)
+                    and len(frequencies) == len(clocks)
+                    == len(frequency_ids)):
+                raise SerializationError("malformed frontier row")
+        elif not regular:
+            raise SerializationError("delta row without a full row before it")
+        else:
+            # Copies keep the key order; only changed entries are set.
+            durations = durations.copy()
+            frequencies = frequencies.copy()
+            n = len(ids)
+            for j in range(0, len(row), 3):
+                i = row[j]
+                if not (type(i) is int and 0 <= i < n):
+                    raise SerializationError(
+                        f"frontier delta index {i!r} out of range")
+                durations[ids[i]] = float(row[j + 1])
+                if frequencies:
+                    frequencies[ids[i]] = int(row[j + 2])
+        points.append(EnergySchedule(
+            durations=durations,
+            iteration_time=float(times[k]),
+            effective_energy=float(effective[k]),
+            compute_energy=float(compute[k]),
+            frequencies=frequencies,
+        ))
+    return points
+
+
 def frontier_from_dict(payload: dict) -> Frontier:
-    """Inverse of :func:`frontier_to_dict`."""
-    _expect(payload, "frontier")
-    points = [schedule_from_dict(p) for p in payload["points"]]
+    """Inverse of :func:`frontier_to_dict`; also reads version 1 (a
+    ``points`` list of :func:`schedule_to_dict` rows)."""
+    _expect(payload, "frontier", versions=(1, FRONTIER_FORMAT_VERSION))
+    if payload["version"] == 1:
+        points = [schedule_from_dict(p) for p in payload["points"]]
+    else:
+        points = _points_from_columns(payload)
     if not points:
         raise SerializationError("frontier payload has no points")
     return Frontier(
@@ -261,7 +389,12 @@ _PAYLOAD_READERS = {
 
 
 def payload_from_dict(payload: dict):
-    """Inverse of :func:`payload_to_dict` (dispatches on ``kind``)."""
+    """Inverse of :func:`payload_to_dict` (dispatches on ``kind``).
+
+    A payload of the right kind but the wrong shape (a missing field, a
+    string where a list belongs, an index out of range) raises
+    :class:`SerializationError` like any other malformed payload.
+    """
     if not isinstance(payload, dict):
         raise SerializationError("payload must be a JSON object")
     reader = _PAYLOAD_READERS.get(payload.get("kind"))
@@ -269,7 +402,14 @@ def payload_from_dict(payload: dict):
         raise SerializationError(
             f"unknown payload kind {payload.get('kind')!r}"
         )
-    return reader(payload)
+    try:
+        return reader(payload)
+    except (KeyError, TypeError, IndexError, ValueError,
+            AttributeError) as exc:
+        raise SerializationError(
+            f"malformed {payload['kind']} payload: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +432,12 @@ def load_json(fp: IO[str]):
     from ..api.spec import PlanSpec
     from ..exceptions import ConfigurationError
 
-    payload = json.load(fp)
+    try:
+        payload = json.load(fp)
+    except RecursionError as exc:
+        raise SerializationError("payload is nested too deeply") from exc
+    except ValueError as exc:
+        raise SerializationError(f"payload is not valid JSON: {exc}") from exc
     kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind == "plan_spec":
         try:

@@ -38,10 +38,10 @@ hit.  What keys cannot see is a change to the *algorithms themselves*:
 edit the partitioner, profiler or optimizer code and previously
 persisted artifacts still match their keys -- delete the store
 directory after such upgrades (it is a pure cache).  Payloads carry
-their own format versions (``core.serialization``); an unreadable or
-version-incompatible file is treated as a miss and recomputed, never an
-error.  Only a mismatched *layout* stamp raises, since silently mixing
-layouts could alias keys.
+their own format versions (``core.serialization``); an unreadable,
+malformed or version-incompatible file is treated as a miss and
+recomputed, never an error.  Only a mismatched *layout* stamp raises,
+since silently mixing layouts could alias keys.
 """
 
 from __future__ import annotations
@@ -61,11 +61,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback (no-op locks)
     fcntl = None
 
 from ..exceptions import ReproError
-from .serialization import (
-    SerializationError,
-    payload_from_dict,
-    payload_to_dict,
-)
+from .serialization import payload_from_dict, payload_to_dict
 
 #: Sentinel returned by :meth:`CacheBackend.get` on a miss (``None`` is a
 #: legitimate cached value, e.g. an unresolved optional field).
@@ -96,25 +92,74 @@ class StoreError(ReproError):
 # ---------------------------------------------------------------------------
 
 
-def _canonical(value):
+#: Per dataclass type: its field names in ``dataclasses.fields`` order
+#: and whether it is frozen (only frozen instances are memoized).
+_FIELDS: Dict[type, tuple] = {}
+
+#: ``id(instance) -> (instance, canonical form)`` for frozen dataclasses
+#: hashed at the top level of a key (a plan hashes its ``ModelSpec`` in
+#: most of its keys).  Holding the instance keeps its id from being
+#: reused while the entry lives; the table is cleared when it reaches
+#: :data:`_MEMO_SIZE`.  Threads share it unlocked: a lost entry only
+#: costs a recompute, and every entry stored is correct.
+_MEMO: Dict[int, tuple] = {}
+_MEMO_SIZE = 256
+
+
+def _dataclass_fields(cls: type):
+    """``(names, frozen)`` of a dataclass type, else ``None`` (cached)."""
+    try:
+        return _FIELDS[cls]
+    except KeyError:
+        pass
+    if dataclasses.is_dataclass(cls):
+        entry = (tuple(f.name for f in dataclasses.fields(cls)),
+                 cls.__dataclass_params__.frozen)
+    else:
+        entry = None
+    _FIELDS[cls] = entry
+    return entry
+
+
+def _canonical_fields(value, names: tuple) -> dict:
+    return {name: _canonical(getattr(value, name), nested=True)
+            for name in names}
+
+
+def _canonical(value, nested: bool = False):
     """JSON-able canonical form of one planner cache-key constituent.
 
     Dataclasses (``GPUSpec``, ``WorkProfile``, ...) canonicalize by type
     name plus *field values*, so a derated custom A100 never collides
-    with the registry spec sharing its name.  Floats use ``float.hex``
-    -- exact, locale-free, round-trippable.
+    with the registry spec sharing its name; a dataclass nested inside
+    another one contributes its field values alone (``nested``), the
+    shape ``dataclasses.asdict`` gives.  Frozen dataclasses are values:
+    their canonical form is memoized by identity.  Floats use
+    ``float.hex`` -- exact, locale-free, round-trippable.
     """
     if value is None or isinstance(value, (str, bool, int)):
         return value
     if isinstance(value, float):
         return value.hex()
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return [type(value).__name__,
-                _canonical(dataclasses.asdict(value))]
+    dataclass = _dataclass_fields(type(value))
+    if dataclass is not None:
+        names, frozen = dataclass
+        if nested:
+            return _canonical_fields(value, names)
+        if not frozen:
+            return [type(value).__name__, _canonical_fields(value, names)]
+        hit = _MEMO.get(id(value))
+        if hit is None:
+            if len(_MEMO) >= _MEMO_SIZE:
+                _MEMO.clear()
+            hit = _MEMO[id(value)] = (
+                value, [type(value).__name__, _canonical_fields(value, names)])
+        return hit[1]
     if isinstance(value, (tuple, list)):
-        return [_canonical(v) for v in value]
+        return [_canonical(v, nested) for v in value]
     if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in sorted(value.items())}
+        return {str(k): _canonical(v, nested)
+                for k, v in sorted(value.items())}
     raise TypeError(f"cannot canonicalize {type(value).__name__} for a "
                     f"store key")
 
@@ -406,9 +451,11 @@ class PlanStore(MemoryCache):
             self.counters["disk_misses"] = \
                 self.counters.get("disk_misses", 0) + 1
             return MISS, "miss"
-        except (OSError, ValueError, SerializationError):
-            # Corrupt or version-incompatible payload: recompute, and
-            # remember the path so the eventual put rewrites the file.
+        except (OSError, ValueError, RecursionError, ReproError):
+            # Corrupt, malformed or version-incompatible payload (a
+            # SerializationError, or a domain error such as a profile
+            # that fails validation): recompute, and remember the path
+            # so the eventual put rewrites the file.
             self._stale.add(path)
             self.counters["disk_misses"] = \
                 self.counters.get("disk_misses", 0) + 1

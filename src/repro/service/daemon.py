@@ -97,6 +97,13 @@ REPLAY_CACHE_SIZE = 1024
 #: make the daemon buffer.
 MAX_RPC_BODY_BYTES = 4 * 1024 * 1024
 
+#: Seconds a connection may sit idle in the middle of a read (request
+#: line, headers or body) before the daemon drops it, so a client that
+#: stalls cannot pin a handler thread.  ``ServiceClient`` opens one
+#: connection per call with ``Connection: close``; well-behaved traffic
+#: never idles on a socket.
+READ_TIMEOUT_S = 30.0
+
 
 def _validate_tenant(tenant: str) -> str:
     if not tenant or not isinstance(tenant, str) or TENANT_SEP in tenant \
@@ -784,6 +791,8 @@ def _make_handler(daemon: PlanningDaemon):
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        timeout = READ_TIMEOUT_S
+
         # Quiet by default: one line per request would swamp benchmarks.
         def log_message(self, format, *args):  # noqa: A002
             pass

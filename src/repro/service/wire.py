@@ -4,7 +4,9 @@ Everything crossing the HTTP boundary is plain versioned JSON, built on
 the same ``core.serialization`` payloads the plan store persists:
 profiles, frontiers and schedules reuse their existing codecs verbatim,
 so a frontier fetched over the wire is bit-identical to one loaded from
-disk.  This module adds the two shapes that had no serialized form:
+disk.  The ``frontier`` RPC therefore carries the columnar, delta-encoded
+version 2 frontier payload (``core.serialization.frontier_to_dict``).
+This module adds the two shapes that had no serialized form:
 
 * :class:`~repro.api.planner.PlanReport` rows (kind ``plan_report``) --
   the spec, the scalar row, and the frequency plan.  The simulated

@@ -5,15 +5,22 @@ import json
 
 import pytest
 
+from repro.api import PlanSpec, Planner
 from repro.cli import main
+from repro.core.frontier import Frontier
+from repro.core.schedule import EnergySchedule, make_schedule
 from repro.core.serialization import (
+    FRONTIER_FORMAT_VERSION,
     SerializationError,
     frontier_from_dict,
     frontier_to_dict,
     load_json,
+    payload_from_dict,
+    payload_to_dict,
     profile_from_dict,
     profile_to_dict,
     save_json,
+    schedule_to_dict,
 )
 
 
@@ -69,6 +76,181 @@ class TestFrontierRoundTrip:
     def test_unknown_kind_rejected(self):
         with pytest.raises(SerializationError):
             load_json(io.StringIO('{"kind": "mystery"}'))
+
+
+def frontier_bits(frontier):
+    """Everything a frontier carries, floats as ``float.hex`` and dict
+    items in order, so equality means bit- and order-identical."""
+    def items(mapping, fmt):
+        return [(type(k), k, fmt(v)) for k, v in mapping.items()]
+
+    return {
+        "tau": frontier.tau.hex(),
+        "steps": frontier.steps,
+        "points": [
+            (p.iteration_time.hex(), p.effective_energy.hex(),
+             p.compute_energy.hex(), items(p.durations, float.hex),
+             items(p.frequencies, lambda f: (type(f), f)))
+            for p in frontier.points
+        ],
+    }
+
+
+def json_round_trip(frontier):
+    payload = json.loads(json.dumps(frontier_to_dict(frontier)))
+    assert payload["version"] == FRONTIER_FORMAT_VERSION == 2
+    return frontier_from_dict(payload)
+
+
+def point(durations, frequencies, t):
+    return EnergySchedule(durations=durations, iteration_time=t,
+                          effective_energy=10.0 * t, compute_energy=11.0 * t,
+                          frequencies=frequencies)
+
+
+class TestFrontierV2:
+    """Columnar frontier payloads round-trip bit for bit, in order."""
+
+    @pytest.mark.parametrize("exactness", ["exact", "fast"])
+    def test_planner_frontiers(self, exactness):
+        spec = PlanSpec("bert-large", stages=2, microbatches=3,
+                        freq_stride=24, exactness=exactness)
+        frontier = Planner().frontier_for(spec)
+        assert len(frontier.points) > 10
+        restored = json_round_trip(frontier)
+        assert frontier_bits(restored) == frontier_bits(frontier)
+        assert restored.stats == json.loads(json.dumps(frontier.stats))
+
+    def test_deltas_carry_only_changed_entries(self, small_optimizer):
+        frontier = small_optimizer.frontier
+        payload = frontier_to_dict(frontier)
+        first, *deltas = payload["rows"]
+        assert set(first) == {"ids", "durations", "frequencies"}
+        assert all(isinstance(row, list) and len(row) % 3 == 0
+                   for row in deltas)
+        changed = sum(len(row) // 3 for row in deltas)
+        assert changed < len(first["ids"]) * len(deltas) / 4
+        assert len(json.dumps(payload)) * 5 < len(json.dumps(
+            [schedule_to_dict(p) for p in frontier.points]))
+
+    def test_unrealized_points_without_frequencies(self, small_optimizer,
+                                                   small_dag,
+                                                   small_cost_models):
+        points = [make_schedule(small_dag, p.durations, small_cost_models,
+                                realize=False)
+                  for p in small_optimizer.frontier.points[:5]]
+        assert all(p.frequencies == {} for p in points)
+        frontier = Frontier(points=points, tau=0.01)
+        restored = json_round_trip(frontier)
+        assert frontier_bits(restored) == frontier_bits(frontier)
+
+    def test_single_point(self):
+        frontier = Frontier(points=[point({3: 0.5, 1: 0.25}, {3: 1410, 1: 705},
+                                          1.0)], tau=0.1)
+        assert frontier_bits(json_round_trip(frontier)) == \
+            frontier_bits(frontier)
+
+    def test_key_set_and_order_changes_between_points(self):
+        points = [
+            point({1: 0.5, 2: 0.25}, {1: 1410, 2: 705}, 1.0),
+            point({1: 0.5, 2: 0.5}, {1: 1410, 2: 900}, 1.1),      # delta
+            point({2: 0.5, 1: 0.5}, {2: 900, 1: 1410}, 1.2),      # order
+            point({2: 0.5, 1: 0.5, 7: 0.1}, {2: 900, 1: 1410, 7: 1}, 1.3),
+            point({2: 0.5, 1: 0.5, 7: 0.1}, {}, 1.4),             # no freqs
+            point({2: 0.5, 1: -0.0, 7: 0.1}, {}, 1.5),            # -0.0
+            point({2: 0.5, 1: 0.0, 7: 0.1}, {7: 1, 2: 900}, 1.6),  # irregular
+            point({2: 0.5, 1: 0.0, 7: 0.1}, {7: 1, 2: 900}, 1.7),
+        ]
+        frontier = Frontier(points=points, tau=0.1)
+        rows = frontier_to_dict(frontier)["rows"]
+        assert [isinstance(row, dict) for row in rows] == [
+            True, False, True, True, True, False, True, True]
+        assert rows[5] == [1, -0.0, None]
+        assert frontier_bits(json_round_trip(frontier)) == \
+            frontier_bits(frontier)
+
+    def test_version_1_payload_still_loads(self, small_optimizer):
+        frontier = small_optimizer.frontier
+        v1 = {"version": 1, "kind": "frontier", "tau": frontier.tau,
+              "optimizer_runtime_s": frontier.optimizer_runtime_s,
+              "steps": frontier.steps, "stats": dict(frontier.stats),
+              "points": [schedule_to_dict(p) for p in frontier.points]}
+        restored = frontier_from_dict(json.loads(json.dumps(v1)))
+        assert frontier_bits(restored) == frontier_bits(frontier)
+        assert frontier_bits(restored) == \
+            frontier_bits(json_round_trip(frontier))
+
+
+class TestMalformedPayloads:
+    """Wrong-shape payloads end in SerializationError, never a traceback."""
+
+    @pytest.fixture
+    def payloads(self, small_optimizer, small_profile, small_partition):
+        return {
+            "frontier": payload_to_dict(small_optimizer.frontier),
+            "pipeline_profile": payload_to_dict(small_profile),
+            "partition": payload_to_dict(small_partition),
+            "stage_sweep": payload_to_dict(
+                small_profile.ops[next(iter(small_profile.ops))].measurements),
+            "tau": payload_to_dict(0.25),
+        }
+
+    def test_every_kind_with_each_field_missing(self, payloads):
+        for kind, payload in payloads.items():
+            assert type(payload_from_dict(payload)).__name__  # intact
+            for field in set(payload) - {"kind", "version", "stats",
+                                         "steps", "optimizer_runtime_s",
+                                         "stage_blocking_w"}:
+                broken = {k: v for k, v in payload.items() if k != field}
+                with pytest.raises(SerializationError, match="malformed"):
+                    payload_from_dict(broken)
+                with pytest.raises(SerializationError):
+                    load_json(io.StringIO(json.dumps(broken)))
+
+    def test_wrong_field_types_raise_only_serialization_errors(
+            self, payloads):
+        for kind, payload in payloads.items():
+            for field in set(payload) - {"kind", "version"}:
+                broken = dict(payload, **{field: "x"})
+                try:
+                    payload_from_dict(broken)
+                except SerializationError:
+                    pass  # anything else fails the test
+
+    def test_deeply_nested_file(self):
+        with pytest.raises(SerializationError, match="nested too deeply"):
+            load_json(io.StringIO("[" * 100_000))
+
+    def test_not_json(self):
+        with pytest.raises(SerializationError, match="not valid JSON"):
+            load_json(io.StringIO("{not json"))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda p: p["rows"][1].__setitem__(0, 10 ** 6),
+        lambda p: p["rows"][1].__setitem__(0, -1),
+        lambda p: p["rows"][1].__setitem__(0, 1.5),
+        lambda p: p["rows"][1].append(0),
+        lambda p: p["rows"].__setitem__(0, p["rows"][1]),
+        lambda p: p["iteration_time"].pop(),
+        lambda p: p["rows"][0]["durations"].pop(),
+        lambda p: p["rows"][0]["frequencies"].pop(),
+        lambda p: p["rows"][0]["ids"].__setitem__(1, p["rows"][0]["ids"][0]),
+        lambda p: p["rows"].__setitem__(1, "oops"),
+        lambda p: p.__setitem__("rows", []),
+        lambda p: p.__setitem__("compute_energy", None),
+    ], ids=["index-high", "index-negative", "index-float", "short-delta",
+            "leading-delta", "short-column", "short-durations",
+            "short-frequencies", "repeated-id", "string-row", "no-rows",
+            "null-column"])
+    def test_hostile_v2_frontiers(self, small_optimizer, corrupt):
+        payload = json.loads(json.dumps(
+            frontier_to_dict(small_optimizer.frontier)))
+        assert isinstance(payload["rows"][1], list) and payload["rows"][1]
+        corrupt(payload)
+        with pytest.raises(SerializationError):
+            payload_from_dict(payload)
+        with pytest.raises(SerializationError):
+            load_json(io.StringIO(json.dumps(payload)))
 
 
 class TestCLI:

@@ -394,6 +394,24 @@ def test_daemon_job_lifecycle(daemon):
     assert client.jobs() == ["job"]
 
 
+def test_daemon_frontier_is_bit_identical_to_in_process(daemon):
+    spec = tiny_spec(microbatches=4)
+    client = ServiceClient(daemon.url, tenant="team-a")
+    client.register_spec("job", spec)
+    remote = client.frontier_of("job")
+    local = Planner().frontier_for(spec)
+
+    def bits(frontier):
+        return [(p.iteration_time.hex(), p.effective_energy.hex(),
+                 p.compute_energy.hex(),
+                 [(k, v.hex()) for k, v in p.durations.items()],
+                 list(p.frequencies.items()))
+                for p in frontier.points]
+
+    assert len(local.points) > 1
+    assert bits(remote) == bits(local)
+
+
 def test_daemon_sweep_and_reports(daemon):
     client = ServiceClient(daemon.url, tenant="team-a")
     rows = client.submit_sweep(

@@ -7,6 +7,7 @@ re-characterization and bit-identical frontiers, per-spec error
 isolation, and parallel ``sweep(jobs>1)`` equivalence with serial.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,7 +16,12 @@ import sys
 import pytest
 
 from repro.api import PlanSpec, Planner, mixed_cluster_specs
-from repro.core.serialization import frontier_to_dict, profile_to_dict
+from repro.core.serialization import (
+    frontier_to_dict,
+    payload_from_dict,
+    profile_to_dict,
+    schedule_to_dict,
+)
 from repro.core.store import (
     FSYNC_ENV,
     MISS,
@@ -26,6 +32,7 @@ from repro.core.store import (
 )
 from repro.exceptions import ConfigurationError
 from repro.runtime.server import PerseusServer
+from repro.service.wire import reports_equal
 
 #: Tiny/fast planning request reused across the module.
 SMALL = PlanSpec("bert-large", gpu="a100", stages=2, microbatches=3,
@@ -65,6 +72,56 @@ class TestStableKey:
         with pytest.raises(TypeError):
             stable_key(object())
 
+    def test_short_lived_instances_never_alias(self):
+        import dataclasses
+
+        @dataclasses.dataclass(frozen=True)
+        class Point:
+            x: int
+
+        def digest(i):
+            return hashlib.sha256(json.dumps(
+                ["Point", {"x": i}], separators=(",", ":")).encode()
+            ).hexdigest()
+
+        # Each instance dies right after hashing; CPython hands its id
+        # to the next one, which must not inherit the memoized form.
+        assert all(stable_key(Point(i)) == digest(i) for i in range(1000))
+
+    def test_concurrent_hashing_through_memo_evictions(self):
+        import dataclasses
+        import threading
+
+        from repro.core import store
+        from repro.gpu.specs import A100_PCIE
+
+        # More distinct frozen specs than the memo holds, so threads
+        # hash while others clear it.
+        specs = [dataclasses.replace(A100_PCIE, tdp_w=A100_PCIE.tdp_w + i)
+                 for i in range(store._MEMO_SIZE + 50)]
+        expected = [stable_key((spec, i)) for i, spec in enumerate(specs)]
+        failures = []
+
+        def worker(offset):
+            for step in range(len(specs)):
+                i = (offset * 37 + step) % len(specs)
+                if stable_key((specs[i], i)) != expected[i]:
+                    failures.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,))
+                       for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
 
 class TestCacheKeyStability:
     """Satellite: equal specs must address identical store entries."""
@@ -97,6 +154,86 @@ class TestCacheKeyStability:
 
     def test_same_keys_across_planner_instances(self):
         assert Planner().cache_keys(SMALL) == Planner().cache_keys(SMALL)
+
+
+class TestStoreAddressPins:
+    """Store addresses recorded before the canonicalizer stopped using
+    ``dataclasses.asdict``: a key that moves orphans every store."""
+
+    DAG_4x8 = "a61cfc0f6797b1c6af8f81870d9420982b0e13ce705798012f2b75bddbf8fa3b"
+
+    @pytest.mark.parametrize("spec, keys", [
+        (PlanSpec("gpt3-xl", stages=4, microbatches=8), {
+            "partition": "7136857892c85a7630a46229c521092d"
+                         "265408f2c9c8c71b2b356ff8fdb20f17",
+            "profile": "37196093174a2e66b8b2a848315c6cf9"
+                       "cde1203a959e4aebd779b205eabf6b4e",
+            "dag": DAG_4x8,
+            "frontier": "a4b9fb9fd5095c2c7ced1486f062ef6d"
+                        "8d8d50a69af89bb9275bdb5fc3e79710",
+        }),
+        (PlanSpec("gpt3-xl", stages=4, microbatches=8,
+                  gpu=["a100", "h100", "a100", "h100"]), {
+            "partition": "d9dee0b712167a3e2fccff9bfaedbd6c"
+                         "69780bda9bb89e61a1455c9257cad48d",
+            "profile": "f679fec9f6f31a902a36dc71093dad63"
+                       "985a574e20929dbd9af429cd924e2937",
+            "dag": DAG_4x8,
+            "frontier": "17f3adb05364006d5c2a783716753f3e"
+                        "30643950c296f25699a66c1285a87021",
+        }),
+        (PlanSpec("bert-large", stages=4, microbatches=6, freq_stride=8,
+                  exactness="fast"), {
+            "partition": "727bca6602147e7244577033b74e6e67"
+                         "b4748a9d4fd7474e2077984b6679dabc",
+            "profile": "951901f3149729de2e6bffd72a27ddb3"
+                       "a834d837d8b89290d75955487bba0681",
+            "dag": "bd0a0651ccfbeba3bf2507398e3d12f8"
+                   "b87c643984c65a8868d1a1797290dd25",
+            "frontier": "b17d3b5361d0bcee5499757decb14d2e"
+                        "7c059415c3e78d73d5eff8190dbbf75b",
+        }),
+    ], ids=["gpt3-xl-pp4", "mixed-pp4", "fast"])
+    def test_cache_keys_are_pinned(self, spec, keys):
+        assert Planner().cache_keys(spec) == keys
+        # A second planner re-canonicalizes fresh ModelSpec instances.
+        assert Planner().cache_keys(spec) == keys
+
+    def test_memo_does_not_outlive_a_mutated_mutable_dataclass(self):
+        import dataclasses
+
+        @dataclasses.dataclass
+        class Box:
+            value: float
+
+        box = Box(1.0)
+        before = stable_key(box)
+        box.value = 2.0
+        assert stable_key(box) != before
+        assert stable_key(box) == stable_key(Box(2.0))
+
+    def test_nested_dataclasses_hash_by_fields_only(self):
+        import dataclasses
+
+        @dataclasses.dataclass(frozen=True)
+        class Inner:
+            x: float
+
+        @dataclasses.dataclass(frozen=True)
+        class Outer:
+            inner: Inner
+            items: tuple
+            table: dict
+
+        value = Outer(Inner(0.5), (Inner(1.0), 2), {2: Inner(3.0), 1: None})
+        expected = ["Outer", {"inner": {"x": (0.5).hex()},
+                              "items": [{"x": (1.0).hex()}, 2],
+                              "table": {"1": None, "2": {"x": (3.0).hex()}}}]
+        digest = stable_key(value)
+        assert digest == hashlib.sha256(json.dumps(
+            expected, sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest()
+        assert stable_key(value) == digest  # memoized form is the same
 
 
 class TestMemoryCache:
@@ -186,6 +323,26 @@ class TestPlanStore:
         healed.plan(SMALL)
         assert healed.stats["profile"] == 0
 
+    def test_version_1_frontier_files_serve_warm_plans(self, tmp_path):
+        root = tmp_path / "store"
+        cold = Planner(cache=root)
+        report = cold.plan(SMALL)
+        for name in os.listdir(root / "frontier"):
+            path = root / "frontier" / name
+            frontier = payload_from_dict(json.loads(path.read_text("utf-8")))
+            path.write_text(json.dumps({
+                "version": 1, "kind": "frontier", "tau": frontier.tau,
+                "optimizer_runtime_s": frontier.optimizer_runtime_s,
+                "steps": frontier.steps, "stats": frontier.stats,
+                "points": [schedule_to_dict(p) for p in frontier.points],
+            }), "utf-8")
+        warm = Planner(cache=root)
+        assert reports_equal(warm.plan(SMALL), report)
+        assert warm.stats["frontier"] == 0
+        assert warm.cache.counters["disk_hits"] > 0
+        assert frontier_to_dict(warm.frontier_for(SMALL))["rows"] == \
+            frontier_to_dict(cold.frontier_for(SMALL))["rows"]
+
     def test_layout_mismatch_raises(self, tmp_path):
         root = tmp_path / "store"
         PlanStore(root)
@@ -209,6 +366,74 @@ class TestPlanStore:
         assert Planner(cache=shared).cache is shared
         with pytest.raises(TypeError):
             Planner(cache=42)
+
+
+class TestMalformedEntries:
+    """A store file of the right kind but the wrong shape is a miss."""
+
+    STAT = {"partition": "partition", "profile": "profile", "tau": "tau",
+            "frontier": "frontier", "stage_sweep": "stage_profile"}
+
+    def _corrupt_and_replan(self, root, spec, namespace, rewrite):
+        cold = Planner(cache=root)
+        report = cold.plan(spec)
+        names = os.listdir(root / namespace)
+        assert names
+        for name in names:
+            path = root / namespace / name
+            path.write_text(rewrite(json.loads(path.read_text("utf-8"))),
+                            "utf-8")
+        if namespace == "stage_sweep":
+            # Sweeps are read only to compose a profile the store lacks.
+            for name in os.listdir(root / "profile"):
+                os.unlink(root / "profile" / name)
+        recovered = Planner(cache=root)
+        assert reports_equal(recovered.plan(spec), report)
+        assert recovered.stats[self.STAT[namespace]] >= 1
+        assert recovered.cache.counters["disk_misses"] >= len(names)
+        healed = Planner(cache=root)
+        healed.plan(spec)
+        assert healed.stats[self.STAT[namespace]] == 0
+
+    @pytest.mark.parametrize("namespace", sorted(STAT))
+    def test_missing_field_is_a_miss(self, tmp_path, namespace):
+        def drop_field(payload):
+            field = next(k for k in payload
+                         if k not in ("kind", "version", "steps", "stats",
+                                      "optimizer_runtime_s"))
+            del payload[field]
+            return json.dumps(payload)
+
+        spec = MIXED if namespace == "stage_sweep" else SMALL
+        self._corrupt_and_replan(tmp_path / "store", spec, namespace,
+                                 drop_field)
+
+    def test_kind_and_version_only_is_a_miss(self, tmp_path):
+        self._corrupt_and_replan(
+            tmp_path / "store", SMALL, "partition",
+            lambda _: json.dumps({"kind": "partition", "version": 1}))
+
+    def test_profile_failing_validation_is_a_miss(self, tmp_path):
+        self._corrupt_and_replan(
+            tmp_path / "store", SMALL, "profile",
+            lambda payload: json.dumps(dict(payload, p_blocking_w=0.0)))
+
+    def test_deeply_nested_file_is_a_miss(self, tmp_path):
+        self._corrupt_and_replan(tmp_path / "store", SMALL, "frontier",
+                                 lambda _: "[" * 100_000)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda p: p["rows"][-1].__setitem__(0, 10 ** 6),
+        lambda p: p["effective_energy"].append(1.0),
+    ], ids=["delta-index-out-of-range", "column-lengths-differ"])
+    def test_hostile_v2_frontier_is_a_miss(self, tmp_path, corrupt):
+        def rewrite(payload):
+            assert payload["version"] == 2 and payload["rows"][-1]
+            corrupt(payload)
+            return json.dumps(payload)
+
+        self._corrupt_and_replan(tmp_path / "store", SMALL, "frontier",
+                                 rewrite)
 
 
 class TestSweepErrorIsolation:

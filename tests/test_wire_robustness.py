@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import socket
+import time
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.exceptions import (
     ServiceUnavailable,
 )
 from repro.service import PlanningDaemon, ServiceClient
+from repro.service import daemon as daemon_module
 from repro.service.daemon import MAX_RPC_BODY_BYTES
 from repro.service.wire import (
     REPORT_WIRE_VERSION,
@@ -239,6 +241,34 @@ class TestHostileRpcBodies:
         assert type(err) is ServiceError
         assert "nests too deeply" in str(err)
         assert not closed  # the body was consumed: keep-alive survives
+
+
+class TestStalledClients:
+    """A client that stops mid-request cannot pin a handler thread."""
+
+    def test_half_a_request_line_is_dropped_within_the_timeout(
+            self, monkeypatch):
+        monkeypatch.setattr(daemon_module, "READ_TIMEOUT_S", 0.5)
+        with PlanningDaemon(planner=Planner(), port=0) as daemon:
+            with socket.create_connection(daemon.address,
+                                          timeout=10.0) as stalled:
+                stalled.sendall(b"POST /rp")  # ...and nothing more
+                started = time.monotonic()
+                # Another client is served while the first one stalls.
+                assert ServiceClient(daemon.url).ping()["ok"]
+                try:
+                    dropped = stalled.recv(1) == b""
+                except ConnectionResetError:
+                    dropped = True
+                waited = time.monotonic() - started
+        assert dropped
+        assert waited < 0.5 + 2.0
+
+    def test_the_bound_is_a_fixed_constant(self):
+        assert daemon_module.READ_TIMEOUT_S == 30.0
+        with PlanningDaemon(planner=Planner(), port=0) as daemon:
+            handler = daemon._httpd.RequestHandlerClass
+            assert handler.timeout == daemon_module.READ_TIMEOUT_S
 
 
 # -------------------------------------------------------------- error taxonomy
