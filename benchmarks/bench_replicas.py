@@ -15,9 +15,10 @@ scenarios the replica layer exists for:
   in-process planning.
 * ``leader-kill`` -- the sticky leader is SIGKILLed *mid-
   materialization* (a chaos env stalls it inside the expensive stage;
-  the kill triggers on its lease claim appearing).  The client fails
-  over, the surviving replica seizes the stale lease, and the answer
-  is still bit-identical.
+  the kill triggers on its flight claim appearing).  The client fails
+  over, the surviving replica takes over the work as soon as the kernel
+  drops the dead leader's flight lock, and the answer is still
+  bit-identical.  ``recovery_s`` is the kill-to-answer time.
 
 Results land in ``benchmarks/BENCH_replicas.json``.  ``--quick``
 shrinks K/U for CI and ``--ceiling-s`` enforces a wall-clock ceiling.
@@ -145,7 +146,7 @@ def _bench_cold_herd(quick: bool, replicas: int, workdir: str) -> dict:
     clients = 8 if quick else 16
     unique = len(specs)
     store = os.path.join(workdir, f"store-{replicas}x")
-    with ReplicaSet(replicas, store, lease_timeout_s=10.0,
+    with ReplicaSet(replicas, store,
                     extra_args=["--max-inflight", str(clients)]) as fleet:
         latencies, reports, errors = _fire_herd(fleet, specs, clients)
         assert not errors, errors
@@ -186,7 +187,7 @@ def _bench_leader_kill(quick: bool, workdir: str) -> dict:
     store = os.path.join(workdir, "store-kill")
     started = time.perf_counter()
     with ReplicaSet(
-        2, store, lease_timeout_s=1.0,
+        2, store,
         per_daemon_env={0: {MATERIALIZE_DELAY_ENV: "30.0"}},
     ) as fleet:
         client = fleet.client(tenant=tenant, cooldown_s=0.2)
@@ -197,7 +198,7 @@ def _bench_leader_kill(quick: bool, workdir: str) -> dict:
 
         t = threading.Thread(target=work, daemon=True)
         t.start()
-        # The doomed leader's lease claim appearing IS the
+        # The doomed leader's flight claim appearing IS the
         # "mid-materialization" signal: kill lands inside the window.
         observer = StoreFlight(store, owner="bench-observer")
         deadline = time.monotonic() + 120.0
@@ -205,7 +206,7 @@ def _bench_leader_kill(quick: bool, workdir: str) -> dict:
         while not any(payload.get("pid") == victim_pid
                       for payload in observer.claims().values()):
             if time.monotonic() > deadline:
-                raise AssertionError("leader never claimed its lease")
+                raise AssertionError("leader never claimed its flight")
             time.sleep(0.02)
         kill_at = time.perf_counter()
         fleet.daemons[0].kill()
@@ -217,7 +218,6 @@ def _bench_leader_kill(quick: bool, workdir: str) -> dict:
     roles = _fleet_store_roles({"survivor": survivor_text})
     identical = reports_equal(out["report"], Planner().plan(spec))
     return {
-        "lease_timeout_s": 1.0,
         "recovered": True,
         "bit_identical": identical,
         "takeovers": roles.get("takeover", 0),
@@ -245,7 +245,7 @@ def run(quick: bool = False) -> dict:
               f"(roles {fleet['store_roles']})", flush=True)
         kill = _bench_leader_kill(quick, workdir)
         print(f"leader-kill: recovered in {kill['recovery_s']}s via "
-              f"{kill['takeovers']} lease takeover(s), "
+              f"{kill['takeovers']} takeover(s), "
               f"bit_identical={kill['bit_identical']}", flush=True)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -23,11 +23,11 @@ process-wide :func:`default_planner`, so the CLI, the experiment runner
 and the benchmarks all warm-start from the same artifacts.
 
 :func:`sweep` batches specs through a shared planner -- optionally on a
-worker pool (``jobs``) with per-spec error isolation -- and returns
-comparable :class:`PlanReport` rows; :func:`auto_tau` derives the
-frontier granularity from the achievable time span (moved here from
-``repro.experiments.runner`` so the package root no longer reaches into
-the experiments layer).
+process pool over a persistent store (``jobs``) -- with per-spec error
+isolation and returns comparable :class:`PlanReport` rows;
+:func:`auto_tau` derives the frontier granularity from the achievable
+time span (moved here from ``repro.experiments.runner`` so the package
+root no longer reaches into the experiments layer).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -46,7 +46,7 @@ from ..core.frontier import Frontier
 from ..core.optimizer import PerseusOptimizer
 from ..core.store import MISS, CacheBackend, PlanStore, as_backend, stable_key
 from ..obs.provenance import ProvenanceBuilder, provenance_path
-from ..obs.trace import current_trace_id, set_trace_id, wrap_context
+from ..obs.trace import current_trace_id, set_trace_id
 from ..obs.trace import span as obs_span
 from ..exceptions import ConfigurationError, ReproError
 from ..gpu.specs import GPULike, GPUSpec, get_gpu, is_homogeneous, resolve_gpus
@@ -825,17 +825,16 @@ class Planner:
     ) -> List[PlanReport]:
         """Plan every spec, sharing all memoized stages, in input order.
 
-        ``jobs > 1`` runs the batch on a worker pool.  With a persistent
-        :class:`~repro.core.store.PlanStore` attached, workers are
-        separate *processes*: each plans its chunk against the shared
-        store (true multi-core profiling/characterization, no GIL), and
-        the parent then adopts every artifact from disk to assemble the
-        report rows -- a pure warm-store pass that performs no expensive
-        work.  Without a store the pool falls back to threads: each
-        worker gets a private planner over a snapshot view of this
-        planner's cache, and the workers' results merge back when the
-        pool drains -- so the sweep's artifacts stay available to later
-        calls, exactly as in serial mode.
+        ``jobs`` parallelizes only over a persistent
+        :class:`~repro.core.store.PlanStore`: with one attached and
+        ``jobs > 1``, workers are separate *processes*, each planning
+        its chunk against the shared store (true multi-core
+        profiling/characterization, no GIL), and the parent then adopts
+        every artifact from disk to assemble the report rows -- a pure
+        warm-store pass that performs no expensive work.  Over the
+        in-memory cache ``jobs`` is ignored and the batch plans
+        serially: planning is CPU-bound Python, so a thread pool only
+        adds contention.
 
         ``errors="report"`` (default) isolates per-spec failures as
         error rows (``report.error`` set, scalars NaN) instead of
@@ -848,9 +847,11 @@ class Planner:
         spec_list = list(specs)
         with obs_span("planner.sweep", specs=len(spec_list),
                       jobs=jobs or 1):
-            if jobs is None or jobs <= 1 or len(spec_list) <= 1:
+            if (jobs is None or jobs <= 1 or len(spec_list) <= 1
+                    or not isinstance(self._cache, PlanStore)):
                 return [self._plan_row(spec, errors) for spec in spec_list]
-            return self._sweep_parallel(spec_list, jobs, errors)
+            return self._sweep_processes(
+                spec_list, self._sweep_chunks(spec_list, jobs), errors)
 
     @staticmethod
     def _stack_signature(spec: PlanSpec) -> tuple:
@@ -876,12 +877,12 @@ class Planner:
     def _sweep_chunks(self, specs: List[PlanSpec], jobs: int) -> List[List[int]]:
         """Spec indices per worker, stacks never split across workers.
 
-        Workers plan on isolated cache views (snapshots for threads,
-        processes for stores), so two workers handed specs sharing a
-        stack would each profile it.  Group by the profile-determining
-        sub-key and keep every group on one worker (largest groups
-        placed first, onto the least-loaded worker): the expensive work
-        parallelizes across *stacks* and is never duplicated within one.
+        Worker processes plan with isolated memory tiers, so two
+        workers handed specs sharing a stack would each profile it.
+        Group by the profile-determining sub-key and keep every group
+        on one worker (largest groups placed first, onto the
+        least-loaded worker): the expensive work parallelizes across
+        *stacks* and is never duplicated within one.
         """
         groups: Dict[tuple, List[int]] = {}
         for index, spec in enumerate(specs):
@@ -890,43 +891,6 @@ class Planner:
         for indices in sorted(groups.values(), key=len, reverse=True):
             min(chunks, key=len).extend(indices)
         return chunks
-
-    def _sweep_parallel(
-        self, specs: List[PlanSpec], jobs: int, errors: str
-    ) -> List[PlanReport]:
-        chunks = self._sweep_chunks(specs, jobs)
-        if isinstance(self._cache, PlanStore):
-            return self._sweep_processes(specs, chunks, errors)
-        workers = [Planner(cache=self._cache.worker_view())
-                   for _ in chunks]
-
-        def run(worker: "Planner", indices: List[int]):
-            return [worker._plan_row(specs[i], errors) for i in indices]
-
-        results: List[Optional[PlanReport]] = [None] * len(specs)
-        with ThreadPoolExecutor(max_workers=len(workers)) as pool:
-            # wrap_context: spans opened inside a worker thread stay
-            # children of the caller's trace instead of orphan roots.
-            futures = [pool.submit(wrap_context(run), worker, chunk)
-                       for worker, chunk in zip(workers, chunks)]
-            for chunk, future in zip(chunks, futures):
-                for index, report in zip(chunk, future.result()):
-                    results[index] = report
-        for worker in workers:
-            self._cache.merge(worker._cache)
-            self._frontier_synced.update(worker._frontier_synced)
-            for stat, count in worker.stats.items():
-                self.stats[stat] += count
-        # Worker-built optimizers captured *their* planner's recorder;
-        # rebind any still-lazy ones so a post-sweep characterization
-        # lands in this planner's backend, not a discarded worker's.
-        for key, optimizer in self._cache.items("optimizer"):
-            if not optimizer.is_characterized:
-                optimizer.on_characterized = (
-                    lambda frontier, key=key:
-                        self._record_frontier(key, frontier)
-                )
-        return results  # type: ignore[return-value]
 
     def _sweep_processes(
         self, specs: List[PlanSpec], chunks: List[List[int]], errors: str
@@ -990,8 +954,8 @@ def _sweep_store_worker(
         set_trace_id(trace_id)
     # An explicit uncapped store: a capped one (REPRO_CACHE_MAX_BYTES is
     # inherited by worker processes) would run LRU eviction concurrently
-    # with its siblings' writes -- the race worker_view() forbids.  Only
-    # the parent's store garbage collects.
+    # with its siblings' writes and prune entries they are about to
+    # read.  Only the parent's store garbage collects.
     planner = Planner(cache=PlanStore(root))
     for payload in spec_payloads:
         try:
@@ -1035,9 +999,9 @@ def sweep(
     Specs differing only in strategy (or microbatch count, or tau) share
     profiling work; mixed-GPU specs additionally share per-stage sweeps
     wherever a stage's (device, workload) pair repeats.  Pass an explicit
-    ``planner`` to isolate caches, ``jobs`` for a worker pool, and
-    ``errors="raise"`` to fail fast instead of reporting per-spec
-    errors.
+    ``planner`` to isolate caches, ``jobs`` for a process pool over a
+    persistent store, and ``errors="raise"`` to fail fast instead of
+    reporting per-spec errors.
     """
     return (planner or default_planner()).sweep(specs, jobs=jobs,
                                                 errors=errors)

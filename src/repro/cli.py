@@ -10,10 +10,10 @@ Commands:
   one row per strategy (see ``repro.api.list_strategies``).
 * ``sweep``     -- batch-plan many specs (strategy lists, mixed-cluster
   GPU pools, or a JSON manifest) with per-spec error isolation.
-  ``--jobs`` runs a worker pool, ``--cache-dir`` persists partitions /
-  profiles / frontiers across invocations (second run: zero
-  re-profiling), ``--format json|csv`` + ``--output`` export the
-  report rows.
+  ``--cache-dir`` persists partitions / profiles / frontiers across
+  invocations (second run: zero re-profiling) and lets ``--jobs`` plan
+  on a process pool (without a store the sweep plans serially);
+  ``--format json|csv`` + ``--output`` export the report rows.
 * ``timeline``  -- render the Figure-1 style before/after timelines for
   the chosen ``--strategy``.
 * ``straggler`` -- given a saved frontier, look up ``T_opt = min(T*, T')``
@@ -29,8 +29,8 @@ Commands:
   per-tenant quotas, backpressure and a ``/metrics`` endpoint
   (``--port``, ``--cache-dir``, ``--max-inflight``, ``--quota-rate``).
   ``--replicas N`` launches N daemon processes over one shared store,
-  coordinated by store-level single-flight leases
-  (``--lease-timeout-s``).
+  coordinated by a store-level single flight: one ``flock`` per
+  materialization, released by the kernel if its holder dies.
 * ``call``      -- one RPC against a running daemon: ``repro call
   ping``, ``repro call plan --params '{"spec": {...}}'``; the special
   method names ``metrics`` and ``health`` fetch the GET endpoints.
@@ -591,10 +591,8 @@ def _serve_replicas(args) -> int:
     ports = None if args.port == 0 \
         else [args.port + i for i in range(args.replicas)]
     with ReplicaSet(args.replicas, root, host=args.host, ports=ports,
-                    lease_timeout_s=args.lease_timeout_s,
                     extra_args=extra) as fleet:
-        print(f"replicas   : {args.replicas} daemons over one store "
-              f"(lease {args.lease_timeout_s:g}s)")
+        print(f"replicas   : {args.replicas} daemons over one store")
         for daemon in fleet.daemons:
             print(f"  {daemon.url}  (pid {daemon.pid})")
         print(f"store      : {os.path.abspath(root)}")
@@ -627,7 +625,6 @@ def cmd_serve(args) -> int:
         max_inflight=args.max_inflight,
         quota_rate=args.quota_rate,
         quota_burst=args.quota_burst,
-        lease_timeout_s=args.lease_timeout_s,
         log_jsonl=args.log_jsonl,
     )
     quota = (f"{args.quota_rate:g}/s burst {args.quota_burst:g}"
@@ -761,7 +758,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON manifest of plan_spec payloads (overrides "
                         "model/strategy/pool flags)")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker-pool size (default: serial)")
+                   help="worker processes over --cache-dir (default: "
+                        "serial; ignored without a store)")
     p.add_argument("--cache-dir", default=None,
                    help="persistent plan store: partitions, profiles and "
                         "frontiers are reused across runs")
@@ -832,7 +830,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--carbon", type=float, default=None,
                    help="grid carbon intensity in gCO2/kWh")
     p.add_argument("--jobs", type=int, default=None,
-                   help="planner worker-pool size for the up-front sweep")
+                   help="planner worker processes for the up-front "
+                        "sweep (needs --cache-dir; serial without one)")
     p.add_argument("--cache-dir", default=None,
                    help="persistent plan store for the fleet's frontiers")
     p.add_argument("--format", choices=["table", "json", "csv"],
@@ -872,10 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "store (needs --cache-dir or REPRO_CACHE_DIR); "
                         "an explicit --port becomes the base of N "
                         "consecutive ports")
-    p.add_argument("--lease-timeout-s", type=float, default=5.0,
-                   help="store-flight lease: a leader whose heartbeat "
-                        "stalls this long is presumed crashed and its "
-                        "work is taken over")
     p.add_argument("--log-jsonl", default=None, metavar="FILE",
                    help="append every structured event (plans, cache "
                         "flights, drift, admission, RPCs -- with trace "

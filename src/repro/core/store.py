@@ -247,32 +247,13 @@ class CacheBackend:
     def clear(self) -> None:
         raise NotImplementedError
 
-    # -- worker-pool support -------------------------------------------------
-    def worker_view(self) -> "CacheBackend":
-        """An independent backend for one sweep worker.
-
-        Snapshots the current memory tier (shallow -- values are shared,
-        the tables are not), so workers start warm but never race on the
-        parent's dicts; :meth:`merge` folds their results back.
-        """
-        raise NotImplementedError
-
-    def merge(self, other: "CacheBackend") -> None:
-        """Adopt ``other``'s entries this backend does not already hold."""
-        raise NotImplementedError
-
-    def items(self, namespace: str):
-        """Iterate the namespace's (key, value) pairs held in memory."""
-        raise NotImplementedError
-
 
 class MemoryCache(CacheBackend):
     """The in-process tier: plain dicts, exactly the planner's old memos.
 
     Mutations take a small lock so a background characterization hook
     (e.g. a non-blocking server registration) can insert entries while
-    another thread snapshots a :meth:`worker_view`; lock-free reads stay
-    safe under the GIL.
+    another thread plans; lock-free reads stay safe under the GIL.
     """
 
     def __init__(self) -> None:
@@ -299,28 +280,6 @@ class MemoryCache(CacheBackend):
         with self._mutex:
             self._tables.clear()
 
-    def worker_view(self) -> "MemoryCache":
-        view = MemoryCache()
-        with self._mutex:
-            view._tables = {ns: dict(table)
-                            for ns, table in self._tables.items()}
-        return view
-
-    def items(self, namespace: str):
-        with self._mutex:
-            return list(self._table(namespace).items())
-
-    def merge(self, other: CacheBackend) -> None:
-        if not isinstance(other, MemoryCache):
-            raise TypeError("can only merge memory tiers of the same kind")
-        with self._mutex:
-            for ns, table in other._tables.items():
-                mine = self._table(ns)
-                for key, value in table.items():
-                    mine.setdefault(key, value)
-            for name, count in other.counters.items():
-                self.counters[name] = self.counters.get(name, 0) + count
-
 
 class PlanStore(MemoryCache):
     """Content-addressed persistent plan store (disk under a memory tier).
@@ -336,10 +295,10 @@ class PlanStore(MemoryCache):
     ``max_bytes`` caps the on-disk footprint: when a write pushes the
     store past the cap, the least-recently-used entries (by file mtime;
     disk hits refresh it) are pruned until the store fits again.  The
-    cap is per-store-object -- worker views created for a sweep pool
-    deliberately carry no cap, so only the owning store garbage
-    collects.  :meth:`gc` runs the same pruning on demand (the
-    ``repro cache gc`` subcommand).
+    cap is per-store-object -- sweep worker processes open the store
+    without one, so only the owning store garbage collects.  :meth:`gc`
+    runs the same pruning on demand (the ``repro cache gc``
+    subcommand).
     """
 
     def __init__(self, root: os.PathLike,
@@ -495,16 +454,6 @@ class PlanStore(MemoryCache):
     def clear(self) -> None:
         """Drop the memory tier only; the on-disk store is durable."""
         super().clear()
-
-    def worker_view(self) -> "PlanStore":
-        # Deliberately no max_bytes: concurrent workers pruning entries
-        # the parent (or a sibling) is about to read would turn the LRU
-        # policy into a race; only the owning store garbage collects.
-        view = PlanStore(self.root)
-        with self._mutex:
-            view._tables = {ns: dict(table)
-                            for ns, table in self._tables.items()}
-        return view
 
     def entries(self, namespace: str) -> Iterable[str]:
         """Hex keys currently persisted for one namespace (diagnostics)."""

@@ -217,8 +217,9 @@ class FleetSimulator:
         planner: Shared :class:`~repro.api.Planner` (defaults to the
             process-wide one, so ``REPRO_CACHE_DIR`` persists fleet
             frontiers like every other entry point).
-        plan_jobs: Worker-pool size for the up-front planning sweep
-            (``None``/1 = serial; results are bit-identical either way).
+        plan_jobs: Worker processes for the up-front planning sweep
+            over a persistent store (``None``/1, or no store = serial;
+            results are bit-identical either way).
         observers: Callables invoked as ``observer(sim, now)`` after
             every event batch.  An observer with an ``attach(sim)``
             method is attached at run start; observers may call

@@ -21,8 +21,9 @@ design:
 Propagation rules:
 
 * Same thread: nesting is automatic (the contextvar holds the parent).
-* Thread pools: submit through :func:`wrap_context` (the planner's
-  sweep does), which snapshots the caller's context into the worker.
+* Thread pools: submit through :func:`wrap_context` (the drift
+  controller's re-plan thread does), which snapshots the caller's
+  context into the worker.
 * Process pools: contextvars cannot cross processes -- pass
   :func:`current_trace_id` explicitly and :func:`set_trace_id` it in
   the child (``Planner._sweep_processes`` does).

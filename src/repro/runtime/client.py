@@ -28,18 +28,6 @@ SWEEP_PATIENCE = 3
 
 
 @dataclass
-class _OpAccumulator:
-    """Running sums for one op type at the current sweep clock."""
-
-    total_time: float = 0.0
-    total_energy: float = 0.0
-    count: int = 0
-
-    def mean(self) -> Measurement:
-        raise NotImplementedError  # placeholder; see InVivoProfiler._flush
-
-
-@dataclass
 class InVivoProfiler:
     """Client-side profiler: measures each computation type per clock.
 

@@ -13,7 +13,7 @@ shim is the multi-tenant machinery:
   specs perform exactly U profile/crawl runs (the acceptance criterion
   ``BENCH_service.json`` measures).  When the planner sits on a
   persistent :class:`~repro.core.store.PlanStore`, the local flight
-  nests inside a :class:`~repro.service.replica.StoreFlight` lease, so
+  nests inside a :class:`~repro.service.replica.StoreFlight` lock, so
   the same exactly-once guarantee holds *fleet-wide* across N daemon
   processes sharing the store (``BENCH_replicas.json``).
 * **Admission** -- a bounded in-flight limit (429-style backpressure)
@@ -139,6 +139,10 @@ class PlanningDaemon:
     makes the daemon persistent); pass ``Planner(cache=dir)`` to pin a
     store explicitly.  ``port=0`` binds an ephemeral port --
     :attr:`url` reports the bound address after :meth:`start`.
+    Over a :class:`~repro.core.store.PlanStore`, ``store_flight="auto"``
+    wraps every expensive materialization in a
+    :class:`~repro.service.replica.StoreFlight`, so daemons sharing the
+    store do each piece of work once between them.
 
     Use as a context manager, or call :meth:`start` / :meth:`close`::
 
@@ -157,7 +161,6 @@ class PlanningDaemon:
         quota_rate: Optional[float] = None,
         quota_burst: float = 8.0,
         store_flight: object = "auto",
-        lease_timeout_s: float = 5.0,
         log_jsonl: Optional[str] = None,
         access_log: bool = True,
         access_log_rate: Optional[float] = 10.0,
@@ -191,7 +194,7 @@ class PlanningDaemon:
                     "store_flight"
                 )
             self._store_flight: Optional[StoreFlight] = StoreFlight(
-                self.planner.cache.root, lease_timeout_s=lease_timeout_s)
+                self.planner.cache.root)
         else:
             self._store_flight = None
         self._warm_lock = threading.Lock()
@@ -211,9 +214,10 @@ class PlanningDaemon:
         self.metrics.describe(
             "repro_service_store_flights_total",
             "cross-process materializations by store role (leader=this "
-            "process held the lease, takeover=seized a stale lease, "
-            "follower=another process's leader landed it, warm=done "
-            "marker already present)")
+            "process took the flight lock first, takeover=finished the "
+            "work of a process that died holding it, follower=another "
+            "process's leader landed it, warm=done marker already "
+            "present)")
         self.metrics.describe(
             "repro_service_rejections_total",
             "requests rejected before any work (quota or backpressure)")
@@ -240,10 +244,6 @@ class PlanningDaemon:
             "drift re-plans accepted through report_measurement, by "
             "reason (drift=corrective, probe=recovery probe, "
             "readopt=post-restart re-adoption)")
-        self.metrics.describe(
-            "repro_service_store_watch_polls_total",
-            "StoreFlight follower watch polls (one flights/ directory "
-            "digest per interval, replacing per-claim stats)")
 
     # -- lifecycle -----------------------------------------------------------
     @property
@@ -340,11 +340,11 @@ class PlanningDaemon:
                              {"outcome": store_role})
 
     def _store_warm(self, spec, key) -> Optional[str]:
-        """Warm the stack under the fleet-wide store lease (if attached).
+        """Warm the stack under the fleet-wide store flight (if attached).
 
         Only the local single-flight leader gets here, so nesting the
         in-memory flight outside the store flight is deadlock-free:
-        one lease waiter per process per key.  Returns the store role
+        one lock waiter per process per key.  Returns the store role
         (``None`` when this daemon runs without a shared store).
         """
         if self._store_flight is None:
@@ -771,11 +771,6 @@ class PlanningDaemon:
                 extra.append(
                     f'repro_drift_state{{job="{job_id}",'
                     f'state="{row["state"]}"}} 1')
-        if self._store_flight is not None:
-            polls = self._store_flight.stats.get("watch_polls", 0)
-            extra.append(
-                "# TYPE repro_service_store_watch_polls_total counter")
-            extra.append(f"repro_service_store_watch_polls_total {polls}")
         return self.metrics.render(extra_lines=extra)
 
     def health(self) -> dict:

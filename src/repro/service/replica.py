@@ -8,15 +8,11 @@ guarantee across process boundaries, where no shared condition
 variable exists.  This module supplies the three pieces:
 
 * :class:`StoreFlight` -- cross-process single-flight built on the
-  store directory itself.  A leader claims a key by atomically
-  creating ``<root>/flights/<key>.claim`` (``O_CREAT | O_EXCL``: the
-  filesystem picks exactly one winner), heartbeats the claim's mtime
-  while it works, and publishes a ``.done`` marker when the artifacts
-  are persisted.  Followers watch a single ``flights/`` directory
-  digest (mtime + entry list) per poll interval instead of stat-ing
-  each claim, re-checking markers only when the digest moves; a claim
-  whose mtime goes stale (crashed leader) is seized via an atomic
-  rename, so exactly one waiter takes over.
+  store directory itself.  The process that does a key's work holds an
+  exclusive ``flock`` on ``<root>/flights/<key>.lock`` while it works,
+  and publishes a ``.done`` marker when the artifacts are persisted.
+  The kernel drops the lock the moment its holder dies, so a crashed
+  leader's work is taken over at once, without waiting out a timeout.
 * :class:`ReplicaClient` -- a drop-in :class:`ServiceClient` over a
   *list* of daemons: sticky tenant routing by stable hash, rotation to
   the next replica on :class:`~repro.exceptions.ServiceUnavailable`
@@ -33,12 +29,10 @@ still materializes its own in-memory planner state, but a follower
 warms from the store's persisted artifacts (disk hits bump no
 planner-work counter), so summing ``repro_planner_work_total`` across
 the fleet's ``/metrics`` counts the fleet-wide profile/crawl runs.
-
-Failure tolerance is deliberately asymmetric: a *missed* takeover can
-only add latency (the lease expires again), while a *spurious* takeover
-(e.g. a fast clock seizing a live leader's lease) only duplicates work
--- the store is content-addressed and writes are atomic, so two leaders
-racing produce bit-identical artifacts, never corruption.
+Should two processes ever both do a key's work (a daemon from before
+the ``flock`` protocol sharing the store), the cost is duplicate work,
+never corruption: the store is content-addressed and writes are
+atomic, so both produce bit-identical artifacts.
 """
 
 from __future__ import annotations
@@ -51,27 +45,40 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+
+try:  # the same advisory locks ``core.store.store_lock`` uses
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX: no cross-process guard
+    fcntl = None
 
 from ..exceptions import ServiceError, ServiceUnavailable
 from .client import RETRY_HINT_S, ServiceClient, _fresh_id
 
 #: Store-flight roles returned by :meth:`StoreFlight.do`.
-LEADER = "leader"          #: claimed the key first and did the work
-TAKEOVER = "takeover"      #: seized a stale lease and did the work
+LEADER = "leader"          #: took the key's lock first and did the work
+TAKEOVER = "takeover"      #: finished the work of a holder that died
 FOLLOWER = "follower"      #: waited for another process's leader
 WARM = "warm"              #: the done marker already existed
 
-#: Directory (under the store root) holding claims and done markers.
+#: Directory (under the store root) holding locks, claims and markers.
 FLIGHTS_DIR = "flights"
 
-#: Chaos hooks, read by daemons at startup so a test harness can slow
-#: materialization (to widen race windows deterministically) or skew
-#: one process's lease clock.
+#: Seconds between attempts on a flight lock another process holds.
+LOCK_POLL_S = 0.02
+
+#: Seconds a waiter gives one flight before raising :class:`ServiceError`.
+WAIT_TIMEOUT_S = 600.0
+
+#: Chaos hook, read by daemons at startup so a test harness can slow
+#: materialization (to widen race windows deterministically).
 MATERIALIZE_DELAY_ENV = "REPRO_CHAOS_MATERIALIZE_DELAY_S"
-CLOCK_SKEW_ENV = "REPRO_CLOCK_SKEW_S"
 
 _SAFE_KEY = re.compile(r"^[A-Za-z0-9._-]{1,128}$")
+
+_STAT_OF_ROLE = {LEADER: "leaders", TAKEOVER: "takeovers",
+                 FOLLOWER: "followers", WARM: "warm"}
 
 
 def _flight_name(key: str) -> str:
@@ -82,115 +89,63 @@ def _flight_name(key: str) -> str:
     return hashlib.sha256(key.encode("utf-8")).hexdigest()
 
 
-def _skewed_clock() -> Callable[[], float]:
-    """Wall clock plus :data:`CLOCK_SKEW_ENV` seconds (chaos hook)."""
-    skew = float(os.environ.get(CLOCK_SKEW_ENV, "0") or 0.0)
-    if skew:
-        return lambda: time.time() + skew
-    return time.time
-
-
-class _Heartbeat:
-    """Refreshes a claim file's mtime until stopped.
-
-    The mtime *is* the lease: as long as it keeps moving, waiters know
-    the leader's process is alive even if the work takes much longer
-    than the lease timeout.  The thread exits on its own if the claim
-    disappears (seized by a skew-confused waiter) -- at that point the
-    lease is no longer ours to refresh.
-    """
-
-    def __init__(self, path: str, interval_s: float) -> None:
-        self._path = path
-        self._interval_s = interval_s
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-lease-heartbeat", daemon=True)
-        self._thread.start()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval_s):
-            try:
-                os.utime(self._path)
-            except OSError:
-                return
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-
-
 class StoreFlight:
     """Cross-process single-flight keyed on a shared store directory.
 
     ``do(key, fn)`` returns ``(fn(), role)``; among all processes (and
     threads) sharing ``root``, exactly one runs ``fn`` while holding
-    the key's lease -- everyone else waits for the done marker and
+    the key's lock -- everyone else waits for the done marker and
     then runs ``fn`` against the warmed store (idempotent by
     contract: ``fn`` must be cheap once the leader's artifacts are
     persisted, which is exactly how the planner's content-addressed
     stages behave).
 
-    Lease protocol (all paths under ``<root>/flights/``):
+    Protocol (all paths under ``<root>/flights/``):
 
-    1. **claim**: create ``<key>.claim`` with ``O_CREAT | O_EXCL`` --
-       atomic on every real filesystem, one winner.  The file body
-       records ``{owner, pid}`` (chaos tests kill leaders by that pid).
-    2. **heartbeat**: the leader refreshes the claim's mtime every
-       ``heartbeat_interval_s`` (default: a third of the lease).
-    3. **publish**: after ``fn`` returns, write ``<key>.done``
-       atomically, *then* drop the claim.  Crash-safe ordering: a
-       claim without a done marker means unfinished work, never the
-       reverse.
-    4. **takeover**: a waiter that observes
-       ``clock() - claim_mtime > lease_timeout_s`` renames the claim
-       to a unique tombstone -- rename is atomic, so of any number of
-       concurrent seizers exactly one wins -- and re-runs the claim
-       step (role :data:`TAKEOVER`).
-    5. **failure**: a leader whose ``fn`` raises drops its claim
-       without publishing; one waiter becomes the next leader and
-       retries, and the error propagates to the failed leader's own
-       caller only.
+    1. **lock**: take an exclusive ``flock`` on ``<key>.lock`` through a
+       fresh ``os.open``.  ``flock`` locks belong to the open file, so
+       two calls exclude each other even inside one process (``lockf``
+       record locks would not), and the kernel releases the lock when
+       its holder exits, however it exits.  While the lock is busy the
+       caller polls every :data:`LOCK_POLL_S` for the done marker, for
+       at most :data:`WAIT_TIMEOUT_S`.
+    2. **decide**: with the lock held, a done marker means another
+       process finished (:data:`FOLLOWER`); a leftover ``<key>.claim``
+       means its writer died mid-work (:data:`TAKEOVER`); otherwise
+       this call is the :data:`LEADER`.
+    3. **work**: the holder writes ``<key>.claim`` (``{owner, pid}``:
+       the chaos harness kills leaders by that pid), runs ``fn``,
+       writes ``<key>.done`` atomically, *then* removes the claim and
+       unlocks.  If ``fn`` raises, the claim is removed and the error
+       propagates to this caller only; the next waiter leads.
+
+    Without ``fcntl`` there is no lock and every call that finds no
+    done marker leads, as :func:`~repro.core.store.store_lock` degrades.
     """
 
     def __init__(
         self,
         root: Union[str, os.PathLike],
         owner: Optional[str] = None,
-        lease_timeout_s: float = 5.0,
-        heartbeat_interval_s: Optional[float] = None,
-        poll_interval_s: float = 0.02,
-        wait_timeout_s: float = 600.0,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        if lease_timeout_s <= 0:
-            raise ServiceError("lease_timeout_s must be positive")
         self.root = os.fspath(root)
         self.flights_dir = os.path.join(self.root, FLIGHTS_DIR)
         os.makedirs(self.flights_dir, exist_ok=True)
         self.owner = owner or (
             f"pid{os.getpid()}-{time.monotonic_ns():x}"
         )
-        self.lease_timeout_s = lease_timeout_s
-        self.heartbeat_interval_s = (
-            heartbeat_interval_s if heartbeat_interval_s is not None
-            else max(lease_timeout_s / 3.0, 0.01)
-        )
-        self.poll_interval_s = poll_interval_s
-        self.wait_timeout_s = wait_timeout_s
-        self._clock = clock or _skewed_clock()
         self._stats_lock = threading.Lock()
-        self.stats: Dict[str, int] = {
-            "leaders": 0, "takeovers": 0, "followers": 0, "warm": 0,
-            "seized_leases": 0, "watch_polls": 0,
-        }
+        self.stats: Dict[str, int] = dict.fromkeys(_STAT_OF_ROLE.values(), 0)
 
     # -- paths ---------------------------------------------------------------
+    def _path(self, key: str, suffix: str) -> str:
+        return os.path.join(self.flights_dir, _flight_name(key) + suffix)
+
     def _claim_path(self, key: str) -> str:
-        return os.path.join(self.flights_dir, _flight_name(key) + ".claim")
+        return self._path(key, ".claim")
 
     def _done_path(self, key: str) -> str:
-        return os.path.join(self.flights_dir, _flight_name(key) + ".done")
+        return self._path(key, ".done")
 
     # -- observability (and the chaos harness's hooks) -----------------------
     def claim_of(self, key: str) -> Optional[dict]:
@@ -222,88 +177,63 @@ class StoreFlight:
     def is_done(self, key: str) -> bool:
         return os.path.exists(self._done_path(key))
 
-    def _watch_digest(self):
-        """Cheap change token for the whole ``flights/`` directory.
-
-        Every protocol transition a follower cares about -- done marker
-        published (rename *into* the dir), claim dropped (unlink),
-        lease seized (rename to a tombstone) -- creates, removes or
-        renames an entry, which bumps the directory's ``st_mtime_ns``
-        and changes its name list.  Heartbeats only touch a *file's*
-        mtime, so a digest poll costs one ``stat`` + one ``listdir``
-        per interval instead of per-claim ``stat`` calls, and stays
-        quiet while a healthy leader works.
-        """
-        try:
-            stat = os.stat(self.flights_dir)
-            names = sorted(os.listdir(self.flights_dir))
-        except OSError:
-            return None
-        return (stat.st_mtime_ns, tuple(names))
-
     # -- protocol steps ------------------------------------------------------
-    def _try_claim(self, key: str) -> bool:
+    @contextmanager
+    def _locked(self, key: str):
+        """Yield True holding ``key``'s lock, False once it is done.
+
+        Raises :class:`ServiceError` naming the holder after
+        :data:`WAIT_TIMEOUT_S`.  Closing the descriptor releases the lock.
+        """
+        if fcntl is None:  # pragma: no cover - non-POSIX
+            yield True
+            return
+        fd = os.open(self._path(key, ".lock"), os.O_CREAT | os.O_RDWR, 0o644)
         try:
-            fd = os.open(self._claim_path(key),
-                         os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except FileExistsError:
-            return False
-        try:
-            os.write(fd, json.dumps({
-                "kind": "store_flight_claim",
-                "owner": self.owner,
-                "pid": os.getpid(),
-                "key": str(key),
-            }).encode("utf-8"))
+            deadline = time.monotonic() + WAIT_TIMEOUT_S
+            while True:
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    break
+                except BlockingIOError:
+                    pass
+                if self.is_done(key):
+                    yield False
+                    return
+                if time.monotonic() > deadline:
+                    raise ServiceError(
+                        f"store flight {key!r} still held by "
+                        f"{self.claim_of(key)} after "
+                        f"{WAIT_TIMEOUT_S:g}s")
+                time.sleep(LOCK_POLL_S)
+            yield True
         finally:
             os.close(fd)
-        return True
 
-    def _publish(self, key: str) -> None:
-        done = self._done_path(key)
-        tmp = done + f".tmp-{self.owner}"
-        with open(tmp, "w", encoding="utf-8") as fp:
-            json.dump({"kind": "store_flight_done", "owner": self.owner,
-                       "key": str(key)}, fp)
-        os.replace(tmp, done)
-
-    def _drop_claim(self, key: str) -> None:
-        """Unlink the claim only if it is still ours.
-
-        After a (clock-skewed) waiter seized our lease, the path may
-        hold the *usurper's* claim; deleting that would orphan their
-        waiters, so check ownership first.  The check-then-unlink gap
-        is benign: losing it can only drop a claim whose done marker
-        is already published (waiters check the marker first).
-        """
-        payload = self.claim_of(key)
-        if payload is not None and payload.get("owner") != self.owner:
-            return
-        try:
-            os.unlink(self._claim_path(key))
-        except OSError:
-            pass
-
-    def _try_seize(self, key: str) -> bool:
-        """Atomically retire a stale claim; True if *we* retired it."""
+    def _lead(self, key: str, fn: Callable[[], object]):
         claim = self._claim_path(key)
-        tomb = claim + f".tomb-{self.owner}-{time.monotonic_ns():x}"
+        with open(claim, "w", encoding="utf-8") as fp:
+            json.dump({"kind": "store_flight_claim", "owner": self.owner,
+                       "pid": os.getpid(), "key": str(key)}, fp)
         try:
-            os.rename(claim, tomb)
-        except OSError:
-            return False  # someone else seized it, or the leader finished
-        try:
-            os.unlink(tomb)
-        except OSError:
-            pass
-        with self._stats_lock:
-            self.stats["seized_leases"] += 1
-        return True
+            value = fn()
+            done = self._done_path(key)
+            tmp = done + f".tmp-{self.owner}"
+            with open(tmp, "w", encoding="utf-8") as fp:
+                json.dump({"kind": "store_flight_done", "owner": self.owner,
+                           "key": str(key)}, fp)
+            os.replace(tmp, done)
+        finally:
+            try:
+                os.unlink(claim)
+            except OSError:
+                pass
+        return value
 
-    def _bump(self, role: str) -> None:
+    def _finish(self, value, role: str):
         with self._stats_lock:
-            self.stats[role + ("s" if role != WARM else "")] = \
-                self.stats.get(role + ("s" if role != WARM else ""), 0) + 1
+            self.stats[_STAT_OF_ROLE[role]] += 1
+        return value, role
 
     # -- the flight ----------------------------------------------------------
     def do(self, key, fn: Callable[[], object]):
@@ -314,72 +244,14 @@ class StoreFlight:
         cold; by the time a follower or warm caller runs it, the
         leader's artifacts are persisted and ``fn`` is a read.
         """
-        done = self._done_path(key)
-        if os.path.exists(done):
-            value = fn()
-            self._bump(WARM)
-            return value, WARM
-
-        waited = False
-        seized = False
-        deadline = time.monotonic() + self.wait_timeout_s
-        while True:
-            if self._try_claim(key):
-                role = TAKEOVER if seized else LEADER
-                heartbeat = _Heartbeat(self._claim_path(key),
-                                       self.heartbeat_interval_s)
-                try:
-                    value = fn()
-                except BaseException:
-                    heartbeat.stop()
-                    self._drop_claim(key)
-                    raise
-                self._publish(key)
-                heartbeat.stop()
-                self._drop_claim(key)
-                self._bump(role)
-                return value, role
-
-            # Another process holds the lease: watch the flights dir's
-            # digest for protocol transitions (publish / drop / seize
-            # all change the entry list), falling back to a coarse
-            # timed claim-mtime check for the one transition that
-            # leaves the directory untouched -- a crashed leader whose
-            # heartbeat simply stops.
-            waited = True
-            digest = object()  # unlike any digest: first poll "changed"
-            stale_interval_s = min(self.heartbeat_interval_s,
-                                   self.lease_timeout_s / 4.0)
-            next_stale_check = time.monotonic()
-            while True:
-                with self._stats_lock:
-                    self.stats["watch_polls"] += 1
-                current = self._watch_digest()
-                changed = current != digest
-                digest = current
-                now = time.monotonic()
-                if changed or now >= next_stale_check:
-                    next_stale_check = now + stale_interval_s
-                    if os.path.exists(done):
-                        value = fn()
-                        self._bump(FOLLOWER)
-                        return value, FOLLOWER
-                    try:
-                        mtime = os.stat(self._claim_path(key)).st_mtime
-                    except OSError:
-                        break  # claim vanished: re-check done, re-claim
-                    if self._clock() - mtime > self.lease_timeout_s:
-                        if self._try_seize(key):
-                            seized = True
-                            break  # we retired the stale lease: claim
-                        continue  # lost the seize race: re-evaluate
-                if time.monotonic() > deadline:
-                    raise ServiceError(
-                        f"store flight {key!r} still held by "
-                        f"{self.claim_of(key)} after "
-                        f"{self.wait_timeout_s:g}s (waited={waited})"
-                    )
-                time.sleep(self.poll_interval_s)
+        if self.is_done(key):
+            return self._finish(fn(), WARM)
+        with self._locked(key) as held:
+            if held and not self.is_done(key):
+                role = (TAKEOVER if os.path.exists(self._claim_path(key))
+                        else LEADER)
+                return self._finish(self._lead(key, fn), role)
+        return self._finish(fn(), FOLLOWER)
 
 
 def sticky_index(tenant: Optional[str], count: int) -> int:
@@ -580,9 +452,9 @@ class DaemonProcess:
     ``serving    : http://...`` banner (the first line it flushes), so
     a constructed ``DaemonProcess`` is immediately callable.  ``env``
     entries override the inherited environment -- the chaos harness
-    injects :data:`MATERIALIZE_DELAY_ENV` / :data:`CLOCK_SKEW_ENV`
-    this way.  ``kill()`` is SIGKILL (chaos: no cleanup runs, leases
-    go stale); ``close()`` is the polite shutdown.
+    injects :data:`MATERIALIZE_DELAY_ENV` this way.  ``kill()`` is
+    SIGKILL (chaos: no cleanup runs, the kernel drops the daemon's
+    flight locks); ``close()`` is the polite shutdown.
     """
 
     def __init__(
@@ -590,7 +462,6 @@ class DaemonProcess:
         cache_dir: Union[str, os.PathLike, None],
         host: str = "127.0.0.1",
         port: int = 0,
-        lease_timeout_s: Optional[float] = None,
         extra_args: Iterable[str] = (),
         env: Optional[Dict[str, str]] = None,
         startup_timeout_s: float = 60.0,
@@ -599,8 +470,6 @@ class DaemonProcess:
                "--host", host, "--port", str(port)]
         if cache_dir is not None:
             cmd += ["--cache-dir", os.fspath(cache_dir)]
-        if lease_timeout_s is not None:
-            cmd += ["--lease-timeout-s", str(lease_timeout_s)]
         cmd += list(extra_args)
         src_root = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))
@@ -654,7 +523,7 @@ class DaemonProcess:
         return self.proc.poll() is None
 
     def kill(self) -> None:
-        """SIGKILL -- the crash the lease protocol exists to survive."""
+        """SIGKILL -- the crash the store flight exists to survive."""
         self.proc.kill()
         self.proc.wait()
 
@@ -680,8 +549,7 @@ class ReplicaSet:
     The launcher behind ``repro serve --replicas N``; also the test
     fixture for every multi-process scenario.  ``per_daemon_env`` maps
     a replica index to extra environment entries, which is how the
-    chaos harness slows exactly one future leader down or skews one
-    process's clock.
+    chaos harness slows exactly one future leader down.
     """
 
     def __init__(
@@ -690,7 +558,6 @@ class ReplicaSet:
         cache_dir: Union[str, os.PathLike],
         host: str = "127.0.0.1",
         ports: Optional[Sequence[int]] = None,
-        lease_timeout_s: Optional[float] = None,
         extra_args: Iterable[str] = (),
         env: Optional[Dict[str, str]] = None,
         per_daemon_env: Optional[Dict[int, Dict[str, str]]] = None,
@@ -707,7 +574,6 @@ class ReplicaSet:
                     self.cache_dir,
                     host=host,
                     port=ports[index] if ports else 0,
-                    lease_timeout_s=lease_timeout_s,
                     extra_args=extra_args,
                     env=merged or None,
                 ))

@@ -108,12 +108,20 @@ def report_to_wire(report: PlanReport) -> dict:
     return payload
 
 
+def _checked(value, types: tuple, name: str):
+    """``value`` if it is an instance of ``types`` (never a bool)."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"{name} has type {type(value).__name__}")
+    return value
+
+
 def report_from_wire(payload: dict) -> PlanReport:
     """Inverse of :func:`report_to_wire`.
 
     The reconstructed report carries no ``execution``/``timings`` (they
     never travel); every other field -- including NaN scalars on error
-    rows, serialized as ``null`` -- round-trips bit-exactly.
+    rows, serialized as ``null`` -- round-trips bit-exactly.  A payload
+    with a missing or wrongly typed field raises :class:`ServiceError`.
     """
     if not isinstance(payload, dict) or payload.get("kind") != "plan_report":
         raise ServiceError(
@@ -124,26 +132,35 @@ def report_from_wire(payload: dict) -> PlanReport:
         raise ServiceError(
             f"unsupported plan_report version {payload.get('version')!r}"
         )
-    row = payload["row"]
-    nonfinite = payload.get("nonfinite", {})
+    try:
+        row = _checked(payload["row"], (dict,), "row")
+        nonfinite = _checked(payload.get("nonfinite", {}), (dict,),
+                             "nonfinite")
 
-    def num(name: str) -> float:
-        if name in nonfinite:
-            return float(nonfinite[name])
-        value = row[name]
-        return float("nan") if value is None else value
+        def num(name: str) -> float:
+            if name in nonfinite:
+                return float(_checked(nonfinite[name], (str,),
+                                      f"nonfinite.{name}"))
+            value = _checked(row[name], (int, float, type(None)),
+                             f"row.{name}")
+            return float("nan") if value is None else value
 
-    return PlanReport(
-        spec=PlanSpec.from_dict(payload["spec"]),
-        strategy=row["strategy"],
-        iteration_time_s=num("iteration_time_s"),
-        energy_j=num("energy_j"),
-        baseline_time_s=num("baseline_time_s"),
-        baseline_energy_j=num("baseline_energy_j"),
-        plan={int(node): freq
-              for node, freq in payload.get("plan", {}).items()},
-        error=row.get("error"),
-    )
+        return PlanReport(
+            spec=PlanSpec.from_dict(payload["spec"]),
+            strategy=_checked(row["strategy"], (str,), "row.strategy"),
+            iteration_time_s=num("iteration_time_s"),
+            energy_j=num("energy_j"),
+            baseline_time_s=num("baseline_time_s"),
+            baseline_energy_j=num("baseline_energy_j"),
+            plan={int(node): _checked(freq, (int, float), f"plan[{node}]")
+                  for node, freq in
+                  _checked(payload["plan"], (dict,), "plan").items()},
+            error=_checked(row["error"], (str, type(None)), "row.error"),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ServiceError(
+            f"malformed plan_report payload: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def reports_equal(a: PlanReport, b: PlanReport) -> bool:

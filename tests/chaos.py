@@ -7,8 +7,8 @@ here is deterministic-by-construction -- faults are injected at
 a socket), not with sleeps and hope:
 
 * :func:`wait_for` -- bounded condition polling with a diagnostic.
-* :func:`make_stale_claim` -- forge the lease a crashed process would
-  leave behind (claim file with an ancient mtime, no heartbeat).
+* :func:`make_stale_claim` -- forge the claim a crashed process would
+  leave behind (a claim file whose writer no longer holds the lock).
 * :func:`kill_leader_on_claim` -- watch the store's ``flights/``
   directory for a claim, match its recorded pid to a daemon, SIGKILL
   it mid-materialization.  The claim's appearance is the deterministic
@@ -19,8 +19,8 @@ a socket), not with sleeps and hope:
   daemon restart mid-request), delays traffic, or refuses outright.
 * :class:`CannedHTTPServer` -- answers every request with one fixed
   HTTP response (e.g. a bare 500) for 5xx-path tests.
-* env builders for the daemon-side chaos hooks (materialization delay,
-  lease-clock skew).
+* an env builder for the daemon-side chaos hook (materialization
+  delay).
 """
 
 from __future__ import annotations
@@ -33,11 +33,7 @@ import threading
 import time
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.service.replica import (
-    CLOCK_SKEW_ENV,
-    MATERIALIZE_DELAY_ENV,
-    StoreFlight,
-)
+from repro.service.replica import MATERIALIZE_DELAY_ENV, StoreFlight
 
 
 def wait_for(predicate: Callable[[], bool], timeout_s: float = 20.0,
@@ -68,17 +64,12 @@ def slow_materialize_env(delay_s: float) -> Dict[str, str]:
     return {MATERIALIZE_DELAY_ENV: str(delay_s)}
 
 
-def clock_skew_env(skew_s: float) -> Dict[str, str]:
-    """Env that skews a daemon's lease-expiry clock by ``skew_s``."""
-    return {CLOCK_SKEW_ENV: str(skew_s)}
+# -- flight faults -----------------------------------------------------------
 
-
-# -- lease faults ------------------------------------------------------------
-
-def make_stale_claim(store_root: str, key: str, age_s: float = 3600.0,
+def make_stale_claim(store_root: str, key: str,
                      owner: str = "crashed-process",
                      pid: int = 999_999_999) -> str:
-    """Forge the claim a crashed leader leaves: present, heartbeat dead.
+    """Forge the claim a crashed leader leaves: present, lock released.
 
     Returns the claim path.  ``pid`` defaults to one that cannot be a
     live process, mirroring a leader whose host is simply gone.
@@ -88,14 +79,12 @@ def make_stale_claim(store_root: str, key: str, age_s: float = 3600.0,
     with open(path, "w", encoding="utf-8") as fp:
         json.dump({"kind": "store_flight_claim", "owner": owner,
                    "pid": pid, "key": str(key)}, fp)
-    past = time.time() - age_s
-    os.utime(path, (past, past))
     return path
 
 
 def kill_leader_on_claim(store_root: str, daemons,
                          timeout_s: float = 30.0):
-    """Wait for a lease claim to appear, SIGKILL the daemon holding it.
+    """Wait for a flight claim to appear, SIGKILL the daemon holding it.
 
     ``daemons`` maps pid -> daemon-like object with a ``kill()``
     method (e.g. :class:`repro.service.replica.DaemonProcess`), or is
@@ -116,7 +105,7 @@ def kill_leader_on_claim(store_root: str, daemons,
         return False
 
     wait_for(leader_claimed, timeout_s=timeout_s,
-             message=f"a lease claim by one of pids {sorted(daemons)}")
+             message=f"a flight claim by one of pids {sorted(daemons)}")
     victim = daemons[found["claim"]["pid"]]
     victim.kill()
     return victim, found["claim"]

@@ -2,11 +2,11 @@
 
 Three layers, increasingly real:
 
-* ``TestStoreFlight`` drives the lease protocol in-process (two
+* ``TestStoreFlight`` drives the flight protocol in-process (two
   :class:`StoreFlight` instances over one directory stand in for two
-  daemons) through every transition: claim, warm, follower, stale-lease
-  takeover, heartbeat extension, clock-skew spurious takeover, leader
-  failure, wait timeout.
+  daemons) through every transition: lock, warm, follower, takeover of
+  a dead holder's claim (also with a real SIGKILLed child process),
+  long work, leader failure, wait timeout.
 * ``TestReplicaClientFailover`` points a :class:`ReplicaClient` at
   dead ports, a canned-500 server and a fault-injecting TCP proxy
   (``tests/chaos.py``) to pin down exactly which failures rotate and
@@ -21,7 +21,10 @@ Three layers, increasingly real:
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
 
@@ -34,6 +37,7 @@ from chaos import (
     kill_leader_on_claim,
     make_stale_claim,
     slow_materialize_env,
+    wait_for,
 )
 from repro.api import PlanSpec, Planner
 from repro.exceptions import ServiceError, ServiceUnavailable
@@ -46,6 +50,7 @@ from repro.service import (
     reports_equal,
     sticky_index,
 )
+from repro.service import replica
 from repro.service.replica import FOLLOWER, LEADER, TAKEOVER, WARM
 
 TINY = dict(gpu="a100", stages=2, microbatches=2, freq_stride=24)
@@ -91,20 +96,18 @@ def fleet_store_roles(metrics_by_url) -> dict:
     return roles
 
 
-# ------------------------------------------------------------- lease protocol
+# ------------------------------------------------------------ flight protocol
 class TestStoreFlight:
     def expensive(self, root, log, tag="artifact"):
         """An idempotent fn with the planner's cost profile: expensive
         when the shared artifact is missing, a cheap read once the
         leader has persisted it."""
-        import os
-
         path = os.path.join(str(root), tag)
 
         def fn():
             if not os.path.exists(path):
                 log.append("expensive")
-                time.sleep(0.05)  # hold the lease long enough to race
+                time.sleep(0.05)  # hold the lock long enough to race
                 with open(path, "w") as fp:
                     fp.write("artifact-bytes")
             with open(path) as fp:
@@ -112,8 +115,8 @@ class TestStoreFlight:
         return fn
 
     def test_exactly_once_across_instances(self, tmp_path):
-        flights = [StoreFlight(tmp_path, owner=f"proc-{i}",
-                               lease_timeout_s=5.0) for i in range(2)]
+        flights = [StoreFlight(tmp_path, owner=f"proc-{i}")
+                   for i in range(2)]
         log, results = [], []
         barrier = threading.Barrier(6)
 
@@ -135,7 +138,7 @@ class TestStoreFlight:
         assert all(value == "artifact-bytes" for value, _ in results)
 
     def test_warm_fast_path_after_landing(self, tmp_path):
-        flight = StoreFlight(tmp_path, lease_timeout_s=5.0)
+        flight = StoreFlight(tmp_path)
         log = []
         fn = self.expensive(tmp_path, log)
         assert flight.do("k", fn)[1] == LEADER
@@ -145,20 +148,20 @@ class TestStoreFlight:
         assert flight.claim_of("k") is None  # no claim was even tried
 
     def test_stale_lease_from_crashed_process_is_seized(self, tmp_path):
-        make_stale_claim(str(tmp_path), "k", age_s=3600.0)
-        flight = StoreFlight(tmp_path, lease_timeout_s=5.0)
+        make_stale_claim(str(tmp_path), "k")
+        flight = StoreFlight(tmp_path)
         log = []
         value, role = flight.do("k", self.expensive(tmp_path, log))
         assert role == TAKEOVER
         assert value == "artifact-bytes"
-        assert flight.stats["seized_leases"] == 1
+        assert flight.stats["takeovers"] == 1
         assert log == ["expensive"]
 
-    def test_heartbeat_keeps_long_work_from_being_seized(self, tmp_path):
-        # Lease 0.2s, work 1s: without the heartbeat the waiter would
-        # seize after 0.2s and duplicate the work.
-        leader = StoreFlight(tmp_path, owner="leader", lease_timeout_s=0.2)
-        waiter = StoreFlight(tmp_path, owner="waiter", lease_timeout_s=0.2)
+    def test_long_work_is_never_taken_over(self, tmp_path):
+        # The leader works for 1 s; the waiter must wait it out as a
+        # follower, however long the work takes, not duplicate it.
+        leader = StoreFlight(tmp_path, owner="leader")
+        waiter = StoreFlight(tmp_path, owner="waiter")
         started = threading.Event()
         runs = []
 
@@ -178,70 +181,75 @@ class TestStoreFlight:
         assert started.wait(10.0)
         value, role = waiter.do("k", slow)
         t.join(10.0)
-        assert role == FOLLOWER  # waited, did not seize
-        assert waiter.stats["seized_leases"] == 0
+        assert role == FOLLOWER  # waited, did not take over
+        assert waiter.stats["takeovers"] == 0
         assert len(runs) == 2  # follower re-ran fn warm (idempotent)
         assert out["leader"][1] == LEADER
 
-    def test_clock_skew_spurious_takeover_is_safe(self, tmp_path):
-        # A waiter whose clock runs 100s fast seizes a perfectly live
-        # lease.  The contract makes this duplicate work, not
-        # corruption: both complete, with identical values.
-        leader = StoreFlight(tmp_path, owner="honest", lease_timeout_s=5.0)
-        skewed = StoreFlight(tmp_path, owner="fast-clock",
-                             lease_timeout_s=5.0,
-                             clock=lambda: time.time() + 100.0)
-        started = threading.Event()
-        log = []
-
-        def slow_build():
-            started.set()
-            log.append("expensive")
-            time.sleep(0.3)
-            return "value"
-
-        out = {}
-
-        def lead():
-            out["leader"] = leader.do("k", slow_build)
-
-        t = threading.Thread(target=lead)
-        t.start()
-        assert started.wait(10.0)
-        value, role = skewed.do("k", slow_build)
-        t.join(10.0)
-        assert role == TAKEOVER
-        assert skewed.stats["seized_leases"] == 1
-        assert value == "value" and out["leader"][0] == "value"
-        assert out["leader"][1] == LEADER
-        assert len(log) == 2  # duplicated, by design
+    def test_sigkilled_holder_is_taken_over_at_once(self, tmp_path):
+        # A child process holds the flight inside a 60 s fn and is
+        # SIGKILLed; the kernel drops its lock, so the parent takes
+        # over immediately instead of waiting out any timeout.
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys, time\n"
+             "from repro.service import StoreFlight\n"
+             "StoreFlight(sys.argv[1], owner='child').do("
+             "'k', lambda: time.sleep(60))\n",
+             str(tmp_path)], env=env)
+        try:
+            flight = StoreFlight(tmp_path, owner="parent")
+            wait_for(lambda: (flight.claim_of("k") or {}).get("pid")
+                     == child.pid, message="the child's claim")
+        finally:
+            child.kill()
+            child.wait()
+        started = time.monotonic()
+        value, role = flight.do("k", lambda: "recovered")
+        elapsed = time.monotonic() - started
+        assert (value, role) == ("recovered", TAKEOVER)
+        assert elapsed < 1.0, f"takeover took {elapsed:.2f}s"
 
     def test_leader_failure_releases_lease_and_propagates(self, tmp_path):
-        flight = StoreFlight(tmp_path, lease_timeout_s=5.0)
+        flight = StoreFlight(tmp_path)
 
         def explode():
             raise ServiceError("leader failed")
 
         with pytest.raises(ServiceError, match="leader failed"):
             flight.do("k", explode)
-        assert flight.claim_of("k") is None  # lease released, not stuck
+        assert flight.claim_of("k") is None  # claim dropped, not stuck
         value, role = flight.do("k", lambda: "recovered")
         assert (value, role) == ("recovered", LEADER)
 
-    def test_wait_timeout_reports_the_holder(self, tmp_path):
-        make_stale_claim(str(tmp_path), "k", age_s=0.0, owner="hog")
-        flight = StoreFlight(tmp_path, lease_timeout_s=60.0,
-                             wait_timeout_s=0.2, poll_interval_s=0.01)
-        with pytest.raises(ServiceError, match="hog"):
-            flight.do("k", lambda: "never")
+    def test_wait_timeout_reports_the_holder(self, tmp_path, monkeypatch):
+        hog = StoreFlight(tmp_path, owner="hog")
+        release = threading.Event()
+        holder = threading.Thread(
+            target=lambda: hog.do("k", lambda: release.wait(10.0)))
+        holder.start()
+        try:
+            wait_for(lambda: hog.claim_of("k") is not None,
+                     message="the hog's claim")
+            monkeypatch.setattr(replica, "WAIT_TIMEOUT_S", 0.2)
+            flight = StoreFlight(tmp_path)
+            with pytest.raises(ServiceError, match="hog"):
+                flight.do("k", lambda: "never")
+        finally:
+            release.set()
+            holder.join(10.0)
 
     def test_unsafe_keys_are_hashed_to_filenames(self, tmp_path):
-        flight = StoreFlight(tmp_path, lease_timeout_s=5.0)
+        flight = StoreFlight(tmp_path)
         value, role = flight.do("spec/../weird key é", lambda: 42)
         assert (value, role) == (42, LEADER)
-        import os
         names = os.listdir(flight.flights_dir)
-        assert all(re.fullmatch(r"[0-9a-f]{64}\.done", n) for n in names)
+        assert all(re.fullmatch(r"[0-9a-f]{64}\.(done|lock)", n)
+                   for n in names)
 
 
 # ------------------------------------------------------------- sticky routing
@@ -374,7 +382,7 @@ class TestMultiProcessSingleFlight:
                  tiny_spec(stages=4, microbatches=4)]
         clients, unique = 16, len(specs)
         tenants = [tenant_on(0), tenant_on(1)]  # both replicas see load
-        with ReplicaSet(2, tmp_path / "store", lease_timeout_s=10.0,
+        with ReplicaSet(2, tmp_path / "store",
                         # herd size == client threads; the daemon
                         # default (8) would queue half the herd
                         extra_args=["--max-inflight", str(clients)],
@@ -418,7 +426,7 @@ class TestMultiProcessSingleFlight:
         tenant = tenant_on(0)  # sticky-routes to the doomed replica 0
         store = tmp_path / "store"
         with ReplicaSet(
-            2, store, lease_timeout_s=1.0,
+            2, store,
             # Replica 0 (the future leader) stalls 30s inside its
             # expensive materialization -- plenty of window to die in.
             per_daemon_env={0: slow_materialize_env(30.0)},
@@ -442,7 +450,7 @@ class TestMultiProcessSingleFlight:
             survivor = ServiceClient(fleet.daemons[1].url)
             text = survivor.metrics_text()
 
-        # The survivor seized the dead leader's lease and finished the
+        # The survivor took over the dead leader's flight and finished the
         # work itself -- and its answer is bit-identical to in-process
         # planning (crash-consistency: partial leader state is unseen).
         assert ('repro_service_store_flights_total{outcome="takeover"} 1'
@@ -457,65 +465,13 @@ class TestMultiProcessSingleFlight:
         store.mkdir()
         from repro.service.coalesce import stack_flight_key
         key = stack_flight_key(tiny_spec())
-        make_stale_claim(str(store), key, age_s=3600.0)
-        with ReplicaSet(1, store, lease_timeout_s=2.0) as fleet:
+        make_stale_claim(str(store), key)
+        with ReplicaSet(1, store) as fleet:
             report = fleet.client(tenant="team-a").plan(tiny_spec())
             text = ServiceClient(fleet.daemons[0].url).metrics_text()
         assert ('repro_service_store_flights_total{outcome="takeover"} 1'
                 in text)
         assert reports_equal(report, Planner().plan(tiny_spec()))
-
-
-class TestStoreWatch:
-    """Followers watch the flights/ directory digest, not a timer grid.
-
-    A directory's mtime bumps on every entry create/rename/unlink --
-    the claim landing, the done-marker publishing, a tombstone sweep
-    -- while heartbeat writes only touch an existing file's *content*
-    mtime.  The follower loop polls the cheap digest every tick
-    (counted in ``stats["watch_polls"]``) but only pays the full
-    done-marker + stale-claim check when the digest moved or the
-    stale-check interval expired.
-    """
-
-    def test_follower_counts_watch_polls(self, tmp_path):
-        leader = StoreFlight(tmp_path, owner="leader",
-                             lease_timeout_s=5.0, poll_interval_s=0.01)
-        follower = StoreFlight(tmp_path, owner="follower",
-                               lease_timeout_s=5.0, poll_interval_s=0.01)
-        release = threading.Event()
-        results = []
-
-        def slow():
-            release.wait(10.0)
-            return "value"
-
-        lead = threading.Thread(
-            target=lambda: results.append(leader.do("k", slow)))
-        lead.start()
-        deadline = time.monotonic() + 5.0
-        while leader.claim_of("k") is None:  # wait for the claim
-            assert time.monotonic() < deadline
-            time.sleep(0.005)
-
-        follow = threading.Thread(
-            target=lambda: results.append(follower.do("k", lambda: "value")))
-        follow.start()
-        time.sleep(0.15)  # let the follower spin on the digest a while
-        release.set()
-        lead.join(10.0)
-        follow.join(10.0)
-        assert sorted(role for _, role in results) == [FOLLOWER, LEADER]
-        assert follower.stats["watch_polls"] > 0
-        assert leader.stats["watch_polls"] == 0  # leaders never wait
-
-    def test_takeover_path_counts_polls_too(self, tmp_path):
-        make_stale_claim(str(tmp_path), "k", age_s=3600.0)
-        flight = StoreFlight(tmp_path, lease_timeout_s=5.0,
-                             poll_interval_s=0.01)
-        value, role = flight.do("k", lambda: "v")
-        assert role == TAKEOVER
-        assert flight.stats["watch_polls"] >= 1
 
 
 class _ScriptedTransport(ServiceClient):

@@ -22,7 +22,9 @@ from repro.core.serialization import (
     profile_to_dict,
     schedule_to_dict,
 )
+from repro.api.planner import _sweep_store_worker
 from repro.core.store import (
+    CACHE_MAX_BYTES_ENV,
     FSYNC_ENV,
     MISS,
     MemoryCache,
@@ -242,23 +244,6 @@ class TestMemoryCache:
         assert cache.get("ns", ("k",)) is MISS
         cache.put("ns", ("k",), None)
         assert cache.get("ns", ("k",)) is None
-
-    def test_merge_prefers_own_entries(self):
-        a, b = MemoryCache(), MemoryCache()
-        a.put("ns", "k", "mine")
-        b.put("ns", "k", "theirs")
-        b.put("ns", "k2", "new")
-        a.merge(b)
-        assert a.get("ns", "k") == "mine"
-        assert a.get("ns", "k2") == "new"
-
-    def test_worker_view_is_isolated_but_warm(self):
-        a = MemoryCache()
-        a.put("ns", "k", "v")
-        view = a.worker_view()
-        assert view.get("ns", "k") == "v"
-        view.put("ns", "k2", "w")
-        assert a.get("ns", "k2") is MISS
 
 
 class TestPlanStore:
@@ -501,16 +486,17 @@ class TestParallelSweep:
         assert planner.sweep([SMALL], jobs=1)[0].ok
 
     def test_post_sweep_characterization_records_in_parent(self):
-        # Frontier-free strategies leave the merged optimizer lazy; a
-        # later characterization must land in *this* planner's backend
-        # and stats, not the discarded worker's.
+        # Frontier-free strategies leave the optimizer lazy; a later
+        # characterization must land in *this* planner's backend and
+        # stats.
         planner = Planner()
         planner.sweep([SMALL.replace(strategy="max-freq"),
                        SMALL.replace(strategy="min-energy")], jobs=2)
         assert planner.stats["frontier"] == 0
         planner.frontier_for(SMALL)
         assert planner.stats["frontier"] == 1
-        assert len(list(planner.cache.items("frontier"))) == 1
+        planner.frontier_for(SMALL)  # served from the backend
+        assert planner.stats["frontier"] == 1
 
     def test_parallel_with_shared_store(self, tmp_path):
         Planner(cache=tmp_path / "store").sweep(self.SPECS[:4], jobs=2)
@@ -703,9 +689,14 @@ class TestEviction:
         newest_mtime = os.path.getmtime(oldest)
         assert newest_mtime > 1  # the read refreshed the file's recency
 
-    def test_worker_view_carries_no_cap(self, tmp_path):
-        store = PlanStore(tmp_path / "store", max_bytes=123)
-        assert store.worker_view().max_bytes is None
+    def test_sweep_workers_carry_no_cap(self, tmp_path, monkeypatch):
+        # Worker processes inherit the cap's env var; honouring it would
+        # let them prune entries the parent is about to read.  Only the
+        # owning store garbage collects.
+        monkeypatch.setenv(CACHE_MAX_BYTES_ENV, "1")
+        root = str(tmp_path / "store")
+        _sweep_store_worker(root, [SMALL.to_dict()])
+        assert PlanStore(root).entries("frontier")  # nothing pruned
 
 
 class TestParseSize:

@@ -159,6 +159,84 @@ class TestVersionSkew:
         assert spec.model == "gpt3-xl"
 
 
+# -------------------------------------------------------- malformed reports
+def finite_payload() -> dict:
+    return report_to_wire(synthetic_report(1.0, 2.0, 3.0, 4.0))
+
+
+def without(payload: dict, path: tuple) -> dict:
+    parent = payload
+    for name in path[:-1]:
+        parent = parent[name]
+    del parent[path[-1]]
+    return payload
+
+
+def replaced(payload: dict, path: tuple, value) -> dict:
+    parent = payload
+    for name in path[:-1]:
+        parent = parent[name]
+    parent[path[-1]] = value
+    return payload
+
+
+#: Every field ``report_from_wire`` reads (``nonfinite`` is optional:
+#: only rows with an infinite scalar carry it).
+REQUIRED_FIELDS = [
+    ("spec",), ("row",), ("plan",), ("row", "strategy"),
+    ("row", "iteration_time_s"), ("row", "energy_j"),
+    ("row", "baseline_time_s"), ("row", "baseline_energy_j"),
+    ("row", "error"),
+]
+
+WRONG_TYPES = [
+    (("spec",), 5),
+    (("row",), "row"),
+    (("plan",), [1410]),
+    (("plan",), {"zero": 1410}),
+    (("plan",), {"0": "1410"}),
+    (("nonfinite",), ["energy_j"]),
+    (("nonfinite",), {"energy_j": 5}),
+    (("nonfinite",), {"energy_j": "banana"}),
+    (("row", "strategy"), 5),
+    (("row", "iteration_time_s"), "1.0"),
+    (("row", "energy_j"), True),
+    (("row", "baseline_time_s"), [3.0]),
+    (("row", "baseline_energy_j"), {"value": 4.0}),
+    (("row", "error"), 5),
+]
+
+
+class TestMalformedReports:
+    def test_envelope_without_a_body(self):
+        with pytest.raises(ServiceError, match="malformed"):
+            report_from_wire({"kind": "plan_report",
+                              "version": REPORT_WIRE_VERSION})
+
+    @pytest.mark.parametrize("path", REQUIRED_FIELDS,
+                             ids=".".join)
+    def test_each_field_missing(self, path):
+        with pytest.raises(ServiceError, match="malformed"):
+            report_from_wire(without(finite_payload(), path))
+
+    @pytest.mark.parametrize(
+        "path,value", WRONG_TYPES,
+        ids=[f"{'.'.join(p)}={v!r}" for p, v in WRONG_TYPES])
+    def test_each_field_of_the_wrong_type(self, path, value):
+        # The spec has its own typed validation (ConfigurationError);
+        # every other field fails as a malformed-payload ServiceError.
+        expected = ReproError if path == ("spec",) else ServiceError
+        with pytest.raises(expected):
+            report_from_wire(replaced(finite_payload(), path, value))
+
+    def test_optional_side_channel_may_be_absent(self):
+        payload = report_to_wire(synthetic_report(float("inf"), 2.0,
+                                                  3.0, 4.0))
+        payload.pop("nonfinite")
+        back = report_from_wire(payload)
+        assert math.isnan(back.iteration_time_s)  # row value was null
+
+
 # ------------------------------------------------------------ unicode tenants
 class TestUnicodeTenants:
     @pytest.mark.parametrize("tenant", [
