@@ -33,18 +33,11 @@ content-addressed plan store -- see ``docs/planner-cache.md``.  New
 schedulers plug in via ``@repro.api.register_strategy("name")`` -- see
 :mod:`repro.api.strategies`.
 
-:func:`plan_pipeline` is the deprecated one-call predecessor of this
-API; it now delegates to the shared planner and returns the identical
-:class:`PlanResult`.
-
 See ``examples/`` for full scenarios and ``benchmarks/`` for the scripts
 regenerating every table and figure of the paper.
 """
 
 from __future__ import annotations
-
-import warnings
-from typing import Optional
 
 from . import api, baselines, core, emulation, experiments, fleet, gpu
 from . import models, obs
@@ -72,45 +65,6 @@ from .profiler.measurement import PipelineProfile
 from .profiler.online import profile_pipeline
 
 __version__ = "1.4.0"
-
-
-def plan_pipeline(
-    model_name: str,
-    gpu: str = "a100",
-    num_stages: int = 4,
-    num_microbatches: int = 8,
-    microbatch_size: Optional[int] = None,
-    tensor_parallel: int = 1,
-    freq_stride: int = 4,
-    tau: Optional[float] = None,
-) -> PlanResult:
-    """Deprecated shim over :meth:`repro.api.Planner.result`.
-
-    Produces exactly what it always did -- the assembled
-    model/partition/profile/DAG/optimizer stack -- but through the
-    shared :func:`repro.api.default_planner`, so results are identical
-    to (and share memoized stages with) the ``PlanSpec`` path.
-
-    .. deprecated:: 1.1
-        Use ``default_planner().result(PlanSpec(...))`` instead.
-    """
-    warnings.warn(
-        "plan_pipeline() is deprecated; use "
-        "repro.api.default_planner().result(repro.api.PlanSpec(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return default_planner().build_stack(
-        model=model_name,
-        gpu=gpu,
-        stages=num_stages,
-        microbatches=num_microbatches,
-        microbatch_size=microbatch_size,
-        tensor_parallel=tensor_parallel,
-        freq_stride=freq_stride,
-        tau=tau,
-    )
-
 
 __all__ = [
     "ComputationDag",
@@ -140,7 +94,6 @@ __all__ = [
     "partition_model",
     "partitioning",
     "pipeline",
-    "plan_pipeline",
     "profile_pipeline",
     "profiler",
     "register_strategy",

@@ -4,13 +4,14 @@ The pipeline is always the same five stages --
 
     build model -> partition -> profile -> DAG -> optimize/plan
 
--- but before this API each caller (``plan_pipeline``, the experiment
-runner, the CLI, the server) re-assembled it by hand.  The planner owns
+-- but before this API each caller (the experiment runner, the CLI,
+the server) re-assembled it by hand.  The planner owns
 the assembly and memoizes every stage on the sub-key of the
 :class:`~repro.api.spec.PlanSpec` that actually determines it, so a
 sweep over strategies or microbatch counts profiles each unique
 (model, gpu, partition) exactly once and characterizes each unique
-(dag, profile, tau) frontier exactly once.
+(dag, profile, tau) frontier exactly once -- through
+:meth:`Planner.frontier_at`, the one path every frontier takes.
 
 Memoization lives behind a pluggable
 :class:`~repro.core.store.CacheBackend`: the default is the in-process
@@ -40,7 +41,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..core.frontier import Frontier
 from ..core.optimizer import PerseusOptimizer
@@ -108,11 +110,10 @@ def auto_tau(
 
 @dataclass
 class PlanResult:
-    """The assembled planning stack for one spec (the legacy bundle).
+    """The assembled planning stack for one spec.
 
-    This is what :func:`repro.plan_pipeline` has always returned; the
-    planner keeps producing it so downstream code holding on to
-    ``result.optimizer`` / ``result.profile`` keeps working unchanged.
+    ``optimizer`` characterizes lazily, through
+    :meth:`Planner.frontier_at` under ``keys["optimizer"]``.
     """
 
     model: ModelSpec
@@ -254,8 +255,8 @@ class Planner:
     the expensive work actually performed in this process -- which is
     what tests, the §6.5-style overhead accounting and the CI
     persistence guard observe.  ``stats["frontier"]`` counts frontier
-    characterizations; a warm persistent store keeps every counter at
-    zero on a repeat run.
+    crawls (:meth:`frontier_at` misses); a warm persistent store keeps
+    every counter at zero on a repeat run.
 
     ``cache`` is ``None`` (private in-memory tier), a directory path
     (content-addressed persistent :class:`~repro.core.store.PlanStore`)
@@ -265,20 +266,15 @@ class Planner:
     def __init__(self, cache: Union[None, str, os.PathLike,
                                     CacheBackend] = None) -> None:
         self._cache = as_backend(cache)
-        #: Optimizer keys whose frontier is already in the backend.
-        self._frontier_synced: set = set()
-        #: Guards the synced set + frontier stat (characterization hooks
-        #: may fire from a server worker thread).
-        self._sync_lock = threading.Lock()
+        #: Guards the ``stats`` bumps: server and daemon threads resolve
+        #: stages (frontiers above all) concurrently.
+        self._stats_lock = threading.Lock()
         #: The in-flight plan's provenance builder, one per thread
         #: (:meth:`plan` installs it; ``_memo`` reports to it).
         self._prov = threading.local()
         #: (namespace, key) -> hex digest memo: content hashing is not
         #: free, and provenance asks for the same digests every plan.
         self._digests: Dict[tuple, str] = {}
-        #: Optimizer key -> where its frontier first came from in this
-        #: process ("built" / "disk" / "memory"), for provenance.
-        self._frontier_origin: Dict[tuple, str] = {}
         self.stats: Dict[str, int] = {
             "model": 0, "partition": 0, "profile": 0, "stage_profile": 0,
             "dag": 0, "tau": 0, "optimizer": 0, "frontier": 0,
@@ -295,7 +291,6 @@ class Planner:
         persistent store this drops the memory tier only; disk entries
         are durable by design."""
         self._cache.clear()
-        self._frontier_synced.clear()
 
     # -- staged builders (each memoized on its own key) ----------------------
     @staticmethod
@@ -317,27 +312,21 @@ class Planner:
         :meth:`plan`), each stage additionally reports where it resolved
         from (built / memory / disk) and, for builds, how long it took.
         """
-        builder = getattr(self._prov, "builder", None)
-        if builder is None:
-            value = self._cache.get(namespace, key)
-            if value is MISS:
-                if stat is not None:
-                    self.stats[stat] += 1
-                value = build()
-                self._cache.put(namespace, key, value)
-            return value
         value, source = self._cache.get_with_source(namespace, key)
         seconds = None
         if value is MISS:
             if stat is not None:
-                self.stats[stat] += 1
+                with self._stats_lock:
+                    self.stats[stat] += 1
             started = time.perf_counter()
             value = build()
             seconds = time.perf_counter() - started
             self._cache.put(namespace, key, value)
             source = "built"
-        builder.note(namespace, source, seconds,
-                     digest=self._digest(namespace, key))
+        builder = getattr(self._prov, "builder", None)
+        if builder is not None:
+            builder.note(namespace, source, seconds,
+                         digest=self._digest(namespace, key))
         return value
 
     def _digest(self, namespace: str, key) -> Optional[str]:
@@ -519,44 +508,24 @@ class Planner:
         # tolerance of exact but not bit-identical, so the two modes
         # must never alias in memory or in a persistent store.
         key = (dag_key, profile_key, tau, exactness)
+        return self._memo(
+            "optimizer", key, "optimizer",
+            lambda: PerseusOptimizer(
+                dag=dag, profile=profile, tau=tau, exactness=exactness,
+                memo=lambda crawl: self.frontier_at(key, crawl),
+            ),
+        )
 
-        def build() -> PerseusOptimizer:
-            # A persisted frontier seeds the optimizer pre-characterized:
-            # the expensive crawl never reruns in a warm process.
-            frontier, source = self._cache.get_with_source("frontier", key)
-            if frontier is not MISS:
-                self._frontier_synced.add(key)
-                self._frontier_origin[key] = source
-                return PerseusOptimizer(
-                    dag=dag,
-                    profile=profile,
-                    tau=tau,
-                    exactness=exactness,
-                    _frontier=frontier,
-                )
-            optimizer = PerseusOptimizer(
-                dag=dag, profile=profile, tau=tau, exactness=exactness
-            )
-            # Characterization is lazy and may be forced by *any* caller
-            # holding the stack (experiments, benchmarks, emulation) --
-            # the hook records it with the backend the moment it lands,
-            # so persistent stores capture frontiers from every path.
-            optimizer.on_characterized = (
-                lambda frontier: self._record_frontier(key, frontier)
-            )
-            return optimizer
+    def frontier_at(self, key: tuple, crawl: Callable[[], Frontier]
+                    ) -> Frontier:
+        """The frontier filed under ``key``; ``crawl()`` only on a miss.
 
-        return self._memo("optimizer", key, "optimizer", build)
-
-    def _record_frontier(self, key: tuple, frontier: Frontier) -> None:
-        """Count and persist one freshly characterized frontier."""
-        with self._sync_lock:
-            if key in self._frontier_synced:
-                return
-            self._frontier_synced.add(key)
-            self._frontier_origin[key] = "built"
-            self.stats["frontier"] += 1
-        self._cache.put("frontier", key, frontier)
+        The one path every frontier takes -- a planner stack's lazy
+        optimizer and the server's raw-profile and drift re-plan paths
+        alike: memory, then the persistent store, else crawl, count in
+        ``stats["frontier"]``, persist and note provenance.
+        """
+        return self._memo("frontier", key, "frontier", crawl)
 
     # -- assembly ------------------------------------------------------------
     def build_stack(
@@ -577,8 +546,8 @@ class Planner:
         """The raw staged pipeline, for callers not speaking ``PlanSpec``.
 
         ``repro.experiments.runner.prepare`` (which adds profiling noise
-        for robustness studies) and the legacy ``plan_pipeline`` shim
-        both land here; spec-based planning goes through :meth:`result`.
+        for robustness studies) lands here; spec-based planning goes
+        through :meth:`result`.
         ``gpu`` accepts a single device or a per-stage sequence (mixed
         cluster); homogeneous sequences share the single-device caches.
         """
@@ -682,8 +651,7 @@ class Planner:
     def frontier_for(self, spec: PlanSpec) -> Frontier:
         """The spec's characterized frontier (computed or store-loaded).
 
-        Forces characterization; the result lands in the cache backend
-        (via the optimizer's ``on_characterized`` hook), so with a
+        Forces characterization through :meth:`frontier_at`, so with a
         persistent store the crawl happens in exactly one process ever.
         """
         return self.result(spec).optimizer.frontier
@@ -710,7 +678,6 @@ class Planner:
                           strategy=spec.strategy, exactness=spec.exactness):
                 stack = self.result(spec)
                 optimizer = stack.optimizer
-                pre_characterized = optimizer.is_characterized
                 ctx = self.context(spec, straggler_time)
                 frequencies = strategy.plan(ctx)
                 with obs_span("planner.simulate"):
@@ -718,16 +685,15 @@ class Planner:
                         stack.dag, frequencies, stack.profile
                     )
                     baseline = self.baseline_execution(spec)
-                # Surface the crawl instrumentation when the strategy
-                # forced (or a store seeded) a frontier; frontier-free
-                # baselines stay None.
+                # Surface the crawl instrumentation when the stack holds
+                # a frontier; frontier-free baselines on a fresh stack
+                # stay None.
                 timings = (
                     dict(optimizer.frontier.stats.get("timings") or {})
                     if optimizer.is_characterized else None
                 ) or None
                 provenance = self._finish_provenance(
-                    builder, spec, stack, pre_characterized, timings
-                )
+                    builder, spec, stack, timings)
         finally:
             self._prov.builder = previous
         return PlanReport(
@@ -748,42 +714,28 @@ class Planner:
         builder: ProvenanceBuilder,
         spec: PlanSpec,
         stack: PlanResult,
-        pre_characterized: bool,
         timings: Optional[dict],
     ) -> dict:
         """Seal one plan's provenance record (and persist it store-side).
 
-        The frontier stage is resolved here rather than in ``_memo``
-        because its lifecycle is different: it may be crawled lazily by
-        the strategy ("built"), adopted from the store before the
-        optimizer ran ("disk"), or simply already characterized from an
-        earlier plan in this process ("memory").  Frontier-free
-        baselines record no frontier stage at all.
+        A frontier resolved during this plan was noted by ``_memo``
+        (built / memory / disk); one the stack characterized before
+        this plan never reached ``_memo`` again and is noted here as
+        ``memory``.  Frontier-free baselines on an uncharacterized
+        stack record no frontier stage at all.
         """
-        optimizer = stack.optimizer
         opt_key = stack.keys["optimizer"]
         store = self._cache if isinstance(self._cache, PlanStore) else None
-        frontier_digest = None
-        if optimizer.is_characterized:
-            origin = self._frontier_origin.get(opt_key)
-            if not pre_characterized:
-                source = "built"
-                seconds = optimizer.frontier.optimizer_runtime_s
-            elif origin == "disk":
-                source, seconds = "disk", None
-            else:
-                source, seconds = "memory", None
-            frontier_digest = self._digest("frontier", opt_key)
-            builder.note("frontier", source, seconds,
-                         digest=frontier_digest)
-            if store is not None:
-                builder.note_path(
-                    "frontier", store.path_for("frontier", opt_key))
+        if stack.optimizer.is_characterized:  # first note wins
+            builder.note("frontier", "memory",
+                         digest=self._digest("frontier", opt_key))
+        frontier_digest = builder.digests.get("frontier")
         if store is not None:
-            for namespace in ("partition", "profile"):
-                builder.note_path(
-                    namespace, store.path_for(namespace,
-                                              stack.keys[namespace]))
+            keys = dict(stack.keys, frontier=opt_key)
+            for namespace in ("partition", "profile", "frontier"):
+                if namespace in builder.stages:
+                    builder.note_path(
+                        namespace, store.path_for(namespace, keys[namespace]))
         record = builder.finish(
             strategy=spec.strategy,
             exactness=spec.exactness,

@@ -111,18 +111,69 @@ def strategy_description(strategy: object) -> str:
     return doc.splitlines()[0] if doc else "(no description)"
 
 
-class _FunctionStrategy(Strategy):
-    """Adapter wrapping a plain ``ctx -> plan`` function."""
+class Registry:
+    """Name -> instance table for one duck-typed plugin protocol.
 
-    def __init__(self, fn: Callable[[PlanContext], FrequencyPlan]):
-        self._fn = fn
-        self.__doc__ = fn.__doc__
+    Strategies (``plan``) and fleet policies (``allocate``,
+    :mod:`repro.fleet.policy`) both register through one.  What is
+    stored is an *instance*: classes are instantiated with no
+    arguments, a ready-made object with the protocol method (e.g. a
+    pre-configured plugin) is stored as-is, and a plain function is
+    wrapped in ``base``.  Re-registering a name overwrites it, which is
+    how plugins shadow built-ins.  ``kind`` and ``label`` name the
+    protocol in registration and lookup errors.
+    """
 
-    def plan(self, ctx: PlanContext) -> FrequencyPlan:
-        return self._fn(ctx)
+    def __init__(self, kind: str, method: str, base: type,
+                 label: str = "") -> None:
+        self.kind, self.method, self.base = kind, method, base
+        self.label = label or kind
+        self.entries: Dict[str, object] = {}
+
+    def register(
+        self, name: str
+    ) -> Callable[[Union[type, Callable]], Union[type, Callable]]:
+        if not name or not isinstance(name, str):
+            raise ConfigurationError(
+                f"{self.kind} name must be a non-empty string")
+
+        def decorator(obj: Union[type, Callable]) -> Union[type, Callable]:
+            if inspect.isclass(obj):
+                instance = obj()
+                if not callable(getattr(instance, self.method, None)):
+                    raise ConfigurationError(
+                        f"{self.kind} class {obj.__name__} must define "
+                        f"{self.method}(ctx)")
+            elif callable(getattr(obj, self.method, None)):
+                instance = obj
+            elif callable(obj):
+                instance = self.base()
+                setattr(instance, self.method, obj)
+                instance.__doc__ = obj.__doc__
+            else:
+                raise ConfigurationError(
+                    f"cannot register {obj!r} as a {self.kind}")
+            instance.name = name
+            self.entries[name] = instance
+            return obj
+
+        return decorator
+
+    def lookup(self, name: str):
+        """The named instance; unknown names list what is registered."""
+        load_plugins()
+        if name not in self.entries:
+            raise ConfigurationError(
+                f"unknown {self.label} {name!r}; registered: {self.names()}")
+        return self.entries[name]
+
+    def names(self) -> List[str]:
+        load_plugins()
+        return sorted(self.entries)
 
 
-_REGISTRY: Dict[str, Strategy] = {}
+_STRATEGIES = Registry("strategy", "plan", Strategy)
+_REGISTRY: Dict[str, Strategy] = _STRATEGIES.entries
 
 #: Modules whose import registers the built-in strategies.  Imported
 #: lazily on first lookup so ``repro.api`` never circularly imports the
@@ -244,34 +295,7 @@ def register_strategy(
     pre-configured plugin object -- is stored as-is).  Re-registering a
     name overwrites it, which is how plugins can shadow a built-in.
     """
-    if not name or not isinstance(name, str):
-        raise ConfigurationError("strategy name must be a non-empty string")
-
-    def decorator(obj: Union[type, Callable]) -> Union[type, Callable]:
-        if inspect.isclass(obj):
-            instance = obj()
-            if not callable(getattr(instance, "plan", None)):
-                raise ConfigurationError(
-                    f"strategy class {obj.__name__} must define plan(ctx)"
-                )
-        elif callable(getattr(obj, "plan", None)):
-            instance = obj
-        elif callable(obj):
-            instance = _FunctionStrategy(obj)
-        else:
-            raise ConfigurationError(
-                f"cannot register {obj!r} as a strategy"
-            )
-        instance.name = name
-        _REGISTRY[name] = instance
-        return obj
-
-    return decorator
-
-
-def _ensure_builtins() -> None:
-    _import_builtins()
-    load_plugins()
+    return _STRATEGIES.register(name)
 
 
 def get_strategy(name: str) -> Strategy:
@@ -280,18 +304,12 @@ def get_strategy(name: str) -> Strategy:
     Raises :class:`~repro.exceptions.ConfigurationError` for unknown
     names, listing what *is* registered.
     """
-    _ensure_builtins()
-    if name not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown strategy {name!r}; registered: {list_strategies()}"
-        )
-    return _REGISTRY[name]
+    return _STRATEGIES.lookup(name)
 
 
 def list_strategies() -> List[str]:
     """Sorted names of every registered strategy (builtins included)."""
-    _ensure_builtins()
-    return sorted(_REGISTRY)
+    return _STRATEGIES.names()
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,13 @@ class PerseusOptimizer:
     #: (warm-started min-cuts + series-parallel contraction, within
     #: tolerance of exact).
     exactness: str = "exact"
-    _frontier: Optional[Frontier] = None
-    #: Fired exactly once, right after lazy characterization -- the hook
-    #: the planner's cache backend uses to persist frontiers no matter
-    #: which code path (experiments, benchmarks, emulation) forced them.
-    on_characterized: Optional[Callable[[Frontier], None]] = field(
-        default=None, repr=False, compare=False
+    #: Wraps the crawl, ``memo(crawl) -> Frontier``: the planner passes
+    #: ``Planner.frontier_at`` bound to this optimizer's key, so a cached
+    #: frontier is adopted and a crawled one is counted and filed there.
+    memo: Callable[[Callable[[], Frontier]], Frontier] = field(
+        default=lambda crawl: crawl(), repr=False, compare=False
     )
+    _frontier: Optional[Frontier] = field(default=None, init=False)
     #: Serializes lazy characterization: concurrent forcers (e.g. two
     #: non-blocking server registrations sharing a memoized optimizer)
     #: run the expensive crawl once, not once each.
@@ -68,26 +68,31 @@ class PerseusOptimizer:
 
     @property
     def is_characterized(self) -> bool:
-        """Whether the frontier has materialized (characterization is
-        lazy; persistent plan stores seed ``_frontier`` up front)."""
+        """Whether the frontier has materialized (it is lazy)."""
         return self._frontier is not None
 
     @property
     def frontier(self) -> Frontier:
         """The characterized frontier (computed lazily, cached)."""
         if self._frontier is None:
-            with self._char_lock:
-                if self._frontier is None:
-                    frontier = characterize_frontier(
-                        self.dag,
-                        self.profile,
-                        tau=self.tau,
-                        exactness=self.exactness,
-                    )
-                    if self.on_characterized is not None:
-                        self.on_characterized(frontier)
-                    self._frontier = frontier
+            self.characterize()
         return self._frontier
+
+    def characterize(self) -> bool:
+        """Materialize the frontier; whether *this call* ran the crawl
+        (``False`` if it was already here or ``memo`` had it cached)."""
+        crawled = []
+
+        def crawl() -> Frontier:
+            crawled.append(True)
+            return characterize_frontier(self.dag, self.profile,
+                                         tau=self.tau,
+                                         exactness=self.exactness)
+
+        with self._char_lock:
+            if self._frontier is None:
+                self._frontier = self.memo(crawl)
+        return bool(crawled)
 
     def schedule_for_straggler(
         self, straggler_time: Optional[float] = None

@@ -251,8 +251,8 @@ class CacheBackend:
 class MemoryCache(CacheBackend):
     """The in-process tier: plain dicts, exactly the planner's old memos.
 
-    Mutations take a small lock so a background characterization hook
-    (e.g. a non-blocking server registration) can insert entries while
+    Mutations take a small lock so a background characterization (e.g.
+    a non-blocking server registration) can insert entries while
     another thread plans; lock-free reads stay safe under the GIL.
     """
 

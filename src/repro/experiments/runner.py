@@ -2,7 +2,7 @@
 
 :func:`prepare` assembles everything an evaluation needs by delegating
 to the shared :class:`repro.api.Planner` (so experiments, the CLI and
-``plan_pipeline`` all memoize the same staged pipeline); the
+the service all memoize the same staged pipeline); the
 ``evaluate_*`` helpers produce the rows reported in the paper's tables.
 
 Because the shared planner honours ``REPRO_CACHE_DIR``, pointing that
@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence
 from ..api.planner import (
     DEFAULT_STEP_TARGET,
     Planner,
-    auto_tau,
     default_planner,
 )
 from ..baselines.envpipe import envpipe_plan
@@ -34,10 +33,6 @@ from ..pipeline.dag import ComputationDag
 from ..profiler.measurement import PipelineProfile
 from ..sim.executor import PipelineExecution, execute_frequency_plan
 from .workloads import Workload, effective_microbatches, full_fidelity
-
-#: Deprecated alias; :func:`repro.api.planner.auto_tau` is the home now.
-_auto_tau = auto_tau
-
 
 @dataclass
 class ExperimentSetup:

@@ -3,11 +3,12 @@
 A policy answers one question, at every simulator event: *given the
 jobs currently running, each with its own operating-point ladder, and
 the cluster power cap in force right now, which point should each job
-run at?*  The registry mirrors :mod:`repro.api.strategies` --
-``@register_policy`` on a class with ``allocate(ctx)`` (or a plain
-function) -- so the fleet layer is extensible exactly the way the
-planning layer is, including third-party plugins discovered from the
-``repro.strategies`` entry-point group.
+run at?*  The registry is the same
+:class:`~repro.api.strategies.Registry` that holds the planning
+strategies -- ``@register_policy`` on a class with ``allocate(ctx)``
+(or a plain function) -- so the fleet layer is extensible exactly the
+way the planning layer is, including third-party plugins discovered
+from the ``repro.strategies`` entry-point group.
 
 Built-ins:
 
@@ -25,10 +26,10 @@ Built-ins:
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from ..api.strategies import Registry, strategy_description
 from ..exceptions import ConfigurationError
 from .power import OperatingPoint, aggregate_power_w
 
@@ -89,24 +90,11 @@ class FleetPolicy:
         return f"<fleet policy {self.name!r}>"
 
 
-def policy_description(policy: object) -> str:
-    """First docstring line of a registered policy (duck-typed)."""
-    doc = (getattr(policy, "__doc__", None) or "").strip()
-    return doc.splitlines()[0] if doc else "(no description)"
+#: First docstring line of a registered policy (duck-typed).
+policy_description = strategy_description
 
-
-class _FunctionPolicy(FleetPolicy):
-    """Adapter wrapping a plain ``ctx -> allocation`` function."""
-
-    def __init__(self, fn: Callable[[AllocationContext], Allocation]):
-        self._fn = fn
-        self.__doc__ = fn.__doc__
-
-    def allocate(self, ctx: AllocationContext) -> Allocation:
-        return self._fn(ctx)
-
-
-_REGISTRY: Dict[str, FleetPolicy] = {}
+_POLICIES = Registry("policy", "allocate", FleetPolicy, label="fleet policy")
+_REGISTRY: Dict[str, FleetPolicy] = _POLICIES.entries
 
 
 def register_policy(
@@ -114,53 +102,24 @@ def register_policy(
 ) -> Callable[[Union[type, Callable]], Union[type, Callable]]:
     """Class/function decorator adding a policy to the registry.
 
-    Semantics match :func:`repro.api.register_strategy`: the decorated
-    object is returned unchanged, an *instance* is stored (classes are
+    The same :class:`~repro.api.strategies.Registry` as
+    :func:`repro.api.register_strategy`: the decorated object is
+    returned unchanged, an *instance* is stored (classes are
     instantiated with no arguments, functions wrapped, ready-made
     instances with ``allocate(ctx)`` stored as-is), and re-registering
     a name overwrites it (how plugins shadow built-ins).
     """
-    if not name or not isinstance(name, str):
-        raise ConfigurationError("policy name must be a non-empty string")
-
-    def decorator(obj: Union[type, Callable]) -> Union[type, Callable]:
-        if inspect.isclass(obj):
-            instance = obj()
-            if not callable(getattr(instance, "allocate", None)):
-                raise ConfigurationError(
-                    f"policy class {obj.__name__} must define allocate(ctx)"
-                )
-        elif callable(getattr(obj, "allocate", None)):
-            instance = obj
-        elif callable(obj):
-            instance = _FunctionPolicy(obj)
-        else:
-            raise ConfigurationError(f"cannot register {obj!r} as a policy")
-        instance.name = name
-        _REGISTRY[name] = instance
-        return obj
-
-    return decorator
+    return _POLICIES.register(name)
 
 
 def get_policy(name: str) -> FleetPolicy:
     """Look up a registered policy (unknown names list what exists)."""
-    from ..api.strategies import load_plugins
-
-    load_plugins()
-    if name not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown fleet policy {name!r}; registered: {list_policies()}"
-        )
-    return _REGISTRY[name]
+    return _POLICIES.lookup(name)
 
 
 def list_policies() -> List[str]:
     """Sorted names of every registered fleet policy."""
-    from ..api.strategies import load_plugins
-
-    load_plugins()
-    return sorted(_REGISTRY)
+    return _POLICIES.names()
 
 
 # ---------------------------------------------------------------------------

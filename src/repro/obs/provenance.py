@@ -21,9 +21,7 @@ Stage ``source`` values:
 ``memory``
     served from the in-process memo,
 ``disk``
-    loaded from the plan store (some earlier process paid for it),
-``store-seed``
-    a frontier adopted from the store before the optimizer ran.
+    loaded from the plan store (some earlier process paid for it).
 """
 
 from __future__ import annotations

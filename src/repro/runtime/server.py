@@ -18,10 +18,11 @@ already held by the planner's cache backend (including a persistent
 :class:`~repro.core.store.PlanStore` warmed by another process) is
 adopted as-is instead of being re-crawled.
 
-The raw client-driven path is store-backed the same way: a profile
-submitted via ``submit_profile`` is content-hashed together with the
-job's DAG shape and tau, and the resulting frontier is persisted to --
-and adopted from -- the attached planner's backend under that key.  Two
+The raw client-driven path and drift re-plans take the same door: a
+profile submitted via ``submit_profile`` is content-hashed together
+with the job's DAG shape and tau, and the frontier is resolved under
+that key by :meth:`~repro.api.planner.Planner.frontier_at` -- the one
+path that finds, counts and files every planner frontier.  Two
 servers (or two *processes* sharing a ``REPRO_CACHE_DIR`` store) that
 receive the same profile for the same pipeline therefore characterize
 it exactly once.
@@ -193,29 +194,22 @@ class PerseusServer:
         with job.lock:
             job.profile = stack.profile
             job.characterizing = True
-        if blocking:
-            self._adopt_frontier(job, stack)
-        else:
-            # The stack was fully assembled above, on this thread; the
-            # worker only forces the frontier crawl.  That is safe (and
-            # not duplicated) off-thread: the optimizer serializes its
-            # own characterization, and the planner's record hook takes
-            # the backend's mutation locks.
-            thread = threading.Thread(
-                target=self._adopt_frontier, args=(job, stack),
-                daemon=True,
-            )
-            thread.start()
+        # The stack was fully assembled above, on this thread; a
+        # non-blocking worker only forces the frontier.  That is safe
+        # (and not duplicated) off-thread: the optimizer serializes its
+        # own characterization, and the backend locks its mutations.
+        self._settle(job, lambda: stack.optimizer.frontier, blocking)
 
-    def _adopt_frontier(self, job: _Job, stack) -> None:
-        """Characterize (or adopt the cache-seeded) frontier; deploy.
-
-        ``stack.optimizer.frontier`` is instant when the planner's
-        backend already held the frontier, and a fresh crawl records
-        itself with that backend via the optimizer's hook.
-        """
+    def _settle(self, job: _Job, resolve: Callable[[], Frontier],
+                blocking: bool) -> None:
+        """Resolve the job's frontier (on a daemon thread unless
+        ``blocking``), record it -- or the error -- and deploy."""
+        if not blocking:
+            threading.Thread(target=self._settle, args=(job, resolve, True),
+                             daemon=True).start()
+            return
         try:
-            frontier = stack.optimizer.frontier
+            frontier = resolve()
         except BaseException as exc:  # surfaced on next query
             with job.lock:
                 job.error = exc
@@ -344,13 +338,7 @@ class PerseusServer:
                 raise ServerError(f"job {job_id!r} is already being characterized")
             job.profile = profile
             job.characterizing = True
-        if blocking:
-            self._characterize(job)
-        else:
-            thread = threading.Thread(
-                target=self._characterize, args=(job,), daemon=True
-            )
-            thread.start()
+        self._settle(job, lambda: self._raw_frontier(job), blocking)
 
     def _raw_frontier_key(self, job: _Job) -> tuple:
         """The content address of a raw-parts job's frontier.
@@ -385,35 +373,19 @@ class PerseusServer:
             job.tau,
         )
 
-    def _characterize(self, job: _Job) -> None:
-        try:
-            from ..core.store import MISS
+    def _raw_frontier(self, job: _Job) -> Frontier:
+        """A raw-parts job's frontier, through
+        :meth:`~repro.api.planner.Planner.frontier_at` under its content
+        key: adopted if cached, else crawled, counted and persisted."""
+        from ..obs.trace import span as obs_span
 
-            planner = self._shared_planner()
-            key = self._raw_frontier_key(job)
-            frontier = planner.cache.get("frontier", key)
-            if frontier is MISS:
-                from ..obs.trace import span as obs_span
+        def crawl() -> Frontier:
+            with obs_span("server.characterize", job=job.job_id):
+                return characterize_frontier(job.dag, job.profile,
+                                             tau=job.tau)
 
-                with obs_span("server.characterize", job=job.job_id):
-                    frontier = characterize_frontier(
-                        job.dag, job.profile, tau=job.tau
-                    )
-                # The planner's recorder persists the frontier to the
-                # backend (and bumps stats["frontier"], so the "work"
-                # accounting covers raw-path crawls too).
-                planner._record_frontier(key, frontier)
-        except BaseException as exc:  # surfaced on next query
-            with job.lock:
-                job.error = exc
-                job.characterizing = False
-            job.settled.set()
-            return
-        with job.lock:
-            job.frontier = frontier
-            job.characterizing = False
-        job.settled.set()
-        self._push_schedule(job)
+        return self._shared_planner().frontier_at(
+            self._raw_frontier_key(job), crawl)
 
     # -- queries ---------------------------------------------------------------
     def is_ready(self, job_id: str) -> bool:
@@ -684,7 +656,6 @@ class PerseusServer:
         re-plan nearly free, and a repeat of the same drift hits the
         cache outright.
         """
-        from ..core.store import MISS
         from ..drift.controller import ReplanProposal, planned_stage_times
         from ..profiler.online import rescale_stage_profile
 
@@ -716,13 +687,7 @@ class PerseusServer:
         new_profile = rescale_stage_profile(profile, factors)
         shadow = _Job(job_id=job.job_id, dag=job.dag, tau=job.tau,
                       profile=new_profile)
-        planner = self._shared_planner()
-        key = self._raw_frontier_key(shadow)
-        new_frontier = planner.cache.get("frontier", key)
-        if new_frontier is MISS:
-            new_frontier = characterize_frontier(
-                job.dag, new_profile, tau=job.tau)
-            planner._record_frontier(key, new_frontier)
+        new_frontier = self._raw_frontier(shadow)
         cand = new_frontier.schedule_for(
             energy_optimal_iteration_time(new_frontier, None))
         blocking_w = self._total_blocking_w(job)

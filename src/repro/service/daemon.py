@@ -131,6 +131,38 @@ class _RpcError(Exception):
         self.status = status
 
 
+_REQUIRED = object()
+
+
+def _checked(name: str, value, kind: type):
+    """``value`` as ``kind``, else :class:`ConfigurationError` naming it.
+    A ``float`` param takes any JSON number; ``bool`` is no number."""
+    accepted = (int, float) if kind is float else kind
+    try:
+        if isinstance(value, accepted) and not (
+                kind in (int, float) and isinstance(value, bool)):
+            return float(value) if kind is float else value
+    except OverflowError:  # an integer too large for a float
+        pass
+    raise ConfigurationError(
+        f"param {name!r} must be {kind.__name__}, got "
+        f"{type(value).__name__} {value!r:.40}")
+
+
+def _param(params: dict, name: str, kind: type = object,
+           default=_REQUIRED):
+    """One RPC param, type-checked: a missing required param or a wrong
+    type is the caller's error (HTTP 422), never a 500.  An optional
+    param given as ``null`` takes its default."""
+    value = params.get(name)
+    if value is None:
+        if default is not _REQUIRED:
+            return default
+        if name not in params:
+            raise ConfigurationError(f"missing required param {name!r}")
+    return _checked(name, value, kind)
+
+
 class PlanningDaemon:
     """Multi-tenant planning service over one shared planner/store.
 
@@ -227,7 +259,7 @@ class PlanningDaemon:
         self.metrics.describe(
             "repro_optimizer_stage_seconds",
             "frontier-crawl stage wall-clock by stage and exactness "
-            "(observed once per fresh characterization)")
+            "(observed once per crawl this daemon ran)")
         self.metrics.describe(
             "repro_optimizer_fast_events_total",
             "fast-mode kernel events (warm-cut hits/misses, "
@@ -282,7 +314,8 @@ class PlanningDaemon:
         (they are daemon threads only so a wedged handler cannot hang
         interpreter exit).
         """
-        self._httpd.shutdown()
+        if self._started.is_set():  # shutdown() waits on a serving loop
+            self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -358,12 +391,11 @@ class PlanningDaemon:
         delay = float(os.environ.get(MATERIALIZE_DELAY_ENV, "0") or 0.0)
         if delay > 0:  # chaos hook: widen the mid-flight crash window
             time.sleep(delay)
-        stack = self.planner.result(spec)
-        if spec.strategy == "perseus":
-            fresh = not stack.optimizer.is_characterized
-            frontier = stack.optimizer.frontier  # force the crawl
-            if fresh:  # store-seeded frontiers were observed elsewhere
-                self._observe_crawl(frontier)
+        optimizer = self.planner.result(spec).optimizer
+        # Only a crawl this call ran is observed: a frontier served from
+        # memory or the store was observed where it was crawled.
+        if spec.strategy == "perseus" and optimizer.characterize():
+            self._observe_crawl(optimizer.frontier)
 
     def _observe_crawl(self, frontier) -> None:
         """Export one fresh crawl's stage timings to the registry.
@@ -409,13 +441,13 @@ class PlanningDaemon:
         return {"ok": True, "version": __version__, "tenant": tenant}
 
     def _rpc_plan(self, tenant: str, params: dict) -> dict:
-        spec = spec_from_wire(self._require(params, "spec"))
+        spec = spec_from_wire(_param(params, "spec"))
         self._materialize(spec)
         return report_to_wire(self.planner.plan(spec))
 
     def _rpc_register_spec(self, tenant: str, params: dict) -> dict:
-        job_id = self._require(params, "job_id")
-        spec = spec_from_wire(self._require(params, "spec"))
+        job_id = _param(params, "job_id")
+        spec = spec_from_wire(_param(params, "spec"))
         self._materialize(spec)
         # The stack is warm, so blocking registration is instant: the
         # job is deployable the moment the response lands.
@@ -426,7 +458,7 @@ class PlanningDaemon:
         return {"job_id": job_id, "ready": True}
 
     def _rpc_submit_sweep(self, tenant: str, params: dict) -> dict:
-        raw_specs = self._require(params, "specs")
+        raw_specs = _param(params, "specs")
         if not isinstance(raw_specs, list) or not raw_specs:
             raise ConfigurationError(
                 "submit_sweep params.specs must be a non-empty list of "
@@ -452,7 +484,7 @@ class PlanningDaemon:
         }
 
     def _rpc_report_of(self, tenant: str, params: dict) -> dict:
-        job_id = self._qualify(tenant, self._require(params, "job_id"))
+        job_id = self._qualify(tenant, _param(params, "job_id"))
         return report_to_wire(self.server.report_of(job_id))
 
     def _rpc_sweep_reports(self, tenant: str, params: dict) -> dict:
@@ -466,45 +498,45 @@ class PlanningDaemon:
         }
 
     def _rpc_is_ready(self, tenant: str, params: dict) -> dict:
-        job_id = self._qualify(tenant, self._require(params, "job_id"))
+        job_id = self._qualify(tenant, _param(params, "job_id"))
         return {"ready": self.server.is_ready(job_id)}
 
     def _rpc_wait_ready(self, tenant: str, params: dict) -> dict:
-        job_id = self._qualify(tenant, self._require(params, "job_id"))
-        timeout_s = float(params.get("timeout_s", 300.0))
+        job_id = self._qualify(tenant, _param(params, "job_id"))
+        timeout_s = _param(params, "timeout_s", float, 300.0)
         frontier = self.server.wait_ready(job_id, timeout_s=timeout_s)
         return {"frontier": frontier_to_dict(frontier)}
 
     def _rpc_frontier_of(self, tenant: str, params: dict) -> dict:
-        job_id = self._qualify(tenant, self._require(params, "job_id"))
+        job_id = self._qualify(tenant, _param(params, "job_id"))
         return {"frontier": frontier_to_dict(self.server.frontier_of(job_id))}
 
     def _rpc_current_schedule(self, tenant: str, params: dict) -> dict:
-        job_id = self._qualify(tenant, self._require(params, "job_id"))
+        job_id = self._qualify(tenant, _param(params, "job_id"))
         schedule = self.server.current_schedule(job_id)
         return {"schedule": schedule_to_dict(schedule)}
 
     def _rpc_set_straggler(self, tenant: str, params: dict) -> dict:
-        job_id = self._qualify(tenant, self._require(params, "job_id"))
+        job_id = self._qualify(tenant, _param(params, "job_id"))
         self.server.set_straggler(
             job_id,
-            accelerator_id=int(self._require(params, "accelerator_id")),
-            delay_s=float(self._require(params, "delay_s")),
-            degree=float(self._require(params, "degree")),
+            accelerator_id=_param(params, "accelerator_id", int),
+            delay_s=_param(params, "delay_s", float),
+            degree=_param(params, "degree", float),
         )
         return {"ok": True}
 
     def _rpc_report_measurement(self, tenant: str, params: dict) -> dict:
         """The closed drift loop's wire entry: realized step -> action."""
-        job_id = self._qualify(tenant, self._require(params, "job_id"))
-        energy = params.get("energy_j")
-        stages = params.get("stage_time_s")
+        job_id = self._qualify(tenant, _param(params, "job_id"))
+        stages = _param(params, "stage_time_s", list, None)
         action = self.server.report_measurement(
             job_id,
-            time_s=float(self._require(params, "time_s")),
-            energy_j=float(energy) if energy is not None else None,
-            stage_time_s=([float(t) for t in stages]
-                          if stages is not None else None),
+            time_s=_param(params, "time_s", float),
+            energy_j=_param(params, "energy_j", float, None),
+            stage_time_s=(None if stages is None else [
+                _checked(f"stage_time_s[{i}]", t, float)
+                for i, t in enumerate(stages)]),
         )
         self.metrics.inc("repro_drift_reports_total",
                          {"state": str(action.get("state"))})
@@ -518,7 +550,7 @@ class PlanningDaemon:
         return {"action": action}
 
     def _rpc_notify_restart(self, tenant: str, params: dict) -> dict:
-        job_id = self._qualify(tenant, self._require(params, "job_id"))
+        job_id = self._qualify(tenant, _param(params, "job_id"))
         action = self.server.notify_restart(job_id)
         return {"action": action}
 
@@ -568,7 +600,7 @@ class PlanningDaemon:
         (infrastructure) events -- flights, crawls, admission -- are
         visible to everyone sharing the daemon.
         """
-        limit = int(params.get("limit", 100))
+        limit = _param(params, "limit", int, 100)
         if limit <= 0:
             raise ConfigurationError(
                 f"recent_events limit must be positive, got {limit}")
@@ -577,11 +609,6 @@ class PlanningDaemon:
                                     kind=str(kind) if kind else None,
                                     tenant=tenant)
         return {"events": events, "count": len(events)}
-
-    def _require(self, params: dict, name: str):
-        if name not in params:
-            raise ConfigurationError(f"missing required param {name!r}")
-        return params[name]
 
     # -- dispatch ------------------------------------------------------------
     def _methods(self) -> Dict[str, object]:

@@ -2,11 +2,9 @@
 
 import io
 import json
-import warnings
 
 import pytest
 
-import repro
 from repro.api import (
     PlanSpec,
     Planner,
@@ -195,29 +193,6 @@ class TestPlannerMemoization:
         stack = planner.result(SMALL)
         schedule = stack.optimizer.schedule_for_straggler(None)
         assert report.plan == dict(schedule.frequencies)
-
-
-class TestPlanPipelineShim:
-    def test_emits_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="plan_pipeline"):
-            repro.plan_pipeline("bert-large", num_stages=2,
-                                num_microbatches=2, freq_stride=24)
-
-    def test_shim_identical_to_planner_path(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = repro.plan_pipeline("bert-large", num_stages=2,
-                                      num_microbatches=3, freq_stride=24)
-        spec = PlanSpec("bert-large", stages=2, microbatches=3,
-                        freq_stride=24)
-        new = default_planner().result(spec)
-        assert old.model is new.model
-        assert old.partition is new.partition
-        assert old.profile is new.profile
-        assert old.dag is new.dag
-        assert old.optimizer is new.optimizer
-        assert old.frontier.t_min == pytest.approx(new.frontier.t_min)
-        assert old.frontier.t_star == pytest.approx(new.frontier.t_star)
 
 
 class TestServerSpecRegistration:

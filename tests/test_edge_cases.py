@@ -107,8 +107,8 @@ class TestPublicSurface:
             assert hasattr(repro, name), name
 
     def test_plan_result_frontier_is_cached(self):
-        plan = repro.plan_pipeline(
-            "bert-large", num_stages=2, num_microbatches=2, freq_stride=24
+        plan = repro.default_planner().build_stack(
+            "bert-large", stages=2, microbatches=2, freq_stride=24
         )
         assert plan.frontier is plan.frontier
 

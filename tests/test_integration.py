@@ -3,6 +3,7 @@
 import pytest
 
 import repro
+from repro.api import default_planner
 from repro.baselines import max_frequency_plan
 from repro.sim import execute_frequency_plan
 from repro.viz import power_summary, render_comparison, render_timeline
@@ -10,9 +11,8 @@ from repro.viz import power_summary, render_comparison, render_timeline
 
 @pytest.fixture(scope="module")
 def plan():
-    return repro.plan_pipeline(
-        "gpt3-xl", gpu="a100", num_stages=4, num_microbatches=6,
-        freq_stride=16,
+    return default_planner().build_stack(
+        "gpt3-xl", gpu="a100", stages=4, microbatches=6, freq_stride=16,
     )
 
 
@@ -86,9 +86,8 @@ class TestVisualization:
 class TestCrossGPU:
     @pytest.mark.parametrize("gpu", ["a100", "a40", "h100", "v100"])
     def test_all_gpus_plan(self, gpu):
-        result = repro.plan_pipeline(
-            "bert-large", gpu=gpu, num_stages=2, num_microbatches=3,
-            freq_stride=24,
+        result = default_planner().build_stack(
+            "bert-large", gpu=gpu, stages=2, microbatches=3, freq_stride=24,
         )
         assert result.frontier.t_min < result.frontier.t_star
         times = [p.iteration_time for p in result.frontier.points]
@@ -96,8 +95,8 @@ class TestCrossGPU:
 
     def test_3d_parallelism(self):
         """§4.4: TP shards profile one GPU per stage and replicate."""
-        result = repro.plan_pipeline(
-            "gpt3-6.7b", gpu="a40", num_stages=4, num_microbatches=4,
+        result = default_planner().build_stack(
+            "gpt3-6.7b", gpu="a40", stages=4, microbatches=4,
             tensor_parallel=2, freq_stride=24,
         )
         assert result.frontier.t_min < result.frontier.t_star

@@ -575,6 +575,39 @@ def test_concurrent_multi_tenant_sweeps_coalesce_and_match():
         assert reports_equal(report, reference.plan(specs[i % unique]))
 
 
+def _crawl_signals(daemon):
+    """(``repro_optimizer_stage_seconds`` samples, ``crawl`` events)."""
+    stages = daemon.metrics.snapshot()["histograms"].get(
+        "repro_optimizer_stage_seconds", {})
+    return (sum(series["count"] for series in stages.values()),
+            len(daemon.events.recent(limit=1000, kind="crawl")))
+
+
+def test_crawl_metrics_only_for_crawls_this_daemon_ran(tmp_path):
+    """A frontier another planner crawled into the store is served
+    without crawl timings; a never-seen spec exports exactly one."""
+    store = str(tmp_path / "store")
+    Planner(cache=store).plan(tiny_spec())
+    planner = Planner(cache=store)
+    with PlanningDaemon(planner=planner, port=0) as daemon:
+        client = ServiceClient(daemon.url, tenant="ci")
+        assert client.plan(tiny_spec()).ok
+        assert _crawl_signals(daemon) == (0, 0)
+        assert planner.stats["frontier"] == 0
+        assert client.plan(tiny_spec(model="bert-large")).ok
+        samples, crawls = _crawl_signals(daemon)
+        assert crawls == 1 and samples > 0
+        assert planner.stats["frontier"] == 1
+
+
+def test_close_without_start_returns():
+    daemon = PlanningDaemon(planner=Planner(), port=0)
+    closer = threading.Thread(target=daemon.close, daemon=True)
+    closer.start()
+    closer.join(10.0)
+    assert not closer.is_alive()
+
+
 def test_concurrent_submit_sweep_across_tenants_bit_identical():
     spec_sets = [[tiny_spec()], [tiny_spec(strategy="max-freq")]]
     planner = Planner()

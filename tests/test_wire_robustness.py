@@ -25,6 +25,7 @@ from repro.api import PlanSpec, Planner
 from repro.api.planner import PlanReport
 from repro.api.spec import SPEC_FORMAT_VERSION
 from repro.exceptions import (
+    ConfigurationError,
     QuotaExceeded,
     ReproError,
     ServiceError,
@@ -347,6 +348,31 @@ class TestStalledClients:
         with PlanningDaemon(planner=Planner(), port=0) as daemon:
             handler = daemon._httpd.RequestHandlerClass
             assert handler.timeout == daemon_module.READ_TIMEOUT_S
+
+
+# ------------------------------------------------------------ typed params
+class TestTypedRpcParams:
+    """A wrongly typed param is the caller's error (HTTP 422), never a
+    500: a client reads a 500 as a sick replica and fails over, so one
+    malformed call would eject every healthy replica in turn."""
+
+    @pytest.mark.parametrize("method, params", [
+        ("recent_events", {"limit": "ten"}),
+        ("set_straggler", {"job_id": "j", "accelerator_id": "abc",
+                           "delay_s": 0.0, "degree": 1.2}),
+        ("wait_ready", {"job_id": "j", "timeout_s": "soon"}),
+        ("report_measurement", {"job_id": "j", "time_s": None}),
+        ("report_measurement", {"job_id": "j", "time_s": 1.0,
+                                "stage_time_s": "abc"}),
+        ("set_straggler", {"job_id": "j", "accelerator_id": 0,
+                           "delay_s": 10 ** 400, "degree": 1.2}),
+    ])
+    def test_wrong_type_is_422(self, method, params):
+        with PlanningDaemon(planner=Planner(), port=0) as daemon:
+            status, body, _ = daemon.handle_rpc(
+                {"method": method, "params": params, "id": "x"}, "ci")
+        assert status == 422
+        assert type(error_from_wire(body["error"])) is ConfigurationError
 
 
 # -------------------------------------------------------------- error taxonomy
