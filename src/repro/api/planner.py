@@ -11,7 +11,9 @@ the assembly and memoizes every stage on the sub-key of the
 sweep over strategies or microbatch counts profiles each unique
 (model, gpu, partition) exactly once and characterizes each unique
 (dag, profile, tau) frontier exactly once -- through
-:meth:`Planner.frontier_at`, the one path every frontier takes.
+:meth:`Planner.frontier_at`, the one path every frontier takes.  The
+plan itself (strategy output plus its simulation) is the last memoized
+stage, so a warm :meth:`Planner.plan` is a lookup.
 
 Memoization lives behind a pluggable
 :class:`~repro.core.store.CacheBackend`: the default is the in-process
@@ -108,6 +110,28 @@ def auto_tau(
     return span / steps
 
 
+class _Identity:
+    """A memo-key part equal only to a wrapper of the same object.
+
+    The plan stage is keyed on the registered strategy *instance*:
+    compared with ``is``, a re-registered name never meets its
+    predecessor's entries, and a plugin instance need not be hashable.
+    The strong reference keeps the ``id`` from being reused while the
+    key lives.
+    """
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj) -> None:
+        self.obj = obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Identity) and other.obj is self.obj
+
+
 @dataclass
 class PlanResult:
     """The assembled planning stack for one spec.
@@ -171,7 +195,9 @@ class PlanReport:
     plan: FrequencyPlan = field(repr=False, hash=False, compare=False,
                                 default_factory=dict)
     #: The simulated execution behind the scalars (timeline rendering);
-    #: carried so callers never re-simulate the same plan.
+    #: carried so callers never re-simulate the same plan.  Shared
+    #: read-only: every report of one memoized plan (and every
+    #: baseline) hands out the same object, so never mutate it.
     execution: Optional[PipelineExecution] = field(
         default=None, repr=False, hash=False, compare=False
     )
@@ -286,8 +312,9 @@ class Planner:
         return self._cache
 
     def clear(self) -> None:
-        """Drop every memoized stage (long-lived processes: call between
-        unrelated job batches to release profiles and frontiers).  On a
+        """Drop every memoized stage, plans included (long-lived
+        processes: call between unrelated job batches to release
+        profiles, frontiers and plans).  On a
         persistent store this drops the memory tier only; disk entries
         are durable by design."""
         self._cache.clear()
@@ -331,7 +358,7 @@ class Planner:
 
     def _digest(self, namespace: str, key) -> Optional[str]:
         """Memoized content digest for provenance (cheap namespaces only)."""
-        if namespace in ("baseline",):
+        if namespace in ("baseline", "plan"):
             return None
         memo_key = (namespace, key)
         digest = self._digests.get(memo_key)
@@ -627,7 +654,11 @@ class Planner:
         self, spec: PlanSpec, straggler_time: Optional[float] = None
     ) -> PlanContext:
         """The strategy-facing view of a spec's planning stack."""
-        stack = self.result(spec)
+        return self._context(self.result(spec), spec, straggler_time)
+
+    @staticmethod
+    def _context(stack: PlanResult, spec: PlanSpec,
+                 straggler_time: Optional[float]) -> PlanContext:
         return PlanContext(
             dag=stack.dag,
             profile=stack.profile,
@@ -665,6 +696,14 @@ class Planner:
         ``straggler_time`` is the anticipated straggler iteration time
         ``T'`` handed to straggler-aware strategies (Perseus clamps it to
         ``[T_min, T*]``; frontier-free baselines ignore it).
+
+        The plan itself is the last memoized stage: ``(frequencies,
+        execution)`` under ``(optimizer key, strategy, straggler_time)``,
+        held in memory only.  ``strategy`` is the registered *instance*
+        (compared by identity), so re-registering a name never serves
+        the old strategy's plan; a registered instance is treated as
+        immutable -- re-register it to change its configuration.  A
+        warm call runs neither the strategy nor the simulator.
         """
         strategy = get_strategy(spec.strategy)
         # One provenance builder per in-flight plan on this thread;
@@ -678,13 +717,22 @@ class Planner:
                           strategy=spec.strategy, exactness=spec.exactness):
                 stack = self.result(spec)
                 optimizer = stack.optimizer
-                ctx = self.context(spec, straggler_time)
-                frequencies = strategy.plan(ctx)
-                with obs_span("planner.simulate"):
-                    execution = execute_frequency_plan(
-                        stack.dag, frequencies, stack.profile
-                    )
-                    baseline = self.baseline_execution(spec)
+
+                def build() -> Tuple[FrequencyPlan, PipelineExecution]:
+                    frequencies = strategy.plan(
+                        self._context(stack, spec, straggler_time))
+                    with obs_span("planner.simulate"):
+                        return frequencies, execute_frequency_plan(
+                            stack.dag, frequencies, stack.profile)
+
+                frequencies, execution = self._memo(
+                    "plan",
+                    (stack.keys["optimizer"], _Identity(strategy),
+                     straggler_time),
+                    None, build)
+                baseline = self._baseline_for(
+                    stack.keys["dag"], stack.keys["profile"],
+                    stack.dag, stack.profile)
                 # Surface the crawl instrumentation when the stack holds
                 # a frontier; frontier-free baselines on a fresh stack
                 # stay None.
@@ -731,11 +779,12 @@ class Planner:
                          digest=self._digest("frontier", opt_key))
         frontier_digest = builder.digests.get("frontier")
         if store is not None:
-            keys = dict(stack.keys, frontier=opt_key)
+            # The stage digests are the store's file names: no re-hash.
             for namespace in ("partition", "profile", "frontier"):
-                if namespace in builder.stages:
+                digest = builder.digests.get(namespace)
+                if digest is not None:
                     builder.note_path(
-                        namespace, store.path_for(namespace, keys[namespace]))
+                        namespace, store.digest_path(namespace, digest))
         record = builder.finish(
             strategy=spec.strategy,
             exactness=spec.exactness,

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from typing import IO, Optional, Tuple, Union
 
@@ -41,6 +43,12 @@ DEFAULT_STRATEGY = "perseus"
 #: tolerance of exact).
 EXACTNESS_MODES = ("exact", "fast")
 DEFAULT_EXACTNESS = "exact"
+
+
+def _positive_int(value) -> bool:
+    """A positive ``int`` that is not a ``bool`` (JSON ``true`` is no 1)."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= 1)
 
 
 @dataclass(frozen=True)
@@ -110,7 +118,7 @@ class PlanSpec:
             )
         for attr in ("stages", "microbatches", "tensor_parallel"):
             value = getattr(self, attr)
-            if not isinstance(value, int) or value < 1:
+            if not _positive_int(value):
                 raise ConfigurationError(
                     f"PlanSpec.{attr} must be a positive int, got {value!r}"
                 )
@@ -120,26 +128,36 @@ class PlanSpec:
                 f"{self.stages} stages; a per-stage tuple must have "
                 f"exactly one entry per stage"
             )
-        if self.microbatch_size is not None and (
-            not isinstance(self.microbatch_size, int)
-            or self.microbatch_size < 1
+        if self.microbatch_size is not None and not _positive_int(
+            self.microbatch_size
         ):
             raise ConfigurationError(
                 f"PlanSpec.microbatch_size must be a positive int or None, "
                 f"got {self.microbatch_size!r}"
             )
-        if self.freq_stride is not None and (
-            not isinstance(self.freq_stride, int) or self.freq_stride < 1
+        if self.freq_stride is not None and not _positive_int(
+            self.freq_stride
         ):
             raise ConfigurationError(
                 f"PlanSpec.freq_stride must be a positive int or None, "
                 f"got {self.freq_stride!r}"
             )
-        if self.tau is not None and not self.tau > 0:
-            raise ConfigurationError(
-                f"PlanSpec.tau must be positive or None, got {self.tau!r}"
-            )
-        if self.fidelity not in FIDELITY_STRIDES:
+        if self.tau is not None:
+            real = (isinstance(self.tau, numbers.Real)
+                    and not isinstance(self.tau, bool))
+            try:
+                tau = float(self.tau) if real else math.nan
+            except OverflowError:  # an int past the float range
+                tau = math.inf
+            if not 0 < tau < math.inf:
+                raise ConfigurationError(
+                    f"PlanSpec.tau must be a positive finite number or "
+                    f"None, got {self.tau!r}"
+                )
+            # An int tau keys the same store entries as its float.
+            object.__setattr__(self, "tau", tau)
+        if (not isinstance(self.fidelity, str)
+                or self.fidelity not in FIDELITY_STRIDES):
             raise ConfigurationError(
                 f"PlanSpec.fidelity must be one of "
                 f"{sorted(FIDELITY_STRIDES)}, got {self.fidelity!r}"
@@ -227,10 +245,7 @@ class PlanSpec:
             raise ConfigurationError(
                 f"unknown plan spec fields: {sorted(unknown)}"
             )
-        kwargs = {k: v for k, v in payload.items() if k in fields}
-        if "tau" in kwargs and kwargs["tau"] is not None:
-            kwargs["tau"] = float(kwargs["tau"])
-        return cls(**kwargs)
+        return cls(**{k: v for k, v in payload.items() if k in fields})
 
     def to_json(self, fp: Optional[IO[str]] = None) -> str:
         """Serialize to a JSON string (and optionally an open file)."""

@@ -344,7 +344,7 @@ class PlanStore(MemoryCache):
         ))
 
     def _path(self, namespace: str, key) -> str:
-        return os.path.join(self.root, namespace, stable_key(key) + ".json")
+        return self.digest_path(namespace, stable_key(key))
 
     def _atomic_write(self, path: str, text: str) -> None:
         """Temp file + ``os.replace``, durably when :data:`FSYNC_ENV` allows.
@@ -465,9 +465,10 @@ class PlanStore(MemoryCache):
             if name.endswith(".json")
         )
 
-    def path_for(self, namespace: str, key) -> str:
-        """On-disk path an entry lives (or would live) at -- provenance."""
-        return self._path(namespace, key)
+    def digest_path(self, namespace: str, digest: str) -> str:
+        """On-disk path of the entry (present or not) whose key has
+        ``stable_key`` digest ``digest`` -- provenance."""
+        return os.path.join(self.root, namespace, digest + ".json")
 
     # -- provenance sidecar --------------------------------------------------
     # Provenance records live beside -- not inside -- the cache

@@ -54,6 +54,11 @@ class TestPlanSpec:
         with pytest.raises(ConfigurationError):
             PlanSpec(**kwargs)
 
+    def test_int_tau_keys_like_its_float(self):
+        spec = PlanSpec("gpt3-xl", tau=2)
+        assert type(spec.tau) is float
+        assert spec.to_json() == PlanSpec("gpt3-xl", tau=2.0).to_json()
+
     def test_replace_revalidates(self):
         with pytest.raises(ConfigurationError):
             SMALL.replace(stages=0)
@@ -193,6 +198,126 @@ class TestPlannerMemoization:
         stack = planner.result(SMALL)
         schedule = stack.optimizer.schedule_for_straggler(None)
         assert report.plan == dict(schedule.frequencies)
+
+
+class TestPlanStage:
+    """The plan itself (strategy + simulation) is a memoized stage."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts strategy runs and simulations from here on."""
+        import repro.api.planner as planner_module
+
+        counts = {"strategy": 0, "simulate": 0}
+        perseus = get_strategy("perseus")
+        original_plan = perseus.plan
+        simulate = planner_module.execute_frequency_plan
+
+        def counted_plan(ctx):
+            counts["strategy"] += 1
+            return original_plan(ctx)
+
+        def counted_simulate(*args, **kwargs):
+            counts["simulate"] += 1
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(perseus, "plan", counted_plan)
+        monkeypatch.setattr(planner_module, "execute_frequency_plan",
+                            counted_simulate)
+        return counts
+
+    def test_warm_plan_is_a_lookup(self, calls):
+        from repro.service.wire import reports_equal
+
+        planner = Planner()
+        first = planner.plan(SMALL)
+        assert first.provenance["stages"]["plan"]["source"] == "built"
+        before = dict(calls)
+        assert before["strategy"] == 1 and before["simulate"] >= 1
+        second = planner.plan(SMALL)
+        assert calls == before
+        assert reports_equal(first, second)
+        assert second.provenance["stages"]["plan"]["source"] == "memory"
+        assert "plan" not in second.provenance["digests"]
+
+    def test_straggler_time_and_exactness_are_separate_entries(self, calls):
+        planner = Planner()
+        planner.plan(SMALL)
+        target = planner.baseline_execution(SMALL).iteration_time * 1.2
+        variants = [(SMALL, target), (SMALL.replace(exactness="fast"), None)]
+        for spec, straggler_time in variants:
+            before = calls["strategy"]
+            report = planner.plan(spec, straggler_time=straggler_time)
+            assert calls["strategy"] == before + 1
+            assert report.provenance["stages"]["plan"]["source"] == "built"
+        # ... and each variant is warm on its own key afterwards.
+        before = dict(calls)
+        for spec, straggler_time in variants:
+            planner.plan(spec, straggler_time=straggler_time)
+        assert calls == before
+
+    def test_reregistered_name_plans_with_the_new_strategy(self):
+        from repro.sim.executor import max_frequency_plan, min_energy_plan
+
+        planner = Planner()
+        try:
+            register_strategy("test-plan-stage")(
+                lambda ctx: max_frequency_plan(ctx.dag, ctx.profile))
+            spec = SMALL.replace(strategy="test-plan-stage")
+            fast = planner.plan(spec)
+            register_strategy("test-plan-stage")(
+                lambda ctx: min_energy_plan(ctx.dag, ctx.profile))
+            frugal = planner.plan(spec)
+        finally:
+            _REGISTRY.pop("test-plan-stage", None)
+        assert frugal.plan != fast.plan
+        assert frugal.energy_j < fast.energy_j
+        assert frugal.provenance["stages"]["plan"]["source"] == "built"
+
+    def test_unhashable_strategy_instance_is_memoized_by_identity(self):
+        from repro.sim.executor import max_frequency_plan
+
+        class ValueStrategy:
+            """Compares by value, so it is unhashable."""
+
+            def __eq__(self, other):
+                return isinstance(other, ValueStrategy)
+
+            def plan(self, ctx):
+                return max_frequency_plan(ctx.dag, ctx.profile)
+
+        planner = Planner()
+        spec = SMALL.replace(strategy="test-value-strategy")
+        try:
+            register_strategy("test-value-strategy")(ValueStrategy())
+            first = planner.plan(spec)
+            second = planner.plan(spec)
+            # An equal but distinct instance is a different strategy.
+            register_strategy("test-value-strategy")(ValueStrategy())
+            third = planner.plan(spec)
+        finally:
+            _REGISTRY.pop("test-value-strategy", None)
+        sources = [r.provenance["stages"]["plan"]["source"]
+                   for r in (first, second, third)]
+        assert sources == ["built", "memory", "built"]
+
+    def test_mutating_a_report_plan_leaves_the_memo_intact(self):
+        planner = Planner()
+        first = planner.plan(SMALL)
+        expected = dict(first.plan)
+        first.plan.clear()
+        second = planner.plan(SMALL)
+        assert second.plan == expected
+        assert second.plan is not first.plan
+
+    def test_clear_forces_a_rebuild(self, calls):
+        planner = Planner()
+        planner.plan(SMALL)
+        cold = dict(calls)
+        planner.clear()
+        report = planner.plan(SMALL)
+        assert calls == {name: 2 * count for name, count in cold.items()}
+        assert report.provenance["stages"]["plan"]["source"] == "built"
 
 
 class TestServerSpecRegistration:

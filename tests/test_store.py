@@ -344,6 +344,35 @@ class TestPlanStore:
         planner.plan(SMALL)
         assert planner.stats["profile"] == 1  # second pass hit the disk
 
+    def test_warm_plan_hashes_each_key_once(self, tmp_path, monkeypatch):
+        import repro.api.planner as planner_module
+        import repro.core.store as store_module
+
+        Planner(cache=tmp_path / "store").plan(SMALL)
+        hashed = []
+        for module in (planner_module, store_module):
+            monkeypatch.setattr(
+                module, "stable_key",
+                lambda key, hash_=module.stable_key:
+                    hashed.append(key) or hash_(key))
+        planner = Planner(cache=tmp_path / "store")
+        report = planner.plan(SMALL)
+        stages = report.provenance["stages"]
+        disk_reads = [ns for ns, stage in stages.items()
+                      if stage["source"] == "disk"]
+        # One hash per provenance digest and one per disk read; the
+        # store paths reuse the digests.
+        assert len(hashed) == len(report.provenance["digests"]) \
+            + len(disk_reads)
+        for namespace, path in report.provenance["paths"].items():
+            assert path == os.path.join(
+                str(tmp_path / "store"), namespace,
+                report.provenance["digests"][namespace] + ".json")
+            assert os.path.exists(path)
+        hashed.clear()
+        planner.plan(SMALL)
+        assert hashed == []  # a warm in-memory plan hashes nothing
+
     def test_cache_argument_forms(self, tmp_path):
         assert isinstance(Planner().cache, MemoryCache)
         assert isinstance(Planner(cache=str(tmp_path / "s")).cache, PlanStore)

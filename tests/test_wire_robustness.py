@@ -374,6 +374,28 @@ class TestTypedRpcParams:
         assert status == 422
         assert type(error_from_wire(body["error"])) is ConfigurationError
 
+    @pytest.mark.parametrize("field, value", [
+        ("tau", "abc"),
+        ("tau", [1]),
+        ("tau", 10 ** 400),
+        ("tau", True),
+        ("fidelity", ["x"]),
+        ("stages", True),
+        ("freq_stride", True),
+        ("microbatch_size", True),
+    ], ids=["tau-str", "tau-list", "tau-huge-int", "tau-bool",
+            "fidelity-list", "stages-bool", "freq_stride-bool",
+            "microbatch_size-bool"])
+    def test_malformed_spec_field_is_422(self, field, value):
+        spec = dict(model="gpt3-xl", **TINY)
+        spec[field] = value
+        with PlanningDaemon(planner=Planner(), port=0) as daemon:
+            status, body, _ = daemon.handle_rpc(
+                {"method": "plan", "params": {"spec": spec},
+                 "id": f"bad-{field}-{type(value).__name__}"}, "ci")
+        assert status == 422
+        assert type(error_from_wire(body["error"])) is ConfigurationError
+
 
 # -------------------------------------------------------------- error taxonomy
 class TestErrorEnvelopes:
