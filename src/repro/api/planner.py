@@ -488,14 +488,15 @@ class Planner:
         profile_key: tuple,
         dag: ComputationDag,
         profile: PipelineProfile,
-    ) -> PipelineExecution:
-        key = (dag_key, profile_key)
-        return self._memo(
-            "baseline", key, None,
-            lambda: execute_frequency_plan(
-                dag, max_frequency_plan(dag, profile), profile
-            ),
-        )
+    ) -> Tuple[PipelineExecution, float]:
+        """The all-max-frequency execution and its Eq. 3 energy."""
+
+        def build() -> Tuple[PipelineExecution, float]:
+            execution = execute_frequency_plan(
+                dag, max_frequency_plan(dag, profile), profile)
+            return execution, execution.total_energy()
+
+        return self._memo("baseline", (dag_key, profile_key), None, build)
 
     def _resolve_tau(
         self,
@@ -513,7 +514,7 @@ class Planner:
         def build() -> float:
             # Same span computation as auto_tau(), but the max-frequency
             # endpoint comes from (and warms) the shared baseline cache.
-            fast = self._baseline_for(dag_key, profile_key, dag, profile)
+            fast, _ = self._baseline_for(dag_key, profile_key, dag, profile)
             slow = execute_frequency_plan(
                 dag, min_energy_plan(dag, profile), profile
             )
@@ -676,8 +677,10 @@ class Planner:
         max-frequency plan themselves.
         """
         stack = self.result(spec)
-        return self._baseline_for(stack.keys["dag"], stack.keys["profile"],
-                                  stack.dag, stack.profile)
+        execution, _ = self._baseline_for(
+            stack.keys["dag"], stack.keys["profile"], stack.dag,
+            stack.profile)
+        return execution
 
     def frontier_for(self, spec: PlanSpec) -> Frontier:
         """The spec's characterized frontier (computed or store-loaded).
@@ -698,12 +701,13 @@ class Planner:
         ``[T_min, T*]``; frontier-free baselines ignore it).
 
         The plan itself is the last memoized stage: ``(frequencies,
-        execution)`` under ``(optimizer key, strategy, straggler_time)``,
-        held in memory only.  ``strategy`` is the registered *instance*
-        (compared by identity), so re-registering a name never serves
-        the old strategy's plan; a registered instance is treated as
-        immutable -- re-register it to change its configuration.  A
-        warm call runs neither the strategy nor the simulator.
+        execution, energy)`` under ``(optimizer key, strategy,
+        straggler_time)``, held in memory only.  ``strategy`` is the
+        registered *instance* (compared by identity), so re-registering
+        a name never serves the old strategy's plan; a registered
+        instance is treated as immutable -- re-register it to change its
+        configuration.  A warm call runs neither the strategy nor the
+        simulator, and sums no energy.
         """
         strategy = get_strategy(spec.strategy)
         # One provenance builder per in-flight plan on this thread;
@@ -718,19 +722,21 @@ class Planner:
                 stack = self.result(spec)
                 optimizer = stack.optimizer
 
-                def build() -> Tuple[FrequencyPlan, PipelineExecution]:
+                def build() -> Tuple[FrequencyPlan, PipelineExecution,
+                                     float]:
                     frequencies = strategy.plan(
                         self._context(stack, spec, straggler_time))
                     with obs_span("planner.simulate"):
-                        return frequencies, execute_frequency_plan(
+                        execution = execute_frequency_plan(
                             stack.dag, frequencies, stack.profile)
+                    return frequencies, execution, execution.total_energy()
 
-                frequencies, execution = self._memo(
+                frequencies, execution, energy_j = self._memo(
                     "plan",
                     (stack.keys["optimizer"], _Identity(strategy),
                      straggler_time),
                     None, build)
-                baseline = self._baseline_for(
+                baseline, baseline_energy_j = self._baseline_for(
                     stack.keys["dag"], stack.keys["profile"],
                     stack.dag, stack.profile)
                 # Surface the crawl instrumentation when the stack holds
@@ -748,9 +754,9 @@ class Planner:
             spec=spec,
             strategy=spec.strategy,
             iteration_time_s=execution.iteration_time,
-            energy_j=execution.total_energy(),
+            energy_j=energy_j,
             baseline_time_s=baseline.iteration_time,
-            baseline_energy_j=baseline.total_energy(),
+            baseline_energy_j=baseline_energy_j,
             plan=dict(frequencies),
             execution=execution,
             timings=timings,

@@ -204,10 +204,13 @@ class PlanSpec:
         A per-stage ``gpu`` tuple serializes as a JSON list; a single
         name stays a string (version-1 payloads are exactly this form).
         """
+        # Every field is a scalar or a tuple of names, so the fields are
+        # copied directly: ``dataclasses.asdict`` deep-copies each value.
         payload = {"version": SPEC_FORMAT_VERSION, "kind": "plan_spec"}
-        payload.update(dataclasses.asdict(self))
-        if isinstance(payload["gpu"], tuple):
-            payload["gpu"] = list(payload["gpu"])
+        for field in dataclasses.fields(self):
+            payload[field.name] = getattr(self, field.name)
+        if isinstance(self.gpu, tuple):
+            payload["gpu"] = list(self.gpu)
         return payload
 
     @classmethod

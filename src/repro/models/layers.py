@@ -89,6 +89,22 @@ class ModelSpec:
         if not self.layers:
             raise ConfigurationError("a model needs at least one layer")
 
+    # Every planner memo key holds the model, and hashing it walks every
+    # layer's work profile: hash once per object.
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.name, self.layers, self.tail, self.params,
+                           self.microbatch_size, self.seq_len))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        # String hashes differ per process: an unpickled copy rehashes.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @property
     def num_layers(self) -> int:
         return len(self.layers)

@@ -1,8 +1,8 @@
 """``ServiceClient``: the daemon's Python face, mirroring ``PerseusServer``.
 
 The client speaks the :mod:`~repro.service.wire` protocol over plain
-:mod:`http.client` (stdlib, one connection per call, ``Connection:
-close``) and returns the same domain objects the in-process API does:
+:mod:`http.client` (stdlib, HTTP/1.1) and returns the same domain
+objects the in-process API does:
 :class:`~repro.api.planner.PlanReport`,
 :class:`~repro.core.frontier.Frontier`,
 :class:`~repro.core.schedules.EnergySchedule`.  Remote failures
@@ -15,15 +15,25 @@ subclass, so the client is a drop-in for code written against
     client.register_spec("llama-run", spec)
     client.wait_ready("llama-run")
 
+Each calling thread keeps one connection open to the daemon and
+reuses it for every request (``close()`` or the ``with`` block releases
+them all).  The daemon drops a connection left idle for
+:data:`~repro.service.daemon.READ_TIMEOUT_S`; a request that then finds
+its reused connection closed -- or its daemon restarted -- before any
+response byte arrives is resent once on a fresh connection.  A timeout
+is never resent.
+
 Transport failures -- connection refused, a daemon restarting
-mid-request (socket reset, truncated response), an HTTP 5xx -- raise
-the *typed* :class:`~repro.exceptions.ServiceUnavailable` (never a raw
+mid-request (socket reset, truncated response), a garbled response,
+an HTTP 5xx -- raise the *typed*
+:class:`~repro.exceptions.ServiceUnavailable` (never a raw
 :mod:`http.client` error), whose ``retry_after_s`` hints when a retry
 is worth attempting.  Every request carries a fresh unique ``id`` by
 default, so retrying a call that may have landed is safe: the daemon
-replays the recorded response instead of re-executing.  The
-replica-aware :class:`~repro.service.replica.ReplicaClient` builds its
-failover loop on exactly these two properties.
+replays the recorded response instead of re-executing.  The resend
+above and the replica-aware
+:class:`~repro.service.replica.ReplicaClient` failover loop both build
+on exactly these two properties.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ import json
 import random
 import threading
 import time
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from ..api.planner import PlanReport
@@ -76,7 +86,9 @@ class ServiceClient:
     ``tenant`` to namespace jobs and quota accounting (sent as the
     ``X-Repro-Tenant`` header).  ``timeout_s`` bounds each socket
     operation -- leave headroom above ``wait_ready`` timeouts, which
-    hold the connection open server-side.
+    hold the connection open server-side.  Each calling thread's
+    connection stays open until :meth:`close` (or the ``with`` block's
+    end).
     """
 
     def __init__(self, base_url: str, tenant: Optional[str] = None,
@@ -96,20 +108,57 @@ class ServiceClient:
         #: daemon adopts, logs and echoes back) -- the join key between
         #: a client-side failure and the daemon's events.
         self.last_trace_id: Optional[str] = None
+        self._conns_lock = threading.Lock()
+        self._conns: Dict[threading.Thread,
+                          http.client.HTTPConnection] = {}
+
+    def close(self) -> None:
+        """Close the connections this client opened, on every thread."""
+        with self._conns_lock:
+            conns, self._conns = list(self._conns.values()), {}
+        for conn in conns:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport -----------------------------------------------------------
-    def _unavailable(self, what: str, exc: BaseException) -> ServiceUnavailable:
+    def _unavailable(self, what: str,
+                     exc: Optional[BaseException] = None
+                     ) -> ServiceUnavailable:
+        cause = f": {type(exc).__name__}: {exc}" if exc is not None else ""
         return ServiceUnavailable(
-            f"daemon at {self.host}:{self.port} unavailable ({what}): "
-            f"{type(exc).__name__}: {exc}",
+            f"daemon at {self.host}:{self.port} unavailable ({what}){cause}",
             retry_after_s=RETRY_HINT_S,
         )
 
-    def _request(self, method: str, path: str,
-                 body: Optional[dict] = None) -> "http.client.HTTPResponse":
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s)
-        headers = {"Connection": "close"}
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection (opened on first use)."""
+        me = threading.current_thread()
+        with self._conns_lock:
+            conn = self._conns.get(me)
+            if conn is None:
+                # Connections of threads that have exited go here.
+                for thread in [t for t in self._conns if not t.is_alive()]:
+                    self._conns.pop(thread).close()
+                conn = self._conns[me] = http.client.HTTPConnection(
+                    self.host, self.port, timeout=self.timeout_s)
+        return conn
+
+    def _exchange(self, method: str, path: str,
+                  body: Optional[dict] = None) -> Tuple[int, bytes]:
+        """One request on this thread's connection: (status, whole body).
+
+        A reused connection the daemon has dropped (idle timeout,
+        restart) fails before any response byte; only then is the same
+        request -- same envelope, same ``id`` -- resent once on a fresh
+        connection.  Every transport failure raises
+        :class:`ServiceUnavailable`.
+        """
+        headers = {}
         payload = None
         if body is not None:
             payload = json.dumps(body).encode("utf-8")
@@ -123,16 +172,47 @@ class ServiceClient:
         trace_id = ensure_trace_id()
         headers["X-Repro-Trace-Id"] = trace_id
         self.last_trace_id = trace_id
+        conn = self._connection()
         try:
-            conn.request(method, path, body=payload, headers=headers)
-            return conn.getresponse()
-        except (ConnectionError, OSError,
-                http.client.HTTPException) as exc:
+            reused = conn.sock is not None
+            try:
+                conn.request(method, path, body=payload, headers=headers)
+                response = conn.getresponse()
+            except (BrokenPipeError, ConnectionResetError):
+                # RemoteDisconnected is a ConnectionResetError; a
+                # timeout is neither, so it is never resent.
+                if not reused:
+                    raise
+                conn.close()
+                conn.request(method, path, body=payload, headers=headers)
+                response = conn.getresponse()
+            return response.status, response.read()
+        except (OSError, http.client.HTTPException) as exc:
             # A daemon restart mid-request surfaces here as a reset or
             # a half-closed socket; map it to the typed, retryable
             # error instead of leaking raw http.client internals.
             conn.close()
-            raise self._unavailable("connect/send", exc) from exc
+            raise self._unavailable(f"{method} {path}", exc) from exc
+        except BaseException:
+            conn.close()  # never leave a half-used connection behind
+            raise
+
+    def _json(self, status: int, raw: bytes):
+        """The decoded JSON body; a 5xx or garbage is ServiceUnavailable."""
+        try:
+            body = json.loads(raw.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise self._unavailable(
+                f"non-JSON response, HTTP {status}: {raw[:200]!r}", exc,
+            ) from exc
+        if status >= 500:
+            # 5xx means the daemon (not the request) is broken; rotate
+            # or retry rather than blaming the caller.  The envelope's
+            # error detail rides along in the message.
+            detail = body.get("error", body) if isinstance(body, dict) \
+                else body
+            raise self._unavailable(f"HTTP {status}: {detail}")
+        return body
 
     def call(self, method: str, params: Optional[dict] = None,
              request_id: Optional[str] = None):
@@ -149,31 +229,9 @@ class ServiceClient:
         }
         if self.tenant is not None:
             envelope["tenant"] = self.tenant
-        response = self._request("POST", "/rpc", envelope)
-        try:
-            raw = response.read()
-        except (ConnectionError, OSError,
-                http.client.HTTPException) as exc:
-            raise self._unavailable("read", exc) from exc
-        finally:
-            response.close()
-        try:
-            body = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise self._unavailable(
-                f"non-JSON response, HTTP {response.status}: {raw[:200]!r}",
-                exc,
-            ) from exc
-        if response.status >= 500:
-            # 5xx means the daemon (not the request) is broken; rotate
-            # or retry rather than blaming the caller.  The envelope's
-            # error detail rides along in the message.
-            detail = body.get("error", body)
-            raise ServiceUnavailable(
-                f"daemon at {self.host}:{self.port} failed with HTTP "
-                f"{response.status}: {detail}",
-                retry_after_s=RETRY_HINT_S,
-            )
+        body = self._json(*self._exchange("POST", "/rpc", envelope))
+        if not isinstance(body, dict):
+            raise ServiceError(f"malformed response envelope: {body!r}")
         if "error" in body:
             raise error_from_wire(body["error"])
         if "result" not in body:
@@ -327,15 +385,16 @@ class ServiceClient:
     # -- observability endpoints ---------------------------------------------
     def metrics_text(self) -> str:
         """Raw ``GET /metrics`` exposition text."""
-        response = self._request("GET", "/metrics")
+        status, raw = self._exchange("GET", "/metrics")
+        if status >= 500:
+            raise self._unavailable(f"HTTP {status}: {raw[:200]!r}")
         try:
-            return response.read().decode("utf-8")
-        finally:
-            response.close()
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self._unavailable("non-UTF-8 /metrics", exc) from exc
 
     def health(self) -> dict:
-        response = self._request("GET", "/healthz")
-        try:
-            return json.loads(response.read().decode("utf-8"))
-        finally:
-            response.close()
+        body = self._json(*self._exchange("GET", "/healthz"))
+        if not isinstance(body, dict):
+            raise self._unavailable(f"/healthz answered {body!r:.200}")
+        return body

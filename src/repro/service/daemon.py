@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import sys
 import threading
 import time
@@ -97,11 +98,11 @@ REPLAY_CACHE_SIZE = 1024
 #: make the daemon buffer.
 MAX_RPC_BODY_BYTES = 4 * 1024 * 1024
 
-#: Seconds a connection may sit idle in the middle of a read (request
-#: line, headers or body) before the daemon drops it, so a client that
-#: stalls cannot pin a handler thread.  ``ServiceClient`` opens one
-#: connection per call with ``Connection: close``; well-behaved traffic
-#: never idles on a socket.
+#: Seconds a connection may sit idle in a read before the daemon drops
+#: it, so a client that stalls cannot pin a handler thread.  This also
+#: bounds a kept-alive connection between requests: ``ServiceClient``
+#: reuses one connection per thread and, finding it dropped, resends
+#: on a fresh one.
 READ_TIMEOUT_S = 30.0
 
 
@@ -121,6 +122,38 @@ class _Server(ThreadingHTTPServer):
     # herd of clients (the dropped ones retry after a full second);
     # coalescing exists precisely for that herd, so accept it whole.
     request_queue_size = 128
+    #: Set by ``server_close``: handlers then answer no further request.
+    closing = False
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._open_lock = threading.Lock()
+        self._open: set = set()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        # A kept-alive connection's handler would go on serving it until
+        # READ_TIMEOUT_S.  Flag the close, then end the handlers' reads
+        # so their threads exit now; a handler mid-request still writes
+        # its response.
+        self.closing = True
+        with self._open_lock:
+            open_sockets = list(self._open)
+        for sock in open_sockets:
+            try:
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        super().server_close()
 
 
 class _RpcError(Exception):
@@ -239,6 +272,10 @@ class PlanningDaemon:
         self.metrics.describe(
             "repro_service_requests_total", "RPC requests by method")
         self.metrics.describe(
+            "repro_service_connections_total",
+            "accepted client connections (with requests_total: requests "
+            "per kept-alive connection)")
+        self.metrics.describe(
             "repro_service_coalesce_total",
             "expensive materializations by outcome "
             "(leader=did the work, follower=waited on an in-flight "
@@ -308,7 +345,8 @@ class PlanningDaemon:
         self._httpd.serve_forever(poll_interval=0.1)
 
     def close(self) -> None:
-        """Graceful shutdown: stop accepting, drain handlers, unbind.
+        """Graceful shutdown: stop accepting, unbind, end kept-alive
+        connections.
 
         Idempotent; in-flight handler threads finish their responses
         (they are daemon threads only so a wedged handler cannot hang
@@ -814,6 +852,21 @@ def _make_handler(daemon: PlanningDaemon):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         timeout = READ_TIMEOUT_S
+        # Headers and body go out in two writes; on a kept-alive socket
+        # Nagle would hold the body back until the client's delayed ACK.
+        disable_nagle_algorithm = True
+
+        def setup(self) -> None:
+            super().setup()
+            daemon.metrics.inc("repro_service_connections_total")
+
+        def parse_request(self) -> bool:
+            if self.server.closing:
+                # Unanswered, the request is resent on a fresh
+                # connection: to a successor, or refused.
+                self.close_connection = True
+                return False
+            return super().parse_request()
 
         # Quiet by default: one line per request would swamp benchmarks.
         def log_message(self, format, *args):  # noqa: A002

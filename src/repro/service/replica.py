@@ -325,6 +325,12 @@ class ReplicaClient(ServiceClient):
             "failovers": 0, "ejections": 0, "readmissions": 0,
         }
 
+    def close(self) -> None:
+        """Close every replica's and probe's connections."""
+        for client in self.replicas + self._probes:
+            client.close()
+        super().close()
+
     # -- replica health bookkeeping ------------------------------------------
     def _eject(self, index: int) -> None:
         with self._state_lock:

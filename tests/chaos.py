@@ -18,7 +18,8 @@ a socket), not with sleeps and hope:
   drops connections after N response bytes (truncated response /
   daemon restart mid-request), delays traffic, or refuses outright.
 * :class:`CannedHTTPServer` -- answers every request with one fixed
-  HTTP response (e.g. a bare 500) for 5xx-path tests.
+  HTTP response (e.g. a bare 500, or garbage) for 5xx-path and
+  malformed-response tests.
 * an env builder for the daemon-side chaos hook (materialization
   delay).
 """
@@ -265,17 +266,20 @@ class CannedHTTPServer:
     """Answers every request with one fixed response (default: 500).
 
     For testing the client's 5xx handling without needing a real
-    daemon bug; speaks just enough HTTP for ``http.client``.
+    daemon bug; speaks just enough HTTP for ``http.client``.  ``raw``
+    replaces the whole response with the given bytes (garbage, a
+    truncated body), sent before the connection closes.
     """
 
     def __init__(self, status: int = 500,
-                 body: Optional[dict] = None) -> None:
+                 body: Optional[dict] = None,
+                 raw: Optional[bytes] = None) -> None:
         payload = json.dumps(body if body is not None else {
             "error": {"kind": "ServiceError", "message": "injected 500"},
         }).encode("utf-8")
         reason = {500: "Internal Server Error", 502: "Bad Gateway",
                   503: "Service Unavailable"}.get(status, "Error")
-        self._response = (
+        self._response = raw if raw is not None else (
             f"HTTP/1.1 {status} {reason}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(payload)}\r\n"

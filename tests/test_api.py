@@ -1,5 +1,6 @@
 """The unified planning API: PlanSpec, strategy registry, Planner, sweep."""
 
+import dataclasses
 import io
 import json
 
@@ -14,7 +15,7 @@ from repro.api import (
     register_strategy,
     sweep,
 )
-from repro.api.spec import FIDELITY_STRIDES
+from repro.api.spec import FIDELITY_STRIDES, SPEC_FORMAT_VERSION
 from repro.api.strategies import _REGISTRY
 from repro.core.serialization import SerializationError, load_json, save_json
 from repro.exceptions import ConfigurationError
@@ -58,6 +59,17 @@ class TestPlanSpec:
         spec = PlanSpec("gpt3-xl", tau=2)
         assert type(spec.tau) is float
         assert spec.to_json() == PlanSpec("gpt3-xl", tau=2.0).to_json()
+
+    @pytest.mark.parametrize("gpu", ["a100", ("a100", "a40")])
+    def test_to_dict_is_the_asdict_form(self, gpu):
+        spec = PlanSpec("gpt3-xl", gpu=gpu, stages=2, tau=2.0)
+        expected = {"version": SPEC_FORMAT_VERSION, "kind": "plan_spec"}
+        expected.update(dataclasses.asdict(spec))
+        if isinstance(expected["gpu"], tuple):
+            expected["gpu"] = list(expected["gpu"])
+        payload = spec.to_dict()
+        assert list(payload.items()) == list(expected.items())
+        assert type(payload["gpu"]) is (str if gpu == "a100" else list)
 
     def test_replace_revalidates(self):
         with pytest.raises(ConfigurationError):

@@ -372,6 +372,51 @@ class TestReplicaClientFailover:
         assert list(texts) == [store_daemon.url]
 
 
+# ------------------------------------------------- half-broken replicas
+ENDPOINTS = {
+    "call": lambda client: client.ping(),
+    "health": lambda client: client.health(),
+    "metrics_text": lambda client: client.metrics_text(),
+}
+
+#: Replies a broken daemon (or something else on its port) can send,
+#: with the endpoints each is garbage to (``/metrics`` is plain text).
+GARBAGE = {
+    "not-http": (b"SSH-2.0-OpenSSH_9.6\r\n\r\n", tuple(ENDPOINTS)),
+    "truncated": (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n"
+                  b'{"ok": tr', tuple(ENDPOINTS)),
+    "not-utf8": (b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\n"
+                 b"\xff\xfe\xfd\xfc", tuple(ENDPOINTS)),
+    "not-json": (b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nnot json!",
+                 ("call", "health")),
+}
+
+
+class TestGarbageReplica:
+    @pytest.mark.parametrize("garbage, endpoint", [
+        (garbage, endpoint) for garbage, (_, endpoints) in GARBAGE.items()
+        for endpoint in endpoints])
+    def test_garbage_is_a_typed_error(self, garbage, endpoint):
+        with CannedHTTPServer(raw=GARBAGE[garbage][0]) as broken:
+            with ServiceClient(broken.url, timeout_s=5.0) as client:
+                with pytest.raises(ServiceUnavailable):
+                    ENDPOINTS[endpoint](client)
+
+    @pytest.mark.parametrize("garbage", sorted(GARBAGE))
+    def test_failover_skips_a_garbage_replica(self, store_daemon, garbage):
+        with CannedHTTPServer(raw=GARBAGE[garbage][0]) as broken:
+            # No tenant -> sticky index 0 -> the garbage replica first.
+            with ReplicaClient([broken.url, store_daemon.url],
+                               cooldown_s=60.0) as client:
+                assert client.health()["ok"] is True
+                assert client.ejected() == [0]
+            with ReplicaClient([broken.url, store_daemon.url],
+                               cooldown_s=60.0) as client:
+                report = client.plan(tiny_spec())
+                assert client.ejected() == [0]
+        assert reports_equal(report, Planner().plan(tiny_spec()))
+
+
 # ----------------------------------------- the multi-process acceptance tests
 class TestMultiProcessSingleFlight:
     """Real daemon subprocesses sharing one store (the issue headline)."""

@@ -11,11 +11,16 @@ shared planner does each piece of expensive work exactly once.
 
 from __future__ import annotations
 
+import json
 import math
+import socket
 import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import repro
 from repro.api import PlanSpec, Planner
 from repro.exceptions import (
     ConfigurationError,
@@ -24,8 +29,10 @@ from repro.exceptions import (
     ServerError,
     ServiceError,
     ServiceOverloaded,
+    ServiceUnavailable,
 )
 from repro.runtime.server import PerseusServer
+from repro.service import daemon as daemon_module
 from repro.service import (
     AdmissionController,
     MetricsRegistry,
@@ -634,3 +641,161 @@ def test_concurrent_submit_sweep_across_tenants_bit_identical():
     for i, rows in enumerate(out):
         assert rows is not None and sorted(rows) == ["sw-0"]
         assert reports_equal(rows["sw-0"], reference.plan(spec_sets[i][0]))
+
+
+# ------------------------------------------------- kept-alive connections
+def _connections(daemon) -> float:
+    return daemon.metrics.counter_value("repro_service_connections_total")
+
+
+def _requests(daemon, method: str) -> float:
+    return daemon.metrics.counter_value("repro_service_requests_total",
+                                        {"method": method})
+
+
+def test_sequential_calls_share_one_connection(daemon):
+    with ServiceClient(daemon.url, tenant="ci") as client:
+        for _ in range(20):
+            assert client.ping()["ok"]
+        text = client.metrics_text()
+    assert "\nrepro_service_connections_total 1\n" in text
+    assert 'repro_service_requests_total{method="ping"} 20' in text
+
+
+def test_threads_sharing_a_client_open_one_connection_each(daemon):
+    spec = tiny_spec()
+    expected = Planner().plan(spec)
+    barrier = threading.Barrier(2)
+    replies = [None, None]
+    with ServiceClient(daemon.url, tenant="ci") as client:
+
+        def worker(i):
+            barrier.wait()
+            replies[i] = [client.plan(spec) for _ in range(3)]
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120.0)
+    assert all(rows is not None for rows in replies)
+    assert all(reports_equal(report, expected)
+               for rows in replies for report in rows)
+    assert _connections(daemon) == 2
+
+
+def test_idle_connection_dropped_by_the_daemon_is_reopened(monkeypatch):
+    monkeypatch.setattr(daemon_module, "READ_TIMEOUT_S", 0.5)
+    with PlanningDaemon(planner=Planner(), port=0) as daemon:
+        with ServiceClient(daemon.url, tenant="ci") as client:
+            assert client.ping()["ok"]
+            deadline = time.monotonic() + 10.0
+            while daemon._httpd._open and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not daemon._httpd._open  # the daemon hung up
+            before = _requests(daemon, "ping")
+            assert client.ping()["ok"]
+            assert _requests(daemon, "ping") == before + 1  # ran once
+            assert _connections(daemon) == 2
+
+
+def test_restarted_daemon_gives_a_reply_or_a_typed_error():
+    first = PlanningDaemon(planner=Planner(), port=0).start()
+    port = first.address[1]
+    with ServiceClient(first.url, tenant="ci") as client:
+        assert client.ping()["ok"]
+        first.close()
+        with pytest.raises(ServiceUnavailable):
+            client.ping()  # nothing listens on the port
+        for _ in range(2):
+            with PlanningDaemon(planner=Planner(), port=port) as second:
+                assert client.ping() == {"ok": True, "tenant": "ci",
+                                         "version": repro.__version__}
+            # Closed, the daemon ended the kept-alive connection: the
+            # next round finds it stale and reconnects.
+
+
+def test_close_ends_idle_kept_alive_connections():
+    daemon = PlanningDaemon(planner=Planner(), port=0).start()
+    with ServiceClient(daemon.url) as client:
+        assert client.ping()["ok"]
+        daemon.close()
+        deadline = time.monotonic() + 5.0  # well inside READ_TIMEOUT_S
+        while daemon._httpd._open and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not daemon._httpd._open
+
+
+def test_closed_daemon_answers_no_pipelined_request():
+    daemon = PlanningDaemon(planner=Planner(), port=0).start()
+    entered, release = threading.Event(), threading.Event()
+
+    def slow_ping(tenant, params):
+        entered.set()
+        release.wait(10.0)
+        return {"ok": True}
+
+    daemon._rpc_ping = slow_ping
+
+    def request(request_id: str) -> bytes:
+        body = json.dumps({"id": request_id, "method": "ping"}).encode()
+        return (f"POST /rpc HTTP/1.1\r\nHost: daemon\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+
+    with socket.create_connection(daemon.address, timeout=10.0) as sock:
+        sock.sendall(request("first") + request("second"))
+        assert entered.wait(10.0)
+        daemon.close()  # while "first" is in flight
+        release.set()
+        replies = b""
+        chunk = sock.recv(65536)
+        while chunk:
+            replies += chunk
+            chunk = sock.recv(65536)
+    # The in-flight request is answered; the one behind it is not.
+    assert replies.count(b"HTTP/1.1 200") == 1
+    assert b'"first"' in replies and b'"second"' not in replies
+
+
+class _AnswerOnce(BaseHTTPRequestHandler):
+    """Answers the first RPC; holds every later one without replying."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, format, *args):  # noqa: A002
+        pass
+
+    def do_POST(self):  # noqa: N802
+        envelope = json.loads(
+            self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.seen.append(envelope["id"])
+        if len(self.server.seen) > 1:
+            self.server.release.wait(10.0)
+            self.close_connection = True
+            return
+        payload = json.dumps({"id": envelope["id"],
+                              "result": {"ok": True}}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+
+def test_timeout_on_a_reused_connection_is_not_resent():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _AnswerOnce)
+    server.daemon_threads = True
+    server.seen, server.release = [], threading.Event()
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        with ServiceClient(url, timeout_s=0.5) as client:
+            assert client.ping() == {"ok": True}
+            with pytest.raises(ServiceUnavailable):
+                client.ping()
+        assert len(server.seen) == 2
+    finally:
+        server.release.set()
+        server.shutdown()
+        server.server_close()

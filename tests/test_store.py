@@ -382,6 +382,63 @@ class TestPlanStore:
             Planner(cache=42)
 
 
+class TestWarmPathMemo:
+    """What a warm plan reuses instead of recomputing."""
+
+    SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+    def _python(self, code: str, hash_seed: str, *args) -> None:
+        subprocess.run(
+            [sys.executable, "-c", code] + list(args),
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed,
+                     PYTHONPATH=self.SRC),
+            check=True, capture_output=True, text=True)
+
+    def test_model_hash_does_not_survive_pickling(self, tmp_path):
+        # The cached hash of a string-keyed value is per process; a
+        # sweep worker unpickling a model must rehash it.
+        path = str(tmp_path / "model.pickle")
+        self._python(
+            "import pickle, sys\n"
+            "from repro.models.registry import build_model\n"
+            "model = build_model('bert-large', None)\n"
+            "hash(model)\n"
+            "with open(sys.argv[1], 'wb') as fp:\n"
+            "    pickle.dump(model, fp)\n", "0", path)
+        self._python(
+            "import pickle, sys\n"
+            "from repro.models.registry import build_model\n"
+            "with open(sys.argv[1], 'rb') as fp:\n"
+            "    loaded = pickle.load(fp)\n"
+            "fresh = build_model('bert-large', None)\n"
+            "assert loaded in {fresh: 1}\n"
+            "assert fresh in {loaded: 1}\n", "1", path)
+
+    def test_memoized_energy_is_eq3_bit_for_bit(self):
+        planner = Planner()
+        for report in (planner.plan(SMALL), planner.plan(SMALL)):
+            execution = report.execution
+            assert report.energy_j == (execution.compute_energy()
+                                       + execution.blocking_energy())
+            baseline = planner.baseline_execution(SMALL)
+            assert report.baseline_energy_j == (
+                baseline.compute_energy() + baseline.blocking_energy())
+
+    def test_warm_plan_sums_no_energy(self, monkeypatch):
+        from repro.sim.executor import PipelineExecution
+
+        planner = Planner()
+        cold = planner.plan(SMALL)
+        sums = []
+        total_energy = PipelineExecution.total_energy
+        monkeypatch.setattr(
+            PipelineExecution, "total_energy",
+            lambda self, *a: sums.append(self) or total_energy(self, *a))
+        warm = planner.plan(SMALL)
+        assert sums == []
+        assert reports_equal(warm, cold)
+
+
 class TestMalformedEntries:
     """A store file of the right kind but the wrong shape is a miss."""
 
