@@ -17,8 +17,9 @@ Commands:
 * ``timeline``  -- render the Figure-1 style before/after timelines for
   the chosen ``--strategy``.
 * ``straggler`` -- given a saved frontier, look up ``T_opt = min(T*, T')``
-  schedules for one or more anticipated slowdowns (degrees outside the
-  frontier range are reported as clamped).
+  schedules for one or more anticipated slowdowns (degrees beyond the
+  frontier range are reported as clamped; a degree below 1.0 is an
+  error).
 * ``fleet``     -- simulate a datacenter of training jobs under a
   cluster power cap: jobs from a trace file (``--trace``) or seeded
   synthetic arrivals, an allocation policy (``--policy waterfill``),
@@ -84,6 +85,7 @@ from .api import (
     strategy_description,
 )
 from .core.serialization import load_json, save_json
+from .core.unified import select_schedule, straggler_floor
 from .exceptions import ReproError
 from .experiments.report import format_table
 from .gpu.specs import list_gpus
@@ -373,11 +375,12 @@ def cmd_straggler(args) -> int:
     if not hasattr(frontier, "schedule_for"):
         print("error: file does not contain a frontier", file=sys.stderr)
         return 2
+    # Every degree is checked before the first row is printed.
+    floors = [straggler_floor(frontier.t_min, d) for d in args.degrees]
     print(f"frontier: T_min={frontier.t_min:.4f}s T*={frontier.t_star:.4f}s")
-    for degree in args.degrees:
-        t_prime = degree * frontier.t_min
-        t_opt = min(t_prime, frontier.t_star)
-        sched = frontier.schedule_for(t_opt)
+    for degree, floor in zip(args.degrees, floors):
+        t_prime = frontier.t_min if floor is None else floor
+        sched = select_schedule(frontier, floor)
         clamped = (" (T' beyond frontier, clamped to T*)"
                    if t_prime > frontier.t_star else "")
         print(f"  degree {degree:4.2f}: T'={t_prime:.4f}s -> T_opt schedule "

@@ -91,19 +91,22 @@ class Frontier:
     def min_energy_schedule(self) -> EnergySchedule:
         return self.points[-1]
 
-    def schedule_for(self, target_time: Optional[float]) -> EnergySchedule:
-        """Slowest frontier schedule whose iteration time <= the target.
+    def index_for(self, target_time: Optional[float]) -> int:
+        """Index of the slowest schedule whose iteration time <= the target.
 
+        Times within ``TIME_EPS`` of the target count as meeting it.
         ``None`` (no straggler) selects the ``T_min`` schedule.  The lookup
         clamps to the frontier ends, implementing ``T_opt = min(T*, T')``
-        together with the Figure 3a case.
+        together with the Figure 3a case.  Every straggler consumer --
+        server, fleet ladder, drift runner -- resolves its point here.
         """
         if target_time is None:
-            return self.points[0]
-        idx = bisect_right(self._times, target_time + TIME_EPS) - 1
-        if idx < 0:
-            return self.points[0]
-        return self.points[idx]
+            return 0
+        return max(bisect_right(self._times, target_time + TIME_EPS) - 1, 0)
+
+    def schedule_for(self, target_time: Optional[float]) -> EnergySchedule:
+        """The schedule at :meth:`index_for` ``(target_time)``."""
+        return self.points[self.index_for(target_time)]
 
     def as_series(self) -> List[tuple]:
         """(time, compute_energy) pairs for plotting (Figures 9, 12, 13)."""

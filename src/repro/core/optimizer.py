@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..pipeline.dag import ComputationDag
-from ..pipeline.schedules import Schedule, schedule_1f1b
-from ..pipeline.dag import build_pipeline_dag
 from ..profiler.measurement import PipelineProfile
 from .frontier import DEFAULT_TAU, Frontier, characterize_frontier
 from .schedule import EnergySchedule
@@ -43,28 +41,6 @@ class PerseusOptimizer:
     _char_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
-
-    @classmethod
-    def for_1f1b(
-        cls,
-        profile: PipelineProfile,
-        num_stages: int,
-        num_microbatches: int,
-        tau: float = DEFAULT_TAU,
-    ) -> "PerseusOptimizer":
-        """Convenience constructor for the standard 1F1B schedule."""
-        dag = build_pipeline_dag(schedule_1f1b(num_stages, num_microbatches))
-        return cls(dag=dag, profile=profile, tau=tau)
-
-    @classmethod
-    def for_schedule(
-        cls,
-        profile: PipelineProfile,
-        schedule: Schedule,
-        tau: float = DEFAULT_TAU,
-    ) -> "PerseusOptimizer":
-        """Constructor for any DAG-expressible pipeline schedule (§4.4)."""
-        return cls(dag=build_pipeline_dag(schedule), profile=profile, tau=tau)
 
     @property
     def is_characterized(self) -> bool:

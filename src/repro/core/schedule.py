@@ -9,7 +9,7 @@ pipeline energy under a straggler follows Eq. 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..exceptions import ScheduleError
 from ..pipeline.dag import ComputationDag
@@ -27,25 +27,41 @@ class EnergySchedule:
     compute_energy: float  # sum(e_i)
     frequencies: Dict[int, int] = field(default_factory=dict)
 
+    def energy_at(self, blocking_w: float,
+                  floor_s: Optional[float] = None) -> float:
+        """Eq. 3: pipeline energy per iteration under a straggler floor.
+
+        ``blocking_w`` is the blocking power summed over all stages and
+        ``floor_s`` the straggler-gated iteration time ``T'``: the
+        pipeline blocks on communication -- intra-pipeline gaps plus the
+        wait for gradient synchronization -- until ``max(T, T')``.
+        """
+        time_s = self.iteration_time
+        if floor_s is not None and floor_s > time_s:
+            time_s = floor_s
+        return self.effective_energy + blocking_w * time_s
+
     def total_energy(
         self, num_stages: int, p_blocking_w: float, sync_time: Optional[float] = None
     ) -> float:
-        """Full pipeline energy per Eq. 3.
-
-        ``sync_time`` is the straggler-gated iteration time ``T'`` (defaults
-        to this pipeline's own iteration time): blocking-on-communication
-        energy covers both intra-pipeline gaps and the wait for gradient
-        synchronization.
-        """
-        t_sync = self.iteration_time if sync_time is None else sync_time
-        if t_sync < self.iteration_time - 1e-9:
+        """:meth:`energy_at` for ``num_stages`` stages blocking at
+        ``p_blocking_w`` each; a ``sync_time`` before this schedule's
+        own iteration end is an error."""
+        if sync_time is not None and sync_time < self.iteration_time - 1e-9:
             raise ScheduleError("sync time cannot precede iteration end")
-        return self.effective_energy + p_blocking_w * num_stages * t_sync
+        return self.energy_at(p_blocking_w * num_stages, sync_time)
 
-    def duration_of(self, node: int) -> float:
-        if node not in self.durations:
-            raise ScheduleError(f"schedule has no duration for node {node}")
-        return self.durations[node]
+    def stage_plans(self, dag: ComputationDag) -> Dict[int, List[int]]:
+        """Stage -> the SM clock of each of its computations, in plan order.
+
+        Node ids are allocated in per-stage instruction order (the order
+        the engine executes), so DAG insertion order is the plan order --
+        no re-sorting (planned start times can tie and reorder).
+        """
+        plans: Dict[int, List[int]] = {}
+        for node, ins in dag.nodes.items():
+            plans.setdefault(ins.stage, []).append(self.frequencies[node])
+        return plans
 
 
 def op_of_node(dag: ComputationDag, node: int) -> OpKey:

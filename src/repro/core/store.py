@@ -484,11 +484,6 @@ class PlanStore(MemoryCache):
                                             default=str))
         return path
 
-    def get_provenance(self, digest: str) -> Optional[dict]:
-        """Read a persisted provenance record (``None`` if absent)."""
-        from ..obs.provenance import load_provenance
-        return load_provenance(self.root, digest)
-
     # -- eviction ------------------------------------------------------------
     def _disk_entries(self) -> list:
         """(mtime, size, path) of every persisted entry file."""

@@ -32,6 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..core.unified import straggler_floor
 from ..exceptions import ConfigurationError
 from .controller import (
     REASON_PROBE,
@@ -100,9 +101,6 @@ class DriftScenario:
 
     def degree_at(self, t: float) -> float:
         return self.phase_at(t).degree
-
-    def energy_factor_at(self, t: float) -> float:
-        return self.phase_at(t).energy_factor
 
     def boundaries(self) -> List[float]:
         """Every instant the fault state changes (phases + restarts)."""
@@ -348,14 +346,6 @@ class DriftRunReport:
         }
 
 
-def _index_for(frontier, target_s: Optional[float]) -> int:
-    """Frontier index of ``schedule_for(target)`` (0 when unfloored)."""
-    if target_s is None:
-        return 0
-    times = [p.iteration_time for p in frontier.points]
-    return max(bisect_right(times, target_s + _TIME_EPS) - 1, 0)
-
-
 def simulate_scenario(
     model,
     scenario: DriftScenario,
@@ -394,7 +384,7 @@ def simulate_scenario(
     def replan(target_s, reason, signal):
         # Price the candidate and the held plan identically: Eq. 3 at
         # the floor the controller asked to plan for.
-        cand_idx = _index_for(frontier, target_s)
+        cand_idx = frontier.index_for(target_s)
         cand = model.point(cand_idx, floor_time_s=target_s)
         held = model.point(deployed["idx"], floor_time_s=target_s)
 
@@ -434,14 +424,13 @@ def simulate_scenario(
             if controller is not None:
                 controller.notify_restart()
         phase = scenario.phase_at(t)
-        degree = phase.degree
-        floor = degree * t_min if degree > 1.0 else None
+        floor = straggler_floor(t_min, phase.degree)
         if mode == "oracle":
-            deployed["idx"] = _index_for(frontier, floor)
+            deployed["idx"] = frontier.index_for(floor)
         elif phase is not prev_phase and phase.announced:
             # A Table 2 notification: every mode re-points at once,
             # exactly as the server's set_straggler path would.
-            deployed["idx"] = _index_for(frontier, floor)
+            deployed["idx"] = frontier.index_for(floor)
             if controller is not None:
                 point = model.point(deployed["idx"], floor_time_s=floor)
                 controller.detector.rebase(point.iteration_time_s)

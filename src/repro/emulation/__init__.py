@@ -11,8 +11,6 @@ from .largescale import (
     emulated_breakdown,
     emulated_intrinsic_savings,
     emulated_straggler_savings,
-    microbatch_sweep,
-    optimizer_timings,
     prepare_emulation,
     t_star_ratio,
     table5_configs,
@@ -29,8 +27,6 @@ __all__ = [
     "emulated_breakdown",
     "emulated_intrinsic_savings",
     "emulated_straggler_savings",
-    "microbatch_sweep",
-    "optimizer_timings",
     "prepare_emulation",
     "t_star_ratio",
     "table5_configs",

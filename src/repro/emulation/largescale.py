@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..core.optimizer import PerseusOptimizer
 from ..exceptions import ConfigurationError
@@ -243,35 +243,3 @@ def t_star_ratio(setup: EmulationSetup) -> float:
     """``T*/T_min`` -- the star markers of Figure 8."""
     frontier = setup.optimizer.frontier
     return frontier.t_star / frontier.t_min
-
-
-def optimizer_timings(setup: EmulationSetup) -> Dict[str, object]:
-    """The §6.5 overhead view of one emulated pipeline's optimizer.
-
-    Returns the frontier crawl's instrumentation
-    (``Frontier.stats["timings"]``: kernel name, event-pass /
-    instance-build / max-flow seconds, cut and repair counts) plus the
-    total ``runtime_s`` -- what the paper reports as per-frontier
-    optimizer runtime.  Forces characterization if it has not happened
-    yet; a store-loaded frontier reports the timings of the process that
-    originally crawled it.
-    """
-    frontier = setup.optimizer.frontier
-    timings = dict(frontier.stats.get("timings") or {})
-    timings["runtime_s"] = frontier.optimizer_runtime_s
-    timings["steps"] = frontier.steps
-    return timings
-
-
-def microbatch_sweep(
-    model_name: str,
-    gpu: GPUSpec,
-    microbatch_counts: Sequence[int] = (12, 24, 48, 96),
-    freq_stride: int = 4,
-) -> Dict[int, float]:
-    """Table 6 row: intrinsic savings for each microbatch count."""
-    out: Dict[int, float] = {}
-    for m in microbatch_counts:
-        setup = prepare_emulation(model_name, gpu, m, freq_stride=freq_stride)
-        out[m] = emulated_intrinsic_savings(setup)
-    return out

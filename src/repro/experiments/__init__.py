@@ -7,7 +7,7 @@ from .export import (
     frontier_series,
     write_series,
 )
-from .report import format_table, print_table, shape_check
+from .report import format_table, shape_check
 from .runner import (
     ExperimentSetup,
     IntrinsicRow,
@@ -17,7 +17,6 @@ from .runner import (
     evaluate_realized_potential,
     evaluate_straggler,
     prepare,
-    prepare_cached,
 )
 from .workloads import (
     A40_3D_WORKLOAD,
@@ -52,8 +51,6 @@ __all__ = [
     "full_fidelity",
     "get_workload",
     "prepare",
-    "prepare_cached",
-    "print_table",
     "shape_check",
     "write_series",
 ]

@@ -36,13 +36,6 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
-def print_table(
-    headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = ""
-) -> None:
-    print()
-    print(format_table(headers, rows, title=title))
-
-
 def shape_check(label: str, ours: float, paper: float, rel_tol: float = 0.6) -> str:
     """One-line shape comparison: ours vs paper with a loose band marker.
 

@@ -16,8 +16,7 @@ instead of recomputing them.  Pass an explicit ``planner`` to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..api.planner import (
     DEFAULT_STEP_TARGET,
@@ -123,14 +122,6 @@ def prepare(
         tau=stack.optimizer.tau,
         _optimizer=stack.optimizer,
     )
-
-
-@lru_cache(maxsize=32)
-def prepare_cached(workload_key: str, num_microbatches: Optional[int] = None) -> ExperimentSetup:
-    """Cache-by-key variant so benchmark files can share setups."""
-    from .workloads import get_workload
-
-    return prepare(get_workload(workload_key), num_microbatches=num_microbatches)
 
 
 # ---------------------------------------------------------------------------

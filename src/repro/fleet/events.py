@@ -96,9 +96,6 @@ class EventQueue:
             batch.append(self.pop())
         return batch
 
-    def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
-
     def __len__(self) -> int:
         return len(self._heap)
 

@@ -13,9 +13,10 @@ per-iteration energy is ``effective_energy + sum_s P_blocking(s) * T``
 where ``T = max(point time, straggler floor)``.  A straggler of degree
 ``d`` floors the job's achievable iteration time at ``d * T_min``;
 frontier points faster than the floor all realize the floored time, and
-among them only the cheapest survives -- which is precisely the
-``schedule_for(T')`` lookup the Perseus server performs, so fleet
-policies inherit the paper's straggler behaviour for free.
+among them only the cheapest survives -- found by the same
+``Frontier.index_for(T')`` lookup the Perseus server performs and priced
+by the same ``EnergySchedule.energy_at``, so fleet policies inherit the
+paper's straggler behaviour for free.
 
 The datacenter side is :class:`StepTrace`: a right-continuous
 piecewise-constant time series used for the cluster power cap (watts),
@@ -90,10 +91,8 @@ class JobPowerModel:
               floor_time_s: Optional[float] = None) -> OperatingPoint:
         """Price one frontier schedule (Eq. 3 at the floored time)."""
         sched = self.frontier.points[index]
-        time_s = sched.iteration_time
-        if floor_time_s is not None and floor_time_s > time_s:
-            time_s = floor_time_s
-        energy = sched.effective_energy + self.total_blocking_w * time_s
+        time_s = max(sched.iteration_time, floor_time_s or 0.0)
+        energy = sched.energy_at(self.total_blocking_w, floor_time_s)
         return OperatingPoint(
             index=index,
             iteration_time_s=time_s,
@@ -107,19 +106,13 @@ class JobPowerModel:
 
         With a straggler floor, frontier points faster than the floor
         collapse to the floored iteration time; only the cheapest of
-        them (the slowest pre-floor schedule, i.e. ``schedule_for(T')``)
-        is kept so the ladder stays strictly decreasing in power.
+        them (``Frontier.index_for(T')``, the schedule the server
+        deploys) is kept so the ladder stays strictly decreasing in power.
         """
-        start = 0
-        if floor_time_s is not None:
-            times = [p.iteration_time for p in self.frontier.points]
-            # Last index whose schedule is no slower than the floor --
-            # the same clamped lookup Frontier.schedule_for performs.
-            start = bisect_right(times, floor_time_s) - 1
-            start = max(start, 0)
         return tuple(
             self.point(i, floor_time_s)
-            for i in range(start, len(self.frontier.points))
+            for i in range(self.frontier.index_for(floor_time_s),
+                           len(self.frontier.points))
         )
 
 

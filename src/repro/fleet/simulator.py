@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import IO, Dict, Optional, Sequence
 
 from ..api.planner import Planner
+from ..core.unified import straggler_floor
 from ..exceptions import ConfigurationError, SimulationError
 from .events import (
     ARRIVAL,
@@ -279,11 +280,6 @@ class FleetSimulator:
         self._dirty = False
 
     # -- online drift surface ------------------------------------------------
-    @property
-    def now_s(self) -> float:
-        """Current simulated time (valid while :meth:`run` executes)."""
-        return self._now
-
     def schedule_wake(self, at_s: float) -> None:
         """Ask the event loop to advance to ``at_s`` (observers only).
 
@@ -328,8 +324,7 @@ class FleetSimulator:
     def _apply_straggler(self, job_id: str, degree: float) -> bool:
         """Move one job's floor; True if a *running* job was touched."""
         plan = self._plans[self.trace.job(job_id).plan_spec]
-        floor = (None if degree <= 1.0
-                 else degree * plan.model.t_min)
+        floor = straggler_floor(plan.model.t_min, degree)
         state = self._running.get(job_id)
         if state is not None:
             state.floor_time_s = floor

@@ -132,9 +132,6 @@ class SimulatedNVML:
             SimDevice(i, spec, clock_apply_latency_s) for i in range(num_devices)
         ]
 
-    def device_count(self) -> int:
-        return len(self.devices)
-
     def device(self, index: int) -> SimDevice:
         if not 0 <= index < len(self.devices):
             raise NVMLError(f"bad device index {index}")

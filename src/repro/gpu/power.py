@@ -47,7 +47,3 @@ class PowerModel:
     def blocking_power(self) -> float:
         """Power while blocking on communication (busy-loop in NCCL)."""
         return self.spec.blocking_w
-
-    def idle_power(self) -> float:
-        """Static power with no work issued."""
-        return self.spec.idle_w

@@ -154,9 +154,6 @@ class TraceRecorder:
             self._spans.clear()
             self.dropped = 0
 
-    def for_trace(self, trace_id: str) -> List[Span]:
-        return [s for s in self.spans if s.trace_id == trace_id]
-
 
 def tracing_enabled() -> bool:
     return _enabled
@@ -176,10 +173,6 @@ def disable_tracing() -> None:
     global _enabled, _recorder
     _enabled = False
     _recorder = None
-
-
-def get_recorder() -> Optional[TraceRecorder]:
-    return _recorder
 
 
 class _NoopSpan:

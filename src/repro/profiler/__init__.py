@@ -1,11 +1,6 @@
 """Time/energy profiling: measurements, Pareto filtering, exponential fits."""
 
-from .fit import (
-    ExponentialFit,
-    fit_exponential,
-    fit_quality,
-    pareto_points_normalized,
-)
+from .fit import ExponentialFit, fit_exponential, fit_quality
 from .measurement import (
     Measurement,
     OpKey,
@@ -31,7 +26,6 @@ __all__ = [
     "fit_exponential",
     "fit_quality",
     "pareto_filter",
-    "pareto_points_normalized",
     "profile_constant_op",
     "profile_pipeline",
     "stage_works",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -34,10 +34,6 @@ class ExponentialFit:
 
     def __call__(self, t: float) -> float:
         return self.a * math.exp(self.b * t) + self.c
-
-    def derivative(self, t: float) -> float:
-        """Marginal energy per second of slowdown (negative)."""
-        return self.a * self.b * math.exp(self.b * t)
 
     def speedup_cost(self, t: float, tau: float) -> float:
         """Extra energy to run in ``t - tau`` instead of ``t`` (``e+``)."""
@@ -109,13 +105,3 @@ def fit_quality(fit: ExponentialFit, measurements: Sequence[Measurement]) -> flo
         return 1.0 if ss_res < 1e-12 else 0.0
     return 1.0 - ss_res / ss_tot
 
-
-def pareto_points_normalized(
-    measurements: Sequence[Measurement],
-) -> List[Tuple[float, float]]:
-    """(time, energy) normalized to the fastest point -- Figure 11's axes."""
-    if not measurements:
-        return []
-    fastest = min(measurements, key=lambda m: m.time_s)
-    base_e = max(m.energy_j for m in measurements)
-    return [(m.time_s / fastest.time_s, m.energy_j / base_e) for m in measurements]

@@ -33,7 +33,6 @@ from ..gpu.specs import GPUSpec
 from ..models.layers import ModelSpec
 from ..partition.algorithms import PartitionResult
 from ..pipeline.dag import ComputationDag, build_pipeline_dag
-from ..pipeline.instructions import InstrKind
 from ..pipeline.schedules import schedule_1f1b
 from ..profiler.measurement import PipelineProfile
 from .client import PerseusClient
@@ -333,13 +332,6 @@ class TrainingSession:
 
     def _deploy_current(self) -> None:
         schedule = self.server.current_schedule(self.job_id)
-        per_stage: Dict[int, List[int]] = {}
-        # Node ids are created in per-stage instruction order, which is the
-        # exact order the engine executes, so insertion order is the plan
-        # order -- no re-sorting (planned start times can tie and reorder).
-        for node, ins in self.engine.dag.nodes.items():
-            per_stage.setdefault(ins.stage, []).append(node)
         now = self.engine.clock
-        for stage, nodes in per_stage.items():
-            freqs = [schedule.frequencies[n] for n in nodes]
+        for stage, freqs in schedule.stage_plans(self.engine.dag).items():
             self.engine.clients[stage].deploy_schedule(freqs, now)

@@ -36,6 +36,7 @@ via :meth:`PerseusServer.report_of` / :meth:`PerseusServer.sweep_reports`.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import (
@@ -55,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..drift.controller import DriftController, DriftPolicy
     from ..drift.detector import DriftSignal
 from ..core.schedule import EnergySchedule
-from ..core.unified import energy_optimal_iteration_time
+from ..core.unified import select_schedule, straggler_floor
 from ..exceptions import ServerError
 from ..pipeline.dag import ComputationDag
 from ..profiler.measurement import PipelineProfile
@@ -430,15 +431,19 @@ class PerseusServer:
         """
         job = self._job(job_id)
         frontier = self.frontier_of(job_id)
+        return select_schedule(
+            frontier, self._t_prime(job, frontier, job.drift_floor_s))
+
+    def _t_prime(self, job: _Job, frontier: Frontier,
+                 floor_s: Optional[float]) -> Optional[float]:
+        """Eq. 2's ``T'``: the later of the announced straggler floor
+        (Table 2) and ``floor_s``; ``None`` when neither is set."""
         with job.lock:
-            t_prime = None
-            if job.straggler is not None and job.straggler.degree > 1.0:
-                t_prime = job.straggler.degree * frontier.t_min
-            if job.drift_floor_s is not None and (
-                    t_prime is None or job.drift_floor_s > t_prime):
-                t_prime = job.drift_floor_s
-        t_opt = energy_optimal_iteration_time(frontier, t_prime)
-        return frontier.schedule_for(t_opt)
+            degree = 1.0 if job.straggler is None else job.straggler.degree
+        announced = straggler_floor(frontier.t_min, degree)
+        if announced is None or (floor_s is not None and floor_s > announced):
+            return floor_s
+        return announced
 
     # -- straggler notification (Table 2) ---------------------------------------
     def set_straggler(
@@ -468,12 +473,9 @@ class PerseusServer:
                     job.drift_floor_s = None
                 if job.frontier is not None:
                     self._push_schedule(job)
-                    frontier = job.frontier
                     schedule = self.current_schedule(job_id)
-                    expected = schedule.iteration_time
-                    if degree > 1.0:
-                        expected = max(expected, degree * frontier.t_min)
-                    controller.notify_external_replan(expected)
+                    controller.notify_external_replan(self._t_prime(
+                        job, job.frontier, schedule.iteration_time))
             return
         with job.lock:
             job.straggler = StragglerState(accelerator_id, delay_s, degree)
@@ -507,11 +509,7 @@ class PerseusServer:
                 return job.drift
             frontier = self.frontier_of(job_id)  # raises until ready
             schedule = self.current_schedule(job_id)
-            planned = schedule.iteration_time
-            with job.lock:
-                if job.straggler is not None and job.straggler.degree > 1.0:
-                    planned = max(
-                        planned, job.straggler.degree * frontier.t_min)
+            planned = self._t_prime(job, frontier, schedule.iteration_time)
             kwargs = {} if clock is None else {"clock": clock}
             job.drift = DriftController(
                 replan=lambda target, reason, signal, _job=job:
@@ -611,22 +609,10 @@ class PerseusServer:
             return None  # decline; nothing to re-plan from yet
         if signal is not None and signal.kind == ENERGY_DRIFT:
             return self._drift_reprofile(job, signal)
-        with job.lock:
-            straggler_floor = None
-            if job.straggler is not None and job.straggler.degree > 1.0:
-                straggler_floor = job.straggler.degree * frontier.t_min
-            held_floor = job.drift_floor_s
-        target = target_time_s
-        if straggler_floor is not None:
-            target = max(target or 0.0, straggler_floor)
-        if held_floor is not None and straggler_floor is not None:
-            held_floor = max(held_floor, straggler_floor)
-        elif held_floor is None:
-            held_floor = straggler_floor
-        cand = frontier.schedule_for(
-            energy_optimal_iteration_time(frontier, target))
-        held = frontier.schedule_for(
-            energy_optimal_iteration_time(frontier, held_floor))
+        target = self._t_prime(job, frontier, target_time_s)
+        cand = select_schedule(frontier, target)
+        held = select_schedule(
+            frontier, self._t_prime(job, frontier, job.drift_floor_s))
         blocking_w = self._total_blocking_w(job)
         planned = max(cand.iteration_time, target or 0.0)
 
@@ -637,9 +623,8 @@ class PerseusServer:
 
         return ReplanProposal(
             planned_time_s=planned,
-            predicted_energy_j=self._eq3_energy(cand, blocking_w, target),
-            held_predicted_energy_j=self._eq3_energy(
-                held, blocking_w, target),
+            predicted_energy_j=cand.energy_at(blocking_w, target),
+            held_predicted_energy_j=held.energy_at(blocking_w, target),
             apply=apply,
             detail={"reason": reason, "floor_s": target},
         )
@@ -688,8 +673,7 @@ class PerseusServer:
         shadow = _Job(job_id=job.job_id, dag=job.dag, tau=job.tau,
                       profile=new_profile)
         new_frontier = self._raw_frontier(shadow)
-        cand = new_frontier.schedule_for(
-            energy_optimal_iteration_time(new_frontier, None))
+        cand = select_schedule(new_frontier, None)
         blocking_w = self._total_blocking_w(job)
         # Both sides priced under the *observed* (drifted) conditions:
         # the held plan's compute energy realizes scaled by the drift
@@ -697,7 +681,7 @@ class PerseusServer:
         held_energy = (deployed.effective_energy * signal.energy_factor
                        + blocking_w * max(deployed.iteration_time,
                                           cand.iteration_time))
-        predicted = self._eq3_energy(cand, blocking_w, None)
+        predicted = cand.energy_at(blocking_w)
 
         def apply(job=job, new_profile=new_profile,
                   new_frontier=new_frontier):
@@ -716,35 +700,19 @@ class PerseusServer:
         )
 
     def _total_blocking_w(self, job: _Job) -> float:
+        """Eq. 3's blocking power summed over stages, as the fleet sums it."""
         profile = job.profile
         if profile is None:
             return 0.0
-        return sum(profile.blocking_power(stage)
-                   for stage in range(job.dag.num_stages))
-
-    @staticmethod
-    def _eq3_energy(schedule: EnergySchedule, blocking_w: float,
-                    floor_s: Optional[float]) -> float:
-        time_s = schedule.iteration_time
-        if floor_s is not None and floor_s > time_s:
-            time_s = floor_s
-        return schedule.effective_energy + blocking_w * time_s
+        return math.fsum(profile.blocking_power(stage)
+                         for stage in range(job.dag.num_stages))
 
     # -- internals ---------------------------------------------------------------
     def _push_schedule(self, job: _Job) -> None:
         if self._deploy is None:
             return
         schedule = self.current_schedule(job.job_id)
-        per_stage: Dict[int, List[int]] = {}
-        # Node ids are allocated in per-stage instruction order (the order
-        # the engine executes), so insertion order is the plan order.
-        for node, ins in job.dag.nodes.items():
-            per_stage.setdefault(ins.stage, []).append(node)
-        plans = {
-            stage: [schedule.frequencies[n] for n in nodes]
-            for stage, nodes in per_stage.items()
-        }
-        self._deploy(job.job_id, plans)
+        self._deploy(job.job_id, schedule.stage_plans(job.dag))
 
     def _job(self, job_id: str) -> _Job:
         with self._registry_lock:

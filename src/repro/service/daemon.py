@@ -105,6 +105,10 @@ MAX_RPC_BODY_BYTES = 4 * 1024 * 1024
 #: on a fresh one.
 READ_TIMEOUT_S = 30.0
 
+#: Access-log lines per second (token-bucket refill) before lines are
+#: suppressed and counted instead.
+ACCESS_LOG_RATE = 10.0
+
 
 def _validate_tenant(tenant: str) -> str:
     if not tenant or not isinstance(tenant, str) or TENANT_SEP in tenant \
@@ -204,8 +208,8 @@ class PlanningDaemon:
     makes the daemon persistent); pass ``Planner(cache=dir)`` to pin a
     store explicitly.  ``port=0`` binds an ephemeral port --
     :attr:`url` reports the bound address after :meth:`start`.
-    Over a :class:`~repro.core.store.PlanStore`, ``store_flight="auto"``
-    wraps every expensive materialization in a
+    Over a :class:`~repro.core.store.PlanStore` the daemon wraps every
+    expensive materialization in a
     :class:`~repro.service.replica.StoreFlight`, so daemons sharing the
     store do each piece of work once between them.
 
@@ -225,10 +229,8 @@ class PlanningDaemon:
         max_inflight: Optional[int] = 8,
         quota_rate: Optional[float] = None,
         quota_burst: float = 8.0,
-        store_flight: object = "auto",
         log_jsonl: Optional[str] = None,
         access_log: bool = True,
-        access_log_rate: Optional[float] = 10.0,
     ) -> None:
         self.planner = planner if planner is not None else default_planner()
         self.server = server if server is not None \
@@ -242,26 +244,16 @@ class PlanningDaemon:
         #: herd cannot turn the access log into the bottleneck; denied
         #: lines are counted and surface as ``suppressed=N`` later.
         self._access_log = access_log
-        self._access_limiter = RateLimiter(access_log_rate)
+        self._access_limiter = RateLimiter(ACCESS_LOG_RATE)
         self.admission = AdmissionController(
             max_inflight=max_inflight,
             quota_rate=quota_rate,
             quota_burst=quota_burst,
         )
         self._flight = SingleFlight()
-        if store_flight == "auto":
-            store_flight = isinstance(self.planner.cache, PlanStore)
-        if store_flight:
-            if not isinstance(self.planner.cache, PlanStore):
-                raise ConfigurationError(
-                    "store-level single-flight needs a persistent "
-                    "PlanStore; pass Planner(cache=<dir>) or disable "
-                    "store_flight"
-                )
-            self._store_flight: Optional[StoreFlight] = StoreFlight(
-                self.planner.cache.root)
-        else:
-            self._store_flight = None
+        self._store_flight: Optional[StoreFlight] = (
+            StoreFlight(self.planner.cache.root)
+            if isinstance(self.planner.cache, PlanStore) else None)
         self._warm_lock = threading.Lock()
         self._warm_keys: set = set()
         self._replay_lock = threading.Lock()

@@ -23,7 +23,7 @@ This module adds the two shapes that had no serialized form:
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Type
+from typing import Dict, Type
 
 from ..api.planner import PlanReport
 from ..api.spec import SPEC_FORMAT_VERSION, PlanSpec
@@ -55,11 +55,6 @@ def error_kinds() -> Dict[str, Type[ReproError]]:
         kinds.setdefault(cls.__name__, cls)
         stack.extend(cls.__subclasses__())
     return kinds
-
-
-#: Static snapshot kept for introspection/back-compat; resolution uses
-#: :func:`error_kinds` so late-defined subclasses are never missed.
-ERROR_KINDS = error_kinds()
 
 
 def spec_from_wire(payload: dict) -> PlanSpec:

@@ -5,7 +5,6 @@ from .injection import (
     IOBottleneck,
     SlowGPUType,
     ThermalThrottle,
-    anticipated_t_prime,
     stepped_ramp,
 )
 
@@ -14,6 +13,5 @@ __all__ = [
     "IOBottleneck",
     "SlowGPUType",
     "ThermalThrottle",
-    "anticipated_t_prime",
     "stepped_ramp",
 ]

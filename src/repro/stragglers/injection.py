@@ -159,13 +159,6 @@ class SlowGPUType:
         )
 
 
-def anticipated_t_prime(degree: float, t_min: float) -> float:
-    """The straggler iteration time the infra reports: ``T' = degree * T``."""
-    if degree < 1.0:
-        raise SimulationError("slowdown degree must be >= 1.0")
-    return degree * t_min
-
-
 def stepped_ramp(
     peak: float, steps: int, power_scale: float = 1.0
 ) -> Tuple[ThermalThrottle, ...]:

@@ -150,6 +150,17 @@ class TestJobPowerModel:
         assert ladder[0].iteration_time_s == pytest.approx(1.15)
         assert ladder[1].iteration_time_s == pytest.approx(1.2)
 
+    def test_floor_boundary_uses_the_schedule_for_lookup(self):
+        # Point 1 is 5e-8 s slower than the floor: within TIME_EPS, so
+        # schedule_for(T') deploys it and the ladder must start there.
+        model = make_model([(1.0, 1000.0), (1.15 + 5e-8, 800.0),
+                            (1.3, 700.0)])
+        ladder = model.ladder(floor_time_s=1.15)
+        assert ladder[0].index == model.frontier.index_for(1.15) == 1
+        assert model.frontier.schedule_for(1.15) is \
+            model.frontier.points[ladder[0].index]
+        assert ladder[0].energy_j == pytest.approx(1030.0)
+
     def test_floor_beyond_frontier_pins_slowest(self):
         model = make_model(SHALLOW)
         ladder = model.ladder(floor_time_s=9.0)

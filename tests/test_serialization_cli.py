@@ -277,6 +277,19 @@ class TestCLI:
         text = capsys.readouterr().out
         assert "degree 1.10" in text and "degree 1.40" in text
 
+    def test_straggler_rejects_degree_below_one(self, tmp_path, capsys):
+        out = tmp_path / "frontier.json"
+        assert main([
+            "plan", "bert-large", "--stages", "2", "--microbatches", "3",
+            "--freq-stride", "24", "-o", str(out),
+        ]) == 0
+        capsys.readouterr()
+        for degrees in (["0", "-1"], ["1.2", "0.5"]):
+            assert main(["straggler", str(out), "--degrees", *degrees]) == 2
+            captured = capsys.readouterr()
+            assert "degree" not in captured.out  # no row printed
+            assert captured.err.startswith("error: ")
+
     def test_timeline(self, capsys):
         rc = main([
             "timeline", "bert-large", "--stages", "2", "--microbatches", "3",

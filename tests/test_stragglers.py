@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.exceptions import SimulationError
+from repro.core.unified import straggler_floor
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.stragglers.injection import (
     HeterogeneousPipeline,
     IOBottleneck,
     ThermalThrottle,
-    anticipated_t_prime,
 )
 
 
@@ -54,8 +54,8 @@ class TestHeterogeneous:
 
 class TestPrescription:
     def test_t_prime(self):
-        assert anticipated_t_prime(1.2, 10.0) == pytest.approx(12.0)
+        assert straggler_floor(10.0, 1.2) == pytest.approx(12.0)
 
     def test_rejects_fast_straggler(self):
-        with pytest.raises(SimulationError):
-            anticipated_t_prime(0.5, 10.0)
+        with pytest.raises(ConfigurationError):
+            straggler_floor(10.0, 0.5)
