@@ -35,14 +35,21 @@ schedulers plug in via ``@repro.api.register_strategy("name")`` -- see
 
 See ``examples/`` for full scenarios and ``benchmarks/`` for the scripts
 regenerating every table and figure of the paper.
+
+``import repro`` loads only the planning path.  The subpackages a plan
+does not use -- ``baselines``, ``emulation``, ``experiments``,
+``fleet``, ``stragglers`` and ``viz`` -- load on first attribute access
+(``repro.fleet``) or on an explicit ``import repro.fleet``; the
+baselines also load when the strategy registry is first consulted.
 """
 
 from __future__ import annotations
 
-from . import api, baselines, core, emulation, experiments, fleet, gpu
-from . import models, obs
+from . import api, core, gpu, models, obs
 from . import partition as partitioning
-from . import pipeline, profiler, runtime, service, sim, stragglers, viz
+# service stays eager: perfbench/launch.py traces only modules that
+# ``import repro.cli`` loaded (pinned by tests/test_import_surface.py).
+from . import pipeline, profiler, runtime, service, sim
 from .api import (
     PlanReport,
     PlanResult,
@@ -65,6 +72,19 @@ from .profiler.measurement import PipelineProfile
 from .profiler.online import profile_pipeline
 
 __version__ = "1.4.0"
+
+#: Subpackages off the planning path, imported on first attribute access.
+_LAZY_SUBPACKAGES = frozenset(
+    {"baselines", "emulation", "experiments", "fleet", "stragglers", "viz"}
+)
+
+
+def __getattr__(name: str):
+    if name in _LAZY_SUBPACKAGES:
+        import importlib
+
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ComputationDag",

@@ -40,8 +40,6 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
@@ -919,6 +917,9 @@ class Planner:
         warmth: the parent pass recomputes whatever its chunk failed to
         persist.
         """
+        from concurrent.futures.process import (BrokenProcessPool,
+                                                ProcessPoolExecutor)
+
         store: PlanStore = self._cache  # type: ignore[assignment]
         payload_chunks = [
             [specs[i].to_dict() for i in chunk] for chunk in chunks

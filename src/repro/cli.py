@@ -87,10 +87,8 @@ from .api import (
 from .core.serialization import load_json, save_json
 from .core.unified import select_schedule, straggler_floor
 from .exceptions import ReproError
-from .experiments.report import format_table
 from .gpu.specs import list_gpus
 from .models.registry import list_models
-from .viz.timeline_ascii import render_comparison
 
 
 def _add_plan_args(p: argparse.ArgumentParser,
@@ -117,7 +115,7 @@ def _add_plan_args(p: argparse.ArgumentParser,
                    help="optimizer mode: 'exact' matches the reference "
                         "crawl bit-for-bit; 'fast' enables warm-started "
                         "min-cuts and series-parallel contraction "
-                        "(within tolerance, several times faster)")
+                        "(within tolerance; measured 1.2-1.4x faster)")
 
 
 def _parse_gpu(raw: str):
@@ -224,6 +222,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .experiments.report import format_table
+
     planner = default_planner()
     spec = _spec_of(args)
     reports = planner.sweep(
@@ -306,6 +306,8 @@ def _write_report(fp, rows, fmt: str) -> None:
 
 
 def cmd_sweep(args) -> int:
+    from .experiments.report import format_table
+
     specs = _sweep_specs(args)
     planner = Planner(cache=args.cache_dir) if args.cache_dir \
         else default_planner()
@@ -360,6 +362,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_timeline(args) -> int:
+    from .viz.timeline_ascii import render_comparison
+
     planner = default_planner()
     spec = _spec_of(args)
     report = planner.plan(spec)
@@ -419,6 +423,7 @@ def _fleet_trace(args):
 
 
 def cmd_fleet(args) -> int:
+    from .experiments.report import format_table
     from .fleet import FleetSimulator, StepTrace
 
     trace = _fleet_trace(args)

@@ -385,10 +385,6 @@ def _forward(
     return ear, makespan
 
 
-def _changed_comps(old: Sequence[float], new: Sequence[float]) -> List[int]:
-    return [c for c in range(len(old)) if old[c] != new[c]]
-
-
 def _critical_instance(
     kern, current, cur_earliest, table, timings
 ) -> Optional[_FlatInstance]:
@@ -431,15 +427,15 @@ def _solve_one_cut(
         try:
             mask = _min_cut(inst, arena, timings, fast)
         except InfeasibleFlowError as err:
-            repaired = None
+            repair = None
             if err.violating_set:
-                repaired = _apply_repair(
+                repair = _apply_repair(
                     kern, current, tau, inst, err.violating_set
                 )
-            if repaired is not None:
+            if repair is not None:
+                repaired, moved = repair
                 rep_earliest, rep_makespan = _forward(
-                    kern, repaired, timings, fast, cur_earliest,
-                    _changed_comps(current, repaired),
+                    kern, repaired, timings, fast, cur_earliest, moved,
                 )
                 if rep_makespan <= cur_makespan + 1e-12:
                     current = repaired
@@ -617,14 +613,16 @@ def _has_unspeedable_path(kern, crit, speedable) -> bool:
 
 def _apply_repair(
     kern, current, tau, inst: _FlatInstance, violating: Set[int]
-) -> Optional[array]:
+) -> Optional[Tuple[array, List[int]]]:
     """Apply the negative cut exposed by an infeasible lower-bound flow.
 
     ``violating`` is a compact-id node set whose cut value
     ``sum(e+) - sum(e-)`` is negative: speeding its outgoing critical
     edges and slowing its incoming ones strictly reduces energy while the
-    makespan cannot increase.  Returns repaired durations, or ``None`` if
-    the move is not actually improving (float-edge cases).
+    makespan cannot increase.  Returns the repaired durations and the
+    computations the move touched (a superset of those whose duration
+    changed), or ``None`` if the move is not actually improving
+    (float-edge cases).
     """
     ecomp = kern.edge_comp
     crit = inst.crit
@@ -653,7 +651,7 @@ def _apply_repair(
         new_durations[comp] = max(new_durations[comp] - tau, t_min[comp])
     for comp in slow:
         new_durations[comp] = min(new_durations[comp] + tau, t_max[comp])
-    return new_durations
+    return new_durations, speed + slow
 
 
 def _apply_cut(

@@ -134,22 +134,27 @@ class FlowArena:
         eps = FLOW_EPS
         total = 0.0
         while True:
-            # BFS level graph (reused buffer, slice-assignment reset; a
-            # plain list with a read cursor beats a deque at this size).
+            # BFS level graph, one level at a time (reused buffer,
+            # slice-assignment reset).  It stops once the sink's level is
+            # complete: an augmenting path climbs one level per arc and
+            # ends at t, so the nodes a full BFS labels beyond level[t]
+            # are dead ends the DFS would only prune.  The final BFS never
+            # reaches t and runs to the end, so level_mask() is unchanged.
             level[:n] = self._neg[:n]
             level[s] = 0
-            queue = [s]
-            push = queue.append
-            cursor = 0
-            while cursor < len(queue):
-                u = queue[cursor]
-                cursor += 1
-                nxt = level[u] + 1
-                for idx in head[u]:
-                    v = to[idx]
-                    if level[v] < 0 and cap[idx] > eps:
-                        level[v] = nxt
-                        push(v)
+            frontier = [s]
+            depth = 0
+            while frontier and level[t] < 0:
+                depth += 1
+                reached = []
+                push = reached.append
+                for u in frontier:
+                    for idx in head[u]:
+                        v = to[idx]
+                        if level[v] < 0 and cap[idx] > eps:
+                            level[v] = depth
+                            push(v)
+                frontier = reached
             if level[t] < 0:
                 return total
             it[:n] = self._zero[:n]

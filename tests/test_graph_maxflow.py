@@ -1,12 +1,21 @@
 """Max-flow solvers: cross-checked against networkx and each other."""
 
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import GraphError
-from reference.maxflow import Dinic, FlowNetwork, edmonds_karp
+from repro.exceptions import GraphError, InfeasibleFlowError
+from repro.graph.lowerbounds import BoundedEdge, solve_bounded_arrays
+from repro.graph.maxflow import FlowArena
+from reference.maxflow import (
+    Dinic,
+    FlowNetwork,
+    edmonds_karp,
+    max_flow_with_lower_bounds_reference,
+)
 
 
 def build(num_nodes, edges):
@@ -122,3 +131,113 @@ class TestAgainstReferences:
         assert Dinic(net1).max_flow(0, n - 1) == pytest.approx(
             edmonds_karp(net2, 0, n - 1), rel=1e-6, abs=1e-6
         )
+
+
+def _shallow_sink_arcs(rng):
+    """Arcs of a network whose sink sits a few BFS levels from the
+    source while long branches hang past it: one to three two-arc
+    routes ``s -> x -> t`` plus chains of up to eight nodes rooted at
+    ``s`` or a route node, about half of them rejoining ``t`` (so later
+    phases, with the short routes saturated, climb them), and a few
+    random cross arcs."""
+    n = rng.randint(12, 30)
+    s, t = 0, 1
+    rest = list(range(2, n))
+    rng.shuffle(rest)
+    k = rng.randint(1, 3)
+    routes, rest = rest[:k], rest[k:]
+    arcs = []
+    for x in routes:
+        arcs.append((s, x, rng.uniform(0.5, 5.0)))
+        arcs.append((x, t, rng.uniform(0.5, 5.0)))
+    while rest:
+        k = rng.randint(2, 8)
+        chain, rest = rest[:k], rest[k:]
+        prev = rng.choice([s] + routes)
+        for v in chain:
+            arcs.append((prev, v, rng.uniform(0.5, 10.0)))
+            prev = v
+        if rng.random() < 0.5:
+            arcs.append((prev, t, rng.uniform(0.5, 10.0)))
+    for _ in range(rng.randint(0, n // 3)):
+        u, v = rng.sample(range(n), 2)
+        arcs.append((u, v, rng.uniform(0.1, 5.0)))
+    rng.shuffle(arcs)
+    return n, s, t, arcs
+
+
+@pytest.fixture
+def recorded_phases(monkeypatch):
+    """Every level array the reference Dinic's full BFS labels, as
+    ``(level, sink)`` pairs, copied before the phase's DFS prunes it."""
+    phases = []
+    full_bfs = Dinic._bfs_levels
+
+    def recording(self, s, t):
+        level = full_bfs(self, s, t)
+        phases.append((list(level), t))
+        return level
+
+    monkeypatch.setattr(Dinic, "_bfs_levels", recording)
+    return phases
+
+
+def _labels_past_sink(phases) -> bool:
+    return any(level[t] >= 0 and max(level) > level[t]
+               for level, t in phases)
+
+
+class TestSinkLevelCutoff:
+    """``FlowArena.max_flow`` stops each level BFS once the sink's level
+    is complete; on networks where the full BFS labels nodes beyond the
+    sink it must still match the full-BFS reference bit for bit."""
+
+    def test_arena_matches_dinic_bit_for_bit(self, recorded_phases):
+        rng = random.Random(2024)
+        arena = FlowArena()
+        for _ in range(80):
+            n, s, t, arcs = _shallow_sink_arcs(rng)
+            net = FlowNetwork(n)
+            arena.reset(n)
+            for u, v, c in arcs:
+                net.add_edge(u, v, c)
+                arena.add_edge(u, v, c)
+            expected = Dinic(net).max_flow(s, t)
+            assert arena.max_flow(s, t).hex() == expected.hex()
+            assert [c.hex() for c in arena.cap] == \
+                [c.hex() for c in net.cap]
+            assert {i for i in range(n) if arena.level_mask()[i]} == \
+                net.reachable_from(s)
+        assert _labels_past_sink(recorded_phases)
+
+    def test_bounded_solve_matches_reference(self, recorded_phases):
+        rng = random.Random(7)
+        feasible = infeasible = 0
+        for _ in range(120):
+            n, s, t, arcs = _shallow_sink_arcs(rng)
+            share = rng.choice((0.0, 0.05, 0.3))  # arcs with a lower bound
+            edges = []
+            for u, v, c in arcs:
+                lb = rng.uniform(0.0, c) if rng.random() < share else 0.0
+                edges.append(BoundedEdge(u, v, lb, c))
+            try:
+                reference = max_flow_with_lower_bounds_reference(
+                    n, edges, s, t)
+            except InfeasibleFlowError as ref_err:
+                with pytest.raises(InfeasibleFlowError) as our_err:
+                    solve_bounded_arrays(
+                        n, [e.u for e in edges], [e.v for e in edges],
+                        [e.lb for e in edges], [e.ub for e in edges], s, t)
+                assert our_err.value.violating_set == ref_err.violating_set
+                infeasible += 1
+                continue
+            flow, flows, mask = solve_bounded_arrays(
+                n, [e.u for e in edges], [e.v for e in edges],
+                [e.lb for e in edges], [e.ub for e in edges], s, t)
+            assert flow.hex() == reference.max_flow.hex()
+            assert [f.hex() for f in flows] == \
+                [f.hex() for f in reference.flows]
+            assert {i for i in range(n) if mask[i]} == reference.source_side
+            feasible += 1
+        assert feasible > 10 and infeasible > 10
+        assert _labels_past_sink(recorded_phases)
