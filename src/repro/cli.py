@@ -113,9 +113,10 @@ def _add_plan_args(p: argparse.ArgumentParser,
     p.add_argument("--exactness", choices=("exact", "fast"),
                    default="exact",
                    help="optimizer mode: 'exact' matches the reference "
-                        "crawl bit-for-bit; 'fast' enables warm-started "
+                        "crawl bit-for-bit; 'fast' enables replayed "
                         "min-cuts and series-parallel contraction "
-                        "(within tolerance; measured 1.2-1.4x faster)")
+                        "(within tolerance; measured 0.9-1.5x the exact "
+                        "kernel's speed)")
 
 
 def _parse_gpu(raw: str):
@@ -148,8 +149,8 @@ def _print_timings(timings: Optional[dict]) -> None:
     print(f"timings    : kernel={timings.get('kernel', '?')} "
           f"cuts={timings.get('cuts', 0)} "
           f"repairs={timings.get('repairs', 0)}")
-    for name in ("event_times_s", "instance_build_s", "maxflow_s",
-                 "schedule_s"):
+    for name in ("event_times_s", "instance_build_s", "contract_s",
+                 "maxflow_s", "schedule_s"):
         if name in timings:
             label = name[:-2].replace("_", " ")
             print(f"  {label:<15s}: {timings[name] * 1000.0:8.1f} ms")

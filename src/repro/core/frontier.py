@@ -218,6 +218,7 @@ def _new_timings(kernel: str) -> dict:
         "kernel": kernel,
         "event_times_s": 0.0,
         "instance_build_s": 0.0,
+        "contract_s": 0.0,
         "maxflow_s": 0.0,
         "schedule_s": 0.0,
         "cuts": 0,

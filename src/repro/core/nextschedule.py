@@ -60,6 +60,7 @@ from ..graph.edgecentric import EdgeCentricDag
 from ..graph.lowerbounds import (
     SPContraction,
     contract_series_parallel,
+    relaxed_min_cut,
     solve_bounded_arrays,
 )
 from ..graph.maxflow import INF, FlowArena, WarmCutCache
@@ -152,7 +153,9 @@ class _FlatInstance:
     ``crit`` doubles as the critical-edge index per bounded edge (the
     instance's edges are exactly the critical edges, in order); ``binf``
     marks upper bounds that were *assigned* infinite (mirrors the
-    oracle's ``ub is INF`` identity test).
+    oracle's ``ub is INF`` identity test).  Compact node ids follow the
+    DAG's topological order, so ``range(num_compact)`` is the order
+    that warm-starts the bounded solve.
     """
 
     bu: List[int]
@@ -232,8 +235,8 @@ class FastState:
     def __init__(self) -> None:
         self.warm = WarmCutCache()
         #: Contraction of the most recently solved instance (None when
-        #: that instance did not reduce); the zero-lb fallback re-solve
-        #: of the *same* instance reuses it instead of re-contracting.
+        #: that instance did not reduce): what the arena holds, for the
+        #: in-place relaxed re-solve of the same instance.
         self.last_contraction = None
         self.stats = {
             "contractions": 0,
@@ -276,9 +279,11 @@ def next_schedule_flat(
         durations: Current durations, ``array('d')`` indexed by comp id.
         costs: Cost model per comp id (list indexed by comp id).
         tau: Unit time to shave off the iteration (seconds).
-        arena: Reusable max-flow buffers (one per crawl).
+        arena: Reusable max-flow buffers (one per crawl; one per call
+            when omitted).
         timings: Optional accumulator; bumps ``event_times_s`` /
-            ``instance_build_s`` / ``maxflow_s`` / ``cuts`` / ``repairs``.
+            ``instance_build_s`` / ``contract_s`` / ``maxflow_s`` /
+            ``cuts`` / ``repairs``.
         start_makespan: Known makespan of ``durations`` (skips one pass).
         start_earliest: Earliest event times matching ``start_makespan``
             (a prior step's :attr:`FlatStep.earliest`).
@@ -299,6 +304,8 @@ def next_schedule_flat(
         )
     if cost_table is None:
         cost_table = CostTable(costs, tau)
+    if arena is None:
+        arena = FlowArena()
     if start_makespan is None or start_earliest is None:
         start_earliest, start_makespan = _forward(
             kern, durations, timings, fast
@@ -446,7 +453,7 @@ def _solve_one_cut(
                     continue
             # Repair unavailable: drop the slowdown credits for this step.
             inst = inst.relaxed()
-            mask = _min_cut(inst, arena, timings, fast, reuse_last=True)
+            mask = _relaxed_cut(inst, arena, timings, fast)
         if fast is not None:
             fast.warm.record(
                 inst.num_compact, inst.bu, inst.bv, inst.blb, inst.bub, mask
@@ -461,8 +468,7 @@ def _solve_one_cut(
     )
 
 
-def _min_cut(inst: _FlatInstance, arena, timings, fast,
-             reuse_last: bool = False) -> bytearray:
+def _min_cut(inst: _FlatInstance, arena, timings, fast) -> bytearray:
     """Source-side mask of ``inst``'s min cut.
 
     Exact mode solves the instance directly.  Fast mode solves its
@@ -473,21 +479,30 @@ def _min_cut(inst: _FlatInstance, arena, timings, fast,
     violating set in ``inst``'s compact node ids (a contracted violating
     set is expanded the same way; the expansion preserves each
     composite's cut contribution, so the set's negative value survives).
+    Either way the solve is warm-started along the topological node
+    order and leaves its instance in ``arena`` for :func:`_relaxed_cut`.
+    Contraction and expansion are timed as ``contract_s``, the solve as
+    ``maxflow_s``.
     """
     t0 = perf_counter()
+    con = None if fast is None else _contract(inst, fast)
+    t1 = perf_counter()
+    solved = None
     try:
-        con = None if fast is None else _contract(inst, fast, reuse_last)
         if con is None:
             return solve_bounded_arrays(
                 inst.num_compact, inst.bu, inst.bv, inst.blb, inst.bub,
                 inst.s, inst.t, arena=arena, need_flows=False,
+                order=range(inst.num_compact),
             )[2]
         try:
             cmask = solve_bounded_arrays(
                 con.num_nodes, con.edge_u, con.edge_v, con.lower,
                 con.upper, con.s, con.t, arena=arena, need_flows=False,
+                order=range(con.num_nodes),
             )[2]
         except InfeasibleFlowError as cerr:
+            solved = perf_counter()
             vmask = bytearray(con.num_nodes)
             for n in cerr.violating_set:
                 vmask[n] = 1
@@ -497,23 +512,47 @@ def _min_cut(inst: _FlatInstance, arena, timings, fast,
                 n for n in range(inst.num_compact) if full[n]
             }
             raise err from None
+        solved = perf_counter()
         return con.expand_mask(cmask)
     finally:
         if timings is not None:
-            timings["maxflow_s"] += perf_counter() - t0
+            end = perf_counter()
+            if solved is None:
+                solved = end
+            if fast is not None:
+                timings["contract_s"] += (t1 - t0) + (end - solved)
+            timings["maxflow_s"] += solved - t1
             timings["cuts"] += 1
 
 
-def _contract(inst: _FlatInstance, fast: FastState,
-              reuse_last: bool) -> Optional[SPContraction]:
-    """Fast mode's SP contraction of ``inst`` (None if nothing reduces).
+def _relaxed_cut(inst: _FlatInstance, arena, timings, fast) -> bytearray:
+    """Min cut of ``inst`` (already relaxed) re-solved in place.
 
-    ``reuse_last`` (the zero-lb re-solve of the instance just solved)
-    reuses the last contraction with its lower bounds dropped instead of
-    re-contracting.
+    The arena still holds the infeasible solve :func:`_min_cut` just
+    made of the same instance -- of its contraction in fast mode, which
+    keeps the same structure and upper bounds with its lower bounds
+    dropped -- so :func:`relaxed_min_cut` only resets capacities.
     """
-    if reuse_last and fast.last_contraction is not None:
-        return fast.last_contraction.with_zero_lower()
+    t0 = perf_counter()
+    con = None if fast is None else fast.last_contraction
+    if con is None:
+        mask = relaxed_min_cut(arena, inst.bub, inst.s, inst.t)
+    else:
+        mask = relaxed_min_cut(arena, con.upper, con.s, con.t)
+    t1 = perf_counter()
+    if con is not None:
+        mask = con.expand_mask(mask)
+    if timings is not None:
+        if fast is not None:
+            timings["contract_s"] += perf_counter() - t1
+        timings["maxflow_s"] += t1 - t0
+        timings["cuts"] += 1
+    return mask
+
+
+def _contract(inst: _FlatInstance,
+              fast: FastState) -> Optional[SPContraction]:
+    """Fast mode's SP contraction of ``inst`` (None if nothing reduces)."""
     st = fast.stats
     st["contract_edges_before"] += len(inst.bu)
     con = contract_series_parallel(
@@ -549,12 +588,15 @@ def _build_instance(
         return None
 
     # Compact node ids over the critical subgraph's nodes (plus s and t),
-    # assigned in increasing node-id order (== sorted(crit_nodes)).
+    # assigned in topological order.
     crit_nodes = {kern.s, kern.t}
     for idx in crit:
         crit_nodes.add(eu[idx])
         crit_nodes.add(ev[idx])
-    compact = {node: i for i, node in enumerate(sorted(crit_nodes))}
+    compact = {
+        node: i
+        for i, node in enumerate(sorted(crit_nodes, key=kern.pos.__getitem__))
+    }
     num_compact = len(compact)
 
     bu: List[int] = []

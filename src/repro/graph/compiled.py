@@ -15,6 +15,8 @@ once into immutable flat arrays:
   index order (``edge_comp`` is ``-1`` for dependency edges), so the
   critical-edge indices it produces are directly comparable with the
   reference ``critical_edge_indices``;
+* ``topo`` and ``pos`` -- a topological node order and each node's
+  position in it;
 * two edge permutations -- edges sorted by the topological position of
   their tail (forward relaxation) and, reversed, of their head
   (backward relaxation) -- so an event pass is a single flat loop with
@@ -94,7 +96,7 @@ class CompiledDag:
         "_fu", "_fv", "_fc",
         "_bu", "_bv", "_bc", "_bidx",
         "_np_eu", "_np_ev", "_np_ec",
-        "_pos", "_ie", "_istart", "_comp_min_head",
+        "pos", "_ie", "_istart", "_comp_min_head",
     )
 
     def __init__(self, ecd: EdgeCentricDag,
@@ -139,7 +141,7 @@ class CompiledDag:
         self._np_eu = self._np_ev = self._np_ec = None
         # Incremental-pass structures are built lazily by
         # _ensure_incremental, on the first incremental pass.
-        self._pos = pos
+        self.pos = pos
         self._ie = None
         self._istart = None
         self._comp_min_head = None
@@ -290,7 +292,7 @@ class CompiledDag:
         """
         if self._ie is not None:
             return
-        pos = self._pos
+        pos = self.pos
         eu, ev, ec = self._eu, self._ev, self._ec
         order = sorted(range(self.num_edges), key=lambda k: pos[ev[k]])
         self._ie = [(eu[k], ev[k], ec[k]) for k in order]

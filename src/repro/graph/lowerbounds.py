@@ -17,8 +17,23 @@ There is exactly one implementation of this transform,
 reusable :class:`~.maxflow.FlowArena` (the optimizer hot path passes a
 long-lived arena so the thousands of min-cut calls per frontier crawl
 reuse one set of buffers).  :func:`max_flow_with_lower_bounds` is the
-object-level wrapper over the same core.  Both replicate the seed's
-per-call solve (``tests/reference/maxflow.py``) bit for bit.
+object-level wrapper over the same core.
+
+Called without ``order`` the solve is *cold*: it replicates the seed's
+per-call solve (``tests/reference/maxflow.py``) bit for bit, per-edge
+flows included.  Given a topological ``order`` of the instance's nodes
+(the optimizer's critical DAGs are numbered topologically), step 1 is
+warm-started: a greedy preflow routes the lower-bound excesses along
+that order before Dinic finishes the feasibility flow from it, which
+cuts Dinic's phases from several to about one on pipeline instances.
+Dinic then reaches a different maximum flow, but the residual-reachable
+set step 4 (and the infeasible case's violating set) reads is the same
+for *every* maximum flow -- the unique minimal min cut -- so masks and
+violating sets stay the cold solve's; only per-edge flows may differ.
+
+:func:`relaxed_min_cut` re-solves an instance the arena still holds
+with its lower bounds dropped, in place (the optimizer's fallback after
+an infeasible solve it cannot repair).
 """
 
 from __future__ import annotations
@@ -77,6 +92,7 @@ def solve_bounded_arrays(
     t: int,
     arena: Optional[FlowArena] = None,
     need_flows: bool = True,
+    order: Optional[Sequence[int]] = None,
 ) -> Tuple[float, Optional[List[float]], bytearray]:
     """Core bounded max-flow over parallel edge arrays.
 
@@ -89,6 +105,11 @@ def solve_bounded_arrays(
     read the cut (the optimizer applies the S/T side membership, never
     the per-edge flows) pass ``need_flows=False`` to skip flow
     extraction; ``max_flow`` and ``flows`` are then ``0.0`` / ``None``.
+    ``order`` -- every node of a DAG instance, tails before heads --
+    warm-starts the feasibility flow with :func:`_preflow`: the mask and
+    violating set are unchanged, per-edge flows may differ from the
+    cold solve's.  The arena keeps the solved network, arc layout
+    included, for :func:`relaxed_min_cut`.
     """
     if not (0 <= s < num_nodes and 0 <= t < num_nodes) or s == t:
         raise GraphError("bad source/sink")
@@ -136,9 +157,12 @@ def solve_bounded_arrays(
     # equivalent to Algorithm 3's per-node sums).
     head_s2, head_t2 = head[s2], head[t2]
     required = 0.0
+    supply: List[int] = []  # s2 -> v arcs
+    drain = [-1] * num_nodes  # v -> t2 arc per node
     for v in touched:
         ex = excess[v]
         if ex > FLOW_EPS:
+            supply.append(arc)
             to_append(v)
             cap_append(ex)
             head_s2.append(arc)
@@ -148,6 +172,7 @@ def solve_bounded_arrays(
             arc += 2
             required += ex
         elif ex < -FLOW_EPS:
+            drain[v] = arc
             to_append(t2)
             cap_append(-ex)
             head[v].append(arc)
@@ -162,7 +187,11 @@ def solve_bounded_arrays(
     if required > 0.0:
         # (With no positive excess the dummy source has no arcs: the
         # feasibility solve is a no-op and is skipped outright.)
-        feasibility_flow = net.max_flow(s2, t2)
+        feasibility_flow = 0.0
+        if order is not None:
+            feasibility_flow = _preflow(
+                net, order, num_edges, supply, drain, s, t, ts_arc)
+        feasibility_flow += net.max_flow(s2, t2)
         if feasibility_flow < required - 1e-6 * max(1.0, required):
             # Expose the violating side: nodes reachable from the dummy
             # source in the residual form a set whose mandatory in-flow
@@ -193,6 +222,153 @@ def solve_bounded_arrays(
         flows[i] for i in range(num_edges) if edge_v[i] == s
     )
     return max(total, extra), flows, mask
+
+
+def _push_forward(nodes, excess, to, cap, head, num_arcs, drain,
+                  pushed=None) -> float:
+    """One greedy sweep: each node in ``nodes`` with excess fills its
+    dummy-sink arc, then its out-arcs among the first ``num_arcs`` (the
+    edge arcs), in adjacency order.  ``pushed`` records the flow put on
+    each arc.  Returns the flow absorbed by dummy-sink arcs."""
+    eps = FLOW_EPS
+    absorbed = 0.0
+    for u in nodes:
+        e = excess[u]
+        if e <= eps:
+            continue
+        a = drain[u]
+        if a >= 0:
+            r = cap[a]
+            if r > eps:
+                d = e if e < r else r
+                cap[a] = r - d
+                cap[a ^ 1] += d
+                absorbed += d
+                e -= d
+        if e > eps:
+            for a in head[u]:
+                if a >= num_arcs:
+                    break  # dummy and t -> s arcs follow the edge arcs
+                if a & 1:
+                    continue
+                r = cap[a]
+                if r > eps:
+                    d = e if e < r else r
+                    cap[a] = r - d
+                    cap[a ^ 1] += d
+                    excess[to[a]] += d
+                    if pushed is not None:
+                        pushed[a] = d
+                    e -= d
+                    if e <= eps:
+                        break
+        excess[u] = e
+    return absorbed
+
+
+def _preflow(net: FlowArena, order: Sequence[int], num_edges: int,
+             supply: List[int], drain: List[int], s: int, t: int,
+             ts_arc: int) -> float:
+    """Route lower-bound excesses greedily; returns the flow placed.
+
+    Every dummy supply is injected at once and pushed forward along the
+    topological ``order`` (:func:`_push_forward`); what reaches ``t``
+    goes once through the ``t -> s`` arc and is swept forward again.
+    Excess left stuck anywhere is then returned backward along the arcs
+    it came in by -- the second lap's first, to ``s`` and back through
+    ``t -> s``; then the first lap's, each node cancelling its own
+    injection before its in-arcs -- and the dummy supply arcs carry only
+    what stayed placed.  The result is a valid ``s2 -> t2`` flow, so
+    Dinic finishes the feasibility solve from it.
+    """
+    to, cap, head = net.to, net.cap, net.head
+    num_arcs = 2 * num_edges
+    excess = [0.0] * len(drain)
+    for a in supply:
+        excess[to[a]] = cap[a]
+    placed = _push_forward(order, excess, to, cap, head, num_arcs, drain)
+
+    lap = excess[t]
+    pushed: dict = {}  # second-lap flow per edge arc
+    if lap > FLOW_EPS:
+        excess[t] = 0.0
+        cap[ts_arc ^ 1] += lap
+        second = [0.0] * len(drain)
+        second[s] = lap
+        placed += _push_forward(order, second, to, cap, head, num_arcs,
+                                drain, pushed)
+        for v in reversed(order):
+            e = second[v]
+            if e <= 0.0 or v == s:
+                continue
+            for r in head[v]:
+                a = r ^ 1
+                f = pushed.get(a) if r & 1 and r < num_arcs else None
+                if not f:
+                    continue
+                d = e if e < f else f
+                cap[r] -= d
+                cap[a] += d
+                pushed[a] = f - d
+                second[to[r]] += d
+                e -= d
+                if e <= 0.0:
+                    break
+        back = second[s]
+        cap[ts_arc ^ 1] -= back
+        excess[t] += back
+
+    supplied = [0.0] * len(drain)
+    for a in supply:
+        supplied[to[a]] = cap[a]
+    for v in reversed(order):
+        e = excess[v]
+        if e <= 0.0:
+            continue
+        own = supplied[v]
+        if own > 0.0:
+            d = e if e < own else own
+            supplied[v] = own - d
+            e -= d
+        for r in head[v]:
+            if e <= 0.0:
+                break
+            if not (r & 1 and r < num_arcs):
+                continue
+            f = cap[r] - pushed.get(r ^ 1, 0.0)
+            if f > 0.0:
+                d = e if e < f else f
+                cap[r] -= d
+                cap[r ^ 1] += d
+                excess[to[r]] += d
+                e -= d
+    for a in supply:
+        d = supplied[to[a]]
+        cap[a] -= d
+        cap[a ^ 1] += d
+    return placed
+
+
+def relaxed_min_cut(arena: FlowArena, upper: Sequence[float], s: int,
+                    t: int) -> bytearray:
+    """Source-side mask of the instance ``arena`` holds, lower bounds
+    dropped, solved in place.
+
+    ``arena`` must hold what the last :func:`solve_bounded_arrays` call
+    built -- typically an instance it found infeasible -- and ``upper``
+    that instance's upper bounds.  Edge arcs (the first ``2 *
+    len(upper)``) go back to ``(ub, 0)`` and every dummy arc and the
+    ``t -> s`` arc to zero capacity.  Dinic never traverses a
+    zero-capacity arc, so the result is bit-identical to a fresh
+    ``solve_bounded_arrays`` call with every ``lower`` bound ``0.0``.
+    """
+    cap = arena.cap
+    num_arcs = 2 * len(upper)
+    cap[0:num_arcs:2] = upper
+    cap[1:num_arcs:2] = [0.0] * len(upper)
+    cap[num_arcs:] = [0.0] * (len(cap) - num_arcs)
+    arena.max_flow(s, t)
+    return arena.level_mask()
 
 
 def max_flow_with_lower_bounds(
@@ -251,7 +427,9 @@ class SPContraction:
     """A series-parallel-contracted bounded-flow instance.
 
     ``edge_u``/``edge_v``/``lower``/``upper`` describe the contracted
-    instance over ``num_nodes`` renumbered nodes (``s``/``t`` included);
+    instance over ``num_nodes`` renumbered nodes (``s``/``t`` included,
+    numbered in their original relative order, so a topologically
+    numbered instance contracts to a topologically numbered one);
     :meth:`expand_mask` lifts a contracted source-side mask back onto
     the ``orig_num_nodes`` original nodes.
     """
@@ -274,24 +452,6 @@ class SPContraction:
         self._old_u = old_u
         self._old_v = old_v
         self._trees = trees
-
-    def with_zero_lower(self) -> "SPContraction":
-        """The same contraction with every lower bound dropped to zero.
-
-        The optimizer's repair-unavailable fallback re-solves the same
-        instance with the slowdown credits removed; the contracted
-        structure is unchanged (series keep ``min(ub)``, parallel keep
-        ``sum(ub)``, and with all-zero lower bounds the backward
-        bottleneck choice is value-free), so the composition trees are
-        reused instead of re-contracting.
-        """
-        return SPContraction(
-            num_nodes=self.num_nodes, edge_u=self.edge_u,
-            edge_v=self.edge_v, lower=[0.0] * len(self.lower),
-            upper=self.upper, s=self.s, t=self.t,
-            orig_num_nodes=self.orig_num_nodes, node_of=self._node_of,
-            old_u=self._old_u, old_v=self._old_v, trees=self._trees,
-        )
 
     def expand_mask(self, mask) -> bytearray:
         """Original-node source-side mask from a contracted-solve mask.
@@ -434,35 +594,19 @@ def contract_series_parallel(
     if killed == 0:
         return None
 
-    node_of: dict = {}
-    cu: List[int] = []
-    cv: List[int] = []
-    clb: List[float] = []
-    cub: List[float] = []
-    old_u: List[int] = []
-    old_v: List[int] = []
-    trees: List[tuple] = []
-    for e in range(m):
-        if not alive[e]:
-            continue
-        u = eu[e]
-        v = ev[e]
-        nu = node_of.get(u)
-        if nu is None:
-            nu = node_of[u] = len(node_of)
-        nv = node_of.get(v)
-        if nv is None:
-            nv = node_of[v] = len(node_of)
-        cu.append(nu)
-        cv.append(nv)
-        clb.append(lb[e])
-        cub.append(ub[e])
-        old_u.append(u)
-        old_v.append(v)
-        trees.append(tree[e])
-    for endpoint in (s, t):
-        if endpoint not in node_of:
-            node_of[endpoint] = len(node_of)
+    kept = [e for e in range(m) if alive[e]]
+    survivors = {s, t}
+    for e in kept:
+        survivors.add(eu[e])
+        survivors.add(ev[e])
+    node_of = {old: new for new, old in enumerate(sorted(survivors))}
+    old_u = [eu[e] for e in kept]
+    old_v = [ev[e] for e in kept]
+    cu = [node_of[u] for u in old_u]
+    cv = [node_of[v] for v in old_v]
+    clb = [lb[e] for e in kept]
+    cub = [ub[e] for e in kept]
+    trees = [tree[e] for e in kept]
     return SPContraction(
         num_nodes=len(node_of),
         edge_u=cu, edge_v=cv, lower=clb, upper=cub,

@@ -274,16 +274,16 @@ def add_span(name: str, start_s: float, duration_s: float, **attrs
 
 
 #: The crawl timing aggregates that become synthetic child spans.
-_STAGE_KEYS = ("event_times_s", "instance_build_s", "maxflow_s",
-               "schedule_s")
+_STAGE_KEYS = ("event_times_s", "instance_build_s", "contract_s",
+               "maxflow_s", "schedule_s")
 
 
 def add_stage_spans(timings: Optional[dict],
                     start_s: Optional[float] = None) -> None:
     """Rebase a crawl's ``timings`` dict onto synthetic child spans.
 
-    Each aggregate (event passes, instance builds, max-flow solves,
-    schedule assembly) becomes one span laid out back-to-back from
+    Each aggregate (event passes, instance builds, fast mode's
+    series-parallel contraction, max-flow solves, schedule assembly) becomes one span laid out back-to-back from
     ``start_s`` (default: the enclosing span's start) -- aggregate
     layout, not per-step truth, which is exactly what the timings dict
     already was.  No-op while recording is disabled.

@@ -445,8 +445,8 @@ class PlanningDaemon:
             seconds=round(getattr(frontier, "optimizer_runtime_s", 0.0), 6),
             points=len(getattr(frontier, "points", ()) or ()),
         )
-        for stage in ("event_times", "instance_build", "maxflow",
-                      "schedule"):
+        for stage in ("event_times", "instance_build", "contract",
+                      "maxflow", "schedule"):
             seconds = timings.get(stage + "_s")
             if seconds is not None:
                 self.metrics.observe(

@@ -380,19 +380,6 @@ class TestSeriesParallelContraction:
             assert value == pytest.approx(cut_value)
         assert contracted_count > 30
 
-    def test_zero_lower_variant_shares_structure(self):
-        edges = [BoundedEdge(0, 1, 1.0, 5.0), BoundedEdge(1, 2, 0.5, 4.0),
-                 BoundedEdge(0, 2, 0.0, 2.0)]
-        con = contract_series_parallel(
-            3, [e.u for e in edges], [e.v for e in edges],
-            [e.lb for e in edges], [e.ub for e in edges], 0, 2,
-        )
-        assert con is not None
-        relaxed = con.with_zero_lower()
-        assert relaxed.upper == con.upper
-        assert all(lb == 0.0 for lb in relaxed.lower)
-        assert relaxed.num_nodes == con.num_nodes
-
 
 class TestWarmCutCache:
     EDGE_U = [0, 1, 0]

@@ -1,13 +1,19 @@
 """Max-flow with lower bounds (Algorithm 3): feasibility, cuts, repairs."""
 
+import random
+
 import pytest
 
 from repro.exceptions import GraphError, InfeasibleFlowError
+from repro.graph import lowerbounds
 from repro.graph.lowerbounds import (
     BoundedEdge,
     max_flow_with_lower_bounds,
+    relaxed_min_cut,
+    solve_bounded_arrays,
 )
-from repro.graph.maxflow import INF
+from repro.graph.maxflow import INF, FlowArena
+from reference.maxflow import max_flow_with_lower_bounds_reference
 
 
 class TestFeasibility:
@@ -98,3 +104,127 @@ class TestValidation:
             BoundedEdge(0, 1, 3.0, 1.0)
         with pytest.raises(GraphError):
             BoundedEdge(0, 1, -1.0, 1.0)
+
+
+def _bounded_dag(rng, share):
+    """A random bounded DAG instance shaped like a critical DAG.
+
+    Every node lies on an ``s -> t`` path; some arcs are uncapacitated
+    (dependency-like), and a ``share`` of the arcs carry a lower bound.
+    Node labels are a random permutation of topological positions, so
+    the topological order is not ``range(n)``.  Returns ``(n, s, t,
+    edges, order)``.
+    """
+    n = rng.randint(6, 16)
+    arcs = set()
+    for pos in range(1, n - 1):
+        arcs.add((rng.randrange(0, pos), pos))
+        arcs.add((pos, rng.randrange(pos + 1, n)))
+    for _ in range(rng.randint(0, n)):
+        a, b = sorted(rng.sample(range(n), 2))
+        arcs.add((a, b))
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = []
+    for a, b in sorted(arcs):
+        ub = INF if rng.random() < 0.25 else rng.uniform(0.5, 10.0)
+        lb = 0.0
+        if rng.random() < share:
+            lb = rng.uniform(0.0, 5.0 if ub == INF else ub)
+        edges.append(BoundedEdge(label[a], label[b], lb, ub))
+    rng.shuffle(edges)
+    return n, label[0], label[n - 1], edges, label
+
+
+def _net_flow(arena, node):
+    """Flow out of ``node`` minus flow into it, over every arc pair."""
+    to, cap = arena.to, arena.cap
+    out = 0.0
+    for a in range(0, len(to), 2):
+        flow = cap[a ^ 1]
+        if to[a ^ 1] == node:
+            out += flow
+        if to[a] == node:
+            out -= flow
+    return out
+
+
+class TestWarmStart:
+    """The topological preflow changes the flow Dinic finishes from,
+    never the residual-reachable set the cut is read from."""
+
+    SHARES = (0.0, 0.05, 0.3, 1.0)
+
+    @pytest.fixture
+    def preflows(self, monkeypatch):
+        """Flow placed by every preflow, each checked to be a valid
+        ``s2 -> t2`` flow before Dinic continues from it."""
+        placed = []
+        original = lowerbounds._preflow
+
+        def checked(net, order, num_edges, supply, drain, s, t, ts_arc):
+            amount = original(net, order, num_edges, supply, drain, s, t,
+                              ts_arc)
+            for node in order:
+                assert _net_flow(net, node) == pytest.approx(0.0, abs=1e-9)
+            placed.append(amount)
+            return amount
+
+        monkeypatch.setattr(lowerbounds, "_preflow", checked)
+        return placed
+
+    def _instances(self):
+        rng = random.Random(2312)
+        for share in self.SHARES:
+            for _ in range(40):
+                yield _bounded_dag(rng, share)
+
+    def test_cut_only_solve_matches_reference(self, preflows):
+        feasible = infeasible = 0
+        for n, s, t, edges, order in self._instances():
+            args = (n, [e.u for e in edges], [e.v for e in edges],
+                    [e.lb for e in edges], [e.ub for e in edges], s, t)
+            try:
+                reference = max_flow_with_lower_bounds_reference(
+                    n, edges, s, t)
+            except InfeasibleFlowError as ref_err:
+                with pytest.raises(InfeasibleFlowError) as our_err:
+                    solve_bounded_arrays(*args, need_flows=False,
+                                         order=order)
+                assert our_err.value.violating_set == ref_err.violating_set
+                infeasible += 1
+                continue
+            _, _, mask = solve_bounded_arrays(*args, need_flows=False,
+                                              order=order)
+            assert {i for i in range(n) if mask[i]} == \
+                reference.source_side
+            feasible += 1
+        assert feasible >= 20 and infeasible >= 20
+        # The preflow must actually carry the lower bounds: on most
+        # instances with any, it places flow before Dinic runs.
+        assert len(preflows) >= 40
+        assert sum(1 for p in preflows if p > 0.0) > 0.75 * len(preflows)
+
+    def test_relaxed_resolve_in_place_matches_fresh_solve(self, preflows):
+        arena, fresh = FlowArena(), FlowArena()
+        resolved = 0
+        for n, s, t, edges, order in self._instances():
+            eu, ev = [e.u for e in edges], [e.v for e in edges]
+            ub = [e.ub for e in edges]
+            try:
+                solve_bounded_arrays(n, eu, ev, [e.lb for e in edges], ub,
+                                     s, t, arena=arena, need_flows=False,
+                                     order=order)
+                continue
+            except InfeasibleFlowError:
+                pass
+            mask = relaxed_min_cut(arena, ub, s, t)
+            _, _, expected = solve_bounded_arrays(
+                n, eu, ev, [0.0] * len(edges), ub, s, t, arena=fresh,
+                need_flows=False)
+            assert mask == expected
+            arcs = 2 * len(edges)
+            assert [c.hex() for c in arena.cap[:arcs]] == \
+                [c.hex() for c in fresh.cap[:arcs]]
+            resolved += 1
+        assert resolved >= 20
