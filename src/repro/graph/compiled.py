@@ -28,7 +28,8 @@ once into immutable flat arrays:
 pass and critical-edge extraction into one call and replaces the
 reference ``event_times`` + ``critical_edge_indices`` pair.  When numpy is
 importable and the DAG is large enough (:data:`NUMPY_MIN_EDGES`), the
-extraction runs vectorized; the relaxations stay scalar because
+extraction runs vectorized (numpy is imported on that first use, not
+with this module); the relaxations stay scalar because
 pipeline DAGs are deep and narrow (level widths of a handful of edges),
 where per-level numpy dispatch costs more than the loop it replaces.
 
@@ -44,20 +45,35 @@ either path compare equal bit for bit.
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..units import TIME_EPS
 from .edgecentric import EdgeCentricDag
 
-try:  # numpy accelerates critical extraction on big DAGs; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
 #: Edge count above which critical extraction uses numpy (when
 #: available).  Below it, numpy's per-call dispatch overhead loses to
 #: the plain loop.
 NUMPY_MIN_EDGES = 2048
+
+
+@lru_cache(maxsize=None)
+def _numpy():
+    """numpy, imported by the first extraction above
+    :data:`NUMPY_MIN_EDGES` (a plan on a smaller DAG never loads it);
+    ``None`` when it is not installed."""
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - exercised on numpy-free installs
+        return None
+    return numpy
+
+
+def __getattr__(name):
+    # ``_np`` reads as the module (or ``None``) without loading it at import.
+    if name == "_np":
+        return _numpy()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FlatTimes:
@@ -243,8 +259,8 @@ class CompiledDag:
         lat = [makespan] * n
         use_numpy = (
             critical_eps is not None
-            and _np is not None
             and self.num_edges >= NUMPY_MIN_EDGES
+            and _numpy() is not None
         )
         if critical_eps is None or use_numpy:
             for u, v, c in zip(self._bu, self._bv, self._bc):
@@ -356,6 +372,7 @@ class CompiledDag:
         return ear, ear[self.t], n - from_pos
 
     def _extract_critical_np(self, ear, lat, d, eps) -> List[int]:
+        _np = _numpy()
         if self._np_eu is None:
             self._np_eu = _np.array(self._eu, dtype=_np.intp)
             self._np_ev = _np.array(self._ev, dtype=_np.intp)

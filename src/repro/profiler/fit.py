@@ -6,8 +6,13 @@ Pareto-optimal (time, energy) measurements to a continuous function
 convex, capturing the diminishing return of slowing down.
 
 The fit is linear in ``(a, c)`` for fixed ``b``, so we solve a 1-D search
-over ``b`` with closed-form least squares inside -- no SciPy dependency,
-deterministic, and robust to the 2-3 point profiles constant-ish ops give.
+over ``b`` with closed-form least squares inside -- deterministic, robust
+to the 2-3 point profiles constant-ish ops give, and stdlib-only: a cold
+``repro plan`` fits every op, and importing numpy for it would cost more
+than the fits.  Sums run left to right in explicit loops (not ``sum()``,
+which compensates since CPython 3.12), so the floats do not depend on the
+interpreter version.  The numpy version this replaced is the oracle in
+``tests/reference/fit.py``.
 """
 
 from __future__ import annotations
@@ -16,10 +21,22 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..exceptions import FitError
 from .measurement import Measurement
+
+
+def _geomspace(start: float, stop: float, num: int) -> tuple:
+    """``numpy.geomspace(start, stop, num)``: ``10 ** linspace`` of the
+    logs, with both ends pinned to the exact inputs."""
+    lo, hi = math.log10(start), math.log10(stop)
+    step = (hi - lo) / (num - 1)
+    grid = [10.0 ** (i * step + lo) for i in range(num)]
+    grid[0], grid[-1] = start, stop
+    return tuple(grid)
+
+
+#: Curvatures ``k`` of the search grid ``b = -k / (t_max - t_min)``.
+CURVATURES = _geomspace(0.05, 50.0, 120)
 
 
 @dataclass(frozen=True)
@@ -47,61 +64,76 @@ class ExponentialFit:
 def fit_exponential(measurements: Sequence[Measurement]) -> ExponentialFit:
     """Fit ``a * exp(b * t) + c`` to Pareto-optimal measurements.
 
-    Requires at least two points.  With exactly two, the fit becomes an
-    exact interpolation with a mild default curvature.
+    Requires at least two points.  With exactly two, every grid ``b``
+    interpolates them exactly, so the residuals that pick ``b`` are
+    rounding noise.
 
-    The 1-D sweep over ``b`` evaluates every candidate at once: the
-    per-``b`` least squares is a 2-unknown system, so the whole grid
-    reduces to batched closed-form normal equations -- one ``exp``
-    matrix and a handful of reductions instead of 120 LAPACK ``lstsq``
-    dispatches.  (A cold frontier characterization fits every op; the
-    dispatch overhead alone used to be a visible slice of it.)
+    For each ``b`` of the grid the least squares in ``(a, c)`` is a
+    2-unknown system with closed-form normal equations; the candidate
+    with the smallest squared residual wins (the first on ties).
     """
     if len(measurements) < 2:
         raise FitError("need at least two Pareto points to fit")
     pts = sorted(measurements, key=lambda m: m.time_s)
-    times = np.array([m.time_s for m in pts], dtype=float)
-    energies = np.array([m.energy_j for m in pts], dtype=float)
-    t_lo, t_hi = float(times[0]), float(times[-1])
+    times = [float(m.time_s) for m in pts]
+    energies = [float(m.energy_j) for m in pts]
+    t_lo, t_hi = times[0], times[-1]
     if t_hi <= t_lo:
         raise FitError("degenerate time range in measurements")
 
     # Scale-aware sweep: b ~ -k / time_range for k in a wide log grid.
     span = t_hi - t_lo
-    bs = -np.geomspace(0.05, 50.0, 120) / span
-    basis = np.exp(bs[:, None] * times[None, :])  # one row per candidate b
     n = float(len(times))
-    s1 = basis.sum(axis=1)
-    s2 = (basis * basis).sum(axis=1)
-    sy = basis @ energies
-    y_sum = float(energies.sum())
-    det = s2 * n - s1 * s1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_all = (sy * n - s1 * y_sum) / det
-        c_all = (s2 * y_sum - s1 * sy) / det
-        resid_all = (
-            (a_all[:, None] * basis + c_all[:, None] - energies[None, :]) ** 2
-        ).sum(axis=1)
-    # Must be decreasing in t (a > 0); degenerate/singular rows (det ~ 0,
-    # NaN residuals) are rejected the same way.
-    valid = (a_all > 0) & np.isfinite(resid_all)
-    if not bool(valid.any()):
+    y_sum = 0.0
+    for y in energies:
+        y_sum += y
+    exp = math.exp
+    best = None
+    best_resid = math.inf
+    for k in CURVATURES:
+        b = -k / span
+        basis = [exp(b * t) for t in times]
+        s1 = s2 = sy = 0.0
+        for x, y in zip(basis, energies):
+            s1 += x
+            s2 += x * x
+            sy += x * y
+        det = s2 * n - s1 * s1
+        # Must be decreasing in t (a > 0); singular rows (det == 0) and
+        # non-finite residuals are rejected the same way.
+        if det == 0:
+            continue
+        a = (sy * n - s1 * y_sum) / det
+        if not a > 0:
+            continue
+        c = (s2 * y_sum - s1 * sy) / det
+        resid = 0.0
+        for x, y in zip(basis, energies):
+            r = a * x + c - y
+            resid += r * r
+        if resid < best_resid:
+            best_resid = resid
+            best = (a, b, c)
+    if best is None:
         raise FitError("no decreasing exponential fits the measurements")
-    resid_all = np.where(valid, resid_all, np.inf)
-    best = int(np.argmin(resid_all))
-    return ExponentialFit(
-        a=float(a_all[best]), b=float(bs[best]), c=float(c_all[best]),
-        t_min=t_lo, t_max=t_hi,
-    )
+    a, b, c = best
+    return ExponentialFit(a=a, b=b, c=c, t_min=t_lo, t_max=t_hi)
 
 
 def fit_quality(fit: ExponentialFit, measurements: Sequence[Measurement]) -> float:
     """R^2 of the fit over the given measurements (1.0 = perfect)."""
-    energies = np.array([m.energy_j for m in measurements], dtype=float)
-    predicted = np.array([fit(m.time_s) for m in measurements], dtype=float)
-    ss_res = float(np.sum((energies - predicted) ** 2))
-    ss_tot = float(np.sum((energies - energies.mean()) ** 2))
+    energies = [float(m.energy_j) for m in measurements]
+    ss_res = 0.0
+    total = 0.0
+    for m, y in zip(measurements, energies):
+        r = y - fit(m.time_s)
+        ss_res += r * r
+        total += y
+    mean = total / len(energies) if energies else 0.0
+    ss_tot = 0.0
+    for y in energies:
+        r = y - mean
+        ss_tot += r * r
     if ss_tot == 0:
         return 1.0 if ss_res < 1e-12 else 0.0
     return 1.0 - ss_res / ss_tot
-

@@ -13,9 +13,7 @@ client-side profiler that drives a running training engine lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import ProfilingError
 from ..gpu.energy_model import ComputationEnergyModel, WorkProfile
@@ -23,6 +21,16 @@ from ..gpu.specs import GPULike, GPUSpec, resolve_gpus
 from ..partition.algorithms import PartitionResult
 from ..models.layers import ModelSpec
 from .measurement import Measurement, OpProfile, PipelineProfile
+
+if TYPE_CHECKING:
+    import numpy as np
+
+
+def _noise_rng(seed: int) -> "np.random.Generator":
+    """The noise stream of a noisy profile; numpy loads only for one."""
+    import numpy as np
+
+    return np.random.default_rng(seed)
 
 
 def sweep_frequencies(
@@ -42,7 +50,7 @@ def sweep_frequencies(
     if noise < 0:
         raise ProfilingError("noise must be non-negative")
     if noise > 0 and rng is None:
-        rng = np.random.default_rng(0)
+        rng = _noise_rng(0)
     table = model.spec.freq if freq_stride == 1 else model.spec.freq.subsample(freq_stride)
     measurements = []
     min_energy = float("inf")
@@ -124,7 +132,7 @@ def profile_pipeline(
     gpus = resolve_gpus(gpu, partition.num_stages)
     if tensor_parallel > 1:
         model_spec = model_spec.shard(tensor_parallel)
-    rng = np.random.default_rng(seed)
+    rng = _noise_rng(seed) if noise > 0 else None
     profile = PipelineProfile.for_devices(gpus)
     for stage, (fwd, bwd) in enumerate(stage_works(model_spec, partition)):
         energy_model = ComputationEnergyModel(gpus[stage])

@@ -2,6 +2,8 @@
 
 * :mod:`.critical` -- dict-of-float event times and critical-edge
   extraction (what :class:`~repro.graph.compiled.CompiledDag` replaces);
+* :mod:`.fit` -- the numpy exponential fit (what the stdlib
+  ``repro.profiler.fit`` replaces);
 * :mod:`.maxflow` -- ``FlowNetwork``/``Dinic``, Edmonds-Karp and the
   per-call bounded min-cut (what ``FlowArena`` replaces);
 * :mod:`.oracle` -- the dict Algorithm-2 step, the seed crawl and

@@ -7,10 +7,11 @@ point at the same deadline, and never dips below the enumeration
 oracle's provable floor.  These tests pin that contract over ~200
 seeded random small pipelines, pin ``exactness="exact"`` to the seed
 oracle in ``tests/reference/`` bit-for-bit, pin fast frontiers to
-fingerprints recorded before the fast and exact step bodies were
-merged, and cover the kernel's building blocks (incremental forward
-pass, SP contraction, warm-cut cache) plus the cache-key plumbing that
-keeps fast and exact artifacts from ever aliasing.
+recorded fingerprints (under the stdlib fit, and under the seed's numpy
+fit as recorded before the fit left numpy), and cover the kernel's
+building blocks (incremental forward pass, SP contraction, warm-cut
+cache) plus the cache-key plumbing that keeps fast and exact artifacts
+from ever aliasing.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import pytest
 
 from repro.api import Planner, PlanSpec
 from repro.baselines.oracle import OracleBound, optimality_gap, oracle_bound
+from repro.core import costmodel
 from repro.core.costmodel import build_cost_models
 from repro.core.frontier import characterize_frontier
 from repro.core.nextschedule import FAST_TOLERANCE, compiled_kernel
@@ -43,7 +45,7 @@ from repro.pipeline.dag import build_pipeline_dag
 from repro.pipeline.schedules import schedule_1f1b
 from repro.profiler.online import profile_pipeline
 from repro.service import stack_flight_key
-from reference import seed_oracle
+from reference import fit as reference_fit, seed_oracle
 
 NOISE = 0.05
 STEP_TARGET = 24
@@ -158,38 +160,71 @@ def _fast_fingerprint(frontier) -> str:
 
 
 class TestFastPinned:
-    """Fast frontiers bit for bit, as recorded before the fast and exact
-    step bodies were merged.  Fast mode is only tolerance-bound against
-    exact, so these pins are what catches a silent change in its cut
-    choices (warm-cut replay, contraction, repairs).  The pins hold for
-    one numerical environment: a different numpy/libm can move the fits
-    in the last ULPs, which re-records them legitimately."""
+    """Fast frontiers bit for bit.  Fast mode is only tolerance-bound
+    against exact, so these pins are what catches a silent change in
+    its cut choices (warm-cut replay, contraction, repairs).
+
+    ``PINS`` hold for the stdlib fit on one libm; a different libm can
+    move the fits in the last ULPs, which re-records them legitimately.
+    ``SEED_FIT_PINS`` are the same frontiers recorded with the seed's
+    numpy fit before the fit left numpy: re-run with that fit patched
+    into the cost models, they show the kernel's own cut choices have
+    not moved.  (The ``(3, 4, 5)`` pipeline has a two-point op, whose
+    fit interpolates exactly at every grid ``b``; the residuals the grid
+    point is chosen by are rounding noise, so the two fits pick
+    neighbouring points and that crawl takes one step fewer.)"""
 
     #: (stages, microbatches, profile seed) -> (steps, fingerprint).
     #: Each pipeline exercises repairs and warm-cut hits.
     PINS = {
         (2, 2, 0): (23, "06048d8a24fef2a88aa789aa"),
+        (3, 4, 5): (23, "9a45c7f0efe48b18d77b0bd9"),
+        (2, 3, 7): (24, "206be33376f83475264ca3d9"),
+    }
+    PLANNER_PIN = (249, "644278413b511e89b7dd20a8")
+
+    SEED_FIT_PINS = {
+        (2, 2, 0): (23, "06048d8a24fef2a88aa789aa"),
         (3, 4, 5): (24, "40d2f72108490e76781c515b"),
         (2, 3, 7): (24, "206be33376f83475264ca3d9"),
     }
+    SEED_FIT_PLANNER_PIN = (249, "6500f39ebf1ef3aa2394ed87")
 
-    @pytest.mark.parametrize("case", sorted(PINS))
-    def test_noisy_pipeline_fast_frontier_pinned(self, case):
+    @staticmethod
+    def _noisy_frontier(case):
         stages, mb, seed = case
         profile = _noisy_profile(stages, seed)
         dag = build_pipeline_dag(schedule_1f1b(stages, mb))
         frontier = characterize_frontier(dag, profile,
                                          tau=_auto_tau(dag, profile),
                                          exactness="fast")
-        assert (frontier.steps, _fast_fingerprint(frontier)) == \
-            self.PINS[case]
+        return frontier.steps, _fast_fingerprint(frontier)
 
-    def test_planner_fast_frontier_pinned(self):
+    @staticmethod
+    def _planner_frontier():
         spec = PlanSpec(model="gpt3-xl", gpu="a100", stages=4,
                         microbatches=6, freq_stride=8, exactness="fast")
         frontier = Planner().frontier_for(spec)
-        assert frontier.steps == 249
-        assert _fast_fingerprint(frontier) == "6500f39ebf1ef3aa2394ed87"
+        return frontier.steps, _fast_fingerprint(frontier)
+
+    @pytest.fixture
+    def seed_fit(self, monkeypatch):
+        monkeypatch.setattr(costmodel, "fit_exponential",
+                            reference_fit.fit_exponential)
+
+    @pytest.mark.parametrize("case", sorted(PINS))
+    def test_noisy_pipeline_fast_frontier_pinned(self, case):
+        assert self._noisy_frontier(case) == self.PINS[case]
+
+    def test_planner_fast_frontier_pinned(self):
+        assert self._planner_frontier() == self.PLANNER_PIN
+
+    @pytest.mark.parametrize("case", sorted(SEED_FIT_PINS))
+    def test_noisy_pipeline_seed_fit_pinned(self, case, seed_fit):
+        assert self._noisy_frontier(case) == self.SEED_FIT_PINS[case]
+
+    def test_planner_seed_fit_pinned(self, seed_fit):
+        assert self._planner_frontier() == self.SEED_FIT_PLANNER_PIN
 
 
 class TestFastTimings:

@@ -6,6 +6,10 @@ benchmark's tracing wrappers (``perfbench/tracing.py``) patch only
 modules that ``import repro.cli`` already loaded, so every module they
 target must stay on that path.  Each check runs in a fresh interpreter:
 the test process itself has long since imported everything.
+
+A default plan never needs numpy (the exponential fit is stdlib-only;
+numpy serves noisy profiles and DAGs of at least ``NUMPY_MIN_EDGES``
+edges), and importing it is a large fixed cost of a cold plan.
 """
 
 from __future__ import annotations
@@ -55,6 +59,20 @@ print(json.dumps({
 """ % (LAZY,)
 
 
+PLAN_PROBE = r"""
+import contextlib, io, json, sys
+
+import repro.cli
+
+after_import = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = repro.cli.main(["plan", "gpt3-xl", "--stages", "4",
+                           "--microbatches", "8"])
+print(json.dumps({"code": code, "after_import": after_import,
+                  "after_plan": "numpy" in sys.modules}))
+"""
+
+
 @pytest.fixture(scope="module")
 def probe():
     done = subprocess.run(
@@ -90,3 +108,12 @@ def test_star_import_binds_all(probe):
 def test_unknown_attribute_raises(probe):
     assert probe["unknown"] == \
         "module 'repro' has no attribute 'no_such_attribute'"
+
+
+def test_default_plan_never_loads_numpy():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    done = subprocess.run([sys.executable, "-c", PLAN_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"code": 0, "after_import": False, "after_plan": False}
