@@ -115,8 +115,8 @@ def _add_plan_args(p: argparse.ArgumentParser,
                    help="optimizer mode: 'exact' matches the reference "
                         "crawl bit-for-bit; 'fast' enables replayed "
                         "min-cuts and series-parallel contraction "
-                        "(within tolerance; measured 0.9-1.5x the exact "
-                        "kernel's speed)")
+                        "(within tolerance; measured 0.93-1.14x the "
+                        "exact kernel's speed)")
 
 
 def _parse_gpu(raw: str):
@@ -148,6 +148,7 @@ def _print_timings(timings: Optional[dict]) -> None:
         return
     print(f"timings    : kernel={timings.get('kernel', '?')} "
           f"cuts={timings.get('cuts', 0)} "
+          f"chain_cuts={timings.get('chain_cuts', 0)} "
           f"repairs={timings.get('repairs', 0)}")
     for name in ("event_times_s", "instance_build_s", "contract_s",
                  "maxflow_s", "schedule_s"):

@@ -222,6 +222,7 @@ def _new_timings(kernel: str) -> dict:
         "maxflow_s": 0.0,
         "schedule_s": 0.0,
         "cuts": 0,
+        "chain_cuts": 0,
         "repairs": 0,
     }
 

@@ -59,6 +59,7 @@ from ..graph.compiled import CompiledDag
 from ..graph.edgecentric import EdgeCentricDag
 from ..graph.lowerbounds import (
     SPContraction,
+    chain_min_cut,
     contract_series_parallel,
     relaxed_min_cut,
     solve_bounded_arrays,
@@ -155,7 +156,10 @@ class _FlatInstance:
     marks upper bounds that were *assigned* infinite (mirrors the
     oracle's ``ub is INF`` identity test).  Compact node ids follow the
     DAG's topological order, so ``range(num_compact)`` is the order
-    that warm-starts the bounded solve.
+    that warm-starts the bounded solve.  ``path`` is set when the
+    Critical DAG is a single ``s -> t`` path: ``path[p]`` is the edge
+    from compact node ``p`` to ``p + 1`` (its min cuts have closed
+    forms, :func:`~repro.graph.lowerbounds.chain_min_cut`).
     """
 
     bu: List[int]
@@ -167,6 +171,7 @@ class _FlatInstance:
     num_compact: int
     s: int
     t: int
+    path: Optional[List[int]] = None
 
     def relaxed(self) -> "_FlatInstance":
         """The same instance with every slowdown credit (lower bound)
@@ -283,7 +288,7 @@ def next_schedule_flat(
             when omitted).
         timings: Optional accumulator; bumps ``event_times_s`` /
             ``instance_build_s`` / ``contract_s`` / ``maxflow_s`` /
-            ``cuts`` / ``repairs``.
+            ``cuts`` / ``chain_cuts`` / ``repairs``.
         start_makespan: Known makespan of ``durations`` (skips one pass).
         start_earliest: Earliest event times matching ``start_makespan``
             (a prior step's :attr:`FlatStep.earliest`).
@@ -431,14 +436,11 @@ def _solve_one_cut(
                 # The replayed cut no longer moves anything; solve fresh.
                 fast.warm.invalidate()
 
-        try:
-            mask = _min_cut(inst, arena, timings, fast)
-        except InfeasibleFlowError as err:
+        mask, violating = _min_cut(inst, arena, timings, fast)
+        if mask is None:
             repair = None
-            if err.violating_set:
-                repair = _apply_repair(
-                    kern, current, tau, inst, err.violating_set
-                )
+            if violating:
+                repair = _apply_repair(kern, current, tau, inst, violating)
             if repair is not None:
                 repaired, moved = repair
                 rep_earliest, rep_makespan = _forward(
@@ -468,23 +470,38 @@ def _solve_one_cut(
     )
 
 
-def _min_cut(inst: _FlatInstance, arena, timings, fast) -> bytearray:
-    """Source-side mask of ``inst``'s min cut.
+def _min_cut(
+    inst: _FlatInstance, arena, timings, fast
+) -> Tuple[Optional[bytearray], Optional[Set[int]]]:
+    """Min cut of ``inst``: ``(mask, None)`` with its source-side mask,
+    or ``(None, violating)`` when the instance is infeasible, with the
+    violating set in ``inst``'s compact node ids.
 
-    Exact mode solves the instance directly.  Fast mode solves its
-    series-parallel contraction (:func:`_contract`) when one exists: the
-    contraction preserves feasibility and the min-cut value exactly, and
-    the cut is expanded back through the composition trees.  On an
-    infeasible instance, raises :class:`InfeasibleFlowError` with the
-    violating set in ``inst``'s compact node ids (a contracted violating
-    set is expanded the same way; the expansion preserves each
-    composite's cut contribution, so the set's negative value survives).
-    Either way the solve is warm-started along the topological node
-    order and leaves its instance in ``arena`` for :func:`_relaxed_cut`.
-    Contraction and expansion are timed as ``contract_s``, the solve as
-    ``maxflow_s``.
+    A chain instance is answered in closed form
+    (:func:`~repro.graph.lowerbounds.chain_min_cut`) unless the answer
+    sits near a float threshold; the closed forms give the generic
+    solve's mask and violating set, so both modes take them (fast mode
+    after its warm-cut replay, before contraction).  Otherwise exact
+    mode solves the instance directly, and fast mode solves its
+    series-parallel contraction (:func:`_contract`) when one exists:
+    the contraction preserves feasibility and the min-cut value
+    exactly, and the cut -- or the violating set, whose negative value
+    the expansion preserves composite by composite -- is expanded back
+    through the composition trees.  A flow solve is warm-started along
+    the topological node order and leaves its instance in ``arena`` for
+    :func:`_relaxed_cut`.  Contraction and expansion are timed as
+    ``contract_s``; the solve, closed form or not, as ``maxflow_s``.
     """
     t0 = perf_counter()
+    if inst.path is not None:
+        cut = chain_min_cut(inst.blb, inst.bub, inst.path)
+        if cut is not None:
+            if timings is not None:
+                timings["maxflow_s"] += perf_counter() - t0
+                timings["cuts"] += 1
+                timings["chain_cuts"] += 1
+            return cut
+    tc = perf_counter()
     con = None if fast is None else _contract(inst, fast)
     t1 = perf_counter()
     solved = None
@@ -494,46 +511,53 @@ def _min_cut(inst: _FlatInstance, arena, timings, fast) -> bytearray:
                 inst.num_compact, inst.bu, inst.bv, inst.blb, inst.bub,
                 inst.s, inst.t, arena=arena, need_flows=False,
                 order=range(inst.num_compact),
-            )[2]
-        try:
-            cmask = solve_bounded_arrays(
-                con.num_nodes, con.edge_u, con.edge_v, con.lower,
-                con.upper, con.s, con.t, arena=arena, need_flows=False,
-                order=range(con.num_nodes),
-            )[2]
-        except InfeasibleFlowError as cerr:
-            solved = perf_counter()
+            )[2], None
+        cmask = solve_bounded_arrays(
+            con.num_nodes, con.edge_u, con.edge_v, con.lower,
+            con.upper, con.s, con.t, arena=arena, need_flows=False,
+            order=range(con.num_nodes),
+        )[2]
+        solved = perf_counter()
+        return con.expand_mask(cmask), None
+    except InfeasibleFlowError as err:
+        solved = perf_counter()
+        violating = err.violating_set
+        if con is not None:
             vmask = bytearray(con.num_nodes)
-            for n in cerr.violating_set:
+            for n in violating:
                 vmask[n] = 1
             full = con.expand_mask(vmask)
-            err = InfeasibleFlowError(str(cerr))
-            err.violating_set = {
-                n for n in range(inst.num_compact) if full[n]
-            }
-            raise err from None
-        solved = perf_counter()
-        return con.expand_mask(cmask)
+            violating = {n for n in range(inst.num_compact) if full[n]}
+        return None, violating
     finally:
         if timings is not None:
             end = perf_counter()
             if solved is None:
                 solved = end
             if fast is not None:
-                timings["contract_s"] += (t1 - t0) + (end - solved)
-            timings["maxflow_s"] += solved - t1
+                timings["contract_s"] += (t1 - tc) + (end - solved)
+            timings["maxflow_s"] += (tc - t0) + (solved - t1)
             timings["cuts"] += 1
 
 
 def _relaxed_cut(inst: _FlatInstance, arena, timings, fast) -> bytearray:
     """Min cut of ``inst`` (already relaxed) re-solved in place.
 
-    The arena still holds the infeasible solve :func:`_min_cut` just
-    made of the same instance -- of its contraction in fast mode, which
-    keeps the same structure and upper bounds with its lower bounds
-    dropped -- so :func:`relaxed_min_cut` only resets capacities.
+    A chain takes the closed form, which always decides once the lower
+    bounds are dropped.  Otherwise the arena still holds the infeasible
+    solve :func:`_min_cut` just made of the same instance -- of its
+    contraction in fast mode, which keeps the same structure and upper
+    bounds with its lower bounds dropped -- so :func:`relaxed_min_cut`
+    only resets capacities.
     """
     t0 = perf_counter()
+    if inst.path is not None:
+        mask = chain_min_cut(inst.blb, inst.bub, inst.path)[0]
+        if timings is not None:
+            timings["maxflow_s"] += perf_counter() - t0
+            timings["cuts"] += 1
+            timings["chain_cuts"] += 1
+        return mask
     con = None if fast is None else fast.last_contraction
     if con is None:
         mask = relaxed_min_cut(arena, inst.bub, inst.s, inst.t)
@@ -584,28 +608,37 @@ def _build_instance(
         entries[j] = entry
         speedable[j] = entry[0]
 
-    if _has_unspeedable_path(kern, crit, speedable):
-        return None
+    path = _chain_path(kern, crit)
+    if path is not None:
+        if not any(speedable):
+            return None  # the one s -> t path cannot speed up
+        # A path's topological order is its own: node p is position p,
+        # so each edge's tail is its position (the inverse of ``path``).
+        bu = sorted(range(len(crit)), key=path.__getitem__)
+        bv = [p + 1 for p in bu]
+        num_compact, s, t = len(crit) + 1, 0, len(crit)
+    else:
+        if _has_unspeedable_path(kern, crit, speedable):
+            return None
+        # Compact node ids over the critical subgraph's nodes (plus s
+        # and t), assigned in topological order.
+        crit_nodes = {kern.s, kern.t}
+        for idx in crit:
+            crit_nodes.add(eu[idx])
+            crit_nodes.add(ev[idx])
+        compact = {
+            node: i
+            for i, node in enumerate(
+                sorted(crit_nodes, key=kern.pos.__getitem__))
+        }
+        bu = [compact[eu[idx]] for idx in crit]
+        bv = [compact[ev[idx]] for idx in crit]
+        num_compact, s, t = len(compact), compact[kern.s], compact[kern.t]
 
-    # Compact node ids over the critical subgraph's nodes (plus s and t),
-    # assigned in topological order.
-    crit_nodes = {kern.s, kern.t}
-    for idx in crit:
-        crit_nodes.add(eu[idx])
-        crit_nodes.add(ev[idx])
-    compact = {
-        node: i
-        for i, node in enumerate(sorted(crit_nodes, key=kern.pos.__getitem__))
-    }
-    num_compact = len(compact)
-
-    bu: List[int] = []
-    bv: List[int] = []
     blb: List[float] = []
     bub: List[float] = []
     binf: List[bool] = []
-    for j, idx in enumerate(crit):
-        entry = entries[j]
+    for entry in entries:
         if entry is None:  # dependency edge
             lb, ub, is_inf = 0.0, INF, True
         else:
@@ -620,15 +653,30 @@ def _build_instance(
                 # Convexity guarantees e- <= e+ for exact fits; float dust
                 # can still invert them by a hair.
                 lb = ub
-        bu.append(compact[eu[idx]])
-        bv.append(compact[ev[idx]])
         blb.append(lb)
         bub.append(ub)
         binf.append(is_inf)
-    return _FlatInstance(
-        bu, bv, blb, bub, binf, crit, num_compact,
-        compact[kern.s], compact[kern.t],
-    )
+    return _FlatInstance(bu, bv, blb, bub, binf, crit, num_compact, s, t,
+                         path)
+
+
+def _chain_path(kern, crit) -> Optional[List[int]]:
+    """Critical-edge index per path position when the critical edges
+    form one ``s -> t`` path (each tail once, walked from ``s``), else
+    None."""
+    eu, ev = kern.edge_u, kern.edge_v
+    out_edge = {eu[idx]: j for j, idx in enumerate(crit)}
+    if len(out_edge) != len(crit):
+        return None
+    path: List[int] = []
+    node, t = kern.s, kern.t
+    while node != t:
+        j = out_edge.get(node)
+        if j is None:
+            return None
+        path.append(j)
+        node = ev[crit[j]]
+    return path if len(path) == len(crit) else None
 
 
 def _has_unspeedable_path(kern, crit, speedable) -> bool:
@@ -768,7 +816,7 @@ def _fallback_speedup_only(
     if inst is None:
         return None
     inst = inst.relaxed()
-    mask = _min_cut(inst, arena, timings, fast)
+    mask = _min_cut(inst, arena, timings, fast)[0]
     return _apply_cut(
         kern, current, cur_earliest, cur_makespan, tau, inst, mask,
         timings, fast,

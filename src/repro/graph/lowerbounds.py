@@ -17,7 +17,8 @@ There is exactly one implementation of this transform,
 reusable :class:`~.maxflow.FlowArena` (the optimizer hot path passes a
 long-lived arena so the thousands of min-cut calls per frontier crawl
 reuse one set of buffers).  :func:`max_flow_with_lower_bounds` is the
-object-level wrapper over the same core.
+object-level wrapper over the same core.  :func:`chain_min_cut` returns
+the same outcome in closed form when the instance is a single path.
 
 Called without ``order`` the solve is *cold*: it replicates the seed's
 per-call solve (``tests/reference/maxflow.py``) bit for bit, per-edge
@@ -39,6 +40,7 @@ an infeasible solve it cannot repair).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import GraphError, InfeasibleFlowError
@@ -206,7 +208,12 @@ def solve_bounded_arrays(
                 f"{required:.6g}"
             )
             err.violating_set = violating
-            raise err
+            try:
+                raise err
+            finally:
+                # Unbind it: a local holding the error would tie this
+                # frame to its traceback in a cycle only the GC frees.
+                del err
 
     # Remove the circulation arc and augment s -> t on the residual.
     net.zero_arc(ts_arc)
@@ -369,6 +376,164 @@ def relaxed_min_cut(arena: FlowArena, upper: Sequence[float], s: int,
     cap[num_arcs:] = [0.0] * (len(cap) - num_arcs)
     arena.max_flow(s, t)
     return arena.level_mask()
+
+
+def chain_min_cut(
+    lower: Sequence[float], upper: Sequence[float], path: Sequence[int],
+) -> Optional[Tuple[Optional[bytearray], Optional[Set[int]]]]:
+    """Closed-form :func:`solve_bounded_arrays` outcome on a path.
+
+    The instance is a single ``s -> t`` path over nodes ``0 .. m`` (``s
+    = 0``, ``t = m``); edge ``path[p]`` of ``lower``/``upper`` runs from
+    node ``p`` to node ``p + 1``.  Returns ``(mask, None)`` with the
+    source-side mask of the min cut, ``(None, violating)`` with the
+    violating set an infeasible solve would raise, or ``None`` when the
+    answer sits too close to a float threshold to decide without the
+    flow network.
+
+    * **No lower bound above** ``FLOW_EPS``: no dummy arc is built and
+      Dinic makes one augmentation of ``U = min(ub - lb)``; the mask is
+      nodes ``0 .. p`` for the first ``p`` whose residual ``cap - U``
+      (or ``cap``, when ``U <= FLOW_EPS``) is ``<= FLOW_EPS`` -- the
+      solver's own float operations, so this case always decides.
+    * **Otherwise** a node set ``X`` violates Hoffman's condition by
+      ``D(X) = sum(lb into X) - sum(ub out of X)`` (leaving through an
+      infinite edge, or ``t`` in ``X`` without ``s``, is barred), and
+      the feasibility max flow is ``required - max D``.  ``max lb <=
+      min ub`` means ``max D == 0``: the mask is nodes ``0 .. p`` for
+      the first edge ``p`` with ``ub == min ub``.  ``max D`` above the
+      solver's ``1e-6 * max(1, required)`` tolerance means infeasible:
+      the violating set is the nodes every maximiser of ``D`` contains
+      (the residual-reachable side of the unique minimal min cut), from
+      a forward and a backward max-plus pass over the speed/slow edges.
+
+    When to defer: a ``FLOW_EPS``-thresholded max flow stops once every
+    arc crossing its reachable set ``R`` has residual (or reverse flow)
+    ``<= FLOW_EPS``, so ``D(R)`` is within ``k * FLOW_EPS`` of ``max D``
+    for the ``k <= 2m + 2`` arcs of the path network (``m`` edges, a
+    dummy per node, ``t -> s``).  ``margin = 4 (m + 1) FLOW_EPS`` covers
+    that twice over.  The answer defers when
+
+    * two distinct values among ``0``, the lower bounds and the finite
+      upper bounds are within ``margin`` of each other: a lower bound
+      or node excess near zero (a dummy arc dropped or barely kept), an
+      ``ub`` near the minimum ``ub`` (the cut's edge in doubt), or a
+      piece ``lb_i - ub_j`` near zero -- so every set's ``D`` is then
+      exactly 0 or ``margin`` away from it;
+    * ``max D`` is positive but not ``margin`` above the tolerance;
+    * a node's exclusion gap (``max D`` minus the best ``D`` without
+      it) is in ``(0, margin]``.
+    """
+    eps = FLOW_EPS
+    m = len(path)
+    lbs = list(map(lower.__getitem__, path))
+    ubs = list(map(upper.__getitem__, path))
+    top = max(lbs)
+    if top <= eps:
+        caps = list(map(sub, ubs, lbs)) if top > 0.0 else ubs
+        low = min(caps)
+        if low == INF:
+            return None  # no finite cut: the solver's INF - INF is NaN
+        if low <= eps:
+            cut = next(p for p, c in enumerate(caps) if c <= eps)
+        else:
+            cut = caps.index(low)
+            # Subtraction is monotone, so checking the smallest earlier
+            # capacity tells whether any earlier edge also saturates.
+            if cut and min(caps[:cut]) - low <= eps:
+                cut = next(p for p, c in enumerate(caps) if c - low <= eps)
+        return _prefix_mask(cut, m), None
+
+    margin = 4.0 * (m + 1) * eps
+    values = set(lbs)
+    values.update(ubs)
+    values.discard(INF)
+    values.add(0.0)
+    values = sorted(values)
+    if min(map(sub, values[1:], values[:-1])) <= margin:
+        return None
+    low = min(ubs)
+    if top <= low:
+        return _prefix_mask(ubs.index(low), m), None
+
+    # Infeasible side: max-plus passes over the edges that change D --
+    # an entry gains ``lb`` (lb > 0), an exit costs ``ub`` (finite).
+    # Zero-gain entries are dropped: a piece they open never raises D.
+    # Two runs in lockstep: ``a`` with s out of X (so t out), ``b``
+    # with s in X.  ``*0``/``*1``: the current node out of / in X.
+    act = [p for p in range(m) if lbs[p] > 0.0 or ubs[p] != INF]
+    neg = -INF
+    a0, a1, b0, b1 = 0.0, neg, neg, 0.0
+    fa0, fb0 = [a0], [b0]
+    for p in act:
+        lb, ub = lbs[p], ubs[p]
+        if ub != INF:
+            x = a1 - ub
+            n_a0 = a0 if a0 >= x else x
+            x = b1 - ub
+            n_b0 = b0 if b0 >= x else x
+        else:
+            n_a0, n_b0 = a0, b0
+        if lb > 0.0:
+            x = a0 + lb
+            if x > a1:
+                a1 = x
+            x = b0 + lb
+            if x > b1:
+                b1 = x
+        a0, b0 = n_a0, n_b0
+        fa0.append(a0)
+        fb0.append(b0)
+    best = a0 if a0 >= b0 else b0
+    if b1 > best:
+        best = b1
+    required = sum(e for e in map(sub, lbs, lbs[1:]) if e > 0.0) + lbs[-1]
+    if best <= 1e-6 * max(1.0, required) + margin:
+        return None
+
+    # Backward pass, segment by segment (segment k: the nodes between
+    # the k-th and (k+1)-th active edge), combined with the forward
+    # values there into the best D with the segment out of X.  A gap of
+    # exactly 0 means some maximiser leaves the segment out, and so
+    # does the minimal one the flow network's residual BFS reaches.
+    a0, a1, b0, b1 = 0.0, neg, 0.0, 0.0
+    violating: Set[int] = set()
+    hi = m + 1
+    for k in range(len(act), -1, -1):
+        x = fa0[k] + a0
+        y = fb0[k] + b0
+        out_gap = best - (x if x >= y else y)
+        lo = act[k - 1] + 1 if k else 0
+        if out_gap > margin:
+            violating.update(range(lo, hi))
+        elif out_gap > 0.0:
+            return None
+        hi = lo
+        if not k:
+            break
+        p = act[k - 1]
+        lb, ub = lbs[p], ubs[p]
+        if lb > 0.0:
+            x = a1 + lb
+            n_a0 = a0 if a0 >= x else x
+            x = b1 + lb
+            n_b0 = b0 if b0 >= x else x
+        else:
+            n_a0, n_b0 = a0, b0
+        if ub != INF:
+            x = a0 - ub
+            if x > a1:
+                a1 = x
+            x = b0 - ub
+            if x > b1:
+                b1 = x
+        a0, b0 = n_a0, n_b0
+    return None, violating
+
+
+def _prefix_mask(cut: int, m: int) -> bytearray:
+    """Mask of nodes ``0 .. cut`` out of ``0 .. m``."""
+    return bytearray(b"\x01") * (cut + 1) + bytearray(m - cut)
 
 
 def max_flow_with_lower_bounds(

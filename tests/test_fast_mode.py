@@ -172,7 +172,12 @@ class TestFastPinned:
     not moved.  (The ``(3, 4, 5)`` pipeline has a two-point op, whose
     fit interpolates exactly at every grid ``b``; the residuals the grid
     point is chosen by are rounding noise, so the two fits pick
-    neighbouring points and that crawl takes one step fewer.)"""
+    neighbouring points and that crawl takes one step fewer.)
+
+    The planner pipeline (gpt3-xl pp4) has a single-path Critical DAG
+    at every step, so both modes answer every min cut in closed form
+    and its fast frontier is the exact one: the planner pins assert
+    that as well."""
 
     #: (stages, microbatches, profile seed) -> (steps, fingerprint).
     #: Each pipeline exercises repairs and warm-cut hits.
@@ -181,14 +186,14 @@ class TestFastPinned:
         (3, 4, 5): (23, "9a45c7f0efe48b18d77b0bd9"),
         (2, 3, 7): (24, "206be33376f83475264ca3d9"),
     }
-    PLANNER_PIN = (249, "644278413b511e89b7dd20a8")
+    PLANNER_PIN = (249, "51c0211aa7e029506d7b4af6")
 
     SEED_FIT_PINS = {
         (2, 2, 0): (23, "06048d8a24fef2a88aa789aa"),
         (3, 4, 5): (24, "40d2f72108490e76781c515b"),
         (2, 3, 7): (24, "206be33376f83475264ca3d9"),
     }
-    SEED_FIT_PLANNER_PIN = (249, "6500f39ebf1ef3aa2394ed87")
+    SEED_FIT_PLANNER_PIN = (249, "64ea728bae8d4b95315a461a")
 
     @staticmethod
     def _noisy_frontier(case):
@@ -201,9 +206,9 @@ class TestFastPinned:
         return frontier.steps, _fast_fingerprint(frontier)
 
     @staticmethod
-    def _planner_frontier():
+    def _planner_frontier(exactness="fast"):
         spec = PlanSpec(model="gpt3-xl", gpu="a100", stages=4,
-                        microbatches=6, freq_stride=8, exactness="fast")
+                        microbatches=6, freq_stride=8, exactness=exactness)
         frontier = Planner().frontier_for(spec)
         return frontier.steps, _fast_fingerprint(frontier)
 
@@ -218,6 +223,7 @@ class TestFastPinned:
 
     def test_planner_fast_frontier_pinned(self):
         assert self._planner_frontier() == self.PLANNER_PIN
+        assert self._planner_frontier("exact") == self.PLANNER_PIN
 
     @pytest.mark.parametrize("case", sorted(SEED_FIT_PINS))
     def test_noisy_pipeline_seed_fit_pinned(self, case, seed_fit):
@@ -225,6 +231,7 @@ class TestFastPinned:
 
     def test_planner_seed_fit_pinned(self, seed_fit):
         assert self._planner_frontier() == self.SEED_FIT_PLANNER_PIN
+        assert self._planner_frontier("exact") == self.SEED_FIT_PLANNER_PIN
 
 
 class TestFastTimings:
@@ -526,7 +533,10 @@ class TestExactnessPlumbing:
 
 
 class TestServiceMetrics:
-    """A serving daemon exports the crawl's stage timings per mode."""
+    """A serving daemon exports the crawl's stage timings per mode.
+
+    bloom-3b pp4's Critical DAGs branch, so its fast crawl still
+    contracts (single-path ones take closed-form cuts instead)."""
 
     def test_stage_timings_exported_per_exactness(self):
         import json
@@ -540,8 +550,8 @@ class TestServiceMetrics:
             for exactness in ("exact", "fast"):
                 body = json.dumps({
                     "method": "plan", "id": f"fm-{exactness}", "params": {
-                        "spec": {"model": "gpt3-xl", "stages": 2,
-                                 "microbatches": 2, "freq_stride": 24,
+                        "spec": {"model": "bloom-3b", "stages": 4,
+                                 "microbatches": 4, "freq_stride": 24,
                                  "exactness": exactness}}})
                 conn.request("POST", "/rpc", body,
                              {"Content-Type": "application/json"})

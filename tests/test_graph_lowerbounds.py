@@ -228,3 +228,53 @@ class TestWarmStart:
                 [c.hex() for c in fresh.cap[:arcs]]
             resolved += 1
         assert resolved >= 20
+
+
+class TestNoReferenceCycles:
+    """An infeasible solve's error must not outlive its handler.
+
+    ``solve_bounded_arrays`` raises an ``InfeasibleFlowError`` for every
+    infeasible instance, thousands per crawl.  An error still bound to a
+    local of the raising frame ties that frame to the error's traceback
+    in a cycle, keeping the crawl's frames alive until a GC pass; the
+    crawl must leave nothing for the collector.  bloom-3b pp4's
+    Critical DAGs branch, so every min cut goes through the flow
+    network (and fast mode's contraction)."""
+
+    @pytest.fixture(scope="class")
+    def bloom_pp4(self):
+        from repro.gpu.specs import A100_PCIE
+        from repro.models.registry import build_model
+        from repro.partition.algorithms import partition_model
+        from repro.pipeline.dag import build_pipeline_dag
+        from repro.pipeline.schedules import schedule_1f1b
+        from repro.profiler.online import profile_pipeline
+
+        model = build_model("bloom-3b", 4)
+        partition = partition_model(model, 4, A100_PCIE)
+        profile = profile_pipeline(model, partition, A100_PCIE,
+                                   freq_stride=24)
+        return build_pipeline_dag(schedule_1f1b(4, 4)), profile
+
+    @pytest.mark.parametrize("exactness", ["exact", "fast"])
+    def test_crawl_leaves_no_cyclic_garbage(self, bloom_pp4, exactness):
+        import gc
+
+        from repro.core.frontier import characterize_frontier
+
+        dag, profile = bloom_pp4
+        gc.collect()
+        gc.disable()
+        debug = gc.get_debug()
+        try:
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            frontier = characterize_frontier(dag, profile,
+                                             exactness=exactness)
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+            gc.enable()
+        assert frontier.stats["timings"]["cuts"] > 0
+        assert garbage == 0
