@@ -12,8 +12,9 @@ contraction) is timed too, its every point
 validated against the exact crawl's tolerance contract, and a small
 enumeration-oracle instance reports the provable optimality gap of
 both modes.  Both modes cut single-path Critical DAGs in closed form;
-each row counts those cuts as ``chain_cuts``.  Results land in ``benchmarks/BENCH_optimizer.json`` --
-the repo's perf trajectory for the optimizer hot path.
+each row counts those cuts as ``chain_cuts``.  Results land in
+``benchmarks/BENCH_optimizer.json`` -- the repo's perf trajectory for
+the optimizer hot path.
 
 Run directly::
 
