@@ -492,16 +492,11 @@ def _min_cut(
     :func:`_relaxed_cut`.  Contraction and expansion are timed as
     ``contract_s``; the solve, closed form or not, as ``maxflow_s``.
     """
-    t0 = perf_counter()
     if inst.path is not None:
-        cut = chain_min_cut(inst.blb, inst.bub, inst.path)
+        cut = _chain_cut(inst, timings)
         if cut is not None:
-            if timings is not None:
-                timings["maxflow_s"] += perf_counter() - t0
-                timings["cuts"] += 1
-                timings["chain_cuts"] += 1
             return cut
-    tc = perf_counter()
+    t0 = perf_counter()
     con = None if fast is None else _contract(inst, fast)
     t1 = perf_counter()
     solved = None
@@ -535,9 +530,23 @@ def _min_cut(
             if solved is None:
                 solved = end
             if fast is not None:
-                timings["contract_s"] += (t1 - tc) + (end - solved)
-            timings["maxflow_s"] += (tc - t0) + (solved - t1)
+                timings["contract_s"] += (t1 - t0) + (end - solved)
+            timings["maxflow_s"] += solved - t1
             timings["cuts"] += 1
+
+
+def _chain_cut(inst: _FlatInstance, timings):
+    """:func:`~repro.graph.lowerbounds.chain_min_cut` of a chain
+    instance, timed as ``maxflow_s`` and, when it decides, counted in
+    ``cuts`` and ``chain_cuts``."""
+    t0 = perf_counter()
+    cut = chain_min_cut(inst.blb, inst.bub, inst.path)
+    if timings is not None:
+        timings["maxflow_s"] += perf_counter() - t0
+        if cut is not None:
+            timings["cuts"] += 1
+            timings["chain_cuts"] += 1
+    return cut
 
 
 def _relaxed_cut(inst: _FlatInstance, arena, timings, fast) -> bytearray:
@@ -550,14 +559,9 @@ def _relaxed_cut(inst: _FlatInstance, arena, timings, fast) -> bytearray:
     bounds with its lower bounds dropped -- so :func:`relaxed_min_cut`
     only resets capacities.
     """
-    t0 = perf_counter()
     if inst.path is not None:
-        mask = chain_min_cut(inst.blb, inst.bub, inst.path)[0]
-        if timings is not None:
-            timings["maxflow_s"] += perf_counter() - t0
-            timings["cuts"] += 1
-            timings["chain_cuts"] += 1
-        return mask
+        return _chain_cut(inst, timings)[0]
+    t0 = perf_counter()
     con = None if fast is None else fast.last_contraction
     if con is None:
         mask = relaxed_min_cut(arena, inst.bub, inst.s, inst.t)
