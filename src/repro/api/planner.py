@@ -175,9 +175,14 @@ class PlanResult:
 class PlanReport:
     """One comparable row of a strategy evaluation or sweep.
 
-    Energies are Eq. 3 totals at each plan's own iteration horizon; the
-    baseline is the all-max-frequency plan on the same profile, matching
-    how every savings number in the paper is reported (§6.1).
+    Energies are Eq. 3 totals up to the sync point ``max(T, T')``: each
+    side's own iteration time ``T``, floored by the straggler time
+    ``T'`` the plan was asked for (no straggler: each plan's own
+    horizon).  The baseline is the all-max-frequency plan on the same
+    profile, matching how every savings number in the paper is reported
+    (§6.1, Table 4).  This is the one place a plan is priced; the §2.4
+    potential is the ``min-energy`` strategy's
+    :attr:`energy_savings_pct`.
 
     A row may instead record a per-spec *failure* (``error`` set, scalar
     fields NaN): sweeps isolate configuration errors so one bad spec
@@ -486,15 +491,12 @@ class Planner:
         profile_key: tuple,
         dag: ComputationDag,
         profile: PipelineProfile,
-    ) -> Tuple[PipelineExecution, float]:
-        """The all-max-frequency execution and its Eq. 3 energy."""
-
-        def build() -> Tuple[PipelineExecution, float]:
-            execution = execute_frequency_plan(
-                dag, max_frequency_plan(dag, profile), profile)
-            return execution, execution.total_energy()
-
-        return self._memo("baseline", (dag_key, profile_key), None, build)
+    ) -> PipelineExecution:
+        """The all-max-frequency execution (the §6.1 savings reference)."""
+        return self._memo(
+            "baseline", (dag_key, profile_key), None,
+            lambda: execute_frequency_plan(
+                dag, max_frequency_plan(dag, profile), profile))
 
     def _resolve_tau(
         self,
@@ -512,7 +514,7 @@ class Planner:
         def build() -> float:
             # Same span computation as auto_tau(), but the max-frequency
             # endpoint comes from (and warms) the shared baseline cache.
-            fast, _ = self._baseline_for(dag_key, profile_key, dag, profile)
+            fast = self._baseline_for(dag_key, profile_key, dag, profile)
             slow = execute_frequency_plan(
                 dag, min_energy_plan(dag, profile), profile
             )
@@ -571,9 +573,8 @@ class Planner:
     ) -> PlanResult:
         """The raw staged pipeline, for callers not speaking ``PlanSpec``.
 
-        ``repro.experiments.runner.prepare`` (which adds profiling noise
-        for robustness studies) lands here; spec-based planning goes
-        through :meth:`result`.
+        The large-scale emulation (its own ``step_target``) lands here;
+        spec-based planning goes through :meth:`result`.
         ``gpu`` accepts a single device or a per-stage sequence (mixed
         cluster); homogeneous sequences share the single-device caches.
         """
@@ -675,10 +676,9 @@ class Planner:
         max-frequency plan themselves.
         """
         stack = self.result(spec)
-        execution, _ = self._baseline_for(
+        return self._baseline_for(
             stack.keys["dag"], stack.keys["profile"], stack.dag,
             stack.profile)
-        return execution
 
     def frontier_for(self, spec: PlanSpec) -> Frontier:
         """The spec's characterized frontier (computed or store-loaded).
@@ -696,12 +696,15 @@ class Planner:
 
         ``straggler_time`` is the anticipated straggler iteration time
         ``T'`` handed to straggler-aware strategies (Perseus clamps it to
-        ``[T_min, T*]``; frontier-free baselines ignore it).
+        ``[T_min, T*]``; frontier-free baselines ignore it).  It is also
+        the sync floor both sides are priced at: the plan and the
+        all-max baseline each pay Eq. 3 up to ``max(own time, T')``
+        (:meth:`PipelineExecution.energy_at`).
 
         The plan itself is the last memoized stage: ``(frequencies,
-        execution, energy)`` under ``(optimizer key, strategy,
-        straggler_time)``, held in memory only.  ``strategy`` is the
-        registered *instance* (compared by identity), so re-registering
+        execution, energy, baseline energy)`` under ``(optimizer key,
+        strategy, straggler_time)``, held in memory only.  ``strategy``
+        is the registered *instance* (compared by identity), so re-registering
         a name never serves the old strategy's plan; a registered
         instance is treated as immutable -- re-register it to change its
         configuration.  A warm call runs neither the strategy nor the
@@ -720,23 +723,27 @@ class Planner:
                 stack = self.result(spec)
                 optimizer = stack.optimizer
 
+                baseline = self._baseline_for(
+                    stack.keys["dag"], stack.keys["profile"],
+                    stack.dag, stack.profile)
+
                 def build() -> Tuple[FrequencyPlan, PipelineExecution,
-                                     float]:
+                                     float, float]:
                     frequencies = strategy.plan(
                         self._context(stack, spec, straggler_time))
                     with obs_span("planner.simulate"):
                         execution = execute_frequency_plan(
                             stack.dag, frequencies, stack.profile)
-                    return frequencies, execution, execution.total_energy()
+                    return (frequencies, execution,
+                            execution.energy_at(straggler_time),
+                            baseline.energy_at(straggler_time))
 
-                frequencies, execution, energy_j = self._memo(
-                    "plan",
-                    (stack.keys["optimizer"], _Identity(strategy),
-                     straggler_time),
-                    None, build)
-                baseline, baseline_energy_j = self._baseline_for(
-                    stack.keys["dag"], stack.keys["profile"],
-                    stack.dag, stack.profile)
+                frequencies, execution, energy_j, baseline_energy_j = (
+                    self._memo(
+                        "plan",
+                        (stack.keys["optimizer"], _Identity(strategy),
+                         straggler_time),
+                        None, build))
                 # Surface the crawl instrumentation when the stack holds
                 # a frontier; frontier-free baselines on a fresh stack
                 # stay None.

@@ -7,15 +7,9 @@ registry in :mod:`repro.api` (``envpipe``, ``zeus-global``,
 :func:`repro.api.list_strategies` next to ``perseus``.
 """
 
-from .envpipe import envpipe_plan, run_envpipe
+from .envpipe import envpipe_plan
 from .sampler import RandomSamplerStrategy
-from .static import (
-    max_frequency_plan,
-    min_energy_plan,
-    potential_savings,
-    run_max_frequency,
-    run_min_energy,
-)
+from .static import max_frequency_plan, min_energy_plan
 from .zeus_global import (
     BaselineFrontierPoint,
     global_plan,
@@ -34,10 +28,6 @@ __all__ = [
     "min_energy_plan",
     "per_stage_plan",
     "pipeline_peak_power",
-    "potential_savings",
-    "run_envpipe",
-    "run_max_frequency",
-    "run_min_energy",
     "select_operating_point",
     "zeus_global_frontier",
     "zeus_per_stage_frontier",

@@ -27,7 +27,7 @@ from ..api.strategies import FrequencyPlan, PlanContext, register_strategy
 from ..exceptions import ProfilingError
 from ..pipeline.dag import ComputationDag
 from ..profiler.measurement import PipelineProfile
-from ..sim.executor import PipelineExecution, execute_frequency_plan
+from ..sim.executor import execute_frequency_plan
 
 
 def _pair_time(profile: PipelineProfile, stage: int, freq: int) -> float:
@@ -133,11 +133,6 @@ def envpipe_plan(dag: ComputationDag, profile: PipelineProfile) -> Dict[int, int
         for n in inner:
             plan[n] = committed
     return plan
-
-
-def run_envpipe(dag: ComputationDag, profile: PipelineProfile) -> PipelineExecution:
-    """Plan with EnvPipe's heuristic and execute on profiled ground truth."""
-    return execute_frequency_plan(dag, envpipe_plan(dag, profile), profile)
 
 
 @register_strategy("envpipe")

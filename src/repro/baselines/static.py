@@ -4,30 +4,17 @@
 ("relative to using all maximum GPU frequencies", §6.1) and the default
 mode of operation; ``min_energy_plan`` is the §2.4 upper bound on possible
 savings (every computation at its minimum-energy clock, ignoring the
-slowdown it causes).
+slowdown it causes).  That potential is the ``min-energy`` strategy's
+:attr:`~repro.api.planner.PlanReport.energy_savings_pct`: Eq. 3 at each
+plan's own iteration time, priced like every other plan.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from ..api.strategies import FrequencyPlan, PlanContext, register_strategy
-from ..pipeline.dag import ComputationDag
-from ..profiler.measurement import PipelineProfile
-from ..sim.executor import (
-    PipelineExecution,
-    execute_frequency_plan,
-    max_frequency_plan,
-    min_energy_plan,
-)
+from ..sim.executor import max_frequency_plan, min_energy_plan
 
-__all__ = [
-    "max_frequency_plan",
-    "min_energy_plan",
-    "run_max_frequency",
-    "run_min_energy",
-    "potential_savings",
-]
+__all__ = ["max_frequency_plan", "min_energy_plan"]
 
 
 @register_strategy("max-freq")
@@ -40,32 +27,3 @@ def _max_frequency_strategy(ctx: PlanContext) -> FrequencyPlan:
 def _min_energy_strategy(ctx: PlanContext) -> FrequencyPlan:
     """Every computation at its min-energy clock (§2.4 upper bound)."""
     return min_energy_plan(ctx.dag, ctx.profile)
-
-
-def run_max_frequency(
-    dag: ComputationDag, profile: PipelineProfile
-) -> PipelineExecution:
-    """Execute the all-max-frequency baseline."""
-    return execute_frequency_plan(dag, max_frequency_plan(dag, profile), profile)
-
-
-def run_min_energy(
-    dag: ComputationDag, profile: PipelineProfile
-) -> PipelineExecution:
-    """Execute the §2.4 upper-bound plan (accepting its slowdown)."""
-    return execute_frequency_plan(dag, min_energy_plan(dag, profile), profile)
-
-
-def potential_savings(
-    dag: ComputationDag, profile: PipelineProfile
-) -> Tuple[float, float]:
-    """(energy_savings_fraction, slowdown_factor) of the §2.4 upper bound.
-
-    Energy compares the min-energy plan against all-max at each plan's own
-    iteration time; slowdown is the min-energy plan's time inflation.
-    """
-    base = run_max_frequency(dag, profile)
-    slow = run_min_energy(dag, profile)
-    e_base = base.total_energy()
-    e_slow = slow.total_energy()
-    return 1.0 - e_slow / e_base, slow.iteration_time / base.iteration_time

@@ -18,7 +18,10 @@ The straggler response is one decision, and each piece has one home:
   and :func:`select_schedule` sit on it);
 * its Eq. 3 price at ``max(T, T')`` --
   :meth:`EnergySchedule.energy_at
-  <repro.core.schedule.EnergySchedule.energy_at>`;
+  <repro.core.schedule.EnergySchedule.energy_at>` for a planned
+  schedule, :meth:`PipelineExecution.energy_at
+  <repro.sim.executor.PipelineExecution.energy_at>` for a simulated one
+  (every :class:`~repro.api.planner.PlanReport` prices there);
 * what each stage deploys --
   :meth:`~repro.core.schedule.EnergySchedule.stage_plans`.
 

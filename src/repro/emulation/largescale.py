@@ -14,7 +14,7 @@ drives the bubble-ratio effect of Table 6 / Figure 8.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core.optimizer import PerseusOptimizer
@@ -22,6 +22,7 @@ from ..exceptions import ConfigurationError
 from ..api.planner import Planner, default_planner
 from ..gpu.specs import GPULike, GPUSpec, resolve_gpus
 from ..sim.executor import (
+    PipelineExecution,
     execute_frequency_plan,
     max_frequency_plan,
 )
@@ -64,10 +65,16 @@ class EmulationSetup:
     dag: object
     profile: object
     optimizer: PerseusOptimizer
-    per_gpu_scale: float = TENSOR_PARALLEL  # energy counted per TP group
+    #: The all-max execution every savings figure is relative to (§6.1),
+    #: simulated once per setup.
+    baseline: PipelineExecution
     gpus: tuple = ()  # per-stage devices (mixed-cluster emulation)
 
-    _cache: Dict = field(default_factory=dict, repr=False)
+    def perseus(self, t_prime: Optional[float] = None) -> PipelineExecution:
+        """Perseus's ``T_opt = min(T*, T')`` schedule, executed."""
+        schedule = self.optimizer.schedule_for_straggler(t_prime)
+        return execute_frequency_plan(
+            self.dag, schedule.frequencies, self.profile)
 
 
 #: Setup reuse per planner (weak keys: dropping a private planner drops
@@ -129,6 +136,9 @@ def prepare_emulation(
         dag=stack.dag,
         profile=stack.profile,
         optimizer=stack.optimizer,
+        baseline=execute_frequency_plan(
+            stack.dag, max_frequency_plan(stack.dag, stack.profile),
+            stack.profile),
         gpus=stack.gpus,
     )
     per_planner[key] = setup
@@ -137,12 +147,16 @@ def prepare_emulation(
 
 def emulated_intrinsic_savings(setup: EmulationSetup) -> float:
     """Table 6: intrinsic savings (%) without stragglers."""
-    base = execute_frequency_plan(
-        setup.dag, max_frequency_plan(setup.dag, setup.profile), setup.profile
-    )
-    schedule = setup.optimizer.schedule_for_straggler(None)
-    perseus = execute_frequency_plan(setup.dag, schedule.frequencies, setup.profile)
-    return 100.0 * (1.0 - perseus.total_energy() / base.total_energy())
+    return 100.0 * (1.0 - setup.perseus().energy_at()
+                    / setup.baseline.energy_at())
+
+
+def _straggler_time(setup: EmulationSetup, slowdown: float) -> float:
+    """``T'``: the straggler runs the all-max plan, throttled ``slowdown``x."""
+    if not slowdown >= 1.0:  # NaN too
+        raise ConfigurationError(
+            f"straggler slowdown must be >= 1.0, got {slowdown:g}")
+    return setup.baseline.iteration_time * slowdown
 
 
 def emulated_straggler_savings(
@@ -158,10 +172,8 @@ def emulated_straggler_savings(
     """
     if num_pipelines < 2:
         raise ConfigurationError("need at least two pipelines for a straggler")
-    base = execute_frequency_plan(
-        setup.dag, max_frequency_plan(setup.dag, setup.profile), setup.profile
-    )
-    t_prime = base.iteration_time * slowdown
+    base = setup.baseline
+    t_prime = _straggler_time(setup, slowdown)
     straggler_energy = (
         base.compute_energy()  # throttled power x stretched time ~= energy
         + sum(
@@ -171,13 +183,8 @@ def emulated_straggler_savings(
         )
     )
 
-    base_non_straggler = base.total_energy(sync_time=t_prime)
-    schedule = setup.optimizer.schedule_for_straggler(t_prime)
-    perseus_exec = execute_frequency_plan(
-        setup.dag, schedule.frequencies, setup.profile
-    )
-    sync = max(t_prime, perseus_exec.iteration_time)
-    perseus_non_straggler = perseus_exec.total_energy(sync_time=sync)
+    base_non_straggler = base.energy_at(t_prime)
+    perseus_non_straggler = setup.perseus(t_prime).energy_at(t_prime)
 
     n = num_pipelines - 1
     base_total = straggler_energy + n * base_non_straggler
@@ -211,27 +218,15 @@ def emulated_breakdown(
     baseline plan (e.g. EnvPipe's) instead of Perseus's ``T_min`` schedule,
     in which case the extrinsic share is zero by construction.
     """
-    base = execute_frequency_plan(
-        setup.dag, max_frequency_plan(setup.dag, setup.profile), setup.profile
-    )
-    t_prime = base.iteration_time * slowdown
-    base_energy = base.total_energy(sync_time=t_prime)
-
+    t_prime = _straggler_time(setup, slowdown)
+    base_energy = setup.baseline.energy_at(t_prime)
     if plan_override is not None:
-        intr_plan = plan_override
-        topt_plan = plan_override
+        intr_exec = full_exec = execute_frequency_plan(
+            setup.dag, plan_override, setup.profile)
     else:
-        intr_plan = setup.optimizer.schedule_for_straggler(None).frequencies
-        topt_plan = setup.optimizer.schedule_for_straggler(t_prime).frequencies
-
-    intr_exec = execute_frequency_plan(setup.dag, intr_plan, setup.profile)
-    intr_energy = intr_exec.total_energy(
-        sync_time=max(t_prime, intr_exec.iteration_time)
-    )
-    full_exec = execute_frequency_plan(setup.dag, topt_plan, setup.profile)
-    full_energy = full_exec.total_energy(
-        sync_time=max(t_prime, full_exec.iteration_time)
-    )
+        intr_exec, full_exec = setup.perseus(), setup.perseus(t_prime)
+    intr_energy = intr_exec.energy_at(t_prime)
+    full_energy = full_exec.energy_at(t_prime)
     intrinsic = 100.0 * (1.0 - intr_energy / base_energy)
     total = 100.0 * (1.0 - full_energy / base_energy)
     return BloatBreakdown(

@@ -18,19 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from ..api.planner import (
-    DEFAULT_STEP_TARGET,
-    Planner,
-    default_planner,
-)
-from ..baselines.envpipe import envpipe_plan
-from ..baselines.static import max_frequency_plan, min_energy_plan
+from ..api.planner import Planner, PlanReport, default_planner
+from ..api.spec import PlanSpec
 from ..core.optimizer import PerseusOptimizer
 from ..models.layers import ModelSpec
 from ..partition.algorithms import PartitionResult
 from ..pipeline.dag import ComputationDag
 from ..profiler.measurement import PipelineProfile
-from ..sim.executor import PipelineExecution, execute_frequency_plan
 from .workloads import Workload, effective_microbatches, full_fidelity
 
 @dataclass
@@ -38,41 +32,21 @@ class ExperimentSetup:
     """Everything needed to evaluate one workload."""
 
     workload: Workload
+    spec: PlanSpec
     model: ModelSpec
     partition: PartitionResult
     profile: PipelineProfile
     dag: ComputationDag
     num_microbatches: int
     tau: float
-    _optimizer: Optional[PerseusOptimizer] = field(default=None, repr=False)
+    optimizer: PerseusOptimizer
+    planner: Planner = field(repr=False)
 
-    @property
-    def optimizer(self) -> PerseusOptimizer:
-        if self._optimizer is None:
-            self._optimizer = PerseusOptimizer(
-                dag=self.dag, profile=self.profile, tau=self.tau
-            )
-        return self._optimizer
-
-    # -- realized executions -------------------------------------------------
-    def run_max_frequency(self) -> PipelineExecution:
-        return execute_frequency_plan(
-            self.dag, max_frequency_plan(self.dag, self.profile), self.profile
-        )
-
-    def run_min_energy(self) -> PipelineExecution:
-        return execute_frequency_plan(
-            self.dag, min_energy_plan(self.dag, self.profile), self.profile
-        )
-
-    def run_envpipe(self) -> PipelineExecution:
-        return execute_frequency_plan(
-            self.dag, envpipe_plan(self.dag, self.profile), self.profile
-        )
-
-    def run_perseus(self, straggler_time: Optional[float] = None) -> PipelineExecution:
-        schedule = self.optimizer.schedule_for_straggler(straggler_time)
-        return execute_frequency_plan(self.dag, schedule.frequencies, self.profile)
+    def plan(self, strategy: str,
+             straggler_time: Optional[float] = None) -> PlanReport:
+        """This workload planned by ``strategy`` (a priced report)."""
+        return self.planner.plan(self.spec.replace(strategy=strategy),
+                                 straggler_time=straggler_time)
 
 
 def prepare(
@@ -80,9 +54,6 @@ def prepare(
     num_microbatches: Optional[int] = None,
     freq_stride: Optional[int] = None,
     tau: Optional[float] = None,
-    noise: float = 0.0,
-    seed: int = 0,
-    step_target: int = DEFAULT_STEP_TARGET,
     planner: Optional[Planner] = None,
 ) -> ExperimentSetup:
     """Build the full experiment stack for a workload.
@@ -92,35 +63,35 @@ def prepare(
         freq_stride: Frequency-ladder subsampling (defaults: 1 at full
             fidelity, 4 otherwise).
         tau: Planning granularity; derived from the frontier span if None.
-        noise: Multiplicative profiling noise (robustness experiments).
         planner: Private planner (cache isolation, or a dedicated
             persistent store); default is the shared process planner,
             which attaches a plan store when ``REPRO_CACHE_DIR`` is set.
     """
     stride = freq_stride if freq_stride is not None else (1 if full_fidelity() else 4)
     m = effective_microbatches(workload, num_microbatches)
-    stack = (planner or default_planner()).build_stack(
+    planner = planner or default_planner()
+    spec = PlanSpec(
         model=workload.model_name,
-        gpu=workload.gpu,
+        gpu=workload.gpu.name,
         stages=workload.num_stages,
         microbatches=m,
         microbatch_size=workload.microbatch_size,
         tensor_parallel=workload.tensor_parallel,
         freq_stride=stride,
         tau=tau,
-        noise=noise,
-        seed=seed,
-        step_target=step_target,
     )
+    stack = planner.result(spec)
     return ExperimentSetup(
         workload=workload,
+        spec=spec,
         model=stack.model,
         partition=stack.partition,
         profile=stack.profile,
         dag=stack.dag,
         num_microbatches=m,
         tau=stack.optimizer.tau,
-        _optimizer=stack.optimizer,
+        optimizer=stack.optimizer,
+        planner=planner,
     )
 
 
@@ -139,22 +110,21 @@ class IntrinsicRow:
     slowdown_pct: float
 
 
+#: Table 3 and Table 4 rows: display name -> registered strategy.
+_METHODS = (("Perseus", "perseus"), ("EnvPipe", "envpipe"))
+
+
 def evaluate_intrinsic(setup: ExperimentSetup) -> List[IntrinsicRow]:
     """Perseus vs EnvPipe intrinsic-bloat reduction (Table 3)."""
-    base = setup.run_max_frequency()
     rows = []
-    for method, execution in (
-        ("Perseus", setup.run_perseus()),
-        ("EnvPipe", setup.run_envpipe()),
-    ):
+    for method, strategy in _METHODS:
+        report = setup.plan(strategy)
         rows.append(
             IntrinsicRow(
                 workload=setup.workload.display,
                 method=method,
-                energy_savings_pct=100.0
-                * (1.0 - execution.total_energy() / base.total_energy()),
-                slowdown_pct=100.0
-                * (execution.iteration_time / base.iteration_time - 1.0),
+                energy_savings_pct=report.energy_savings_pct,
+                slowdown_pct=report.slowdown_pct,
             )
         )
     return rows
@@ -180,23 +150,17 @@ def evaluate_straggler(
     (at ``T' = factor * T_max``) finishes.  Perseus slows the pipeline to
     ``T_opt = min(T*, T')``; EnvPipe applies its fixed plan regardless.
     """
-    base = setup.run_max_frequency()
-    t_base = base.iteration_time
-    envpipe = setup.run_envpipe()
+    t_base = setup.planner.baseline_execution(setup.spec).iteration_time
     rows: List[StragglerRow] = []
     for factor in slowdown_factors:
-        t_prime = factor * t_base
-        base_energy = base.total_energy(sync_time=t_prime)
-        perseus = setup.run_perseus(straggler_time=t_prime)
-        for method, execution in (("Perseus", perseus), ("EnvPipe", envpipe)):
-            sync = max(t_prime, execution.iteration_time)
+        for method, strategy in _METHODS:
+            report = setup.plan(strategy, straggler_time=factor * t_base)
             rows.append(
                 StragglerRow(
                     workload=setup.workload.display,
                     method=method,
                     slowdown_factor=factor,
-                    energy_savings_pct=100.0
-                    * (1.0 - execution.total_energy(sync_time=sync) / base_energy),
+                    energy_savings_pct=report.energy_savings_pct,
                 )
             )
     return rows
@@ -213,16 +177,17 @@ class RealizedPotential:
 
 
 def evaluate_realized_potential(setup: ExperimentSetup) -> RealizedPotential:
-    base = setup.run_max_frequency()
-    upper = setup.run_min_energy()
-    perseus = setup.run_perseus()
-    # Potential: computation energy at min-energy clocks vs at max clocks,
-    # compared at the baseline's own iteration horizon (§2.4's bound).
-    potential = 1.0 - upper.compute_energy() / base.compute_energy()
-    realized = 1.0 - perseus.total_energy() / base.total_energy()
+    """Perseus's savings as a share of the §2.4 potential.
+
+    The potential is the ``min-energy`` plan's savings: every
+    computation at its minimum-energy clock, priced by Eq. 3 at its own
+    (slower) iteration time, like every other :class:`PlanReport`.
+    """
+    potential = setup.plan("min-energy").energy_savings_pct
+    realized = setup.plan("perseus").energy_savings_pct
     return RealizedPotential(
         workload=setup.workload.display,
-        potential_pct=100.0 * potential,
-        realized_pct=100.0 * realized,
+        potential_pct=potential,
+        realized_pct=realized,
         fraction=realized / potential if potential > 0 else 0.0,
     )

@@ -106,6 +106,19 @@ class PipelineExecution:
         """Computation + blocking energy up to gradient sync (Eq. 3)."""
         return self.compute_energy() + self.blocking_energy(sync_time)
 
+    def energy_at(self, floor_s: Optional[float] = None) -> float:
+        """Eq. 3 under a straggler floor: the savings rule's one price.
+
+        ``floor_s`` is the straggler-gated iteration time ``T'``; every
+        stage blocks until ``max(T, T')``, as in
+        :meth:`repro.core.schedule.EnergySchedule.energy_at`.  Every
+        "% saved" prices both the plan and the all-max baseline here.
+        """
+        time_s = self.iteration_time
+        if floor_s is not None and floor_s > time_s:
+            time_s = floor_s
+        return self.total_energy(time_s)
+
     def num_devices(self) -> int:
         return max(self.num_stages, len(self._by_stage))
 

@@ -332,6 +332,60 @@ class TestPlanStage:
         assert report.provenance["stages"]["plan"]["source"] == "built"
 
 
+def _eq3_from_records(execution, t_prime):
+    """Eq. 3 up to ``max(T, T')``, summed straight from the records:
+    compute energy, plus each stage blocking for the rest of the
+    horizon at its own blocking power."""
+    horizon = max(execution.iteration_time, t_prime)
+    busy = {}
+    compute = 0.0
+    for record in execution.records:
+        duration = record.end - record.start
+        compute += record.power_w * duration
+        stage = record.instruction.stage
+        busy[stage] = busy.get(stage, 0.0) + duration
+    return compute + sum(
+        execution.blocking_power(stage) * (horizon - busy.get(stage, 0.0))
+        for stage in range(execution.num_stages))
+
+
+class TestSavingsAccounting:
+    """Every "% saved" is one rule: both sides at ``max(T, T')``."""
+
+    SPEC = PlanSpec("gpt3-xl", stages=4, microbatches=8, freq_stride=8)
+
+    @pytest.fixture(scope="class")
+    def planner(self):
+        return Planner()
+
+    def test_straggler_plan_prices_both_sides_at_the_sync_floor(
+            self, planner):
+        t_prime = 1.15 * planner.baseline_execution(self.SPEC).iteration_time
+        report = planner.plan(self.SPEC, straggler_time=t_prime)
+        baseline = planner.baseline_execution(self.SPEC)
+        expected = 100.0 * (1.0 - _eq3_from_records(report.execution, t_prime)
+                            / _eq3_from_records(baseline, t_prime))
+        assert report.energy_savings_pct == pytest.approx(expected, rel=1e-9)
+        # Eq. 3 at each side's own horizon would read 18.473019051740092.
+        assert report.energy_savings_pct == pytest.approx(
+            22.159020872978207, rel=1e-12)
+
+    def test_floor_below_own_time_prices_at_own_time(self, planner):
+        execution = planner.plan(self.SPEC).execution
+        assert execution.energy_at(0.5 * execution.iteration_time) == (
+            execution.energy_at())
+        assert execution.energy_at() == execution.total_energy()
+
+    def test_straggler_free_report_is_eq3_at_own_horizon(self, planner):
+        report = planner.plan(self.SPEC)
+        baseline = planner.baseline_execution(self.SPEC)
+        assert report.energy_j == report.execution.total_energy()
+        assert report.baseline_energy_j == baseline.total_energy()
+        assert report.energy_savings_pct == pytest.approx(
+            100.0 * (1.0 - _eq3_from_records(report.execution, 0.0)
+                     / _eq3_from_records(baseline, 0.0)), rel=1e-9)
+
+
 class TestServerSpecRegistration:
     def test_register_spec_characterizes(self):
         from repro.runtime.server import PerseusServer

@@ -2,27 +2,53 @@
 
 import pytest
 
-from repro.baselines.envpipe import envpipe_plan, run_envpipe
-from repro.baselines.static import (
-    potential_savings,
-    run_max_frequency,
-    run_min_energy,
-)
+from repro.api import Planner, PlanSpec
+from repro.baselines.envpipe import envpipe_plan
+from repro.baselines.static import max_frequency_plan, min_energy_plan
 from repro.baselines.zeus_global import global_plan, zeus_global_frontier
 from repro.baselines.zeus_perstage import zeus_per_stage_frontier
 from repro.sim.executor import execute_frequency_plan
 
+#: The spec the planner builds the ``small_*`` fixtures' stack from.
+SMALL_SPEC = PlanSpec("gpt3-xl", stages=4, microbatches=6,
+                      microbatch_size=4, freq_stride=8)
+
+
+@pytest.fixture(scope="module")
+def base_execution(small_dag, small_profile):
+    return execute_frequency_plan(
+        small_dag, max_frequency_plan(small_dag, small_profile), small_profile)
+
+
+@pytest.fixture(scope="module")
+def envpipe_execution(small_dag, small_profile):
+    return execute_frequency_plan(
+        small_dag, envpipe_plan(small_dag, small_profile), small_profile)
+
+
+@pytest.fixture(scope="module")
+def potential():
+    """The §2.4 potential: the ``min-energy`` strategy's report."""
+    return Planner().plan(SMALL_SPEC.replace(strategy="min-energy"))
+
 
 class TestStatic:
-    def test_potential_savings_positive_with_slowdown(self, small_dag, small_profile):
-        savings, slowdown = potential_savings(small_dag, small_profile)
-        assert 0.05 < savings < 0.5
-        assert slowdown > 1.05
+    def test_potential_savings_positive_with_slowdown(self, potential):
+        assert 5.0 < potential.energy_savings_pct < 50.0
+        assert potential.slowdown_pct > 5.0
 
-    def test_paper_band_a100(self, small_dag, small_profile):
+    def test_paper_band_a100(self, potential):
         """§2.4: A100 upper bound averages ~16%."""
-        savings, _ = potential_savings(small_dag, small_profile)
-        assert 0.10 < savings < 0.30
+        assert 10.0 < potential.energy_savings_pct < 30.0
+
+    def test_potential_is_eq3_at_each_own_horizon(
+            self, potential, base_execution, small_dag, small_profile):
+        slow = execute_frequency_plan(
+            small_dag, min_energy_plan(small_dag, small_profile),
+            small_profile)
+        assert potential.energy_j == slow.total_energy()
+        assert potential.baseline_energy_j == base_execution.total_energy()
+        assert potential.iteration_time_s == slow.iteration_time
 
 
 class TestEnvPipe:
@@ -45,17 +71,23 @@ class TestEnvPipe:
                 op = small_profile.get(ins.op_key)
                 assert plan[n] == op.fastest.freq_mhz
 
-    def test_saves_energy_with_bounded_slowdown(self, small_dag, small_profile):
-        base = run_max_frequency(small_dag, small_profile)
-        env = run_envpipe(small_dag, small_profile)
+    def test_saves_energy_with_bounded_slowdown(self, base_execution,
+                                                envpipe_execution):
+        base, env = base_execution, envpipe_execution
         assert env.total_energy() < base.total_energy()
         assert env.iteration_time <= base.iteration_time * 1.10
 
+    def test_strategy_matches_the_plan(self, envpipe_execution):
+        report = Planner().plan(SMALL_SPEC.replace(strategy="envpipe"))
+        assert report.energy_j == envpipe_execution.total_energy()
+        assert 0.0 < report.energy_savings_pct
+        assert report.slowdown_pct <= 10.0
+
     def test_perseus_saves_at_least_as_much(self, small_optimizer, small_dag,
-                                            small_profile):
+                                            small_profile, base_execution,
+                                            envpipe_execution):
         """§6.2: Perseus is a superset of EnvPipe's point solution."""
-        base = run_max_frequency(small_dag, small_profile)
-        env = run_envpipe(small_dag, small_profile)
+        base, env = base_execution, envpipe_execution
         perseus = execute_frequency_plan(
             small_dag,
             small_optimizer.schedule_for_straggler(None).frequencies,
@@ -86,11 +118,11 @@ class TestZeusGlobal:
         freqs = set(plan.values())
         assert len(freqs) <= 2  # per-op ladders may clamp differently
 
-    def test_fastest_point_is_max_clock(self, small_dag, small_profile):
+    def test_fastest_point_is_max_clock(self, small_dag, small_profile,
+                                        base_execution):
         points = zeus_global_frontier(small_dag, small_profile, freq_stride=2)
-        base = run_max_frequency(small_dag, small_profile)
         assert points[0].iteration_time == pytest.approx(
-            base.iteration_time, rel=1e-6
+            base_execution.iteration_time, rel=1e-6
         )
 
 

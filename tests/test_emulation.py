@@ -79,6 +79,14 @@ class TestStragglers:
         with pytest.raises(ConfigurationError):
             emulated_straggler_savings(setup_12, num_pipelines=1, slowdown=1.2)
 
+    @pytest.mark.parametrize("slowdown", [0.9, float("nan")])
+    def test_straggler_cannot_be_faster_than_all_max(self, setup_12,
+                                                      slowdown):
+        with pytest.raises(ConfigurationError):
+            emulated_straggler_savings(setup_12, 16, slowdown)
+        with pytest.raises(ConfigurationError):
+            emulated_breakdown(setup_12, 16, slowdown)
+
 
 class TestBreakdown:
     def test_intrinsic_plus_extrinsic(self, setup_12):
