@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 
-from conftest import emit, setup_for
+from conftest import emit_table, setup_for
 
 from repro.core.frontier import characterize_frontier
-from repro.experiments.report import format_table
 from repro.experiments.workloads import A100_PP4_WORKLOADS
 from repro.gpu.specs import A100_PCIE, H100_SXM, V100_SXM, get_gpu
 from repro.models.registry import build_model
@@ -36,7 +35,7 @@ def _tmin_savings(dag, profile, frontier):
     )
 
 
-def test_ablation_tau_granularity(benchmark):
+def test_ablation_tau_granularity():
     """Coarser tau: fewer frontier points, faster optimizer, ~same savings."""
     setup = setup_for(A100_PP4_WORKLOADS[0].key)
 
@@ -53,19 +52,20 @@ def test_ablation_tau_granularity(benchmark):
             ])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(format_table(
+    rows = run()
+    emit_table(
         ["tau", "points", "steps", "runtime (s)", "Tmin savings %", "slow %"],
         rows,
         title="[Ablation] Planning granularity tau (GPT-3 1.3B, A100 PP4)",
-    ))
+        wall_clock=("runtime (s)",),
+    )
     savings = [float(r[4]) for r in rows]
     runtimes = [float(r[3]) for r in rows]
     assert max(savings) - min(savings) < 6.0  # robust to granularity
     assert runtimes[-1] < runtimes[0]  # coarser tau is cheaper
 
 
-def test_ablation_partitioning(benchmark):
+def test_ablation_partitioning():
     """Worse partitions create more bloat; better ones less total energy."""
     def run():
         rows = []
@@ -87,20 +87,20 @@ def test_ablation_partitioning(benchmark):
     def frontier_span_hint(part):
         return max(part.stage_latencies) / max(min(part.stage_latencies), 1e-9)
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(format_table(
+    rows = run()
+    emit_table(
         ["partitioner", "imbalance", "Tmin savings %", "Tmin energy (J)",
          "slow %"],
         rows,
         title="[Ablation] Partitioning method (GPT-3 1.3B, A100 PP4, M=12)",
-    ))
+    )
     best, uniform = rows
     assert float(uniform[1]) >= float(best[1])  # uniform is worse balanced
     assert float(uniform[2]) >= float(best[2]) - 1.0  # more bloat to harvest
     assert float(best[3]) <= float(uniform[3]) * 1.02  # still cheaper overall
 
 
-def test_ablation_effective_energy_term(benchmark):
+def test_ablation_effective_energy_term():
     """Eq. 4's -P_blocking*t term vs raw-energy capacities."""
     setup = setup_for(A100_PP4_WORKLOADS[0].key)
 
@@ -121,18 +121,18 @@ def test_ablation_effective_energy_term(benchmark):
                          f"{slow:.2f}"])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(format_table(
+    rows = run()
+    emit_table(
         ["cut capacities", "Tmin savings %", "Tmin energy (J)", "slow %"],
         rows,
         title="[Ablation] Blocking-displacement term in capacities "
               "(GPT-3 1.3B, A100 PP4)",
-    ))
+    )
     effective, raw = rows
     assert float(effective[2]) <= float(raw[2]) * 1.01
 
 
-def test_ablation_cross_gpu(benchmark):
+def test_ablation_cross_gpu():
     """§6.2.1: higher-clock-range GPUs show larger relative savings."""
     def run():
         rows = []
@@ -151,12 +151,12 @@ def test_ablation_cross_gpu(benchmark):
                          f"{slow:.2f}"])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(format_table(
+    rows = run()
+    emit_table(
         ["GPU", "max clock (MHz)", "Tmin savings %", "slow %"],
         rows,
         title="[Ablation] Cross-GPU intrinsic savings (GPT-3 1.3B, PP4)",
-    ))
+    )
     by_gpu = {r[0]: float(r[2]) for r in rows}
     assert by_gpu["A40-48G"] > by_gpu["A100-PCIe-80G"]
     assert by_gpu["H100-SXM-80G"] > by_gpu["A100-PCIe-80G"]

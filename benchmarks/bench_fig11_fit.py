@@ -7,9 +7,8 @@ GPT-3 0.3B-class stages on A40: per-stage forward/backward Pareto-optimal
 
 from __future__ import annotations
 
-from conftest import emit
+from conftest import emit_table
 
-from repro.experiments.report import format_table
 from repro.gpu.specs import A40
 from repro.models.registry import build_model
 from repro.partition.algorithms import partition_model
@@ -44,15 +43,15 @@ def _run():
     return rows, fits
 
 
-def test_fig11_pareto_and_fit(benchmark):
-    rows, fits = benchmark.pedantic(_run, rounds=1, iterations=1)
-    emit(format_table(
+def test_fig11_pareto_and_fit():
+    rows, fits = _run()
+    emit_table(
         ["computation", "# pareto pts", "max norm time", "min norm energy",
          "fit R^2"],
         rows,
         title="[Figure 11] Pareto (time, energy) choices + exponential fit "
               "(A40, full 15 MHz grid)",
-    ))
+    )
     for (stage, kind), (fit, pareto, r2) in fits.items():
         # Appendix D: the exponential is a natural fit to the data
         assert r2 > 0.97, f"stage {stage} {kind}: poor fit R^2={r2:.3f}"

@@ -7,11 +7,10 @@ frontier sanity (monotone tradeoff, sensible span).
 
 from __future__ import annotations
 
-from conftest import emit, setup_for
+from conftest import emit_table, setup_for
 
 from repro.baselines.zeus_global import zeus_global_frontier
 from repro.baselines.zeus_perstage import zeus_per_stage_frontier
-from repro.experiments.report import format_table
 from repro.sim.executor import execute_frequency_plan
 
 FIG13_A100 = [
@@ -72,25 +71,25 @@ def _check(setup):
         )
 
 
-def _bench(benchmark, keys, title):
+def _bench(keys, title):
     def run():
         return [_summary_row(setup_for(key)) for key in keys]
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(format_table(
+    rows = run()
+    emit_table(
         ["workload", "frontier span", "# points", "Perseus J @Tmin",
          "ZeusGlobal J", "ZeusPerStage J"],
         rows, title=title,
-    ))
+    )
     for key in keys:
         _check(setup_for(key))
 
 
-def test_fig13_a100_pp4_frontiers(benchmark):
-    _bench(benchmark, FIG13_A100,
+def test_fig13_a100_pp4_frontiers():
+    _bench(FIG13_A100,
            "[Figure 13] A100 PP4 frontiers (appendix workloads)")
 
 
-def test_fig12_a40_pp8_frontiers(benchmark):
-    _bench(benchmark, FIG12_A40,
+def test_fig12_a40_pp8_frontiers():
+    _bench(FIG12_A40,
            "[Figure 12] A40 PP8 frontiers (appendix workloads)")

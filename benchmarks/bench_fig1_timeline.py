@@ -31,9 +31,8 @@ def _render(model_name):
     return base, opt
 
 
-def test_fig1_gpt3_timeline(benchmark):
-    base, opt = benchmark.pedantic(_render, args=("gpt3-xl",), rounds=1,
-                                   iterations=1)
+def test_fig1_gpt3_timeline():
+    base, opt = _render("gpt3-xl")
     emit("[Figure 1] GPT-3 1.3B, 4 stages, 6 microbatches (A100)\n"
          + render_comparison(base, opt, width=100))
     # the figure's claim: same iteration time, visibly less energy
@@ -41,7 +40,7 @@ def test_fig1_gpt3_timeline(benchmark):
     assert opt.total_energy() < base.total_energy() * 0.95
 
 
-def test_fig10_appendix_timelines(benchmark):
+def test_fig10_appendix_timelines():
     def run():
         out = []
         for name, label in FIGURE_MODELS[1:]:
@@ -49,7 +48,7 @@ def test_fig10_appendix_timelines(benchmark):
             out.append((label, base, opt))
         return out
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
     for label, base, opt in results:
         saved = 100 * (1 - opt.total_energy() / base.total_energy())
         emit(f"[{label}] iteration {base.iteration_time:.3f}s -> "

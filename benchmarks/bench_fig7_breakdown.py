@@ -7,11 +7,10 @@ and suboptimally.
 
 from __future__ import annotations
 
-from conftest import bench_planner, emit
+from conftest import bench_planner, emit_table
 
-from repro.baselines.envpipe import envpipe_plan
-from repro.emulation.largescale import emulated_breakdown, prepare_emulation
-from repro.experiments.report import format_table
+from repro.emulation.largescale import emulated_breakdown, emulation_workload
+from repro.experiments.runner import prepare
 from repro.experiments.workloads import full_fidelity
 from repro.gpu.specs import A40, A100_SXM
 
@@ -30,14 +29,12 @@ def _run():
     gpus = [("A100", A100_SXM)] + ([("A40", A40)] if full_fidelity() else [])
     for gpu_label, gpu in gpus:
         for model in ("gpt3-175b", "bloom-176b"):
-            setup = prepare_emulation(model, gpu, _microbatches(),
-                                      freq_stride=8, step_target=120,
-                                      planner=bench_planner())
+            setup = prepare(emulation_workload(model, gpu),
+                            num_microbatches=_microbatches(), freq_stride=8,
+                            planner=bench_planner())
             perseus = emulated_breakdown(setup, NUM_PIPELINES, SLOWDOWN)
-            env = emulated_breakdown(
-                setup, NUM_PIPELINES, SLOWDOWN,
-                plan_override=envpipe_plan(setup.dag, setup.profile),
-            )
+            env = emulated_breakdown(setup, NUM_PIPELINES, SLOWDOWN,
+                                     strategy="envpipe")
             rows.append([f"{model} ({gpu_label})", "Perseus",
                          perseus.intrinsic_pct, perseus.extrinsic_pct,
                          perseus.total_pct])
@@ -47,14 +44,14 @@ def _run():
     return rows
 
 
-def test_fig7_breakdown(benchmark):
-    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
-    emit(format_table(
+def test_fig7_breakdown():
+    rows = _run()
+    emit_table(
         ["model", "method", "intrinsic %", "extrinsic %", "total %"],
         rows,
         title=f"[Figure 7] Savings breakdown, straggler {SLOWDOWN}x, "
               f"{NUM_PIPELINES} pipelines (1024 GPUs)",
-    ))
+    )
     by_key = {}
     for model, method, intr, extr, total in rows:
         by_key[(model, method)] = (intr, extr, total)

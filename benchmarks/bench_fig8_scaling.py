@@ -9,15 +9,15 @@ curve sits below the M=96 curve for these near-balanced huge models).
 
 from __future__ import annotations
 
-from conftest import bench_planner, emit
+from conftest import bench_planner, emit_table
 
 from repro.emulation.largescale import (
     emulated_straggler_savings,
-    prepare_emulation,
+    emulation_workload,
     t_star_ratio,
     table5_configs,
 )
-from repro.experiments.report import format_table
+from repro.experiments.runner import prepare
 from repro.experiments.workloads import full_fidelity
 from repro.gpu.specs import A100_SXM
 
@@ -30,9 +30,9 @@ def _rows_for(model):
         configs = [c for c in configs if c.num_microbatches <= 48]
     rows = []
     for cfg in configs:
-        setup = prepare_emulation(model, A100_SXM, cfg.num_microbatches,
-                                  freq_stride=8, step_target=120,
-                                  planner=bench_planner())
+        setup = prepare(emulation_workload(model, A100_SXM),
+                        num_microbatches=cfg.num_microbatches, freq_stride=8,
+                        planner=bench_planner())
         series = [
             emulated_straggler_savings(setup, cfg.num_pipelines, s)
             for s in SLOWDOWNS
@@ -56,23 +56,21 @@ def _check(rows):
         assert series[-1] <= max(series) + 1e-9
 
 
-def test_fig8a_gpt3_175b(benchmark):
-    rows = benchmark.pedantic(_rows_for, args=("gpt3-175b",), rounds=1,
-                              iterations=1)
-    emit(format_table(
+def test_fig8a_gpt3_175b():
+    rows = _rows_for("gpt3-175b")
+    emit_table(
         ["config"] + [f"T'/T={s}" for s in SLOWDOWNS] + ["T*/T"],
         rows,
         title="[Figure 8a] GPT-3 175B on A100: savings vs straggler slowdown",
-    ))
+    )
     _check(rows)
 
 
-def test_fig8b_bloom_176b(benchmark):
-    rows = benchmark.pedantic(_rows_for, args=("bloom-176b",), rounds=1,
-                              iterations=1)
-    emit(format_table(
+def test_fig8b_bloom_176b():
+    rows = _rows_for("bloom-176b")
+    emit_table(
         ["config"] + [f"T'/T={s}" for s in SLOWDOWNS] + ["T*/T"],
         rows,
         title="[Figure 8b] Bloom 176B on A100: savings vs straggler slowdown",
-    ))
+    )
     _check(rows)

@@ -7,11 +7,10 @@ Pareto-dominate both ZeusGlobal and ZeusPerStage everywhere.
 
 from __future__ import annotations
 
-from conftest import emit, setup_for
+from conftest import emit_table, setup_for
 
 from repro.baselines.zeus_global import zeus_global_frontier
 from repro.baselines.zeus_perstage import zeus_per_stage_frontier
-from repro.experiments.report import format_table
 from repro.sim.executor import execute_frequency_plan
 
 CONFIGS = [
@@ -53,25 +52,24 @@ def _assert_dominance(setup, rows):
         )
 
 
-def _bench_config(benchmark, key, label):
+def _bench_config(key, label):
     setup = setup_for(key)
-    rows = benchmark.pedantic(_frontier_rows, args=(setup,), rounds=1,
-                              iterations=1)
-    emit(format_table(
+    rows = _frontier_rows(setup)
+    emit_table(
         ["method", "iteration time (s)", "energy (J)"],
         [[m, f"{t:.3f}", f"{e:.0f}"] for m, t, e in rows],
         title=f"[{label}] time-energy frontier points",
-    ))
+    )
     _assert_dominance(setup, rows)
 
 
-def test_fig9a_pp4_a100(benchmark):
-    _bench_config(benchmark, *CONFIGS[0])
+def test_fig9a_pp4_a100():
+    _bench_config(*CONFIGS[0])
 
 
-def test_fig9b_pp8_a40(benchmark):
-    _bench_config(benchmark, *CONFIGS[1])
+def test_fig9b_pp8_a40():
+    _bench_config(*CONFIGS[1])
 
 
-def test_fig9c_3d_a40(benchmark):
-    _bench_config(benchmark, *CONFIGS[2])
+def test_fig9c_3d_a40():
+    _bench_config(*CONFIGS[2])

@@ -119,7 +119,7 @@ def measure_disabled_span_ns(iterations: int = 200_000) -> float:
 
 def run(quick: bool = False, only: Optional[List[str]] = None) -> dict:
     """Run the matrix; returns (and writes) the result document."""
-    from repro.api import Planner
+    from repro.api import Planner, auto_tau
     from repro.obs.trace import disable_tracing, enable_tracing
 
     planner = Planner()
@@ -130,10 +130,9 @@ def run(quick: bool = False, only: Optional[List[str]] = None) -> dict:
     for key, kwargs, quick_steps, repeats in WORKLOADS:
         if only and key not in only:
             continue
-        stack = planner.build_stack(
-            step_target=quick_steps if quick else 250, **kwargs
-        )
-        tau = stack.optimizer.tau
+        stack = planner.build_stack(**kwargs)
+        tau = auto_tau(stack.dag, stack.profile,
+                       quick_steps if quick else 250)
         reps = 1 if quick else repeats
 
         disable_tracing()

@@ -166,12 +166,12 @@ def _oracle_section(planner) -> dict:
     mode); ``bound_violations`` counts frontier points provably below
     the continuous grid floor -- always zero unless something is wrong.
     """
+    from repro.api import auto_tau
     from repro.baselines.oracle import optimality_gap, oracle_bound
 
     stack = planner.build_stack(model="gpt3-xl", gpu="a100", stages=2,
-                                microbatches=1, freq_stride=8,
-                                step_target=60)
-    tau = stack.optimizer.tau
+                                microbatches=1, freq_stride=8)
+    tau = auto_tau(stack.dag, stack.profile, 60)
     ladder = oracle_bound(stack.dag, stack.profile, mode="ladder")
     grid = oracle_bound(stack.dag, stack.profile, grid_points=9)
     section = {
@@ -207,7 +207,7 @@ def _geomean(values: List[float]) -> float:
 def run(quick: bool = False, only: Optional[List[str]] = None,
         exactness: str = "both") -> dict:
     """Run the matrix; returns (and writes) the result document."""
-    from repro.api import Planner
+    from repro.api import Planner, auto_tau
     from repro.core.nextschedule import FAST_TOLERANCE
 
     if exactness not in ("exact", "fast", "both"):
@@ -220,10 +220,9 @@ def run(quick: bool = False, only: Optional[List[str]] = None,
     for key, kwargs, quick_steps, repeats in WORKLOADS:
         if only and key not in only:
             continue
-        stack = planner.build_stack(
-            step_target=quick_steps if quick else 250, **kwargs
-        )
-        tau = stack.optimizer.tau
+        stack = planner.build_stack(**kwargs)
+        tau = auto_tau(stack.dag, stack.profile,
+                       quick_steps if quick else 250)
         if quick:
             repeats = 1
         # The exact kernel always runs: it is both a timed column and

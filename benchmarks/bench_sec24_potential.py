@@ -12,9 +12,8 @@ each plan's own iteration time, priced like every other plan.
 from __future__ import annotations
 
 import numpy as np
-from conftest import emit
+from conftest import emit, emit_table
 
-from repro.experiments.report import format_table
 
 PAPER_AVG = {"A100": 16.0, "A40": 27.0}
 
@@ -28,33 +27,31 @@ def _sweep(setups):
     return rows
 
 
-def test_sec24_potential_a100(benchmark, a100_setups):
-    rows = benchmark.pedantic(_sweep, args=(a100_setups,), rounds=1,
-                              iterations=1)
+def test_sec24_potential_a100(a100_setups):
+    rows = _sweep(a100_setups)
     avg = float(np.mean([r[1] for r in rows]))
-    emit(format_table(
+    emit_table(
         ["workload", "potential savings %", "slowdown %"],
         rows,
         title=f"[Sec 2.4] Upper-bound savings on A100 "
               f"(ours avg {avg:.1f}%, paper avg {PAPER_AVG['A100']}%)",
-    ))
+    )
     assert 8.0 < avg < 30.0
 
 
-def test_sec24_potential_a40(benchmark, a40_setups):
-    rows = benchmark.pedantic(_sweep, args=(a40_setups,), rounds=1,
-                              iterations=1)
+def test_sec24_potential_a40(a40_setups):
+    rows = _sweep(a40_setups)
     avg = float(np.mean([r[1] for r in rows]))
-    emit(format_table(
+    emit_table(
         ["workload", "potential savings %", "slowdown %"],
         rows,
         title=f"[Sec 2.4] Upper-bound savings on A40 "
               f"(ours avg {avg:.1f}%, paper avg {PAPER_AVG['A40']}%)",
-    ))
+    )
     assert 15.0 < avg < 40.0
 
 
-def test_sec24_a40_exceeds_a100(benchmark, a100_setups, a40_setups):
+def test_sec24_a40_exceeds_a100(a100_setups, a40_setups):
     def averages():
         a100 = np.mean([s.plan("min-energy").energy_savings_pct
                         for s in a100_setups.values()])
@@ -62,7 +59,7 @@ def test_sec24_a40_exceeds_a100(benchmark, a100_setups, a40_setups):
                        for s in a40_setups.values()])
         return a100, a40
 
-    a100, a40 = benchmark.pedantic(averages, rounds=1, iterations=1)
+    a100, a40 = averages()
     emit(f"[Sec 2.4] average potential: A100 {a100:.1f}% vs A40 {a40:.1f}% "
          f"(paper: 16% vs 27%)")
     assert a40 > a100

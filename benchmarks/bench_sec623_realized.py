@@ -11,9 +11,8 @@ by Eq. 3 at its own iteration time like every other ``PlanReport``.
 from __future__ import annotations
 
 import numpy as np
-from conftest import emit
+from conftest import emit_table
 
-from repro.experiments.report import format_table
 from repro.experiments.runner import evaluate_realized_potential
 
 PAPER_FRACTION = {"A100": 0.74, "A40": 0.89}
@@ -28,33 +27,31 @@ def _run(setups):
     return rows
 
 
-def test_sec623_realized_a100(benchmark, a100_setups):
-    rows = benchmark.pedantic(_run, args=(a100_setups,), rounds=1,
-                              iterations=1)
+def test_sec623_realized_a100(a100_setups):
+    rows = _run(a100_setups)
     avg = float(np.mean([r[3] for r in rows]))
-    emit(format_table(
+    emit_table(
         ["workload", "potential %", "realized %", "fraction %"],
         rows,
         title=f"[Sec 6.2.3] Realized potential, A100 "
               f"(ours avg {avg:.0f}%, paper 74%)",
-    ))
+    )
     assert 40.0 < avg <= 110.0
 
 
-def test_sec623_realized_a40(benchmark, a40_setups):
-    rows = benchmark.pedantic(_run, args=(a40_setups,), rounds=1,
-                              iterations=1)
+def test_sec623_realized_a40(a40_setups):
+    rows = _run(a40_setups)
     avg = float(np.mean([r[3] for r in rows]))
-    emit(format_table(
+    emit_table(
         ["workload", "potential %", "realized %", "fraction %"],
         rows,
         title=f"[Sec 6.2.3] Realized potential, A40 "
               f"(ours avg {avg:.0f}%, paper 89%)",
-    ))
+    )
     assert 50.0 < avg <= 115.0
 
 
-def test_sec623_straggler_fully_realizes(benchmark, a100_setups):
+def test_sec623_straggler_fully_realizes(a100_setups):
     """With a ~1.1-1.15x straggler, Perseus reaches the full potential."""
     from repro.experiments.runner import evaluate_straggler
 
@@ -68,11 +65,11 @@ def test_sec623_straggler_fully_realizes(benchmark, a100_setups):
                         perseus.energy_savings_pct])
         return out
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(format_table(
+    rows = run()
+    emit_table(
         ["workload", "potential %", "Perseus @ T'/T=1.15 %"],
         rows,
         title="[Sec 6.2.3] Straggler slack realizes the potential (A100)",
-    ))
+    )
     realized = np.mean([r[2] / r[1] for r in rows])
     assert realized > 0.75

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import time
 
-from conftest import emit, setup_for
+from conftest import emit, emit_table, setup_for
 
-from repro.experiments.report import format_table
 from repro.experiments.workloads import A100_PP4_WORKLOADS
 from repro.profiler.online import estimated_profiling_overhead_s
 
 
-def test_sec65_optimizer_runtime(benchmark):
+def test_sec65_optimizer_runtime():
     def run():
         rows = []
         for wl in A100_PP4_WORKLOADS:
@@ -35,28 +34,23 @@ def test_sec65_optimizer_runtime(benchmark):
             ])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(format_table(
+    rows = run()
+    emit_table(
         ["workload", "optimizer runtime (s)", "steps", "frontier points",
          "profiling overhead (min)"],
         rows,
         title="[Sec 6.5] Optimizer runtime and profiling overhead "
               "(paper: 6.5 min avg optimize, ~13 min profile)",
-    ))
+        wall_clock=("optimizer runtime (s)",),
+    )
     for row in rows:
         assert float(row[1]) < 600.0  # far below any real training horizon
 
 
-def test_sec65_lookup_is_instant(benchmark):
+def test_sec65_lookup_is_instant():
     setup = setup_for(A100_PP4_WORKLOADS[0].key)
     frontier = setup.optimizer.frontier
     targets = [frontier.t_min * (1 + 0.01 * i) for i in range(50)]
-
-    def lookup():
-        for t in targets:
-            frontier.schedule_for(t)
-
-    benchmark(lookup)
     start = time.perf_counter()
     for t in targets:
         frontier.schedule_for(t)
@@ -66,7 +60,7 @@ def test_sec65_lookup_is_instant(benchmark):
     assert elapsed < 1e-3
 
 
-def test_sec65_polynomial_step_count(benchmark):
+def test_sec65_polynomial_step_count():
     """Appendix F: steps are O(N + M), i.e. linear-ish in pipeline size."""
     from repro.core.frontier import characterize_frontier
     from repro.pipeline.dag import build_pipeline_dag
@@ -83,12 +77,13 @@ def test_sec65_polynomial_step_count(benchmark):
                          f"{frontier.optimizer_runtime_s:.2f}"])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(format_table(
+    rows = run()
+    emit_table(
         ["config", "steps", "runtime (s)"],
         rows,
         title="[Appendix F] Frontier steps scale mildly with microbatches",
-    ))
+        wall_clock=("runtime (s)",),
+    )
     steps = [r[1] for r in rows]
     # quadrupling M must not blow steps up super-linearly by more than ~4x
     assert steps[2] <= steps[0] * 8

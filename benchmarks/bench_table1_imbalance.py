@@ -7,9 +7,8 @@ next to the paper's A100 numbers.
 
 from __future__ import annotations
 
-from conftest import emit
+from conftest import emit_table
 
-from repro.experiments.report import format_table
 from repro.gpu.specs import A40, A100_PCIE
 from repro.models.registry import build_model
 from repro.partition.algorithms import partition_model
@@ -39,13 +38,13 @@ def _ratios(gpu):
     return rows
 
 
-def test_table1_imbalance_ratios(benchmark):
-    rows = benchmark.pedantic(_ratios, args=(A100_PCIE,), rounds=1, iterations=1)
-    emit(format_table(
+def test_table1_imbalance_ratios():
+    rows = _ratios(A100_PCIE)
+    emit_table(
         ["model", "ours N=4", "ours N=8", "paper N=4", "paper N=8"],
         rows,
         title="[Table 1] Minimum imbalance ratio (A100)",
-    ))
+    )
     # Shape assertions: perfect balance is rare; deeper pipelines worse.
     for name, r4s, r8s, _, _ in rows:
         r4, r8 = float(r4s), float(r8s)
@@ -53,7 +52,7 @@ def test_table1_imbalance_ratios(benchmark):
     assert float(dict((r[0], r[1]) for r in rows)["gpt3-175b"]) < 1.05
 
 
-def test_table7_partitions_listed(benchmark):
+def test_table7_partitions_listed():
     """Appendix B: partition boundaries for the headline models."""
     def run():
         out = []
@@ -64,12 +63,12 @@ def test_table7_partitions_listed(benchmark):
             out.append([name, str(list(p4.boundaries)), str(list(p8.boundaries))])
         return out
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(format_table(
+    rows = run()
+    emit_table(
         ["model", "A100 4-stage partition", "A40 8-stage partition"],
         rows,
         title="[Table 7] Minimum-imbalance partitions",
-    ))
+    )
     # GPT-3 1.3B: the LM head forces a short final stage (paper: 5 layers + head)
     gpt = next(r for r in rows if r[0] == "gpt3-xl")
     bounds = eval(gpt[1])

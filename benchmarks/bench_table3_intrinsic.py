@@ -7,9 +7,8 @@ slowdown; EnvPipe saves less on average and sometimes slows the pipeline.
 
 from __future__ import annotations
 
-from conftest import emit
+from conftest import emit_table
 
-from repro.experiments.report import format_table
 from repro.experiments.runner import evaluate_intrinsic
 
 #: Paper Table 3: workload key -> (perseus %, envpipe %, perseus slow %,
@@ -50,25 +49,25 @@ def _check(rows):
         assert slow_p < 1.0, f"{display}: Perseus must not slow down"
 
 
-def test_table3a_a100_pp4(benchmark, a100_setups):
-    rows = benchmark.pedantic(_run, args=(a100_setups,), rounds=1, iterations=1)
-    emit(format_table(
+def test_table3a_a100_pp4(a100_setups):
+    rows = _run(a100_setups)
+    emit_table(
         ["workload", "Perseus %", "EnvPipe %", "paper P", "paper E",
          "P slow %", "E slow %"],
         rows,
         title="[Table 3a] Intrinsic bloat reduction, A100 PP4",
-    ))
+    )
     _check(rows)
 
 
-def test_table3b_a40_pp8(benchmark, a40_setups):
-    rows = benchmark.pedantic(_run, args=(a40_setups,), rounds=1, iterations=1)
-    emit(format_table(
+def test_table3b_a40_pp8(a40_setups):
+    rows = _run(a40_setups)
+    emit_table(
         ["workload", "Perseus %", "EnvPipe %", "paper P", "paper E",
          "P slow %", "E slow %"],
         rows,
         title="[Table 3b] Intrinsic bloat reduction, A40 PP8",
-    ))
+    )
     _check(rows)
     # headline: A40 savings exceed A100 savings for matching models
     assert min(r[1] for r in rows) > 10.0

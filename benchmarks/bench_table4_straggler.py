@@ -8,9 +8,8 @@ and is always below Perseus's adaptive schedule.
 
 from __future__ import annotations
 
-from conftest import emit
+from conftest import emit_table
 
-from repro.experiments.report import format_table
 from repro.experiments.runner import evaluate_straggler
 
 FACTORS = (1.05, 1.1, 1.2, 1.3, 1.4, 1.5)
@@ -61,23 +60,21 @@ def _check(table):
         assert all(a >= b - 1e-9 for a, b in zip(envpipe, envpipe[1:]))
 
 
-def test_table4a_a100(benchmark, a100_setups):
-    table = benchmark.pedantic(_run, args=(a100_setups,), rounds=1,
-                               iterations=1)
-    emit(format_table(
+def test_table4a_a100(a100_setups):
+    table = _run(a100_setups)
+    emit_table(
         ["workload", "method"] + [f"T'/T={f}" for f in FACTORS],
         table,
         title="[Table 4a] Savings vs straggler slowdown, A100 PP4",
-    ))
+    )
     _check(table)
 
 
-def test_table4b_a40(benchmark, a40_setups):
-    table = benchmark.pedantic(_run, args=(a40_setups,), rounds=1,
-                               iterations=1)
-    emit(format_table(
+def test_table4b_a40(a40_setups):
+    table = _run(a40_setups)
+    emit_table(
         ["workload", "method"] + [f"T'/T={f}" for f in FACTORS],
         table,
         title="[Table 4b] Savings vs straggler slowdown, A40 PP8",
-    ))
+    )
     _check(table)

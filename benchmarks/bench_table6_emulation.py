@@ -11,14 +11,14 @@ Default runs M in {12, 24, 48} (the 8192/4096/2048-GPU rows); set
 
 from __future__ import annotations
 
-from conftest import bench_planner, emit
+from conftest import bench_planner, emit_table
 
 from repro.emulation.largescale import (
     emulated_intrinsic_savings,
-    prepare_emulation,
+    emulation_workload,
     table5_configs,
 )
-from repro.experiments.report import format_table
+from repro.experiments.runner import prepare
 from repro.experiments.workloads import full_fidelity
 from repro.gpu.specs import A40, A100_SXM
 
@@ -44,27 +44,27 @@ def _m_values():
     return M_VALUES_FULL if full_fidelity() else M_VALUES_FAST
 
 
-def test_table5_strong_scaling_configs(benchmark):
-    configs = benchmark.pedantic(table5_configs, rounds=1, iterations=1)
+def test_table5_strong_scaling_configs():
+    configs = table5_configs()
     rows = [[c.num_gpus, c.num_pipelines, c.num_microbatches,
              c.num_pipelines * c.num_microbatches] for c in configs]
-    emit(format_table(
+    emit_table(
         ["# GPUs", "# pipelines", "microbatches/pipeline", "global batch"],
         rows,
         title="[Table 5] Strong scaling parameters (TP8 x PP8)",
-    ))
+    )
     assert len({r[3] for r in rows}) == 1
 
 
-def test_table6_intrinsic_vs_microbatches(benchmark):
+def test_table6_intrinsic_vs_microbatches():
     def run():
         table = []
         for model, gpu, label in _configs():
             series = []
             for m in _m_values():
-                setup = prepare_emulation(model, gpu, m, freq_stride=8,
-                                          step_target=120,
-                                          planner=bench_planner())
+                setup = prepare(emulation_workload(model, gpu),
+                                num_microbatches=m, freq_stride=8,
+                                planner=bench_planner())
                 series.append(emulated_intrinsic_savings(setup))
             paper = PAPER[(model, label)][: len(series)]
             table.append([f"{model} ({label})"]
@@ -72,13 +72,13 @@ def test_table6_intrinsic_vs_microbatches(benchmark):
                          + ["| paper:"] + [f"{p:.2f}" for p in paper])
         return table
 
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    table = run()
     headers = (["model"] + [f"M={m}" for m in _m_values()]
                + [""] + [f"M={m}" for m in _m_values()])
-    emit(format_table(
+    emit_table(
         headers, table,
         title="[Table 6] Emulated intrinsic savings vs microbatch count",
-    ))
+    )
     for row in table:
         series = [float(x) for x in row[1 : 1 + len(_m_values())]]
         assert series[0] > 0

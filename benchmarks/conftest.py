@@ -1,21 +1,28 @@
-"""Shared benchmark fixtures: cached experiment setups + result sink.
+"""Shared benchmark fixtures: cached experiment setups + result sinks.
 
 Benchmarks print paper-vs-measured tables.  pytest captures stdout, so
-every table is also appended to ``benchmarks/results.txt`` and echoed in
-the terminal summary; run with ``-s`` to watch tables live.
+every table is also appended to ``benchmarks/results.txt``; run with
+``-s`` to watch tables live.  Every table cell is also recorded, as
+printed, in the committed ``benchmarks/BENCH_paper.json`` (one
+``{artifact, row, column, value}`` object per line), which CI
+regenerates from an empty plan store and diffs: the substrate is
+deterministic, so any moved cell is a visible change.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from typing import Dict
+from typing import Dict, Iterable, List, Sequence
 
 import pytest
 
+from repro.experiments.report import format_cell, format_table
 from repro.experiments.runner import ExperimentSetup, prepare
 from repro.experiments.workloads import get_workload
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results.txt")
+PAPER_PATH = os.path.join(os.path.dirname(__file__), "BENCH_paper.json")
 
 #: Where figure reproductions persist partitions/profiles/frontiers.
 BENCH_CACHE_DIR = os.environ.get("REPRO_CACHE_DIR") or os.path.join(
@@ -45,6 +52,9 @@ def bench_planner():
 
 _SETUPS: Dict[str, ExperimentSetup] = {}
 
+#: Table title -> its cells, for the tables emitted in this session.
+_CELLS: Dict[str, List[dict]] = {}
+
 
 def emit(text: str) -> None:
     """Print a table and persist it to the results file."""
@@ -54,11 +64,53 @@ def emit(text: str) -> None:
         f.write(text + "\n\n")
 
 
+def emit_table(
+    headers: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    title: str,
+    wall_clock: Sequence[str] = (),
+) -> None:
+    """Emit a ``format_table`` table and record its cells.
+
+    ``wall_clock`` names columns timed on the running host: they are
+    printed but not recorded, since they differ from run to run.
+    """
+    rows = [list(row) for row in rows]
+    emit(format_table(headers, rows, title=title))
+    _CELLS[title] = [
+        {"artifact": title, "row": i, "column": column,
+         "value": format_cell(cell)}
+        for i, row in enumerate(rows)
+        for column, cell in zip(headers, row)
+        if column not in wall_clock
+    ]
+
+
+def _write_paper_cells() -> None:
+    """Merge this session's tables into ``BENCH_paper.json``.
+
+    Tables this session did not run keep their committed cells, so one
+    benchmark file can be rerun on its own.
+    """
+    cells: Dict[str, List[dict]] = {}
+    if os.path.exists(PAPER_PATH):
+        with open(PAPER_PATH, encoding="utf-8") as f:
+            for cell in json.load(f):
+                cells.setdefault(cell["artifact"], []).append(cell)
+    cells.update(_CELLS)
+    lines = [json.dumps(cell) for title in sorted(cells)
+             for cell in cells[title]]
+    with open(PAPER_PATH, "w", encoding="utf-8") as f:
+        f.write("[\n" + ",\n".join(lines) + "\n]\n")
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _fresh_results_file():
     if os.path.exists(RESULTS_PATH):
         os.remove(RESULTS_PATH)
     yield
+    if _CELLS:
+        _write_paper_cells()
 
 
 def setup_for(workload_key: str, **kwargs) -> ExperimentSetup:

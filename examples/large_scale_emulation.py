@@ -4,6 +4,9 @@
 Reproduces the strong-scaling study: as the GPU count doubles (Table 5),
 per-pipeline microbatches halve and intrinsic savings per pipeline grow,
 while the job's straggler savings follow Figure 8's rise-then-wane curve.
+Each emulated pipeline is an ordinary workload planned by the shared
+planner, so `repro plan` of the same configuration prints the same
+intrinsic savings.
 
 Run:  python examples/large_scale_emulation.py
 """
@@ -12,10 +15,11 @@ from repro.emulation import (
     emulated_breakdown,
     emulated_intrinsic_savings,
     emulated_straggler_savings,
-    prepare_emulation,
+    emulation_workload,
     t_star_ratio,
     table5_configs,
 )
+from repro.experiments import prepare
 from repro.gpu import A100_SXM
 
 MODEL = "gpt3-175b"
@@ -29,10 +33,8 @@ def main() -> None:
     for cfg in table5_configs():
         if cfg.num_microbatches > 48:
             continue  # the 1024-GPU row takes minutes; see the benchmarks
-        setup = prepare_emulation(
-            MODEL, A100_SXM, cfg.num_microbatches, freq_stride=8,
-            step_target=120,
-        )
+        setup = prepare(emulation_workload(MODEL, A100_SXM),
+                        num_microbatches=cfg.num_microbatches, freq_stride=8)
         setups[cfg.num_pipelines] = (cfg, setup)
         print(f"{cfg.num_gpus:5d}  {cfg.num_pipelines:9d}  "
               f"{cfg.num_microbatches:10d}  "

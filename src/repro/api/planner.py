@@ -403,17 +403,13 @@ class Planner:
 
     def _build_profile(
         self,
+        profile_key: tuple,
         model: ModelSpec,
-        partition_key: tuple,
         partition: PartitionResult,
         gpus: Tuple[GPUSpec, ...],
         tensor_parallel: int,
         freq_stride: int,
-        noise: float,
-        seed: int,
     ) -> PipelineProfile:
-        key = partition_key + (tensor_parallel, freq_stride, noise, seed)
-
         def build() -> PipelineProfile:
             if is_homogeneous(gpus):
                 return profile_pipeline(
@@ -422,26 +418,12 @@ class Planner:
                     gpus[0],
                     tensor_parallel=tensor_parallel,
                     freq_stride=freq_stride,
-                    noise=noise,
-                    seed=seed,
-                )
-            if noise:
-                # Noisy sweeps draw from one shared RNG stream; per-stage
-                # caching would replay it, so profile the pipeline whole.
-                return profile_pipeline(
-                    model,
-                    partition,
-                    gpus,
-                    tensor_parallel=tensor_parallel,
-                    freq_stride=freq_stride,
-                    noise=noise,
-                    seed=seed,
                 )
             return self._compose_hetero_profile(
                 model, partition, gpus, tensor_parallel, freq_stride
             )
 
-        return self._memo("profile", key, "profile", build)
+        return self._memo("profile", profile_key, "profile", build)
 
     def _compose_hetero_profile(
         self,
@@ -505,11 +487,12 @@ class Planner:
         profile_key: tuple,
         dag: ComputationDag,
         profile: PipelineProfile,
-        step_target: int,
     ) -> float:
         if tau is not None:
             return tau
-        key = (dag_key, profile_key, step_target)
+        # The step target stays in the key so persisted taus keep their
+        # store addresses.
+        key = (dag_key, profile_key, DEFAULT_STEP_TARGET)
 
         def build() -> float:
             # Same span computation as auto_tau(), but the max-frequency
@@ -519,7 +502,7 @@ class Planner:
                 dag, min_energy_plan(dag, profile), profile
             )
             span = max(slow.iteration_time - fast.iteration_time, 1e-6)
-            return span / step_target
+            return span / DEFAULT_STEP_TARGET
 
         return self._memo("tau", key, "tau", build)
 
@@ -566,17 +549,16 @@ class Planner:
         tensor_parallel: int = 1,
         freq_stride: int = 4,
         tau: Optional[float] = None,
-        noise: float = 0.0,
-        seed: int = 0,
-        step_target: int = DEFAULT_STEP_TARGET,
         exactness: str = "exact",
     ) -> PlanResult:
         """The raw staged pipeline, for callers not speaking ``PlanSpec``.
 
-        The large-scale emulation (its own ``step_target``) lands here;
-        spec-based planning goes through :meth:`result`.
-        ``gpu`` accepts a single device or a per-stage sequence (mixed
+        Spec-based planning goes through :meth:`result`.  ``gpu``
+        accepts a single device or a per-stage sequence (mixed
         cluster); homogeneous sequences share the single-device caches.
+        ``tau=None`` derives the granularity as :func:`auto_tau` does;
+        pass ``tau=auto_tau(dag, profile, steps)`` for another step
+        target.
         """
         gpus = self._resolve(gpu, stages)
         gpu_key = self._canonical(gpus)
@@ -585,17 +567,16 @@ class Planner:
         partition = self._build_partition(
             model_spec, stages, gpu_key, gpus, microbatch_size
         )
-        profile_key = partition_key + (tensor_parallel, freq_stride, noise,
-                                       seed)
+        # The trailing 0.0, 0 are the retired profiling noise and seed:
+        # kept so persisted profiles and frontiers keep their addresses.
+        profile_key = partition_key + (tensor_parallel, freq_stride, 0.0, 0)
         profile = self._build_profile(
-            model_spec, partition_key, partition, gpus,
-            tensor_parallel, freq_stride, noise, seed,
+            profile_key, model_spec, partition, gpus,
+            tensor_parallel, freq_stride,
         )
         dag_key = (stages, microbatches)
         dag = self._build_dag(stages, microbatches)
-        tau = self._resolve_tau(
-            tau, dag_key, profile_key, dag, profile, step_target
-        )
+        tau = self._resolve_tau(tau, dag_key, profile_key, dag, profile)
         optimizer = self._build_optimizer(
             dag_key, profile_key, tau, dag, profile, exactness
         )

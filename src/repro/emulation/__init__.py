@@ -1,4 +1,9 @@
-"""Large-scale emulation (GPT-3 175B / Bloom 176B, Table 5 strong scaling)."""
+"""Large-scale emulation (GPT-3 175B / Bloom 176B, Table 5 strong scaling).
+
+An emulated pipeline is a :func:`emulation_workload` prepared by
+:func:`repro.experiments.runner.prepare`; every figure is read off a
+:class:`~repro.api.PlanReport` of the shared planner.
+"""
 
 from .largescale import (
     GLOBAL_BATCH,
@@ -6,12 +11,11 @@ from .largescale import (
     TABLE5_SCALING,
     TENSOR_PARALLEL,
     BloatBreakdown,
-    EmulationSetup,
     ScalingConfig,
     emulated_breakdown,
     emulated_intrinsic_savings,
     emulated_straggler_savings,
-    prepare_emulation,
+    emulation_workload,
     t_star_ratio,
     table5_configs,
 )
@@ -22,12 +26,11 @@ __all__ = [
     "TABLE5_SCALING",
     "TENSOR_PARALLEL",
     "BloatBreakdown",
-    "EmulationSetup",
     "ScalingConfig",
     "emulated_breakdown",
     "emulated_intrinsic_savings",
     "emulated_straggler_savings",
-    "prepare_emulation",
+    "emulation_workload",
     "t_star_ratio",
     "table5_configs",
 ]

@@ -2,8 +2,12 @@
 
 We cannot run 175B-parameter models on a testbed (neither could the
 authors): like the paper, the emulator grounds itself on layer-level
-profiles -- here produced by the analytical GPU substrate -- and runs the
-*same* optimization and accounting machinery as the real path.
+profiles -- here produced by the analytical GPU substrate.  One emulated
+pipeline is an ordinary experiment workload (:func:`emulation_workload`)
+prepared by :func:`repro.experiments.runner.prepare`, so it is planned
+by the shared :class:`~repro.api.Planner` and every figure here is read
+off a :class:`~repro.api.PlanReport`: the same number ``repro plan``
+prints for that configuration.
 
 Strong scaling follows Table 5: global batch 1536, tensor-parallel degree
 8, eight pipeline stages; as the GPU count doubles, the pipeline count
@@ -13,19 +17,13 @@ drives the bubble-ratio effect of Table 6 / Figure 8.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
-from ..core.optimizer import PerseusOptimizer
 from ..exceptions import ConfigurationError
-from ..api.planner import Planner, default_planner
-from ..gpu.specs import GPULike, GPUSpec, resolve_gpus
-from ..sim.executor import (
-    PipelineExecution,
-    execute_frequency_plan,
-    max_frequency_plan,
-)
+from ..experiments.runner import ExperimentSetup
+from ..experiments.workloads import Workload
+from ..gpu.specs import GPUSpec
 
 #: Table 5 strong-scaling rows: (num_gpus, num_pipelines, microbatches).
 TABLE5_SCALING = ((1024, 16, 96), (2048, 32, 48), (4096, 64, 24), (8192, 128, 12))
@@ -55,112 +53,44 @@ def table5_configs() -> List[ScalingConfig]:
     return [ScalingConfig(*row) for row in TABLE5_SCALING]
 
 
-@dataclass
-class EmulationSetup:
-    """One emulated (model, GPU, microbatch-count) pipeline."""
+def emulation_workload(model_name: str, gpu: GPUSpec) -> Workload:
+    """One pipeline of the Table 5 job: PP8 x TP8, microbatch size 1.
 
-    model_name: str
-    gpu: GPUSpec  # first stage's device (== all stages when homogeneous)
-    num_microbatches: int
-    dag: object
-    profile: object
-    optimizer: PerseusOptimizer
-    #: The all-max execution every savings figure is relative to (§6.1),
-    #: simulated once per setup.
-    baseline: PipelineExecution
-    gpus: tuple = ()  # per-stage devices (mixed-cluster emulation)
-
-    def perseus(self, t_prime: Optional[float] = None) -> PipelineExecution:
-        """Perseus's ``T_opt = min(T*, T')`` schedule, executed."""
-        schedule = self.optimizer.schedule_for_straggler(t_prime)
-        return execute_frequency_plan(
-            self.dag, schedule.frequencies, self.profile)
-
-
-#: Setup reuse per planner (weak keys: dropping a private planner drops
-#: the setups built from its caches -- and prevents a recycled ``id``
-#: from ever serving another planner's artifacts).
-_SETUP_CACHE: "weakref.WeakKeyDictionary[Planner, Dict[tuple, EmulationSetup]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def prepare_emulation(
-    model_name: str,
-    gpu: GPULike,
-    num_microbatches: int,
-    microbatch_size: int = 1,
-    freq_stride: int = 4,
-    step_target: int = 200,
-    planner: Optional[Planner] = None,
-) -> EmulationSetup:
-    """Profile one pipeline of the huge model and characterize its frontier.
-
-    Per §4.4, operator parallelism lets Perseus profile one GPU per stage
-    and replicate: the returned profile is the per-GPU (TP-sharded) view,
-    and per-pipeline energies scale by the TP degree.  ``gpu`` may be a
-    per-stage sequence to emulate a mixed-generation cluster (the §6.3
-    machinery then runs unchanged on the heterogeneous profile).
-
-    The stack comes from the shared :class:`~repro.api.Planner`, so
-    emulations share partitions/profiles/frontiers with every other
-    caller -- and persist them when ``REPRO_CACHE_DIR`` (or an explicit
-    store-backed ``planner``) is in play, which is what lets the
-    175B-scale figure reproductions warm-start.
+    Per §4.4, operator parallelism lets Perseus profile one GPU per
+    stage and replicate, so the plan is the per-GPU (TP-sharded) view.
+    The recorded microbatch count is the paper's 1024-GPU row (M = 96);
+    pass ``num_microbatches`` to :func:`~repro.experiments.runner.prepare`
+    for the other rows.
     """
-    gpus = resolve_gpus(gpu, PIPELINE_STAGES)
-    planner = planner or default_planner()
-    # The setup cache is scoped per planner: a setup built from one
-    # planner's caches must not be served to a caller who passed a
-    # different (e.g. store-backed) planner expecting its artifacts to
-    # land there.
-    per_planner = _SETUP_CACHE.setdefault(planner, {})
-    key = (model_name, tuple(g.name for g in gpus), num_microbatches,
-           microbatch_size, freq_stride, step_target)
-    if key in per_planner:
-        return per_planner[key]
-    stack = planner.build_stack(
-        model=model_name,
-        gpu=gpus,
-        stages=PIPELINE_STAGES,
-        microbatches=num_microbatches,
-        microbatch_size=microbatch_size,
-        tensor_parallel=TENSOR_PARALLEL,
-        freq_stride=freq_stride,
-        step_target=step_target,
-    )
-    setup = EmulationSetup(
+    _, num_pipelines, num_microbatches = TABLE5_SCALING[0]
+    return Workload(
+        key=f"{model_name}@{gpu.name.lower()}-emulation",
         model_name=model_name,
-        gpu=gpus[0],
+        display=model_name,
+        gpu=gpu,
+        num_stages=PIPELINE_STAGES,
+        microbatch_size=1,
         num_microbatches=num_microbatches,
-        dag=stack.dag,
-        profile=stack.profile,
-        optimizer=stack.optimizer,
-        baseline=execute_frequency_plan(
-            stack.dag, max_frequency_plan(stack.dag, stack.profile),
-            stack.profile),
-        gpus=stack.gpus,
+        tensor_parallel=TENSOR_PARALLEL,
+        data_parallel=num_pipelines,
     )
-    per_planner[key] = setup
-    return setup
 
 
-def emulated_intrinsic_savings(setup: EmulationSetup) -> float:
+def emulated_intrinsic_savings(setup: ExperimentSetup) -> float:
     """Table 6: intrinsic savings (%) without stragglers."""
-    return 100.0 * (1.0 - setup.perseus().energy_at()
-                    / setup.baseline.energy_at())
+    return setup.plan("perseus").energy_savings_pct
 
 
-def _straggler_time(setup: EmulationSetup, slowdown: float) -> float:
+def _straggler_time(setup: ExperimentSetup, slowdown: float) -> float:
     """``T'``: the straggler runs the all-max plan, throttled ``slowdown``x."""
     if not slowdown >= 1.0:  # NaN too
         raise ConfigurationError(
             f"straggler slowdown must be >= 1.0, got {slowdown:g}")
-    return setup.baseline.iteration_time * slowdown
+    return setup.plan("max-freq").iteration_time_s * slowdown
 
 
 def emulated_straggler_savings(
-    setup: EmulationSetup,
+    setup: ExperimentSetup,
     num_pipelines: int,
     slowdown: float,
 ) -> float:
@@ -172,8 +102,8 @@ def emulated_straggler_savings(
     """
     if num_pipelines < 2:
         raise ConfigurationError("need at least two pipelines for a straggler")
-    base = setup.baseline
     t_prime = _straggler_time(setup, slowdown)
+    base = setup.plan("max-freq").execution
     straggler_energy = (
         base.compute_energy()  # throttled power x stretched time ~= energy
         + sum(
@@ -182,13 +112,11 @@ def emulated_straggler_savings(
             for s in range(base.num_devices())
         )
     )
-
-    base_non_straggler = base.energy_at(t_prime)
-    perseus_non_straggler = setup.perseus(t_prime).energy_at(t_prime)
+    non_straggler = setup.plan("perseus", t_prime)
 
     n = num_pipelines - 1
-    base_total = straggler_energy + n * base_non_straggler
-    perseus_total = straggler_energy + n * perseus_non_straggler
+    base_total = straggler_energy + n * non_straggler.baseline_energy_j
+    perseus_total = straggler_energy + n * non_straggler.energy_j
     return 100.0 * (1.0 - perseus_total / base_total)
 
 
@@ -205,36 +133,29 @@ class BloatBreakdown:
 
 
 def emulated_breakdown(
-    setup: EmulationSetup,
+    setup: ExperimentSetup,
     num_pipelines: int,
     slowdown: float,
-    plan_override: Optional[Dict[int, int]] = None,
+    strategy: str = "perseus",
 ) -> BloatBreakdown:
     """Split job-level savings into intrinsic and extrinsic components.
 
-    Intrinsic: savings if non-stragglers kept the ``T_min`` schedule (only
-    intrinsic bloat removed).  Extrinsic: the additional savings from
-    slowing non-stragglers to ``T_opt``.  ``plan_override`` evaluates a
-    baseline plan (e.g. EnvPipe's) instead of Perseus's ``T_min`` schedule,
-    in which case the extrinsic share is zero by construction.
+    Intrinsic: ``strategy``'s straggler-free plan priced at ``T'`` (only
+    intrinsic bloat removed).  Total: its plan for ``T'``; extrinsic is
+    the difference.  A straggler-oblivious strategy (EnvPipe) plans the
+    same for both, so its extrinsic share is zero.
     """
     t_prime = _straggler_time(setup, slowdown)
-    base_energy = setup.baseline.energy_at(t_prime)
-    if plan_override is not None:
-        intr_exec = full_exec = execute_frequency_plan(
-            setup.dag, plan_override, setup.profile)
-    else:
-        intr_exec, full_exec = setup.perseus(), setup.perseus(t_prime)
-    intr_energy = intr_exec.energy_at(t_prime)
-    full_energy = full_exec.energy_at(t_prime)
-    intrinsic = 100.0 * (1.0 - intr_energy / base_energy)
-    total = 100.0 * (1.0 - full_energy / base_energy)
+    total = setup.plan(strategy, t_prime)
+    intrinsic_energy = setup.plan(strategy).execution.energy_at(t_prime)
+    intrinsic = 100.0 * (1.0 - intrinsic_energy / total.baseline_energy_j)
     return BloatBreakdown(
-        intrinsic_pct=intrinsic, extrinsic_pct=max(total - intrinsic, 0.0)
+        intrinsic_pct=intrinsic,
+        extrinsic_pct=max(total.energy_savings_pct - intrinsic, 0.0),
     )
 
 
-def t_star_ratio(setup: EmulationSetup) -> float:
+def t_star_ratio(setup: ExperimentSetup) -> float:
     """``T*/T_min`` -- the star markers of Figure 8."""
     frontier = setup.optimizer.frontier
     return frontier.t_star / frontier.t_min

@@ -2,7 +2,9 @@
 
 Benchmarks print rows shaped like the paper's tables next to the paper's
 own numbers, so a reader can eyeball shape agreement straight from
-``pytest benchmarks/ --benchmark-only`` output.
+``python -m pytest benchmarks/bench_table3_intrinsic.py -s`` output; the
+benchmark harness also commits every printed cell to
+``benchmarks/BENCH_paper.json``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ def format_table(
     headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = ""
 ) -> str:
     """Monospace table with auto-sized columns."""
-    str_rows: List[List[str]] = [[_fmt(c) for c in row] for row in rows]
+    str_rows: List[List[str]] = [[format_cell(c) for c in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in str_rows:
         for i, cell in enumerate(row):
@@ -30,7 +32,8 @@ def format_table(
     return "\n".join(lines)
 
 
-def _fmt(cell: object) -> str:
+def format_cell(cell: object) -> str:
+    """A table cell as :func:`format_table` prints it."""
     if isinstance(cell, float):
         return f"{cell:.1f}"
     return str(cell)

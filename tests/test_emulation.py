@@ -2,29 +2,37 @@
 
 import pytest
 
+from repro.api import Planner
 from repro.emulation.largescale import (
     ScalingConfig,
     emulated_breakdown,
     emulated_intrinsic_savings,
     emulated_straggler_savings,
-    prepare_emulation,
+    emulation_workload,
     t_star_ratio,
     table5_configs,
 )
 from repro.exceptions import ConfigurationError
+from repro.experiments.runner import prepare
 from repro.gpu.specs import A100_SXM
 
 
 @pytest.fixture(scope="module")
-def setup_12():
-    return prepare_emulation("gpt3-175b", A100_SXM, 12, freq_stride=8,
-                             step_target=120)
+def planner_12():
+    """A private planner holding only the M=12 emulation."""
+    return Planner()
+
+
+@pytest.fixture(scope="module")
+def setup_12(planner_12):
+    return prepare(emulation_workload("gpt3-175b", A100_SXM),
+                   num_microbatches=12, freq_stride=8, planner=planner_12)
 
 
 @pytest.fixture(scope="module")
 def setup_24():
-    return prepare_emulation("gpt3-175b", A100_SXM, 24, freq_stride=8,
-                             step_target=120)
+    return prepare(emulation_workload("gpt3-175b", A100_SXM),
+                   num_microbatches=24, freq_stride=8)
 
 
 class TestConfigs:
@@ -97,10 +105,33 @@ class TestBreakdown:
         assert b.total_pct < 45.0
 
     def test_envpipe_style_plan_has_no_extrinsic(self, setup_12):
-        from repro.baselines.envpipe import envpipe_plan
-
-        plan = envpipe_plan(setup_12.dag, setup_12.profile)
+        """EnvPipe ignores T', so its plan for T' is its intrinsic plan."""
         b = emulated_breakdown(
-            setup_12, num_pipelines=16, slowdown=1.2, plan_override=plan
+            setup_12, num_pipelines=16, slowdown=1.2, strategy="envpipe"
         )
-        assert b.extrinsic_pct == pytest.approx(0.0, abs=1e-9)
+        assert b.intrinsic_pct > 0
+        assert b.extrinsic_pct == 0.0
+
+
+class TestProductPath:
+    def test_plan_cli_prints_the_table6_cell(self, setup_12, planner_12,
+                                             monkeypatch, capsys):
+        """``repro plan`` of the M=12 cell prints Table 6's intrinsic %,
+        and every emulated figure of that cell shares one crawl."""
+        import repro.cli
+
+        intrinsic = emulated_intrinsic_savings(setup_12)
+        emulated_straggler_savings(setup_12, 128, 1.2)
+        emulated_breakdown(setup_12, 128, 1.2)
+        t_star_ratio(setup_12)
+        assert planner_12.stats["frontier"] == 1
+
+        monkeypatch.setattr(repro.cli, "default_planner", lambda: planner_12)
+        assert repro.cli.main([
+            "plan", "gpt3-175b", "--gpu", "a100-sxm-80g", "--stages", "8",
+            "--microbatches", "12", "--microbatch-size", "1",
+            "--tensor-parallel", "8", "--freq-stride", "8",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert f"intrinsic  : {intrinsic:.1f}% energy saved" in out
+        assert planner_12.stats["frontier"] == 1
