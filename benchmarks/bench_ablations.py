@@ -29,8 +29,8 @@ def _tmin_savings(dag, profile, frontier):
         dag, frontier.schedule_for(None).frequencies, profile
     )
     return (
-        100.0 * (1.0 - perseus.total_energy() / base.total_energy()),
-        perseus.total_energy(),
+        100.0 * (1.0 - perseus.energy_at() / base.energy_at()),
+        perseus.energy_at(),
         100.0 * (perseus.iteration_time / base.iteration_time - 1.0),
     )
 

@@ -32,14 +32,14 @@ def _summary_row(setup):
     ours = execute_frequency_plan(
         setup.dag, frontier.schedule_for(t0 * 1.0001).frequencies,
         setup.profile,
-    ).total_energy()
+    ).energy_at()
     zg_best = min(
-        (p.total_energy(sync_time=max(p.iteration_time, t0))
+        (p.energy_at(t0)
          for p in zg if p.iteration_time <= t0 * 1.001),
         default=float("nan"),
     )
     zp_best = min(
-        (p.total_energy(sync_time=max(p.iteration_time, t0))
+        (p.energy_at(t0)
          for p in zp if p.iteration_time <= t0 * 1.001),
         default=float("nan"),
     )
@@ -66,8 +66,8 @@ def _check(setup):
         ours = execute_frequency_plan(setup.dag, sched.frequencies,
                                       setup.profile)
         sync = max(ours.iteration_time, bp.iteration_time)
-        assert ours.total_energy(sync_time=sync) <= (
-            bp.total_energy(sync_time=sync) * 1.03
+        assert ours.energy_at(sync) <= (
+            bp.energy_at(sync) * 1.03
         )
 
 

@@ -37,7 +37,7 @@ def test_fig1_gpt3_timeline():
          + render_comparison(base, opt, width=100))
     # the figure's claim: same iteration time, visibly less energy
     assert opt.iteration_time <= base.iteration_time * 1.001
-    assert opt.total_energy() < base.total_energy() * 0.95
+    assert opt.energy_at() < base.energy_at() * 0.95
 
 
 def test_fig10_appendix_timelines():
@@ -50,9 +50,9 @@ def test_fig10_appendix_timelines():
 
     results = run()
     for label, base, opt in results:
-        saved = 100 * (1 - opt.total_energy() / base.total_energy())
+        saved = 100 * (1 - opt.energy_at() / base.energy_at())
         emit(f"[{label}] iteration {base.iteration_time:.3f}s -> "
              f"{opt.iteration_time:.3f}s, energy saved {saved:.1f}%\n"
              + render_comparison(base, opt, width=100))
         assert opt.iteration_time <= base.iteration_time * 1.001
-        assert opt.total_energy() < base.total_energy()
+        assert opt.energy_at() < base.energy_at()

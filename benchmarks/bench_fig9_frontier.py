@@ -30,11 +30,11 @@ def _frontier_rows(setup, samples=7):
         realized = execute_frequency_plan(setup.dag, p.frequencies,
                                           setup.profile)
         rows.append(["Perseus", realized.iteration_time,
-                     realized.total_energy()])
+                     realized.energy_at()])
     for bp in zeus_global_frontier(setup.dag, setup.profile, freq_stride=2):
-        rows.append(["ZeusGlobal", bp.iteration_time, bp.total_energy()])
+        rows.append(["ZeusGlobal", bp.iteration_time, bp.energy_at()])
     for bp in zeus_per_stage_frontier(setup.dag, setup.profile, freq_stride=2):
-        rows.append(["ZeusPerStage", bp.iteration_time, bp.total_energy()])
+        rows.append(["ZeusPerStage", bp.iteration_time, bp.energy_at()])
     return rows
 
 
@@ -47,7 +47,7 @@ def _assert_dominance(setup, rows):
         ours = execute_frequency_plan(setup.dag, sched.frequencies,
                                       setup.profile)
         sync = max(ours.iteration_time, t)
-        assert ours.total_energy(sync_time=sync) <= e * 1.03, (
+        assert ours.energy_at(sync) <= e * 1.03, (
             f"{method} point at t={t:.2f}s beats Perseus"
         )
 

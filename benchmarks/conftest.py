@@ -50,7 +50,6 @@ def bench_planner():
         _PLANNER = Planner(cache=BENCH_CACHE_DIR)
     return _PLANNER
 
-_SETUPS: Dict[str, ExperimentSetup] = {}
 
 #: Table title -> its cells, for the tables emitted in this session.
 _CELLS: Dict[str, List[dict]] = {}
@@ -114,13 +113,11 @@ def _fresh_results_file():
 
 
 def setup_for(workload_key: str, **kwargs) -> ExperimentSetup:
-    """Session-cached experiment setup (frontier computed once, and
-    persisted in the benchmark plan store across runs)."""
-    key = f"{workload_key}|{sorted(kwargs.items())}"
-    if key not in _SETUPS:
-        _SETUPS[key] = prepare(get_workload(workload_key),
-                               planner=bench_planner(), **kwargs)
-    return _SETUPS[key]
+    """The workload's experiment setup on the bench planner, whose memo
+    holds every stage (frontier computed once per session, and persisted
+    in the benchmark plan store across runs)."""
+    return prepare(get_workload(workload_key), planner=bench_planner(),
+                   **kwargs)
 
 
 @pytest.fixture(scope="session")

@@ -73,8 +73,8 @@ def main() -> None:
 
     tmin = frontier.min_time_schedule
     tstar = frontier.min_energy_schedule
-    e_tmin = tmin.total_energy(4, profile.p_blocking_w)
-    e_tstar = tstar.total_energy(4, profile.p_blocking_w)
+    e_tmin = tmin.energy_at(4 * profile.p_blocking_w)
+    e_tstar = tstar.energy_at(4 * profile.p_blocking_w)
     print(f"\nT_min schedule: {tmin.iteration_time:.3f}s  {e_tmin:8.0f} J")
     print(f"T*    schedule: {tstar.iteration_time:.3f}s  {e_tstar:8.0f} J "
           f"({1 - e_tstar / e_tmin:.1%} less energy, "

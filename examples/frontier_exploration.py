@@ -45,14 +45,14 @@ def main() -> None:
         realized = execute_frequency_plan(
             plan.dag, point.frequencies, plan.profile
         )
-        perseus_pts.append((realized.iteration_time, realized.total_energy()))
+        perseus_pts.append((realized.iteration_time, realized.energy_at()))
 
     zeus_g = [
-        (p.iteration_time, p.total_energy())
+        (p.iteration_time, p.energy_at())
         for p in zeus_global_frontier(plan.dag, plan.profile, freq_stride=3)
     ]
     zeus_p = [
-        (p.iteration_time, p.total_energy())
+        (p.iteration_time, p.energy_at())
         for p in zeus_per_stage_frontier(plan.dag, plan.profile, freq_stride=3)
     ]
 

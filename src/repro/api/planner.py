@@ -53,7 +53,7 @@ from ..obs.trace import span as obs_span
 from ..exceptions import ConfigurationError, ReproError
 from ..gpu.specs import GPULike, GPUSpec, get_gpu, is_homogeneous, resolve_gpus
 from ..models.layers import ModelSpec
-from ..models.registry import build_model
+from ..models.registry import build_model, get_entry
 from ..partition.algorithms import PartitionResult, partition_model
 from ..pipeline.dag import ComputationDag, build_pipeline_dag
 from ..pipeline.schedules import schedule_1f1b
@@ -90,6 +90,22 @@ def _canonical_gpu_key(gpus: Tuple[GPUSpec, ...]):
     ``PlanResult.canonical_gpu``'s key reconstruction.
     """
     return gpus[0] if is_homogeneous(gpus) else tuple(gpus)
+
+
+def _keyed_microbatch(model: str,
+                      microbatch_size: Optional[int]) -> Optional[int]:
+    """Cache-key microbatch component: ``None`` for the registry default.
+
+    An explicit ``microbatch_size`` equal to the model's default builds
+    the same model as leaving it unset, so both key alike and share one
+    model, partition, profile, frontier and stack flight.  The one rule
+    shared by :meth:`Planner.build_stack` and the sweep/flight
+    signature; a registry lookup, no model is built.
+    """
+    if microbatch_size is not None \
+            and microbatch_size == get_entry(model).default_microbatch:
+        return None
+    return microbatch_size
 
 
 def auto_tau(
@@ -562,6 +578,7 @@ class Planner:
         """
         gpus = self._resolve(gpu, stages)
         gpu_key = self._canonical(gpus)
+        microbatch_size = _keyed_microbatch(model, microbatch_size)
         model_spec = self._build_model(model, microbatch_size)
         partition_key = (model_spec, microbatch_size, stages, gpu_key)
         partition = self._build_partition(
@@ -853,9 +870,9 @@ class Planner:
         GPU names resolve to canonical specs so alias spellings (a
         homogeneous tuple vs the single name, ``"a100"`` vs
         ``"a100-pcie"``) group together; a spec whose GPUs cannot
-        resolve keeps its raw spelling and errors inside its worker.
-        ``exactness`` rides along even though it does not affect the
-        profile: it keys the frontier artifacts, and the service's
+        resolve keeps its raw spelling and errors inside its worker (as
+        does an unknown model's microbatch size).  ``exactness`` rides
+        along even though it does not affect the profile: it keys the frontier artifacts, and the service's
         stack-flight key derives from this signature -- exact and fast
         planning for the same workload must never coalesce.
         """
@@ -863,7 +880,11 @@ class Planner:
             gpu = _canonical_gpu_key(resolve_gpus(spec.gpu, spec.stages))
         except ReproError:
             gpu = spec.gpu if isinstance(spec.gpu, str) else tuple(spec.gpu)
-        return (spec.model, gpu, spec.stages, spec.microbatch_size,
+        try:
+            microbatch = _keyed_microbatch(spec.model, spec.microbatch_size)
+        except ReproError:
+            microbatch = spec.microbatch_size
+        return (spec.model, gpu, spec.stages, microbatch,
                 spec.tensor_parallel, spec.effective_freq_stride,
                 spec.exactness)
 

@@ -64,7 +64,7 @@ class RandomSamplerStrategy:
                      or execution.iteration_time <= target + 1e-9)
             # Rank: target-meeting samples first, then by Eq. 3 energy,
             # then by time (a deterministic total order over draws).
-            key = (0 if meets else 1, execution.total_energy(),
+            key = (0 if meets else 1, execution.energy_at(),
                    execution.iteration_time)
             if best_key is None or key < best_key:
                 best_plan, best_key = plan, key

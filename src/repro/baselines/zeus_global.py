@@ -35,8 +35,8 @@ class BaselineFrontierPoint:
     def iteration_time(self) -> float:
         return self.execution.iteration_time
 
-    def total_energy(self, sync_time: float = None) -> float:
-        return self.execution.total_energy(sync_time)
+    def energy_at(self, floor_s: Optional[float] = None) -> float:
+        return self.execution.energy_at(floor_s)
 
 
 def global_plan(
@@ -114,12 +114,12 @@ def select_operating_point(
             p for p in points if p.iteration_time <= target_time + 1e-9
         ]
         if feasible:
-            return min(feasible, key=lambda p: p.total_energy())
+            return min(feasible, key=lambda p: p.energy_at())
         return min(points, key=lambda p: p.iteration_time)
     p_max = pipeline_peak_power(profile)
     return min(
         points,
-        key=lambda p: ZEUS_ETA * p.total_energy()
+        key=lambda p: ZEUS_ETA * p.energy_at()
         + (1.0 - ZEUS_ETA) * p_max * p.iteration_time,
     )
 
@@ -137,11 +137,11 @@ def pareto_points(
     points: List[BaselineFrontierPoint],
 ) -> List[BaselineFrontierPoint]:
     """Keep (time, energy)-Pareto-optimal points, sorted by time."""
-    ordered = sorted(points, key=lambda p: (p.iteration_time, p.total_energy()))
+    ordered = sorted(points, key=lambda p: (p.iteration_time, p.energy_at()))
     front: List[BaselineFrontierPoint] = []
     best = float("inf")
     for p in ordered:
-        e = p.total_energy()
+        e = p.energy_at()
         if e < best - 1e-9:
             front.append(p)
             best = e

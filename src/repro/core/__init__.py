@@ -2,7 +2,6 @@
 
 from .costmodel import OpCostModel, build_cost_model, build_cost_models
 from .frontier import DEFAULT_TAU, Frontier, characterize_frontier
-from .nextschedule import get_next_schedule
 from .optimizer import PerseusOptimizer
 from .serialization import (
     SerializationError,
@@ -67,7 +66,6 @@ __all__ = [
     "characterize_frontier",
     "classify_straggler",
     "energy_optimal_iteration_time",
-    "get_next_schedule",
     "make_schedule",
     "realize_frequencies",
     "schedule_energies",

@@ -88,43 +88,6 @@ FAST_TOLERANCE = 0.05
 FAST_WARM_SLACK = 0.01
 
 
-# ---------------------------------------------------------------------------
-# Public entry point (dict durations in and out)
-# ---------------------------------------------------------------------------
-
-
-def get_next_schedule(
-    ecd: EdgeCentricDag,
-    durations: Dict[int, float],
-    node_cost: Dict[int, OpCostModel],
-    tau: float,
-) -> Optional[Dict[int, float]]:
-    """One Algorithm-2 step; returns the new durations or ``None``.
-
-    A single min-cut move can shave less than ``tau`` when cut edges hit
-    their fastest duration mid-step (partial speed-ups), so moves are
-    accumulated until the iteration time has dropped by ~``tau``.  Each
-    partial move retires at least one computation to its bound, so the
-    inner loop is finite.  Runs :func:`next_schedule_flat` (exact mode).
-
-    Args:
-        ecd: Edge-centric DAG of the whole iteration.
-        durations: Current planned duration per computation id.
-        node_cost: Cost model per computation id.
-        tau: Unit time to shave off the iteration (seconds).
-    """
-    if tau <= 0:
-        raise OptimizationError("tau must be positive")
-    kern = compiled_kernel(ecd, node_cost)
-    costs = [node_cost[c] for c in range(kern.num_comps)]
-    result = next_schedule_flat(
-        kern, kern.durations_array(durations), costs, tau
-    )
-    if result is None:
-        return None
-    return dict(enumerate(result[0]))
-
-
 def compiled_kernel(
     ecd: EdgeCentricDag, node_cost: Dict[int, OpCostModel]
 ) -> CompiledDag:
@@ -253,10 +216,8 @@ class FastState:
             "nodes_total": 0,
         }
 
-    def export(self, timings: Optional[dict]) -> None:
+    def export(self, timings: dict) -> None:
         """Merge the fast counters into a crawl's timings dict."""
-        if timings is None:
-            return
         timings.update(self.stats)
         timings["warm_hits"] = self.warm.hits
         timings["warm_misses"] = self.warm.misses
@@ -270,8 +231,8 @@ def next_schedule_flat(
     durations: array,
     costs: Sequence[OpCostModel],
     tau: float,
+    timings: dict,
     arena: Optional[FlowArena] = None,
-    timings: Optional[dict] = None,
     start_makespan: Optional[float] = None,
     start_earliest: Optional[List[float]] = None,
     cost_table: Optional[CostTable] = None,
@@ -279,16 +240,22 @@ def next_schedule_flat(
 ) -> Optional[FlatStep]:
     """One Algorithm-2 step on the compiled kernel.
 
+    A single min-cut move can shave less than ``tau`` when cut edges hit
+    their fastest duration mid-step (partial speed-ups), so moves are
+    accumulated until the iteration time has dropped by ~``tau``.  Each
+    partial move retires at least one computation to its bound, so the
+    inner loop is finite.
+
     Args:
         kern: Compiled DAG (with baked ``t_min``/``t_max`` vectors).
         durations: Current durations, ``array('d')`` indexed by comp id.
         costs: Cost model per comp id (list indexed by comp id).
         tau: Unit time to shave off the iteration (seconds).
-        arena: Reusable max-flow buffers (one per crawl; one per call
-            when omitted).
-        timings: Optional accumulator; bumps ``event_times_s`` /
+        timings: The crawl's accumulator; bumps ``event_times_s`` /
             ``instance_build_s`` / ``contract_s`` / ``maxflow_s`` /
             ``cuts`` / ``chain_cuts`` / ``repairs``.
+        arena: Reusable max-flow buffers (one per crawl; one per call
+            when omitted).
         start_makespan: Known makespan of ``durations`` (skips one pass).
         start_earliest: Earliest event times matching ``start_makespan``
             (a prior step's :attr:`FlatStep.earliest`).
@@ -343,8 +310,8 @@ def next_schedule_fast(
     durations: array,
     costs: Sequence[OpCostModel],
     tau: float,
+    timings: dict,
     arena: Optional[FlowArena] = None,
-    timings: Optional[dict] = None,
     start_makespan: Optional[float] = None,
     start_earliest: Optional[List[float]] = None,
     cost_table: Optional[CostTable] = None,
@@ -360,7 +327,7 @@ def next_schedule_fast(
     crawl-scoped :class:`FastState` to share warm cuts across steps.
     """
     return next_schedule_flat(
-        kern, durations, costs, tau, arena=arena, timings=timings,
+        kern, durations, costs, tau, timings, arena=arena,
         start_makespan=start_makespan, start_earliest=start_earliest,
         cost_table=cost_table, fast=FastState() if fast is None else fast,
     )
@@ -384,8 +351,7 @@ def _forward(
         ear, makespan, recomputed = kern.forward_pass_incremental(
             durations, base_earliest, kern.min_affected_pos(changed)
         )
-    if timings is not None:
-        timings["event_times_s"] += perf_counter() - start
+    timings["event_times_s"] += perf_counter() - start
     if fast is not None:
         st = fast.stats
         if recomputed >= kern.num_nodes:
@@ -405,9 +371,8 @@ def _critical_instance(
     info = kern.critical_pass(current, forward=cur_earliest)
     t1 = perf_counter()
     inst = _build_instance(kern, current, table, info.critical)
-    if timings is not None:
-        timings["event_times_s"] += t1 - t0
-        timings["instance_build_s"] += perf_counter() - t1
+    timings["event_times_s"] += t1 - t0
+    timings["instance_build_s"] += perf_counter() - t1
     return inst
 
 
@@ -450,8 +415,7 @@ def _solve_one_cut(
                     current = repaired
                     cur_makespan = rep_makespan
                     cur_earliest = rep_earliest
-                    if timings is not None:
-                        timings["repairs"] += 1
+                    timings["repairs"] += 1
                     continue
             # Repair unavailable: drop the slowdown credits for this step.
             inst = inst.relaxed()
@@ -504,14 +468,12 @@ def _min_cut(
         if con is None:
             return solve_bounded_arrays(
                 inst.num_compact, inst.bu, inst.bv, inst.blb, inst.bub,
-                inst.s, inst.t, arena=arena, need_flows=False,
-                order=range(inst.num_compact),
-            )[2], None
+                inst.s, inst.t, arena=arena, order=range(inst.num_compact),
+            ), None
         cmask = solve_bounded_arrays(
             con.num_nodes, con.edge_u, con.edge_v, con.lower,
-            con.upper, con.s, con.t, arena=arena, need_flows=False,
-            order=range(con.num_nodes),
-        )[2]
+            con.upper, con.s, con.t, arena=arena, order=range(con.num_nodes),
+        )
         solved = perf_counter()
         return con.expand_mask(cmask), None
     except InfeasibleFlowError as err:
@@ -525,14 +487,13 @@ def _min_cut(
             violating = {n for n in range(inst.num_compact) if full[n]}
         return None, violating
     finally:
-        if timings is not None:
-            end = perf_counter()
-            if solved is None:
-                solved = end
-            if fast is not None:
-                timings["contract_s"] += (t1 - t0) + (end - solved)
-            timings["maxflow_s"] += solved - t1
-            timings["cuts"] += 1
+        end = perf_counter()
+        if solved is None:
+            solved = end
+        if fast is not None:
+            timings["contract_s"] += (t1 - t0) + (end - solved)
+        timings["maxflow_s"] += solved - t1
+        timings["cuts"] += 1
 
 
 def _chain_cut(inst: _FlatInstance, timings):
@@ -541,11 +502,10 @@ def _chain_cut(inst: _FlatInstance, timings):
     ``cuts`` and ``chain_cuts``."""
     t0 = perf_counter()
     cut = chain_min_cut(inst.blb, inst.bub, inst.path)
-    if timings is not None:
-        timings["maxflow_s"] += perf_counter() - t0
-        if cut is not None:
-            timings["cuts"] += 1
-            timings["chain_cuts"] += 1
+    timings["maxflow_s"] += perf_counter() - t0
+    if cut is not None:
+        timings["cuts"] += 1
+        timings["chain_cuts"] += 1
     return cut
 
 
@@ -570,11 +530,10 @@ def _relaxed_cut(inst: _FlatInstance, arena, timings, fast) -> bytearray:
     t1 = perf_counter()
     if con is not None:
         mask = con.expand_mask(mask)
-    if timings is not None:
-        if fast is not None:
-            timings["contract_s"] += perf_counter() - t1
-        timings["maxflow_s"] += t1 - t0
-        timings["cuts"] += 1
+    if fast is not None:
+        timings["contract_s"] += perf_counter() - t1
+    timings["maxflow_s"] += t1 - t0
+    timings["cuts"] += 1
     return mask
 
 

@@ -41,16 +41,6 @@ class EnergySchedule:
             time_s = floor_s
         return self.effective_energy + blocking_w * time_s
 
-    def total_energy(
-        self, num_stages: int, p_blocking_w: float, sync_time: Optional[float] = None
-    ) -> float:
-        """:meth:`energy_at` for ``num_stages`` stages blocking at
-        ``p_blocking_w`` each; a ``sync_time`` before this schedule's
-        own iteration end is an error."""
-        if sync_time is not None and sync_time < self.iteration_time - 1e-9:
-            raise ScheduleError("sync time cannot precede iteration end")
-        return self.energy_at(p_blocking_w * num_stages, sync_time)
-
     def stage_plans(self, dag: ComputationDag) -> Dict[int, List[int]]:
         """Stage -> the SM clock of each of its computations, in plan order.
 

@@ -60,6 +60,9 @@ REASON_DRIFT = "drift"
 REASON_PROBE = "probe"
 REASON_READOPT = "readopt"
 
+#: Relative slack the energy guardrail allows (float noise, not policy).
+ENERGY_TOLERANCE = 1e-9
+
 
 class ReplanTimeout(ReproError):
     """The ``replan`` callable exceeded ``replan_timeout_s``."""
@@ -78,9 +81,6 @@ class DriftPolicy:
     backoff_base_s: float = 5.0
     backoff_factor: float = 2.0
     backoff_cap_s: float = 300.0
-    guardrail: bool = True
-    #: Relative slack the guardrail allows (float noise, not policy).
-    energy_tolerance: float = 1e-9
     #: Calm steps in ``DRIFTED`` before probing for recovery
     #: (``None`` disables probing).
     probe_after_steps: Optional[int] = 25
@@ -386,9 +386,9 @@ class DriftController:
             self._note_backoff(now)
             return DriftAction(state=self.state, detected=detected,
                                held="declined", reason=reason)
-        if self.policy.guardrail and reason == REASON_DRIFT:
+        if reason == REASON_DRIFT:
             limit = proposal.held_predicted_energy_j \
-                * (1.0 + self.policy.energy_tolerance)
+                * (1.0 + ENERGY_TOLERANCE)
             if proposal.predicted_energy_j > limit:
                 self.stats["guardrail_rejections"] += 1
                 self._note_backoff(now)

@@ -137,6 +137,6 @@ class SimulatedNVML:
             raise NVMLError(f"bad device index {index}")
         return self.devices[index]
 
-    def total_energy(self, now: float) -> float:
+    def energy_counter(self, now: float) -> float:
         """Sum of all devices' energy counters up to ``now``."""
         return sum(d.energy_counter(now) for d in self.devices)

@@ -189,10 +189,6 @@ class CompiledDag:
             return array("d", (durations[c] for c in range(self.num_comps)))
         return array("d", durations)
 
-    def durations_dict(self, durations: Sequence[float]) -> Dict[int, float]:
-        """The legacy dict view of a flat duration vector."""
-        return dict(enumerate(durations))
-
     def _extended(self, durations: Sequence[float]) -> List[float]:
         """Durations with the trailing 0.0 slot dependency edges index."""
         d = list(durations)

@@ -16,21 +16,21 @@ There is exactly one implementation of this transform,
 :func:`solve_bounded_arrays`, operating on parallel flat arrays over a
 reusable :class:`~.maxflow.FlowArena` (the optimizer hot path passes a
 long-lived arena so the thousands of min-cut calls per frontier crawl
-reuse one set of buffers).  :func:`max_flow_with_lower_bounds` is the
-object-level wrapper over the same core.  :func:`chain_min_cut` returns
-the same outcome in closed form when the instance is a single path.
+reuse one set of buffers).  It returns what the crawl reads: the
+source-side mask of the minimum cut.  :func:`chain_min_cut` returns the
+same outcome in closed form when the instance is a single path.
 
 Called without ``order`` the solve is *cold*: it replicates the seed's
-per-call solve (``tests/reference/maxflow.py``) bit for bit, per-edge
-flows included.  Given a topological ``order`` of the instance's nodes
-(the optimizer's critical DAGs are numbered topologically), step 1 is
-warm-started: a greedy preflow routes the lower-bound excesses along
-that order before Dinic finishes the feasibility flow from it, which
-cuts Dinic's phases from several to about one on pipeline instances.
+per-call solve (``tests/reference/maxflow.py``) bit for bit.  Given a
+topological ``order`` of the instance's nodes (the optimizer's critical
+DAGs are numbered topologically), step 1 is warm-started: a greedy
+preflow routes the lower-bound excesses along that order before Dinic
+finishes the feasibility flow from it, which cuts Dinic's phases from
+several to about one on pipeline instances.
 Dinic then reaches a different maximum flow, but the residual-reachable
 set step 4 (and the infeasible case's violating set) reads is the same
 for *every* maximum flow -- the unique minimal min cut -- so masks and
-violating sets stay the cold solve's; only per-edge flows may differ.
+violating sets stay the cold solve's.
 
 :func:`relaxed_min_cut` re-solves an instance the arena still holds
 with its lower bounds dropped, in place (the optimizer's fallback after
@@ -39,49 +39,11 @@ an infeasible solve it cannot repair).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import sub
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import GraphError, InfeasibleFlowError
 from .maxflow import FLOW_EPS, INF, FlowArena
-
-
-@dataclass(frozen=True)
-class BoundedEdge:
-    """Directed edge with flow bounds ``lb <= f <= ub``."""
-
-    u: int
-    v: int
-    lb: float
-    ub: float
-
-    def __post_init__(self) -> None:
-        if self.lb < 0:
-            raise GraphError("lower bound must be non-negative")
-        if self.ub < self.lb - FLOW_EPS:
-            raise GraphError(f"upper bound {self.ub} below lower bound {self.lb}")
-
-
-@dataclass
-class MinCutResult:
-    """Outcome of a bounded min-cut solve."""
-
-    max_flow: float
-    flows: List[float]  # per input edge, including the lower bound
-    source_side: Set[int]  # residual-reachable nodes (S of the min cut)
-
-    def cut_edges(self, edges: List[BoundedEdge]) -> Tuple[List[int], List[int]]:
-        """Indices of forward (S->T) and backward (T->S) cut edges."""
-        forward, backward = [], []
-        for i, e in enumerate(edges):
-            u_in = e.u in self.source_side
-            v_in = e.v in self.source_side
-            if u_in and not v_in:
-                forward.append(i)
-            elif v_in and not u_in:
-                backward.append(i)
-        return forward, backward
 
 
 def solve_bounded_arrays(
@@ -93,24 +55,19 @@ def solve_bounded_arrays(
     s: int,
     t: int,
     arena: Optional[FlowArena] = None,
-    need_flows: bool = True,
     order: Optional[Sequence[int]] = None,
-) -> Tuple[float, Optional[List[float]], bytearray]:
-    """Core bounded max-flow over parallel edge arrays.
+) -> bytearray:
+    """Core bounded min cut over parallel edge arrays.
 
-    Returns ``(max_flow, per-edge flows, source-side mask)``; the mask
-    covers the ``num_nodes + 2`` transformed nodes (the two dummies are
-    the last slots).  Raises :class:`InfeasibleFlowError` -- with
+    Returns the source-side mask of the minimum cut; it covers the
+    ``num_nodes + 2`` transformed nodes (the two dummies are the last
+    slots).  Raises :class:`InfeasibleFlowError` -- with
     ``violating_set`` populated -- when no feasible flow exists.
     ``arena`` supplies reusable buffers; a private one is created per
-    call when omitted (identical results either way).  Callers that only
-    read the cut (the optimizer applies the S/T side membership, never
-    the per-edge flows) pass ``need_flows=False`` to skip flow
-    extraction; ``max_flow`` and ``flows`` are then ``0.0`` / ``None``.
-    ``order`` -- every node of a DAG instance, tails before heads --
-    warm-starts the feasibility flow with :func:`_preflow`: the mask and
-    violating set are unchanged, per-edge flows may differ from the
-    cold solve's.  The arena keeps the solved network, arc layout
+    call when omitted (identical results either way).  ``order`` --
+    every node of a DAG instance, tails before heads -- warm-starts the
+    feasibility flow with :func:`_preflow`: the mask and violating set
+    are unchanged.  The arena keeps the solved network, arc layout
     included, for :func:`relaxed_min_cut`.
     """
     if not (0 <= s < num_nodes and 0 <= t < num_nodes) or s == t:
@@ -217,18 +174,8 @@ def solve_bounded_arrays(
 
     # Remove the circulation arc and augment s -> t on the residual.
     net.zero_arc(ts_arc)
-    extra = net.max_flow(s, t)
-
-    mask = net.level_mask()
-    if not need_flows:
-        return 0.0, None, mask
-
-    # Edge i's arc pair starts at 2*i (edges were appended first).
-    flows = [lower[i] + cap[2 * i + 1] for i in range(num_edges)]
-    total = sum(flows[i] for i in range(num_edges) if edge_u[i] == s) - sum(
-        flows[i] for i in range(num_edges) if edge_v[i] == s
-    )
-    return max(total, extra), flows, mask
+    net.max_flow(s, t)
+    return net.level_mask()
 
 
 def _push_forward(nodes, excess, to, cap, head, num_arcs, drain,
@@ -534,33 +481,6 @@ def chain_min_cut(
 def _prefix_mask(cut: int, m: int) -> bytearray:
     """Mask of nodes ``0 .. cut`` out of ``0 .. m``."""
     return bytearray(b"\x01") * (cut + 1) + bytearray(m - cut)
-
-
-def max_flow_with_lower_bounds(
-    num_nodes: int,
-    edges: List[BoundedEdge],
-    s: int,
-    t: int,
-    arena: Optional[FlowArena] = None,
-) -> MinCutResult:
-    """Maximum feasible ``s -> t`` flow under per-edge lower bounds.
-
-    Object-level wrapper over :func:`solve_bounded_arrays`.  Raises
-    :class:`InfeasibleFlowError` when no feasible flow exists (the
-    paper's Algorithm 3 returns nil in that case).
-    """
-    flow, flows, mask = solve_bounded_arrays(
-        num_nodes,
-        [e.u for e in edges],
-        [e.v for e in edges],
-        [e.lb for e in edges],
-        [e.ub for e in edges],
-        s,
-        t,
-        arena=arena,
-    )
-    source_side = {n for n in range(num_nodes) if mask[n]}
-    return MinCutResult(max_flow=flow, flows=flows, source_side=source_side)
 
 
 # -- series-parallel contraction (fast mode) ---------------------------------

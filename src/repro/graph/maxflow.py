@@ -16,7 +16,6 @@ epsilon to keep augmentation terminating under float arithmetic.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import List
 
 from ..exceptions import GraphError
@@ -88,32 +87,10 @@ class FlowArena:
         self.head[v].append(idx + 1)
         return idx
 
-    def arc_flow(self, idx: int) -> float:
-        """Flow currently pushed through arc ``idx`` (reverse-arc cap)."""
-        return self.cap[idx ^ 1]
-
-    def residual(self, idx: int) -> float:
-        return self.cap[idx]
-
     def zero_arc(self, idx: int) -> None:
         """Remove an arc pair from the network (capacity to zero)."""
         self.cap[idx] = 0.0
         self.cap[idx ^ 1] = 0.0
-
-    def reachable_mask(self, s: int) -> bytearray:
-        """Residual-reachable nodes from ``s`` as a membership mask."""
-        to, cap, head = self.to, self.cap, self.head
-        mask = bytearray(self.num_nodes)
-        mask[s] = 1
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for idx in head[u]:
-                v = to[idx]
-                if not mask[v] and cap[idx] > FLOW_EPS:
-                    mask[v] = 1
-                    queue.append(v)
-        return mask
 
     # -- Dinic ---------------------------------------------------------------
     def max_flow(self, s: int, t: int) -> float:
@@ -210,8 +187,7 @@ class FlowArena:
         Valid immediately after :meth:`max_flow` returns: its final BFS
         (the one that failed to reach the sink) labeled exactly the
         residual-reachable nodes and ran no blocking flow afterwards, so
-        no level was pruned.  Equivalent to -- and cheaper than --
-        :meth:`reachable_mask` on that source.
+        no level was pruned.
         """
         level = self._level
         return bytearray(

@@ -23,7 +23,7 @@ flag check, so production planning pays (benchmarked) sub-percent
 overhead; see ``benchmarks/bench_obs.py`` and ``docs/observability.md``.
 """
 
-from .events import EventLog, RateLimiter, iter_jsonl
+from .events import EventLog, iter_jsonl
 from .export import (
     fleet_timeline_to_chrome,
     format_trace,
@@ -51,7 +51,6 @@ from .trace import (
 __all__ = [
     "EventLog",
     "ProvenanceBuilder",
-    "RateLimiter",
     "Span",
     "TraceRecorder",
     "current_span",

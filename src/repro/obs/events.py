@@ -14,11 +14,6 @@ ring as the ``recent_events`` RPC (tenant-scoped: an event tagged with
 a ``tenant`` field is visible only to that tenant; untagged events are
 infrastructure-global) and tees to a file via ``repro serve
 --log-jsonl PATH``.
-
-:class:`RateLimiter` is the token bucket behind the daemon's access
-log: one structured line per RPC up to a sustained rate, with a
-``suppressed=N`` summary when a herd pushes past it -- observability
-without log storms.
 """
 
 from __future__ import annotations
@@ -127,50 +122,6 @@ class EventLog:
                 except OSError:
                     pass
                 self._jsonl_fp = None
-
-
-class RateLimiter:
-    """Token bucket with a suppressed-count summary.
-
-    ``allow()`` is True while tokens last (``rate`` per second,
-    ``burst`` capacity); denied calls are counted and
-    :meth:`take_suppressed` drains the count so the next emitted line
-    can report how many were dropped.  ``rate=None`` disables limiting
-    (always allow).
-    """
-
-    def __init__(self, rate: Optional[float], burst: Optional[float] = None,
-                 clock=time.monotonic) -> None:
-        if rate is not None and rate <= 0:
-            raise ValueError(f"rate must be positive or None, got {rate}")
-        self.rate = rate
-        self.burst = burst if burst is not None else (
-            max(2.0 * rate, 1.0) if rate is not None else 1.0)
-        self._clock = clock
-        self._tokens = self.burst
-        self._last = clock()
-        self._lock = threading.Lock()
-        self._suppressed = 0
-
-    def allow(self) -> bool:
-        if self.rate is None:
-            return True
-        with self._lock:
-            now = self._clock()
-            self._tokens = min(self.burst,
-                               self._tokens + (now - self._last) * self.rate)
-            self._last = now
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                return True
-            self._suppressed += 1
-            return False
-
-    def take_suppressed(self) -> int:
-        """Drain and return the count of calls denied since last drain."""
-        with self._lock:
-            count, self._suppressed = self._suppressed, 0
-            return count
 
 
 #: Process-wide convenience log (library-level emitters that have no

@@ -70,10 +70,10 @@ from ..exceptions import (
     ServiceError,
     ServiceOverloaded,
 )
-from ..obs.events import EventLog, RateLimiter
+from ..obs.events import EventLog
 from ..obs.trace import new_trace_id, set_trace_id
 from ..runtime.server import PerseusServer
-from .admission import AdmissionController
+from .admission import AdmissionController, TokenBucket
 from .coalesce import LEADER, SingleFlight, stack_flight_key
 from .metrics import MetricsRegistry
 from .replica import MATERIALIZE_DELAY_ENV, StoreFlight
@@ -244,7 +244,10 @@ class PlanningDaemon:
         #: herd cannot turn the access log into the bottleneck; denied
         #: lines are counted and surface as ``suppressed=N`` later.
         self._access_log = access_log
-        self._access_limiter = RateLimiter(ACCESS_LOG_RATE)
+        self._access_bucket = TokenBucket(ACCESS_LOG_RATE,
+                                          burst=2 * ACCESS_LOG_RATE)
+        self._access_lock = threading.Lock()
+        self._access_suppressed = 0
         self.admission = AdmissionController(
             max_inflight=max_inflight,
             quota_rate=quota_rate,
@@ -784,9 +787,12 @@ class PlanningDaemon:
         """
         if not self._access_log:
             return
-        if not self._access_limiter.allow():
-            return
-        suppressed = self._access_limiter.take_suppressed()
+        admitted = self._access_bucket.try_acquire() == 0.0
+        with self._access_lock:
+            if not admitted:
+                self._access_suppressed += 1
+                return
+            suppressed, self._access_suppressed = self._access_suppressed, 0
         line = (f"[repro.serve] rpc method={method} tenant={tenant} "
                 f"status={status} dur_ms={duration_s * 1000.0:.1f} "
                 f"replayed={int(replayed)} trace={trace_id}")

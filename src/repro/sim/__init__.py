@@ -1,11 +1,5 @@
-"""Execution simulation: realized timelines, energy accounting, stragglers."""
+"""Execution simulation: realized timelines and energy accounting."""
 
-from .datapar import (
-    DataParallelResult,
-    run_with_straggler,
-    straggle_durations,
-    synchronize,
-)
 from .executor import (
     NodeExecution,
     PipelineExecution,
@@ -17,7 +11,6 @@ from .executor import (
 from .timeline import StageTimeline, TimelineSegment, extract_timeline
 
 __all__ = [
-    "DataParallelResult",
     "NodeExecution",
     "PipelineExecution",
     "StageTimeline",
@@ -27,7 +20,4 @@ __all__ = [
     "extract_timeline",
     "max_frequency_plan",
     "min_energy_plan",
-    "run_with_straggler",
-    "straggle_durations",
-    "synchronize",
 ]

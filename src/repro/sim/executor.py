@@ -81,17 +81,13 @@ class PipelineExecution:
         """Energy spent in computations (term 1 of Eq. 3 before blocking)."""
         return sum(r.energy_j for r in self.records)
 
-    def blocking_energy(self, sync_time: Optional[float] = None) -> float:
-        """Energy burned blocking on communication, per Eq. 3.
+    def blocking_energy(self) -> float:
+        """Energy burned blocking on communication inside the iteration
+        (Eq. 3's intra-pipeline gaps); :meth:`energy_at` adds the wait
+        for a straggler-gated gradient sync."""
+        return self._blocking_until(self.iteration_time)
 
-        Covers intra-pipeline gaps plus the wait until ``sync_time`` (the
-        straggler-gated gradient synchronization point).
-        """
-        t_sync = self.iteration_time if sync_time is None else sync_time
-        if t_sync < self.iteration_time - 1e-9:
-            raise SimulationError(
-                f"sync at {t_sync} precedes iteration end {self.iteration_time}"
-            )
+    def _blocking_until(self, t_sync: float) -> float:
         stages = self.num_devices()
         if self.stage_blocking_w is not None:
             # Mixed cluster: each stage idles at its own device's draw.
@@ -102,12 +98,8 @@ class PipelineExecution:
         busy = sum(self.stage_busy_time(s) for s in self._by_stage)
         return self.p_blocking_w * (stages * t_sync - busy)
 
-    def total_energy(self, sync_time: Optional[float] = None) -> float:
-        """Computation + blocking energy up to gradient sync (Eq. 3)."""
-        return self.compute_energy() + self.blocking_energy(sync_time)
-
     def energy_at(self, floor_s: Optional[float] = None) -> float:
-        """Eq. 3 under a straggler floor: the savings rule's one price.
+        """Eq. 3: computation plus blocking energy until gradient sync.
 
         ``floor_s`` is the straggler-gated iteration time ``T'``; every
         stage blocks until ``max(T, T')``, as in
@@ -117,15 +109,14 @@ class PipelineExecution:
         time_s = self.iteration_time
         if floor_s is not None and floor_s > time_s:
             time_s = floor_s
-        return self.total_energy(time_s)
+        return self.compute_energy() + self._blocking_until(time_s)
 
     def num_devices(self) -> int:
         return max(self.num_stages, len(self._by_stage))
 
-    def average_power(self, sync_time: Optional[float] = None) -> float:
+    def average_power(self) -> float:
         """Average per-GPU power over the iteration (for §1's power claim)."""
-        t_sync = self.iteration_time if sync_time is None else sync_time
-        return self.total_energy(sync_time) / (self.num_devices() * t_sync)
+        return self.energy_at() / (self.num_devices() * self.iteration_time)
 
 
 def execute(

@@ -59,12 +59,12 @@ def render_comparison(
     return "\n".join(
         [
             "(a) all computations at maximum frequency "
-            f"[{before.total_energy():.0f} J]",
+            f"[{before.energy_at():.0f} J]",
             render_timeline(before, width=width),
             "",
             f"(b) {label} energy schedule "
-            f"[{after.total_energy():.0f} J, "
-            f"{100 * (1 - after.total_energy() / before.total_energy()):.1f}% saved]",
+            f"[{after.energy_at():.0f} J, "
+            f"{100 * (1 - after.energy_at() / before.energy_at()):.1f}% saved]",
             render_timeline(after, width=width),
         ]
     )

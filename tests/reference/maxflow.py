@@ -7,17 +7,56 @@
 * :func:`edmonds_karp` -- the solver named in the paper (§4.3); a slow
   cross-checking reference.
 * :func:`max_flow_with_lower_bounds_reference` -- the seed's bounded
-  min-cut transform (Algorithm 3), one fresh network per call.
+  min-cut transform (Algorithm 3), one fresh network per call, over
+  :class:`BoundedEdge` lists; it returns a :class:`MinCutResult` with the
+  per-edge flows the production solve never extracts.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Set
+from dataclasses import dataclass
+from typing import List, Set, Tuple
 
 from repro.exceptions import GraphError, InfeasibleFlowError
-from repro.graph.lowerbounds import BoundedEdge, MinCutResult
 from repro.graph.maxflow import FLOW_EPS, INF
+
+
+@dataclass(frozen=True)
+class BoundedEdge:
+    """Directed edge with flow bounds ``lb <= f <= ub``."""
+
+    u: int
+    v: int
+    lb: float
+    ub: float
+
+    def __post_init__(self) -> None:
+        if self.lb < 0:
+            raise GraphError("lower bound must be non-negative")
+        if self.ub < self.lb - FLOW_EPS:
+            raise GraphError(f"upper bound {self.ub} below lower bound {self.lb}")
+
+
+@dataclass
+class MinCutResult:
+    """Outcome of a bounded min-cut solve."""
+
+    max_flow: float
+    flows: List[float]  # per input edge, including the lower bound
+    source_side: Set[int]  # residual-reachable nodes (S of the min cut)
+
+    def cut_edges(self, edges: List[BoundedEdge]) -> Tuple[List[int], List[int]]:
+        """Indices of forward (S->T) and backward (T->S) cut edges."""
+        forward, backward = [], []
+        for i, e in enumerate(edges):
+            u_in = e.u in self.source_side
+            v_in = e.v in self.source_side
+            if u_in and not v_in:
+                forward.append(i)
+            elif v_in and not u_in:
+                backward.append(i)
+        return forward, backward
 
 
 class FlowNetwork:

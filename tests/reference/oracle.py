@@ -3,7 +3,7 @@
 The production crawl (:func:`repro.core.frontier.characterize_frontier`)
 runs Algorithms 1-3 on flat arrays.  This module is the seed's
 dict-of-float interpreter of the same algorithms -- per-call
-topological sorts, :class:`~repro.graph.lowerbounds.BoundedEdge`
+topological sorts, :class:`~.maxflow.BoundedEdge`
 instances, a fresh ``FlowNetwork`` and reference ``Dinic`` per solve --
 plus the seed's work profile: cost models refit on every crawl and Pareto
 fronts re-filtered on every call.  Exact-mode frontiers must equal the
@@ -34,13 +34,12 @@ from repro.exceptions import (
     ProfilingError,
 )
 from repro.graph.edgecentric import EdgeCentricDag
-from repro.graph.lowerbounds import BoundedEdge
 from repro.graph.maxflow import INF
 from repro.profiler.measurement import OpProfile, pareto_filter
 from repro.units import TIME_EPS
 
 from .critical import critical_subgraph, event_times
-from .maxflow import max_flow_with_lower_bounds_reference
+from .maxflow import BoundedEdge, max_flow_with_lower_bounds_reference
 
 
 @dataclass

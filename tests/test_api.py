@@ -175,6 +175,25 @@ class TestPlannerMemoization:
         assert planner.stats["profile"] == 2
         assert stock.profile is not custom.profile
 
+    def test_explicit_default_microbatch_shares_the_stack(self):
+        from repro.models.registry import get_entry
+        from repro.service.coalesce import stack_flight_key
+
+        spec = PlanSpec("gpt3-xl", stages=2, microbatches=3, freq_stride=24)
+        explicit = spec.replace(
+            microbatch_size=get_entry("gpt3-xl").default_microbatch)
+        planner = Planner()
+        implicit_report = planner.plan(spec)
+        explicit_report = planner.plan(explicit)
+        assert planner.stats["frontier"] == 1
+        assert planner.stats["profile"] == 1
+        assert stack_flight_key(spec) == stack_flight_key(explicit)
+        assert explicit_report.spec == explicit  # the caller's spec
+        assert explicit_report.energy_j == implicit_report.energy_j
+        # A non-default size is still its own stack.
+        assert stack_flight_key(spec.replace(microbatch_size=2)) != \
+            stack_flight_key(spec)
+
     def test_clear_drops_memoized_stages(self):
         planner = Planner()
         planner.plan(SMALL)
@@ -374,13 +393,14 @@ class TestSavingsAccounting:
         execution = planner.plan(self.SPEC).execution
         assert execution.energy_at(0.5 * execution.iteration_time) == (
             execution.energy_at())
-        assert execution.energy_at() == execution.total_energy()
+        assert execution.energy_at() == (execution.compute_energy()
+                                         + execution.blocking_energy())
 
     def test_straggler_free_report_is_eq3_at_own_horizon(self, planner):
         report = planner.plan(self.SPEC)
         baseline = planner.baseline_execution(self.SPEC)
-        assert report.energy_j == report.execution.total_energy()
-        assert report.baseline_energy_j == baseline.total_energy()
+        assert report.energy_j == report.execution.energy_at()
+        assert report.baseline_energy_j == baseline.energy_at()
         assert report.energy_savings_pct == pytest.approx(
             100.0 * (1.0 - _eq3_from_records(report.execution, 0.0)
                      / _eq3_from_records(baseline, 0.0)), rel=1e-9)

@@ -46,8 +46,8 @@ class TestStatic:
         slow = execute_frequency_plan(
             small_dag, min_energy_plan(small_dag, small_profile),
             small_profile)
-        assert potential.energy_j == slow.total_energy()
-        assert potential.baseline_energy_j == base_execution.total_energy()
+        assert potential.energy_j == slow.energy_at()
+        assert potential.baseline_energy_j == base_execution.energy_at()
         assert potential.iteration_time_s == slow.iteration_time
 
 
@@ -74,12 +74,12 @@ class TestEnvPipe:
     def test_saves_energy_with_bounded_slowdown(self, base_execution,
                                                 envpipe_execution):
         base, env = base_execution, envpipe_execution
-        assert env.total_energy() < base.total_energy()
+        assert env.energy_at() < base.energy_at()
         assert env.iteration_time <= base.iteration_time * 1.10
 
     def test_strategy_matches_the_plan(self, envpipe_execution):
         report = Planner().plan(SMALL_SPEC.replace(strategy="envpipe"))
-        assert report.energy_j == envpipe_execution.total_energy()
+        assert report.energy_j == envpipe_execution.energy_at()
         assert 0.0 < report.energy_savings_pct
         assert report.slowdown_pct <= 10.0
 
@@ -95,7 +95,7 @@ class TestEnvPipe:
         )
         # compare at equal-ish time: perseus must not slow down
         assert perseus.iteration_time <= base.iteration_time * 1.005
-        assert perseus.total_energy() <= env.total_energy() * 1.05
+        assert perseus.energy_at() <= env.energy_at() * 1.05
 
     def test_no_straggler_adaptation(self, small_dag, small_profile):
         """EnvPipe's plan is fixed regardless of stragglers."""
@@ -109,7 +109,7 @@ class TestZeusGlobal:
         points = zeus_global_frontier(small_dag, small_profile, freq_stride=2)
         assert len(points) >= 3
         times = [p.iteration_time for p in points]
-        energies = [p.total_energy() for p in points]
+        energies = [p.energy_at() for p in points]
         assert times == sorted(times)
         assert all(a > b for a, b in zip(energies, energies[1:]))
 
@@ -168,6 +168,6 @@ class TestDominance:
                     small_dag, ours.frequencies, small_profile
                 )
                 sync = max(perseus_exec.iteration_time, bp.iteration_time)
-                assert perseus_exec.total_energy(sync_time=sync) <= (
-                    bp.total_energy(sync_time=sync) * 1.03
+                assert perseus_exec.energy_at(sync) <= (
+                    bp.energy_at(sync) * 1.03
                 ), f"Zeus point at t={bp.iteration_time} beats Perseus"

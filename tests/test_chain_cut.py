@@ -20,13 +20,15 @@ from repro.api import Planner, PlanSpec
 from repro.core import nextschedule
 from repro.exceptions import InfeasibleFlowError
 from repro.graph.lowerbounds import (
-    BoundedEdge,
     chain_min_cut,
     relaxed_min_cut,
     solve_bounded_arrays,
 )
 from repro.graph.maxflow import INF, FlowArena
-from reference.maxflow import max_flow_with_lower_bounds_reference
+from reference.maxflow import (
+    BoundedEdge,
+    max_flow_with_lower_bounds_reference,
+)
 
 
 def _endpoints(path):
@@ -44,7 +46,7 @@ def _flow(lower, upper, path, warm=True, arena=None):
     try:
         mask = solve_bounded_arrays(
             n, bu, bv, lower, upper, 0, n - 1, arena=arena,
-            need_flows=False, order=range(n) if warm else None)[2]
+            order=range(n) if warm else None)
     except InfeasibleFlowError as err:
         return None, set(err.violating_set)
     return bytes(mask[:n]), None

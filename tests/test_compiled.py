@@ -20,20 +20,17 @@ import repro.graph.compiled as compiled_mod
 from repro.api import Planner, PlanSpec
 from repro.core.costmodel import build_cost_models
 from repro.core.frontier import characterize_frontier
+from repro.core.frontier import _new_timings
 from repro.core.nextschedule import (
     CostTable,
     compiled_kernel,
-    get_next_schedule,
     next_schedule_flat,
 )
 from repro.graph.compiled import CompiledDag
 from repro.graph.edgecentric import to_edge_centric
-from repro.graph.lowerbounds import (
-    BoundedEdge,
-    max_flow_with_lower_bounds,
-    solve_bounded_arrays,
-)
+from repro.graph.lowerbounds import solve_bounded_arrays
 from repro.graph.maxflow import FlowArena
+from adapters import next_durations, source_side
 from reference import get_next_schedule_dict, seed_oracle
 from reference.critical import (
     as_event_times,
@@ -41,6 +38,7 @@ from reference.critical import (
     event_times,
 )
 from reference.maxflow import (
+    BoundedEdge,
     Dinic,
     FlowNetwork,
     max_flow_with_lower_bounds_reference,
@@ -125,7 +123,7 @@ class TestStepEquivalence:
                 n: cm.t_min + rng.random() * (cm.t_max - cm.t_min)
                 for n, cm in node_cost.items()
             }
-            fast = get_next_schedule(ecd, durations, node_cost, tau)
+            fast = next_durations(ecd, durations, node_cost, tau)
             slow = get_next_schedule_dict(ecd, durations, node_cost, tau)
             assert fast == slow  # both None, or exactly equal dicts
 
@@ -205,7 +203,7 @@ class TestCompiledDag:
         kern = CompiledDag.from_edge_centric(ecd, node_cost)
         durations = {n: cm.t_min for n, cm in node_cost.items()}
         arr = kern.durations_array(durations)
-        assert kern.durations_dict(arr) == durations
+        assert dict(enumerate(arr)) == durations
         with pytest.raises(ValueError):
             kern.makespan(arr[:-1])
 
@@ -231,7 +229,7 @@ class TestCompiledDag:
             {n: cm.t_max for n, cm in node_cost.items()}
         )
         with pytest.raises(OptimizationError):
-            next_schedule_flat(bare, dur, costs, 1e-3)
+            next_schedule_flat(bare, dur, costs, 1e-3, _new_timings("flat"))
 
 
 class TestCostTable:
@@ -282,8 +280,7 @@ class TestFlowArena:
             except Exception as exc:  # InfeasibleFlowError
                 reference, ref_err = None, exc
             try:
-                ours = max_flow_with_lower_bounds(n, edges, s, t,
-                                                  arena=arena)
+                ours = source_side(n, edges, s, t, arena=arena)
                 our_err = None
             except Exception as exc:
                 ours, our_err = None, exc
@@ -293,9 +290,7 @@ class TestFlowArena:
                     getattr(ref_err, "violating_set", None)
                 continue
             checked += 1
-            assert ours.max_flow == reference.max_flow
-            assert ours.flows == reference.flows
-            assert ours.source_side == reference.source_side
+            assert ours == reference.source_side
         assert checked > 20  # the generator produced real instances
 
     def test_arena_reuse_across_sizes_is_clean(self):
@@ -303,13 +298,13 @@ class TestFlowArena:
         big = [BoundedEdge(0, 1, 0.0, 5.0), BoundedEdge(1, 2, 0.0, 3.0),
                BoundedEdge(2, 3, 0.0, 7.0)]
         small = [BoundedEdge(0, 1, 0.0, 2.0)]
-        first = max_flow_with_lower_bounds(4, big, 0, 3, arena=arena)
-        tiny = max_flow_with_lower_bounds(2, small, 0, 1, arena=arena)
-        again = max_flow_with_lower_bounds(4, big, 0, 3, arena=arena)
-        assert tiny.max_flow == pytest.approx(2.0)
-        assert first.max_flow == again.max_flow == pytest.approx(3.0)
-        assert first.flows == again.flows
-        assert first.source_side == again.source_side
+        first = source_side(4, big, 0, 3, arena=arena)
+        tiny = source_side(2, small, 0, 1, arena=arena)
+        again = source_side(4, big, 0, 3, arena=arena)
+        assert tiny == {0}
+        # the 1 -> 2 bottleneck is the cut, as a fresh reference solve finds
+        assert first == again == {0, 1} == max_flow_with_lower_bounds_reference(
+            4, big, 0, 3).source_side
 
     def test_arena_max_flow_matches_dinic(self):
         rng = random.Random(5)
@@ -338,20 +333,24 @@ class TestFlowArena:
     def test_level_mask_matches_reachable_mask(self):
         arena = FlowArena()
         arena.reset(4)
-        arena.add_edge(0, 1, 1.0)
-        arena.add_edge(1, 2, 0.5)
-        arena.add_edge(2, 3, 1.0)
+        net = FlowNetwork(4)
+        for u, v, c in ((0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0)):
+            arena.add_edge(u, v, c)
+            net.add_edge(u, v, c)
         arena.max_flow(0, 3)
-        assert arena.level_mask() == arena.reachable_mask(0)
+        Dinic(net).max_flow(0, 3)
+        mask = arena.level_mask()
+        assert {i for i in range(4) if mask[i]} == net.reachable_from(0) \
+            == {0, 1}
 
-    def test_need_flows_false_skips_flow_extraction(self):
+    def test_solve_returns_the_source_side_mask(self):
         edges = [BoundedEdge(0, 1, 1.0, 4.0), BoundedEdge(1, 2, 0.0, 4.0)]
-        flow, flows, mask = solve_bounded_arrays(
+        mask = solve_bounded_arrays(
             3, [0, 1], [1, 2], [1.0, 0.0], [4.0, 4.0], 0, 2,
-            need_flows=False,
         )
-        assert flows is None and flow == 0.0
-        full = max_flow_with_lower_bounds(3, edges, 0, 2)
+        assert isinstance(mask, bytearray)
+        assert len(mask) == 3 + 2  # the two dummies are the last slots
+        full = max_flow_with_lower_bounds_reference(3, edges, 0, 2)
         assert {n for n in range(3) if mask[n]} == full.source_side
 
 

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.costmodel import build_cost_models
-from repro.core.nextschedule import get_next_schedule
 from repro.core.schedule import schedule_energies
 from repro.graph.edgecentric import to_edge_centric
+from adapters import next_durations
 
 
 @pytest.fixture()
@@ -23,13 +23,13 @@ TAU = 0.01
 class TestSingleStep:
     def test_reduces_iteration_time(self, stepping):
         dag, ecd, node_cost, _, durations = stepping
-        nxt = get_next_schedule(ecd, durations, node_cost, TAU)
+        nxt = next_durations(ecd, durations, node_cost, TAU)
         assert nxt is not None
         assert dag.iteration_time(nxt) < dag.iteration_time(durations) - 1e-9
 
     def test_reduction_close_to_tau(self, stepping):
         dag, ecd, node_cost, _, durations = stepping
-        nxt = get_next_schedule(ecd, durations, node_cost, TAU)
+        nxt = next_durations(ecd, durations, node_cost, TAU)
         reduction = dag.iteration_time(durations) - dag.iteration_time(nxt)
         assert reduction >= 0.5 * TAU
         assert reduction <= 3.0 * TAU  # accumulation overshoot is bounded
@@ -37,7 +37,7 @@ class TestSingleStep:
     def test_durations_stay_in_bounds(self, stepping):
         dag, ecd, node_cost, _, durations = stepping
         for _ in range(20):
-            nxt = get_next_schedule(ecd, durations, node_cost, TAU)
+            nxt = next_durations(ecd, durations, node_cost, TAU)
             if nxt is None:
                 break
             for n, t in nxt.items():
@@ -49,7 +49,7 @@ class TestSingleStep:
         dag, ecd, node_cost, cms, durations = stepping
         prev_eff, _ = schedule_energies(dag, durations, cms)
         for _ in range(10):
-            nxt = get_next_schedule(ecd, durations, node_cost, TAU)
+            nxt = next_durations(ecd, durations, node_cost, TAU)
             if nxt is None:
                 break
             eff, _ = schedule_energies(dag, nxt, cms)
@@ -60,21 +60,21 @@ class TestSingleStep:
     def test_only_some_nodes_touched(self, stepping):
         """A min-cut step modifies a cut, not the whole DAG."""
         _, ecd, node_cost, _, durations = stepping
-        nxt = get_next_schedule(ecd, durations, node_cost, TAU)
+        nxt = next_durations(ecd, durations, node_cost, TAU)
         changed = [n for n in durations if abs(nxt[n] - durations[n]) > 1e-12]
         assert 0 < len(changed) < len(durations)
 
     def test_terminates_at_fastest(self, stepping):
         dag, ecd, node_cost, _, _ = stepping
         fastest = {n: node_cost[n].t_min for n in dag.nodes}
-        assert get_next_schedule(ecd, fastest, node_cost, TAU) is None
+        assert next_durations(ecd, fastest, node_cost, TAU) is None
 
     def test_rejects_bad_tau(self, stepping):
         from repro.exceptions import OptimizationError
 
         _, ecd, node_cost, _, durations = stepping
         with pytest.raises(OptimizationError):
-            get_next_schedule(ecd, durations, node_cost, 0.0)
+            next_durations(ecd, durations, node_cost, 0.0)
 
     def test_full_crawl_reaches_tmin(self, stepping):
         dag, ecd, node_cost, _, durations = stepping
@@ -82,7 +82,7 @@ class TestSingleStep:
             {n: node_cost[n].t_min for n in dag.nodes}
         )
         for _ in range(400):
-            nxt = get_next_schedule(ecd, durations, node_cost, TAU)
+            nxt = next_durations(ecd, durations, node_cost, TAU)
             if nxt is None:
                 break
             durations = nxt

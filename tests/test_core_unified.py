@@ -91,18 +91,12 @@ class TestScheduleArtifacts:
         fastest = {n: cms[small_dag.nodes[n].op_key].t_min for n in small_dag.nodes}
         sched = make_schedule(small_dag, fastest, cms)
         t = sched.iteration_time
-        e_self = sched.total_energy(4, small_profile.p_blocking_w)
-        e_wait = sched.total_energy(4, small_profile.p_blocking_w, sync_time=t * 1.2)
+        blocking_w = 4 * small_profile.p_blocking_w
+        e_self = sched.energy_at(blocking_w)
+        e_wait = sched.energy_at(blocking_w, t * 1.2)
         assert e_wait - e_self == pytest.approx(
             small_profile.p_blocking_w * 4 * 0.2 * t, rel=1e-6
         )
-
-    def test_sync_before_end_rejected(self, small_dag, small_profile):
-        cms = build_cost_models(small_profile)
-        fastest = {n: cms[small_dag.nodes[n].op_key].t_min for n in small_dag.nodes}
-        sched = make_schedule(small_dag, fastest, cms)
-        with pytest.raises(ScheduleError):
-            sched.total_energy(4, 95.0, sync_time=sched.iteration_time / 2)
 
     def test_missing_duration_rejected(self, small_dag, small_profile):
         cms = build_cost_models(small_profile)
@@ -215,5 +209,3 @@ class TestOneDecision:
         assert sched.energy_at(200.0) == 1000.0 + 200.0 * 1.0
         assert sched.energy_at(200.0, 1.5) == 1000.0 + 200.0 * 1.5
         assert sched.energy_at(200.0, 0.5) == sched.energy_at(200.0)
-        assert sched.total_energy(2, 100.0, sync_time=1.5) == \
-            sched.energy_at(200.0, 1.5)

@@ -33,11 +33,7 @@ from repro.core.store import PlanStore
 from repro.exceptions import ConfigurationError, OptimizationError
 from repro.gpu.specs import A100_PCIE
 from repro.graph.edgecentric import to_edge_centric
-from repro.graph.lowerbounds import (
-    BoundedEdge,
-    contract_series_parallel,
-    max_flow_with_lower_bounds,
-)
+from repro.graph.lowerbounds import contract_series_parallel
 from repro.graph.maxflow import WarmCutCache
 from repro.models.registry import build_model
 from repro.partition.algorithms import partition_model
@@ -46,6 +42,7 @@ from repro.pipeline.schedules import schedule_1f1b
 from repro.profiler.online import profile_pipeline
 from repro.service import stack_flight_key
 from reference import fit as reference_fit, seed_oracle
+from reference.maxflow import BoundedEdge, max_flow_with_lower_bounds_reference
 
 NOISE = 0.05
 STEP_TARGET = 24
@@ -375,7 +372,7 @@ class TestSeriesParallelContraction:
                 [e.lb for e in edges], [e.ub for e in edges], s, t,
             )
             try:
-                full = max_flow_with_lower_bounds(n, edges, s, t)
+                full = max_flow_with_lower_bounds_reference(n, edges, s, t)
                 full_err = None
             except Exception as exc:
                 full, full_err = None, exc
@@ -388,7 +385,7 @@ class TestSeriesParallelContraction:
                 for k in range(len(con.edge_u))
             ]
             try:
-                small = max_flow_with_lower_bounds(
+                small = max_flow_with_lower_bounds_reference(
                     con.num_nodes, small_edges, con.s, con.t
                 )
                 small_err = None

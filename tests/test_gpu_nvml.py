@@ -79,7 +79,7 @@ def test_total_energy_sums_devices(nvml):
     nvml.device(0).record_activity(0.0, 1.0, 100.0)
     nvml.device(1).record_activity(0.0, 1.0, 50.0)
     expected = 150.0
-    assert nvml.total_energy(1.0) == pytest.approx(expected)
+    assert nvml.energy_counter(1.0) == pytest.approx(expected)
 
 
 def test_bad_device_index(nvml):

@@ -1,4 +1,9 @@
-"""Max-flow with lower bounds (Algorithm 3): feasibility, cuts, repairs."""
+"""Max-flow with lower bounds (Algorithm 3): feasibility, cuts, repairs.
+
+The production solve returns the min cut's source side only; flows and
+the flow value come from the seed transform in ``tests/reference/``,
+whose source side the production mask must equal on every instance.
+"""
 
 import random
 
@@ -6,14 +11,27 @@ import pytest
 
 from repro.exceptions import GraphError, InfeasibleFlowError
 from repro.graph import lowerbounds
-from repro.graph.lowerbounds import (
-    BoundedEdge,
-    max_flow_with_lower_bounds,
-    relaxed_min_cut,
-    solve_bounded_arrays,
-)
+from repro.graph.lowerbounds import relaxed_min_cut, solve_bounded_arrays
 from repro.graph.maxflow import INF, FlowArena
-from reference.maxflow import max_flow_with_lower_bounds_reference
+from adapters import source_side
+from reference.maxflow import (
+    BoundedEdge,
+    max_flow_with_lower_bounds_reference,
+)
+
+
+def max_flow_with_lower_bounds(num_nodes, edges, s, t):
+    """The reference solve, its cut checked against the production mask."""
+    try:
+        ours = source_side(num_nodes, edges, s, t)
+    except InfeasibleFlowError as our_err:
+        with pytest.raises(InfeasibleFlowError) as ref_err:
+            max_flow_with_lower_bounds_reference(num_nodes, edges, s, t)
+        assert our_err.violating_set == ref_err.value.violating_set
+        raise
+    result = max_flow_with_lower_bounds_reference(num_nodes, edges, s, t)
+    assert ours == result.source_side
+    return result
 
 
 class TestFeasibility:
@@ -97,9 +115,11 @@ class TestMinCut:
 class TestValidation:
     def test_bad_source_sink(self):
         with pytest.raises(GraphError):
-            max_flow_with_lower_bounds(2, [], 0, 0)
+            solve_bounded_arrays(2, [], [], [], [], 0, 0)
 
     def test_bounds_sanity(self):
+        with pytest.raises(GraphError):
+            solve_bounded_arrays(2, [0], [1], [3.0], [1.0], 0, 1)
         with pytest.raises(GraphError):
             BoundedEdge(0, 1, 3.0, 1.0)
         with pytest.raises(GraphError):
@@ -189,13 +209,11 @@ class TestWarmStart:
                     n, edges, s, t)
             except InfeasibleFlowError as ref_err:
                 with pytest.raises(InfeasibleFlowError) as our_err:
-                    solve_bounded_arrays(*args, need_flows=False,
-                                         order=order)
+                    solve_bounded_arrays(*args, order=order)
                 assert our_err.value.violating_set == ref_err.violating_set
                 infeasible += 1
                 continue
-            _, _, mask = solve_bounded_arrays(*args, need_flows=False,
-                                              order=order)
+            mask = solve_bounded_arrays(*args, order=order)
             assert {i for i in range(n) if mask[i]} == \
                 reference.source_side
             feasible += 1
@@ -213,15 +231,13 @@ class TestWarmStart:
             ub = [e.ub for e in edges]
             try:
                 solve_bounded_arrays(n, eu, ev, [e.lb for e in edges], ub,
-                                     s, t, arena=arena, need_flows=False,
-                                     order=order)
+                                     s, t, arena=arena, order=order)
                 continue
             except InfeasibleFlowError:
                 pass
             mask = relaxed_min_cut(arena, ub, s, t)
-            _, _, expected = solve_bounded_arrays(
-                n, eu, ev, [0.0] * len(edges), ub, s, t, arena=fresh,
-                need_flows=False)
+            expected = solve_bounded_arrays(
+                n, eu, ev, [0.0] * len(edges), ub, s, t, arena=fresh)
             assert mask == expected
             arcs = 2 * len(edges)
             assert [c.hex() for c in arena.cap[:arcs]] == \

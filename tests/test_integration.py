@@ -46,7 +46,7 @@ class TestPublicAPI:
             plan.profile,
         )
         assert perseus.iteration_time <= base.iteration_time * 1.001
-        savings = 1 - perseus.total_energy() / base.total_energy()
+        savings = 1 - perseus.energy_at() / base.energy_at()
         assert savings > 0.05
         # and average power draw drops accordingly (§1)
         assert perseus.average_power() < base.average_power()

@@ -22,7 +22,6 @@ from repro.exceptions import ConfigurationError
 from repro.obs import (
     EventLog,
     ProvenanceBuilder,
-    RateLimiter,
     TraceRecorder,
     current_span,
     current_trace_id,
@@ -220,28 +219,6 @@ def test_event_log_sink_self_disables_on_oserror(tmp_path):
     assert len(log) == 2  # ...ring keeps working
 
 
-def test_rate_limiter_burst_then_suppressed_summary():
-    clock = iter([float(i) * 0.0 for i in range(10)])  # frozen clock
-    now = [0.0]
-    limiter = RateLimiter(rate=1.0, burst=2.0, clock=lambda: now[0])
-    assert limiter.allow() and limiter.allow()
-    assert not limiter.allow() and not limiter.allow()
-    assert limiter.take_suppressed() == 2
-    assert limiter.take_suppressed() == 0
-    now[0] = 1.0  # one second refills one token
-    assert limiter.allow()
-    assert not limiter.allow()
-    del clock
-
-
-def test_rate_limiter_none_rate_always_allows():
-    limiter = RateLimiter(rate=None)
-    assert all(limiter.allow() for _ in range(100))
-    assert limiter.take_suppressed() == 0
-    with pytest.raises(ValueError):
-        RateLimiter(rate=0.0)
-
-
 # -------------------------------------------------------------------- export
 def test_spans_to_chrome_structure_and_round_trip(tmp_path):
     recorder = enable_tracing()
@@ -412,6 +389,90 @@ def test_daemon_access_log_line_carries_trace_id(capfd):
     assert f"trace={trace_id}" in line
     assert "tenant=ci" in line and "status=200" in line
     assert "replayed=0" in line
+
+
+def _frozen_access_log(monkeypatch, now):
+    """A daemon whose access-log bucket reads the clock ``now[0]``."""
+    import functools
+
+    from repro.service import daemon as daemon_mod
+    from repro.service.admission import TokenBucket
+
+    monkeypatch.setattr(daemon_mod, "TokenBucket", functools.partial(
+        TokenBucket, clock=lambda: now[0]))
+    return PlanningDaemon(planner=Planner(), port=0)
+
+
+def _log_lines(daemon, count, capfd):
+    for _ in range(count):
+        daemon._access_line("ping", "ci", 200, 0.001, "t", False)
+    return [line for line in capfd.readouterr().err.splitlines()
+            if line.startswith("[repro.serve] rpc")]
+
+
+def test_rate_limiter_burst_then_suppressed_summary(monkeypatch, capfd):
+    from repro.service.daemon import ACCESS_LOG_RATE
+
+    now = [0.0]
+    with _frozen_access_log(monkeypatch, now) as daemon:
+        burst = int(2 * ACCESS_LOG_RATE)
+        lines = _log_lines(daemon, burst + 2, capfd)
+        assert len(lines) == burst
+        assert not any("suppressed=" in line for line in lines)
+        now[0] = 1.0 / ACCESS_LOG_RATE  # one token accrues
+        lines = _log_lines(daemon, 2, capfd)
+        assert len(lines) == 1 and lines[0].endswith(" suppressed=2")
+        now[0] = 2.0 / ACCESS_LOG_RATE  # counts only the second denial
+        lines = _log_lines(daemon, 1, capfd)
+        assert len(lines) == 1 and lines[0].endswith(" suppressed=1")
+
+
+def test_daemon_access_log_refills_at_access_log_rate(monkeypatch, capfd):
+    from repro.service.daemon import ACCESS_LOG_RATE
+
+    now = [0.0]
+    with _frozen_access_log(monkeypatch, now) as daemon:
+        _log_lines(daemon, int(2 * ACCESS_LOG_RATE), capfd)
+        assert _log_lines(daemon, 1, capfd) == []
+        now[0] = 1.0  # one second refills ACCESS_LOG_RATE tokens
+        lines = _log_lines(daemon, int(ACCESS_LOG_RATE) + 1, capfd)
+        assert len(lines) == int(ACCESS_LOG_RATE)
+        assert lines[0].endswith(" suppressed=1")
+
+
+def test_daemon_access_log_counts_every_call_under_threads(
+        monkeypatch, capfd):
+    import sys
+
+    now = [0.0]
+    calls, workers = 300, 8
+    with _frozen_access_log(monkeypatch, now) as daemon:
+
+        def hammer():
+            for i in range(calls):
+                now[0] = i * 0.01  # a token every ten calls per thread
+                daemon._access_line("ping", "ci", 200, 0.001, "t", False)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer)
+                       for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        lines = [line for line in capfd.readouterr().err.splitlines()
+                 if line.startswith("[repro.serve] rpc")]
+        reported = sum(int(line.rsplit("suppressed=", 1)[1])
+                       for line in lines if "suppressed=" in line)
+        # Every call is either a line or counted exactly once.
+        assert len(lines) + reported + daemon._access_suppressed == \
+            calls * workers
+        assert len(lines) < calls * workers
 
 
 def test_daemon_access_log_can_be_disabled(capfd):

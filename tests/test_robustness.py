@@ -49,7 +49,7 @@ class TestProfilingNoise:
             perseus = execute_frequency_plan(
                 dag, frontier.schedule_for(None).frequencies, profile
             )
-            return 1 - perseus.total_energy() / base.total_energy()
+            return 1 - perseus.energy_at() / base.energy_at()
 
         clean = savings(0.0)
         noisy = savings(0.01)
@@ -109,19 +109,28 @@ class TestDegenerateConfigurations:
 class TestFailureInjection:
     def test_straggler_power_scaling_variants(self, small_dag, small_profile):
         """Throttled GPUs may keep or drop per-computation energy."""
-        from repro.sim.datapar import run_with_straggler
-        from repro.sim.executor import max_frequency_plan as mfp
+        from repro.sim.executor import (
+            execute,
+            execute_frequency_plan,
+            max_frequency_plan as mfp,
+        )
 
-        plan = mfp(small_dag, small_profile)
-        const_energy = run_with_straggler(
-            small_dag, small_profile, plan, None, 2, 1.3,
-            straggler_power_scale=1.0,
-        )
-        hotter = run_with_straggler(
-            small_dag, small_profile, plan, None, 2, 1.3,
-            straggler_power_scale=1.2,
-        )
-        assert hotter.total_energy() > const_energy.total_energy()
+        base = execute_frequency_plan(
+            small_dag, mfp(small_dag, small_profile), small_profile)
+
+        def straggler(power_scale):
+            return execute(
+                small_dag,
+                {r.node: r.duration * 1.3 for r in base.records},
+                {r.node: r.power_w * power_scale / 1.3 for r in base.records},
+                small_profile.p_blocking_w,
+            )
+
+        const_energy, hotter = straggler(1.0), straggler(1.2)
+        sync = hotter.iteration_time
+        assert sync == const_energy.iteration_time
+        assert hotter.energy_at(sync) + base.energy_at(sync) > \
+            const_energy.energy_at(sync) + base.energy_at(sync)
 
     def test_extreme_straggler_does_not_break_lookup(self, small_optimizer):
         sched = small_optimizer.schedule_for_straggler(1e9)

@@ -50,7 +50,7 @@ def test_best_of_n_improves_with_more_samples(sampler_planner, spec):
         plan = RandomSamplerStrategy(samples=samples, seed=0).plan(ctx)
         return execute_frequency_plan(
             stack.dag, plan, stack.profile
-        ).total_energy()
+        ).energy_at()
 
     assert energy(64) <= energy(1)
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.exceptions import SimulationError
 from repro.pipeline.dag import build_pipeline_dag
 from repro.pipeline.schedules import schedule_1f1b
-from repro.sim.datapar import run_with_straggler, straggle_durations, synchronize
 from repro.sim.executor import (
     execute,
     execute_frequency_plan,
@@ -26,6 +25,19 @@ def uniform(dag, duration=1.0, power=100.0):
     return (
         {n: duration for n in dag.nodes},
         {n: power for n in dag.nodes},
+    )
+
+
+def throttled(dag, execution, slowdown, power_scale=1.0):
+    """``execution`` replayed on a throttled replica: every computation
+    stretched by ``slowdown``, its power scaled by
+    ``power_scale / slowdown`` (1.0 keeps each computation's energy)."""
+    return execute(
+        dag,
+        {r.node: r.duration * slowdown for r in execution.records},
+        {r.node: r.power_w * power_scale / slowdown
+         for r in execution.records},
+        execution.p_blocking_w,
     )
 
 
@@ -92,7 +104,7 @@ class TestExecute:
         powers = {n: float(rng.uniform(80, 300)) for n in dag.nodes}
         execution = execute(dag, durations, powers, p_blocking_w=60.0)
         # total energy equals integral of power over N * T horizon
-        total = execution.total_energy()
+        total = execution.energy_at()
         t = execution.iteration_time
         manual = sum(durations[n] * powers[n] for n in dag.nodes) + 60.0 * (
             3 * t - sum(durations.values())
@@ -120,7 +132,7 @@ class TestFrequencyPlans:
         slow = execute_frequency_plan(
             dag, min_energy_plan(dag, small_profile), small_profile
         )
-        assert slow.total_energy() < base.total_energy()
+        assert slow.energy_at() < base.energy_at()
 
     def test_average_power_drops(self, dag, small_profile):
         base = execute_frequency_plan(
@@ -133,39 +145,44 @@ class TestFrequencyPlans:
 
 
 class TestDataParallel:
+    """Replicas sync gradients at the slowest one's iteration end; each
+    pays Eq. 3 up to it, which is :meth:`energy_at` at that floor."""
+
     def test_sync_time_is_max(self, dag):
         durations, powers = uniform(dag)
         fast = execute(dag, durations, powers, p_blocking_w=50.0)
-        slow = execute(
-            dag, straggle_durations(durations, 1.5), powers, p_blocking_w=50.0
-        )
-        result = synchronize([fast, slow, fast])
-        assert result.sync_time == pytest.approx(slow.iteration_time)
-        assert result.num_pipelines == 3
+        slow = throttled(dag, fast, 1.5)
+        replicas = [fast, slow, fast]
+        sync = max(r.iteration_time for r in replicas)
+        assert sync == pytest.approx(1.5 * fast.iteration_time)
+        assert slow.energy_at(sync) == slow.energy_at()  # nobody to wait for
+        assert fast.energy_at(sync) > fast.energy_at()
 
     def test_total_energy_includes_waiting(self, dag):
         durations, powers = uniform(dag)
         fast = execute(dag, durations, powers, p_blocking_w=50.0)
-        slow = execute(
-            dag, straggle_durations(durations, 1.5), powers, p_blocking_w=50.0
-        )
-        alone = fast.total_energy()
-        result = synchronize([fast, slow])
-        assert result.pipeline_energy(0) > alone  # waited for the straggler
+        slow = throttled(dag, fast, 1.5)
+        alone = fast.energy_at()
+        waited = fast.energy_at(slow.iteration_time)
+        assert waited > alone  # waited for the straggler
+        assert waited - alone == pytest.approx(
+            50.0 * 4 * (slow.iteration_time - fast.iteration_time))
 
     def test_straggler_cannot_speed_up(self, dag):
-        with pytest.raises(SimulationError):
-            straggle_durations({0: 1.0}, 0.9)
+        durations, powers = uniform(dag)
+        fast = execute(dag, durations, powers, p_blocking_w=50.0)
+        # A floor before the iteration end cannot shorten the iteration:
+        # Eq. 3 still runs to T.
+        assert fast.energy_at(0.5 * fast.iteration_time) == fast.energy_at()
 
     def test_run_with_straggler(self, dag, small_profile):
         plan = max_frequency_plan(dag, small_profile)
-        result = run_with_straggler(
-            dag, small_profile, plan, None, num_pipelines=4,
-            straggler_slowdown=1.3,
-        )
-        assert result.num_pipelines == 4
         base = execute_frequency_plan(dag, plan, small_profile)
-        assert result.sync_time == pytest.approx(base.iteration_time * 1.3)
+        straggler = throttled(dag, base, 1.3)
+        sync = straggler.iteration_time
+        assert sync == pytest.approx(base.iteration_time * 1.3)
+        four = straggler.energy_at(sync) + 3 * base.energy_at(sync)
+        assert four > 4 * base.energy_at()
 
 
 class TestTimeline:
@@ -189,7 +206,7 @@ class TestTimeline:
         total = sum(
             seg.duration * seg.power_w for row in rows for seg in row.segments
         )
-        assert total == pytest.approx(execution.total_energy(), rel=1e-9)
+        assert total == pytest.approx(execution.energy_at(), rel=1e-9)
 
     def test_busy_fraction(self, dag):
         durations, powers = uniform(dag)

@@ -430,10 +430,10 @@ class TestWarmPathMemo:
         planner = Planner()
         cold = planner.plan(SMALL)
         sums = []
-        total_energy = PipelineExecution.total_energy
+        energy_at = PipelineExecution.energy_at
         monkeypatch.setattr(
-            PipelineExecution, "total_energy",
-            lambda self, *a: sums.append(self) or total_energy(self, *a))
+            PipelineExecution, "energy_at",
+            lambda self, *a: sums.append(self) or energy_at(self, *a))
         warm = planner.plan(SMALL)
         assert sums == []
         assert reports_equal(warm, cold)
