@@ -74,7 +74,7 @@ def test_table6_intrinsic_vs_microbatches():
 
     table = run()
     headers = (["model"] + [f"M={m}" for m in _m_values()]
-               + [""] + [f"M={m}" for m in _m_values()])
+               + [""] + [f"paper M={m}" for m in _m_values()])
     emit_table(
         headers, table,
         title="[Table 6] Emulated intrinsic savings vs microbatch count",

@@ -72,8 +72,13 @@ def emit_table(
     """Emit a ``format_table`` table and record its cells.
 
     ``wall_clock`` names columns timed on the running host: they are
-    printed but not recorded, since they differ from run to run.
+    printed but not recorded, since they differ from run to run.  A
+    cell is named by ``(title, row, column)``, so column headers must
+    be distinct.
     """
+    if len(set(headers)) != len(headers):
+        raise ValueError(f"{title}: repeated column header in "
+                         f"{list(headers)}")
     rows = [list(row) for row in rows]
     emit(format_table(headers, rows, title=title))
     _CELLS[title] = [

@@ -41,8 +41,8 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from ..core.frontier import Frontier
 from ..core.optimizer import PerseusOptimizer
@@ -80,32 +80,64 @@ DEFAULT_STEP_TARGET = 250
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 
-def _canonical_gpu_key(gpus: Tuple[GPUSpec, ...]):
-    """Cache-key GPU component: the single spec, or the tuple if mixed.
+class StackKey(NamedTuple):
+    """A stack's canonical identity, from :func:`resolve_stack`.
 
-    Collapsing homogeneous tuples to the single spec is what makes a
-    homogeneous per-stage list hit exactly the caches (and therefore
-    reproduce exactly the plans) of the equivalent single-name spec.
-    The one collapse rule shared by the planner's key construction and
-    ``PlanResult.canonical_gpu``'s key reconstruction.
+    What keys the stack's model, partition, profile and frontier, its
+    service flight (:func:`repro.service.coalesce.stack_flight_key`) and
+    its sweep worker -- and nothing that does not (strategy, microbatch
+    count, tau).  Equal stacks get equal keys however they are spelled:
+    ``model`` is the registry's canonical name (aliases and case
+    collapse); ``gpu`` is the single resolved spec of a homogeneous
+    pipeline (a per-stage list or an alias like ``"a100-pcie"`` included)
+    or the per-stage tuple of a mixed one; ``microbatch_size`` is
+    ``None`` for the model's default.  ``exactness`` keys only the
+    frontier, but rides along so exact and fast planning for one
+    workload never share a flight.
     """
-    return gpus[0] if is_homogeneous(gpus) else tuple(gpus)
+
+    model: str
+    gpu: Union[GPUSpec, Tuple[GPUSpec, ...]]
+    stages: int
+    microbatch_size: Optional[int]
+    tensor_parallel: int
+    freq_stride: int
+    exactness: str
+
+    @property
+    def gpus(self) -> Tuple[GPUSpec, ...]:
+        """One resolved spec per stage."""
+        if isinstance(self.gpu, GPUSpec):
+            return (self.gpu,) * self.stages
+        return self.gpu
 
 
-def _keyed_microbatch(model: str,
-                      microbatch_size: Optional[int]) -> Optional[int]:
-    """Cache-key microbatch component: ``None`` for the registry default.
+def resolve_stack(
+    model: str,
+    gpu: GPULike = "a100",
+    stages: int = 4,
+    microbatch_size: Optional[int] = None,
+    tensor_parallel: int = 1,
+    freq_stride: int = 4,
+    exactness: str = "exact",
+) -> StackKey:
+    """The one place a stack's model, GPU and microbatch size are
+    canonicalized for keys: registry lookups only, no model is built.
+    Raises :class:`ConfigurationError` for an unknown model or GPU."""
+    gpus = resolve_gpus(gpu, stages)
+    entry = get_entry(model)
+    if microbatch_size == entry.default_microbatch:
+        microbatch_size = None
+    return StackKey(entry.key, gpus[0] if is_homogeneous(gpus) else gpus,
+                    stages, microbatch_size, tensor_parallel, freq_stride,
+                    exactness)
 
-    An explicit ``microbatch_size`` equal to the model's default builds
-    the same model as leaving it unset, so both key alike and share one
-    model, partition, profile, frontier and stack flight.  The one rule
-    shared by :meth:`Planner.build_stack` and the sweep/flight
-    signature; a registry lookup, no model is built.
-    """
-    if microbatch_size is not None \
-            and microbatch_size == get_entry(model).default_microbatch:
-        return None
-    return microbatch_size
+
+def stack_key(spec: PlanSpec) -> StackKey:
+    """The spec's :class:`StackKey` (:func:`resolve_stack` of its fields)."""
+    return resolve_stack(spec.model, spec.gpu, spec.stages,
+                         spec.microbatch_size, spec.tensor_parallel,
+                         spec.effective_freq_stride, spec.exactness)
 
 
 def auto_tau(
@@ -151,7 +183,7 @@ class PlanResult:
     """The assembled planning stack for one spec.
 
     ``optimizer`` characterizes lazily, through
-    :meth:`Planner.frontier_at` under ``keys["optimizer"]``.
+    :meth:`Planner.frontier_at` under ``keys["frontier"]``.
     """
 
     model: ModelSpec
@@ -174,13 +206,6 @@ class PlanResult:
     @property
     def tau(self) -> float:
         return self.optimizer.tau
-
-    @property
-    def canonical_gpu(self):
-        """The memoization key's GPU component (spec, or tuple if mixed)."""
-        if not self.gpus:
-            return self.gpu
-        return _canonical_gpu_key(self.gpus)
 
     @property
     def is_heterogeneous(self) -> bool:
@@ -317,9 +342,6 @@ class Planner:
         #: The in-flight plan's provenance builder, one per thread
         #: (:meth:`plan` installs it; ``_memo`` reports to it).
         self._prov = threading.local()
-        #: (namespace, key) -> hex digest memo: content hashing is not
-        #: free, and provenance asks for the same digests every plan.
-        self._digests: Dict[tuple, str] = {}
         self.stats: Dict[str, int] = {
             "model": 0, "partition": 0, "profile": 0, "stage_profile": 0,
             "dag": 0, "tau": 0, "optimizer": 0, "frontier": 0,
@@ -339,16 +361,6 @@ class Planner:
         self._cache.clear()
 
     # -- staged builders (each memoized on its own key) ----------------------
-    @staticmethod
-    def _resolve(gpu: GPULike, stages: int) -> Tuple[GPUSpec, ...]:
-        """Per-stage resolved specs (aliases collapse, lists validate)."""
-        return resolve_gpus(gpu, stages)
-
-    @staticmethod
-    def _canonical(gpus: Tuple[GPUSpec, ...]):
-        """See :func:`_canonical_gpu_key` (the one collapse rule)."""
-        return _canonical_gpu_key(gpus)
-
     def _memo(self, namespace: str, key, stat: Optional[str], build):
         """One staged build: backend lookup, else compute and store.
 
@@ -356,7 +368,10 @@ class Planner:
         runs (a *disk* hit therefore bumps nothing: no work was done).
         When a provenance builder is installed (one per in-flight
         :meth:`plan`), each stage additionally reports where it resolved
-        from (built / memory / disk) and, for builds, how long it took.
+        from (built / memory / disk) and, for builds, how long it took,
+        with the key's digest from the backend's one hash per key (plan
+        keys hold strategy instances, and baselines are no provenance
+        stage, so neither is hashed).
         """
         value, source = self._cache.get_with_source(namespace, key)
         seconds = None
@@ -371,72 +386,30 @@ class Planner:
             source = "built"
         builder = getattr(self._prov, "builder", None)
         if builder is not None:
-            builder.note(namespace, source, seconds,
-                         digest=self._digest(namespace, key))
+            digest = (None if namespace in ("baseline", "plan")
+                      else self._cache.digest(key))
+            builder.note(namespace, source, seconds, digest=digest)
         return value
-
-    def _digest(self, namespace: str, key) -> Optional[str]:
-        """Memoized content digest for provenance (cheap namespaces only)."""
-        if namespace in ("baseline", "plan"):
-            return None
-        memo_key = (namespace, key)
-        digest = self._digests.get(memo_key)
-        if digest is None:
-            digest = stable_key(key)
-            self._digests[memo_key] = digest
-        return digest
-
-    def _build_model(
-        self, name: str, microbatch_size: Optional[int]
-    ) -> ModelSpec:
-        key = (name, microbatch_size)
-        return self._memo("model", key, "model",
-                          lambda: build_model(name, microbatch_size))
-
-    def _build_partition(
-        self,
-        model: ModelSpec,
-        stages: int,
-        canonical_gpu,
-        gpus: Tuple[GPUSpec, ...],
-        microbatch_size: Optional[int],
-    ) -> PartitionResult:
-        # Keyed on the ModelSpec and GPUSpec *values* (frozen
-        # dataclasses), not their names: a custom spec reusing a registry
-        # name must not collide, and an edited model-zoo definition must
-        # invalidate persisted partitions/profiles rather than serve
-        # stale ones.  The canonical GPU form collapses homogeneous
-        # per-stage tuples, so a homogeneous list shares the single-name
-        # spec's cache entry.
-        key = (model, microbatch_size, stages, canonical_gpu)
-        return self._memo(
-            "partition", key, "partition",
-            lambda: partition_model(
-                model, stages,
-                gpus[0] if isinstance(canonical_gpu, GPUSpec) else gpus,
-            ),
-        )
 
     def _build_profile(
         self,
         profile_key: tuple,
         model: ModelSpec,
         partition: PartitionResult,
-        gpus: Tuple[GPUSpec, ...],
-        tensor_parallel: int,
-        freq_stride: int,
+        stack: StackKey,
     ) -> PipelineProfile:
         def build() -> PipelineProfile:
-            if is_homogeneous(gpus):
+            if isinstance(stack.gpu, GPUSpec):
                 return profile_pipeline(
                     model,
                     partition,
-                    gpus[0],
-                    tensor_parallel=tensor_parallel,
-                    freq_stride=freq_stride,
+                    stack.gpu,
+                    tensor_parallel=stack.tensor_parallel,
+                    freq_stride=stack.freq_stride,
                 )
             return self._compose_hetero_profile(
-                model, partition, gpus, tensor_parallel, freq_stride
+                model, partition, stack.gpu, stack.tensor_parallel,
+                stack.freq_stride
             )
 
         return self._memo("profile", profile_key, "profile", build)
@@ -524,17 +497,15 @@ class Planner:
 
     def _build_optimizer(
         self,
-        dag_key: tuple,
-        profile_key: tuple,
-        tau: float,
+        key: tuple,
         dag: ComputationDag,
         profile: PipelineProfile,
-        exactness: str = "exact",
     ) -> PerseusOptimizer:
-        # exactness is part of the key: fast-mode frontiers are within
-        # tolerance of exact but not bit-identical, so the two modes
-        # must never alias in memory or in a persistent store.
-        key = (dag_key, profile_key, tau, exactness)
+        # ``key`` is (dag key, profile key, tau, exactness).  exactness
+        # is part of it: fast-mode frontiers are within tolerance of
+        # exact but not bit-identical, so the two modes must never alias
+        # in memory or in a persistent store.
+        tau, exactness = key[2:]
         return self._memo(
             "optimizer", key, "optimizer",
             lambda: PerseusOptimizer(
@@ -576,55 +547,53 @@ class Planner:
         pass ``tau=auto_tau(dag, profile, steps)`` for another step
         target.
         """
-        gpus = self._resolve(gpu, stages)
-        gpu_key = self._canonical(gpus)
-        microbatch_size = _keyed_microbatch(model, microbatch_size)
-        model_spec = self._build_model(model, microbatch_size)
-        partition_key = (model_spec, microbatch_size, stages, gpu_key)
-        partition = self._build_partition(
-            model_spec, stages, gpu_key, gpus, microbatch_size
-        )
+        return self._stack(
+            resolve_stack(model, gpu, stages, microbatch_size,
+                          tensor_parallel, freq_stride, exactness),
+            microbatches, tau)
+
+    def result(self, spec: PlanSpec) -> PlanResult:
+        """Assemble (or reuse) the full planning stack for a spec."""
+        return self._stack(stack_key(spec), spec.microbatches, spec.tau)
+
+    def _stack(self, stack: StackKey, microbatches: int,
+               tau: Optional[float]) -> PlanResult:
+        model = self._memo(
+            "model", (stack.model, stack.microbatch_size), "model",
+            lambda: build_model(stack.model, stack.microbatch_size))
+        # Keyed on the ModelSpec and GPUSpec *values* (frozen
+        # dataclasses), not their names: a custom spec reusing a registry
+        # name must not collide, and an edited model-zoo definition must
+        # invalidate persisted partitions/profiles rather than serve
+        # stale ones.
+        partition_key = (model, stack.microbatch_size, stack.stages,
+                         stack.gpu)
+        partition = self._memo(
+            "partition", partition_key, "partition",
+            lambda: partition_model(model, stack.stages, stack.gpu))
         # The trailing 0.0, 0 are the retired profiling noise and seed:
         # kept so persisted profiles and frontiers keep their addresses.
-        profile_key = partition_key + (tensor_parallel, freq_stride, 0.0, 0)
-        profile = self._build_profile(
-            profile_key, model_spec, partition, gpus,
-            tensor_parallel, freq_stride,
-        )
-        dag_key = (stages, microbatches)
-        dag = self._build_dag(stages, microbatches)
+        profile_key = partition_key + (stack.tensor_parallel,
+                                       stack.freq_stride, 0.0, 0)
+        profile = self._build_profile(profile_key, model, partition, stack)
+        dag_key = (stack.stages, microbatches)
+        dag = self._build_dag(stack.stages, microbatches)
         tau = self._resolve_tau(tau, dag_key, profile_key, dag, profile)
-        optimizer = self._build_optimizer(
-            dag_key, profile_key, tau, dag, profile, exactness
-        )
+        frontier_key = (dag_key, profile_key, tau, stack.exactness)
         return PlanResult(
-            model=model_spec,
-            gpu=gpus[0],
+            model=model,
+            gpu=stack.gpus[0],
             partition=partition,
             profile=profile,
             dag=dag,
-            optimizer=optimizer,
-            gpus=gpus,
+            optimizer=self._build_optimizer(frontier_key, dag, profile),
+            gpus=stack.gpus,
             keys={
                 "partition": partition_key,
                 "profile": profile_key,
                 "dag": dag_key,
-                "optimizer": (dag_key, profile_key, tau, exactness),
+                "frontier": frontier_key,
             },
-        )
-
-    def result(self, spec: PlanSpec) -> PlanResult:
-        """Assemble (or reuse) the full planning stack for a spec."""
-        return self.build_stack(
-            model=spec.model,
-            gpu=spec.gpu,
-            stages=spec.stages,
-            microbatches=spec.microbatches,
-            microbatch_size=spec.microbatch_size,
-            tensor_parallel=spec.tensor_parallel,
-            freq_stride=spec.effective_freq_stride,
-            tau=spec.tau,
-            exactness=spec.exactness,
         )
 
     def cache_keys(self, spec: PlanSpec) -> Dict[str, str]:
@@ -641,28 +610,23 @@ class Planner:
         plan reuse.  Builds the stack as a side effect (memoized like
         any other call).
         """
-        stack = self.result(spec)
-        named = dict(stack.keys)
-        # The frontier is filed under the optimizer's (dag, profile,
-        # tau) key -- surface it by its on-disk namespace.
-        named["frontier"] = named.pop("optimizer")
-        return {ns: stable_key(key) for ns, key in named.items()}
+        return {namespace: stable_key(key)
+                for namespace, key in self.result(spec).keys.items()}
 
     def context(
         self, spec: PlanSpec, straggler_time: Optional[float] = None
     ) -> PlanContext:
         """The strategy-facing view of a spec's planning stack."""
-        return self._context(self.result(spec), spec, straggler_time)
+        return self._context(self.result(spec), straggler_time)
 
     @staticmethod
-    def _context(stack: PlanResult, spec: PlanSpec,
+    def _context(stack: PlanResult,
                  straggler_time: Optional[float]) -> PlanContext:
         return PlanContext(
             dag=stack.dag,
             profile=stack.profile,
             tau=stack.optimizer.tau,
             target_time=straggler_time,
-            exactness=spec.exactness,
             _optimizer_factory=lambda: stack.optimizer,
         )
 
@@ -728,7 +692,7 @@ class Planner:
                 def build() -> Tuple[FrequencyPlan, PipelineExecution,
                                      float, float]:
                     frequencies = strategy.plan(
-                        self._context(stack, spec, straggler_time))
+                        self._context(stack, straggler_time))
                     with obs_span("planner.simulate"):
                         execution = execute_frequency_plan(
                             stack.dag, frequencies, stack.profile)
@@ -739,7 +703,7 @@ class Planner:
                 frequencies, execution, energy_j, baseline_energy_j = (
                     self._memo(
                         "plan",
-                        (stack.keys["optimizer"], _Identity(strategy),
+                        (stack.keys["frontier"], _Identity(strategy),
                          straggler_time),
                         None, build))
                 # Surface the crawl instrumentation when the stack holds
@@ -781,11 +745,10 @@ class Planner:
         ``memory``.  Frontier-free baselines on an uncharacterized
         stack record no frontier stage at all.
         """
-        opt_key = stack.keys["optimizer"]
         store = self._cache if isinstance(self._cache, PlanStore) else None
         if stack.optimizer.is_characterized:  # first note wins
             builder.note("frontier", "memory",
-                         digest=self._digest("frontier", opt_key))
+                         digest=self._cache.digest(stack.keys["frontier"]))
         frontier_digest = builder.digests.get("frontier")
         if store is not None:
             # The stage digests are the store's file names: no re-hash.
@@ -864,43 +827,24 @@ class Planner:
                 spec_list, self._sweep_chunks(spec_list, jobs), errors)
 
     @staticmethod
-    def _stack_signature(spec: PlanSpec) -> tuple:
-        """The profile-determining spec sub-key (the expensive stack).
-
-        GPU names resolve to canonical specs so alias spellings (a
-        homogeneous tuple vs the single name, ``"a100"`` vs
-        ``"a100-pcie"``) group together; a spec whose GPUs cannot
-        resolve keeps its raw spelling and errors inside its worker (as
-        does an unknown model's microbatch size).  ``exactness`` rides
-        along even though it does not affect the profile: it keys the frontier artifacts, and the service's
-        stack-flight key derives from this signature -- exact and fast
-        planning for the same workload must never coalesce.
-        """
-        try:
-            gpu = _canonical_gpu_key(resolve_gpus(spec.gpu, spec.stages))
-        except ReproError:
-            gpu = spec.gpu if isinstance(spec.gpu, str) else tuple(spec.gpu)
-        try:
-            microbatch = _keyed_microbatch(spec.model, spec.microbatch_size)
-        except ReproError:
-            microbatch = spec.microbatch_size
-        return (spec.model, gpu, spec.stages, microbatch,
-                spec.tensor_parallel, spec.effective_freq_stride,
-                spec.exactness)
-
-    def _sweep_chunks(self, specs: List[PlanSpec], jobs: int) -> List[List[int]]:
+    def _sweep_chunks(specs: List[PlanSpec], jobs: int) -> List[List[int]]:
         """Spec indices per worker, stacks never split across workers.
 
         Worker processes plan with isolated memory tiers, so two
         workers handed specs sharing a stack would each profile it.
-        Group by the profile-determining sub-key and keep every group
-        on one worker (largest groups placed first, onto the
-        least-loaded worker): the expensive work parallelizes across
-        *stacks* and is never duplicated within one.
+        Group by :func:`stack_key` and keep every group on one worker
+        (largest groups placed first, onto the least-loaded worker): the
+        expensive work parallelizes across *stacks* and is never
+        duplicated within one.  A spec that cannot resolve is a group of
+        its own and errors inside its worker.
         """
-        groups: Dict[tuple, List[int]] = {}
+        groups: Dict[object, List[int]] = {}
         for index, spec in enumerate(specs):
-            groups.setdefault(self._stack_signature(spec), []).append(index)
+            try:
+                group = stack_key(spec)
+            except ReproError:
+                group = index
+            groups.setdefault(group, []).append(index)
         chunks: List[List[int]] = [[] for _ in range(min(jobs, len(groups)))]
         for indices in sorted(groups.values(), key=len, reverse=True):
             min(chunks, key=len).extend(indices)

@@ -43,36 +43,24 @@ class PlanContext:
     :class:`~repro.api.planner.Planner` and shared across every strategy
     planning the same pipeline; the frontier-backed ``optimizer`` is
     materialized lazily so frontier-free strategies never pay for it.
+    Only the planner builds contexts: ``_optimizer_factory`` returns the
+    stack's memoized optimizer, whose frontier is filed by
+    :meth:`~repro.api.planner.Planner.frontier_at`.
     """
 
     dag: ComputationDag
     profile: PipelineProfile
     tau: float
+    _optimizer_factory: Callable[[], object] = field(repr=False)
     #: Anticipated straggler iteration time ``T'`` (None = no straggler).
     target_time: Optional[float] = None
-    #: Optimizer exactness mode (``"exact"`` or ``"fast"``); consulted
-    #: only when the fallback optimizer is built here.
-    exactness: str = "exact"
-    _optimizer_factory: Optional[Callable[[], object]] = field(
-        default=None, repr=False
-    )
     _optimizer: Optional[object] = field(default=None, repr=False)
 
     @property
     def optimizer(self):
         """The (lazily characterized) Perseus frontier optimizer."""
         if self._optimizer is None:
-            if self._optimizer_factory is None:
-                from ..core.optimizer import PerseusOptimizer
-
-                self._optimizer = PerseusOptimizer(
-                    dag=self.dag,
-                    profile=self.profile,
-                    tau=self.tau,
-                    exactness=self.exactness,
-                )
-            else:
-                self._optimizer = self._optimizer_factory()
+            self._optimizer = self._optimizer_factory()
         return self._optimizer
 
 

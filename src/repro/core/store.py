@@ -227,6 +227,16 @@ class CacheBackend:
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {"hits": 0, "misses": 0}
+        #: key -> ``stable_key(key)``: store paths and provenance digests
+        #: read this one memo, so each key is hashed once per backend.
+        self._hashes: Dict[Any, str] = {}
+
+    def digest(self, key) -> str:
+        """``stable_key(key)``, computed once per key for this backend."""
+        digest = self._hashes.get(key)
+        if digest is None:
+            digest = self._hashes[key] = stable_key(key)
+        return digest
 
     def get(self, namespace: str, key) -> Any:
         raise NotImplementedError
@@ -279,6 +289,7 @@ class MemoryCache(CacheBackend):
     def clear(self) -> None:
         with self._mutex:
             self._tables.clear()
+            self._hashes.clear()
 
 
 class PlanStore(MemoryCache):
@@ -344,7 +355,7 @@ class PlanStore(MemoryCache):
         ))
 
     def _path(self, namespace: str, key) -> str:
-        return self.digest_path(namespace, stable_key(key))
+        return self.digest_path(namespace, self.digest(key))
 
     def _atomic_write(self, path: str, text: str) -> None:
         """Temp file + ``os.replace``, durably when :data:`FSYNC_ENV` allows.

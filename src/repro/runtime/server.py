@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -678,9 +678,10 @@ class PerseusServer:
         # Both sides priced under the *observed* (drifted) conditions:
         # the held plan's compute energy realizes scaled by the drift
         # the new profile bakes in.
-        held_energy = (deployed.effective_energy * signal.energy_factor
-                       + blocking_w * max(deployed.iteration_time,
-                                          cand.iteration_time))
+        held_energy = replace(
+            deployed,
+            effective_energy=deployed.effective_energy * signal.energy_factor,
+        ).energy_at(blocking_w, cand.iteration_time)
         predicted = cand.energy_at(blocking_w)
 
         def apply(job=job, new_profile=new_profile,

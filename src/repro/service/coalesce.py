@@ -5,12 +5,15 @@ helps *serially*: two concurrent requests that both miss the cache both
 run the expensive build.  A multi-tenant daemon sees exactly that shape
 -- N training jobs registering overlapping specs within the same few
 seconds -- so the daemon funnels every expensive materialization
-through a :class:`SingleFlight` keyed on the spec's *stage-sweep
-sub-key* (the profile-determining fields, hashed with the same
+through a :class:`SingleFlight` keyed on the spec's canonical stack
+identity (:func:`~repro.api.planner.stack_key`, the one resolver the
+planner's own memo keys and sweep grouping read, hashed with the same
 :func:`~repro.core.store.stable_key` the plan store addresses entries
-by).  One leader runs the profile; every concurrent duplicate waits on
-the leader's event and adopts the warmed planner state, so one
-profile/crawl run feeds many tenants.
+by).  Spellings of one stack -- a model alias or another case, a GPU
+alias, a homogeneous per-stage GPU list, an explicit default microbatch
+size -- therefore share one flight.  One leader runs the profile; every
+concurrent duplicate waits on the leader's event and adopts the warmed
+planner state, so one profile/crawl run feeds many tenants.
 
 The flight key deliberately excludes ``strategy``, ``microbatches`` and
 ``tau``: those only affect the cheap DAG/strategy passes (and the
@@ -26,7 +29,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Dict, Tuple
 
-from ..api.planner import Planner
+from ..api.planner import stack_key
 from ..api.spec import PlanSpec
 from ..core.store import stable_key
 from ..obs.trace import span as obs_span
@@ -40,11 +43,13 @@ FOLLOWER = "follower"
 def stack_flight_key(spec: PlanSpec) -> str:
     """Content hash of the spec's expensive (profile-determining) stack.
 
-    Built from the same sub-key the planner's sweep scheduler groups
-    on, hashed with the plan store's :func:`stable_key`, so two specs
-    share a flight exactly when they share stage sweeps.
+    The planner's :func:`~repro.api.planner.stack_key`, hashed with the
+    plan store's :func:`stable_key`, so two specs share a flight exactly
+    when they share a stack.  Raises the planner's
+    :class:`~repro.exceptions.ConfigurationError` for a spec naming an
+    unknown model or GPU.
     """
-    return stable_key(("stack_flight",) + Planner._stack_signature(spec))
+    return stable_key(("stack_flight",) + stack_key(spec))
 
 
 class _Flight:

@@ -793,12 +793,14 @@ class PlanningDaemon:
                 self._access_suppressed += 1
                 return
             suppressed, self._access_suppressed = self._access_suppressed, 0
-        line = (f"[repro.serve] rpc method={method} tenant={tenant} "
-                f"status={status} dur_ms={duration_s * 1000.0:.1f} "
-                f"replayed={int(replayed)} trace={trace_id}")
-        if suppressed:
-            line += f" suppressed={suppressed}"
-        print(line, file=sys.stderr, flush=True)
+            line = (f"[repro.serve] rpc method={method} tenant={tenant} "
+                    f"status={status} dur_ms={duration_s * 1000.0:.1f} "
+                    f"replayed={int(replayed)} trace={trace_id}")
+            if suppressed:
+                line += f" suppressed={suppressed}"
+            # Written under the lock: handler threads printing to one
+            # text stream at once can lose lines.
+            print(line, file=sys.stderr, flush=True)
 
     # -- scrape-time views ---------------------------------------------------
     def metrics_text(self) -> str:

@@ -18,7 +18,9 @@ from repro.api import (
 from repro.api.spec import FIDELITY_STRIDES, SPEC_FORMAT_VERSION
 from repro.api.strategies import _REGISTRY
 from repro.core.serialization import SerializationError, load_json, save_json
+from repro.core.store import stable_key
 from repro.exceptions import ConfigurationError
+from repro.gpu.specs import get_gpu
 
 #: Small/fast planning request reused across the module.
 SMALL = PlanSpec("bert-large", gpu="a100", stages=2, microbatches=3,
@@ -193,6 +195,25 @@ class TestPlannerMemoization:
         # A non-default size is still its own stack.
         assert stack_flight_key(spec.replace(microbatch_size=2)) != \
             stack_flight_key(spec)
+
+    def test_model_alias_and_case_share_the_stack(self):
+        from repro.service.coalesce import stack_flight_key
+
+        spec = PlanSpec("gpt3-xl", stages=2, microbatches=3, freq_stride=24)
+        spellings = [spec, spec.replace(model="GPT3-1.3B"),
+                     spec.replace(model="GPT3-XL")]
+        planner = Planner()
+        reports = [planner.plan(s) for s in spellings]
+        assert planner.stats["model"] == 1
+        assert planner.stats["profile"] == 1
+        assert planner.stats["frontier"] == 1
+        assert len({stack_flight_key(s) for s in spellings}) == 1
+        assert Planner._sweep_chunks(spellings, jobs=3) == [[0, 1, 2]]
+        assert len({r.energy_j for r in reports}) == 1
+        # The canonical spelling keeps its flight key's bytes.
+        assert stack_flight_key(spec) == stable_key(
+            ("stack_flight", "gpt3-xl", get_gpu("a100"), 2, None, 1, 24,
+             "exact"))
 
     def test_clear_drops_memoized_stages(self):
         planner = Planner()

@@ -525,7 +525,7 @@ class TestExactnessPlumbing:
         fast = PlanSpec(exactness="fast", **self.SPEC)
         stack = planner.result(fast)
         assert stack.optimizer.exactness == "fast"
-        assert stack.keys["optimizer"][-1] == "fast"
+        assert stack.keys["frontier"][-1] == "fast"
         assert stack.optimizer.frontier.stats["exactness"] == "fast"
 
 

@@ -344,26 +344,28 @@ class TestPlanStore:
         planner.plan(SMALL)
         assert planner.stats["profile"] == 1  # second pass hit the disk
 
-    def test_warm_plan_hashes_each_key_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _count_hashes(monkeypatch) -> list:
         import repro.api.planner as planner_module
         import repro.core.store as store_module
 
-        Planner(cache=tmp_path / "store").plan(SMALL)
         hashed = []
         for module in (planner_module, store_module):
             monkeypatch.setattr(
                 module, "stable_key",
                 lambda key, hash_=module.stable_key:
                     hashed.append(key) or hash_(key))
+        return hashed
+
+    def test_warm_plan_hashes_each_key_once(self, tmp_path, monkeypatch):
+        Planner(cache=tmp_path / "store").plan(SMALL)
+        hashed = self._count_hashes(monkeypatch)
         planner = Planner(cache=tmp_path / "store")
         report = planner.plan(SMALL)
-        stages = report.provenance["stages"]
-        disk_reads = [ns for ns, stage in stages.items()
-                      if stage["source"] == "disk"]
-        # One hash per provenance digest and one per disk read; the
-        # store paths reuse the digests.
-        assert len(hashed) == len(report.provenance["digests"]) \
-            + len(disk_reads)
+        # One hash per distinct key: store paths and provenance digests
+        # share the backend's memo (the optimizer and frontier stages
+        # share a key).
+        assert len(hashed) == len(set(report.provenance["digests"].values()))
         for namespace, path in report.provenance["paths"].items():
             assert path == os.path.join(
                 str(tmp_path / "store"), namespace,
@@ -372,6 +374,20 @@ class TestPlanStore:
         hashed.clear()
         planner.plan(SMALL)
         assert hashed == []  # a warm in-memory plan hashes nothing
+
+    def test_fresh_planner_on_warm_store_hashes_six_keys(self, tmp_path,
+                                                         monkeypatch):
+        spec = PlanSpec("gpt3-xl", stages=4, microbatches=8, freq_stride=4)
+        Planner(cache=tmp_path / "store").plan(spec)
+        hashed = self._count_hashes(monkeypatch)
+        planner = Planner(cache=tmp_path / "store")
+        planner.plan(spec)
+        # model, partition, profile, dag, tau and frontier: one each.
+        assert len(hashed) == 6
+        assert planner.stats["frontier"] == 0
+        hashed.clear()
+        planner.plan(spec)
+        assert hashed == []
 
     def test_cache_argument_forms(self, tmp_path):
         assert isinstance(Planner().cache, MemoryCache)
@@ -687,8 +703,11 @@ class TestProcessSweep:
     """jobs>1 + PlanStore = multi-process sweep (workers publish via the
     store, the parent adopts)."""
 
+    # An unknown model cannot resolve its stack key: it is a sweep
+    # group of its own and errors inside its worker.
     SPECS = [SMALL.replace(strategy=s)
              for s in ("perseus", "max-freq", "broken")]
+    SPECS += [SMALL.replace(model="no-such-model")]
 
     def test_process_rows_match_serial(self, tmp_path):
         serial = Planner().sweep(self.SPECS)
