@@ -626,7 +626,7 @@ class Planner:
             dag=stack.dag,
             profile=stack.profile,
             tau=stack.optimizer.tau,
-            target_time=straggler_time,
+            _target_time=straggler_time,
             _optimizer_factory=lambda: stack.optimizer,
         )
 
@@ -689,23 +689,30 @@ class Planner:
                     stack.keys["dag"], stack.keys["profile"],
                     stack.dag, stack.profile)
 
+                run_key = (stack.keys["frontier"], _Identity(strategy))
+
                 def build() -> Tuple[FrequencyPlan, PipelineExecution,
                                      float, float]:
-                    frequencies = strategy.plan(
-                        self._context(stack, straggler_time))
-                    with obs_span("planner.simulate"):
-                        execution = execute_frequency_plan(
-                            stack.dag, frequencies, stack.profile)
+                    # A run that never read T' planned every T': reuse
+                    # it and price it at this T' only.
+                    run = self._cache.get("blind_run", run_key)
+                    if run is MISS:
+                        ctx = self._context(stack, straggler_time)
+                        frequencies = strategy.plan(ctx)
+                        with obs_span("planner.simulate"):
+                            execution = execute_frequency_plan(
+                                stack.dag, frequencies, stack.profile)
+                        run = (frequencies, execution)
+                        if not ctx.target_read:
+                            self._cache.put("blind_run", run_key, run)
+                    frequencies, execution = run
                     return (frequencies, execution,
                             execution.energy_at(straggler_time),
                             baseline.energy_at(straggler_time))
 
                 frequencies, execution, energy_j, baseline_energy_j = (
-                    self._memo(
-                        "plan",
-                        (stack.keys["frontier"], _Identity(strategy),
-                         straggler_time),
-                        None, build))
+                    self._memo("plan", run_key + (straggler_time,),
+                               None, build))
                 # Surface the crawl instrumentation when the stack holds
                 # a frontier; frontier-free baselines on a fresh stack
                 # stay None.

@@ -52,9 +52,18 @@ class PlanContext:
     profile: PipelineProfile
     tau: float
     _optimizer_factory: Callable[[], object] = field(repr=False)
-    #: Anticipated straggler iteration time ``T'`` (None = no straggler).
-    target_time: Optional[float] = None
+    _target_time: Optional[float] = None
     _optimizer: Optional[object] = field(default=None, repr=False)
+    #: Whether the strategy read :attr:`target_time`: a plan made
+    #: without reading it is the plan at every ``T'``, so the planner
+    #: re-prices it instead of re-running the strategy.
+    target_read: bool = field(default=False, init=False, repr=False)
+
+    @property
+    def target_time(self) -> Optional[float]:
+        """Anticipated straggler iteration time ``T'`` (None = no straggler)."""
+        self.target_read = True
+        return self._target_time
 
     @property
     def optimizer(self):

@@ -40,6 +40,15 @@ class ComputationDag:
     pred: Dict[int, Set[int]] = field(default_factory=dict)
     num_stages: int = 0
     num_microbatches: int = 0
+    #: Every node with its predecessor tuple, in topological order: the
+    #: one walk every longest-path pass reads.  Built on first use
+    #: (:meth:`seal` builds it) and dropped by ``add_node``/``add_edge``.
+    _walk: Optional[List[Tuple[int, Tuple[int, ...]]]] = field(
+        default=None, init=False, repr=False, compare=False)
+    #: Node -> ``Instruction.op_key``, built on first use, dropped by
+    #: ``add_node``.
+    _op_keys: Optional[Dict[int, Tuple]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for v in (SOURCE, SINK):
@@ -52,6 +61,7 @@ class ComputationDag:
         self.nodes[node_id] = instruction
         self.succ[node_id] = set()
         self.pred[node_id] = set()
+        self._walk = self._op_keys = None
         return node_id
 
     def add_edge(self, u: int, v: int) -> None:
@@ -61,6 +71,7 @@ class ComputationDag:
             raise GraphError("self-loops are not allowed")
         self.succ[u].add(v)
         self.pred[v].add(u)
+        self._walk = None
 
     def seal(self) -> None:
         """Connect roots to SOURCE, leaves to SINK, and verify acyclicity."""
@@ -79,38 +90,55 @@ class ComputationDag:
     def computation_ids(self) -> List[int]:
         return list(self.nodes)
 
+    def op_keys(self) -> Dict[int, Tuple]:
+        """Each computation's profile key (``Instruction.op_key``), in
+        node order."""
+        if self._op_keys is None:
+            self._op_keys = {n: ins.op_key for n, ins in self.nodes.items()}
+        return self._op_keys
+
     def topological_order(self) -> List[int]:
         """Topological order over all nodes incl. SOURCE/SINK; raises on cycles."""
-        indeg = {v: len(self.pred[v]) for v in self.succ}
-        queue = deque(v for v, d in indeg.items() if d == 0)
-        order: List[int] = []
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in self.succ[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    queue.append(v)
-        if len(order) != len(self.succ):
-            raise GraphError("computation graph contains a cycle")
-        return order
+        return [v for v, _ in self._topological_walk()]
+
+    def _topological_walk(self) -> List[Tuple[int, Tuple[int, ...]]]:
+        if self._walk is None:
+            indeg = {v: len(self.pred[v]) for v in self.succ}
+            queue = deque(v for v, d in indeg.items() if d == 0)
+            order: List[int] = []
+            while queue:
+                u = queue.popleft()
+                order.append(u)
+                for v in self.succ[u]:
+                    indeg[v] -= 1
+                    if indeg[v] == 0:
+                        queue.append(v)
+            if len(order) != len(self.succ):
+                raise GraphError("computation graph contains a cycle")
+            self._walk = [(v, tuple(self.pred[v])) for v in order]
+        return self._walk
+
+    def longest_path(
+        self, durations: Dict[int, float]
+    ) -> Tuple[Dict[int, float], float]:
+        """Earliest start of each node and the SOURCE->SINK makespan
+        under a duration assignment, from one pass over the walk."""
+        start: Dict[int, float] = {}
+        finish: Dict[int, float] = {}
+        duration = durations.get
+        for v, preds in self._topological_walk():
+            at = max([finish[u] for u in preds]) if preds else 0.0
+            start[v] = at
+            finish[v] = at + duration(v, 0.0)
+        return start, finish[SINK]
 
     def iteration_time(self, durations: Dict[int, float]) -> float:
         """Longest SOURCE->SINK path length under a duration assignment."""
-        finish: Dict[int, float] = {}
-        for v in self.topological_order():
-            start = max((finish[u] for u in self.pred[v]), default=0.0)
-            finish[v] = start + durations.get(v, 0.0)
-        return finish[SINK]
+        return self.longest_path(durations)[1]
 
     def earliest_start_times(self, durations: Dict[int, float]) -> Dict[int, float]:
         """Earliest start of each node under a duration assignment."""
-        start: Dict[int, float] = {}
-        finish: Dict[int, float] = {}
-        for v in self.topological_order():
-            start[v] = max((finish[u] for u in self.pred[v]), default=0.0)
-            finish[v] = start[v] + durations.get(v, 0.0)
-        return start
+        return self.longest_path(durations)[0]
 
     def stage_nodes(self, stage: int) -> List[int]:
         return [i for i, ins in self.nodes.items() if ins.stage == stage]
@@ -143,7 +171,7 @@ def build_pipeline_dag(
     m = len(microbatches)
 
     dag = ComputationDag(num_stages=n, num_microbatches=m)
-    ids: Dict[Tuple[int, int, str, str], int] = {}
+    ids: Dict[Tuple[int, int, InstrKind, str], int] = {}
     per_stage: Dict[int, List[int]] = {}
     per_device: Dict[int, List[int]] = {}
 
@@ -152,7 +180,7 @@ def build_pipeline_dag(
         stage_seq = per_stage.setdefault(s, [])
         for ins in order:
             node = dag.add_node(ins)
-            ids[(ins.stage, ins.microbatch, ins.kind.value, ins.label)] = node
+            ids[(ins.stage, ins.microbatch, ins.kind, ins.label)] = node
             stage_seq.append(node)
             per_device.setdefault(device, []).append(node)
 
@@ -163,23 +191,23 @@ def build_pipeline_dag(
 
     # Activation / gradient flow between adjacent stages.
     for (stage, mb, kind, _label), node in ids.items():
-        if kind == InstrKind.FORWARD.value:
-            nxt = ids.get((stage + 1, mb, InstrKind.FORWARD.value, ""))
+        if kind is InstrKind.FORWARD:
+            nxt = ids.get((stage + 1, mb, InstrKind.FORWARD, ""))
             if nxt is not None:
                 dag.add_edge(node, nxt)
             if stage == n - 1:
-                turn = ids.get((stage, mb, InstrKind.BACKWARD.value, ""))
+                turn = ids.get((stage, mb, InstrKind.BACKWARD, ""))
                 if turn is not None:
                     dag.add_edge(node, turn)
-        elif kind == InstrKind.BACKWARD.value:
-            prv = ids.get((stage - 1, mb, InstrKind.BACKWARD.value, ""))
+        elif kind is InstrKind.BACKWARD:
+            prv = ids.get((stage - 1, mb, InstrKind.BACKWARD, ""))
             if prv is not None:
                 dag.add_edge(node, prv)
-            fwd = ids.get((stage, mb, InstrKind.FORWARD.value, ""))
+            fwd = ids.get((stage, mb, InstrKind.FORWARD, ""))
             if fwd is not None:
                 dag.add_edge(fwd, node)
         else:  # CONST op gates the matching forward on the same stage
-            fwd = ids.get((stage, mb, InstrKind.FORWARD.value, ""))
+            fwd = ids.get((stage, mb, InstrKind.FORWARD, ""))
             if fwd is not None:
                 dag.add_edge(node, fwd)
 
@@ -212,9 +240,8 @@ def durations_from_op_times(
     dag: ComputationDag, op_times: Dict[Tuple, float]
 ) -> Dict[int, float]:
     """Expand per-op-type times into per-node durations."""
-    missing = {
-        dag.nodes[i].op_key for i in dag.nodes if dag.nodes[i].op_key not in op_times
-    }
+    op_keys = dag.op_keys()
+    missing = {op for op in op_keys.values() if op not in op_times}
     if missing:
         raise GraphError(f"missing op times for {sorted(missing)}")
-    return {i: op_times[dag.nodes[i].op_key] for i in dag.nodes}
+    return {i: op_times[op] for i, op in op_keys.items()}

@@ -14,17 +14,16 @@ engine does, so the timeline is the longest-path schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..exceptions import SimulationError
 from ..pipeline.dag import ComputationDag
 from ..pipeline.instructions import Instruction
-from ..profiler.measurement import PipelineProfile
+from ..profiler.measurement import Measurement, OpKey, OpProfile, PipelineProfile
 
 
-@dataclass(frozen=True)
-class NodeExecution:
-    """One computation's realized execution window."""
+class NodeExecution(NamedTuple):
+    """One computation's realized execution window (an immutable record)."""
 
     node: int
     instruction: Instruction
@@ -56,14 +55,16 @@ class PipelineExecution:
     num_stages: int
     p_blocking_w: float
     stage_blocking_w: Optional[Dict[int, float]] = None
-    _by_stage: Dict[int, List[NodeExecution]] = field(default_factory=dict)
+    #: Stage -> its records by start time (derived from ``records``).
+    _by_stage: Dict[int, List[NodeExecution]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self._by_stage:
-            for rec in self.records:
-                self._by_stage.setdefault(rec.instruction.stage, []).append(rec)
-            for recs in self._by_stage.values():
-                recs.sort(key=lambda r: r.start)
+        self._by_stage = {}
+        for rec in self.records:
+            self._by_stage.setdefault(rec.instruction.stage, []).append(rec)
+        for recs in self._by_stage.values():
+            recs.sort(key=lambda r: r.start)
 
     def stage_records(self, stage: int) -> List[NodeExecution]:
         return list(self._by_stage.get(stage, []))
@@ -135,21 +136,16 @@ def execute(
     missing = [n for n in dag.nodes if n not in durations or n not in powers]
     if missing:
         raise SimulationError(f"missing durations/powers for nodes {missing[:5]}")
-    starts = dag.earliest_start_times(durations)
+    starts, makespan = dag.longest_path(durations)
+    clocks = {} if freqs is None else freqs
     records = [
-        NodeExecution(
-            node=n,
-            instruction=dag.nodes[n],
-            start=starts[n],
-            end=starts[n] + durations[n],
-            power_w=powers[n],
-            freq_mhz=0 if freqs is None else freqs.get(n, 0),
-        )
-        for n in dag.nodes
+        NodeExecution(n, ins, starts[n], starts[n] + durations[n], powers[n],
+                      clocks.get(n, 0))
+        for n, ins in dag.nodes.items()
     ]
     return PipelineExecution(
         records=records,
-        iteration_time=dag.iteration_time(durations),
+        iteration_time=makespan,
         num_stages=dag.num_stages,
         p_blocking_w=p_blocking_w,
         stage_blocking_w=stage_blocking_w,
@@ -170,38 +166,65 @@ def execute_frequency_plan(
     """
     durations: Dict[int, float] = {}
     powers: Dict[int, float] = {}
-    for n in dag.nodes:
-        op = dag.nodes[n].op_key
-        op_profile = profile.get(op)
-        if op_profile.fixed:
+    # Op key -> (its profile, clock -> measurement; None for a
+    # constant-time op), resolved once per op rather than once per node.
+    resolved: Dict[OpKey, Tuple[OpProfile, Optional[Dict[int, Measurement]]]] = {}
+    for n, op in dag.op_keys().items():
+        entry = resolved.get(op)
+        if entry is None:
+            op_profile = profile.get(op)
+            entry = resolved[op] = (op_profile, _clock_map(op_profile))
+        op_profile, by_clock = entry
+        if by_clock is None:
             m = op_profile.measurements[0]
         else:
-            m = op_profile.at_freq(freq_plan[n])
+            f = freq_plan[n]
+            m = by_clock.get(f)
+            if m is None:
+                m = op_profile.at_freq(f)  # raises: no measurement at f
         durations[n] = m.time_s
         powers[n] = m.energy_j / m.time_s
     return execute(dag, durations, powers, profile.p_blocking_w,
                    freqs=freq_plan, stage_blocking_w=profile.stage_blocking_w)
 
 
+def _clock_map(op_profile: OpProfile) -> Optional[Dict[int, Measurement]]:
+    """Clock -> the first measurement at that clock (what
+    :meth:`OpProfile.at_freq` finds); None for a constant-time op, whose
+    one measurement runs at any clock."""
+    if op_profile.fixed:
+        return None
+    by_clock: Dict[int, Measurement] = {}
+    for m in op_profile.measurements:
+        by_clock.setdefault(m.freq_mhz, m)
+    return by_clock
+
+
+def _plan_per_op(
+    dag: ComputationDag,
+    profile: PipelineProfile,
+    choose: Callable[[OpProfile], Measurement],
+) -> Dict[int, int]:
+    """Every computation at the clock ``choose`` picks for its op
+    (constant-time ops at their one measurement), chosen once per op."""
+    clock_of: Dict[OpKey, int] = {}
+    plan: Dict[int, int] = {}
+    for n, op in dag.op_keys().items():
+        f = clock_of.get(op)
+        if f is None:
+            op_profile = profile.get(op)
+            chosen = (op_profile.measurements[0] if op_profile.fixed
+                      else choose(op_profile))
+            f = clock_of[op] = chosen.freq_mhz
+        plan[n] = f
+    return plan
+
+
 def max_frequency_plan(dag: ComputationDag, profile: PipelineProfile) -> Dict[int, int]:
     """The default mode of operation: every computation at the max clock."""
-    plan: Dict[int, int] = {}
-    for n in dag.nodes:
-        op_profile = profile.get(dag.nodes[n].op_key)
-        if op_profile.fixed:
-            plan[n] = op_profile.measurements[0].freq_mhz
-        else:
-            plan[n] = op_profile.fastest.freq_mhz
-    return plan
+    return _plan_per_op(dag, profile, lambda p: p.fastest)
 
 
 def min_energy_plan(dag: ComputationDag, profile: PipelineProfile) -> Dict[int, int]:
     """Every computation at its minimum-energy clock (§2.4's upper bound)."""
-    plan: Dict[int, int] = {}
-    for n in dag.nodes:
-        op_profile = profile.get(dag.nodes[n].op_key)
-        if op_profile.fixed:
-            plan[n] = op_profile.measurements[0].freq_mhz
-        else:
-            plan[n] = op_profile.min_energy.freq_mhz
-    return plan
+    return _plan_per_op(dag, profile, lambda p: p.min_energy)

@@ -8,7 +8,10 @@
   per-call bounded min-cut (what ``FlowArena`` replaces);
 * :mod:`.oracle` -- the dict Algorithm-2 step, the seed crawl and
   :func:`~.oracle.seed_oracle`, which swaps them into
-  :func:`~repro.core.frontier.characterize_frontier`.
+  :func:`~repro.core.frontier.characterize_frontier`;
+* :mod:`.sim` -- the two-pass dict simulator (a fresh Kahn order per
+  longest-path pass, a profile scan per node) that
+  :mod:`repro.sim.executor` replaces.
 
 Importable as ``reference`` with ``tests/`` on ``sys.path`` (pytest puts
 it there; ``benchmarks/bench_optimizer_hotpath.py`` adds it).

@@ -371,6 +371,64 @@ class TestPlanStage:
         assert calls == {name: 2 * count for name, count in cold.items()}
         assert report.provenance["stages"]["plan"]["source"] == "built"
 
+    def test_straggler_blind_run_is_repriced_at_each_target(self):
+        """A strategy that never reads ``target_time`` runs and simulates
+        once across every ``T'``; one that reads it runs per ``T'``.
+        Either way each report equals a fresh planner's, bit for bit."""
+        import repro.api.planner as planner_module
+        from repro.sim.executor import max_frequency_plan, min_energy_plan
+
+        runs = {"test-blind": 0, "test-aware": 0}
+
+        def blind(ctx):
+            runs["test-blind"] += 1
+            return max_frequency_plan(ctx.dag, ctx.profile)
+
+        def aware(ctx):
+            runs["test-aware"] += 1
+            pick = max_frequency_plan if ctx.target_time is None \
+                else min_energy_plan
+            return pick(ctx.dag, ctx.profile)
+
+        simulate = planner_module.execute_frequency_plan
+        simulations = []
+
+        def counted_simulate(*args, **kwargs):
+            simulations.append(1)
+            return simulate(*args, **kwargs)
+
+        planner = Planner()
+        t_max = planner.baseline_execution(SMALL).iteration_time
+        targets = (None, 1.1 * t_max, 1.4 * t_max)
+        try:
+            register_strategy("test-blind")(blind)
+            register_strategy("test-aware")(aware)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(planner_module, "execute_frequency_plan",
+                           counted_simulate)
+                reports = {
+                    (name, t): planner.plan(SMALL.replace(strategy=name),
+                                            straggler_time=t)
+                    for name in runs for t in targets}
+            assert runs == {"test-blind": 1, "test-aware": 3}
+            assert len(simulations) == 4
+            for (name, t), report in reports.items():
+                fresh = Planner().plan(SMALL.replace(strategy=name),
+                                       straggler_time=t)
+                assert report.plan == fresh.plan
+                assert [report.energy_j.hex(),
+                        report.baseline_energy_j.hex(),
+                        report.iteration_time_s.hex()] == [
+                    fresh.energy_j.hex(), fresh.baseline_energy_j.hex(),
+                    fresh.iteration_time_s.hex()]
+        finally:
+            _REGISTRY.pop("test-blind", None)
+            _REGISTRY.pop("test-aware", None)
+        blind_reports = [reports["test-blind", t] for t in targets]
+        assert len({r.energy_j for r in blind_reports}) == 3
+        assert all(r.execution is blind_reports[0].execution
+                   for r in blind_reports)
+
 
 def _eq3_from_records(execution, t_prime):
     """Eq. 3 up to ``max(T, T')``, summed straight from the records:

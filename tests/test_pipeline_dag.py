@@ -139,6 +139,46 @@ class TestHelpers:
         with pytest.raises(GraphError):
             dag.topological_order()
 
+    def test_edge_after_seal_invalidates_the_walk(self):
+        dag = ComputationDag()
+        a, b, c, d = (dag.add_node(Instruction(s, 0, k))
+                      for s in (0, 1) for k in (InstrKind.FORWARD,
+                                                InstrKind.BACKWARD))
+        dag.add_edge(a, b)
+        dag.add_edge(c, d)
+        dag.seal()
+        durations = {n: 1.0 for n in dag.nodes}
+        assert dag.iteration_time(durations) == 2.0
+        assert dag.topological_order().index(a) < \
+            dag.topological_order().index(d)
+        dag.add_edge(d, a)  # the two chains become one
+        order = dag.topological_order()
+        assert order.index(d) < order.index(a)
+        assert dag.iteration_time(durations) == 4.0
+        assert dag.earliest_start_times(durations)[b] == 3.0
+
+    def test_node_after_seal_invalidates_the_walk(self, dag_2x3):
+        durations = {n: 1.0 for n in dag_2x3.nodes}
+        before = dag_2x3.iteration_time(durations)
+        node = dag_2x3.add_node(Instruction(1, 0, InstrKind.CONST, "x"))
+        dag_2x3.add_edge(SOURCE, node)
+        dag_2x3.add_edge(node, SINK)
+        assert node in dag_2x3.topological_order()
+        assert dag_2x3.op_keys()[node] == (1, "const", "x")
+        assert dag_2x3.iteration_time({**durations, node: 100.0}) == 100.0
+        assert dag_2x3.iteration_time(durations) == before
+
+    def test_cycle_added_after_seal_raises(self, dag_2x3):
+        durations = {n: 1.0 for n in dag_2x3.nodes}
+        dag_2x3.iteration_time(durations)  # the walk is cached
+        f0 = find(dag_2x3, 0, 0, InstrKind.FORWARD)
+        b0 = find(dag_2x3, 0, 0, InstrKind.BACKWARD)
+        dag_2x3.add_edge(b0, f0)
+        with pytest.raises(GraphError):
+            dag_2x3.topological_order()
+        with pytest.raises(GraphError):
+            dag_2x3.iteration_time(durations)
+
     def test_self_loop_rejected(self):
         dag = ComputationDag()
         a = dag.add_node(Instruction(0, 0, InstrKind.FORWARD))

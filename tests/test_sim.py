@@ -89,6 +89,13 @@ class TestExecute:
         execution = execute(dag, durations, powers, p_blocking_w=80.0)
         assert execution.blocking_energy() >= 0
 
+    def test_repr_prints_each_record_once(self, dag):
+        durations, powers = uniform(dag)
+        execution = execute(dag, durations, powers, p_blocking_w=50.0)
+        assert repr(execution).count("NodeExecution(") == len(dag.nodes)
+        other = execute(dag, durations, powers, p_blocking_w=50.0)
+        assert other == execution
+
     def test_missing_node_rejected(self, dag):
         with pytest.raises(SimulationError):
             execute(dag, {0: 1.0}, {0: 100.0}, p_blocking_w=50.0)
