@@ -21,7 +21,9 @@ scenarios the replica layer exists for:
   bit-identical.  ``recovery_s`` is the kill-to-answer time.
 
 Results land in ``benchmarks/BENCH_replicas.json``.  ``--quick``
-shrinks K/U for CI and ``--ceiling-s`` enforces a wall-clock ceiling.
+shrinks K/U for CI, runs both cold herds in three interleaved rounds
+and bounds the fleet's median p95 at 1.5x the single daemon's;
+``--ceiling-s`` enforces a wall-clock ceiling.
 
 Run directly::
 
@@ -36,6 +38,7 @@ import json
 import os
 import re
 import shutil
+import statistics
 import sys
 import tempfile
 import threading
@@ -48,6 +51,9 @@ if __name__ == "__main__":  # runnable without installing the package
 _BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 RESULT_PATH = os.path.join(_BENCH_DIR, "BENCH_replicas.json")
 QUICK_RESULT_PATH = os.path.join(_BENCH_DIR, "BENCH_replicas.quick.json")
+
+#: Interleaved rounds of both cold herds in quick mode.
+QUICK_ROUNDS = 3
 
 _WORK_RE = re.compile(
     r'^repro_planner_work_total\{stage="(\w+)"\} (\d+)$', re.MULTILINE)
@@ -231,18 +237,24 @@ def run(quick: bool = False) -> dict:
     started = time.perf_counter()
     replicas = 2
     workdir = tempfile.mkdtemp(prefix="bench-replicas-")
+    # One cold-herd p95 over quick mode's 8 requests swings by more than
+    # the overhead bound from run to run, so quick mode repeats each
+    # side in interleaved rounds (alternating which side goes first) and
+    # the bound compares medians.
+    rounds = QUICK_ROUNDS if quick else 1
+    herds = {1: [], replicas: []}
     try:
-        single = _bench_cold_herd(quick, 1, workdir)
-        print(f"cold-herd  : 1 replica, {single['clients']} clients over "
-              f"{single['unique_specs']} specs -> "
-              f"{single['profile_runs_fleet_wide']} profiles, "
-              f"p95={single['cold_latency']['p95_s']}s", flush=True)
-        fleet = _bench_cold_herd(quick, replicas, workdir)
-        print(f"cold-herd  : {replicas} replicas, {fleet['clients']} clients "
-              f"over {fleet['unique_specs']} specs -> "
-              f"{fleet['profile_runs_fleet_wide']} profiles fleet-wide, "
-              f"p95={fleet['cold_latency']['p95_s']}s "
-              f"(roles {fleet['store_roles']})", flush=True)
+        for r in range(rounds):
+            order = [1, replicas] if r % 2 == 0 else [replicas, 1]
+            for count in order:
+                herd = _bench_cold_herd(
+                    quick, count, os.path.join(workdir, f"round-{r}"))
+                herds[count].append(herd)
+                print(f"cold-herd  : {count} replica(s), {herd['clients']} "
+                      f"clients over {herd['unique_specs']} specs -> "
+                      f"{herd['profile_runs_fleet_wide']} profiles "
+                      f"fleet-wide, p95={herd['cold_latency']['p95_s']}s "
+                      f"(roles {herd['store_roles']})", flush=True)
         kill = _bench_leader_kill(quick, workdir)
         print(f"leader-kill: recovered in {kill['recovery_s']}s via "
               f"{kill['takeovers']} takeover(s), "
@@ -250,18 +262,23 @@ def run(quick: bool = False) -> dict:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
+    p95_runs = {side: [h["cold_latency"]["p95_s"] for h in herds[count]]
+                for side, count in (("single", 1), ("fleet", replicas))}
     doc = {
         "benchmark": "replica-fleet",
         "mode": "quick" if quick else "full",
         "cores": os.cpu_count() or 1,
-        "single_daemon": single,
-        "replica_fleet": fleet,
+        "single_daemon": herds[1][0],
+        "replica_fleet": herds[replicas][0],
         "leader_kill": kill,
+        "cold_p95_runs_s": p95_runs,
         "p95_speedup": round(
-            single["cold_latency"]["p95_s"]
-            / max(fleet["cold_latency"]["p95_s"], 1e-9), 3),
+            statistics.median(p95_runs["single"])
+            / max(statistics.median(p95_runs["fleet"]), 1e-9), 3),
         "wall_s": round(time.perf_counter() - started, 2),
     }
+    for single, fleet in zip(herds[1], herds[replicas]):
+        _check_herds(single, fleet)
     _check_acceptance(doc)
     path = QUICK_RESULT_PATH if quick else RESULT_PATH
     with open(path, "w", encoding="utf-8") as fp:
@@ -271,10 +288,8 @@ def run(quick: bool = False) -> dict:
     return doc
 
 
-def _check_acceptance(doc: dict) -> None:
-    """The issue's acceptance bar, enforced on every run."""
-    fleet = doc["replica_fleet"]
-    single = doc["single_daemon"]
+def _check_herds(single: dict, fleet: dict) -> None:
+    """What every round of cold herds must show, whatever its timing."""
     if fleet["profile_runs_fleet_wide"] != fleet["unique_specs"]:
         raise AssertionError(
             f"{fleet['clients']} cold requests over "
@@ -291,26 +306,34 @@ def _check_acceptance(doc: dict) -> None:
     if not (fleet["bit_identical"] and single["bit_identical"]):
         raise AssertionError("fleet reports are not bit-identical to "
                              "in-process planning")
+
+
+def _check_acceptance(doc: dict) -> None:
+    """The timing and leader-kill bars, on the median cold p95s."""
     # The speedup clause needs hardware parallelism: two CPU-bound
     # daemon processes cannot beat one on a single-core host, where the
     # fleet's value is crash isolation (the leader-kill scenario).
     # There the bar is bounded coordination overhead instead.
-    fleet_p95 = fleet["cold_latency"]["p95_s"]
-    single_p95 = single["cold_latency"]["p95_s"]
+    runs = doc["cold_p95_runs_s"]
+    fleet_p95 = statistics.median(runs["fleet"])
+    single_p95 = statistics.median(runs["single"])
     # Quick mode is a smoke: its workload is too small for the
     # parallelism to dominate startup noise, so only the full run
     # enforces the strict speedup.
     if doc["cores"] >= 2 and doc["mode"] == "full":
         if fleet_p95 >= single_p95:
             raise AssertionError(
-                f"{fleet['replicas']} replicas did not beat one daemon "
-                f"on cold-herd p95: {fleet_p95}s vs {single_p95}s"
+                f"{doc['replica_fleet']['replicas']} replicas did not beat "
+                f"one daemon on cold-herd p95: {fleet_p95}s vs "
+                f"{single_p95}s"
             )
     elif fleet_p95 > single_p95 * 1.5:
+        branch = ("in quick mode" if doc["mode"] == "quick"
+                  else "on a single-core host")
         raise AssertionError(
-            f"cross-process coordination overhead out of bounds on a "
-            f"single-core host: fleet p95 {fleet_p95}s vs single "
-            f"{single_p95}s"
+            f"cross-process coordination overhead out of bounds {branch}: "
+            f"median fleet p95 {fleet_p95}s vs single {single_p95}s over "
+            f"{len(runs['fleet'])} round(s) {runs}"
         )
     kill = doc["leader_kill"]
     if not (kill["recovered"] and kill["bit_identical"]

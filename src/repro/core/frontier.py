@@ -28,8 +28,8 @@ from __future__ import annotations
 import time as _time
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence
 
 from ..exceptions import OptimizationError
 from ..graph.edgecentric import to_edge_centric
@@ -53,43 +53,56 @@ from .schedule import EnergySchedule, make_schedule
 DEFAULT_TAU = ms(1.0)
 
 
-@dataclass
 class Frontier:
     """The characterized time-energy frontier of one training pipeline.
 
     Points are sorted by increasing iteration time; the first point is the
     ``T_min`` schedule and the last the ``T*`` (minimum-energy) schedule.
+    ``points`` is a list (sorted here) or, from
+    :func:`~repro.core.serialization.frontier_from_dict`, a lazy sequence
+    of sorted points with a ``times`` column: a lookup then builds only
+    the point it returns, and :attr:`points` is built on first access.
     """
 
-    points: List[EnergySchedule]
-    tau: float
-    optimizer_runtime_s: float = 0.0
-    steps: int = 0
-    stats: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.points:
+    def __init__(self, points: Sequence[EnergySchedule], tau: float,
+                 optimizer_runtime_s: float = 0.0, steps: int = 0,
+                 stats: Optional[dict] = None) -> None:
+        if not len(points):
             raise OptimizationError("a frontier needs at least one point")
-        self.points.sort(key=lambda p: p.iteration_time)
-        self._times = [p.iteration_time for p in self.points]
+        if isinstance(points, list):
+            points.sort(key=lambda p: p.iteration_time)
+            self.points = points
+            self._times = [p.iteration_time for p in points]
+        else:
+            self._times = points.times
+        self._lookup = points
+        self.tau = tau
+        self.optimizer_runtime_s = optimizer_runtime_s
+        self.steps = steps
+        self.stats = {} if stats is None else stats
+
+    @cached_property
+    def points(self) -> List[EnergySchedule]:
+        # setdefault: racing first accesses all get the list stored first.
+        return vars(self).setdefault("points", list(self._lookup))
 
     @property
     def t_min(self) -> float:
         """Fastest achievable iteration time."""
-        return self.points[0].iteration_time
+        return self._times[0]
 
     @property
     def t_star(self) -> float:
         """Minimum-energy iteration time (``T*`` of §3.1)."""
-        return self.points[-1].iteration_time
+        return self._times[-1]
 
     @property
     def min_time_schedule(self) -> EnergySchedule:
-        return self.points[0]
+        return self._lookup[0]
 
     @property
     def min_energy_schedule(self) -> EnergySchedule:
-        return self.points[-1]
+        return self._lookup[-1]
 
     def index_for(self, target_time: Optional[float]) -> int:
         """Index of the slowest schedule whose iteration time <= the target.
@@ -106,7 +119,7 @@ class Frontier:
 
     def schedule_for(self, target_time: Optional[float]) -> EnergySchedule:
         """The schedule at :meth:`index_for` ``(target_time)``."""
-        return self.points[self.index_for(target_time)]
+        return self._lookup[self.index_for(target_time)]
 
     def as_series(self) -> List[tuple]:
         """(time, compute_energy) pairs for plotting (Figures 9, 12, 13)."""

@@ -40,6 +40,10 @@ class SerializationError(ReproError):
     """Payload is malformed or from an unsupported format version."""
 
 
+#: What reading a payload of the right kind but the wrong shape raises.
+_MALFORMED = (KeyError, TypeError, IndexError, ValueError, AttributeError)
+
+
 def _op_key_to_json(op) -> list:
     return list(op)
 
@@ -212,68 +216,113 @@ def frontier_to_dict(frontier: Frontier) -> dict:
     }
 
 
-def _points_from_columns(payload: dict) -> List[EnergySchedule]:
-    """Rebuild every point of a version-2 frontier payload."""
-    rows = payload["rows"]
-    times = payload["iteration_time"]
-    effective = payload["effective_energy"]
-    compute = payload["compute_energy"]
-    if not (len(rows) == len(times) == len(effective) == len(compute)):
-        raise SerializationError("frontier columns differ in length")
-    points = []
-    ids = durations = frequencies = None
-    regular = False
-    for k, row in enumerate(rows):
-        if isinstance(row, dict):
-            ids = [int(i) for i in row["ids"]]
-            values = [float(d) for d in row["durations"]]
-            clocks = [int(f) for f in row["frequencies"]]
-            frequency_ids = row.get("frequency_ids")
-            regular = frequency_ids is None
-            if regular:
-                frequency_ids = ids if clocks else []
-            else:
-                frequency_ids = [int(i) for i in frequency_ids]
-            durations = dict(zip(ids, values))
-            frequencies = dict(zip(frequency_ids, clocks))
-            if not (len(durations) == len(values) == len(ids)
-                    and len(frequencies) == len(clocks)
-                    == len(frequency_ids)):
-                raise SerializationError("malformed frontier row")
-        elif not regular:
-            raise SerializationError("delta row without a full row before it")
-        else:
+class _StoredPoints:
+    """The points of a version-2 frontier payload, decoded lazily.
+
+    Construction checks the whole payload but builds no schedule.
+    ``self[k]`` replays the delta rows up to ``k`` into one copy of the
+    full row before them (lookups share no state, so threads may make
+    them concurrently); iterating replays every row once.
+    """
+
+    def __init__(self, payload: dict) -> None:
+        rows = payload["rows"]
+        self.times = list(map(float, payload["iteration_time"]))
+        self._effective = list(map(float, payload["effective_energy"]))
+        self._compute = list(map(float, payload["compute_energy"]))
+        if not (len(rows) == len(self.times) == len(self._effective)
+                == len(self._compute)):
+            raise SerializationError("frontier columns differ in length")
+        if not all(map(float.__le__, self.times, self.times[1:])):
+            raise SerializationError("frontier iteration times are unsorted")
+        # Full rows as (durations, frequencies) dicts, delta rows as
+        # (keys, durations, clocks or None) lists.
+        self._rows = []
+        self._bases = []  # the full row each point replays from
+        ids = None
+        for k, row in enumerate(rows):
+            if isinstance(row, dict):
+                ids = list(map(int, row["ids"]))
+                values = list(map(float, row["durations"]))
+                clocks = list(map(int, row["frequencies"]))
+                frequency_ids = row.get("frequency_ids")
+                if frequency_ids is None:
+                    frequency_ids = ids if clocks else []
+                else:
+                    frequency_ids = list(map(int, frequency_ids))
+                durations = dict(zip(ids, values))
+                frequencies = dict(zip(frequency_ids, clocks))
+                if not (len(durations) == len(values) == len(ids)
+                        and len(frequencies) == len(clocks)
+                        == len(frequency_ids)):
+                    raise SerializationError("malformed frontier row")
+                if "frequency_ids" in row:
+                    ids = None  # deltas need frequencies keyed like ids
+                self._rows.append((durations, frequencies))
+                self._bases.append(k)
+                continue
+            if ids is None:
+                raise SerializationError(
+                    "delta row without a full row before it")
+            index = row[0::3]
+            if len(row) % 3 or not set(map(type, index)) <= {int} or (
+                    index and (min(index) < 0 or max(index) >= len(ids))):
+                raise SerializationError(f"malformed frontier delta row {k}")
+            self._rows.append((list(map(ids.__getitem__, index)),
+                               list(map(float, row[1::3])),
+                               list(map(int, row[2::3])) if frequencies
+                               else None))
+            self._bases.append(self._bases[-1])
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def _replay(self, k: int, durations: dict, frequencies: dict) -> None:
+        keys, values, clocks = self._rows[k]
+        durations.update(zip(keys, values))
+        if clocks is not None:
+            frequencies.update(zip(keys, clocks))
+
+    def __getitem__(self, k: int) -> EnergySchedule:
+        k = range(len(self.times))[k]
+        base = self._bases[k]
+        durations, frequencies = (d.copy() for d in self._rows[base])
+        for j in range(base + 1, k + 1):
+            self._replay(j, durations, frequencies)
+        return EnergySchedule(durations, self.times[k], self._effective[k],
+                              self._compute[k], frequencies)
+
+    def __iter__(self):
+        for k, base in enumerate(self._bases):
+            if base == k:
+                durations, frequencies = self._rows[k]
             # Copies keep the key order; only changed entries are set.
-            durations = durations.copy()
-            frequencies = frequencies.copy()
-            n = len(ids)
-            for j in range(0, len(row), 3):
-                i = row[j]
-                if not (type(i) is int and 0 <= i < n):
-                    raise SerializationError(
-                        f"frontier delta index {i!r} out of range")
-                durations[ids[i]] = float(row[j + 1])
-                if frequencies:
-                    frequencies[ids[i]] = int(row[j + 2])
-        points.append(EnergySchedule(
-            durations=durations,
-            iteration_time=float(times[k]),
-            effective_energy=float(effective[k]),
-            compute_energy=float(compute[k]),
-            frequencies=frequencies,
-        ))
-    return points
+            durations, frequencies = durations.copy(), frequencies.copy()
+            if base != k:
+                self._replay(k, durations, frequencies)
+            yield EnergySchedule(durations, self.times[k], self._effective[k],
+                                 self._compute[k], frequencies)
 
 
 def frontier_from_dict(payload: dict) -> Frontier:
     """Inverse of :func:`frontier_to_dict`; also reads version 1 (a
-    ``points`` list of :func:`schedule_to_dict` rows)."""
+    ``points`` list of :func:`schedule_to_dict` rows).
+
+    A version-2 payload is checked whole here but decoded lazily: the
+    frontier builds only the points it is asked for (see
+    :class:`_StoredPoints`).
+    """
     _expect(payload, "frontier", versions=(1, FRONTIER_FORMAT_VERSION))
-    if payload["version"] == 1:
-        points = [schedule_from_dict(p) for p in payload["points"]]
-    else:
-        points = _points_from_columns(payload)
-    if not points:
+    try:
+        if payload["version"] == 1:
+            points = [schedule_from_dict(p) for p in payload["points"]]
+        else:
+            points = _StoredPoints(payload)
+    except _MALFORMED as exc:
+        raise SerializationError(
+            f"malformed frontier payload: {type(exc).__name__}: {exc}"
+        ) from exc
+    if not len(points):
         raise SerializationError("frontier payload has no points")
     return Frontier(
         points=points,
@@ -404,8 +453,7 @@ def payload_from_dict(payload: dict):
         )
     try:
         return reader(payload)
-    except (KeyError, TypeError, IndexError, ValueError,
-            AttributeError) as exc:
+    except _MALFORMED as exc:
         raise SerializationError(
             f"malformed {payload['kind']} payload: "
             f"{type(exc).__name__}: {exc}"

@@ -2,6 +2,9 @@
 
 import io
 import json
+import random
+import sys
+import threading
 
 import pytest
 
@@ -78,21 +81,23 @@ class TestFrontierRoundTrip:
             load_json(io.StringIO('{"kind": "mystery"}'))
 
 
-def frontier_bits(frontier):
-    """Everything a frontier carries, floats as ``float.hex`` and dict
-    items in order, so equality means bit- and order-identical."""
+def point_bits(p):
+    """A point's floats as ``float.hex`` and its dict items in order."""
     def items(mapping, fmt):
         return [(type(k), k, fmt(v)) for k, v in mapping.items()]
 
+    return (p.iteration_time.hex(), p.effective_energy.hex(),
+            p.compute_energy.hex(), items(p.durations, float.hex),
+            items(p.frequencies, lambda f: (type(f), f)))
+
+
+def frontier_bits(frontier):
+    """Everything a frontier carries, so equality means bit- and
+    order-identical."""
     return {
         "tau": frontier.tau.hex(),
         "steps": frontier.steps,
-        "points": [
-            (p.iteration_time.hex(), p.effective_energy.hex(),
-             p.compute_energy.hex(), items(p.durations, float.hex),
-             items(p.frequencies, lambda f: (type(f), f)))
-            for p in frontier.points
-        ],
+        "points": [point_bits(p) for p in frontier.points],
     }
 
 
@@ -181,6 +186,76 @@ class TestFrontierV2:
             frontier_bits(json_round_trip(frontier))
 
 
+class TestLazyDecode:
+    """A decoded frontier builds only the points it is asked for, and
+    each equals the eager crawl's point bit for bit."""
+
+    @pytest.fixture(scope="class", params=[
+        PlanSpec("bert-large", stages=2, microbatches=3, freq_stride=24),
+        PlanSpec("bert-large", stages=2, microbatches=3, freq_stride=24,
+                 exactness="fast"),
+        PlanSpec("gpt3-xl", stages=4, microbatches=8, freq_stride=4),
+    ], ids=["bert-exact", "bert-fast", "gpt3-xl-pp4"])
+    def crawled(self, request):
+        frontier = Planner().frontier_for(request.param)
+        return frontier, json.loads(json.dumps(frontier_to_dict(frontier)))
+
+    def test_every_index_in_random_order(self, crawled):
+        frontier, payload = crawled
+        expected = [point_bits(p) for p in frontier.points]
+        order = list(range(len(expected)))
+        random.Random(7).shuffle(order)
+        looked_up = frontier_from_dict(payload)
+        listed = frontier_from_dict(payload)
+        for k in order:
+            t = frontier.points[k].iteration_time
+            assert looked_up.index_for(t) == k
+            assert point_bits(looked_up.schedule_for(t)) == expected[k]
+            assert point_bits(listed.points[k]) == expected[k]
+        assert "points" not in vars(looked_up)
+        assert point_bits(looked_up.min_energy_schedule) == expected[-1]
+        assert (looked_up.t_min, looked_up.t_star) == \
+            (frontier.t_min, frontier.t_star)
+
+    def test_points_is_built_once(self, crawled):
+        restored = frontier_from_dict(crawled[1])
+        assert restored.points is restored.points
+        assert isinstance(restored.points, list)
+
+    def test_concurrent_lookups(self, crawled):
+        frontier, payload = crawled
+        restored = frontier_from_dict(payload)
+        lo, hi = frontier.t_min, frontier.t_star
+        failures, lists = [], []
+        start = threading.Barrier(8)
+
+        def look_up(seed):
+            rng = random.Random(seed)
+            start.wait()
+            for _ in range(40):
+                t = rng.uniform(lo - 0.01 * lo, hi + 0.01 * hi)
+                got = restored.schedule_for(t)
+                if point_bits(got) != point_bits(frontier.schedule_for(t)):
+                    failures.append(t)
+            lists.append(restored.points)
+
+        threads = [threading.Thread(target=look_up, args=(seed,))
+                   for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(lists) == 8
+        assert all(points is restored.points for points in lists)
+
+
 class TestMalformedPayloads:
     """Wrong-shape payloads end in SerializationError, never a traceback."""
 
@@ -238,15 +313,25 @@ class TestMalformedPayloads:
         lambda p: p["rows"].__setitem__(1, "oops"),
         lambda p: p.__setitem__("rows", []),
         lambda p: p.__setitem__("compute_energy", None),
+        # The T_min lookup never replays the last row: decoding must
+        # still reject it.
+        lambda p: p["rows"][-1].__setitem__(0, 10 ** 6),
+        lambda p: p["rows"][-1].__setitem__(1, "x"),
+        lambda p: p["rows"][-1].pop(),
+        lambda p: p["iteration_time"].reverse(),
     ], ids=["index-high", "index-negative", "index-float", "short-delta",
             "leading-delta", "short-column", "short-durations",
             "short-frequencies", "repeated-id", "string-row", "no-rows",
-            "null-column"])
+            "null-column", "last-index-high", "last-string-duration",
+            "last-short-delta", "unsorted-times"])
     def test_hostile_v2_frontiers(self, small_optimizer, corrupt):
         payload = json.loads(json.dumps(
             frontier_to_dict(small_optimizer.frontier)))
         assert isinstance(payload["rows"][1], list) and payload["rows"][1]
+        assert isinstance(payload["rows"][-1], list) and payload["rows"][-1]
         corrupt(payload)
+        with pytest.raises(SerializationError):
+            frontier_from_dict(payload)
         with pytest.raises(SerializationError):
             payload_from_dict(payload)
         with pytest.raises(SerializationError):

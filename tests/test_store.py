@@ -389,6 +389,27 @@ class TestPlanStore:
         planner.plan(spec)
         assert hashed == []
 
+    def test_warm_plan_builds_one_stored_point(self, tmp_path, monkeypatch):
+        import repro.core.serialization as serialization
+
+        spec = PlanSpec("gpt3-xl", stages=4, microbatches=8, freq_stride=4)
+        Planner(cache=tmp_path / "store").plan(spec)
+        built = []
+
+        class Counted(serialization.EnergySchedule):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.iteration_time)
+
+        monkeypatch.setattr(serialization, "EnergySchedule", Counted)
+        planner = Planner(cache=tmp_path / "store")
+        planner.plan(spec, straggler_time=None)
+        frontier = planner.frontier_for(spec)
+        assert planner.stats["frontier"] == 0
+        # The T_min point only, and no list of every point.
+        assert built == [frontier.t_min]
+        assert "points" not in vars(frontier)
+
     def test_cache_argument_forms(self, tmp_path):
         assert isinstance(Planner().cache, MemoryCache)
         assert isinstance(Planner(cache=str(tmp_path / "s")).cache, PlanStore)
@@ -511,8 +532,11 @@ class TestMalformedEntries:
 
     @pytest.mark.parametrize("corrupt", [
         lambda p: p["rows"][-1].__setitem__(0, 10 ** 6),
+        lambda p: p["rows"][-1].__setitem__(1, "x"),
+        lambda p: p["rows"][-1].pop(),
         lambda p: p["effective_energy"].append(1.0),
-    ], ids=["delta-index-out-of-range", "column-lengths-differ"])
+    ], ids=["delta-index-out-of-range", "delta-string-duration",
+            "short-last-delta", "column-lengths-differ"])
     def test_hostile_v2_frontier_is_a_miss(self, tmp_path, corrupt):
         def rewrite(payload):
             assert payload["version"] == 2 and payload["rows"][-1]
