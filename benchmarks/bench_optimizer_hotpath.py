@@ -10,9 +10,10 @@ the speedup.  With ``--exactness fast`` or ``both`` the
 ``exactness="fast"`` kernel (warm-started min-cuts and series-parallel
 contraction) is timed too, its every point
 validated against the exact crawl's tolerance contract, and a small
-enumeration-oracle instance reports the provable optimality gap of
-both modes.  Both modes cut single-path Critical DAGs in closed form;
-each row counts those cuts as ``chain_cuts``.  Results land in
+enumeration-oracle instance (``tests/reference/oracle_enum.py``)
+reports the provable optimality gap of both modes.  Both modes cut
+single-path Critical DAGs in closed form; each row counts those cuts
+as ``chain_cuts``.  Results land in
 ``benchmarks/BENCH_optimizer.json`` -- the repo's perf trajectory for
 the optimizer hot path.
 
@@ -93,11 +94,16 @@ def _frontier_fingerprint(frontier) -> list:
     ]
 
 
-def _seed_oracle():
-    """The seed oracle's context manager (``tests/reference/``)."""
+def _tests_on_path() -> None:
+    """Make ``tests/reference/`` (both oracles) importable as ``reference``."""
     tests_dir = os.path.join(REPO_ROOT, "tests")
     if tests_dir not in sys.path:
         sys.path.insert(0, tests_dir)
+
+
+def _seed_oracle():
+    """The seed oracle's context manager (``tests/reference/``)."""
+    _tests_on_path()
     from reference import seed_oracle
 
     return seed_oracle()
@@ -167,7 +173,9 @@ def _oracle_section(planner) -> dict:
     the continuous grid floor -- always zero unless something is wrong.
     """
     from repro.api import auto_tau
-    from repro.baselines.oracle import optimality_gap, oracle_bound
+
+    _tests_on_path()
+    from reference.oracle_enum import optimality_gap, oracle_bound
 
     stack = planner.build_stack(model="gpt3-xl", gpu="a100", stages=2,
                                 microbatches=1, freq_stride=8)

@@ -30,12 +30,7 @@ from .schedule import (
     realize_frequencies,
     schedule_energies,
 )
-from .unified import (
-    StragglerCase,
-    classify_straggler,
-    energy_optimal_iteration_time,
-    select_schedule,
-)
+from .unified import energy_optimal_iteration_time, select_schedule
 
 __all__ = [
     "DEFAULT_TAU",
@@ -49,7 +44,6 @@ __all__ = [
     "PlanStore",
     "SerializationError",
     "StoreError",
-    "StragglerCase",
     "frontier_from_dict",
     "frontier_to_dict",
     "load_json",
@@ -64,7 +58,6 @@ __all__ = [
     "build_cost_model",
     "build_cost_models",
     "characterize_frontier",
-    "classify_straggler",
     "energy_optimal_iteration_time",
     "make_schedule",
     "realize_frequencies",

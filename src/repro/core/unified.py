@@ -32,7 +32,6 @@ cannot disagree on which point a straggler gets or what it costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..exceptions import ConfigurationError, OptimizationError
@@ -73,29 +72,3 @@ def select_schedule(
     """
     t_opt = energy_optimal_iteration_time(frontier, straggler_time)
     return frontier.schedule_for(t_opt)
-
-
-@dataclass(frozen=True)
-class StragglerCase:
-    """Which Figure-3 regime a straggler falls into (for reporting)."""
-
-    t_prime: Optional[float]
-    t_min: float
-    t_star: float
-
-    @property
-    def name(self) -> str:
-        if self.t_prime is None or self.t_prime <= self.t_min:
-            return "no-straggler"  # Figure 3a
-        if self.t_prime <= self.t_star:
-            return "moderate-straggler"  # Figure 3b
-        return "extreme-straggler"  # Figure 3c
-
-
-def classify_straggler(
-    frontier: Frontier, straggler_time: Optional[float]
-) -> StragglerCase:
-    """Classify a straggler into the three cases of Figure 3."""
-    return StragglerCase(
-        t_prime=straggler_time, t_min=frontier.t_min, t_star=frontier.t_star
-    )

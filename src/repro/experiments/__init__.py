@@ -1,13 +1,7 @@
 """Experiment harness: workloads, end-to-end runner, report formatting."""
 
-from .export import (
-    export_frontier,
-    export_straggler_sweep,
-    export_timeline,
-    frontier_series,
-    write_series,
-)
-from .report import format_table, shape_check
+from .export import write_series
+from .report import format_table
 from .runner import (
     ExperimentSetup,
     IntrinsicRow,
@@ -43,14 +37,9 @@ __all__ = [
     "evaluate_intrinsic",
     "evaluate_realized_potential",
     "evaluate_straggler",
-    "export_frontier",
-    "export_straggler_sweep",
-    "export_timeline",
     "format_table",
-    "frontier_series",
     "full_fidelity",
     "get_workload",
     "prepare",
-    "shape_check",
     "write_series",
 ]

@@ -1,18 +1,15 @@
-"""CSV export of experiment series (for external plotting).
+"""CSV export of report rows (``repro sweep`` / ``repro fleet``).
 
-The benchmark harness prints tables; this module emits the same series as
-CSV so figures can be regenerated with any plotting stack (the repository
-itself stays matplotlib-free).
+The CLI prints tables; with ``--format csv`` (or ``-o`` without a
+format) it writes the same rows through :func:`write_series`, so they
+can be plotted with any stack (the repository itself stays
+matplotlib-free).
 """
 
 from __future__ import annotations
 
 import csv
-from typing import IO, Iterable, List, Sequence
-
-from ..core.frontier import Frontier
-from ..sim.executor import PipelineExecution
-from ..sim.timeline import extract_timeline
+from typing import IO, Iterable, Sequence
 
 
 def write_series(
@@ -26,51 +23,3 @@ def write_series(
         writer.writerow(list(row))
         count += 1
     return count
-
-
-def frontier_series(frontier: Frontier) -> List[Sequence[object]]:
-    """(iteration_time, compute_energy, effective_energy) per point."""
-    return [
-        (p.iteration_time, p.compute_energy, p.effective_energy)
-        for p in frontier.points
-    ]
-
-
-def export_frontier(fp: IO[str], frontier: Frontier, label: str = "perseus") -> int:
-    """Figure 9/12/13-style series: one row per frontier point."""
-    rows = [(label, t, ce, ee) for t, ce, ee in frontier_series(frontier)]
-    return write_series(
-        fp, ["method", "iteration_time_s", "compute_energy_j",
-             "effective_energy_j"], rows,
-    )
-
-
-def export_timeline(fp: IO[str], execution: PipelineExecution) -> int:
-    """Figure 1/10-style series: one row per timeline segment."""
-    rows = []
-    for stage_row in extract_timeline(execution):
-        for seg in stage_row.segments:
-            rows.append(
-                (stage_row.stage, seg.label, seg.kind, seg.start, seg.end,
-                 seg.power_w)
-            )
-    return write_series(
-        fp, ["stage", "label", "kind", "start_s", "end_s", "power_w"], rows
-    )
-
-
-def export_straggler_sweep(
-    fp: IO[str],
-    slowdowns: Sequence[float],
-    savings_by_method: dict,
-) -> int:
-    """Table 4 / Figure 8-style series: savings per method per slowdown."""
-    rows = []
-    for method, series in savings_by_method.items():
-        if len(series) != len(slowdowns):
-            raise ValueError(
-                f"{method}: {len(series)} values for {len(slowdowns)} slowdowns"
-            )
-        for s, v in zip(slowdowns, series):
-            rows.append((method, s, v))
-    return write_series(fp, ["method", "slowdown", "savings_pct"], rows)

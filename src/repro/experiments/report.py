@@ -37,17 +37,3 @@ def format_cell(cell: object) -> str:
     if isinstance(cell, float):
         return f"{cell:.1f}"
     return str(cell)
-
-
-def shape_check(label: str, ours: float, paper: float, rel_tol: float = 0.6) -> str:
-    """One-line shape comparison: ours vs paper with a loose band marker.
-
-    We do not expect absolute agreement (different substrate); the marker
-    flags order-of-magnitude / sign disagreements for EXPERIMENTS.md.
-    """
-    if paper == 0:
-        ok = abs(ours) < 1.0
-    else:
-        ok = abs(ours - paper) <= rel_tol * abs(paper) + 2.0
-    mark = "ok" if ok else "DIVERGES"
-    return f"{label}: ours={ours:.1f} paper={paper:.1f} [{mark}]"

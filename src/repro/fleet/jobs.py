@@ -173,21 +173,6 @@ class FleetTrace:
         except KeyError:
             raise ConfigurationError(f"unknown fleet job {job_id!r}") from None
 
-    def with_events(self, events) -> "FleetTrace":
-        """This trace with extra straggler notifications baked in.
-
-        Events are merged time-sorted (stable: existing events keep
-        their relative order at equal timestamps).  This is how a
-        :class:`~repro.drift.DriftScenario`'s
-        :meth:`~repro.drift.DriftScenario.to_events` rows become the
-        offline twin of driving the same scenario online through a
-        running simulator.
-        """
-        merged = sorted(
-            [*self.events, *events], key=lambda event: event.time_s
-        )
-        return FleetTrace(jobs=self.jobs, events=tuple(merged))
-
     def unique_specs(self) -> List[PlanSpec]:
         """The distinct specs to characterize, in first-seen order."""
         out: Dict[PlanSpec, None] = {}

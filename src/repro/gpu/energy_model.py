@@ -117,38 +117,3 @@ class ComputationEnergyModel:
         """(duration_s, energy_j) at a locked clock -- the profiler's view."""
         t = self.duration(work, freq_mhz)
         return t, self.power(work, freq_mhz) * t
-
-    def min_energy_frequency(self, work: WorkProfile) -> int:
-        """The clock minimizing raw energy for this computation.
-
-        This is typically *not* the lowest clock (paper footnote 4): below
-        some point, latency inflation outpaces power reduction.
-        """
-        best_freq = self.spec.max_freq
-        best_energy = float("inf")
-        for f in self.spec.freq:
-            e = self.energy(work, f)
-            if e < best_energy:
-                best_energy = e
-                best_freq = f
-        return best_freq
-
-    def min_effective_energy_frequency(
-        self, work: WorkProfile, blocking_w: Optional[float] = None
-    ) -> int:
-        """Clock minimizing *effective* energy ``e(f) - P_blocking * t(f)``.
-
-        Eq. 4 of the paper: slowing a computation also displaces time the
-        GPU would otherwise spend blocking at ``P_blocking``, so the planner
-        optimizes energy net of that baseline draw.
-        """
-        p_block = self.spec.blocking_w if blocking_w is None else blocking_w
-        best_freq = self.spec.max_freq
-        best = float("inf")
-        for f in self.spec.freq:
-            t, e = self.time_energy(work, f)
-            eff = e - p_block * t
-            if eff < best:
-                best = eff
-                best_freq = f
-        return best_freq

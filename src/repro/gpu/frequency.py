@@ -81,20 +81,6 @@ class FrequencyTable:
         """Clamp ``freq`` into the supported range (not snapped to a step)."""
         return max(self.min, min(self.max, freq))
 
-    def snap_down(self, freq: int) -> int:
-        """Largest supported frequency <= ``freq`` (clamped to min)."""
-        i = bisect.bisect_right(self.frequencies, freq)
-        if i == 0:
-            return self.frequencies[0]
-        return self.frequencies[i - 1]
-
-    def snap_up(self, freq: int) -> int:
-        """Smallest supported frequency >= ``freq`` (clamped to max)."""
-        i = bisect.bisect_left(self.frequencies, freq)
-        if i >= len(self.frequencies):
-            return self.frequencies[-1]
-        return self.frequencies[i]
-
     def descending(self) -> List[int]:
         """Frequencies from highest to lowest (profiling sweep order, §5)."""
         return list(reversed(self.frequencies))

@@ -23,7 +23,7 @@ flag check, so production planning pays (benchmarked) sub-percent
 overhead; see ``benchmarks/bench_obs.py`` and ``docs/observability.md``.
 """
 
-from .events import EventLog, iter_jsonl
+from .events import EventLog
 from .export import (
     fleet_timeline_to_chrome,
     format_trace,
@@ -31,7 +31,7 @@ from .export import (
     save_chrome_trace,
     spans_to_chrome,
 )
-from .provenance import ProvenanceBuilder, load_provenance, provenance_path
+from .provenance import ProvenanceBuilder, provenance_path
 from .trace import (
     Span,
     TraceRecorder,
@@ -60,9 +60,7 @@ __all__ = [
     "ensure_trace_id",
     "fleet_timeline_to_chrome",
     "format_trace",
-    "iter_jsonl",
     "load_chrome_trace",
-    "load_provenance",
     "new_trace_id",
     "provenance_path",
     "save_chrome_trace",

@@ -22,7 +22,7 @@ import json
 import threading
 import time
 from collections import deque
-from typing import IO, Iterable, List, Optional
+from typing import IO, List, Optional
 
 from .trace import current_trace_id
 
@@ -132,17 +132,3 @@ EVENTS = EventLog()
 def emit(kind: str, **fields) -> dict:
     """Emit on the process-wide :data:`EVENTS` log."""
     return EVENTS.emit(kind, **fields)
-
-
-def iter_jsonl(lines: Iterable[str]) -> Iterable[dict]:
-    """Parse a JSONL stream back to event dicts (bad lines skipped)."""
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(event, dict):
-            yield event

@@ -40,17 +40,6 @@ def provenance_path(root: str, digest: str) -> str:
     return os.path.join(root, "provenance", f"{digest}.json")
 
 
-def load_provenance(root: str, digest: str) -> Optional[dict]:
-    """Read a persisted provenance record, or ``None`` if absent/corrupt."""
-    path = provenance_path(root, digest)
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            record = json.load(fp)
-    except (OSError, ValueError):
-        return None
-    return record if isinstance(record, dict) else None
-
-
 class ProvenanceBuilder:
     """Accumulates one plan's provenance as its stages resolve.
 

@@ -1,19 +1,12 @@
 """Pipeline schedules and computation DAGs."""
 
-from .dag import (
-    SINK,
-    SOURCE,
-    ComputationDag,
-    build_pipeline_dag,
-    durations_from_op_times,
-)
+from .dag import SINK, SOURCE, ComputationDag, build_pipeline_dag
 from .instructions import InstrKind, Instruction
 from .schedules import (
     Schedule,
     schedule_1f1b,
     schedule_gpipe,
     schedule_interleaved_1f1b,
-    validate_schedule,
     with_data_loading,
 )
 
@@ -25,10 +18,8 @@ __all__ = [
     "Instruction",
     "Schedule",
     "build_pipeline_dag",
-    "durations_from_op_times",
     "schedule_1f1b",
     "schedule_gpipe",
     "schedule_interleaved_1f1b",
-    "validate_schedule",
     "with_data_loading",
 ]

@@ -234,14 +234,3 @@ def build_pipeline_dag(
 
     dag.seal()
     return dag
-
-
-def durations_from_op_times(
-    dag: ComputationDag, op_times: Dict[Tuple, float]
-) -> Dict[int, float]:
-    """Expand per-op-type times into per-node durations."""
-    op_keys = dag.op_keys()
-    missing = {op for op in op_keys.values() if op not in op_times}
-    if missing:
-        raise GraphError(f"missing op times for {sorted(missing)}")
-    return {i: op_times[op] for i, op in op_keys.items()}

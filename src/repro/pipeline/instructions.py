@@ -50,10 +50,3 @@ class Instruction:
         if self.kind is InstrKind.CONST:
             return (self.stage, self.kind.value, self.label)
         return (self.stage, self.kind.value)
-
-    def short_name(self) -> str:
-        """Compact display name, e.g. ``F5@S2`` as in Figure 1."""
-        if self.kind is InstrKind.CONST:
-            return f"C({self.label})@S{self.stage + 1}"
-        tag = "F" if self.kind is InstrKind.FORWARD else "B"
-        return f"{tag}{self.microbatch + 1}@S{self.stage + 1}"

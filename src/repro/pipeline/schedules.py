@@ -106,40 +106,3 @@ def with_data_loading(schedule: Schedule, label: str = "dataload") -> Schedule:
             stage0.append(instr)
         out.append(stage0)
     return out
-
-
-def validate_schedule(
-    schedule: Schedule, num_stages: int, num_microbatches: int
-) -> None:
-    """Check a schedule is complete and well-ordered.
-
-    Every stage must run forward and backward for every microbatch exactly
-    once, with each microbatch's backward after its forward.
-    """
-    if len(schedule) != num_stages:
-        raise ConfigurationError(
-            f"schedule has {len(schedule)} stages, expected {num_stages}"
-        )
-    for s, order in enumerate(schedule):
-        seen_fwd = set()
-        seen_bwd = set()
-        for instr in order:
-            if instr.stage != s:
-                raise ConfigurationError(
-                    f"instruction {instr} listed under stage {s}"
-                )
-            if instr.kind is InstrKind.FORWARD:
-                if instr.microbatch in seen_fwd:
-                    raise ConfigurationError(f"duplicate {instr}")
-                seen_fwd.add(instr.microbatch)
-            elif instr.kind is InstrKind.BACKWARD:
-                if instr.microbatch not in seen_fwd:
-                    raise ConfigurationError(
-                        f"{instr} scheduled before its forward"
-                    )
-                if instr.microbatch in seen_bwd:
-                    raise ConfigurationError(f"duplicate {instr}")
-                seen_bwd.add(instr.microbatch)
-        expected = set(range(num_microbatches))
-        if seen_fwd != expected or seen_bwd != expected:
-            raise ConfigurationError(f"stage {s} does not cover all microbatches")

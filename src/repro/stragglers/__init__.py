@@ -1,17 +1,5 @@
-"""Straggler models: thermal throttling, I/O stalls, mixed hardware."""
+"""Straggler models: thermal throttling and mixed hardware."""
 
-from .injection import (
-    HeterogeneousPipeline,
-    IOBottleneck,
-    SlowGPUType,
-    ThermalThrottle,
-    stepped_ramp,
-)
+from .injection import SlowGPUType, ThermalThrottle, stepped_ramp
 
-__all__ = [
-    "HeterogeneousPipeline",
-    "IOBottleneck",
-    "SlowGPUType",
-    "ThermalThrottle",
-    "stepped_ramp",
-]
+__all__ = ["SlowGPUType", "ThermalThrottle", "stepped_ramp"]

@@ -1,103 +1,57 @@
 """Straggler models (§2.3).
 
 The paper targets stragglers that are *known to and anticipated by* the
-training infrastructure: power/thermal throttling (10-50% slowdown),
-storage/network I/O bottlenecks (up to 4x GPU compute), and heterogeneous
-pipelines deployed by failure-resilient frameworks.  Each model here
-yields the anticipated slowdown degree the infrastructure would pass to
-``server.set_straggler`` and knows how to distort a pipeline's realized
-execution for simulation.
+training infrastructure.  Each model here yields the anticipated
+slowdown degree the infrastructure would pass to
+``server.set_straggler``:
+
+* :class:`ThermalThrottle` -- power/thermal capping; its ``degree`` is
+  the kernel slowdown, and :func:`stepped_ramp` spreads one thermal
+  event over equal throttle increments;
+* :class:`SlowGPUType` -- a pipeline with some stages on slower
+  silicon, planned natively and compared against its homogeneous
+  reference.
+
+These models carry degrees only.  The §6.3 emulation prices a
+throttled straggler pipeline's energy in
+:func:`repro.emulation.largescale.emulated_straggler_savings`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..exceptions import SimulationError
 
 
 @dataclass(frozen=True)
 class ThermalThrottle:
-    """Power/thermal capping: kernels stretch, board power drops.
+    """Power/thermal capping: kernels stretch by ``slowdown``.
 
     Literature reports 10-50% slowdowns [47, 61, 62, 67, 93].
     """
 
     slowdown: float  # >= 1.0
-    power_scale: float = 1.0  # energy per computation stays ~constant
 
     def __post_init__(self) -> None:
         if self.slowdown < 1.0:
             raise SimulationError("throttle slowdown must be >= 1.0")
-        if not 0.0 < self.power_scale <= 1.5:
-            raise SimulationError("implausible power scale")
 
     @property
     def degree(self) -> float:
         """Anticipated iteration-time slowdown (what the infra reports)."""
         return self.slowdown
 
-    def distort_durations(self, durations: Dict[int, float]) -> Dict[int, float]:
-        return {n: d * self.slowdown for n, d in durations.items()}
-
-    def distort_powers(self, powers: Dict[int, float]) -> Dict[int, float]:
-        return {n: p * self.power_scale / self.slowdown for n, p in powers.items()}
-
-
-@dataclass(frozen=True)
-class IOBottleneck:
-    """Persistent input-stall: each microbatch waits on storage/network.
-
-    Acts like a straggler pipeline whose iteration time is gated by data
-    arrival rather than compute [54, 83, 89]; compute kernels keep their
-    duration, but the iteration stretches by the stall factor.
-    """
-
-    stall_factor: float  # iteration time multiplier, >= 1.0
-
-    def __post_init__(self) -> None:
-        if self.stall_factor < 1.0:
-            raise SimulationError("stall factor must be >= 1.0")
-
-    @property
-    def degree(self) -> float:
-        return self.stall_factor
-
-    def stalled_iteration_time(self, base_iteration_time: float) -> float:
-        return base_iteration_time * self.stall_factor
-
-
-@dataclass(frozen=True)
-class HeterogeneousPipeline:
-    """Fault-tolerant frameworks deploy uneven pipelines [25, 37, 76].
-
-    A pipeline running on fewer or weaker devices is uniformly slower by
-    ``capacity_ratio`` (e.g., 7/8 of the GPUs -> ratio 8/7).
-    """
-
-    capacity_ratio: float  # >= 1.0
-
-    def __post_init__(self) -> None:
-        if self.capacity_ratio < 1.0:
-            raise SimulationError("capacity ratio must be >= 1.0")
-
-    @property
-    def degree(self) -> float:
-        return self.capacity_ratio
-
-    def distort_durations(self, durations: Dict[int, float]) -> Dict[int, float]:
-        return {n: d * self.capacity_ratio for n, d in durations.items()}
-
 
 @dataclass(frozen=True)
 class SlowGPUType:
     """A pipeline straggling because some stages run on slower silicon.
 
-    Unlike :class:`ThermalThrottle` / :class:`HeterogeneousPipeline` this
-    is *not* an injected distortion of a homogeneous execution: the mixed
-    pipeline is planned natively through a per-stage ``PlanSpec.gpu``
-    tuple (each slow stage profiled on its real ladder and power curve).
+    Unlike :class:`ThermalThrottle` this is *not* a slowdown applied to
+    a homogeneous pipeline: the mixed pipeline is planned natively
+    through a per-stage ``PlanSpec.gpu`` tuple (each slow stage profiled
+    on its real ladder and power curve).
     What this model contributes is the *anticipated degree* the
     infrastructure reports to ``server.set_straggler`` for the job's
     other, homogeneous pipelines: the ratio of the mixed pipeline's
@@ -159,9 +113,7 @@ class SlowGPUType:
         )
 
 
-def stepped_ramp(
-    peak: float, steps: int, power_scale: float = 1.0
-) -> Tuple[ThermalThrottle, ...]:
+def stepped_ramp(peak: float, steps: int) -> Tuple[ThermalThrottle, ...]:
     """A thermal event as ``steps`` equal throttle increments up to ``peak``.
 
     Real power/thermal capping tightens gradually as the part heats, not
@@ -176,9 +128,6 @@ def stepped_ramp(
     if peak < 1.0:
         raise SimulationError("ramp peak must be >= 1.0")
     return tuple(
-        ThermalThrottle(
-            slowdown=1.0 + (peak - 1.0) * i / steps,
-            power_scale=power_scale,
-        )
+        ThermalThrottle(slowdown=1.0 + (peak - 1.0) * i / steps)
         for i in range(1, steps + 1)
     )

@@ -8,51 +8,24 @@ The library uses a single set of base units everywhere:
 * frequency-- MHz (int), matching NVML's SM-clock granularity
 * work     -- FLOPs (float) and bytes (float)
 
-Helpers here convert to/from convenience units and provide tolerant float
-comparison used by scheduling code (planned durations are accumulated in
+:func:`ms` converts from milliseconds; :data:`TIME_EPS` is the tolerance
+for comparing planned times (planned durations are accumulated in
 ``tau`` steps, so exact equality is unreliable).
 """
 
 from __future__ import annotations
 
 MILLISECONDS = 1e-3
-MICROSECONDS = 1e-6
-KILOJOULES = 1e3
-GIGA = 1e9
-TERA = 1e12
 
 #: Default absolute tolerance for comparing planned times (seconds). One
 #: tenth of the default ``tau`` (1 ms) is far below any real scheduling
 #: granularity while being far above float64 noise.
 TIME_EPS = 1e-7
 
-#: Default tolerance for comparing energies (joules).
-ENERGY_EPS = 1e-6
-
 
 def ms(value: float) -> float:
     """Convert milliseconds to seconds."""
     return value * MILLISECONDS
-
-
-def to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds / MILLISECONDS
-
-
-def approx_le(a: float, b: float, eps: float = TIME_EPS) -> bool:
-    """Return True if ``a`` <= ``b`` within ``eps``."""
-    return a <= b + eps
-
-
-def approx_ge(a: float, b: float, eps: float = TIME_EPS) -> bool:
-    """Return True if ``a`` >= ``b`` within ``eps``."""
-    return a + eps >= b
-
-
-def approx_eq(a: float, b: float, eps: float = TIME_EPS) -> bool:
-    """Return True if ``a`` == ``b`` within ``eps``."""
-    return abs(a - b) <= eps
 
 
 def clamp(value: float, low: float, high: float) -> float:

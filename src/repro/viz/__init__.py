@@ -1,5 +1,5 @@
 """Text visualizations: timeline rendering (Figure 1/10)."""
 
-from .timeline_ascii import power_summary, render_comparison, render_timeline
+from .timeline_ascii import render_comparison, render_timeline
 
-__all__ = ["power_summary", "render_comparison", "render_timeline"]
+__all__ = ["render_comparison", "render_timeline"]

@@ -68,17 +68,3 @@ def render_comparison(
             render_timeline(after, width=width),
         ]
     )
-
-
-def power_summary(execution: PipelineExecution) -> str:
-    """Per-stage busy fraction and mean power (textual Figure-1 legend)."""
-    rows = extract_timeline(execution)
-    lines = []
-    for row in rows:
-        busy = sum(s.duration for s in row.segments if s.kind != "blocking")
-        energy = sum(s.duration * s.power_w for s in row.segments)
-        lines.append(
-            f"S{row.stage + 1}: busy {100 * busy / execution.iteration_time:5.1f}% "
-            f"mean power {energy / execution.iteration_time:6.1f} W"
-        )
-    return "\n".join(lines)

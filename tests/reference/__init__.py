@@ -1,4 +1,4 @@
-"""The seed implementation, kept out of ``src/`` as the tests' oracle.
+"""Reference implementations, kept out of ``src/`` as the tests' oracles.
 
 * :mod:`.critical` -- dict-of-float event times and critical-edge
   extraction (what :class:`~repro.graph.compiled.CompiledDag` replaces);
@@ -9,12 +9,18 @@
 * :mod:`.oracle` -- the dict Algorithm-2 step, the seed crawl and
   :func:`~.oracle.seed_oracle`, which swaps them into
   :func:`~repro.core.frontier.characterize_frontier`;
+* :mod:`.oracle_enum` -- the enumeration oracle: every duration
+  assignment of a small DAG, turned into a provable lower bound on any
+  planner's energy at each deadline (:func:`~.oracle_enum.oracle_bound`,
+  :func:`~.oracle_enum.optimality_gap`); of the crawl's code it
+  shares only the cost-model fit;
 * :mod:`.sim` -- the two-pass dict simulator (a fresh Kahn order per
   longest-path pass, a profile scan per node) that
   :mod:`repro.sim.executor` replaces.
 
 Importable as ``reference`` with ``tests/`` on ``sys.path`` (pytest puts
-it there; ``benchmarks/bench_optimizer_hotpath.py`` adds it).
+it there; ``benchmarks/bench_optimizer_hotpath.py`` adds it for the seed
+oracle and the enumeration oracle).
 """
 
 from .oracle import crawl_dict, get_next_schedule_dict, seed_oracle

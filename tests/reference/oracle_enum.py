@@ -40,11 +40,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import List, Optional, Tuple
 
-from ..core.costmodel import build_cost_models
-from ..exceptions import ConfigurationError, OptimizationError
-from ..pipeline.dag import SOURCE, ComputationDag
-from ..profiler.measurement import PipelineProfile
-from ..units import TIME_EPS
+from repro.core.costmodel import build_cost_models
+from repro.exceptions import ConfigurationError, OptimizationError
+from repro.pipeline.dag import SOURCE, ComputationDag
+from repro.profiler.measurement import PipelineProfile
+from repro.units import TIME_EPS
 
 #: Default per-computation grid resolution (``mode="grid"``).
 DEFAULT_GRID_POINTS = 6

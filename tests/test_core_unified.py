@@ -4,11 +4,7 @@ import pytest
 
 from repro.core.schedule import make_schedule, realize_frequencies
 from repro.core.costmodel import build_cost_models
-from repro.core.unified import (
-    classify_straggler,
-    energy_optimal_iteration_time,
-    select_schedule,
-)
+from repro.core.unified import energy_optimal_iteration_time, select_schedule
 from repro.exceptions import OptimizationError, ScheduleError
 
 
@@ -55,18 +51,6 @@ class TestEquationTwo:
             sched = select_schedule(frontier, frontier.t_min * factor)
             assert sched.effective_energy <= prev + 1e-9
             prev = sched.effective_energy
-
-
-class TestClassification:
-    def test_three_cases(self, small_optimizer):
-        frontier = small_optimizer.frontier
-        assert classify_straggler(frontier, None).name == "no-straggler"
-        mid = (frontier.t_min + frontier.t_star) / 2
-        assert classify_straggler(frontier, mid).name == "moderate-straggler"
-        assert (
-            classify_straggler(frontier, frontier.t_star * 1.5).name
-            == "extreme-straggler"
-        )
 
 
 class TestScheduleArtifacts:

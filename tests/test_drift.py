@@ -671,12 +671,14 @@ class TestFleetOnlineInjection:
 
     def test_driver_matches_baked_events_bit_for_bit(self, trace):
         from repro.drift import ScenarioDriver
-        from repro.fleet import FleetSimulator
+        from repro.fleet import FleetSimulator, FleetTrace
 
         sc = thermal_ramp(peak=1.3, start_s=5.0, ramp_steps=1,
                           step_s=10.0, hold_s=20.0)
         job_id = trace.jobs[0].job_id
-        baked = trace.with_events(sc.to_events(job_id))
+        baked = FleetTrace(jobs=trace.jobs, events=tuple(sorted(
+            [*trace.events, *sc.to_events(job_id)],
+            key=lambda event: event.time_s)))
         offline = FleetSimulator(baked).run()
 
         driver = ScenarioDriver(job_id, sc)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.report import format_table, shape_check
+from repro.experiments.report import format_table
 from repro.experiments.runner import (
     evaluate_intrinsic,
     evaluate_realized_potential,
@@ -143,7 +143,3 @@ class TestReport:
         assert "gpt3" in out and "13.2" in out and "T3" in out
         lines = out.splitlines()
         assert len({len(l) for l in lines[1:]}) <= 2  # aligned
-
-    def test_shape_check_bands(self):
-        assert "[ok]" in shape_check("x", 12.0, 13.0)
-        assert "[DIVERGES]" in shape_check("x", 50.0, 5.0)

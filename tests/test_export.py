@@ -1,59 +1,20 @@
-"""CSV export helpers."""
+"""CSV export of report rows (``repro sweep``/``repro fleet --format csv``)."""
 
 import csv
 import io
 
-import pytest
-
-from repro.experiments.export import (
-    export_frontier,
-    export_straggler_sweep,
-    export_timeline,
-    frontier_series,
-)
-from repro.sim.executor import execute_frequency_plan, max_frequency_plan
+from repro.experiments.export import write_series
 
 
-def test_frontier_series_matches_points(small_optimizer):
-    series = frontier_series(small_optimizer.frontier)
-    assert len(series) == len(small_optimizer.frontier.points)
-    times = [t for t, _, _ in series]
-    assert times == sorted(times)
-
-
-def test_export_frontier_csv(small_optimizer):
+def test_write_series_csv(small_optimizer):
+    points = small_optimizer.frontier.points
     buf = io.StringIO()
-    n = export_frontier(buf, small_optimizer.frontier)
+    n = write_series(
+        buf, ["iteration_time_s", "effective_energy_j"],
+        ((p.iteration_time, p.effective_energy) for p in points),
+    )
     buf.seek(0)
     rows = list(csv.reader(buf))
-    assert rows[0] == ["method", "iteration_time_s", "compute_energy_j",
-                       "effective_energy_j"]
-    assert len(rows) == n + 1
-    assert all(r[0] == "perseus" for r in rows[1:])
-
-
-def test_export_timeline_covers_all_stages(small_dag, small_profile):
-    execution = execute_frequency_plan(
-        small_dag, max_frequency_plan(small_dag, small_profile), small_profile
-    )
-    buf = io.StringIO()
-    export_timeline(buf, execution)
-    buf.seek(0)
-    rows = list(csv.reader(buf))[1:]
-    stages = {int(r[0]) for r in rows}
-    assert stages == {0, 1, 2, 3}
-    # segments tile the horizon per stage
-    for s in stages:
-        segs = [(float(r[3]), float(r[4])) for r in rows if int(r[0]) == s]
-        for (a0, a1), (b0, b1) in zip(segs, segs[1:]):
-            assert b0 == pytest.approx(a1)
-
-
-def test_export_straggler_sweep_validates_lengths():
-    buf = io.StringIO()
-    n = export_straggler_sweep(
-        buf, [1.1, 1.2], {"Perseus": [10.0, 12.0], "EnvPipe": [8.0, 7.0]}
-    )
-    assert n == 4
-    with pytest.raises(ValueError):
-        export_straggler_sweep(io.StringIO(), [1.1], {"Perseus": [1.0, 2.0]})
+    assert rows[0] == ["iteration_time_s", "effective_energy_j"]
+    assert n == len(points) == len(rows) - 1
+    assert [float(r[0]) for r in rows[1:]] == [p.iteration_time for p in points]

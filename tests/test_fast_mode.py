@@ -24,7 +24,6 @@ from array import array
 import pytest
 
 from repro.api import Planner, PlanSpec
-from repro.baselines.oracle import OracleBound, optimality_gap, oracle_bound
 from repro.core import costmodel
 from repro.core.costmodel import build_cost_models
 from repro.core.frontier import characterize_frontier
@@ -43,6 +42,7 @@ from repro.profiler.online import profile_pipeline
 from repro.service import stack_flight_key
 from reference import fit as reference_fit, seed_oracle
 from reference.maxflow import BoundedEdge, max_flow_with_lower_bounds_reference
+from reference.oracle_enum import OracleBound, optimality_gap, oracle_bound
 
 NOISE = 0.05
 STEP_TARGET = 24

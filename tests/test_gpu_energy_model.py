@@ -92,14 +92,14 @@ class TestEnergyModel:
 
     def test_min_energy_frequency_is_interior(self, model, work):
         """Paper footnote 4: the min-energy clock is not the lowest."""
-        f = model.min_energy_frequency(work)
+        f = min(A100_PCIE.freq, key=lambda f: model.energy(work, f))
         assert A100_PCIE.min_freq < f < A100_PCIE.max_freq
 
     def test_calibration_against_figure_11(self, work):
         """Min-energy point near ~1.2x time / ~0.7-0.8x energy (A100)."""
         model = ComputationEnergyModel(A100_PCIE)
         t1, e1 = model.time_energy(work, A100_PCIE.max_freq)
-        f_star = model.min_energy_frequency(work)
+        f_star = min(A100_PCIE.freq, key=lambda f: model.energy(work, f))
         t_star, e_star = model.time_energy(work, f_star)
         assert 1.1 < t_star / t1 < 1.4
         assert 0.6 < e_star / e1 < 0.9
@@ -110,14 +110,19 @@ class TestEnergyModel:
         for spec in (A100_PCIE, A40):
             m = ComputationEnergyModel(spec)
             _, e1 = m.time_energy(work, spec.max_freq)
-            _, e_star = m.time_energy(work, m.min_energy_frequency(work))
+            e_star = min(m.energy(work, f) for f in spec.freq)
             ratios[spec.name] = e_star / e1
         assert ratios[A40.name] < ratios[A100_PCIE.name]
 
     def test_effective_min_slower_or_equal_raw_min(self, model, work):
-        """Subtracting P_blocking*t never favours a faster clock."""
-        raw = model.min_energy_frequency(work)
-        eff = model.min_effective_energy_frequency(work)
+        """Subtracting P_blocking*t never favours a faster clock (Eq. 4)."""
+
+        def effective(f):
+            t, e = model.time_energy(work, f)
+            return e - A100_PCIE.blocking_w * t
+
+        raw = min(A100_PCIE.freq, key=lambda f: model.energy(work, f))
+        eff = min(A100_PCIE.freq, key=effective)
         assert eff <= raw
 
     @given(st.integers(min_value=210, max_value=1410))

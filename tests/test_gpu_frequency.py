@@ -1,8 +1,6 @@
-"""Frequency-table semantics: ordering, snapping, subsampling."""
+"""Frequency-table semantics: ordering, lookup, subsampling."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.gpu.frequency import FrequencyTable
@@ -32,16 +30,6 @@ def test_deduplicates_and_sorts():
     assert list(table) == [100, 200, 300]
 
 
-def test_snap_down_and_up():
-    table = FrequencyTable((100, 200, 300))
-    assert table.snap_down(250) == 200
-    assert table.snap_down(50) == 100  # clamps at bottom
-    assert table.snap_up(250) == 300
-    assert table.snap_up(350) == 300  # clamps at top
-    assert table.snap_down(200) == 200
-    assert table.snap_up(200) == 200
-
-
 def test_descending_order():
     table = FrequencyTable.from_range(100, 130, 15)
     assert table.descending() == [130, 115, 100]
@@ -61,13 +49,3 @@ def test_subsample_keeps_endpoints():
     assert coarse.max == 1410
     assert len(coarse) < len(table)
     assert set(coarse).issubset(set(table))
-
-
-@given(st.sets(st.integers(min_value=1, max_value=3000), min_size=1, max_size=40))
-def test_snap_properties(freqs):
-    table = FrequencyTable(tuple(freqs))
-    for probe in list(freqs)[:5]:
-        assert table.snap_down(probe) <= probe or probe < table.min
-        assert table.snap_up(probe) >= probe or probe > table.max
-        assert table.snap_down(probe) in table
-        assert table.snap_up(probe) in table

@@ -6,7 +6,7 @@ import repro
 from repro.api import default_planner
 from repro.baselines import max_frequency_plan
 from repro.sim import execute_frequency_plan
-from repro.viz import power_summary, render_comparison, render_timeline
+from repro.viz import render_comparison, render_timeline
 
 
 @pytest.fixture(scope="module")
@@ -73,14 +73,6 @@ class TestVisualization:
         )
         out = render_comparison(base, opt, width=60)
         assert "% saved" in out
-
-    def test_power_summary(self, plan):
-        base = execute_frequency_plan(
-            plan.dag, max_frequency_plan(plan.dag, plan.profile), plan.profile
-        )
-        out = power_summary(base)
-        assert out.count("\n") == 3
-        assert "W" in out
 
 
 class TestCrossGPU:

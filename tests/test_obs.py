@@ -30,10 +30,9 @@ from repro.obs import (
     ensure_trace_id,
     fleet_timeline_to_chrome,
     format_trace,
-    iter_jsonl,
     load_chrome_trace,
-    load_provenance,
     new_trace_id,
+    provenance_path,
     save_chrome_trace,
     set_trace_id,
     span,
@@ -206,7 +205,7 @@ def test_event_log_jsonl_sink_round_trips(tmp_path):
     log.emit("flight", outcome="warm")
     log.close()
     lines = path.read_text(encoding="utf-8").splitlines()
-    parsed = list(iter_jsonl(lines + ["not json", ""]))
+    parsed = [json.loads(line) for line in lines]
     assert [e["kind"] for e in parsed] == ["plan", "flight"]
     assert parsed[0]["seq"] == 1
 
@@ -328,8 +327,8 @@ def test_plan_provenance_disk_hits_and_persisted_record(tmp_path):
     # The cold run persisted its record beside the store's artifacts,
     # first-writer-wins: it still says "built".
     digest = cold.provenance["digests"]["frontier"]
-    persisted = load_provenance(str(root), digest)
-    assert persisted is not None
+    with open(provenance_path(str(root), digest), encoding="utf-8") as fp:
+        persisted = json.load(fp)
     assert persisted["stages"]["frontier"]["source"] == "built"
     assert cold.provenance["provenance_path"].endswith(
         f"{digest}.json")
@@ -489,8 +488,8 @@ def test_daemon_jsonl_log_records_the_round_trip(tmp_path):
         client = ServiceClient(daemon.url, tenant="ci")
         client.ping()
         trace_id = client.last_trace_id
-    events = list(iter_jsonl(
-        path.read_text(encoding="utf-8").splitlines()))
+    events = [json.loads(line)
+              for line in path.read_text(encoding="utf-8").splitlines()]
     assert any(e.get("trace_id") == trace_id for e in events)
 
 

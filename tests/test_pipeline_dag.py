@@ -3,13 +3,7 @@
 import pytest
 
 from repro.exceptions import GraphError
-from repro.pipeline.dag import (
-    SINK,
-    SOURCE,
-    ComputationDag,
-    build_pipeline_dag,
-    durations_from_op_times,
-)
+from repro.pipeline.dag import SINK, SOURCE, ComputationDag, build_pipeline_dag
 from repro.pipeline.instructions import InstrKind, Instruction
 from repro.pipeline.schedules import schedule_1f1b, with_data_loading
 
@@ -117,16 +111,6 @@ class TestConstOps:
 
 
 class TestHelpers:
-    def test_durations_from_op_times(self, dag_2x3):
-        op_times = {(s, k): 1.0 + s for s in (0, 1) for k in ("forward", "backward")}
-        durations = durations_from_op_times(dag_2x3, op_times)
-        for node, ins in dag_2x3.nodes.items():
-            assert durations[node] == pytest.approx(1.0 + ins.stage)
-
-    def test_missing_op_time_raises(self, dag_2x3):
-        with pytest.raises(GraphError):
-            durations_from_op_times(dag_2x3, {(0, "forward"): 1.0})
-
     def test_stage_nodes(self, dag_2x3):
         assert len(dag_2x3.stage_nodes(0)) == 6
 

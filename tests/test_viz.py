@@ -5,12 +5,7 @@ import pytest
 from repro.pipeline.dag import build_pipeline_dag
 from repro.pipeline.schedules import schedule_1f1b
 from repro.sim.executor import execute
-from repro.viz.timeline_ascii import (
-    SHADES,
-    power_summary,
-    render_comparison,
-    render_timeline,
-)
+from repro.viz.timeline_ascii import SHADES, render_comparison, render_timeline
 
 
 @pytest.fixture(scope="module")
@@ -59,11 +54,3 @@ def test_render_comparison_reports_savings(execution):
     out = render_comparison(execution, execution, width=50)
     assert "(a)" in out and "(b)" in out
     assert "0.0% saved" in out
-
-
-def test_power_summary_lines(execution):
-    out = power_summary(execution)
-    lines = out.splitlines()
-    assert len(lines) == 3
-    for line in lines:
-        assert "busy" in line and "W" in line
