@@ -71,6 +71,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from typing import List, Optional
 
 import json
@@ -251,16 +252,71 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _read_input(path: str, what: str, load=json.load,
+                invalid: str = "{path} is not valid JSON: {exc}"):
+    """``load(fp)`` of an input file; an unreadable or malformed file
+    ends in a :class:`ReproError` naming it, never a traceback."""
+    try:
+        with open(path, encoding="utf-8") as fp:
+            return load(fp)
+    except OSError as exc:
+        raise ReproError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ReproError(invalid.format(path=path, exc=exc)) from exc
+
+
+def _planner(args) -> Planner:
+    """The planner a ``--cache-dir`` command plans through."""
+    return Planner(cache=args.cache_dir) if args.cache_dir \
+        else default_planner()
+
+
+def _store_root(args, needs: str) -> str:
+    """The plan-store root from ``--cache-dir`` or ``REPRO_CACHE_DIR``."""
+    from .api.planner import CACHE_DIR_ENV
+
+    root = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
+    if not root:
+        raise ReproError(
+            f"{needs}: pass --cache-dir or set {CACHE_DIR_ENV}")
+    return root
+
+
+def _human_stream(args):
+    """Where the table and counters go: stderr when stdout carries a
+    machine format (`repro sweep --format json | jq .`)."""
+    return sys.stderr if (args.format != "table" and not args.output) \
+        else sys.stdout
+
+
+def _write_report(args, payload, rows: List[dict]) -> None:
+    """Emit report ``rows`` as ``--format`` to ``--output`` or stdout.
+
+    JSON writes ``payload``; CSV writes one line per row.  Nothing is
+    written for the default table format without ``--output``.
+    """
+    if not args.output and args.format == "table":
+        return
+    # the printed table is not a file format; default exports to CSV
+    fmt = "csv" if args.format == "table" else args.format
+    with (open(args.output, "w", encoding="utf-8", newline="")
+          if args.output else nullcontext(sys.stdout)) as fp:
+        if fmt == "json":
+            json.dump(payload, fp, indent=2)
+            fp.write("\n")
+        else:
+            from .experiments.export import write_series
+
+            headers = list(rows[0].keys()) if rows else []
+            write_series(fp, headers, ([d[h] for h in headers] for d in rows))
+    if args.output:
+        print(f"report ({fmt}) saved to {args.output}")
+
+
 def _load_manifest(path: str) -> List[PlanSpec]:
     """Specs from a JSON manifest: a list of ``plan_spec`` payloads or
     an object with a ``specs`` list (a sweep's sidecar manifest)."""
-    try:
-        with open(path, encoding="utf-8") as fp:
-            payload = json.load(fp)
-    except OSError as exc:
-        raise ReproError(f"cannot read manifest {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ReproError(f"{path} is not valid JSON: {exc}") from exc
+    payload = _read_input(path, "manifest")
     if isinstance(payload, dict):
         payload = payload.get("specs")
     if not isinstance(payload, list) or not payload:
@@ -295,30 +351,13 @@ def _sweep_specs(args) -> List[PlanSpec]:
     return specs
 
 
-def _write_report(fp, rows, fmt: str) -> None:
-    dicts = [r.to_dict() for r in rows]
-    if fmt == "json":
-        json.dump(dicts, fp, indent=2)
-        fp.write("\n")
-    else:
-        from .experiments.export import write_series
-
-        headers = list(dicts[0].keys())
-        write_series(fp, headers, ([d[h] for h in headers] for d in dicts))
-
-
 def cmd_sweep(args) -> int:
     from .experiments.report import format_table
 
     specs = _sweep_specs(args)
-    planner = Planner(cache=args.cache_dir) if args.cache_dir \
-        else default_planner()
+    planner = _planner(args)
     rows = planner.sweep(specs, jobs=args.jobs, errors="report")
-    # A machine format on stdout must stay a clean, parseable stream
-    # (`repro sweep --format json | jq .`): route the human-facing
-    # table and counters to stderr in that case.
-    human = sys.stderr if (args.format != "table" and not args.output) \
-        else sys.stdout
+    human = _human_stream(args)
     table = [
         [
             r.spec.model,
@@ -352,14 +391,8 @@ def cmd_sweep(args) -> int:
     print("cache      : " + " ".join(
         f"{name}={counters[name]}" for name in sorted(counters)
     ), file=human)
-    if args.output:
-        # the printed table is not a file format; default exports to CSV
-        fmt = "csv" if args.format == "table" else args.format
-        with open(args.output, "w", encoding="utf-8", newline="") as fp:
-            _write_report(fp, rows, fmt)
-        print(f"report ({fmt}) saved to {args.output}")
-    elif args.format != "table":
-        _write_report(sys.stdout, rows, args.format)
+    dicts = [r.to_dict() for r in rows]
+    _write_report(args, dicts, dicts)
     return 3 if failed else 0
 
 
@@ -400,13 +433,7 @@ def _fleet_trace(args):
     from .fleet import FleetTrace, synthetic_trace
 
     if args.trace:
-        try:
-            with open(args.trace, encoding="utf-8") as fp:
-                return FleetTrace.from_json(fp)
-        except OSError as exc:
-            raise ReproError(f"cannot read trace {args.trace}: {exc}") from exc
-        except ValueError as exc:
-            raise ReproError(f"{args.trace} is not valid JSON: {exc}") from exc
+        return _read_input(args.trace, "trace", FleetTrace.from_json)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     gpus = [g.strip() for g in args.gpus.split(",") if g.strip()]
     if not models:
@@ -449,28 +476,15 @@ def cmd_fleet(args) -> int:
                      for job in trace.jobs]
     cap = args.cap_watts
     if args.cap_trace:
-        try:
-            with open(args.cap_trace, encoding="utf-8") as fp:
-                cap = StepTrace.from_json(fp)
-        except OSError as exc:
-            raise ReproError(
-                f"cannot read cap trace {args.cap_trace}: {exc}"
-            ) from exc
-        except ValueError as exc:
-            raise ReproError(
-                f"{args.cap_trace} is not valid JSON: {exc}"
-            ) from exc
-    planner = Planner(cache=args.cache_dir) if args.cache_dir \
-        else default_planner()
+        cap = _read_input(args.cap_trace, "cap trace", StepTrace.from_json)
     sim = FleetSimulator(
         trace, policy=args.policy, cap_w=cap, carbon=args.carbon,
-        planner=planner, plan_jobs=args.jobs, observers=observers,
+        planner=_planner(args), plan_jobs=args.jobs, observers=observers,
         record_timeline=bool(args.trace_out),
     )
     report = sim.run()
 
-    human = sys.stderr if (args.format != "table" and not args.output) \
-        else sys.stdout
+    human = _human_stream(args)
     rows = [
         [
             r.job_id,
@@ -525,27 +539,8 @@ def cmd_fleet(args) -> int:
         print(f"timeline saved to {args.trace_out} "
               f"({len(sim.timeline)} entries)", file=human)
 
-    if args.output or args.format != "table":
-        fmt = "csv" if args.format == "table" else args.format
-        if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="") as fp:
-                _write_fleet_report(fp, report, fmt)
-            print(f"report ({fmt}) saved to {args.output}")
-        else:
-            _write_fleet_report(sys.stdout, report, fmt)
+    _write_report(args, report.to_dict(), [r.to_dict() for r in report.jobs])
     return 0
-
-
-def _write_fleet_report(fp, report, fmt: str) -> None:
-    if fmt == "json":
-        json.dump(report.to_dict(), fp, indent=2)
-        fp.write("\n")
-    else:
-        from .experiments.export import write_series
-
-        dicts = [r.to_dict() for r in report.jobs]
-        headers = list(dicts[0].keys()) if dicts else []
-        write_series(fp, headers, ([d[h] for h in headers] for d in dicts))
 
 
 def cmd_policies(_args) -> int:
@@ -559,15 +554,9 @@ def cmd_policies(_args) -> int:
 
 
 def cmd_cache_gc(args) -> int:
-    from .api.planner import CACHE_DIR_ENV
     from .core.store import PlanStore, parse_size
 
-    root = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
-    if not root:
-        raise ReproError(
-            "cache gc needs a store: pass --cache-dir or set "
-            f"{CACHE_DIR_ENV}"
-        )
+    root = _store_root(args, "cache gc needs a store")
     store = PlanStore(root)
     before = store.disk_bytes()
     result = store.gc(parse_size(args.max_bytes))
@@ -583,15 +572,10 @@ def _serve_replicas(args) -> int:
     """``repro serve --replicas N``: N daemon processes, one store."""
     import time
 
-    from .api.planner import CACHE_DIR_ENV
     from .service import ReplicaSet
 
-    root = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
-    if not root:
-        raise ReproError(
-            "--replicas needs a shared plan store for cross-process "
-            f"single-flight: pass --cache-dir or set {CACHE_DIR_ENV}"
-        )
+    root = _store_root(args, "--replicas needs a shared plan store for "
+                             "cross-process single-flight")
     extra = ["--max-inflight", str(args.max_inflight),
              "--quota-burst", str(args.quota_burst)]
     if args.quota_rate is not None:
@@ -626,10 +610,8 @@ def cmd_serve(args) -> int:
 
     if args.replicas > 1:
         return _serve_replicas(args)
-    planner = Planner(cache=args.cache_dir) if args.cache_dir \
-        else default_planner()
     daemon = PlanningDaemon(
-        planner=planner,
+        planner=_planner(args),
         host=args.host,
         port=args.port,
         max_inflight=args.max_inflight,
@@ -694,12 +676,8 @@ def cmd_call(args) -> int:
 def cmd_trace_view(args) -> int:
     from .obs.export import format_trace, load_chrome_trace
 
-    try:
-        document = load_chrome_trace(args.file)
-    except OSError as exc:
-        raise ReproError(f"cannot read trace {args.file}: {exc}") from exc
-    except ValueError as exc:
-        raise ReproError(str(exc)) from exc
+    document = _read_input(args.file, "trace", load_chrome_trace,
+                           invalid="{exc}")
     print(format_trace(document, width=args.width))
     return 0
 

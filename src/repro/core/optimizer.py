@@ -14,7 +14,7 @@ from ..pipeline.dag import ComputationDag
 from ..profiler.measurement import PipelineProfile
 from .frontier import DEFAULT_TAU, Frontier, characterize_frontier
 from .schedule import EnergySchedule
-from .unified import energy_optimal_iteration_time, select_schedule
+from .unified import select_schedule
 
 
 @dataclass
@@ -75,11 +75,3 @@ class PerseusOptimizer:
     ) -> EnergySchedule:
         """Energy schedule for ``T_opt = min(T*, T')`` (Eq. 2)."""
         return select_schedule(self.frontier, straggler_time)
-
-    def t_opt(self, straggler_time: Optional[float]) -> float:
-        return energy_optimal_iteration_time(self.frontier, straggler_time)
-
-    @property
-    def runtime_s(self) -> float:
-        """Optimizer wall-clock runtime (§6.5 overhead metric)."""
-        return self.frontier.optimizer_runtime_s

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, List, Sequence, Union
+from typing import IO, List, Sequence
 
 from ..exceptions import ReproError
 from ..partition.algorithms import PartitionResult

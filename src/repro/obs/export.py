@@ -20,7 +20,7 @@ for when no browser is at hand.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import IO, Dict, Iterable, List, Sequence, Union
 
 from .trace import Span
 
@@ -28,16 +28,35 @@ from .trace import Span
 _US = 1_000_000.0
 
 
-def _tid_mapper():
-    """Map arbitrary thread/track names to small stable integer tids."""
+def _chrome_document(marks: Iterable[tuple]) -> dict:
+    """The trace document of ``(track, name, cat, ts_s, dur_s, args)`` marks.
+
+    The one place the trace-event shapes live: a mark with a duration
+    becomes an ``"X"`` (complete) event, one with ``dur_s=None`` an
+    ``"i"`` (instant) event; times turn into microseconds and ``None``
+    args are dropped.  Each track gets a small stable integer tid, in
+    first-seen order, named by a ``thread_name`` metadata event.
+    """
     tids: Dict[str, int] = {}
-
-    def tid_for(name: str) -> int:
-        if name not in tids:
-            tids[name] = len(tids) + 1
-        return tids[name]
-
-    return tids, tid_for
+    trace_events: List[dict] = []
+    for track, name, cat, ts_s, dur_s, args in marks:
+        event = {"name": name, "ph": "i" if dur_s is None else "X",
+                 "ts": ts_s * _US}
+        if dur_s is not None:
+            event["dur"] = max(dur_s, 0.0) * _US
+        event.update(pid=1, tid=tids.setdefault(track, len(tids) + 1),
+                     cat=cat)
+        if dur_s is None:
+            event["s"] = "t"
+        event["args"] = {k: v for k, v in args.items() if v is not None}
+        trace_events.append(event)
+    metadata = [
+        {"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
+         "args": {"name": name}}
+        for name, tid in tids.items()
+    ]
+    return {"traceEvents": metadata + trace_events,
+            "displayTimeUnit": "ms"}
 
 
 def spans_to_chrome(spans: Sequence[Span], events: Iterable[dict] = ()
@@ -47,47 +66,25 @@ def spans_to_chrome(spans: Sequence[Span], events: Iterable[dict] = ()
     Accepts :class:`~repro.obs.trace.Span` objects or their
     ``to_dict()`` form, so traces round-trip through JSON.
     """
-    trace_events: List[dict] = []
-    tids, tid_for = _tid_mapper()
-    for span_ in spans:
-        record = span_.to_dict() if isinstance(span_, Span) else dict(span_)
-        args = dict(record.get("attrs") or {})
-        args["trace_id"] = record.get("trace_id")
-        if record.get("span_id"):
-            args["span_id"] = record["span_id"]
-        if record.get("parent_id"):
-            args["parent_id"] = record["parent_id"]
-        trace_events.append({
-            "name": record["name"],
-            "ph": "X",
-            "ts": record["start_s"] * _US,
-            "dur": max(record.get("duration_s", 0.0), 0.0) * _US,
-            "pid": 1,
-            "tid": tid_for(record.get("thread") or "main"),
-            "cat": "span",
-            "args": {k: v for k, v in args.items() if v is not None},
-        })
-    for event in events:
-        event = dict(event)
-        ts = event.pop("ts", 0.0)
-        kind = event.pop("kind", "event")
-        trace_events.append({
-            "name": kind,
-            "ph": "i",
-            "ts": float(ts) * _US,
-            "pid": 1,
-            "tid": tid_for("events"),
-            "cat": "event",
-            "s": "t",
-            "args": {k: v for k, v in event.items() if v is not None},
-        })
-    metadata = [
-        {"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
-         "args": {"name": name}}
-        for name, tid in sorted(tids.items(), key=lambda kv: kv[1])
-    ]
-    return {"traceEvents": metadata + trace_events,
-            "displayTimeUnit": "ms"}
+    def marks():
+        for span_ in spans:
+            record = span_.to_dict() if isinstance(span_, Span) \
+                else dict(span_)
+            args = dict(record.get("attrs") or {})
+            args["trace_id"] = record.get("trace_id")
+            if record.get("span_id"):
+                args["span_id"] = record["span_id"]
+            if record.get("parent_id"):
+                args["parent_id"] = record["parent_id"]
+            yield (record.get("thread") or "main", record["name"], "span",
+                   record["start_s"], record.get("duration_s", 0.0), args)
+        for event in events:
+            event = dict(event)
+            ts = float(event.pop("ts", 0.0))
+            yield ("events", event.pop("kind", "event"), "event", ts, None,
+                   event)
+
+    return _chrome_document(marks())
 
 
 def fleet_timeline_to_chrome(timeline: Sequence[dict]) -> dict:
@@ -99,44 +96,21 @@ def fleet_timeline_to_chrome(timeline: Sequence[dict]) -> dict:
     (re-plans, cap changes, drift wakes, straggler onsets) becomes an
     ``"i"`` instant on a shared control track.
     """
-    trace_events: List[dict] = []
-    tids, tid_for = _tid_mapper()
-    for entry in timeline:
-        entry = dict(entry)
-        kind = entry.pop("kind", "event")
-        if kind == "job":
-            start_s = float(entry.pop("start_s", 0.0))
-            end_s = float(entry.pop("end_s", start_s))
-            job = str(entry.pop("job", "job"))
-            trace_events.append({
-                "name": job,
-                "ph": "X",
-                "ts": start_s * _US,
-                "dur": max(end_s - start_s, 0.0) * _US,
-                "pid": 1,
-                "tid": tid_for(f"job:{job}"),
-                "cat": "job",
-                "args": {k: v for k, v in entry.items() if v is not None},
-            })
-        else:
-            ts = float(entry.pop("t_s", entry.pop("ts", 0.0)))
-            trace_events.append({
-                "name": kind,
-                "ph": "i",
-                "ts": ts * _US,
-                "pid": 1,
-                "tid": tid_for("fleet"),
-                "cat": "fleet",
-                "s": "t",
-                "args": {k: v for k, v in entry.items() if v is not None},
-            })
-    metadata = [
-        {"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
-         "args": {"name": name}}
-        for name, tid in sorted(tids.items(), key=lambda kv: kv[1])
-    ]
-    return {"traceEvents": metadata + trace_events,
-            "displayTimeUnit": "ms"}
+    def marks():
+        for entry in timeline:
+            entry = dict(entry)
+            kind = entry.pop("kind", "event")
+            if kind == "job":
+                start_s = float(entry.pop("start_s", 0.0))
+                end_s = float(entry.pop("end_s", start_s))
+                job = str(entry.pop("job", "job"))
+                yield (f"job:{job}", job, "job", start_s, end_s - start_s,
+                       entry)
+            else:
+                ts = float(entry.pop("t_s", entry.pop("ts", 0.0)))
+                yield ("fleet", kind, "fleet", ts, None, entry)
+
+    return _chrome_document(marks())
 
 
 def save_chrome_trace(path: str, spans: Sequence[Span],
@@ -149,14 +123,18 @@ def save_chrome_trace(path: str, spans: Sequence[Span],
     return document
 
 
-def load_chrome_trace(path: str) -> dict:
-    """Read a Chrome trace document written by this module (or anyone)."""
-    with open(path, "r", encoding="utf-8") as fp:
-        document = json.load(fp)
+def load_chrome_trace(source: Union[str, IO[str]]) -> dict:
+    """Read a Chrome trace document written by this module (or anyone)
+    from a path or an open text file."""
+    if isinstance(source, str):
+        with open(source, "r", encoding="utf-8") as fp:
+            return load_chrome_trace(fp)
+    document = json.load(source)
     if isinstance(document, list):  # array form is also legal
         document = {"traceEvents": document}
     if not isinstance(document, dict) or "traceEvents" not in document:
-        raise ValueError(f"{path}: not a Chrome trace-event document")
+        raise ValueError(f"{getattr(source, 'name', 'input')}: not a "
+                         f"Chrome trace-event document")
     return document
 
 

@@ -26,7 +26,6 @@ Stage ``source`` values:
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from typing import Dict, Optional

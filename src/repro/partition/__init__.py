@@ -3,7 +3,6 @@
 from .algorithms import (
     PartitionResult,
     min_imbalance_partition,
-    min_imbalance_partition_hetero,
     partition_model,
     partition_model_uniform,
     uniform_partition,
@@ -11,7 +10,6 @@ from .algorithms import (
 from .imbalance import (
     imbalance_ratio,
     stage_latencies,
-    stage_latencies_hetero,
     validate_partition,
 )
 
@@ -19,11 +17,9 @@ __all__ = [
     "PartitionResult",
     "imbalance_ratio",
     "min_imbalance_partition",
-    "min_imbalance_partition_hetero",
     "partition_model",
     "partition_model_uniform",
     "stage_latencies",
-    "stage_latencies_hetero",
     "uniform_partition",
     "validate_partition",
 ]

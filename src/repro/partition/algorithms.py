@@ -20,13 +20,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..exceptions import PartitionError
-from ..gpu.specs import GPULike, GPUSpec, is_homogeneous, resolve_gpus
+from ..gpu.specs import GPULike, resolve_gpus
 from ..models.layers import ModelSpec
 from .imbalance import (
     imbalance_ratio,
+    per_stage_tails,
     stage_latencies,
-    stage_latencies_hetero,
-    validate_partition,
 )
 
 
@@ -86,22 +85,27 @@ def _prune(states: List[_State]) -> List[_State]:
     return kept
 
 
-def _min_imbalance_tables(
+def min_imbalance_partition(
     tables: Sequence[Sequence[float]],
     num_stages: int,
-    tails: Sequence[float],
-) -> Tuple[int, ...]:
-    """Boundaries of the exact minimum-imbalance contiguous partition.
+    tails: Optional[Sequence[float]] = None,
+) -> PartitionResult:
+    """Exact minimum-imbalance contiguous partition.
 
-    ``tables[s]`` prices every layer on stage ``s``'s device; the DP loop
-    index *is* the stage number, so a segment assigned to stage ``s`` is
-    summed from stage ``s``'s own table -- heterogeneity costs nothing
-    beyond one prefix array per distinct device.
+    ``tables[s]`` prices every layer on stage ``s``'s device and
+    ``tails[s]`` the latency pinned to the final stage (LM head) on it;
+    a homogeneous pipeline passes the same table for every stage.  The
+    DP loop index *is* the stage number, so a segment assigned to stage
+    ``s`` is summed from stage ``s``'s own table: the search trades
+    layer counts against per-stage throughput ceilings (a slow GPU
+    naturally receives fewer layers), and heterogeneity costs nothing
+    beyond one prefix array per distinct table.
     """
     if num_stages <= 0 or not tables:
         raise PartitionError(
             f"cannot split layers into {num_stages} stages"
         )
+    tails = per_stage_tails(tables, tails, num_stages)
     num_layers = len(tables[0])
     if num_layers < num_stages:
         raise PartitionError(
@@ -167,113 +171,42 @@ def _min_imbalance_tables(
         boundaries.append(st.start)
         st = st.prev
     boundaries.reverse()
-    validate_partition(boundaries, num_layers, num_stages)
-    return tuple(boundaries)
-
-
-def min_imbalance_partition(
-    layer_latencies: Sequence[float],
-    num_stages: int,
-    tail_latency: float = 0.0,
-) -> PartitionResult:
-    """Exact minimum-imbalance contiguous partition.
-
-    Args:
-        layer_latencies: Forward latency of each partitionable layer.
-        num_stages: Pipeline depth ``N``.
-        tail_latency: Latency pinned to the final stage (LM head).
-    """
-    boundaries = _min_imbalance_tables(
-        [layer_latencies] * num_stages, num_stages,
-        [tail_latency] * num_stages,
-    )
-    lats = stage_latencies(layer_latencies, boundaries, tail_latency)
+    lats = stage_latencies(tables, boundaries, tails)
     return PartitionResult(tuple(boundaries), tuple(lats), imbalance_ratio(lats))
 
 
-def min_imbalance_partition_hetero(
-    per_stage_layer_latencies: Sequence[Sequence[float]],
-    num_stages: int,
-    per_stage_tail_latencies: Optional[Sequence[float]] = None,
-) -> PartitionResult:
-    """Minimum-imbalance partition over per-stage latency tables.
+def _stage_tables(
+    model: ModelSpec, num_stages: int, gpu: GPULike
+) -> Tuple[List[List[float]], List[float]]:
+    """Every stage's layer table and tail, priced on that stage's device.
 
-    The mixed-cluster generalization of :func:`min_imbalance_partition`:
-    stage ``s``'s latency is the sum of its layers priced on *its own*
-    device, so the search trades layer counts against per-stage
-    throughput ceilings (a slow GPU naturally receives fewer layers).
+    ``gpu`` may be a single device (name or spec) or a per-stage
+    sequence.  Tables are built once per distinct device and deduped by
+    the GPUSpec value itself (frozen dataclass), not its name: a custom
+    spec reusing a registry name must not collide.
     """
-    if len(per_stage_layer_latencies) != num_stages:
-        raise PartitionError(
-            f"need one latency table per stage: got "
-            f"{len(per_stage_layer_latencies)} for {num_stages} stages"
-        )
-    tails = (
-        list(per_stage_tail_latencies)
-        if per_stage_tail_latencies is not None
-        else [0.0] * num_stages
-    )
-    if len(tails) != num_stages:
-        raise PartitionError(
-            f"need one tail latency per stage: got {len(tails)} for "
-            f"{num_stages} stages"
-        )
-    boundaries = _min_imbalance_tables(
-        per_stage_layer_latencies, num_stages, tails
-    )
-    lats = stage_latencies_hetero(
-        per_stage_layer_latencies, boundaries, tails
-    )
-    return PartitionResult(tuple(boundaries), tuple(lats), imbalance_ratio(lats))
+    gpus = resolve_gpus(gpu, num_stages)
+    priced = {}
+    for g in gpus:
+        if g not in priced:
+            priced[g] = (model.layer_forward_latencies(g),
+                         model.tail_forward_latency(g))
+    return [priced[g][0] for g in gpus], [priced[g][1] for g in gpus]
 
 
 def partition_model(
     model: ModelSpec, num_stages: int, gpu: GPULike
 ) -> PartitionResult:
-    """Minimum-imbalance partition of a model on one GPU or a mix.
-
-    ``gpu`` may be a single device (name or spec) or a per-stage
-    sequence; a mixed pipeline is partitioned with each stage's block
-    priced on that stage's device.
-    """
-    gpus = resolve_gpus(gpu, num_stages)
-    if is_homogeneous(gpus):
-        lats = model.layer_forward_latencies(gpus[0])
-        return min_imbalance_partition(
-            lats, num_stages, tail_latency=model.tail_forward_latency(gpus[0])
-        )
-    # Deduped by the GPUSpec value itself (frozen dataclass), not its
-    # name: a custom spec reusing a registry name must not collide.
-    tables_by_gpu = {}
-    tails_by_gpu = {}
-    for g in gpus:
-        if g not in tables_by_gpu:
-            tables_by_gpu[g] = model.layer_forward_latencies(g)
-            tails_by_gpu[g] = model.tail_forward_latency(g)
-    return min_imbalance_partition_hetero(
-        [tables_by_gpu[g] for g in gpus],
-        num_stages,
-        [tails_by_gpu[g] for g in gpus],
-    )
+    """Minimum-imbalance partition of a model on one GPU or a mix."""
+    tables, tails = _stage_tables(model, num_stages, gpu)
+    return min_imbalance_partition(tables, num_stages, tails)
 
 
 def partition_model_uniform(
     model: ModelSpec, num_stages: int, gpu: GPULike
 ) -> PartitionResult:
     """Uniform-layer-count partition of a model (baseline planner)."""
-    gpus = resolve_gpus(gpu, num_stages)
+    tables, tails = _stage_tables(model, num_stages, gpu)
     boundaries = uniform_partition(model.num_layers, num_stages)
-    if is_homogeneous(gpus):
-        lats = model.layer_forward_latencies(gpus[0])
-        stage_lats = stage_latencies(
-            lats, boundaries, model.tail_forward_latency(gpus[0])
-        )
-    else:
-        stage_lats = stage_latencies_hetero(
-            [model.layer_forward_latencies(g) for g in gpus],
-            boundaries,
-            [model.tail_forward_latency(g) for g in gpus],
-        )
-    return PartitionResult(
-        tuple(boundaries), tuple(stage_lats), imbalance_ratio(stage_lats)
-    )
+    lats = stage_latencies(tables, boundaries, tails)
+    return PartitionResult(tuple(boundaries), tuple(lats), imbalance_ratio(lats))

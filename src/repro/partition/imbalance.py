@@ -7,7 +7,7 @@ latency is considered because backward latency is proportional to it.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from ..exceptions import PartitionError
 
@@ -30,58 +30,51 @@ def validate_partition(boundaries: Sequence[int], num_layers: int, num_stages: i
             raise PartitionError("each stage must contain at least one layer")
 
 
+def per_stage_tails(
+    tables: Sequence[Sequence[float]],
+    tails: Optional[Sequence[float]],
+    num_stages: int,
+) -> List[float]:
+    """The per-stage tails, after checking there is one latency table
+    and one tail per stage (``tails=None``: no pinned tail anywhere)."""
+    if len(tables) != num_stages:
+        raise PartitionError(
+            f"need one latency table per stage: got {len(tables)} for "
+            f"{num_stages} stages"
+        )
+    tails = [0.0] * num_stages if tails is None else list(tails)
+    if len(tails) != num_stages:
+        raise PartitionError(
+            f"need one tail latency per stage: got {len(tails)} for "
+            f"{num_stages} stages"
+        )
+    return tails
+
+
 def stage_latencies(
-    layer_latencies: Sequence[float],
+    tables: Sequence[Sequence[float]],
     boundaries: Sequence[int],
-    tail_latency: float = 0.0,
+    tails: Optional[Sequence[float]] = None,
 ) -> List[float]:
     """Per-stage forward latencies for a partition.
 
-    ``tail_latency`` (the pinned LM head) is added to the last stage.
-    """
-    validate_partition(boundaries, len(layer_latencies), len(boundaries) - 1)
-    stages = []
-    for i, (a, b) in enumerate(zip(boundaries, boundaries[1:])):
-        total = sum(layer_latencies[a:b])
-        if i == len(boundaries) - 2:
-            total += tail_latency
-        stages.append(total)
-    return stages
-
-
-def stage_latencies_hetero(
-    per_stage_layer_latencies: Sequence[Sequence[float]],
-    boundaries: Sequence[int],
-    per_stage_tail_latencies: Sequence[float],
-) -> List[float]:
-    """Per-stage forward latencies on a mixed-GPU pipeline.
-
     Each stage's layer block is priced on *that stage's* device:
-    ``per_stage_layer_latencies[s]`` holds every layer's forward latency
-    on stage ``s``'s GPU, and ``per_stage_tail_latencies[s]`` the pinned
-    tail's latency there (only the last stage's entry is charged).  The
-    imbalance ratio over these latencies is the heterogeneity-aware
-    metric: a stage is long either because it holds more layers or
-    because its device has a lower throughput ceiling.
+    ``tables[s]`` holds every layer's forward latency on stage ``s``'s
+    GPU, and ``tails[s]`` the pinned tail's (LM head) latency there
+    (only the last stage's entry is charged).  The imbalance ratio over
+    these latencies is the heterogeneity-aware metric: a stage is long
+    either because it holds more layers or because its device has a
+    lower throughput ceiling.  A homogeneous pipeline passes one table
+    per stage, all equal.
     """
     num_stages = len(boundaries) - 1
-    if len(per_stage_layer_latencies) != num_stages:
-        raise PartitionError(
-            f"need one latency table per stage: got "
-            f"{len(per_stage_layer_latencies)} for {num_stages} stages"
-        )
-    if len(per_stage_tail_latencies) != num_stages:
-        raise PartitionError(
-            f"need one tail latency per stage: got "
-            f"{len(per_stage_tail_latencies)} for {num_stages} stages"
-        )
-    num_layers = len(per_stage_layer_latencies[0])
-    validate_partition(boundaries, num_layers, num_stages)
+    tails = per_stage_tails(tables, tails, num_stages)
+    validate_partition(boundaries, len(tables[0]), num_stages)
     stages = []
     for s, (a, b) in enumerate(zip(boundaries, boundaries[1:])):
-        total = sum(per_stage_layer_latencies[s][a:b])
+        total = sum(tables[s][a:b])
         if s == num_stages - 1:
-            total += per_stage_tail_latencies[s]
+            total += tails[s]
         stages.append(total)
     return stages
 

@@ -28,10 +28,10 @@ receive the same profile for the same pipeline therefore characterize
 it exactly once.
 
 :meth:`PerseusServer.submit_sweep` is the batch path: it plans a whole
-spec batch (optionally on a worker pool, with per-spec error
-isolation), registers one deployable job per successful Perseus spec,
-and serves the comparable :class:`~repro.api.planner.PlanReport` rows
-via :meth:`PerseusServer.report_of` / :meth:`PerseusServer.sweep_reports`.
+spec batch (with per-spec error isolation), registers one deployable
+job per successful Perseus spec, and serves the comparable
+:class:`~repro.api.planner.PlanReport` rows via
+:meth:`PerseusServer.report_of` / :meth:`PerseusServer.sweep_reports`.
 """
 
 from __future__ import annotations
@@ -158,7 +158,6 @@ class PerseusServer:
         self,
         job_id: str,
         spec: "PlanSpec",
-        planner: Optional["Planner"] = None,
         blocking: bool = False,
     ) -> None:
         """Register a job from a :class:`~repro.api.PlanSpec`.
@@ -188,8 +187,12 @@ class PerseusServer:
                 f"strategy {spec.strategy!r} -- use "
                 f"spec.replace(strategy='perseus')"
             )
-        planner = planner or self._shared_planner()
-        stack = planner.result(spec)
+        self._adopt(job_id, spec, blocking)
+
+    def _adopt(self, job_id: str, spec: "PlanSpec", blocking: bool) -> None:
+        """Register ``job_id`` on the planner's stack for ``spec`` and
+        adopt its frontier (crawled, or served by the planner's cache)."""
+        stack = self._shared_planner().result(spec)
         self.register_job(job_id, stack.dag, tau=stack.optimizer.tau)
         job = self._job(job_id)
         with job.lock:
@@ -227,25 +230,22 @@ class PerseusServer:
     def submit_sweep(
         self,
         specs: Iterable["PlanSpec"],
-        planner: Optional["Planner"] = None,
-        jobs: Optional[int] = None,
         prefix: str = "sweep",
     ) -> Dict[str, "PlanReport"]:
         """Plan a batch of specs and register the deployable ones.
 
-        Every spec is planned through the shared planner (``jobs > 1``
-        uses the planner's worker pool), with per-spec error isolation:
-        a bad spec yields an error row, never an aborted batch.  One job
-        per *successful Perseus* spec is registered -- its frontier is
-        the one the planner just characterized (or loaded from its
-        store), so nothing is crawled twice -- and its schedule is
-        pushed through the deploy callback.  Rows for non-Perseus
+        Every spec is planned through the shared planner, with per-spec
+        error isolation: a bad spec yields an error row, never an
+        aborted batch.  One job per *successful Perseus* spec is
+        registered as :meth:`register_spec` registers one -- its
+        frontier is the one the planner just characterized (or loaded
+        from its store), so nothing is crawled twice -- and its schedule
+        is pushed through the deploy callback.  Rows for non-Perseus
         strategies are served for comparison but deploy nothing.
 
         Returns ``job_id -> PlanReport`` in input order; rows are also
         retained for :meth:`report_of` / :meth:`sweep_reports`.
         """
-        planner = planner or self._shared_planner()
         spec_list = list(specs)
         job_ids = [f"{prefix}-{i}" for i in range(len(spec_list))]
         # Reserve every id atomically up front: the batch plan below can
@@ -263,7 +263,7 @@ class PerseusServer:
             for job_id in job_ids:
                 self._reports[job_id] = None
         try:
-            reports = planner.sweep(spec_list, jobs=jobs, errors="report")
+            reports = self._shared_planner().sweep(spec_list, errors="report")
         except BaseException:
             with self._sweep_lock:
                 for job_id in job_ids:
@@ -274,17 +274,8 @@ class PerseusServer:
             for job_id, spec, report in zip(job_ids, spec_list, reports):
                 self._reports[job_id] = report
                 out[job_id] = report
-                if not report.ok or spec.strategy != "perseus":
-                    continue
-                stack = planner.result(spec)
-                self.register_job(job_id, stack.dag,
-                                  tau=stack.optimizer.tau)
-                job = self._job(job_id)
-                with job.lock:
-                    job.profile = stack.profile
-                    job.frontier = planner.frontier_for(spec)
-                job.settled.set()
-                self._push_schedule(job)
+                if report.ok and spec.strategy == "perseus":
+                    self._adopt(job_id, spec, blocking=True)
         except BaseException:
             # A failing registration or deploy callback rolls the whole
             # batch back -- reserved ids, filled rows and jobs this

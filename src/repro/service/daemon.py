@@ -223,7 +223,6 @@ class PlanningDaemon:
     def __init__(
         self,
         planner: Optional[Planner] = None,
-        server: Optional[PerseusServer] = None,
         host: str = "127.0.0.1",
         port: int = 8421,
         max_inflight: Optional[int] = 8,
@@ -233,8 +232,7 @@ class PlanningDaemon:
         access_log: bool = True,
     ) -> None:
         self.planner = planner if planner is not None else default_planner()
-        self.server = server if server is not None \
-            else PerseusServer(planner=self.planner)
+        self.server = PerseusServer(planner=self.planner)
         self.metrics = MetricsRegistry()
         #: Structured event ring (plan / cache / flight / drift /
         #: admission / rpc events), teed to ``log_jsonl`` when given;
@@ -485,9 +483,7 @@ class PlanningDaemon:
         # The stack is warm, so blocking registration is instant: the
         # job is deployable the moment the response lands.
         self.server.register_spec(
-            self._qualify(tenant, job_id), spec, planner=self.planner,
-            blocking=True,
-        )
+            self._qualify(tenant, job_id), spec, blocking=True)
         return {"job_id": job_id, "ready": True}
 
     def _rpc_submit_sweep(self, tenant: str, params: dict) -> dict:
@@ -508,9 +504,7 @@ class PlanningDaemon:
                 seen.add(key)
                 self._materialize(spec)
         rows = self.server.submit_sweep(
-            specs, planner=self.planner,
-            prefix=self._qualify(tenant, prefix),
-        )
+            specs, prefix=self._qualify(tenant, prefix))
         return {
             "reports": {self._bare(tenant, job_id): report_to_wire(report)
                         for job_id, report in rows.items()}
@@ -593,11 +587,10 @@ class PlanningDaemon:
                          for job_id in self.server.job_ids()
                          if job_id.startswith(mine)]}
 
-    def _rpc_stats(self, tenant: str, params: dict) -> dict:
-        flights = dict(self._flight.stats)
-        leaders = flights["leaders"]
-        warm = self.metrics.counter_value(
-            "repro_service_coalesce_total", {"outcome": "warm"})
+    def _operator_counters(self) -> dict:
+        """The operator counters ``stats`` and ``GET /metrics`` render:
+        planner work, cache events and hit ratio (``None`` before the
+        first lookup), queue depth and every job's drift row."""
         counters = dict(self.planner.cache.counters)
         lookups = counters.get("hits", 0) + counters.get("misses", 0)
         return {
@@ -605,6 +598,20 @@ class PlanningDaemon:
             "cache": counters,
             "cache_hit_rate": (counters.get("hits", 0) / lookups
                                if lookups else None),
+            "queue_depth": self.admission.inflight,
+            "drift": self.server.drift_stats(),
+        }
+
+    def _rpc_stats(self, tenant: str, params: dict) -> dict:
+        snapshot = self._operator_counters()
+        flights = dict(self._flight.stats)
+        leaders = flights["leaders"]
+        warm = self.metrics.counter_value(
+            "repro_service_coalesce_total", {"outcome": "warm"})
+        return {
+            "planner": snapshot["planner"],
+            "cache": snapshot["cache"],
+            "cache_hit_rate": snapshot["cache_hit_rate"],
             "coalesce": {
                 "leaders": leaders,
                 "followers": flights["followers"],
@@ -616,11 +623,11 @@ class PlanningDaemon:
             },
             "store_flight": (dict(self._store_flight.stats)
                              if self._store_flight is not None else None),
-            "queue_depth": self.admission.inflight,
+            "queue_depth": snapshot["queue_depth"],
             "jobs": len(self.server.job_ids()),
             "drift": {
                 self._bare(tenant, job_id): row
-                for job_id, row in self.server.drift_stats().items()
+                for job_id, row in snapshot["drift"].items()
                 if job_id.startswith(f"{tenant}{TENANT_SEP}")
             },
             "service": self.metrics.snapshot(),
@@ -805,23 +812,22 @@ class PlanningDaemon:
     # -- scrape-time views ---------------------------------------------------
     def metrics_text(self) -> str:
         """The ``/metrics`` exposition (live planner/cache families)."""
+        snapshot = self._operator_counters()
         self.metrics.set_gauge("repro_service_queue_depth",
-                               self.admission.inflight)
+                               snapshot["queue_depth"])
         extra = ["# TYPE repro_planner_work_total counter"]
-        for stage, count in sorted(self.planner.stats.items()):
+        for stage, count in sorted(snapshot["planner"].items()):
             extra.append(f'repro_planner_work_total{{stage="{stage}"}} '
                          f'{count}')
-        counters = dict(self.planner.cache.counters)
         extra.append("# TYPE repro_cache_events_total counter")
-        for event, count in sorted(counters.items()):
+        for event, count in sorted(snapshot["cache"].items()):
             extra.append(f'repro_cache_events_total{{event="{event}"}} '
                          f'{count}')
-        lookups = counters.get("hits", 0) + counters.get("misses", 0)
-        if lookups:
+        if snapshot["cache_hit_rate"] is not None:
             extra.append("# TYPE repro_service_cache_hit_ratio gauge")
             extra.append(f"repro_service_cache_hit_ratio "
-                         f"{counters.get('hits', 0) / lookups:.6f}")
-        drift = self.server.drift_stats()
+                         f"{snapshot['cache_hit_rate']:.6f}")
+        drift = snapshot["drift"]
         if drift:
             extra.append("# TYPE repro_drift_loop_total counter")
             for job_id, row in sorted(drift.items()):

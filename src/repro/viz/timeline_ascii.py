@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List
 
 from ..sim.executor import PipelineExecution
-from ..sim.timeline import StageTimeline, extract_timeline
+from ..sim.timeline import extract_timeline
 
 #: Shading ramp from blocking (light) to TDP (dark).
 SHADES = " .:-=+*#%@"

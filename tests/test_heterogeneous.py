@@ -6,6 +6,8 @@ and the homogeneous-tuple == single-name equivalence against the PR-1
 single-GPU planning path (which is byte-identical code).
 """
 
+import dataclasses
+import hashlib
 import io
 import json
 
@@ -21,14 +23,14 @@ from repro.api import (
 from repro.api.spec import SPEC_FORMAT_VERSION
 from repro.core.serialization import load_json, save_json
 from repro.exceptions import ConfigurationError, PartitionError
-from repro.gpu.specs import get_gpu, is_homogeneous, resolve_gpus
-from repro.models.registry import build_model
+from repro.gpu.specs import get_gpu, is_homogeneous, list_gpus, resolve_gpus
+from repro.models.registry import build_model, list_models
 from repro.partition.algorithms import (
     min_imbalance_partition,
-    min_imbalance_partition_hetero,
     partition_model,
+    partition_model_uniform,
 )
-from repro.partition.imbalance import stage_latencies_hetero
+from repro.partition.imbalance import stage_latencies
 
 #: Small, fast mixed-cluster request reused across the module.
 MIXED = PlanSpec("bert-large", gpu=("a100", "a40"), stages=2,
@@ -124,17 +126,41 @@ class TestHeterogeneousPartition:
         # A100 stage receives.
         assert counts[1] < counts[0]
 
+    #: sha256 of the partitions below (boundaries, repr'd stage
+    #: latencies and ratio) as the homogeneous single-table partitioner
+    #: produced them before the per-stage-table search replaced it.
+    ZOO_PARTITIONS_SHA256 = (
+        "b015162aaa2067ad1d89b298187b863df9c63041d35547f815ee439ed99daad3")
+
     def test_homogeneous_tuple_matches_single_gpu_partition(self):
-        model = build_model("bert-large", None)
-        single = partition_model(model, 2, get_gpu("a100"))
-        tupled = partition_model(model, 2, ("a100", "a100"))
-        assert single.boundaries == tupled.boundaries
-        assert single.stage_latencies == tupled.stage_latencies
-        assert single.ratio == tupled.ratio
+        # Every zoo model x registry GPU x {2, 4, 8} stages, for both
+        # the minimum-imbalance and the uniform partition: one device
+        # name and a per-stage tuple of equal (but distinct) specs give
+        # the same result, bit for bit the pre-fold homogeneous one.
+        rows = []
+        for name in list_models():
+            model = build_model(name, None)
+            for gpu in list_gpus():
+                spec = get_gpu(gpu)
+                for stages in (2, 4, 8):
+                    tupled = tuple(dataclasses.replace(spec)
+                                   for _ in range(stages))
+                    for search in (partition_model, partition_model_uniform):
+                        single = search(model, stages, gpu)
+                        assert search(model, stages, tupled) == single, (
+                            name, gpu, stages, search.__name__)
+                        rows.append([
+                            name, gpu, stages, search.__name__,
+                            list(single.boundaries),
+                            [repr(t) for t in single.stage_latencies],
+                            repr(single.ratio)])
+        assert len(rows) == 2 * 240
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == self.ZOO_PARTITIONS_SHA256
 
     def test_hetero_dp_prices_stages_on_their_own_tables(self):
         fast, slow = [1.0, 1.0, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0]
-        result = min_imbalance_partition_hetero([fast, slow], 2)
+        result = min_imbalance_partition([fast, slow], 2)
         # Stage 1 runs each layer twice as slow, so perfect balance puts
         # ~2/3 of the layers on stage 0.
         assert result.boundaries[1] == 3
@@ -142,25 +168,25 @@ class TestHeterogeneousPartition:
 
     def test_hetero_dp_rejects_wrong_table_count(self):
         with pytest.raises(PartitionError):
-            min_imbalance_partition_hetero([[1.0, 1.0]], 2)
+            min_imbalance_partition([[1.0, 1.0]], 2)
         with pytest.raises(PartitionError):
-            min_imbalance_partition_hetero(
+            min_imbalance_partition(
                 [[1.0, 1.0], [1.0]], 2
             )
 
     def test_stage_latencies_hetero_charges_tail_to_last_stage(self):
-        lats = stage_latencies_hetero(
+        lats = stage_latencies(
             [[1.0, 1.0], [3.0, 3.0]], [0, 1, 2], [0.5, 0.25]
         )
         assert lats == [1.0, 3.25]
         with pytest.raises(PartitionError):
-            stage_latencies_hetero([[1.0, 1.0]], [0, 1, 2], [0.0])
+            stage_latencies([[1.0, 1.0]], [0, 1, 2], [0.0])
 
     def test_zero_stages_still_raises_partition_error(self):
         with pytest.raises(PartitionError):
-            min_imbalance_partition([1.0, 2.0, 3.0], 0)
+            min_imbalance_partition([[1.0, 2.0, 3.0]], 0)
         with pytest.raises(PartitionError):
-            min_imbalance_partition_hetero([], 0)
+            min_imbalance_partition([], 0)
 
     def test_custom_spec_reusing_registry_name_not_conflated(self):
         import dataclasses
@@ -178,12 +204,12 @@ class TestHeterogeneousPartition:
 
     def test_identical_tables_match_homogeneous_dp(self):
         table = [1.0, 2.0, 3.0, 1.0, 2.0]
-        single = min_imbalance_partition(table, 2, tail_latency=0.5)
-        hetero = min_imbalance_partition_hetero(
-            [table, table], 2, [0.5, 0.5]
-        )
-        assert single.boundaries == hetero.boundaries
-        assert single.ratio == hetero.ratio
+        result = min_imbalance_partition([table, list(table)], 2, [0.5, 0.5])
+        # The single-table search's answer for this table (tail on the
+        # last stage), recorded before the two searches were folded.
+        assert result.boundaries == (0, 3, 5)
+        assert result.stage_latencies == (6.0, 3.5)
+        assert result.ratio == 6.0 / 3.5
 
 
 class TestHeterogeneousProfile:
@@ -359,9 +385,8 @@ class TestHeterogeneousServer:
     def test_register_mixed_spec_characterizes(self):
         from repro.runtime.server import PerseusServer
 
-        server = PerseusServer()
-        server.register_spec("job-mixed", MIXED, planner=Planner(),
-                             blocking=True)
+        server = PerseusServer(planner=Planner())
+        server.register_spec("job-mixed", MIXED, blocking=True)
         frontier = server.frontier_of("job-mixed")
         assert frontier.t_min <= frontier.t_star
 

@@ -269,6 +269,122 @@ def test_fleet_timeline_to_chrome_tracks_and_instants():
     assert [e["name"] for e in instants] == ["replan", "wake"]
 
 
+#: A fixed span list (``Span.to_dict()`` form, including a span with
+#: no ids, no attrs and no thread) plus structured events.
+PINNED_SPANS = [
+    {"name": "planner.plan", "trace_id": "feed", "span_id": "s1",
+     "parent_id": None, "start_s": 10.0, "duration_s": 0.25,
+     "attrs": {"model": "gpt3-xl", "strategy": "perseus"},
+     "thread": "MainThread"},
+    {"name": "optimize.crawl", "trace_id": "feed", "span_id": "s2",
+     "parent_id": "s1", "start_s": 10.05, "duration_s": 0.125,
+     "attrs": {"exactness": "fast", "skipped": None},
+     "thread": "MainThread"},
+    {"name": "store.put", "trace_id": "feed", "span_id": "s3",
+     "parent_id": "s1", "start_s": 10.2, "duration_s": -0.001,
+     "attrs": {}, "thread": "writer"},
+    {"name": "orphan", "start_s": 0, "attrs": None, "thread": None},
+]
+PINNED_EVENTS = [
+    {"kind": "flight", "ts": 10.1, "outcome": "leader", "trace_id": "feed"},
+    {"kind": "admission", "ts": 10.3, "reason": None, "tenant": "ci"},
+    {"ts": 11},
+]
+#: A fleet timeline: jobs (one with end < start), instants keyed by
+#: ``t_s``, by ``ts`` and by neither, and an entry with no kind.
+PINNED_TIMELINE = [
+    {"kind": "arrival", "t_s": 0.0, "job": "job-0"},
+    {"kind": "job", "job": "job-0", "start_s": 0.0, "end_s": 12.5,
+     "model": "gpt3-xl", "gpus": "a100"},
+    {"kind": "replan", "t_s": 3.25, "jobs": 2, "cap_w": None},
+    {"kind": "job", "job": "job-1", "start_s": 4.0, "end_s": 3.0},
+    {"kind": "cap", "ts": 5.0, "cap_w": 900.0},
+    {"kind": "wake"},
+    {"job": "job-2", "start_s": 1, "end_s": 2},
+]
+
+
+def test_spans_to_chrome_exact_document():
+    # Pins every byte of the span exporter's output, key order included:
+    # tids in first-seen track order, thread_name metadata first, "X"
+    # and "i" event shapes, microsecond times, negative durations
+    # clamped to 0 and None args dropped.
+    expected = {
+        "traceEvents": [
+            {"name": "thread_name", "ph": "M", "pid": 1, "tid": 1,
+             "args": {"name": "MainThread"}},
+            {"name": "thread_name", "ph": "M", "pid": 1, "tid": 2,
+             "args": {"name": "writer"}},
+            {"name": "thread_name", "ph": "M", "pid": 1, "tid": 3,
+             "args": {"name": "main"}},
+            {"name": "thread_name", "ph": "M", "pid": 1, "tid": 4,
+             "args": {"name": "events"}},
+            {"name": "planner.plan", "ph": "X", "ts": 10000000.0,
+             "dur": 250000.0, "pid": 1, "tid": 1, "cat": "span",
+             "args": {"model": "gpt3-xl", "strategy": "perseus",
+                      "trace_id": "feed", "span_id": "s1"}},
+            {"name": "optimize.crawl", "ph": "X", "ts": 10050000.0,
+             "dur": 125000.0, "pid": 1, "tid": 1, "cat": "span",
+             "args": {"exactness": "fast", "trace_id": "feed",
+                      "span_id": "s2", "parent_id": "s1"}},
+            {"name": "store.put", "ph": "X", "ts": 10200000.0, "dur": 0.0,
+             "pid": 1, "tid": 2, "cat": "span",
+             "args": {"trace_id": "feed", "span_id": "s3",
+                      "parent_id": "s1"}},
+            {"name": "orphan", "ph": "X", "ts": 0.0, "dur": 0.0,
+             "pid": 1, "tid": 3, "cat": "span", "args": {}},
+            {"name": "flight", "ph": "i", "ts": 10100000.0,
+             "pid": 1, "tid": 4, "cat": "event", "s": "t",
+             "args": {"outcome": "leader", "trace_id": "feed"}},
+            {"name": "admission", "ph": "i", "ts": 10300000.0,
+             "pid": 1, "tid": 4, "cat": "event", "s": "t",
+             "args": {"tenant": "ci"}},
+            {"name": "event", "ph": "i", "ts": 11000000.0,
+             "pid": 1, "tid": 4, "cat": "event", "s": "t", "args": {}},
+        ],
+        "displayTimeUnit": "ms",
+    }
+    document = spans_to_chrome(PINNED_SPANS, PINNED_EVENTS)
+    assert json.dumps(document) == json.dumps(expected)
+
+
+def test_fleet_timeline_to_chrome_exact_document():
+    # Pins the fleet exporter the same way: per-job "X" tracks, one
+    # shared "fleet" track of instants, inverted job spans clamped.
+    expected = {
+        "traceEvents": [
+            {"name": "thread_name", "ph": "M", "pid": 1, "tid": 1,
+             "args": {"name": "fleet"}},
+            {"name": "thread_name", "ph": "M", "pid": 1, "tid": 2,
+             "args": {"name": "job:job-0"}},
+            {"name": "thread_name", "ph": "M", "pid": 1, "tid": 3,
+             "args": {"name": "job:job-1"}},
+            {"name": "arrival", "ph": "i", "ts": 0.0,
+             "pid": 1, "tid": 1, "cat": "fleet", "s": "t",
+             "args": {"job": "job-0"}},
+            {"name": "job-0", "ph": "X", "ts": 0.0, "dur": 12500000.0,
+             "pid": 1, "tid": 2, "cat": "job",
+             "args": {"model": "gpt3-xl", "gpus": "a100"}},
+            {"name": "replan", "ph": "i", "ts": 3250000.0,
+             "pid": 1, "tid": 1, "cat": "fleet", "s": "t",
+             "args": {"jobs": 2}},
+            {"name": "job-1", "ph": "X", "ts": 4000000.0, "dur": 0.0,
+             "pid": 1, "tid": 3, "cat": "job", "args": {}},
+            {"name": "cap", "ph": "i", "ts": 5000000.0,
+             "pid": 1, "tid": 1, "cat": "fleet", "s": "t",
+             "args": {"cap_w": 900.0}},
+            {"name": "wake", "ph": "i", "ts": 0.0,
+             "pid": 1, "tid": 1, "cat": "fleet", "s": "t", "args": {}},
+            {"name": "event", "ph": "i", "ts": 0.0,
+             "pid": 1, "tid": 1, "cat": "fleet", "s": "t",
+             "args": {"job": "job-2", "start_s": 1, "end_s": 2}},
+        ],
+        "displayTimeUnit": "ms",
+    }
+    document = fleet_timeline_to_chrome(PINNED_TIMELINE)
+    assert json.dumps(document) == json.dumps(expected)
+
+
 def test_format_trace_tree_and_footer():
     recorder = enable_tracing()
     with span("planner.plan"):

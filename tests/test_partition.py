@@ -28,7 +28,7 @@ def brute_force_best_ratio(lats, stages, tail=0.0):
     best = float("inf")
     for cuts in itertools.combinations(range(1, n), stages - 1):
         bounds = [0] + list(cuts) + [n]
-        stage_lats = stage_latencies(lats, bounds, tail)
+        stage_lats = stage_latencies([lats] * stages, bounds, [tail] * stages)
         best = min(best, imbalance_ratio(stage_lats))
     return best
 
@@ -54,7 +54,7 @@ class TestImbalanceMetrics:
             validate_partition([0, 2, 2, 5], 5, 3)  # empty stage
 
     def test_tail_added_to_last_stage(self):
-        lats = stage_latencies([1.0, 1.0], [0, 1, 2], tail_latency=0.5)
+        lats = stage_latencies([[1.0, 1.0]] * 2, [0, 1, 2], [0.5, 0.5])
         assert lats == [1.0, 1.5]
 
 
@@ -74,14 +74,14 @@ class TestMinImbalanceDP:
     def test_matches_brute_force_small(self):
         lats = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
         for stages in (2, 3, 4):
-            result = min_imbalance_partition(lats, stages)
+            result = min_imbalance_partition([lats] * stages, stages)
             assert result.ratio == pytest.approx(
                 brute_force_best_ratio(lats, stages)
             )
 
     def test_matches_brute_force_with_tail(self):
         lats = [2.0, 2.0, 3.0, 1.0, 2.0, 4.0]
-        result = min_imbalance_partition(lats, 3, tail_latency=1.5)
+        result = min_imbalance_partition([lats] * 3, 3, [1.5] * 3)
         assert result.ratio == pytest.approx(
             brute_force_best_ratio(lats, 3, tail=1.5)
         )
@@ -94,7 +94,7 @@ class TestMinImbalanceDP:
     def test_property_matches_brute_force(self, lats, stages):
         if len(lats) < stages:
             return
-        result = min_imbalance_partition(lats, stages)
+        result = min_imbalance_partition([lats] * stages, stages)
         assert result.ratio == pytest.approx(
             brute_force_best_ratio(lats, stages), rel=1e-9
         )
@@ -107,12 +107,12 @@ class TestMinImbalanceDP:
 
     def test_rejects_impossible(self):
         with pytest.raises(PartitionError):
-            min_imbalance_partition([1.0, 2.0], 3)
+            min_imbalance_partition([[1.0, 2.0]] * 3, 3)
         with pytest.raises(PartitionError):
-            min_imbalance_partition([1.0, -2.0, 3.0], 2)
+            min_imbalance_partition([[1.0, -2.0, 3.0]] * 2, 2)
 
     def test_result_structure(self):
-        result = min_imbalance_partition([1.0] * 8, 4)
+        result = min_imbalance_partition([[1.0] * 8] * 4, 4)
         assert result.num_stages == 4
         assert result.stage_layer_counts() == [2, 2, 2, 2]
         assert result.ratio == pytest.approx(1.0)

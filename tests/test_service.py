@@ -803,3 +803,183 @@ def test_timeout_on_a_reused_connection_is_not_resent():
         server.release.set()
         server.shutdown()
         server.server_close()
+
+
+# ----------------------------------------------------- operator counters pin
+#: ``GET /metrics`` after :func:`_scripted_session`, every line.
+SESSION_METRICS = """\
+# HELP repro_drift_replans_total drift re-plans accepted through report_measurement, by reason (drift=corrective, probe=recovery probe, readopt=post-restart re-adoption)
+# TYPE repro_drift_replans_total counter
+repro_drift_replans_total{reason="drift"} 1
+# HELP repro_drift_reports_total report_measurement calls by resulting controller state
+# TYPE repro_drift_reports_total counter
+repro_drift_reports_total{state="tracking"} 4
+# HELP repro_service_coalesce_total expensive materializations by outcome (leader=did the work, follower=waited on an in-flight leader, warm=already materialized)
+# TYPE repro_service_coalesce_total counter
+repro_service_coalesce_total{outcome="leader"} 1
+repro_service_coalesce_total{outcome="warm"} 1
+# HELP repro_service_requests_total RPC requests by method
+# TYPE repro_service_requests_total counter
+repro_service_requests_total{method="register_spec"} 2
+repro_service_requests_total{method="report_measurement"} 4
+# TYPE repro_service_queue_depth gauge
+repro_service_queue_depth 0
+# HELP repro_service_request_latency_seconds wall-clock request latency by method
+# TYPE repro_service_request_latency_seconds histogram
+repro_service_request_latency_seconds_bucket{method="register_spec",le="0.001"} 2
+repro_service_request_latency_seconds_bucket{method="register_spec",le="0.005"} 2
+repro_service_request_latency_seconds_bucket{method="register_spec",le="0.025"} 2
+repro_service_request_latency_seconds_bucket{method="register_spec",le="0.1"} 2
+repro_service_request_latency_seconds_bucket{method="register_spec",le="0.25"} 2
+repro_service_request_latency_seconds_bucket{method="register_spec",le="1"} 2
+repro_service_request_latency_seconds_bucket{method="register_spec",le="5"} 2
+repro_service_request_latency_seconds_bucket{method="register_spec",le="15"} 2
+repro_service_request_latency_seconds_bucket{method="register_spec",le="60"} 2
+repro_service_request_latency_seconds_bucket{method="register_spec",le="+Inf"} 2
+repro_service_request_latency_seconds_sum{method="register_spec"} 0
+repro_service_request_latency_seconds_count{method="register_spec"} 2
+repro_service_request_latency_seconds_bucket{method="report_measurement",le="0.001"} 4
+repro_service_request_latency_seconds_bucket{method="report_measurement",le="0.005"} 4
+repro_service_request_latency_seconds_bucket{method="report_measurement",le="0.025"} 4
+repro_service_request_latency_seconds_bucket{method="report_measurement",le="0.1"} 4
+repro_service_request_latency_seconds_bucket{method="report_measurement",le="0.25"} 4
+repro_service_request_latency_seconds_bucket{method="report_measurement",le="1"} 4
+repro_service_request_latency_seconds_bucket{method="report_measurement",le="5"} 4
+repro_service_request_latency_seconds_bucket{method="report_measurement",le="15"} 4
+repro_service_request_latency_seconds_bucket{method="report_measurement",le="60"} 4
+repro_service_request_latency_seconds_bucket{method="report_measurement",le="+Inf"} 4
+repro_service_request_latency_seconds_sum{method="report_measurement"} 0
+repro_service_request_latency_seconds_count{method="report_measurement"} 4
+# TYPE repro_planner_work_total counter
+repro_planner_work_total{stage="dag"} 1
+repro_planner_work_total{stage="frontier"} 1
+repro_planner_work_total{stage="model"} 1
+repro_planner_work_total{stage="optimizer"} 1
+repro_planner_work_total{stage="partition"} 1
+repro_planner_work_total{stage="profile"} 1
+repro_planner_work_total{stage="stage_profile"} 0
+repro_planner_work_total{stage="tau"} 1
+# TYPE repro_cache_events_total counter
+repro_cache_events_total{event="hits"} 18
+repro_cache_events_total{event="misses"} 8
+# TYPE repro_service_cache_hit_ratio gauge
+repro_service_cache_hit_ratio 0.692308
+# TYPE repro_drift_loop_total counter
+repro_drift_loop_total{job="team-a::job",event="backoff_holds"} 0
+repro_drift_loop_total{job="team-a::job",event="bucket_denials"} 0
+repro_drift_loop_total{job="team-a::job",event="declines"} 0
+repro_drift_loop_total{job="team-a::job",event="detections"} 1
+repro_drift_loop_total{job="team-a::job",event="failures"} 0
+repro_drift_loop_total{job="team-a::job",event="guardrail_rejections"} 0
+repro_drift_loop_total{job="team-a::job",event="probes"} 0
+repro_drift_loop_total{job="team-a::job",event="readoptions"} 0
+repro_drift_loop_total{job="team-a::job",event="recoveries"} 0
+repro_drift_loop_total{job="team-a::job",event="replans"} 1
+repro_drift_loop_total{job="team-a::job",event="samples"} 3
+repro_drift_loop_total{job="team-a::job",event="timeouts"} 0
+repro_drift_loop_total{job="team-b::job",event="backoff_holds"} 0
+repro_drift_loop_total{job="team-b::job",event="bucket_denials"} 0
+repro_drift_loop_total{job="team-b::job",event="declines"} 0
+repro_drift_loop_total{job="team-b::job",event="detections"} 0
+repro_drift_loop_total{job="team-b::job",event="failures"} 0
+repro_drift_loop_total{job="team-b::job",event="guardrail_rejections"} 0
+repro_drift_loop_total{job="team-b::job",event="probes"} 0
+repro_drift_loop_total{job="team-b::job",event="readoptions"} 0
+repro_drift_loop_total{job="team-b::job",event="recoveries"} 0
+repro_drift_loop_total{job="team-b::job",event="replans"} 0
+repro_drift_loop_total{job="team-b::job",event="samples"} 1
+repro_drift_loop_total{job="team-b::job",event="timeouts"} 0
+# TYPE repro_drift_state gauge
+repro_drift_state{job="team-a::job",state="drifted"} 1
+repro_drift_state{job="team-b::job",state="tracking"} 1
+"""
+
+#: The ``stats`` reply to team-a right after that scrape.
+SESSION_STATS = {
+    "planner": {"model": 1, "partition": 1, "profile": 1,
+                "stage_profile": 0, "dag": 1, "tau": 1,
+                "optimizer": 1, "frontier": 1},
+    "cache": {"hits": 18, "misses": 8},
+    "cache_hit_rate": 0.6923076923076923,
+    "coalesce": {"leaders": 1, "followers": 0, "warm": 1, "ratio": 2.0},
+    "store_flight": None,
+    "queue_depth": 0,
+    "jobs": 2,
+    "drift": {"job": {
+        "state": "drifted", "samples": 3, "detections": 1,
+        "replans": 1, "probes": 0, "readoptions": 0, "recoveries": 0,
+        "guardrail_rejections": 0, "bucket_denials": 0,
+        "backoff_holds": 0, "failures": 0, "timeouts": 0,
+        "declines": 0}},
+    "service": {
+        "counters": {
+            "repro_drift_replans_total": {"reason=drift": 1},
+            "repro_drift_reports_total": {"state=tracking": 4},
+            "repro_service_coalesce_total": {"outcome=leader": 1,
+                                             "outcome=warm": 1},
+            "repro_service_requests_total": {
+                "method=register_spec": 2,
+                "method=report_measurement": 4,
+                "method=stats": 1},
+        },
+        "gauges": {"repro_service_queue_depth": {"_total": 0}},
+        "histograms": {"repro_service_request_latency_seconds": {
+            "method=register_spec": {"count": 2, "sum": 0.0,
+                                     "p50_s": 0.001, "p95_s": 0.001},
+            "method=report_measurement": {"count": 4, "sum": 0.0,
+                                          "p50_s": 0.001,
+                                          "p95_s": 0.001},
+        }},
+    },
+}
+
+
+def _scripted_session(daemon):
+    """Two tenants register one spec; team-a drifts until a re-plan."""
+    calls = []
+
+    def rpc(method, tenant="team-a", **params):
+        status, body, _ = daemon.handle_rpc(
+            {"method": method, "params": params, "id": f"r{len(calls)}"},
+            tenant)
+        calls.append(method)
+        assert status == 200, body
+        return body["result"]
+
+    spec = PlanSpec("bert-large", gpu="a100", stages=2, microbatches=4,
+                    freq_stride=32).to_dict()
+    rpc("register_spec", job_id="job", spec=spec)
+    t0 = daemon.server.current_schedule("team-a::job").iteration_time
+    for _ in range(4):
+        action = rpc("report_measurement", job_id="job",
+                     time_s=t0 * 1.3)["action"]
+        if action["replanned"]:
+            break
+    rpc("register_spec", tenant="team-b", job_id="job", spec=spec)
+    rpc("report_measurement", tenant="team-b", job_id="job", time_s=t0)
+    return rpc
+
+
+def test_metrics_and_stats_exact_after_scripted_session(monkeypatch):
+    # Pins the operator counters that /metrics and the stats RPC both
+    # render: planner work, cache events and hit ratio, queue depth and
+    # drift rows (every tenant's on /metrics, the caller's own in
+    # stats), plus the request families.  A frozen clock zeroes request
+    # latencies, and the frontier is crawled before the daemon exists,
+    # so no crawl timing reaches the registry.
+    class FrozenClock:
+        perf_counter = staticmethod(lambda: 0.0)
+        sleep = staticmethod(time.sleep)
+
+    monkeypatch.setattr(daemon_module, "time", FrozenClock)
+    planner = Planner()
+    planner.frontier_for(PlanSpec("bert-large", gpu="a100", stages=2,
+                                  microbatches=4, freq_stride=32))
+    daemon = PlanningDaemon(planner=planner, port=0, access_log=False)
+    try:
+        rpc = _scripted_session(daemon)
+        assert daemon.metrics_text() == SESSION_METRICS
+        stats = rpc("stats")
+    finally:
+        daemon.close()
+    assert json.dumps(stats) == json.dumps(SESSION_STATS)

@@ -653,11 +653,12 @@ class TestMixedClusterSpecsValidation:
 class TestServerSweep:
     def test_submit_sweep_registers_and_serves_rows(self, tmp_path):
         deployed = []
-        server = PerseusServer(deploy_callback=lambda j, p: deployed.append(j))
         planner = Planner(cache=tmp_path / "store")
+        server = PerseusServer(deploy_callback=lambda j, p: deployed.append(j),
+                               planner=planner)
         specs = [SMALL, SMALL.replace(strategy="envpipe"),
                  SMALL.replace(model="not-a-model")]
-        rows = server.submit_sweep(specs, planner=planner, prefix="batch")
+        rows = server.submit_sweep(specs, prefix="batch")
         assert list(rows) == ["batch-0", "batch-1", "batch-2"]
         assert [r.ok for r in rows.values()] == [True, True, False]
         # only the healthy Perseus spec is deployable
@@ -671,8 +672,8 @@ class TestServerSweep:
     def test_submit_sweep_reuses_cached_frontiers(self, tmp_path):
         Planner(cache=tmp_path / "store").frontier_for(SMALL)
         planner = Planner(cache=tmp_path / "store")
-        server = PerseusServer()
-        server.submit_sweep([SMALL], planner=planner)
+        server = PerseusServer(planner=planner)
+        server.submit_sweep([SMALL])
         assert planner.stats["frontier"] == 0  # adopted, not re-crawled
 
     def test_duplicate_prefix_rejected(self):
@@ -687,8 +688,8 @@ class TestServerSweep:
         planner = Planner(cache=tmp_path / "store")
         planner.frontier_for(SMALL)
         warm = Planner(cache=tmp_path / "store")
-        server = PerseusServer()
-        server.register_spec("job", SMALL, planner=warm, blocking=True)
+        server = PerseusServer(planner=warm)
+        server.register_spec("job", SMALL, blocking=True)
         assert warm.stats["frontier"] == 0
         assert server.frontier_of("job").t_min > 0
 
