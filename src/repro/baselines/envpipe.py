@@ -27,7 +27,7 @@ from ..api.strategies import FrequencyPlan, PlanContext, register_strategy
 from ..exceptions import ProfilingError
 from ..pipeline.dag import ComputationDag
 from ..profiler.measurement import PipelineProfile
-from ..sim.executor import execute_frequency_plan
+from ..sim.executor import execute_frequency_plan, max_frequency_plan
 
 
 def _pair_time(profile: PipelineProfile, stage: int, freq: int) -> float:
@@ -72,15 +72,7 @@ def envpipe_plan(dag: ComputationDag, profile: PipelineProfile) -> Dict[int, int
     last = n_stages - 1
     frame = _frame_nodes(dag)
 
-    # Start from all-max.
-    plan: Dict[int, int] = {}
-    for node in dag.nodes:
-        op_profile = profile.get(dag.nodes[node].op_key)
-        plan[node] = (
-            op_profile.measurements[0].freq_mhz
-            if op_profile.fixed
-            else op_profile.fastest.freq_mhz
-        )
+    plan = max_frequency_plan(dag, profile)
     base_time = execute_frequency_plan(dag, plan, profile).iteration_time
     budget_time = base_time * (1.0 + ENVELOPE_TOLERANCE)
 

@@ -10,7 +10,7 @@ and cannot remove intrinsic energy bloat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..api.strategies import FrequencyPlan, PlanContext, register_strategy
 from ..pipeline.dag import ComputationDag
@@ -39,20 +39,24 @@ class BaselineFrontierPoint:
         return self.execution.energy_at(floor_s)
 
 
-def global_plan(
-    dag: ComputationDag, profile: PipelineProfile, freq_mhz: int
+def snap_plan(
+    dag: ComputationDag, profile: PipelineProfile,
+    clock_of_stage: Callable[[int], int],
 ) -> Dict[int, int]:
-    """All computations at one clock (clamped per-op to profiled range)."""
+    """Every computation at its stage's clock, snapped down to the op's
+    largest profiled clock not above it (its lowest when none is);
+    constant-time ops at their one measurement."""
     plan: Dict[int, int] = {}
-    for n in dag.nodes:
-        op_profile = profile.get(dag.nodes[n].op_key)
+    for n, ins in dag.nodes.items():
+        op_profile = profile.get(ins.op_key)
         if op_profile.fixed:
             plan[n] = op_profile.measurements[0].freq_mhz
             continue
+        freq = clock_of_stage(ins.stage)
         available = sorted(m.freq_mhz for m in op_profile.measurements)
         chosen = available[0]
         for f in available:
-            if f <= freq_mhz:
+            if f <= freq:
                 chosen = f
             else:
                 break
@@ -60,11 +64,17 @@ def global_plan(
     return plan
 
 
-def zeus_global_frontier(
-    dag: ComputationDag, profile: PipelineProfile, freq_stride: int = 1
-) -> List[BaselineFrontierPoint]:
-    """Scan the global clock from max to min; Pareto-filter the outcomes."""
-    freqs = sorted(
+def global_plan(
+    dag: ComputationDag, profile: PipelineProfile, freq_mhz: int
+) -> Dict[int, int]:
+    """All computations at one clock (clamped per-op to profiled range)."""
+    return snap_plan(dag, profile, lambda _stage: freq_mhz)
+
+
+def clock_ladder(profile: PipelineProfile, freq_stride: int = 1) -> List[int]:
+    """Every clock any non-constant op was profiled at, descending,
+    keeping every ``freq_stride``-th: the clocks a Zeus scan visits."""
+    return sorted(
         {
             m.freq_mhz
             for op in profile.ops.values()
@@ -73,8 +83,14 @@ def zeus_global_frontier(
         },
         reverse=True,
     )[::freq_stride]
+
+
+def zeus_global_frontier(
+    dag: ComputationDag, profile: PipelineProfile, freq_stride: int = 1
+) -> List[BaselineFrontierPoint]:
+    """Scan the global clock from max to min; Pareto-filter the outcomes."""
     points: List[BaselineFrontierPoint] = []
-    for f in freqs:
+    for f in clock_ladder(profile, freq_stride):
         plan = global_plan(dag, profile, f)
         execution = execute_frequency_plan(dag, plan, profile)
         points.append(

@@ -18,14 +18,11 @@ from ..profiler.measurement import PipelineProfile
 from ..sim.executor import execute_frequency_plan
 from .zeus_global import (
     BaselineFrontierPoint,
+    clock_ladder,
     pareto_points,
     select_operating_point,
+    snap_plan,
 )
-
-
-def _stage_forward_time(profile: PipelineProfile, stage: int, freq: int) -> float:
-    op = profile.get((stage, "forward"))
-    return op.at_freq(freq).time_s
 
 
 def per_stage_plan(
@@ -42,24 +39,7 @@ def per_stage_plan(
                 chosen = m.freq_mhz
                 break
         stage_freq[stage] = chosen
-
-    plan: Dict[int, int] = {}
-    for n in dag.nodes:
-        ins = dag.nodes[n]
-        op_profile = profile.get(ins.op_key)
-        if op_profile.fixed:
-            plan[n] = op_profile.measurements[0].freq_mhz
-            continue
-        freq = stage_freq[ins.stage]
-        available = sorted(m.freq_mhz for m in op_profile.measurements)
-        chosen = available[0]
-        for f in available:
-            if f <= freq:
-                chosen = f
-            else:
-                break
-        plan[n] = chosen
-    return plan
+    return snap_plan(dag, profile, stage_freq.__getitem__)
 
 
 def zeus_per_stage_frontier(
@@ -75,17 +55,8 @@ def zeus_per_stage_frontier(
     stage's profiled range (the §5 early-exit cutoff) still skips the
     target, as before.
     """
-    freqs = sorted(
-        {
-            m.freq_mhz
-            for op in profile.ops.values()
-            if not op.fixed
-            for m in op.measurements
-        },
-        reverse=True,
-    )[::freq_stride]
     targets = []
-    for f in freqs:
+    for f in clock_ladder(profile, freq_stride):
         worst = 0.0
         ok = True
         for stage in range(dag.num_stages):

@@ -252,8 +252,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _read_input(path: str, what: str, load=json.load,
-                invalid: str = "{path} is not valid JSON: {exc}"):
+def _read_input(path: str, what: str, load=json.load):
     """``load(fp)`` of an input file; an unreadable or malformed file
     ends in a :class:`ReproError` naming it, never a traceback."""
     try:
@@ -262,7 +261,7 @@ def _read_input(path: str, what: str, load=json.load,
     except OSError as exc:
         raise ReproError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:
-        raise ReproError(invalid.format(path=path, exc=exc)) from exc
+        raise ReproError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _planner(args) -> Planner:
@@ -676,8 +675,7 @@ def cmd_call(args) -> int:
 def cmd_trace_view(args) -> int:
     from .obs.export import format_trace, load_chrome_trace
 
-    document = _read_input(args.file, "trace", load_chrome_trace,
-                           invalid="{exc}")
+    document = _read_input(args.file, "trace", load_chrome_trace)
     print(format_trace(document, width=args.width))
     return 0
 

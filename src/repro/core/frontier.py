@@ -121,16 +121,11 @@ class Frontier:
         """The schedule at :meth:`index_for` ``(target_time)``."""
         return self._lookup[self.index_for(target_time)]
 
-    def as_series(self) -> List[tuple]:
-        """(time, compute_energy) pairs for plotting (Figures 9, 12, 13)."""
-        return [(p.iteration_time, p.compute_energy) for p in self.points]
-
 
 def characterize_frontier(
     dag: ComputationDag,
     profile: PipelineProfile,
     tau: float = DEFAULT_TAU,
-    max_steps: Optional[int] = None,
     exactness: str = "exact",
 ) -> Frontier:
     """Run Algorithm 1: enumerate the whole frontier for one pipeline.
@@ -139,8 +134,6 @@ def characterize_frontier(
         dag: Computation DAG of one training iteration.
         profile: Profiled time/energy measurements + ``P_blocking``.
         tau: Unit time reduction per step (trades runtime vs. granularity).
-        max_steps: Safety bound on steps (defaults to a generous multiple
-            of the Appendix-F bound ``O((t_max - t_min) / tau)``).
         exactness: ``"exact"`` (bit-identical to the seed oracle in
             ``tests/reference/``) or ``"fast"`` (warm-started min-cuts
             and SP contraction; every point stays within
@@ -167,12 +160,13 @@ def characterize_frontier(
     slowest = {n: node_cost[n].t_max for n in dag.nodes}
     t_min_schedule = make_schedule(dag, fastest, cost_models)
 
-    if max_steps is None:
-        span = max(
-            t_min_schedule.iteration_time,
-            dag.iteration_time(slowest) - t_min_schedule.iteration_time,
-        )
-        max_steps = int(span / tau * 4) + 64
+    # Safety bound on steps: a generous multiple of the Appendix-F bound
+    # ``O((t_max - t_min) / tau)``.
+    span = max(
+        t_min_schedule.iteration_time,
+        dag.iteration_time(slowest) - t_min_schedule.iteration_time,
+    )
+    max_steps = int(span / tau * 4) + 64
 
     # One span for the whole crawl; the timings aggregates the crawl
     # already keeps become synthetic child spans (add_stage_spans), so
@@ -325,8 +319,7 @@ def _crawl(
             break
         step = next_schedule_flat if fast is None else next_schedule_fast
         nxt = step(
-            kern, durations, costs, tau,
-            arena=arena, timings=timings,
+            kern, durations, tau, timings, arena=arena,
             start_makespan=makespan, start_earliest=earliest,
             cost_table=table, fast=fast,
         )

@@ -229,14 +229,14 @@ class FastState:
 def next_schedule_flat(
     kern: CompiledDag,
     durations: array,
-    costs: Sequence[OpCostModel],
     tau: float,
     timings: dict,
-    arena: Optional[FlowArena] = None,
-    start_makespan: Optional[float] = None,
-    start_earliest: Optional[List[float]] = None,
-    cost_table: Optional[CostTable] = None,
-    fast: Optional[FastState] = None,
+    *,
+    arena: FlowArena,
+    start_makespan: float,
+    start_earliest: List[float],
+    cost_table: CostTable,
+    fast: Optional[FastState],
 ) -> Optional[FlatStep]:
     """One Algorithm-2 step on the compiled kernel.
 
@@ -249,17 +249,17 @@ def next_schedule_flat(
     Args:
         kern: Compiled DAG (with baked ``t_min``/``t_max`` vectors).
         durations: Current durations, ``array('d')`` indexed by comp id.
-        costs: Cost model per comp id (list indexed by comp id).
         tau: Unit time to shave off the iteration (seconds).
         timings: The crawl's accumulator; bumps ``event_times_s`` /
             ``instance_build_s`` / ``contract_s`` / ``maxflow_s`` /
             ``cuts`` / ``chain_cuts`` / ``repairs``.
-        arena: Reusable max-flow buffers (one per crawl; one per call
-            when omitted).
-        start_makespan: Known makespan of ``durations`` (skips one pass).
-        start_earliest: Earliest event times matching ``start_makespan``
-            (a prior step's :attr:`FlatStep.earliest`).
-        cost_table: Crawl-scoped :class:`CostTable` (fresh if omitted).
+        arena: Reusable max-flow buffers (one per crawl).
+        start_makespan: Makespan of ``durations``.
+        start_earliest: Earliest event times of ``durations`` (the
+            crawl's first forward pass, then each step's
+            :attr:`FlatStep.earliest`).
+        cost_table: Crawl-scoped :class:`CostTable` (its ``tau`` is
+            ``tau``).
         fast: Crawl-scoped :class:`FastState` selecting fast mode's cut
             solve (see :func:`next_schedule_fast`); ``None`` is exact.
 
@@ -274,17 +274,9 @@ def next_schedule_flat(
             "kernel was compiled without cost models; use "
             "CompiledDag.from_edge_centric(ecd, node_cost)"
         )
-    if cost_table is None:
-        cost_table = CostTable(costs, tau)
-    if arena is None:
-        arena = FlowArena()
-    if start_makespan is None or start_earliest is None:
-        start_earliest, start_makespan = _forward(
-            kern, durations, timings, fast
-        )
     current = durations
     cur_makespan = start_makespan
-    cur_earliest: Optional[List[float]] = start_earliest
+    cur_earliest = start_earliest
     moved = False
     max_inner = max(32, kern.num_comps)
     for _ in range(max_inner):
@@ -308,14 +300,14 @@ def next_schedule_flat(
 def next_schedule_fast(
     kern: CompiledDag,
     durations: array,
-    costs: Sequence[OpCostModel],
     tau: float,
     timings: dict,
-    arena: Optional[FlowArena] = None,
-    start_makespan: Optional[float] = None,
-    start_earliest: Optional[List[float]] = None,
-    cost_table: Optional[CostTable] = None,
-    fast: Optional[FastState] = None,
+    *,
+    arena: FlowArena,
+    start_makespan: float,
+    start_earliest: List[float],
+    cost_table: CostTable,
+    fast: FastState,
 ) -> Optional[FlatStep]:
     """One Algorithm-2 step in fast mode (tolerance-validated).
 
@@ -323,34 +315,30 @@ def next_schedule_fast(
     durations still shave ~``tau`` off the makespan and every move is a
     genuine cut move -- but the cut may be up to the warm-cut slack away
     from minimal and min-cut solves run on the SP-contracted core, so
-    the resulting frontier is *not* bit-identical to the oracle.  Pass a
-    crawl-scoped :class:`FastState` to share warm cuts across steps.
+    the resulting frontier is *not* bit-identical to the oracle.  The
+    crawl-scoped :class:`FastState` shares warm cuts across steps.
     """
     return next_schedule_flat(
-        kern, durations, costs, tau, timings, arena=arena,
+        kern, durations, tau, timings, arena=arena,
         start_makespan=start_makespan, start_earliest=start_earliest,
-        cost_table=cost_table, fast=FastState() if fast is None else fast,
+        cost_table=cost_table, fast=fast,
     )
 
 
 def _forward(
-    kern, durations, timings, fast, base_earliest=None, changed=()
+    kern, durations, timings, fast, base_earliest, changed
 ) -> Tuple[List[float], float]:
     """Earliest event times + makespan of ``durations``.
 
-    With ``base_earliest`` -- the earliest times of durations that
-    differ from ``durations`` only on the ``changed`` computations --
-    just the cone below the changed computations is recomputed, which is
+    ``base_earliest`` holds the earliest times of durations that differ
+    from ``durations`` only on the ``changed`` computations, so just the
+    cone below the changed computations is recomputed, which is
     bit-identical to a full :meth:`CompiledDag.forward_pass`.
     """
     start = perf_counter()
-    if base_earliest is None:
-        ear, makespan = kern.forward_pass(durations)
-        recomputed = kern.num_nodes
-    else:
-        ear, makespan, recomputed = kern.forward_pass_incremental(
-            durations, base_earliest, kern.min_affected_pos(changed)
-        )
+    ear, makespan, recomputed = kern.forward_pass_incremental(
+        durations, base_earliest, kern.min_affected_pos(changed)
+    )
     timings["event_times_s"] += perf_counter() - start
     if fast is not None:
         st = fast.stats

@@ -100,28 +100,16 @@ def make_schedule(
     dag: ComputationDag,
     durations: Dict[int, float],
     cost_models: Dict[OpKey, OpCostModel],
-    realize: bool = True,
-    iteration_time: Optional[float] = None,
 ) -> EnergySchedule:
-    """Bundle a duration assignment into a full :class:`EnergySchedule`.
-
-    ``iteration_time`` lets a caller that already knows the makespan (the
-    frontier crawl's compiled kernel computes it every step) skip the
-    longest-path recomputation; it must equal
-    ``dag.iteration_time(durations)`` -- the kernel's event pass evaluates
-    the identical recurrence, so passing its makespan is exact.
-    """
+    """Bundle a duration assignment into a full :class:`EnergySchedule`."""
     missing = [n for n in dag.nodes if n not in durations]
     if missing:
         raise ScheduleError(f"missing durations for nodes {missing[:5]}...")
     effective, compute = schedule_energies(dag, durations, cost_models)
-    freqs = realize_frequencies(dag, durations, cost_models) if realize else {}
-    if iteration_time is None:
-        iteration_time = dag.iteration_time(durations)
     return EnergySchedule(
         durations=dict(durations),
-        iteration_time=iteration_time,
+        iteration_time=dag.iteration_time(durations),
         effective_energy=effective,
         compute_energy=compute,
-        frequencies=freqs,
+        frequencies=realize_frequencies(dag, durations, cost_models),
     )

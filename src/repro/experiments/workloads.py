@@ -35,10 +35,6 @@ class Workload:
     tensor_parallel: int = 1
     data_parallel: int = 1
 
-    @property
-    def total_gpus(self) -> int:
-        return self.num_stages * self.tensor_parallel * self.data_parallel
-
 
 def _wl(key, model, display, gpu, stages, mb, num_mb, tp=1, dp=1) -> Workload:
     return Workload(key, model, display, gpu, stages, mb, num_mb, tp, dp)

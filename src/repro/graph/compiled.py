@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..units import TIME_EPS
 from .edgecentric import EdgeCentricDag
@@ -67,13 +67,6 @@ def _numpy():
     except ImportError:  # pragma: no cover - exercised on numpy-free installs
         return None
     return numpy
-
-
-def __getattr__(name):
-    # ``_np`` reads as the module (or ``None``) without loading it at import.
-    if name == "_np":
-        return _numpy()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FlatTimes:
@@ -100,8 +93,7 @@ class CompiledDag:
     :meth:`from_edge_centric`; every event/critical pass then runs on
     preallocated flat arrays keyed by dense ids.  Durations are passed
     as any sequence indexed by computation id (``array('d')`` in the
-    optimizer hot path; :meth:`durations_array` converts the legacy
-    ``Dict[int, float]`` form).
+    optimizer hot path).
     """
 
     __slots__ = (
@@ -180,15 +172,7 @@ class CompiledDag:
             t_max = [node_cost[c].t_max for c in comps]
         return cls(ecd, t_min=t_min, t_max=t_max)
 
-    # -- duration plumbing ---------------------------------------------------
-    def durations_array(
-        self, durations: Union[Dict[int, float], Sequence[float]]
-    ) -> array:
-        """Flat ``array('d')`` (indexed by comp id) from any accepted form."""
-        if isinstance(durations, dict):
-            return array("d", (durations[c] for c in range(self.num_comps)))
-        return array("d", durations)
-
+    # -- passes --------------------------------------------------------------
     def _extended(self, durations: Sequence[float]) -> List[float]:
         """Durations with the trailing 0.0 slot dependency edges index."""
         d = list(durations)
@@ -199,7 +183,6 @@ class CompiledDag:
         d.append(0.0)
         return d
 
-    # -- passes --------------------------------------------------------------
     def forward_pass(
         self, durations: Sequence[float]
     ) -> Tuple[List[float], float]:
@@ -216,29 +199,18 @@ class CompiledDag:
                 ear[v] = cand
         return ear, ear[self.t]
 
-    def makespan(self, durations: Sequence[float]) -> float:
-        """Longest s->t path length (forward pass only)."""
-        return self.forward_pass(durations)[1]
-
-    def event_pass(self, durations: Sequence[float]) -> FlatTimes:
-        """Forward + backward event times (no critical extraction)."""
-        return self._passes(durations, critical_eps=None)
-
     def critical_pass(
         self,
         durations: Sequence[float],
-        eps: float = TIME_EPS,
         forward: Optional[List[float]] = None,
     ) -> FlatTimes:
-        """Fused event times + zero-slack edge extraction.
+        """Fused event times + zero-slack (within ``TIME_EPS``) edge
+        extraction.
 
         ``forward`` reuses an earliest-times list previously computed by
         :meth:`forward_pass` for these exact durations (the optimizer
         threads it across step boundaries).
         """
-        return self._passes(durations, critical_eps=eps, forward=forward)
-
-    def _passes(self, durations, critical_eps, forward=None) -> FlatTimes:
         d = self._extended(durations)
         n = self.num_nodes
 
@@ -253,20 +225,12 @@ class CompiledDag:
         makespan = ear[self.t]
 
         lat = [makespan] * n
-        use_numpy = (
-            critical_eps is not None
-            and self.num_edges >= NUMPY_MIN_EDGES
-            and _numpy() is not None
-        )
-        if critical_eps is None or use_numpy:
+        if self.num_edges >= NUMPY_MIN_EDGES and _numpy() is not None:
             for u, v, c in zip(self._bu, self._bv, self._bc):
                 cand = lat[v] - d[c]
                 if cand < lat[u]:
                     lat[u] = cand
-            critical = (
-                self._extract_critical_np(ear, lat, d, critical_eps)
-                if use_numpy else None
-            )
+            critical = self._extract_critical_np(ear, lat, d)
             return FlatTimes(ear, lat, makespan, critical)
 
         # Fused backward relaxation + critical extraction: when edge
@@ -274,7 +238,7 @@ class CompiledDag:
         # lat[v] is already final, so its slack is computable in place.
         # Collected indices are sorted back to ascending edge order --
         # the order the oracle's extraction loop emits.
-        eps = critical_eps
+        eps = TIME_EPS
         critical = []
         append = critical.append
         for u, v, c, idx in zip(self._bu, self._bv, self._bc, self._bidx):
@@ -367,7 +331,7 @@ class CompiledDag:
                 ear[v] = cand
         return ear, ear[self.t], n - from_pos
 
-    def _extract_critical_np(self, ear, lat, d, eps) -> List[int]:
+    def _extract_critical_np(self, ear, lat, d) -> List[int]:
         _np = _numpy()
         if self._np_eu is None:
             self._np_eu = _np.array(self._eu, dtype=_np.intp)
@@ -377,4 +341,4 @@ class CompiledDag:
         larr = _np.asarray(lat)
         darr = _np.asarray(d)
         slack = larr[self._np_ev] - earr[self._np_eu] - darr[self._np_ec]
-        return _np.nonzero(slack <= eps)[0].tolist()
+        return _np.nonzero(slack <= TIME_EPS)[0].tolist()

@@ -43,7 +43,6 @@ from .trace import (
     new_trace_id,
     set_trace_id,
     span,
-    traced,
     tracing_enabled,
     wrap_context,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "set_trace_id",
     "span",
     "spans_to_chrome",
-    "traced",
     "tracing_enabled",
     "wrap_context",
 ]

@@ -303,25 +303,6 @@ def add_stage_spans(timings: Optional[dict],
         offset += seconds
 
 
-def traced(name: Optional[str] = None, **attrs) -> Callable:
-    """Decorator form of :func:`span` (span name defaults to the
-    function's qualified name)."""
-
-    def decorate(fn: Callable) -> Callable:
-        span_name = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not _enabled:
-                return fn(*args, **kwargs)
-            with _ActiveSpan(span_name, dict(attrs)):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
-
-
 def wrap_context(fn: Callable) -> Callable:
     """Bind the caller's context (trace id, open span) into ``fn``.
 

@@ -140,9 +140,6 @@ class ComputationDag:
         """Earliest start of each node under a duration assignment."""
         return self.longest_path(durations)[0]
 
-    def stage_nodes(self, stage: int) -> List[int]:
-        return [i for i, ins in self.nodes.items() if ins.stage == stage]
-
 
 def build_pipeline_dag(
     schedule: Schedule,

@@ -13,7 +13,7 @@ client-side profiler that drives a running training engine lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import ProfilingError
 from ..gpu.energy_model import ComputationEnergyModel, WorkProfile
@@ -22,53 +22,35 @@ from ..partition.algorithms import PartitionResult
 from ..models.layers import ModelSpec
 from .measurement import Measurement, OpProfile, PipelineProfile
 
-if TYPE_CHECKING:
-    import numpy as np
-
-
-def _noise_rng(seed: int) -> "np.random.Generator":
-    """The noise stream of a noisy profile; numpy loads only for one."""
-    import numpy as np
-
-    return np.random.default_rng(seed)
+#: §5's early exit: a sweep ends after this many consecutive clocks
+#: whose energy exceeds the minimum seen so far.
+SWEEP_PATIENCE = 3
 
 
 def sweep_frequencies(
     model: ComputationEnergyModel,
     work: WorkProfile,
     freq_stride: int = 1,
-    noise: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-    confirm_steps: int = 3,
 ) -> list:
     """Measure (time, energy) from the highest clock down, stopping early.
 
-    Stops after ``confirm_steps`` consecutive measurements whose energy
-    exceeds the minimum seen so far: below the min-energy clock every lower
-    clock is strictly suboptimal (§5).
+    Stops after :data:`SWEEP_PATIENCE` consecutive measurements whose
+    energy exceeds the minimum seen so far: below the min-energy clock
+    every lower clock is strictly suboptimal (§5).
     """
-    if noise < 0:
-        raise ProfilingError("noise must be non-negative")
-    if noise > 0 and rng is None:
-        rng = _noise_rng(0)
     table = model.spec.freq if freq_stride == 1 else model.spec.freq.subsample(freq_stride)
     measurements = []
     min_energy = float("inf")
     worse_streak = 0
     for freq in table.descending():
         t, e = model.time_energy(work, freq)
-        if noise > 0:
-            t *= float(1.0 + noise * rng.standard_normal())
-            e *= float(1.0 + noise * rng.standard_normal())
-            t = max(t, 1e-9)
-            e = max(e, 1e-9)
         measurements.append(Measurement(freq_mhz=freq, time_s=t, energy_j=e))
         if e < min_energy:
             min_energy = e
             worse_streak = 0
         else:
             worse_streak += 1
-            if worse_streak >= confirm_steps:
+            if worse_streak >= SWEEP_PATIENCE:
                 break
     return measurements
 
@@ -91,8 +73,6 @@ def profile_stage_measurements(
     gpu: GPUSpec,
     work: WorkProfile,
     freq_stride: int = 1,
-    noise: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
 ) -> List[Measurement]:
     """One computation's frequency sweep on one stage's device.
 
@@ -100,10 +80,7 @@ def profile_stage_measurements(
     ``(gpu, work, stride)`` so mixed-cluster sweeps re-measure each
     distinct (device, stage-slice) pair exactly once.
     """
-    return sweep_frequencies(
-        ComputationEnergyModel(gpu), work, freq_stride=freq_stride,
-        noise=noise, rng=rng,
-    )
+    return sweep_frequencies(ComputationEnergyModel(gpu), work, freq_stride)
 
 
 def profile_pipeline(
@@ -112,8 +89,6 @@ def profile_pipeline(
     gpu: GPULike,
     tensor_parallel: int = 1,
     freq_stride: int = 1,
-    noise: float = 0.0,
-    seed: int = 0,
 ) -> PipelineProfile:
     """Profile every stage's forward/backward over the frequency ladder.
 
@@ -126,22 +101,17 @@ def profile_pipeline(
             own* frequency ladder and power curve; a heterogeneous
             profile carries per-stage blocking powers.
         freq_stride: Subsample the frequency ladder (1 = full 15 MHz grid).
-        noise: Multiplicative Gaussian measurement noise (0 = exact).
-        seed: RNG seed for the noise.
     """
     gpus = resolve_gpus(gpu, partition.num_stages)
     if tensor_parallel > 1:
         model_spec = model_spec.shard(tensor_parallel)
-    rng = _noise_rng(seed) if noise > 0 else None
     profile = PipelineProfile.for_devices(gpus)
     for stage, (fwd, bwd) in enumerate(stage_works(model_spec, partition)):
         energy_model = ComputationEnergyModel(gpus[stage])
         for kind, work in (("forward", fwd), ("backward", bwd)):
             op = (stage, kind)
             op_profile = OpProfile(op=op)
-            for m in sweep_frequencies(
-                energy_model, work, freq_stride=freq_stride, noise=noise, rng=rng
-            ):
+            for m in sweep_frequencies(energy_model, work, freq_stride):
                 op_profile.add(m)
             profile.ops[op] = op_profile
     profile.validate()

@@ -21,10 +21,8 @@ from typing import Dict, List, Optional
 from ..exceptions import ClientError
 from ..gpu.nvml import SimDevice
 from ..profiler.measurement import Measurement, OpProfile, PipelineProfile
+from ..profiler.online import SWEEP_PATIENCE
 from .controller import AsyncFrequencyController
-
-#: Consecutive energy regressions before the sweep stops (§5).
-SWEEP_PATIENCE = 3
 
 
 @dataclass

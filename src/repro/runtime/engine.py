@@ -208,18 +208,18 @@ class TrainingEngine:
         return merged
 
 
-def profile_p_blocking(gpu: GPUSpec, measure_window_s: float = 1.0) -> float:
+def profile_p_blocking(gpu: GPUSpec) -> float:
     """Measure ``P_blocking`` with two GPUs (§5).
 
     One device busy-loops on P2P communication while its peer sleeps; the
-    blocking device's power draw over the window is ``P_blocking``.  Done
-    once per GPU model.
+    blocking device's power draw over a one-second window is
+    ``P_blocking``.  Done once per GPU model.
     """
     nvml = SimulatedNVML(gpu, 2)
     blocker = nvml.device(0)
     # The blocking device spins inside a NCCL kernel at P_blocking.
-    blocker.record_activity(0.0, measure_window_s, gpu.blocking_w)
-    return blocker.energy_counter(measure_window_s) / measure_window_s
+    blocker.record_activity(0.0, 1.0, gpu.blocking_w)
+    return blocker.energy_counter(1.0)
 
 
 @dataclass

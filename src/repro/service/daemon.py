@@ -590,15 +590,18 @@ class PlanningDaemon:
     def _operator_counters(self) -> dict:
         """The operator counters ``stats`` and ``GET /metrics`` render:
         planner work, cache events and hit ratio (``None`` before the
-        first lookup), queue depth and every job's drift row."""
+        first lookup), queue depth and every job's drift row.  The
+        queue-depth gauge is set here, so both surfaces carry it."""
         counters = dict(self.planner.cache.counters)
         lookups = counters.get("hits", 0) + counters.get("misses", 0)
+        depth = self.admission.inflight
+        self.metrics.set_gauge("repro_service_queue_depth", depth)
         return {
             "planner": dict(self.planner.stats),
             "cache": counters,
             "cache_hit_rate": (counters.get("hits", 0) / lookups
                                if lookups else None),
-            "queue_depth": self.admission.inflight,
+            "queue_depth": depth,
             "drift": self.server.drift_stats(),
         }
 
@@ -813,8 +816,6 @@ class PlanningDaemon:
     def metrics_text(self) -> str:
         """The ``/metrics`` exposition (live planner/cache families)."""
         snapshot = self._operator_counters()
-        self.metrics.set_gauge("repro_service_queue_depth",
-                               snapshot["queue_depth"])
         extra = ["# TYPE repro_planner_work_total counter"]
         for stage, count in sorted(snapshot["planner"].items()):
             extra.append(f'repro_planner_work_total{{stage="{stage}"}} '

@@ -164,11 +164,6 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(name, {}).get(_label_key(labels), 0)
 
-    def counter_total(self, name: str) -> float:
-        """Sum of one counter family across every label combination."""
-        with self._lock:
-            return sum(self._counters.get(name, {}).values())
-
     def snapshot(self) -> dict:
         """Nested-dict view of every family (the ``stats`` RPC body)."""
         def unpack(family: Dict[LabelKey, float]) -> dict:

@@ -41,11 +41,9 @@ class StageTimeline:
         return busy / horizon if horizon > 0 else 0.0
 
 
-def extract_timeline(
-    execution: PipelineExecution, until: float = None
-) -> List[StageTimeline]:
+def extract_timeline(execution: PipelineExecution) -> List[StageTimeline]:
     """Per-stage segment rows, with blocking gaps filled in explicitly."""
-    horizon = execution.iteration_time if until is None else until
+    horizon = execution.iteration_time
     rows: List[StageTimeline] = []
     for stage in range(execution.num_devices()):
         segments: List[TimelineSegment] = []

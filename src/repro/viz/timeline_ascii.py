@@ -21,11 +21,7 @@ def _shade(power_w: float, p_max: float) -> str:
     return SHADES[idx]
 
 
-def render_timeline(
-    execution: PipelineExecution,
-    width: int = 100,
-    show_labels: bool = True,
-) -> str:
+def render_timeline(execution: PipelineExecution, width: int = 100) -> str:
     """Render an execution as fixed-width ASCII rows, one per stage."""
     rows = extract_timeline(execution)
     horizon = execution.iteration_time
@@ -44,7 +40,7 @@ def render_timeline(
             fill = _shade(seg.power_w, p_max) if seg.kind != "blocking" else "."
             for i in range(a, b):
                 chars[i] = fill
-            if show_labels and seg.label and b - a >= len(seg.label) + 1:
+            if seg.label and b - a >= len(seg.label) + 1:
                 for j, ch in enumerate(seg.label):
                     chars[a + j] = ch
         lines.append(f"S{row.stage + 1} |" + "".join(chars) + "|")

@@ -14,6 +14,9 @@
   planner's energy at each deadline (:func:`~.oracle_enum.oracle_bound`,
   :func:`~.oracle_enum.optimality_gap`); of the crawl's code it
   shares only the cost-model fit;
+* :mod:`.noisy` -- the §5 sweep under multiplicative measurement
+  noise (:func:`~.noisy.noisy_profile_pipeline`), for the robustness
+  and fast-mode tests;
 * :mod:`.sim` -- the two-pass dict simulator (a fresh Kahn order per
   longest-path pass, a profile scan per node) that
   :mod:`repro.sim.executor` replaces.

@@ -30,7 +30,7 @@ from repro.graph.compiled import CompiledDag
 from repro.graph.edgecentric import to_edge_centric
 from repro.graph.lowerbounds import solve_bounded_arrays
 from repro.graph.maxflow import FlowArena
-from adapters import next_durations, source_side
+from adapters import durations_array, next_durations, source_side
 from reference import get_next_schedule_dict, seed_oracle
 from reference.critical import (
     as_event_times,
@@ -133,7 +133,7 @@ class TestStepEquivalence:
         ecd = to_edge_centric(stack.dag)
         durations = {n: cm.t_max for n, cm in node_cost.items()}
         kern = CompiledDag.from_edge_centric(ecd, node_cost)
-        flat = kern.event_pass(kern.durations_array(durations))
+        flat = kern.critical_pass(durations_array(kern, durations))
         reference = event_times(ecd, durations)
         assert as_event_times(flat) == reference
         assert flat.makespan == reference.makespan
@@ -149,22 +149,22 @@ class TestStepEquivalence:
                 n: cm.t_min + rng.random() * (cm.t_max - cm.t_min)
                 for n, cm in node_cost.items()
             }
-            flat = kern.critical_pass(kern.durations_array(durations))
+            flat = kern.critical_pass(durations_array(kern, durations))
             assert flat.critical == critical_edge_indices(ecd, durations)
 
     def test_numpy_extraction_matches_flat(self, monkeypatch):
-        if compiled_mod._np is None:
+        if compiled_mod._numpy() is None:
             pytest.skip("numpy unavailable")
         stack = _stack("homogeneous")
         node_cost = _node_cost(stack)
         ecd = to_edge_centric(stack.dag)
         durations = {n: cm.t_max for n, cm in node_cost.items()}
         kern_flat = CompiledDag.from_edge_centric(ecd, node_cost)
-        flat = kern_flat.critical_pass(kern_flat.durations_array(durations))
+        flat = kern_flat.critical_pass(durations_array(kern_flat, durations))
         monkeypatch.setattr(compiled_mod, "NUMPY_MIN_EDGES", 0)
         kern_np = CompiledDag.from_edge_centric(ecd, node_cost)
         vectorized = kern_np.critical_pass(
-            kern_np.durations_array(durations)
+            durations_array(kern_np, durations)
         )
         assert vectorized.critical == flat.critical
         assert vectorized.earliest == flat.earliest
@@ -178,7 +178,7 @@ class TestCompiledDag:
         ecd = to_edge_centric(stack.dag)
         kern = CompiledDag.from_edge_centric(ecd, node_cost)
         durations = {n: cm.t_max for n, cm in node_cost.items()}
-        assert kern.makespan(kern.durations_array(durations)) == \
+        assert kern.forward_pass(durations_array(kern, durations))[1] == \
             stack.dag.iteration_time(durations)
 
     def test_forward_reuse_is_exact(self):
@@ -186,8 +186,8 @@ class TestCompiledDag:
         node_cost = _node_cost(stack)
         ecd = to_edge_centric(stack.dag)
         kern = CompiledDag.from_edge_centric(ecd, node_cost)
-        dur = kern.durations_array(
-            {n: cm.t_max for n, cm in node_cost.items()}
+        dur = durations_array(
+            kern, {n: cm.t_max for n, cm in node_cost.items()}
         )
         earliest, makespan = kern.forward_pass(dur)
         reused = kern.critical_pass(dur, forward=earliest)
@@ -202,10 +202,10 @@ class TestCompiledDag:
         ecd = to_edge_centric(stack.dag)
         kern = CompiledDag.from_edge_centric(ecd, node_cost)
         durations = {n: cm.t_min for n, cm in node_cost.items()}
-        arr = kern.durations_array(durations)
+        arr = durations_array(kern, durations)
         assert dict(enumerate(arr)) == durations
         with pytest.raises(ValueError):
-            kern.makespan(arr[:-1])
+            kern.forward_pass(arr[:-1])
 
     def test_kernel_cached_per_cost_mapping(self):
         stack = _stack("homogeneous")
@@ -225,11 +225,16 @@ class TestCompiledDag:
         from repro.exceptions import OptimizationError
 
         costs = [node_cost[c] for c in range(bare.num_comps)]
-        dur = bare.durations_array(
-            {n: cm.t_max for n, cm in node_cost.items()}
+        dur = durations_array(
+            bare, {n: cm.t_max for n, cm in node_cost.items()}
         )
+        earliest, makespan = bare.forward_pass(dur)
         with pytest.raises(OptimizationError):
-            next_schedule_flat(bare, dur, costs, 1e-3, _new_timings("flat"))
+            next_schedule_flat(
+                bare, dur, 1e-3, _new_timings("flat"), arena=FlowArena(),
+                start_makespan=makespan, start_earliest=earliest,
+                cost_table=CostTable(costs, 1e-3), fast=None,
+            )
 
 
 class TestCostTable:

@@ -62,7 +62,7 @@ class TestFrontierShape:
         cms = build_cost_models(small_profile)
         tmin_point = small_optimizer.frontier.min_time_schedule
         fastest = {n: cms[small_dag.nodes[n].op_key].t_min for n in small_dag.nodes}
-        naive = make_schedule(small_dag, fastest, cms, realize=False)
+        naive = make_schedule(small_dag, fastest, cms)
         assert tmin_point.effective_energy < naive.effective_energy * 0.98
 
     def test_schedule_lookup_clamps(self, small_optimizer):

@@ -69,12 +69,6 @@ class TestFrontierEdges:
         with pytest.raises(OptimizationError):
             Frontier(points=[], tau=0.001)
 
-    def test_as_series_shape(self, small_optimizer):
-        series = small_optimizer.frontier.as_series()
-        assert len(series) == len(small_optimizer.frontier.points)
-        times = [t for t, _ in series]
-        assert times == sorted(times)
-
     def test_single_point_frontier_lookup(self, small_optimizer):
         point = small_optimizer.frontier.points[0]
         single = Frontier(points=[point], tau=0.001)

@@ -37,7 +37,9 @@ class TestWorkloads:
             get_workload("nope")
 
     def test_3d_workload_gpu_count(self):
-        assert A40_3D_WORKLOAD.total_gpus == 16  # DP2 x TP2 x PP4
+        wl = A40_3D_WORKLOAD
+        assert (wl.data_parallel, wl.tensor_parallel, wl.num_stages) == \
+            (2, 2, 4)  # 16 GPUs
 
     def test_microbatch_scaling(self):
         wl = A100_PP4_WORKLOADS[0]

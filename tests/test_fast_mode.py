@@ -38,10 +38,11 @@ from repro.models.registry import build_model
 from repro.partition.algorithms import partition_model
 from repro.pipeline.dag import build_pipeline_dag
 from repro.pipeline.schedules import schedule_1f1b
-from repro.profiler.online import profile_pipeline
 from repro.service import stack_flight_key
+from adapters import durations_array
 from reference import fit as reference_fit, seed_oracle
 from reference.maxflow import BoundedEdge, max_flow_with_lower_bounds_reference
+from reference.noisy import noisy_profile_pipeline
 from reference.oracle_enum import OracleBound, optimality_gap, oracle_bound
 
 NOISE = 0.05
@@ -51,8 +52,8 @@ STEP_TARGET = 24
 def _noisy_profile(stages, seed):
     model = build_model("gpt3-xl", 4)
     partition = partition_model(model, stages, A100_PCIE)
-    return profile_pipeline(model, partition, A100_PCIE, freq_stride=16,
-                            noise=NOISE, seed=seed)
+    return noisy_profile_pipeline(model, partition, A100_PCIE,
+                                  freq_stride=16, noise=NOISE, seed=seed)
 
 
 def _auto_tau(dag, profile):
@@ -308,8 +309,8 @@ class TestIncrementalForwardPass:
         node_cost = {n: models[dag.nodes[n].op_key] for n in dag.nodes}
         kern = compiled_kernel(to_edge_centric(dag), node_cost)
         rng = random.Random(42)
-        base = kern.durations_array(
-            {n: cm.t_max for n, cm in node_cost.items()}
+        base = durations_array(
+            kern, {n: cm.t_max for n, cm in node_cost.items()}
         )
         earliest, _ = kern.forward_pass(base)
         for _ in range(50):
@@ -336,8 +337,8 @@ class TestIncrementalForwardPass:
         models = build_cost_models(profile)
         node_cost = {n: models[dag.nodes[n].op_key] for n in dag.nodes}
         kern = compiled_kernel(to_edge_centric(dag), node_cost)
-        dur = kern.durations_array(
-            {n: cm.t_min for n, cm in node_cost.items()}
+        dur = durations_array(
+            kern, {n: cm.t_min for n, cm in node_cost.items()}
         )
         ear, make, recomputed = kern.forward_pass_incremental(dur, [], 0)
         full_ear, full_make = kern.forward_pass(dur)

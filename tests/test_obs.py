@@ -23,7 +23,6 @@ from repro.obs import (
     EventLog,
     ProvenanceBuilder,
     TraceRecorder,
-    current_span,
     current_trace_id,
     disable_tracing,
     enable_tracing,
@@ -37,7 +36,6 @@ from repro.obs import (
     set_trace_id,
     span,
     spans_to_chrome,
-    traced,
     tracing_enabled,
     wrap_context,
 )
@@ -128,18 +126,6 @@ def test_wrap_context_carries_trace_into_thread():
     assert seen["trace_id"] == parent.trace_id
     child = next(s for s in recorder.spans if s.name == "child")
     assert child.parent_id == parent.span_id
-
-
-def test_traced_decorator_uses_qualname_and_is_free_when_disabled():
-    @traced()
-    def work():
-        return current_span()
-
-    assert work() is None  # disabled: no span opened
-    recorder = enable_tracing()
-    opened = work()
-    assert opened.name.endswith("work")
-    assert recorder.spans[0].name == opened.name
 
 
 def test_add_stage_spans_rebases_timings_as_children():

@@ -111,9 +111,6 @@ class TestConstOps:
 
 
 class TestHelpers:
-    def test_stage_nodes(self, dag_2x3):
-        assert len(dag_2x3.stage_nodes(0)) == 6
-
     def test_cycle_detection(self):
         dag = ComputationDag()
         a = dag.add_node(Instruction(0, 0, InstrKind.FORWARD))

@@ -18,6 +18,7 @@ from repro.profiler.online import (
     profile_pipeline,
     sweep_frequencies,
 )
+from reference.noisy import NoisyEnergyModel, noisy_profile_pipeline
 
 
 def m(freq, t, e):
@@ -150,11 +151,20 @@ class TestSweep:
 
         model = ComputationEnergyModel(A100_PCIE)
         work = WorkProfile(flops=5e12, mem_bytes=1e9)
-        a = sweep_frequencies(model, work, freq_stride=8, noise=0.02,
-                              rng=np.random.default_rng(7))
-        b = sweep_frequencies(model, work, freq_stride=8, noise=0.02,
-                              rng=np.random.default_rng(7))
+        a = sweep_frequencies(
+            NoisyEnergyModel(model, 0.02, np.random.default_rng(7)), work,
+            freq_stride=8)
+        b = sweep_frequencies(
+            NoisyEnergyModel(model, 0.02, np.random.default_rng(7)), work,
+            freq_stride=8)
         assert a == b
+
+    def test_noiseless_reference_profile_is_the_product_profile(self):
+        model = build_model("gpt3-xl", 2)
+        part = partition_model(model, 2, A100_PCIE)
+        assert noisy_profile_pipeline(model, part, A100_PCIE,
+                                      freq_stride=8) == \
+            profile_pipeline(model, part, A100_PCIE, freq_stride=8)
 
 
 class TestPipelineProfile:

@@ -10,6 +10,7 @@ from repro.pipeline.dag import build_pipeline_dag
 from repro.pipeline.schedules import schedule_1f1b
 from repro.profiler.online import profile_pipeline
 from repro.sim.executor import execute_frequency_plan, max_frequency_plan
+from reference.noisy import noisy_profile_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +25,7 @@ class TestProfilingNoise:
     @pytest.mark.parametrize("noise", [0.005, 0.02])
     def test_noisy_profile_still_plans(self, model_and_partition, noise):
         model, part = model_and_partition
-        profile = profile_pipeline(
+        profile = noisy_profile_pipeline(
             model, part, A100_PCIE, freq_stride=8, noise=noise, seed=11
         )
         dag = build_pipeline_dag(schedule_1f1b(2, 3))
@@ -39,7 +40,7 @@ class TestProfilingNoise:
         dag = build_pipeline_dag(schedule_1f1b(2, 3))
 
         def savings(noise, seed=3):
-            profile = profile_pipeline(
+            profile = noisy_profile_pipeline(
                 model, part, A100_PCIE, freq_stride=8, noise=noise, seed=seed
             )
             frontier = characterize_frontier(dag, profile, tau=0.01)

@@ -5,13 +5,14 @@ import json
 import random
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
 from repro.api import PlanSpec, Planner
 from repro.cli import main
 from repro.core.frontier import Frontier
-from repro.core.schedule import EnergySchedule, make_schedule
+from repro.core.schedule import EnergySchedule
 from repro.core.serialization import (
     FRONTIER_FORMAT_VERSION,
     SerializationError,
@@ -138,11 +139,8 @@ class TestFrontierV2:
         assert len(json.dumps(payload)) * 5 < len(json.dumps(
             [schedule_to_dict(p) for p in frontier.points]))
 
-    def test_unrealized_points_without_frequencies(self, small_optimizer,
-                                                   small_dag,
-                                                   small_cost_models):
-        points = [make_schedule(small_dag, p.durations, small_cost_models,
-                                realize=False)
+    def test_unrealized_points_without_frequencies(self, small_optimizer):
+        points = [replace(p, frequencies={})
                   for p in small_optimizer.frontier.points[:5]]
         assert all(p.frequencies == {} for p in points)
         frontier = Frontier(points=points, tau=0.01)
@@ -374,6 +372,13 @@ class TestCLI:
             captured = capsys.readouterr()
             assert "degree" not in captured.out  # no row printed
             assert captured.err.startswith("error: ")
+
+    def test_trace_view_names_a_malformed_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{oops", encoding="utf-8")
+        assert main(["trace", "view", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not valid JSON: ")
 
     def test_timeline(self, capsys):
         rc = main([

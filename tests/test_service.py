@@ -252,7 +252,7 @@ def test_metrics_counters_and_labels():
     reg.inc("hits", {"tier": "memory"})
     reg.inc("hits", {"tier": "disk"})
     assert reg.counter_value("hits", {"tier": "memory"}) == 2
-    assert reg.counter_total("hits") == 3
+    assert reg.counter_value("hits", {"tier": "disk"}) == 1
 
 
 def test_metrics_histogram_buckets_are_cumulative():
@@ -983,3 +983,15 @@ def test_metrics_and_stats_exact_after_scripted_session(monkeypatch):
     finally:
         daemon.close()
     assert json.dumps(stats) == json.dumps(SESSION_STATS)
+
+
+def test_stats_carries_queue_depth_gauge_before_any_scrape():
+    daemon = PlanningDaemon(planner=Planner(), port=0, access_log=False)
+    try:
+        status, body, _ = daemon.handle_rpc(
+            {"method": "stats", "params": {}, "id": "r0"}, "team-a")
+    finally:
+        daemon.close()
+    assert status == 200, body
+    assert body["result"]["service"]["gauges"] == {
+        "repro_service_queue_depth": {"_total": 0}}

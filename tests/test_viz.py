@@ -33,7 +33,7 @@ def test_rows_have_fixed_width(execution):
 
 
 def test_blocking_rendered_as_dots(execution):
-    out = render_timeline(execution, width=80, show_labels=False)
+    out = render_timeline(execution, width=80)
     # stage 1 idles at the start (waiting for stage 0's forward)
     row_s2 = out.splitlines()[2]
     assert row_s2.split("|")[1].startswith(".")
