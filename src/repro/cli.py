@@ -253,15 +253,18 @@ def cmd_compare(args) -> int:
 
 
 def _read_input(path: str, what: str, load=json.load):
-    """``load(fp)`` of an input file; an unreadable or malformed file
-    ends in a :class:`ReproError` naming it, never a traceback."""
+    """``load(fp)`` of an input file; an unreadable file, one that is
+    not JSON, or JSON of the wrong shape for ``load`` ends in a
+    :class:`ReproError` naming the file once, never a traceback."""
     try:
         with open(path, encoding="utf-8") as fp:
             return load(fp)
     except OSError as exc:
         raise ReproError(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ReproError(f"{path} is not valid JSON: {exc}") from exc
+    except (ValueError, ReproError) as exc:
+        raise ReproError(f"{path} is not a valid {what}: {exc}") from exc
 
 
 def _planner(args) -> Planner:

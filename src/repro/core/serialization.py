@@ -7,12 +7,22 @@ versioned and deliberately flat (no pickling) so they diff cleanly and can
 be consumed by plotting tools.  :class:`repro.api.PlanSpec` payloads
 (kind ``plan_spec``) take part in the same ``save_json``/``load_json``
 dispatch so sweep manifests live next to their artifacts.
+
+Frontiers are by far the largest payloads.  Version 3 stores them as
+columns: one list per scalar, a full row where the schedule's layout
+starts or changes, and four flat delta columns with per-point offsets
+(:func:`frontier_to_dict`).  Reading one checks the whole payload with
+a few whole-list calls and builds a point only when it is looked up,
+so a warm plan builds one.  Version 2 payloads (one inline delta row
+per point) are converted to those columns and read the same way;
+version 1 payloads (a list of full points) are read eagerly.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from typing import IO, List, Sequence
 
 from ..exceptions import ReproError
@@ -23,11 +33,11 @@ from .schedule import EnergySchedule
 
 FORMAT_VERSION = 1
 
-#: Frontier payloads are columnar with per-point deltas (see
-#: :func:`frontier_to_dict`); version 1 (a list of full points) stays
-#: readable because existing stores hold frontiers that take minutes to
-#: re-crawl.
-FRONTIER_FORMAT_VERSION = 2
+#: Frontier payloads are columnar with flat per-point delta columns
+#: (see :func:`frontier_to_dict`); version 2 (one delta row per point)
+#: and version 1 (a list of full points) stay readable because existing
+#: stores hold frontiers that take minutes to re-crawl.
+FRONTIER_FORMAT_VERSION = 3
 
 #: Pipeline-profile payloads carrying the per-stage ``stage_blocking_w``
 #: map (mixed-GPU clusters) are stamped version 2 so pre-mixed-cluster
@@ -180,17 +190,21 @@ def _delta_row(point: EnergySchedule, prev: EnergySchedule) -> list:
 
 
 def frontier_to_dict(frontier: Frontier) -> dict:
-    """JSON-ready representation of a characterized frontier (version 2).
+    """JSON-ready representation of a characterized frontier (version 3).
 
     Columnar: one list per scalar (``iteration_time``,
-    ``effective_energy``, ``compute_energy``) and one entry per point in
-    ``rows``.  The first point is a full row (``ids``, ``durations``,
-    ``frequencies`` -- the latter empty or aligned with ``ids``); each
-    later point is a flat ``[index, duration, frequency, ...]`` list of
-    the entries that changed from its predecessor.  A point whose key
-    set or key order differs from its predecessor's gets a full row
-    again (and one carrying ``frequency_ids`` when its frequencies are
-    keyed differently from its durations).
+    ``effective_energy``, ``compute_energy``), a few full ``rows`` and
+    four flat delta columns.  The first point is a full row (``at``,
+    ``ids``, ``durations``, ``frequencies`` -- the latter empty or
+    aligned with ``ids``).  Every later point with the same layout
+    stores only the entries that changed from its predecessor: point
+    ``k``'s are ``delta_index`` (into ``ids``), ``delta_duration`` and
+    ``delta_frequency`` (``None`` when the layout carries no clocks)
+    from ``delta_offsets[k]`` to ``delta_offsets[k + 1]``.  A point
+    whose key set or key order differs from its predecessor's gets a
+    full row again, recording its index in ``at`` (and one carrying
+    ``frequency_ids`` when its frequencies are keyed differently from
+    its durations).
     """
     points = frontier.points
     rows = []
@@ -202,7 +216,7 @@ def frontier_to_dict(frontier: Frontier) -> dict:
         else:
             rows.append(_full_row(point, layout is not None))
         prev, prev_layout = point, layout
-    return {
+    return _columns({
         "version": FRONTIER_FORMAT_VERSION,
         "kind": "frontier",
         "tau": frontier.tau,
@@ -213,109 +227,157 @@ def frontier_to_dict(frontier: Frontier) -> dict:
         "effective_energy": [p.effective_energy for p in points],
         "compute_energy": [p.compute_energy for p in points],
         "rows": rows,
-    }
+    })
+
+
+def _columns(payload: dict) -> dict:
+    """``payload`` with its ``rows`` -- one per point, a full row or a
+    flat ``[index, duration, frequency, ...]`` delta, as version 2
+    stores them -- regrouped into version 3's full rows and delta
+    columns.  The writer and the version-2 reader both regroup here, so
+    :class:`_StoredPoints` checks one layout."""
+    rows, offsets, index, durations, clocks = [], [0], [], [], []
+    for k, row in enumerate(payload["rows"]):
+        if isinstance(row, dict):
+            rows.append(dict(row, at=k))
+        else:  # a row that is no list of triples misaligns the columns
+            index += row[0::3]
+            durations += row[1::3]
+            clocks += row[2::3]
+        offsets.append(len(index))
+    return dict(payload, rows=rows, delta_offsets=offsets, delta_index=index,
+                delta_duration=durations, delta_frequency=clocks)
+
+
+def _types(column) -> set:
+    return set(map(type, column))
 
 
 class _StoredPoints:
-    """The points of a version-2 frontier payload, decoded lazily.
+    """The points of a version-3 frontier payload, decoded lazily.
 
-    Construction checks the whole payload but builds no schedule.
-    ``self[k]`` replays the delta rows up to ``k`` into one copy of the
-    full row before them (lookups share no state, so threads may make
-    them concurrently); iterating replays every row once.
+    Construction checks the whole payload but builds no schedule: each
+    column and each full row's segment of the delta columns is checked
+    by a few whole-list calls.  ``self[k]`` copies the full row before
+    ``k`` once and applies its segment's deltas up to ``k`` in one
+    ``dict.update`` (lookups share no state, so threads may make them
+    concurrently); iterating applies every delta entry once.
     """
 
     def __init__(self, payload: dict) -> None:
-        rows = payload["rows"]
         self.times = list(map(float, payload["iteration_time"]))
         self._effective = list(map(float, payload["effective_energy"]))
         self._compute = list(map(float, payload["compute_energy"]))
-        if not (len(rows) == len(self.times) == len(self._effective)
-                == len(self._compute)):
+        offsets = self._offsets = payload["delta_offsets"]
+        index = self._index = payload["delta_index"]
+        clocks = self._clocks = payload["delta_frequency"]
+        self._durations = payload["delta_duration"]
+        n = len(self.times)
+        if not (n == len(self._effective) == len(self._compute)
+                == len(offsets) - 1):
             raise SerializationError("frontier columns differ in length")
         if not all(map(float.__le__, self.times, self.times[1:])):
             raise SerializationError("frontier iteration times are unsorted")
-        # Full rows as (durations, frequencies) dicts, delta rows as
-        # (keys, durations, clocks or None) lists.
+        if not (_types(offsets) <= {int} and offsets[0] == 0
+                and offsets[-1] == len(index) == len(self._durations)
+                == len(clocks)
+                and all(map(int.__le__, offsets, offsets[1:]))
+                and _types(index) <= {int}
+                and _types(clocks) <= {int, type(None)}):
+            raise SerializationError("malformed frontier delta columns")
+        kinds = _types(self._durations)
+        if not kinds <= {float}:  # an integral duration reads as a float
+            if not kinds <= {float, int}:
+                raise SerializationError("malformed frontier delta columns")
+            self._durations = list(map(float, self._durations))
+        rows = payload["rows"]
+        starts = self._starts = [row["at"] for row in rows]
+        if not (starts and starts[0] == 0 and _types(starts) <= {int}
+                and all(map(int.__lt__, starts, starts[1:]))):
+            raise SerializationError(
+                "frontier full rows must start at point 0 and ascend")
+        # Per full row: (ids, durations, frequencies), the base its
+        # segment's points copy.
         self._rows = []
-        self._bases = []  # the full row each point replays from
-        ids = None
-        for k, row in enumerate(rows):
-            if isinstance(row, dict):
-                ids = list(map(int, row["ids"]))
-                values = list(map(float, row["durations"]))
-                clocks = list(map(int, row["frequencies"]))
-                frequency_ids = row.get("frequency_ids")
-                if frequency_ids is None:
-                    frequency_ids = ids if clocks else []
-                else:
-                    frequency_ids = list(map(int, frequency_ids))
-                durations = dict(zip(ids, values))
-                frequencies = dict(zip(frequency_ids, clocks))
-                if not (len(durations) == len(values) == len(ids)
-                        and len(frequencies) == len(clocks)
-                        == len(frequency_ids)):
-                    raise SerializationError("malformed frontier row")
-                if "frequency_ids" in row:
-                    ids = None  # deltas need frequencies keyed like ids
-                self._rows.append((durations, frequencies))
-                self._bases.append(k)
-                continue
-            if ids is None:
+        for row, at, end in zip(rows, starts, starts[1:] + [n]):
+            ids = list(map(int, row["ids"]))
+            values = list(map(float, row["durations"]))
+            row_clocks = list(map(int, row["frequencies"]))
+            frequency_ids = row.get("frequency_ids")
+            if frequency_ids is None:
+                frequency_ids = ids if row_clocks else []
+            else:
+                frequency_ids = list(map(int, frequency_ids))
+            base_durations = dict(zip(ids, values))
+            frequencies = dict(zip(frequency_ids, row_clocks))
+            if not (len(base_durations) == len(values) == len(ids)
+                    and len(frequencies) == len(row_clocks)
+                    == len(frequency_ids)):
+                raise SerializationError("malformed frontier row")
+            # The segment of deltas after this row: none for the row's
+            # own point, none after a row whose frequencies are keyed
+            # apart from its ids, indices into ids, and clocks exactly
+            # where the row has frequencies.
+            lo, hi = offsets[at], offsets[end]
+            segment = index[lo:hi]
+            if (offsets[at + 1] != lo
+                    or ("frequency_ids" in row and end > at + 1)
+                    or segment and (min(segment) < 0
+                                    or max(segment) >= len(ids))
+                    or clocks[lo:hi].count(None)
+                    != (0 if frequencies else hi - lo)):
                 raise SerializationError(
-                    "delta row without a full row before it")
-            index = row[0::3]
-            if len(row) % 3 or not set(map(type, index)) <= {int} or (
-                    index and (min(index) < 0 or max(index) >= len(ids))):
-                raise SerializationError(f"malformed frontier delta row {k}")
-            self._rows.append((list(map(ids.__getitem__, index)),
-                               list(map(float, row[1::3])),
-                               list(map(int, row[2::3])) if frequencies
-                               else None))
-            self._bases.append(self._bases[-1])
+                    f"malformed frontier deltas after full row {at}")
+            self._rows.append((ids, base_durations, frequencies))
 
     def __len__(self) -> int:
         return len(self.times)
 
-    def _replay(self, k: int, durations: dict, frequencies: dict) -> None:
-        keys, values, clocks = self._rows[k]
-        durations.update(zip(keys, values))
-        if clocks is not None:
-            frequencies.update(zip(keys, clocks))
-
-    def __getitem__(self, k: int) -> EnergySchedule:
-        k = range(len(self.times))[k]
-        base = self._bases[k]
-        durations, frequencies = (d.copy() for d in self._rows[base])
-        for j in range(base + 1, k + 1):
-            self._replay(j, durations, frequencies)
+    def _point(self, k: int, ids: list, durations: dict, frequencies: dict,
+               lo: int) -> EnergySchedule:
+        """Point ``k`` from copies of ``durations`` and ``frequencies``
+        with the delta entries ``lo`` to ``k``'s end applied in order."""
+        hi = self._offsets[k + 1]
+        durations, frequencies = durations.copy(), frequencies.copy()
+        if hi > lo:
+            keys = list(map(ids.__getitem__, self._index[lo:hi]))
+            durations.update(zip(keys, self._durations[lo:hi]))
+            if frequencies:
+                frequencies.update(zip(keys, self._clocks[lo:hi]))
         return EnergySchedule(durations, self.times[k], self._effective[k],
                               self._compute[k], frequencies)
 
+    def __getitem__(self, k: int) -> EnergySchedule:
+        k = range(len(self.times))[k]
+        r = bisect_right(self._starts, k) - 1
+        return self._point(k, *self._rows[r], self._offsets[self._starts[r]])
+
     def __iter__(self):
-        for k, base in enumerate(self._bases):
-            if base == k:
-                durations, frequencies = self._rows[k]
-            # Copies keep the key order; only changed entries are set.
-            durations, frequencies = durations.copy(), frequencies.copy()
-            if base != k:
-                self._replay(k, durations, frequencies)
-            yield EnergySchedule(durations, self.times[k], self._effective[k],
-                                 self._compute[k], frequencies)
+        for at, end, (ids, durations, frequencies) in zip(
+                self._starts, self._starts[1:] + [len(self.times)],
+                self._rows):
+            for k in range(at, end):
+                point = self._point(k, ids, durations, frequencies,
+                                    self._offsets[k])
+                yield point
+                durations, frequencies = point.durations, point.frequencies
 
 
 def frontier_from_dict(payload: dict) -> Frontier:
-    """Inverse of :func:`frontier_to_dict`; also reads version 1 (a
-    ``points`` list of :func:`schedule_to_dict` rows).
+    """Inverse of :func:`frontier_to_dict`; also reads version 2 (one
+    ``rows`` entry per point, deltas inline) and version 1 (a ``points``
+    list of :func:`schedule_to_dict` rows).
 
-    A version-2 payload is checked whole here but decoded lazily: the
-    frontier builds only the points it is asked for (see
+    A version-2 or -3 payload is checked whole here but decoded lazily:
+    the frontier builds only the points it is asked for (see
     :class:`_StoredPoints`).
     """
-    _expect(payload, "frontier", versions=(1, FRONTIER_FORMAT_VERSION))
+    _expect(payload, "frontier", versions=(1, 2, FRONTIER_FORMAT_VERSION))
     try:
         if payload["version"] == 1:
             points = [schedule_from_dict(p) for p in payload["points"]]
+        elif payload["version"] == 2:
+            points = _StoredPoints(_columns(payload))
         else:
             points = _StoredPoints(payload)
     except _MALFORMED as exc:

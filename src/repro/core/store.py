@@ -53,6 +53,7 @@ import os
 import tempfile
 import threading
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, Iterable, Optional, Union
 
 try:  # POSIX advisory locks guard gc against concurrent writers
@@ -92,11 +93,11 @@ class StoreError(ReproError):
 # ---------------------------------------------------------------------------
 
 
-#: Per dataclass type: its field names in ``dataclasses.fields`` order
-#: and whether it is frozen (only frozen instances are memoized).
+#: Per dataclass type: ``('"name":', name)`` per field in sorted name
+#: order, and whether it is frozen (only frozen instances are memoized).
 _FIELDS: Dict[type, tuple] = {}
 
-#: ``id(instance) -> (instance, canonical form)`` for frozen dataclasses
+#: ``id(instance) -> (instance, key text)`` for frozen dataclasses
 #: hashed at the top level of a key (a plan hashes its ``ModelSpec`` in
 #: most of its keys).  Holding the instance keeps its id from being
 #: reused while the entry lives; the table is cleared when it reaches
@@ -107,13 +108,14 @@ _MEMO_SIZE = 256
 
 
 def _dataclass_fields(cls: type):
-    """``(names, frozen)`` of a dataclass type, else ``None`` (cached)."""
+    """``(fields, frozen)`` of a dataclass type, else ``None`` (cached)."""
     try:
         return _FIELDS[cls]
     except KeyError:
         pass
     if dataclasses.is_dataclass(cls):
-        entry = (tuple(f.name for f in dataclasses.fields(cls)),
+        names = sorted(f.name for f in dataclasses.fields(cls))
+        entry = (tuple((_quote(name) + ":", name) for name in names),
                  cls.__dataclass_params__.frozen)
     else:
         entry = None
@@ -121,45 +123,58 @@ def _dataclass_fields(cls: type):
     return entry
 
 
-def _canonical_fields(value, names: tuple) -> dict:
-    return {name: _canonical(getattr(value, name), nested=True)
-            for name in names}
+def _fields_text(value, fields: tuple) -> str:
+    return "{" + ",".join([label + _key_text(getattr(value, name), True)
+                           for label, name in fields]) + "}"
 
 
-def _canonical(value, nested: bool = False):
-    """JSON-able canonical form of one planner cache-key constituent.
+def _key_text(value, nested: bool = False) -> str:
+    """Canonical JSON text of one planner cache-key constituent.
 
-    Dataclasses (``GPUSpec``, ``WorkProfile``, ...) canonicalize by type
-    name plus *field values*, so a derated custom A100 never collides
-    with the registry spec sharing its name; a dataclass nested inside
-    another one contributes its field values alone (``nested``), the
-    shape ``dataclasses.asdict`` gives.  Frozen dataclasses are values:
-    their canonical form is memoized by identity.  Floats use
-    ``float.hex`` -- exact, locale-free, round-trippable.
+    The text is what ``json.dumps(form, sort_keys=True,
+    separators=(",", ":"))`` writes for the constituent's canonical
+    form, built in one pass.  Dataclasses (``GPUSpec``,
+    ``WorkProfile``, ...) canonicalize by type name plus *field
+    values*, ``[name, {field: value}]``, so a derated custom A100 never
+    collides with the registry spec sharing its name; a dataclass
+    nested inside another one contributes its field object alone
+    (``nested``), the shape ``dataclasses.asdict`` gives.  Frozen
+    dataclasses are values: their text is memoized by identity.  Floats
+    are the string of ``float.hex`` -- exact, locale-free,
+    round-trippable; dict keys are ``str`` of the key.
     """
-    if value is None or isinstance(value, (str, bool, int)):
-        return value
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
-        return value.hex()
+        return '"' + value.hex() + '"'
     dataclass = _dataclass_fields(type(value))
     if dataclass is not None:
-        names, frozen = dataclass
+        fields, frozen = dataclass
         if nested:
-            return _canonical_fields(value, names)
-        if not frozen:
-            return [type(value).__name__, _canonical_fields(value, names)]
+            return _fields_text(value, fields)
         hit = _MEMO.get(id(value))
-        if hit is None:
+        if hit is not None:
+            return hit[1]
+        text = ("[" + _quote(type(value).__name__) + ","
+                + _fields_text(value, fields) + "]")
+        if frozen:
             if len(_MEMO) >= _MEMO_SIZE:
                 _MEMO.clear()
-            hit = _MEMO[id(value)] = (
-                value, [type(value).__name__, _canonical_fields(value, names)])
-        return hit[1]
+            _MEMO[id(value)] = (value, text)
+        return text
     if isinstance(value, (tuple, list)):
-        return [_canonical(v, nested) for v in value]
+        return "[" + ",".join([_key_text(v, nested) for v in value]) + "]"
     if isinstance(value, dict):
-        return {str(k): _canonical(v, nested)
-                for k, v in sorted(value.items())}
+        # str() keys, later keys winning a clash, written in key order.
+        table = {str(k): v for k, v in sorted(value.items())}
+        return "{" + ",".join([_quote(k) + ":" + _key_text(v, nested)
+                               for k, v in sorted(table.items())]) + "}"
     raise TypeError(f"cannot canonicalize {type(value).__name__} for a "
                     f"store key")
 
@@ -172,9 +187,7 @@ def stable_key(key) -> str:
     reuse a first process's partitions, profiles and frontiers
     bit-for-bit.
     """
-    canonical = json.dumps(_canonical(key), sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_key_text(key).encode("ascii")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,9 @@ class StragglerEvent:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "StragglerEvent":
+        if not isinstance(payload, dict):
+            raise ConfigurationError("straggler event payload must be an "
+                                     "object")
         return cls(
             time_s=float(payload.get("time_s", -1.0)),
             job_id=payload.get("job", ""),

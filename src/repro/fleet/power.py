@@ -209,7 +209,12 @@ class StepTrace:
             raise ConfigurationError(
                 f"unsupported step_trace version {payload.get('version')!r}"
             )
-        return cls.from_pairs(payload.get("points") or [])
+        points = payload.get("points") or []
+        if not isinstance(points, list) or not all(
+                isinstance(p, list) and len(p) == 2 for p in points):
+            raise ConfigurationError(
+                "step_trace points must be a list of [time, value] pairs")
+        return cls.from_pairs(points)
 
     @classmethod
     def from_json(cls, source: Union[str, IO[str]]) -> "StepTrace":

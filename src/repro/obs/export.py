@@ -133,8 +133,7 @@ def load_chrome_trace(source: Union[str, IO[str]]) -> dict:
     if isinstance(document, list):  # array form is also legal
         document = {"traceEvents": document}
     if not isinstance(document, dict) or "traceEvents" not in document:
-        raise ValueError(f"{getattr(source, 'name', 'input')}: not a "
-                         f"Chrome trace-event document")
+        raise ValueError("not a Chrome trace-event document")
     return document
 
 

@@ -4,6 +4,12 @@
   extraction (what :class:`~repro.graph.compiled.CompiledDag` replaces);
 * :mod:`.fit` -- the numpy exponential fit (what the stdlib
   ``repro.profiler.fit`` replaces);
+* :mod:`.frontier_v2` -- the version-2 frontier writer (one delta row
+  per point), which builds the fixtures the version-2 reader is tested
+  on;
+* :mod:`.keys` -- the store-key text built form first, then
+  ``json.dumps`` (what :func:`repro.core.store.stable_key`'s one-pass
+  text must equal);
 * :mod:`.maxflow` -- ``FlowNetwork``/``Dinic``, Edmonds-Karp and the
   per-call bounded min-cut (what ``FlowArena`` replaces);
 * :mod:`.oracle` -- the dict Algorithm-2 step, the seed crawl and

@@ -8,6 +8,7 @@ import threading
 from dataclasses import replace
 
 import pytest
+from reference.frontier_v2 import frontier_to_dict_v2
 
 from repro.api import PlanSpec, Planner
 from repro.cli import main
@@ -104,7 +105,7 @@ def frontier_bits(frontier):
 
 def json_round_trip(frontier):
     payload = json.loads(json.dumps(frontier_to_dict(frontier)))
-    assert payload["version"] == FRONTIER_FORMAT_VERSION == 2
+    assert payload["version"] == FRONTIER_FORMAT_VERSION == 3
     return frontier_from_dict(payload)
 
 
@@ -112,6 +113,29 @@ def point(durations, frequencies, t):
     return EnergySchedule(durations=durations, iteration_time=t,
                           effective_energy=10.0 * t, compute_energy=11.0 * t,
                           frequencies=frequencies)
+
+
+def delta_span(payload, k):
+    """``(lo, hi)``: where point ``k``'s entries sit in the delta columns."""
+    offsets = payload["delta_offsets"]
+    k = range(len(offsets) - 1)[k]
+    return offsets[k], offsets[k + 1]
+
+
+def deltas(payload, k):
+    """Point ``k``'s ``(index, duration, frequency)`` delta entries."""
+    lo, hi = delta_span(payload, k)
+    return list(zip(*(payload[column][lo:hi] for column in (
+        "delta_index", "delta_duration", "delta_frequency"))))
+
+
+def set_delta(column, k, value, last=False):
+    """A corruption setting point ``k``'s first (or ``last``) entry of
+    one delta column to ``value``."""
+    def corrupt(payload):
+        lo, hi = delta_span(payload, k)
+        payload[column][hi - 1 if last else lo] = value
+    return corrupt
 
 
 class TestFrontierV2:
@@ -130,12 +154,16 @@ class TestFrontierV2:
     def test_deltas_carry_only_changed_entries(self, small_optimizer):
         frontier = small_optimizer.frontier
         payload = frontier_to_dict(frontier)
-        first, *deltas = payload["rows"]
-        assert set(first) == {"ids", "durations", "frequencies"}
-        assert all(isinstance(row, list) and len(row) % 3 == 0
-                   for row in deltas)
-        changed = sum(len(row) // 3 for row in deltas)
-        assert changed < len(first["ids"]) * len(deltas) / 4
+        [first] = payload["rows"]
+        assert set(first) == {"at", "ids", "durations", "frequencies"}
+        assert first["at"] == 0
+        offsets = payload["delta_offsets"]
+        assert len(offsets) == len(frontier.points) + 1
+        assert offsets[:2] == [0, 0]  # the full row's point has no deltas
+        changed = len(payload["delta_index"])
+        assert offsets[-1] == changed == len(payload["delta_duration"]) \
+            == len(payload["delta_frequency"])
+        assert changed < len(first["ids"]) * (len(offsets) - 2) / 4
         assert len(json.dumps(payload)) * 5 < len(json.dumps(
             [schedule_to_dict(p) for p in frontier.points]))
 
@@ -165,10 +193,13 @@ class TestFrontierV2:
             point({2: 0.5, 1: 0.0, 7: 0.1}, {7: 1, 2: 900}, 1.7),
         ]
         frontier = Frontier(points=points, tau=0.1)
-        rows = frontier_to_dict(frontier)["rows"]
-        assert [isinstance(row, dict) for row in rows] == [
-            True, False, True, True, True, False, True, True]
-        assert rows[5] == [1, -0.0, None]
+        payload = frontier_to_dict(frontier)
+        assert [row["at"] for row in payload["rows"]] == [0, 2, 3, 4, 6, 7]
+        assert [row.get("frequency_ids") for row in payload["rows"]] == [
+            None, None, None, None, [7, 2], [7, 2]]
+        assert deltas(payload, 1) == [(1, 0.5, 900)]
+        assert deltas(payload, 5) == [(1, -0.0, None)]
+        assert payload["delta_offsets"] == [0, 0, 1, 1, 1, 1, 2, 2, 2]
         assert frontier_bits(json_round_trip(frontier)) == \
             frontier_bits(frontier)
 
@@ -219,6 +250,50 @@ class TestLazyDecode:
         restored = frontier_from_dict(crawled[1])
         assert restored.points is restored.points
         assert isinstance(restored.points, list)
+
+    def test_version_2_and_its_version_3_rewrite_decode_identically(
+            self, crawled):
+        frontier, v3 = crawled
+        v2 = json.loads(json.dumps(frontier_to_dict_v2(frontier)))
+        from_v2, from_v3 = frontier_from_dict(v2), frontier_from_dict(v3)
+        assert (v2["version"], v3["version"]) == (2, 3)
+        for k, point in enumerate(frontier.points):
+            assert point_bits(from_v2._lookup[k]) == point_bits(point)
+            assert point_bits(from_v3._lookup[k]) == point_bits(point)
+        assert frontier_bits(from_v2) == frontier_bits(from_v3) \
+            == frontier_bits(frontier)
+        # Re-encoding what a version-2 file decodes to gives the
+        # version-3 payload the crawl wrote.
+        assert frontier_to_dict(from_v2) == v3
+
+    def test_iteration_applies_each_delta_entry_once(self):
+        spec = PlanSpec("gpt3-13b", stages=8, microbatches=32,
+                        freq_stride=4, exactness="fast")
+        frontier = Planner().frontier_for(spec)
+        payload = json.loads(json.dumps(frontier_to_dict(frontier)))
+        read = []
+
+        class Column(list):
+            """A delta column recording each slice read from it."""
+
+            def __getitem__(self, item):
+                if isinstance(item, slice):
+                    read.append((self, item.start, item.stop))
+                return super().__getitem__(item)
+
+        columns = ("delta_index", "delta_duration", "delta_frequency")
+        for column in columns:
+            payload[column] = Column(payload[column])
+        restored = frontier_from_dict(payload)
+        del read[:]  # the whole-payload checks
+        assert frontier_bits(restored) == frontier_bits(frontier)
+        n = len(payload["delta_index"])
+        assert n > 1000
+        for column in columns:
+            spans = sorted((lo, hi) for seen, lo, hi in read
+                           if seen is payload[column])
+            assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
+            assert (spans[0][0], spans[-1][1]) == (0, n)
 
     def test_concurrent_lookups(self, crawled):
         frontier, payload = crawled
@@ -324,9 +399,15 @@ class TestMalformedPayloads:
             "last-short-delta", "unsorted-times"])
     def test_hostile_v2_frontiers(self, small_optimizer, corrupt):
         payload = json.loads(json.dumps(
-            frontier_to_dict(small_optimizer.frontier)))
+            frontier_to_dict_v2(small_optimizer.frontier)))
+        assert payload["version"] == 2
         assert isinstance(payload["rows"][1], list) and payload["rows"][1]
         assert isinstance(payload["rows"][-1], list) and payload["rows"][-1]
+        assert frontier_from_dict(json.loads(json.dumps(payload)))  # intact
+        self._assert_rejected(payload, corrupt)
+
+    @staticmethod
+    def _assert_rejected(payload, corrupt):
         corrupt(payload)
         with pytest.raises(SerializationError):
             frontier_from_dict(payload)
@@ -334,6 +415,83 @@ class TestMalformedPayloads:
             payload_from_dict(payload)
         with pytest.raises(SerializationError):
             load_json(io.StringIO(json.dumps(payload)))
+
+    @pytest.mark.parametrize("corrupt", [
+        set_delta("delta_index", 1, 10 ** 6),
+        set_delta("delta_index", 1, -1),
+        set_delta("delta_index", 1, 1.5),
+        set_delta("delta_index", 1, True),
+        lambda p: p["delta_index"].append(0),
+        lambda p: p["rows"][0].__setitem__("at", 1),
+        lambda p: p["iteration_time"].pop(),
+        lambda p: p["rows"][0]["durations"].pop(),
+        lambda p: p["rows"][0]["frequencies"].pop(),
+        lambda p: p["rows"][0]["ids"].__setitem__(1, p["rows"][0]["ids"][0]),
+        lambda p: p["rows"].__setitem__(0, "oops"),
+        lambda p: p.__setitem__("rows", []),
+        lambda p: p.__setitem__("compute_energy", None),
+        # The T_min lookup never replays the last point's deltas:
+        # decoding must still reject them.
+        set_delta("delta_index", -1, 10 ** 6, last=True),
+        set_delta("delta_duration", -1, "x", last=True),
+        set_delta("delta_frequency", -1, None, last=True),
+        set_delta("delta_frequency", -1, 1410.0, last=True),
+        lambda p: p["delta_duration"].pop(),
+        lambda p: p["iteration_time"].reverse(),
+        lambda p: p["delta_offsets"].pop(),
+        lambda p: p["delta_offsets"].__setitem__(0, 1),
+        lambda p: p["delta_offsets"].__setitem__(
+            -2, p["delta_offsets"][-1] + 1),
+        lambda p: p["delta_offsets"].__setitem__(1, 1),
+        lambda p: p["rows"].append(dict(p["rows"][0], at=0)),
+        lambda p: p["rows"].append(dict(p["rows"][0], at=10 ** 6)),
+        lambda p: p["rows"].append(dict(p["rows"][0], at=2)),
+        lambda p: p["rows"][0].__setitem__("frequency_ids",
+                                           p["rows"][0]["ids"]),
+        lambda p: p.__setitem__("delta_offsets", "x"),
+        lambda p: p["delta_offsets"].__setitem__(1, False),
+        lambda p: p["delta_offsets"].__setitem__(slice(0, 2), [-1, -1]),
+        lambda p: [p[column].append(p[column][-1]) for column in (
+            "delta_index", "delta_duration", "delta_frequency")],
+        set_delta("delta_duration", 1, "0.5"),
+    ], ids=["index-high", "index-negative", "index-float", "index-bool",
+            "long-index-column", "leading-delta", "short-column",
+            "short-durations", "short-frequencies", "repeated-id",
+            "string-row", "no-rows", "null-column", "last-index-high",
+            "last-string-duration", "last-null-clock", "last-float-clock",
+            "short-duration-column", "unsorted-times", "short-offsets",
+            "offsets-start-late", "offsets-decrease", "full-row-with-deltas",
+            "repeated-full-row", "full-row-out-of-range",
+            "full-row-over-deltas", "deltas-after-irregular-row",
+            "string-offsets", "bool-offset", "negative-offsets",
+            "trailing-deltas", "numeric-string-duration"])
+    def test_hostile_v3_frontiers(self, small_optimizer, corrupt):
+        payload = json.loads(json.dumps(
+            frontier_to_dict(small_optimizer.frontier)))
+        assert payload["version"] == 3 and len(payload["rows"]) == 1
+        assert deltas(payload, 1) and deltas(payload, 2) \
+            and deltas(payload, -1)
+        assert frontier_from_dict(json.loads(json.dumps(payload)))  # intact
+        self._assert_rejected(payload, corrupt)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda p: p["rows"].pop(0),
+        lambda p: p["rows"][0].__setitem__("at", False),
+        lambda p: p["rows"][1].__setitem__("at", 1),
+        lambda p: p["rows"].reverse(),
+    ], ids=["first-full-row-missing", "bool-at", "full-row-over-deltas",
+            "rows-out-of-order"])
+    def test_hostile_v3_full_rows(self, corrupt):
+        frontier = Frontier(points=[
+            point({1: 0.5, 2: 0.25}, {1: 1410, 2: 705}, 1.0),
+            point({1: 0.5, 2: 0.5}, {1: 1410, 2: 900}, 1.1),
+            point({2: 0.5, 1: 0.5}, {2: 900, 1: 1410}, 1.2),
+            point({2: 0.5, 1: 0.25}, {2: 900, 1: 705}, 1.3),
+        ], tau=0.1)
+        payload = json.loads(json.dumps(frontier_to_dict(frontier)))
+        assert [row["at"] for row in payload["rows"]] == [0, 2]
+        assert frontier_from_dict(json.loads(json.dumps(payload)))  # intact
+        self._assert_rejected(payload, corrupt)
 
 
 class TestCLI:
@@ -379,6 +537,53 @@ class TestCLI:
         assert main(["trace", "view", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad} is not valid JSON: ")
+
+    def test_trace_view_names_a_json_file_that_is_not_a_trace(
+            self, tmp_path, capsys):
+        notrace = tmp_path / "notrace.json"
+        notrace.write_text('{"a": 1}', encoding="utf-8")
+        assert main(["trace", "view", str(notrace)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {notrace} is not a valid trace: not a "
+                       f"Chrome trace-event document\n")
+
+    @pytest.mark.parametrize("jobs, events, reason", [
+        ([{"spec": {"kind": "plan_spec", "version": 3,
+                    "model": "bert-large"}, "arrival_s": "soon"}], [],
+         "could not convert string to float: 'soon'"),
+        ([{"id": "j", "spec": {"kind": "plan_spec", "version": 3,
+                               "model": "bert-large"},
+           "iterations": 10}], ["x"],
+         "straggler event payload must be an object"),
+        ([{"id": "j", "spec": {"kind": "plan_spec", "version": 3,
+                               "model": "bert-large"}, "cost": 1}], [],
+         "unknown fleet job fields: ['cost']"),
+    ], ids=["string-arrival", "string-event", "unknown-field"])
+    def test_fleet_names_a_mis_shaped_trace_once(self, tmp_path, capsys,
+                                                 jobs, events, reason):
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps({"kind": "fleet_trace", "version": 1,
+                                     "jobs": jobs, "events": events}),
+                         encoding="utf-8")
+        assert main(["fleet", "--trace", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {trace} is not a valid trace: {reason}\n"
+
+    @pytest.mark.parametrize("points, reason", [
+        ([1], "step_trace points must be a list of [time, value] pairs"),
+        ({"0": 1}, "step_trace points must be a list of [time, value] "
+                   "pairs"),
+        ([[0, "high"]], "could not convert string to float: 'high'"),
+    ], ids=["bare-number", "object", "string-value"])
+    def test_fleet_names_a_mis_shaped_cap_trace_once(self, tmp_path, capsys,
+                                                     points, reason):
+        cap = tmp_path / "cap.json"
+        cap.write_text(json.dumps({"kind": "step_trace", "version": 1,
+                                   "points": points}), encoding="utf-8")
+        assert main(["fleet", "--count", "1", "--models", "bert-large",
+                     "--cap-trace", str(cap)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cap} is not a valid cap trace: {reason}\n"
 
     def test_timeline(self, capsys):
         rc = main([

@@ -7,13 +7,17 @@ re-characterization and bit-identical frontiers, per-spec error
 isolation, and parallel ``sweep(jobs>1)`` equivalence with serial.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+from reference.frontier_v2 import frontier_to_dict_v2
+from reference.keys import key_text
 
 from repro.api import PlanSpec, Planner, mixed_cluster_specs
 from repro.core.serialization import (
@@ -90,6 +94,24 @@ class TestStableKey:
         # to the next one, which must not inherit the memoized form.
         assert all(stable_key(Point(i)) == digest(i) for i in range(1000))
 
+    def test_one_pass_text_matches_the_two_pass_oracle(self):
+        from repro.core.store import _key_text
+
+        rng = random.Random(20231206)
+        shared = _Node(_Leaf(-0.0, "é"), _Box(1, [True, 2]), {1: None})
+        for _ in range(2000):
+            key = (_random_key(rng), shared, _random_key(rng))
+            expected = key_text(key)
+            assert _key_text(key) == expected
+            assert _key_text(key) == expected  # through the memo
+            assert stable_key(key) == hashlib.sha256(
+                expected.encode("utf-8")).hexdigest()
+        for value in ([object()], {1: "a", "b": 2}):
+            with pytest.raises(TypeError):
+                key_text(value)
+            with pytest.raises(TypeError):
+                stable_key(value)
+
     def test_concurrent_hashing_through_memo_evictions(self):
         import dataclasses
         import threading
@@ -123,6 +145,69 @@ class TestStableKey:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
+
+
+@dataclasses.dataclass(frozen=True)
+class _Leaf:
+    x: float
+    tag: str
+
+
+@dataclasses.dataclass
+class _Box:
+    value: object
+    items: list
+
+
+@dataclasses.dataclass(frozen=True)
+class _Node:
+    left: object
+    right: object
+    table: dict
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 1e-310,
+                   float("inf"), float("-inf"), float("nan"), 0.1 + 0.2,
+                   1e300, -1.5]
+_STRINGS = ["", "a100", "é", "名前", "\u2028", "\x00\x1f", '"quoted"',
+            "back\\slash", "\U0001f600", "tab\there", "True", "1"]
+
+
+def _random_key(rng, depth=0):
+    """A random cache key: scalars, containers and dataclasses."""
+    kinds = ["none", "bool", "int", "float", "str"]
+    if depth < 4:
+        kinds += ["tuple", "list", "dict", "leaf", "box", "node"]
+    kind = rng.choice(kinds)
+    if kind == "none":
+        return None
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "int":
+        return rng.choice([0, 1, -1, 2 ** 70, -(2 ** 63), rng.randint(-9, 9)])
+    if kind == "float":
+        return rng.choice(_SPECIAL_FLOATS + [rng.uniform(-1e3, 1e3)])
+    if kind == "str":
+        return rng.choice(_STRINGS)
+    size = rng.randint(0, 4)
+    if kind in ("tuple", "list"):
+        items = [_random_key(rng, depth + 1) for _ in range(size)]
+        return tuple(items) if kind == "tuple" else items
+    if kind == "dict":
+        keys = rng.choice([
+            lambda: rng.randint(-5, 5),                      # int keys
+            lambda: rng.choice([True, False, 2, 3, -4]),     # bools by ints
+            lambda: rng.choice(_STRINGS),
+        ])
+        return {keys(): _random_key(rng, depth + 1) for _ in range(size)}
+    if kind == "leaf":
+        return _Leaf(rng.choice(_SPECIAL_FLOATS), rng.choice(_STRINGS))
+    if kind == "box":
+        return _Box(_random_key(rng, depth + 1),
+                    [_random_key(rng, depth + 1) for _ in range(size)])
+    return _Node(_random_key(rng, depth + 1), _random_key(rng, depth + 1),
+                 {rng.randint(0, 9): _random_key(rng, depth + 1)
+                  for _ in range(size)})
 
 
 class TestCacheKeyStability:
@@ -327,6 +412,22 @@ class TestPlanStore:
         assert warm.cache.counters["disk_hits"] > 0
         assert frontier_to_dict(warm.frontier_for(SMALL))["rows"] == \
             frontier_to_dict(cold.frontier_for(SMALL))["rows"]
+
+    def test_version_2_frontier_files_serve_warm_plans(self, tmp_path):
+        root = tmp_path / "store"
+        cold = Planner(cache=root)
+        report = cold.plan(SMALL)
+        for name in os.listdir(root / "frontier"):
+            path = root / "frontier" / name
+            frontier = payload_from_dict(json.loads(path.read_text("utf-8")))
+            path.write_text(json.dumps(frontier_to_dict_v2(frontier)),
+                            "utf-8")
+        warm = Planner(cache=root)
+        assert reports_equal(warm.plan(SMALL), report)
+        assert warm.stats["frontier"] == 0
+        assert warm.cache.counters["disk_hits"] > 0
+        assert frontier_to_dict(warm.frontier_for(SMALL)) == \
+            frontier_to_dict(cold.frontier_for(SMALL))
 
     def test_layout_mismatch_raises(self, tmp_path):
         root = tmp_path / "store"
@@ -539,7 +640,26 @@ class TestMalformedEntries:
             "short-last-delta", "column-lengths-differ"])
     def test_hostile_v2_frontier_is_a_miss(self, tmp_path, corrupt):
         def rewrite(payload):
+            payload = frontier_to_dict_v2(payload_from_dict(payload))
             assert payload["version"] == 2 and payload["rows"][-1]
+            corrupt(payload)
+            return json.dumps(payload)
+
+        self._corrupt_and_replan(tmp_path / "store", SMALL, "frontier",
+                                 rewrite)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda p: p["delta_index"].__setitem__(-1, 10 ** 6),
+        lambda p: p["delta_duration"].__setitem__(-1, "x"),
+        lambda p: p["delta_frequency"].pop(),
+        lambda p: p["effective_energy"].append(1.0),
+        lambda p: p["delta_offsets"].__setitem__(1, 1),
+    ], ids=["delta-index-out-of-range", "delta-string-duration",
+            "short-clock-column", "column-lengths-differ",
+            "full-row-with-deltas"])
+    def test_hostile_v3_frontier_is_a_miss(self, tmp_path, corrupt):
+        def rewrite(payload):
+            assert payload["version"] == 3 and payload["delta_index"]
             corrupt(payload)
             return json.dumps(payload)
 
