@@ -122,7 +122,9 @@ class ReplanProposal:
 
     ``predicted_energy_j`` and ``held_predicted_energy_j`` must be
     priced consistently (same model, same observed floor) -- the
-    guardrail compares them directly.  ``apply`` performs the actual
+    guardrail compares them directly.  Once adopted,
+    ``predicted_energy_j`` is the Eq. 3 energy the detector holds
+    realized steps against.  ``apply`` performs the actual
     adoption (deploy + state update) and runs only if the controller
     accepts the proposal.
     """
@@ -186,19 +188,13 @@ class DriftController:
         self,
         replan: Callable[..., Optional[ReplanProposal]],
         planned_time_s: float,
-        planned_energy_j: Optional[float] = None,
+        planned_energy_j: float,
         policy: Optional[DriftPolicy] = None,
         clock: Callable[[], float] = time.monotonic,
-        energy_reference: str = "auto",
     ) -> None:
-        if energy_reference not in ("auto", "predicted"):
-            raise ConfigurationError(
-                "energy_reference must be 'auto' or 'predicted'"
-            )
         self.policy = policy or DriftPolicy()
         self._replan = replan
         self._clock = clock
-        self._energy_reference = energy_reference
         self.detector = DriftDetector(
             planned_time_s,
             planned_energy_j,
@@ -247,8 +243,8 @@ class DriftController:
     ) -> DriftAction:
         """Feed one realized iteration; maybe re-plan; report back."""
         now = self._clock()
+        signal = self.detector.observe(time_s, energy_j)  # may reject
         self.stats["samples"] += 1
-        signal = self.detector.observe(time_s, energy_j)
         if signal is not None and not self._was_flagged:
             self.stats["detections"] += 1
         self._was_flagged = signal is not None
@@ -331,14 +327,15 @@ class DriftController:
                            reason=REASON_READOPT,
                            target_time_s=self.held_target_s)
 
-    def notify_external_replan(self, planned_time_s: float) -> None:
+    def notify_external_replan(self, planned_time_s: float,
+                               planned_energy_j: float) -> None:
         """The job was re-pointed outside the loop (an *announced*
         Table 2 ``set_straggler`` deploy).  Announced floors are owned
         by the straggler machinery, not this controller: rebase to the
-        new plan and keep watching for residual, unannounced drift on
-        top of it."""
+        new plan's time and Eq. 3 energy and keep watching for
+        residual, unannounced drift on top of it."""
         self.held_target_s = None
-        self.detector.rebase(planned_time_s)
+        self.detector.rebase(planned_time_s, planned_energy_j)
         self.state = TRACKING
         self._calm = 0
         self._probe_after = self.policy.probe_after_steps
@@ -411,9 +408,8 @@ class DriftController:
             * (1.0 + self.policy.band.exit)
 
     def _adopt(self, proposal: ReplanProposal) -> None:
-        energy = (proposal.predicted_energy_j
-                  if self._energy_reference == "predicted" else None)
-        self.detector.rebase(proposal.planned_time_s, energy)
+        self.detector.rebase(proposal.planned_time_s,
+                             proposal.predicted_energy_j)
         self._backoff_s = self.policy.backoff_base_s
         self._retry_at = None
         self._calm = 0

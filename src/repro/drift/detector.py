@@ -1,9 +1,10 @@
 """Hysteresis drift detection over realized step measurements.
 
 The planned :class:`~repro.core.frontier.EnergySchedule` predicts one
-iteration time (and, through Eq. 3, one iteration energy).  The
-detector compares what the job *realizes* against that reference and
-decides when the departure is drift rather than noise:
+iteration time and, through Eq. 3, one iteration energy.  The runtime
+counts realized energy the same way (bubbles at ``P_blocking``), so the
+detector compares what the job *realizes* against both and decides
+when the departure is drift rather than noise:
 
 * **Hysteresis band.** A sample is out-of-band when its relative
   deviation exceeds ``band.enter``; once the detector has flagged
@@ -14,14 +15,6 @@ decides when the departure is drift rather than noise:
   flag drift (and only ``patience`` consecutive in-band samples clear
   it), so a single straggling iteration -- a garbage-collection pause,
   one slow allreduce -- never triggers a re-plan.
-* **Self-baselining energy.** Iteration time has an authoritative
-  reference (the deployed schedule's planned time).  Energy often does
-  not: the runtime's counters measure compute energy while Eq. 3
-  predictions include blocking power, and the two are not comparable
-  unit-for-unit.  With ``planned_energy_j=None`` the detector locks
-  its energy reference to the mean of the first ``patience`` samples
-  after each :meth:`rebase` -- drift is then *departure from the
-  job's own post-deployment baseline*, which is unit-agnostic.
 
 The detector is pure arithmetic: no clocks, no I/O, deterministic for
 a given sample sequence.
@@ -29,6 +22,7 @@ a given sample sequence.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
@@ -99,7 +93,7 @@ class DriftDetector:
     def __init__(
         self,
         planned_time_s: float,
-        planned_energy_j: Optional[float] = None,
+        planned_energy_j: float,
         band: Optional[DriftBand] = None,
         patience: int = 3,
         window: int = 8,
@@ -119,24 +113,12 @@ class DriftDetector:
         self.rebase(planned_time_s, planned_energy_j)
 
     # -- reference management ------------------------------------------------
-    def rebase(
-        self,
-        planned_time_s: float,
-        planned_energy_j: Optional[float] = None,
-    ) -> None:
+    def rebase(self, planned_time_s: float, planned_energy_j: float) -> None:
         """Adopt a new planned reference; forget all drift state."""
-        if planned_time_s <= 0:
-            raise ConfigurationError("planned iteration time must be > 0")
-        if planned_energy_j is not None and planned_energy_j <= 0:
-            raise ConfigurationError("planned iteration energy must be > 0")
+        _check_positive("planned iteration time", planned_time_s)
+        _check_positive("planned iteration energy", planned_energy_j)
         self.planned_time_s = float(planned_time_s)
-        self.planned_energy_j = (
-            float(planned_energy_j) if planned_energy_j is not None else None
-        )
-        #: Energy reference actually compared against: the planned
-        #: value when given, else locked from early observations.
-        self._energy_ref: Optional[float] = self.planned_energy_j
-        self._baseline: list = []
+        self.planned_energy_j = float(planned_energy_j)
         self._samples.clear()
         self._out_streak = 0
         self._calm_streak = 0
@@ -149,30 +131,19 @@ class DriftDetector:
         time_s: float,
         energy_j: Optional[float] = None,
     ) -> Optional[DriftSignal]:
-        """Feed one realized iteration; returns the active signal."""
-        if time_s <= 0:
-            raise ConfigurationError("observed iteration time must be > 0")
-        if energy_j is not None and energy_j <= 0:
-            raise ConfigurationError("observed iteration energy must be > 0")
+        """Feed one realized iteration; returns the active signal.
+
+        ``energy_j=None`` is a time-only report."""
+        _check_positive("observed iteration time", time_s)
+        if energy_j is not None:
+            _check_positive("observed iteration energy", energy_j)
         self.steps += 1
         self._samples.append((float(time_s), energy_j))
 
         tdev = time_s / self.planned_time_s - 1.0
         edev = 0.0
         if energy_j is not None:
-            if self._energy_ref is not None:
-                edev = energy_j / self._energy_ref - 1.0
-            elif self.planned_energy_j is None:
-                # Self-baselining: lock the reference to the mean of
-                # the first `patience` in-band-time samples.  Samples
-                # arriving already time-drifted are excluded -- they
-                # would poison the baseline with drifted energy.
-                if abs(tdev) <= self.band.enter:
-                    self._baseline.append(float(energy_j))
-                    if len(self._baseline) >= self.patience:
-                        self._energy_ref = (
-                            sum(self._baseline) / len(self._baseline)
-                        )
+            edev = energy_j / self.planned_energy_j - 1.0
 
         threshold = self.band.exit if self._flagged else self.band.enter
         out = abs(tdev) > threshold or abs(edev) > threshold
@@ -216,16 +187,17 @@ class DriftDetector:
 
     @property
     def energy_factor(self) -> float:
-        """Windowed mean observed/reference iteration-energy ratio."""
-        if self._energy_ref is None:
-            return 1.0
+        """Windowed mean observed/planned iteration-energy ratio."""
         recent = [e for _, e in list(self._samples)[-self.patience:]
                   if e is not None]
         if not recent:
             return 1.0
-        return (sum(recent) / len(recent)) / self._energy_ref
+        return (sum(recent) / len(recent)) / self.planned_energy_j
 
-    @property
-    def energy_reference_j(self) -> Optional[float]:
-        """The energy value deviations are measured against (if any)."""
-        return self._energy_ref
+
+def _check_positive(what: str, value: float) -> None:
+    """A finite, positive time or energy, else :class:`ConfigurationError`
+    (a NaN or infinite report would otherwise re-plan to a NaN floor)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(
+            f"{what} must be finite and > 0, got {value!r}")

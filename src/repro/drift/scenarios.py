@@ -409,7 +409,6 @@ def simulate_scenario(
             planned_energy_j=base.energy_j,
             policy=policy,
             clock=lambda: clock[0],
-            energy_reference="auto",
         )
 
     restarts = sorted(scenario.restarts)
@@ -433,7 +432,8 @@ def simulate_scenario(
             deployed["idx"] = frontier.index_for(floor)
             if controller is not None:
                 point = model.point(deployed["idx"], floor_time_s=floor)
-                controller.detector.rebase(point.iteration_time_s)
+                controller.detector.rebase(point.iteration_time_s,
+                                           point.energy_j)
                 controller.held_target_s = floor
         prev_phase = phase
         point = model.point(deployed["idx"], floor_time_s=floor)

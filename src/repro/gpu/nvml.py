@@ -11,7 +11,10 @@ Fidelity notes (matching the paper's assumptions, §3.1 footnote 3 and §5):
   take effect after :attr:`clock_apply_latency_s`.
 * With a locked clock, computation latency is deterministic; the energy
   counter is an exact integral of recorded power over simulated time, plus
-  idle power for uncovered intervals.
+  idle power for intervals with no recorded activity.  The training engine
+  records a stage's pipeline bubbles at ``P_blocking`` (the stage spins in
+  NCCL, as Eq. 3 charges it), so only time outside any iteration reads as
+  idle.
 """
 
 from __future__ import annotations
@@ -87,15 +90,6 @@ class SimDevice:
             raise NVMLError("power must be non-negative")
         self._segments.append(_ActivitySegment(start, end, power_w))
 
-    def power_draw(self, now: float) -> float:
-        """Instantaneous board power at time ``now`` (idle if no activity)."""
-        for seg in reversed(self._segments):
-            if seg.start - TIME_EPS <= now <= seg.end + TIME_EPS:
-                return seg.power_w
-            if seg.end < now - TIME_EPS:
-                break
-        return self.spec.idle_w
-
     def energy_counter(self, now: float, since: float = 0.0) -> float:
         """Total joules consumed over ``[since, now]``.
 
@@ -136,7 +130,3 @@ class SimulatedNVML:
         if not 0 <= index < len(self.devices):
             raise NVMLError(f"bad device index {index}")
         return self.devices[index]
-
-    def energy_counter(self, now: float) -> float:
-        """Sum of all devices' energy counters up to ``now``."""
-        return sum(d.energy_counter(now) for d in self.devices)

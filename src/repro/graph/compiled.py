@@ -24,9 +24,10 @@ once into immutable flat arrays:
 * per-computation ``t_min`` / ``t_max`` vectors (when built with the
   cost models), the clamp bounds of Algorithm 2's duration moves.
 
-:meth:`CompiledDag.critical_pass` fuses the forward pass, the backward
-pass and critical-edge extraction into one call and replaces the
-reference ``event_times`` + ``critical_edge_indices`` pair.  When numpy is
+:meth:`CompiledDag.critical_pass` fuses the backward pass and
+critical-edge extraction over :meth:`CompiledDag.forward_pass`'s
+earliest times, replacing the reference ``event_times`` +
+``critical_edge_indices`` pair.  When numpy is
 importable and the DAG is large enough (:data:`NUMPY_MIN_EDGES`), the
 extraction runs vectorized (numpy is imported on that first use, not
 with this module); the relaxations stay scalar because
@@ -188,8 +189,8 @@ class CompiledDag:
     ) -> Tuple[List[float], float]:
         """Earliest event times + makespan (forward relaxation only).
 
-        The returned list may be handed back to :meth:`critical_pass` as
-        ``forward=`` (for the *same* durations) to skip recomputing it.
+        The returned list is what :meth:`critical_pass` takes as
+        ``forward=`` for the *same* durations.
         """
         d = self._extended(durations)
         ear = [0.0] * self.num_nodes
@@ -202,29 +203,20 @@ class CompiledDag:
     def critical_pass(
         self,
         durations: Sequence[float],
-        forward: Optional[List[float]] = None,
+        forward: List[float],
     ) -> FlatTimes:
         """Fused event times + zero-slack (within ``TIME_EPS``) edge
         extraction.
 
-        ``forward`` reuses an earliest-times list previously computed by
-        :meth:`forward_pass` for these exact durations (the optimizer
-        threads it across step boundaries).
+        ``forward`` is the earliest-times list :meth:`forward_pass`
+        computed for these exact durations (the optimizer threads it
+        across step boundaries).
         """
         d = self._extended(durations)
-        n = self.num_nodes
-
-        if forward is None:
-            ear = [0.0] * n
-            for u, v, c in zip(self._fu, self._fv, self._fc):
-                cand = ear[u] + d[c]
-                if cand > ear[v]:
-                    ear[v] = cand
-        else:
-            ear = forward
+        ear = forward
         makespan = ear[self.t]
 
-        lat = [makespan] * n
+        lat = [makespan] * self.num_nodes
         if self.num_edges >= NUMPY_MIN_EDGES and _numpy() is not None:
             for u, v, c in zip(self._bu, self._bv, self._bc):
                 cand = lat[v] - d[c]

@@ -13,6 +13,13 @@ determined by the SM clock *actually applied* at its start (clock locks
 take ~10 ms), so planner/controller sloppiness shows up as real slowdown,
 just as on hardware.
 
+Energy is counted the way Eq. 3 counts it: a stage's bubbles inside an
+iteration -- the gap before each computation and the tail up to the
+iteration's end -- are charged at ``P_blocking``, because the stage
+busy-waits in NCCL until gradient sync (§3).  A bubble is recorded before
+the profiler reads the counter at the next computation's start, so no
+in-vivo op measurement absorbs it.
+
 :class:`TrainingSession` wires the engine to a :class:`PerseusServer` and
 drives the full lifecycle of Figure 4: in-vivo profiling -> asynchronous
 frontier characterization -> schedule deployment -> straggler
@@ -125,6 +132,7 @@ class TrainingEngine:
             for n in self.dag.nodes
         }
         stage_free = {s: offset for s in range(self.num_stages)}
+        blocking_w = self.gpu.blocking_w
         ready: List[tuple] = []
         for n, deps in remaining_deps.items():
             if not deps:
@@ -140,9 +148,12 @@ class TrainingEngine:
                 continue
             client = self.clients[stage]
             op_key = ins.op_key
+            device = self.nvml.device(stage)
+            # The bubble goes in before the profiler reads the counter.
+            if start > stage_free[stage]:
+                device.record_activity(stage_free[stage], start, blocking_w)
             client.on_instruction_start(op_key, start)
 
-            device = self.nvml.device(stage)
             freq = device.sm_clock(start)
             work = self._works[(stage, ins.kind.value)]
             duration = (
@@ -176,6 +187,10 @@ class TrainingEngine:
             )
 
         end_clock = max(finish.values())
+        for s, free in stage_free.items():  # tails until gradient sync
+            if end_clock > free:
+                self.nvml.device(s).record_activity(
+                    free, end_clock, blocking_w)
         energy = sum(
             self.nvml.device(s).energy_counter(end_clock, since=offset)
             for s in range(self.num_stages)

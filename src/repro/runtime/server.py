@@ -464,9 +464,8 @@ class PerseusServer:
                     job.drift_floor_s = None
                 if job.frontier is not None:
                     self._push_schedule(job)
-                    schedule = self.current_schedule(job_id)
-                    controller.notify_external_replan(self._t_prime(
-                        job, job.frontier, schedule.iteration_time))
+                    controller.notify_external_replan(
+                        *self._planned_point(job))
             return
         with job.lock:
             job.straggler = StragglerState(accelerator_id, delay_s, degree)
@@ -479,7 +478,6 @@ class PerseusServer:
         job_id: str,
         policy: Optional["DriftPolicy"] = None,
         clock: Optional[Callable[[], float]] = None,
-        energy_reference: str = "auto",
     ) -> "DriftController":
         """Attach a :class:`~repro.drift.DriftController` to a ready job.
 
@@ -498,19 +496,26 @@ class PerseusServer:
         with job.drift_lock:
             if job.drift is not None:
                 return job.drift
-            frontier = self.frontier_of(job_id)  # raises until ready
-            schedule = self.current_schedule(job_id)
-            planned = self._t_prime(job, frontier, schedule.iteration_time)
+            planned_time_s, planned_energy_j = self._planned_point(job)
             kwargs = {} if clock is None else {"clock": clock}
             job.drift = DriftController(
                 replan=lambda target, reason, signal, _job=job:
                     self._drift_replan(_job, target, reason, signal),
-                planned_time_s=planned,
+                planned_time_s=planned_time_s,
+                planned_energy_j=planned_energy_j,
                 policy=policy,
-                energy_reference=energy_reference,
                 **kwargs,
             )
             return job.drift
+
+    def _planned_point(self, job: _Job) -> tuple:
+        """(iteration time, Eq. 3 energy) the deployed schedule plans
+        for: both at ``T'``, the later of its own time and the floors.
+        Raises until the job's frontier is ready."""
+        schedule = self.current_schedule(job.job_id)
+        t_prime = self._t_prime(job, job.frontier, schedule.iteration_time)
+        return t_prime, schedule.energy_at(self._total_blocking_w(job),
+                                           t_prime)
 
     def report_measurement(
         self,

@@ -50,6 +50,7 @@ The tenant comes from the ``X-Repro-Tenant`` header or the body field
 from __future__ import annotations
 
 import json
+import math
 import os
 import socket
 import sys
@@ -173,16 +174,22 @@ _REQUIRED = object()
 
 def _checked(name: str, value, kind: type):
     """``value`` as ``kind``, else :class:`ConfigurationError` naming it.
-    A ``float`` param takes any JSON number; ``bool`` is no number."""
+    A ``float`` param takes any finite JSON number (``json.loads`` also
+    reads ``NaN`` and ``Infinity``); ``bool`` is no number."""
     accepted = (int, float) if kind is float else kind
     try:
         if isinstance(value, accepted) and not (
                 kind in (int, float) and isinstance(value, bool)):
-            return float(value) if kind is float else value
+            if kind is not float:
+                return value
+            number = float(value)
+            if math.isfinite(number):
+                return number
     except OverflowError:  # an integer too large for a float
         pass
+    expected = "a finite number" if kind is float else kind.__name__
     raise ConfigurationError(
-        f"param {name!r} must be {kind.__name__}, got "
+        f"param {name!r} must be {expected}, got "
         f"{type(value).__name__} {value!r:.40}")
 
 

@@ -115,10 +115,6 @@ class PipelineExecution:
     def num_devices(self) -> int:
         return max(self.num_stages, len(self._by_stage))
 
-    def average_power(self) -> float:
-        """Average per-GPU power over the iteration (for §1's power claim)."""
-        return self.energy_at() / (self.num_devices() * self.iteration_time)
-
 
 def execute(
     dag: ComputationDag,

@@ -60,6 +60,13 @@ SPECS = {
 _PLANNER = Planner()
 
 
+def _critical_pass(kern, durations):
+    """``critical_pass`` over ``forward_pass``'s earliest times, as the
+    crawl calls it."""
+    dur = durations_array(kern, durations)
+    return kern.critical_pass(dur, forward=kern.forward_pass(dur)[0])
+
+
 def _stack(name):
     return _PLANNER.result(SPECS[name])
 
@@ -133,7 +140,7 @@ class TestStepEquivalence:
         ecd = to_edge_centric(stack.dag)
         durations = {n: cm.t_max for n, cm in node_cost.items()}
         kern = CompiledDag.from_edge_centric(ecd, node_cost)
-        flat = kern.critical_pass(durations_array(kern, durations))
+        flat = _critical_pass(kern, durations)
         reference = event_times(ecd, durations)
         assert as_event_times(flat) == reference
         assert flat.makespan == reference.makespan
@@ -149,7 +156,7 @@ class TestStepEquivalence:
                 n: cm.t_min + rng.random() * (cm.t_max - cm.t_min)
                 for n, cm in node_cost.items()
             }
-            flat = kern.critical_pass(durations_array(kern, durations))
+            flat = _critical_pass(kern, durations)
             assert flat.critical == critical_edge_indices(ecd, durations)
 
     def test_numpy_extraction_matches_flat(self, monkeypatch):
@@ -160,12 +167,10 @@ class TestStepEquivalence:
         ecd = to_edge_centric(stack.dag)
         durations = {n: cm.t_max for n, cm in node_cost.items()}
         kern_flat = CompiledDag.from_edge_centric(ecd, node_cost)
-        flat = kern_flat.critical_pass(durations_array(kern_flat, durations))
+        flat = _critical_pass(kern_flat, durations)
         monkeypatch.setattr(compiled_mod, "NUMPY_MIN_EDGES", 0)
         kern_np = CompiledDag.from_edge_centric(ecd, node_cost)
-        vectorized = kern_np.critical_pass(
-            durations_array(kern_np, durations)
-        )
+        vectorized = _critical_pass(kern_np, durations)
         assert vectorized.critical == flat.critical
         assert vectorized.earliest == flat.earliest
         assert vectorized.latest == flat.latest
@@ -191,10 +196,11 @@ class TestCompiledDag:
         )
         earliest, makespan = kern.forward_pass(dur)
         reused = kern.critical_pass(dur, forward=earliest)
-        fresh = kern.critical_pass(dur)
-        assert reused.makespan == makespan == fresh.makespan
-        assert reused.critical == fresh.critical
-        assert reused.latest == fresh.latest
+        durations = {n: cm.t_max for n, cm in node_cost.items()}
+        reference = event_times(ecd, durations)
+        assert reused.makespan == makespan == reference.makespan
+        assert as_event_times(reused) == reference
+        assert reused.critical == critical_edge_indices(ecd, durations)
 
     def test_durations_roundtrip_and_length_check(self):
         stack = _stack("homogeneous")

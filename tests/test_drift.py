@@ -48,6 +48,7 @@ from repro.runtime.server import PerseusServer
 from repro.stragglers import stepped_ramp
 
 T0 = 1.0  # planned iteration time used by the unit layers
+E0 = 100.0  # its planned Eq. 3 energy (ScriptedPlanner's price at T0)
 
 
 class FakeClock:
@@ -123,6 +124,7 @@ def make_controller(planner=None, policy=None, clock=None,
     controller = DriftController(
         planner,
         planned_time_s=T0,
+        planned_energy_j=E0,
         policy=policy or make_policy(),
         clock=clock,
         **kwargs,
@@ -143,7 +145,7 @@ def drive(controller, clock, time_s, steps):
 
 class TestDetector:
     def test_patience_gates_the_flag(self):
-        det = DriftDetector(T0, patience=3)
+        det = DriftDetector(T0, E0, patience=3)
         assert det.observe(1.3) is None
         assert det.observe(1.3) is None
         signal = det.observe(1.3)
@@ -151,14 +153,14 @@ class TestDetector:
         assert signal.time_factor == pytest.approx(1.3)
 
     def test_single_spike_never_flags(self):
-        det = DriftDetector(T0, patience=3)
+        det = DriftDetector(T0, E0, patience=3)
         for _ in range(10):
             assert det.observe(2.0) is None or pytest.fail("flagged")
             assert det.observe(1.0) is None
 
     def test_hysteresis_band_holds_between_exit_and_enter(self):
         band = DriftBand(enter=0.08, exit=0.03)
-        det = DriftDetector(T0, band=band, patience=2)
+        det = DriftDetector(T0, E0, band=band, patience=2)
         for _ in range(2):
             det.observe(1.2)
         assert det.flagged
@@ -171,40 +173,45 @@ class TestDetector:
         assert not det.flagged
 
     def test_rebase_forgets_drift_state(self):
-        det = DriftDetector(T0, patience=2)
+        det = DriftDetector(T0, E0, patience=2)
         det.observe(1.3)
         det.observe(1.3)
         assert det.flagged
-        det.rebase(1.3)
+        det.rebase(1.3, E0)
         assert not det.flagged
         assert det.observe(1.3) is None  # in-band on the new reference
 
-    def test_self_baselining_energy_reference(self):
-        det = DriftDetector(T0, planned_energy_j=None, patience=2)
-        det.observe(1.0, 50.0)
-        det.observe(1.0, 50.0)
-        assert det.energy_reference_j == pytest.approx(50.0)
-        det.observe(1.0, 70.0)
-        signal = det.observe(1.0, 70.0)
+    def test_energy_drift_against_planned_energy(self):
+        det = DriftDetector(T0, E0, patience=2)
+        assert det.observe(1.0, E0 * 1.02) is None  # in band
+        det.observe(1.0, E0 * 1.4)
+        signal = det.observe(1.0, E0 * 1.4)
         assert signal is not None and signal.kind == ENERGY_DRIFT
         assert signal.energy_factor == pytest.approx(1.4)
+        det.rebase(1.0, E0 * 1.4)  # a re-plan adopted at the new price
+        assert det.observe(1.0, E0 * 1.4) is None
 
-    def test_time_drifted_samples_do_not_poison_energy_baseline(self):
-        det = DriftDetector(T0, planned_energy_j=None, patience=2)
-        det.observe(1.5, 99.0)  # already drifted: excluded
-        assert det.energy_reference_j is None
-        det.observe(1.0, 50.0)
-        det.observe(1.0, 50.0)
-        assert det.energy_reference_j == pytest.approx(50.0)
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_samples_rejected(self, bad):
+        det = DriftDetector(T0, E0, patience=2)
+        with pytest.raises(ConfigurationError, match="finite"):
+            det.observe(bad)
+        with pytest.raises(ConfigurationError, match="finite"):
+            det.observe(1.0, bad)
+        with pytest.raises(ConfigurationError, match="finite"):
+            det.rebase(bad, E0)
+        with pytest.raises(ConfigurationError, match="finite"):
+            det.rebase(T0, bad)
+        assert det.steps == 0  # nothing was recorded
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             DriftBand(enter=0.03, exit=0.08)
         with pytest.raises(ConfigurationError):
-            DriftDetector(T0, patience=0)
+            DriftDetector(T0, E0, patience=0)
         with pytest.raises(ConfigurationError):
-            DriftDetector(T0, patience=4, window=2)
-        det = DriftDetector(T0)
+            DriftDetector(T0, E0, patience=4, window=2)
+        det = DriftDetector(T0, E0)
         with pytest.raises(ConfigurationError):
             det.observe(-1.0)
 
@@ -278,7 +285,7 @@ class TestControllerLoop:
         controller, planner, clock = make_controller()
         drive(controller, clock, 1.3, 3)
         assert controller.state == DRIFTED
-        controller.notify_external_replan(1.5)
+        controller.notify_external_replan(1.5, E0 / 1.5)
         assert controller.state == TRACKING
         assert controller.held_target_s is None
         # In-band on the announced plan: no further signal.
@@ -477,6 +484,67 @@ class TestServerDrift:
         assert len(deploys) > before  # the re-plan really deployed
         assert server.drift_stats()["j"]["replans"] == 1
 
+    def test_enable_references_the_planned_eq3_energy(
+            self, ready_server, small_profile):
+        server, _ = ready_server
+        sched = server.current_schedule("j")
+        blocking_w = sum(small_profile.blocking_power(s)
+                         for s in range(server._job("j").dag.num_stages))
+        detector = server.enable_drift("j").detector
+        assert detector.planned_time_s == sched.iteration_time
+        assert detector.planned_energy_j == pytest.approx(
+            sched.energy_at(blocking_w), rel=1e-12)
+        # Energy 10% over the plan at the planned time flags as energy.
+        for _ in range(3):
+            action = server.report_measurement(
+                "j", sched.iteration_time,
+                energy_j=detector.planned_energy_j * 1.1)
+        assert action["detected"]
+        assert server._job("j").drift.stats["detections"] == 1
+
+    def test_adopted_replan_references_its_predicted_energy(
+            self, ready_server, small_profile):
+        server, _ = ready_server
+        t0 = server.current_schedule("j").iteration_time
+        controller = server.enable_drift("j")
+        for _ in range(4):
+            action = server.report_measurement("j", t0 * 1.3)
+            if action["replanned"]:
+                break
+        assert action["replanned"]
+        floor = server._job("j").drift_floor_s
+        held = server.current_schedule("j")
+        blocking_w = sum(small_profile.blocking_power(s)
+                         for s in range(server._job("j").dag.num_stages))
+        e1 = controller.detector.planned_energy_j
+        assert e1 == pytest.approx(held.energy_at(blocking_w, floor),
+                                   rel=1e-12)
+        t1 = controller.detector.planned_time_s
+        for _ in range(3):  # on the adopted plan's time and energy
+            action = server.report_measurement("j", t1, energy_j=e1)
+        assert not action["detected"]
+        for _ in range(3):
+            action = server.report_measurement("j", t1, energy_j=e1 * 1.2)
+        assert action["detected"]
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_report_is_rejected_without_replanning(
+            self, ready_server, bad):
+        server, deploys = ready_server
+        t0 = server.current_schedule("j").iteration_time
+        server.enable_drift("j")
+        before = len(deploys)
+        for _ in range(3):
+            with pytest.raises(ConfigurationError, match="finite"):
+                server.report_measurement("j", bad)
+            with pytest.raises(ConfigurationError, match="finite"):
+                server.report_measurement("j", t0, energy_j=bad)
+        assert len(deploys) == before
+        assert server._job("j").drift_floor_s is None
+        assert server.current_schedule("j").iteration_time == t0
+        assert server.drift_stats()["j"]["replans"] == 0
+        assert server.drift_stats()["j"]["samples"] == 0
+
     def test_report_before_ready_is_held_not_an_error(self, small_dag):
         server = PerseusServer()
         server.register_job("j", small_dag, tau=0.02)
@@ -539,16 +607,16 @@ class TestServerDrift:
         job = server._job("j")
         planned = planned_stage_times(job.dag, sched)
         stages = sorted(planned)
-        server.enable_drift("j")
-        # Three in-band steps lock the self-baselined energy reference.
-        for _ in range(3):
-            server.report_measurement("j", t0, energy_j=1000.0)
+        e0 = server.enable_drift("j").detector.planned_energy_j
+        for _ in range(3):  # in band on the planned Eq. 3 energy
+            action = server.report_measurement("j", t0, energy_j=e0)
+        assert not action["detected"]
         crawls_before = server._shared_planner().stats["frontier"]
         skewed = [planned[s] * (1.25 if s == stages[-1] else 1.0)
                   for s in stages]
         for _ in range(5):
             action = server.report_measurement(
-                "j", t0, energy_j=1400.0, stage_time_s=skewed)
+                "j", t0, energy_j=e0 * 1.4, stage_time_s=skewed)
             if action["replanned"]:
                 break
         assert action["replanned"]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import ClientError, ServerError
 from repro.gpu.nvml import SimulatedNVML
-from repro.gpu.specs import A100_PCIE
+from repro.gpu.specs import A40, A100_PCIE
 from repro.models.registry import build_model
 from repro.partition.algorithms import partition_model
 from repro.runtime.client import PerseusClient
@@ -292,3 +292,100 @@ class TestSession:
         assert stats.iteration_time <= t_opt * 1.25 * 1.03
         assert stats.iteration_time > t_opt * 1.05
         assert stats.energy_j < e_opt
+
+
+def _op_windows(engine):
+    """Wrap every client's instruction hooks; the returned list fills
+    with ``(stage, start, end)`` per executed computation."""
+    windows = []
+    for client in engine.clients:
+        opened = {}
+
+        def on_start(op_key, now, _hook=client.on_instruction_start,
+                     _open=opened):
+            _open[op_key] = now
+            _hook(op_key, now)
+
+        def on_end(op_key, now, _hook=client.on_instruction_end,
+                   _open=opened, _stage=client.stage):
+            windows.append((_stage, _open.pop(op_key), now))
+            _hook(op_key, now)
+
+        client.on_instruction_start = on_start
+        client.on_instruction_end = on_end
+    return windows
+
+
+def _steady_state(gpu, microbatches):
+    """gpt3-xl pp4 at stride 24, run to its steady-state optimized
+    iteration: (session, that iteration's stats, its op windows)."""
+    model = build_model("gpt3-xl", 4)
+    part = partition_model(model, 4, gpu)
+    eng = TrainingEngine(model, part, gpu, num_microbatches=microbatches,
+                         freq_stride=24, iterations_per_freq=1)
+    session = TrainingSession(engine=eng, server=PerseusServer(), tau=0.02)
+    windows = _op_windows(eng)
+    for _ in range(100):
+        if session.step().phase == "optimized":
+            break
+    session.step()  # transitional: the deployed clock locks apply
+    windows.clear()
+    stats = session.step()
+    assert stats.phase == "optimized"
+    return session, stats, windows
+
+
+def _profile_fingerprint(profile):
+    """(sha256 of every op's clocks and times, bit for bit; the fsum of
+    every measured energy)."""
+    import hashlib
+    import math
+
+    digest = hashlib.sha256()
+    energies = []
+    for key in sorted(profile.ops):
+        for m in profile.ops[key].measurements:
+            digest.update(repr((key, m.freq_mhz, m.time_s.hex())).encode())
+            energies.append(m.energy_j)
+    return digest.hexdigest()[:16], math.fsum(energies)
+
+
+class TestRealizedEnergyIsEq3:
+    """The engine charges bubbles at ``P_blocking``, so a realized
+    iteration counts the joules Eq. 3 plans."""
+
+    @pytest.mark.parametrize("gpu", [A100_PCIE, A40], ids=["a100", "a40"])
+    def test_bubbles_are_charged_at_blocking_power(self, gpu):
+        session, stats, windows = _steady_state(gpu, 4)
+        nvml = session.engine.nvml
+        compute = sum(nvml.device(stage).energy_counter(end, since=start)
+                      for stage, start, end in windows)
+        busy = sum(end - start for _, start, end in windows)
+        assert len(windows) == len(session.engine.dag.nodes)
+        bubbles = 4 * stats.iteration_time - busy
+        assert stats.energy_j == pytest.approx(
+            compute + gpu.blocking_w * bubbles, rel=1e-9)
+
+    @pytest.mark.parametrize("microbatches", [4, 8])
+    def test_realized_matches_planned_energy_on_a100(self, microbatches):
+        session, stats, _ = _steady_state(A100_PCIE, microbatches)
+        schedule = session.server.current_schedule(session.job_id)
+        assert stats.iteration_time == pytest.approx(
+            schedule.iteration_time, rel=1e-9)
+        planned = schedule.energy_at(4 * A100_PCIE.blocking_w)
+        assert stats.energy_j / planned == pytest.approx(1.0, abs=0.005)
+
+    @pytest.mark.parametrize("gpu, fingerprint, energy_sum", [
+        (A100_PCIE, "7cf5cfe74480fe7a", 841.0715580788208),
+        (A40, "2e736215aee92e87", 2010.4343307752779),
+    ], ids=["a100", "a40"])
+    def test_invivo_profile_is_unchanged(self, gpu, fingerprint,
+                                         energy_sum):
+        # Recorded before bubbles were charged at P_blocking.  A bubble
+        # recorded after the profiler reads the counter would land in
+        # the next op's measured energy and move the sum by percents;
+        # counter deltas may only move by float rounding.
+        session, _, _ = _steady_state(gpu, 4)
+        digest, total = _profile_fingerprint(session.engine.collect_profile())
+        assert digest == fingerprint
+        assert total == pytest.approx(energy_sum, rel=1e-12)

@@ -374,6 +374,32 @@ class TestTypedRpcParams:
         assert status == 422
         assert type(error_from_wire(body["error"])) is ConfigurationError
 
+    @pytest.mark.parametrize("method, params, name", [
+        ("report_measurement", '{"job_id": "j", "time_s": NaN}', "time_s"),
+        ("report_measurement",
+         '{"job_id": "j", "time_s": 1.0, "energy_j": Infinity}',
+         "energy_j"),
+        ("report_measurement",
+         '{"job_id": "j", "time_s": 1.0, "stage_time_s": [1.0, -Infinity]}',
+         "stage_time_s[1]"),
+        ("set_straggler", '{"job_id": "j", "accelerator_id": 0, '
+         '"delay_s": 0.0, "degree": Infinity}', "degree"),
+        ("wait_ready", '{"job_id": "j", "timeout_s": NaN}', "timeout_s"),
+    ], ids=["time-nan", "energy-inf", "stage-neg-inf", "degree-inf",
+            "timeout-nan"])
+    def test_non_finite_number_is_422_naming_the_param(
+            self, method, params, name):
+        # json.loads reads NaN and Infinity; the daemon must not pass
+        # them on as floats (three inf reports once re-planned a job to
+        # an infinite drift floor).
+        body = (f'{{"method": "{method}", "params": {params}, '
+                f'"id": "x"}}').encode()
+        with PlanningDaemon(planner=Planner(), port=0) as daemon:
+            status, _, err, _ = _raw_post(daemon, str(len(body)), body)
+        assert status == 422
+        assert type(err) is ConfigurationError
+        assert f"param {name!r} must be a finite number" in str(err)
+
     @pytest.mark.parametrize("field, value", [
         ("tau", "abc"),
         ("tau", [1]),
