@@ -46,6 +46,7 @@ from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
 
 from ..core.frontier import Frontier
 from ..core.optimizer import PerseusOptimizer
+from ..core.serialization import TauRecord
 from ..core.store import MISS, CacheBackend, PlanStore, as_backend, stable_key
 from ..obs.provenance import ProvenanceBuilder, provenance_path
 from ..obs.trace import current_trace_id, set_trace_id
@@ -64,6 +65,7 @@ from ..profiler.online import (
     stage_works,
 )
 from ..sim.executor import (
+    ExecutionPrice,
     PipelineExecution,
     execute_frequency_plan,
     max_frequency_plan,
@@ -198,6 +200,10 @@ class PlanResult:
     #: The raw cache keys each stage was memoized under (namespace ->
     #: tuple key); what ties a stack back to its store entries.
     keys: Dict[str, tuple] = field(default_factory=dict, repr=False)
+    #: The all-max baseline's Eq. 3 price from the stack's tau record;
+    #: ``None`` for an explicit tau or a record stored without one.
+    baseline_price: Optional[ExecutionPrice] = field(default=None,
+                                                     repr=False)
 
     @property
     def frontier(self) -> Frontier:
@@ -325,8 +331,9 @@ class Planner:
     the expensive work actually performed in this process -- which is
     what tests, the §6.5-style overhead accounting and the CI
     persistence guard observe.  ``stats["frontier"]`` counts frontier
-    crawls (:meth:`frontier_at` misses); a warm persistent store keeps
-    every counter at zero on a repeat run.
+    crawls (:meth:`frontier_at` misses) and ``stats["baseline"]``
+    all-max baseline simulations; a warm persistent store keeps every
+    counter at zero on a repeat run.
 
     ``cache`` is ``None`` (private in-memory tier), a directory path
     (content-addressed persistent :class:`~repro.core.store.PlanStore`)
@@ -345,6 +352,7 @@ class Planner:
         self.stats: Dict[str, int] = {
             "model": 0, "partition": 0, "profile": 0, "stage_profile": 0,
             "dag": 0, "tau": 0, "optimizer": 0, "frontier": 0,
+            "baseline": 0,
         }
 
     @property
@@ -465,7 +473,7 @@ class Planner:
     ) -> PipelineExecution:
         """The all-max-frequency execution (the §6.1 savings reference)."""
         return self._memo(
-            "baseline", (dag_key, profile_key), None,
+            "baseline", (dag_key, profile_key), "baseline",
             lambda: execute_frequency_plan(
                 dag, max_frequency_plan(dag, profile), profile))
 
@@ -476,22 +484,24 @@ class Planner:
         profile_key: tuple,
         dag: ComputationDag,
         profile: PipelineProfile,
-    ) -> float:
+    ) -> TauRecord:
         if tau is not None:
-            return tau
+            return TauRecord(tau)
         # The step target stays in the key so persisted taus keep their
         # store addresses.
         key = (dag_key, profile_key, DEFAULT_STEP_TARGET)
 
-        def build() -> float:
+        def build() -> TauRecord:
             # Same span computation as auto_tau(), but the max-frequency
-            # endpoint comes from (and warms) the shared baseline cache.
+            # endpoint comes from (and warms) the shared baseline cache,
+            # and its price rides in the record: a warm plan prices the
+            # baseline without simulating it.
             fast = self._baseline_for(dag_key, profile_key, dag, profile)
             slow = execute_frequency_plan(
                 dag, min_energy_plan(dag, profile), profile
             )
             span = max(slow.iteration_time - fast.iteration_time, 1e-6)
-            return span / DEFAULT_STEP_TARGET
+            return TauRecord(span / DEFAULT_STEP_TARGET, fast.price())
 
         return self._memo("tau", key, "tau", build)
 
@@ -578,8 +588,8 @@ class Planner:
         profile = self._build_profile(profile_key, model, partition, stack)
         dag_key = (stack.stages, microbatches)
         dag = self._build_dag(stack.stages, microbatches)
-        tau = self._resolve_tau(tau, dag_key, profile_key, dag, profile)
-        frontier_key = (dag_key, profile_key, tau, stack.exactness)
+        record = self._resolve_tau(tau, dag_key, profile_key, dag, profile)
+        frontier_key = (dag_key, profile_key, record.tau, stack.exactness)
         return PlanResult(
             model=model,
             gpu=stack.gpus[0],
@@ -594,6 +604,7 @@ class Planner:
                 "dag": dag_key,
                 "frontier": frontier_key,
             },
+            baseline_price=record.baseline,
         )
 
     def cache_keys(self, spec: PlanSpec) -> Dict[str, str]:
@@ -661,7 +672,10 @@ class Planner:
         ``[T_min, T*]``; frontier-free baselines ignore it).  It is also
         the sync floor both sides are priced at: the plan and the
         all-max baseline each pay Eq. 3 up to ``max(own time, T')``
-        (:meth:`PipelineExecution.energy_at`).
+        (:meth:`ExecutionPrice.energy_at`).  The baseline is priced from
+        the stack's tau record when it carries a price, so a warm plan
+        simulates only its own plan; otherwise it is simulated (and
+        memoized) as :meth:`baseline_execution` returns it.
 
         The plan itself is the last memoized stage: ``(frequencies,
         execution, energy, baseline energy)`` under ``(optimizer key,
@@ -685,9 +699,12 @@ class Planner:
                 stack = self.result(spec)
                 optimizer = stack.optimizer
 
-                baseline = self._baseline_for(
-                    stack.keys["dag"], stack.keys["profile"],
-                    stack.dag, stack.profile)
+                baseline: Union[ExecutionPrice, PipelineExecution]
+                baseline = stack.baseline_price
+                if baseline is None:
+                    baseline = self._baseline_for(
+                        stack.keys["dag"], stack.keys["profile"],
+                        stack.dag, stack.profile)
 
                 run_key = (stack.keys["frontier"], _Identity(strategy))
 

@@ -388,7 +388,8 @@ def cmd_sweep(args) -> int:
     s = planner.stats
     print(f"work       : profiles={s['profile']} "
           f"stage_sweeps={s['stage_profile']} taus={s['tau']} "
-          f"frontiers={s['frontier']}", file=human)
+          f"frontiers={s['frontier']} baselines={s['baseline']}",
+          file=human)
     counters = planner.cache.counters
     print("cache      : " + " ".join(
         f"{name}={counters[name]}" for name in sorted(counters)

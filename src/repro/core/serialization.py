@@ -2,42 +2,55 @@
 
 A cluster-wide Perseus server caches energy schedules "for fast lookup"
 (§3.2); across server restarts or for offline analysis, profiles and
-characterized frontiers round-trip through plain JSON here.  Formats are
-versioned and deliberately flat (no pickling) so they diff cleanly and can
-be consumed by plotting tools.  :class:`repro.api.PlanSpec` payloads
-(kind ``plan_spec``) take part in the same ``save_json``/``load_json``
-dispatch so sweep manifests live next to their artifacts.
+characterized frontiers round-trip through JSON here (frontiers with
+packed numeric columns).  Formats are versioned and deliberately flat
+(no pickling) so other tools can read them.  :class:`repro.api.PlanSpec`
+payloads (kind ``plan_spec``) take part in the same
+``save_json``/``load_json`` dispatch so sweep manifests live next to
+their artifacts.
 
-Frontiers are by far the largest payloads.  Version 3 stores them as
-columns: one list per scalar, a full row where the schedule's layout
+Frontiers are by far the largest payloads.  Version 4 stores them as
+columns: one column per scalar, a full row where the schedule's layout
 starts or changes, and four flat delta columns with per-point offsets
-(:func:`frontier_to_dict`).  Reading one checks the whole payload with
-a few whole-list calls and builds a point only when it is looked up,
-so a warm plan builds one.  Version 2 payloads (one inline delta row
-per point) are converted to those columns and read the same way;
-version 1 payloads (a list of full points) are read eagerly.
+(:func:`frontier_to_dict`).  Every numeric column is packed: the base64
+text of a little-endian machine array, which the reader unpacks in one
+C call with every float's exact bits.  Reading one checks the whole
+payload with a few whole-list calls and builds a point only when it is
+looked up, so a warm plan builds one.  Version 3 payloads (the same
+columns as JSON lists) and version 2 payloads (one inline delta row per
+point, regrouped into those columns) are read the same way; version 1
+payloads (a list of full points) are read eagerly.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import sys
+from array import array
 from bisect import bisect_right
-from typing import IO, List, Sequence
+from typing import IO, Dict, List, NamedTuple, Optional, Sequence
 
 from ..exceptions import ReproError
 from ..partition.algorithms import PartitionResult
 from ..profiler.measurement import Measurement, OpProfile, PipelineProfile
+from ..sim.executor import ExecutionPrice
 from .frontier import Frontier
 from .schedule import EnergySchedule
 
 FORMAT_VERSION = 1
 
-#: Frontier payloads are columnar with flat per-point delta columns
-#: (see :func:`frontier_to_dict`); version 2 (one delta row per point)
-#: and version 1 (a list of full points) stay readable because existing
-#: stores hold frontiers that take minutes to re-crawl.
-FRONTIER_FORMAT_VERSION = 3
+#: Frontier payloads are columnar with flat per-point delta columns,
+#: packed (see :func:`frontier_to_dict`); versions 3 (the same columns
+#: as JSON lists), 2 (one delta row per point) and 1 (a list of full
+#: points) stay readable because existing stores hold frontiers that
+#: take minutes to re-crawl.
+FRONTIER_FORMAT_VERSION = 4
+
+#: Tau payloads carry the all-max baseline's Eq. 3 price since version
+#: 2; version 1 (the value alone) stays readable.
+TAU_FORMAT_VERSION = 2
 
 #: Pipeline-profile payloads carrying the per-stage ``stage_blocking_w``
 #: map (mixed-GPU clusters) are stamped version 2 so pre-mixed-cluster
@@ -190,21 +203,23 @@ def _delta_row(point: EnergySchedule, prev: EnergySchedule) -> list:
 
 
 def frontier_to_dict(frontier: Frontier) -> dict:
-    """JSON-ready representation of a characterized frontier (version 3).
+    """JSON-ready representation of a characterized frontier (version 4).
 
-    Columnar: one list per scalar (``iteration_time``,
+    Columnar: one column per scalar (``iteration_time``,
     ``effective_energy``, ``compute_energy``), a few full ``rows`` and
     four flat delta columns.  The first point is a full row (``at``,
     ``ids``, ``durations``, ``frequencies`` -- the latter empty or
     aligned with ``ids``).  Every later point with the same layout
     stores only the entries that changed from its predecessor: point
     ``k``'s are ``delta_index`` (into ``ids``), ``delta_duration`` and
-    ``delta_frequency`` (``None`` when the layout carries no clocks)
+    ``delta_frequency`` (``-1`` when the layout carries no clocks)
     from ``delta_offsets[k]`` to ``delta_offsets[k + 1]``.  A point
     whose key set or key order differs from its predecessor's gets a
     full row again, recording its index in ``at`` (and one carrying
     ``frequency_ids`` when its frequencies are keyed differently from
-    its durations).
+    its durations).  Every numeric column, the full rows' included, is
+    packed (:func:`_pack`): doubles for times and energies, 32-bit ints
+    for ids, indices, offsets and clocks.
     """
     points = frontier.points
     rows = []
@@ -216,7 +231,7 @@ def frontier_to_dict(frontier: Frontier) -> dict:
         else:
             rows.append(_full_row(point, layout is not None))
         prev, prev_layout = point, layout
-    return _columns({
+    payload = _columns({
         "version": FRONTIER_FORMAT_VERSION,
         "kind": "frontier",
         "tau": frontier.tau,
@@ -228,6 +243,15 @@ def frontier_to_dict(frontier: Frontier) -> dict:
         "compute_energy": [p.compute_energy for p in points],
         "rows": rows,
     })
+    payload["delta_frequency"] = [_NO_CLOCK if f is None else f
+                                  for f in payload["delta_frequency"]]
+    for name, code in _COLUMNS.items():
+        payload[name] = _pack(payload[name], code)
+    payload["rows"] = [
+        {name: _pack(value, _ROW_COLUMNS[name]) if name in _ROW_COLUMNS
+         else value for name, value in row.items()}
+        for row in payload["rows"]]
+    return payload
 
 
 def _columns(payload: dict) -> dict:
@@ -249,12 +273,96 @@ def _columns(payload: dict) -> dict:
                 delta_duration=durations, delta_frequency=clocks)
 
 
+#: A version-4 payload's packed columns and their array type codes:
+#: ``"d"`` a double, ``"i"`` a 32-bit signed int.
+_COLUMNS = {"iteration_time": "d", "effective_energy": "d",
+            "compute_energy": "d", "delta_offsets": "i", "delta_index": "i",
+            "delta_duration": "d", "delta_frequency": "i"}
+_ROW_COLUMNS = {"ids": "i", "durations": "d", "frequencies": "i",
+                "frequency_ids": "i"}
+
+#: What a packed ``delta_frequency`` holds where version 3 holds ``None``
+#: (a layout without clocks).
+_NO_CLOCK = -1
+
+#: Packed columns are little-endian whatever the host's byte order.
+_SWAP = sys.byteorder != "little"
+
+
+def _pack(values, code: str) -> str:
+    """``values`` as the base64 text of a little-endian array."""
+    column = array(code, values)
+    if _SWAP:
+        column.byteswap()
+    return base64.b64encode(column.tobytes()).decode("ascii")
+
+
+def _unpack(text, code: str) -> list:
+    """Inverse of :func:`_pack`: strict base64 of whole items only."""
+    raw = base64.b64decode(text, validate=True)
+    column = array(code)
+    if len(raw) % column.itemsize:
+        raise SerializationError(
+            f"a packed column of {len(raw)} bytes is no whole number of "
+            f"{column.itemsize}-byte items")
+    column.frombytes(raw)
+    if _SWAP:
+        column.byteswap()
+    return column.tolist()
+
+
+def _unpacked(payload: dict) -> dict:
+    """A version-4 payload with its packed columns as version 3's typed
+    lists, so :class:`_StoredPoints` makes every version-3 check on it."""
+    columns = {name: _unpack(payload[name], code)
+               for name, code in _COLUMNS.items()}
+    clocks = columns["delta_frequency"]
+    if _NO_CLOCK in clocks:
+        columns["delta_frequency"] = [None if f == _NO_CLOCK else f
+                                      for f in clocks]
+    rows = [dict(row, **{name: _unpack(row[name], code)
+                         for name, code in _ROW_COLUMNS.items()
+                         if name in row})
+            for row in payload["rows"]]
+    return dict(payload, rows=rows, **columns)
+
+
 def _types(column) -> set:
     return set(map(type, column))
 
 
+def _typed(payload: dict) -> dict:
+    """A payload with version 3's JSON-list columns, each checked for
+    and converted to the item type :class:`_StoredPoints` reads: floats
+    for times, energies and durations (an integral duration reads as a
+    float), ints for ids, indices, offsets and clocks (``None`` for a
+    layout without clocks).  A version-4 column is typed by its
+    packing, so :func:`_unpacked` needs none of this."""
+    offsets, index, clocks, durations = (payload[name] for name in (
+        "delta_offsets", "delta_index", "delta_frequency", "delta_duration"))
+    kinds = _types(durations)
+    if not (_types(offsets) <= {int} and _types(index) <= {int}
+            and _types(clocks) <= {int, type(None)}
+            and kinds <= {float, int}):
+        raise SerializationError("malformed frontier delta columns")
+    if int in kinds:
+        durations = list(map(float, durations))
+    rows = []
+    for row in payload["rows"]:
+        row = dict(row, ids=list(map(int, row["ids"])),
+                   durations=list(map(float, row["durations"])),
+                   frequencies=list(map(int, row["frequencies"])))
+        if "frequency_ids" in row:
+            row["frequency_ids"] = list(map(int, row["frequency_ids"]))
+        rows.append(row)
+    return dict(payload, rows=rows, delta_duration=durations, **{
+        name: list(map(float, payload[name]))
+        for name in ("iteration_time", "effective_energy", "compute_energy")})
+
+
 class _StoredPoints:
-    """The points of a version-3 frontier payload, decoded lazily.
+    """The points of a frontier payload with version 3's columns as
+    typed lists (:func:`_typed`, :func:`_unpacked`), decoded lazily.
 
     Construction checks the whole payload but builds no schedule: each
     column and each full row's segment of the delta columns is checked
@@ -265,9 +373,9 @@ class _StoredPoints:
     """
 
     def __init__(self, payload: dict) -> None:
-        self.times = list(map(float, payload["iteration_time"]))
-        self._effective = list(map(float, payload["effective_energy"]))
-        self._compute = list(map(float, payload["compute_energy"]))
+        self.times = payload["iteration_time"]
+        self._effective = payload["effective_energy"]
+        self._compute = payload["compute_energy"]
         offsets = self._offsets = payload["delta_offsets"]
         index = self._index = payload["delta_index"]
         clocks = self._clocks = payload["delta_frequency"]
@@ -278,18 +386,11 @@ class _StoredPoints:
             raise SerializationError("frontier columns differ in length")
         if not all(map(float.__le__, self.times, self.times[1:])):
             raise SerializationError("frontier iteration times are unsorted")
-        if not (_types(offsets) <= {int} and offsets[0] == 0
+        if not (offsets[0] == 0
                 and offsets[-1] == len(index) == len(self._durations)
                 == len(clocks)
-                and all(map(int.__le__, offsets, offsets[1:]))
-                and _types(index) <= {int}
-                and _types(clocks) <= {int, type(None)}):
+                and all(map(int.__le__, offsets, offsets[1:]))):
             raise SerializationError("malformed frontier delta columns")
-        kinds = _types(self._durations)
-        if not kinds <= {float}:  # an integral duration reads as a float
-            if not kinds <= {float, int}:
-                raise SerializationError("malformed frontier delta columns")
-            self._durations = list(map(float, self._durations))
         rows = payload["rows"]
         starts = self._starts = [row["at"] for row in rows]
         if not (starts and starts[0] == 0 and _types(starts) <= {int}
@@ -300,14 +401,11 @@ class _StoredPoints:
         # segment's points copy.
         self._rows = []
         for row, at, end in zip(rows, starts, starts[1:] + [n]):
-            ids = list(map(int, row["ids"]))
-            values = list(map(float, row["durations"]))
-            row_clocks = list(map(int, row["frequencies"]))
+            ids, values = row["ids"], row["durations"]
+            row_clocks = row["frequencies"]
             frequency_ids = row.get("frequency_ids")
             if frequency_ids is None:
                 frequency_ids = ids if row_clocks else []
-            else:
-                frequency_ids = list(map(int, frequency_ids))
             base_durations = dict(zip(ids, values))
             frequencies = dict(zip(frequency_ids, row_clocks))
             if not (len(base_durations) == len(values) == len(ids)
@@ -364,22 +462,25 @@ class _StoredPoints:
 
 
 def frontier_from_dict(payload: dict) -> Frontier:
-    """Inverse of :func:`frontier_to_dict`; also reads version 2 (one
-    ``rows`` entry per point, deltas inline) and version 1 (a ``points``
-    list of :func:`schedule_to_dict` rows).
+    """Inverse of :func:`frontier_to_dict`; also reads version 3 (the
+    same columns as JSON lists), version 2 (one ``rows`` entry per
+    point, deltas inline) and version 1 (a ``points`` list of
+    :func:`schedule_to_dict` rows).
 
-    A version-2 or -3 payload is checked whole here but decoded lazily:
-    the frontier builds only the points it is asked for (see
+    A version-2, -3 or -4 payload is checked whole here but decoded
+    lazily: the frontier builds only the points it is asked for (see
     :class:`_StoredPoints`).
     """
-    _expect(payload, "frontier", versions=(1, 2, FRONTIER_FORMAT_VERSION))
+    _expect(payload, "frontier", versions=(1, 2, 3, FRONTIER_FORMAT_VERSION))
     try:
         if payload["version"] == 1:
             points = [schedule_from_dict(p) for p in payload["points"]]
         elif payload["version"] == 2:
-            points = _StoredPoints(_columns(payload))
+            points = _StoredPoints(_typed(_columns(payload)))
+        elif payload["version"] == 3:
+            points = _StoredPoints(_typed(payload))
         else:
-            points = _StoredPoints(payload)
+            points = _StoredPoints(_unpacked(payload))
     except _MALFORMED as exc:
         raise SerializationError(
             f"malformed frontier payload: {type(exc).__name__}: {exc}"
@@ -446,20 +547,77 @@ def stage_sweep_from_dict(payload: dict) -> List[Measurement]:
     ]
 
 
-def tau_to_dict(tau: float) -> dict:
+class TauRecord(NamedTuple):
+    """An auto-derived frontier granularity and what priced it.
+
+    ``baseline`` is the Eq. 3 price of the all-max execution simulated
+    to derive ``tau``, so a warm plan prices its baseline without
+    simulating it; ``None`` for a version-1 record, which carries the
+    value alone.
+    """
+
+    tau: float
+    baseline: Optional[ExecutionPrice] = None
+
+
+def tau_to_dict(record: TauRecord) -> dict:
     """An auto-derived frontier granularity, JSON-ready.
 
     Tiny, but persisted: tau is part of the frontier's content address,
     so reusing the recorded value (instead of re-deriving it) is what
     guarantees a warm process addresses the exact same frontier file.
+    Version 2 adds the baseline's price; per-stage maps are
+    ``[stage, value]`` pairs in the price's order.
     """
-    return {"version": FORMAT_VERSION, "kind": "tau", "value": tau}
+    price = record.baseline
+    if price is None:
+        return {"version": FORMAT_VERSION, "kind": "tau", "value": record.tau}
+    blocking = price.stage_blocking_w
+    return {"version": TAU_FORMAT_VERSION, "kind": "tau", "value": record.tau,
+            "baseline": {
+                "iteration_time": price.iteration_time,
+                "compute_energy": price.compute_energy,
+                "stage_busy": [list(i) for i in price.stage_busy.items()],
+                "num_devices": price.num_devices,
+                "p_blocking_w": price.p_blocking_w,
+                "stage_blocking_w": (None if blocking is None else
+                                     [list(i) for i in blocking.items()]),
+            }}
 
 
-def tau_from_dict(payload: dict) -> float:
+def tau_from_dict(payload: dict) -> TauRecord:
     """Inverse of :func:`tau_to_dict`."""
-    _expect(payload, "tau")
-    return float(payload["value"])
+    _expect(payload, "tau", versions=(FORMAT_VERSION, TAU_FORMAT_VERSION))
+    tau = float(payload["value"])
+    if payload["version"] == FORMAT_VERSION:
+        return TauRecord(tau)
+    block = payload["baseline"]
+    blocking = block["stage_blocking_w"]
+    price = ExecutionPrice(
+        _real(block["iteration_time"]), _real(block["compute_energy"]),
+        _stage_map(block["stage_busy"]), block["num_devices"],
+        _real(block["p_blocking_w"]),
+        None if blocking is None else _stage_map(blocking))
+    if not (type(price.num_devices) is int
+            and price.num_devices >= max(1, len(price.stage_busy))):
+        raise SerializationError("malformed baseline price in tau record")
+    return TauRecord(tau, price)
+
+
+def _real(value) -> float:
+    if type(value) not in (int, float):
+        raise SerializationError("malformed baseline price in tau record")
+    return float(value)
+
+
+def _stage_map(pairs) -> Dict[int, float]:
+    """``[[stage, value], ...]`` -> ``{stage: value}``, in order."""
+    table: Dict[int, float] = {}
+    for stage, value in pairs:
+        if type(stage) is not int or stage < 0 or stage in table:
+            raise SerializationError("malformed baseline price in tau record")
+        table[stage] = _real(value)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +629,7 @@ def payload_to_dict(obj) -> dict:
     """Versioned payload for any plan-store artifact.
 
     Dispatches on type: profiles, frontiers, partitions, per-stage
-    measurement sweeps (lists of :class:`Measurement`) and tau floats.
+    measurement sweeps (lists of :class:`Measurement`) and tau records.
     """
     if isinstance(obj, PipelineProfile):
         return profile_to_dict(obj)
@@ -479,7 +637,7 @@ def payload_to_dict(obj) -> dict:
         return frontier_to_dict(obj)
     if isinstance(obj, PartitionResult):
         return partition_to_dict(obj)
-    if isinstance(obj, float):
+    if isinstance(obj, TauRecord):
         return tau_to_dict(obj)
     if isinstance(obj, (list, tuple)) and obj and all(
         isinstance(m, Measurement) for m in obj

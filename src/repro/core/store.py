@@ -97,9 +97,10 @@ class StoreError(ReproError):
 #: order, and whether it is frozen (only frozen instances are memoized).
 _FIELDS: Dict[type, tuple] = {}
 
-#: ``id(instance) -> (instance, key text)`` for frozen dataclasses
-#: hashed at the top level of a key (a plan hashes its ``ModelSpec`` in
-#: most of its keys).  Holding the instance keeps its id from being
+#: ``id(instance) -> (instance, field-object text)`` for frozen
+#: dataclasses, at the top level of a key or nested (a plan hashes its
+#: ``ModelSpec`` in most of its keys, and a model's blocks share one
+#: ``WorkProfile``).  Holding the instance keeps its id from being
 #: reused while the entry lives; the table is cleared when it reaches
 #: :data:`_MEMO_SIZE`.  Threads share it unlocked: a lost entry only
 #: costs a recompute, and every entry stored is correct.
@@ -156,18 +157,18 @@ def _key_text(value, nested: bool = False) -> str:
     dataclass = _dataclass_fields(type(value))
     if dataclass is not None:
         fields, frozen = dataclass
-        if nested:
-            return _fields_text(value, fields)
         hit = _MEMO.get(id(value))
         if hit is not None:
-            return hit[1]
-        text = ("[" + _quote(type(value).__name__) + ","
-                + _fields_text(value, fields) + "]")
-        if frozen:
-            if len(_MEMO) >= _MEMO_SIZE:
-                _MEMO.clear()
-            _MEMO[id(value)] = (value, text)
-        return text
+            text = hit[1]
+        else:
+            text = _fields_text(value, fields)
+            if frozen:
+                if len(_MEMO) >= _MEMO_SIZE:
+                    _MEMO.clear()
+                _MEMO[id(value)] = (value, text)
+        if nested:
+            return text
+        return "[" + _quote(type(value).__name__) + "," + text + "]"
     if isinstance(value, (tuple, list)):
         return "[" + ",".join([_key_text(v, nested) for v in value]) + "]"
     if isinstance(value, dict):

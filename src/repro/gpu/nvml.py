@@ -37,17 +37,32 @@ class _ActivitySegment:
 
 @dataclass
 class SimDevice:
-    """One simulated GPU: clock request log + activity (power) log."""
+    """One simulated GPU: clock request log + activity (power) log.
+
+    Reads bisect these logs, so a counter read late in a long run costs
+    what one early in it does: ``_clock_times`` parallels
+    ``_clock_events``, and two monotone envelopes of the segment log
+    bound the segments that can overlap a queried interval.
+    """
 
     index: int
     spec: GPUSpec
     clock_apply_latency_s: float = 0.010
     _clock_events: List[Tuple[float, int]] = field(default_factory=list)
     _segments: List[_ActivitySegment] = field(default_factory=list)
+    _clock_times: List[float] = field(default_factory=list, repr=False)
+    #: ``_end_max[k]``: the latest end among segments ``0..k``.
+    _end_max: List[float] = field(default_factory=list, repr=False)
+    #: ``_start_min[k]``: the earliest start among segments ``k..``.
+    _start_min: List[float] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         # Device boots at the maximum clock (default autoboost behaviour).
-        self._clock_events.append((float("-inf"), self.spec.max_freq))
+        self._clock_event(float("-inf"), self.spec.max_freq)
+
+    def _clock_event(self, apply_at: float, freq_mhz: int) -> None:
+        self._clock_events.append((apply_at, freq_mhz))
+        self._clock_times.append(apply_at)
 
     # -- clock control -----------------------------------------------------
     def lock_sm_clock(self, freq_mhz: int, now: float) -> None:
@@ -59,18 +74,15 @@ class SimDevice:
         apply_at = now + self.clock_apply_latency_s
         if self._clock_events and apply_at < self._clock_events[-1][0] - TIME_EPS:
             raise NVMLError("clock requests must be issued in time order")
-        self._clock_events.append((apply_at, freq_mhz))
+        self._clock_event(apply_at, freq_mhz)
 
     def reset_sm_clock(self, now: float) -> None:
         """Return to the default (maximum) clock."""
-        self._clock_events.append(
-            (now + self.clock_apply_latency_s, self.spec.max_freq)
-        )
+        self._clock_event(now + self.clock_apply_latency_s, self.spec.max_freq)
 
     def sm_clock(self, now: float) -> int:
         """Effective SM clock at simulated time ``now``."""
-        times = [t for t, _ in self._clock_events]
-        i = bisect.bisect_right(times, now) - 1
+        i = bisect.bisect_right(self._clock_times, now) - 1
         if i < 0:
             return self.spec.max_freq
         return self._clock_events[i][1]
@@ -89,18 +101,33 @@ class SimDevice:
         if power_w < 0:
             raise NVMLError("power must be non-negative")
         self._segments.append(_ActivitySegment(start, end, power_w))
+        ends, starts = self._end_max, self._start_min
+        ends.append(max(ends[-1], end) if ends else end)
+        # Segments may touch within TIME_EPS, so a start can undercut
+        # earlier ones: lower their suffix minimum back to it.
+        starts.append(start)
+        k = len(starts) - 2
+        while k >= 0 and starts[k] > start:
+            starts[k] = start
+            k -= 1
 
     def energy_counter(self, now: float, since: float = 0.0) -> float:
         """Total joules consumed over ``[since, now]``.
 
         Active intervals integrate their recorded power; uncovered intervals
         integrate idle power -- mirroring ``nvmlDeviceGetTotalEnergyConsumption``.
+        Only segments past every one that ends by ``since`` and before
+        every one that starts at ``now`` or later are visited; the ones
+        skipped cannot overlap ``[since, now]``, so the sum adds exactly
+        what a scan of every segment adds, in the same order.
         """
         if now < since:
             raise NVMLError("energy query interval is reversed")
+        first = bisect.bisect_right(self._end_max, since)
+        stop = bisect.bisect_left(self._start_min, now)
         energy = 0.0
         covered = 0.0
-        for seg in self._segments:
+        for seg in self._segments[first:stop]:
             lo = max(seg.start, since)
             hi = min(seg.end, now)
             if hi > lo:

@@ -160,22 +160,27 @@ def build_transformer(
             backward_multiplier=1.0,  # the gather's backward is a scatter
         )
     ]
+    # Every block of one shape shares one frozen work value: built once,
+    # and its store-key text is written once.
     enc_layers = cfg.num_layers - cfg.num_decoder_layers
+    work = transformer_layer_work(cfg, microbatch_size, False)
     for i in range(enc_layers):
         layers.append(
             LayerSpec(
                 name=f"encoder.{i}" if cfg.num_decoder_layers else f"layer.{i}",
                 kind="transformer",
-                forward=transformer_layer_work(cfg, microbatch_size, False),
+                forward=work,
                 backward_multiplier=bwd,
             )
         )
+    if cfg.num_decoder_layers:
+        work = transformer_layer_work(cfg, microbatch_size, True)
     for i in range(cfg.num_decoder_layers):
         layers.append(
             LayerSpec(
                 name=f"decoder.{i}",
                 kind="transformer",
-                forward=transformer_layer_work(cfg, microbatch_size, True),
+                forward=work,
                 backward_multiplier=bwd,
             )
         )

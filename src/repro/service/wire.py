@@ -5,7 +5,8 @@ the same ``core.serialization`` payloads the plan store persists:
 profiles, frontiers and schedules reuse their existing codecs verbatim,
 so a frontier fetched over the wire is bit-identical to one loaded from
 disk.  The ``frontier`` RPC therefore carries the columnar, delta-encoded
-version 3 frontier payload (``core.serialization.frontier_to_dict``).
+version 4 frontier payload, its numeric columns packed
+(``core.serialization.frontier_to_dict``).
 This module adds the two shapes that had no serialized form:
 
 * :class:`~repro.api.planner.PlanReport` rows (kind ``plan_report``) --

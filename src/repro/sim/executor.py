@@ -41,6 +41,52 @@ class NodeExecution(NamedTuple):
         return self.power_w * self.duration
 
 
+class ExecutionPrice(NamedTuple):
+    """What Eq. 3 reads from one execution, and the one place it is summed.
+
+    :meth:`PipelineExecution.energy_at` prices through this record, and
+    the planner persists the all-max baseline's record beside its tau,
+    so a warm plan prices the baseline without simulating it -- with the
+    same float operations in the same order.  ``stage_busy`` maps each
+    stage to its summed computation time, in the order the stages first
+    appear in the execution's records (the order the homogeneous sum
+    adds them).
+    """
+
+    iteration_time: float
+    compute_energy: float
+    stage_busy: Dict[int, float]
+    num_devices: int
+    p_blocking_w: float
+    stage_blocking_w: Optional[Dict[int, float]] = None
+
+    def blocking_until(self, t_sync: float) -> float:
+        """Blocking energy of every stage up to ``t_sync``."""
+        busy = self.stage_busy
+        if self.stage_blocking_w is not None:
+            # Mixed cluster: each stage idles at its own device's draw.
+            draw = self.stage_blocking_w
+            return sum(
+                draw.get(s, self.p_blocking_w) * (t_sync - busy.get(s, 0))
+                for s in range(self.num_devices)
+            )
+        return self.p_blocking_w * (self.num_devices * t_sync
+                                    - sum(busy.values()))
+
+    def energy_at(self, floor_s: Optional[float] = None) -> float:
+        """Eq. 3: computation plus blocking energy until gradient sync.
+
+        ``floor_s`` is the straggler-gated iteration time ``T'``; every
+        stage blocks until ``max(T, T')``, as in
+        :meth:`repro.core.schedule.EnergySchedule.energy_at`.  Every
+        "% saved" prices both the plan and the all-max baseline here.
+        """
+        time_s = self.iteration_time
+        if floor_s is not None and floor_s > time_s:
+            time_s = floor_s
+        return self.compute_energy + self.blocking_until(time_s)
+
+
 @dataclass
 class PipelineExecution:
     """Realized timeline + energy accounting of one pipeline iteration.
@@ -82,35 +128,23 @@ class PipelineExecution:
         """Energy spent in computations (term 1 of Eq. 3 before blocking)."""
         return sum(r.energy_j for r in self.records)
 
+    def price(self) -> ExecutionPrice:
+        """What Eq. 3 reads from this execution (:class:`ExecutionPrice`)."""
+        return ExecutionPrice(
+            self.iteration_time, self.compute_energy(),
+            {s: self.stage_busy_time(s) for s in self._by_stage},
+            self.num_devices(), self.p_blocking_w, self.stage_blocking_w)
+
     def blocking_energy(self) -> float:
         """Energy burned blocking on communication inside the iteration
         (Eq. 3's intra-pipeline gaps); :meth:`energy_at` adds the wait
         for a straggler-gated gradient sync."""
-        return self._blocking_until(self.iteration_time)
-
-    def _blocking_until(self, t_sync: float) -> float:
-        stages = self.num_devices()
-        if self.stage_blocking_w is not None:
-            # Mixed cluster: each stage idles at its own device's draw.
-            return sum(
-                self.blocking_power(s) * (t_sync - self.stage_busy_time(s))
-                for s in range(stages)
-            )
-        busy = sum(self.stage_busy_time(s) for s in self._by_stage)
-        return self.p_blocking_w * (stages * t_sync - busy)
+        return self.price().blocking_until(self.iteration_time)
 
     def energy_at(self, floor_s: Optional[float] = None) -> float:
-        """Eq. 3: computation plus blocking energy until gradient sync.
-
-        ``floor_s`` is the straggler-gated iteration time ``T'``; every
-        stage blocks until ``max(T, T')``, as in
-        :meth:`repro.core.schedule.EnergySchedule.energy_at`.  Every
-        "% saved" prices both the plan and the all-max baseline here.
-        """
-        time_s = self.iteration_time
-        if floor_s is not None and floor_s > time_s:
-            time_s = floor_s
-        return self.compute_energy() + self._blocking_until(time_s)
+        """Eq. 3: computation plus blocking energy until gradient sync
+        (:meth:`ExecutionPrice.energy_at` of :meth:`price`)."""
+        return self.price().energy_at(floor_s)
 
     def num_devices(self) -> int:
         return max(self.num_stages, len(self._by_stage))

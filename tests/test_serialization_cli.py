@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import pytest
 from reference.frontier_v2 import frontier_to_dict_v2
+from reference.frontier_v3 import (frontier_to_dict_v3, pack, packed,
+                                   v3_lists)
 
 from repro.api import PlanSpec, Planner
 from repro.cli import main
@@ -17,6 +19,7 @@ from repro.core.schedule import EnergySchedule
 from repro.core.serialization import (
     FRONTIER_FORMAT_VERSION,
     SerializationError,
+    TauRecord,
     frontier_from_dict,
     frontier_to_dict,
     load_json,
@@ -27,6 +30,7 @@ from repro.core.serialization import (
     save_json,
     schedule_to_dict,
 )
+from repro.sim.executor import execute_frequency_plan, max_frequency_plan
 
 
 class TestProfileRoundTrip:
@@ -105,7 +109,7 @@ def frontier_bits(frontier):
 
 def json_round_trip(frontier):
     payload = json.loads(json.dumps(frontier_to_dict(frontier)))
-    assert payload["version"] == FRONTIER_FORMAT_VERSION == 3
+    assert payload["version"] == FRONTIER_FORMAT_VERSION == 4
     return frontier_from_dict(payload)
 
 
@@ -153,7 +157,8 @@ class TestFrontierV2:
 
     def test_deltas_carry_only_changed_entries(self, small_optimizer):
         frontier = small_optimizer.frontier
-        payload = frontier_to_dict(frontier)
+        packed_payload = frontier_to_dict(frontier)
+        payload = v3_lists(packed_payload)
         [first] = payload["rows"]
         assert set(first) == {"at", "ids", "durations", "frequencies"}
         assert first["at"] == 0
@@ -164,8 +169,10 @@ class TestFrontierV2:
         assert offsets[-1] == changed == len(payload["delta_duration"]) \
             == len(payload["delta_frequency"])
         assert changed < len(first["ids"]) * (len(offsets) - 2) / 4
-        assert len(json.dumps(payload)) * 5 < len(json.dumps(
+        assert len(json.dumps(packed_payload)) * 5 < len(json.dumps(
             [schedule_to_dict(p) for p in frontier.points]))
+        assert len(json.dumps(packed_payload)) < len(json.dumps(
+            frontier_to_dict_v3(frontier)))
 
     def test_unrealized_points_without_frequencies(self, small_optimizer):
         points = [replace(p, frequencies={})
@@ -193,7 +200,7 @@ class TestFrontierV2:
             point({2: 0.5, 1: 0.0, 7: 0.1}, {7: 1, 2: 900}, 1.7),
         ]
         frontier = Frontier(points=points, tau=0.1)
-        payload = frontier_to_dict(frontier)
+        payload = v3_lists(frontier_to_dict(frontier))
         assert [row["at"] for row in payload["rows"]] == [0, 2, 3, 4, 6, 7]
         assert [row.get("frequency_ids") for row in payload["rows"]] == [
             None, None, None, None, [7, 2], [7, 2]]
@@ -253,24 +260,28 @@ class TestLazyDecode:
 
     def test_version_2_and_its_version_3_rewrite_decode_identically(
             self, crawled):
-        frontier, v3 = crawled
+        frontier, v4 = crawled
         v2 = json.loads(json.dumps(frontier_to_dict_v2(frontier)))
-        from_v2, from_v3 = frontier_from_dict(v2), frontier_from_dict(v3)
-        assert (v2["version"], v3["version"]) == (2, 3)
+        v3 = json.loads(json.dumps(frontier_to_dict_v3(frontier)))
+        decoded = [frontier_from_dict(p) for p in (v2, v3, v4)]
+        assert [p["version"] for p in (v2, v3, v4)] == [2, 3, 4]
         for k, point in enumerate(frontier.points):
-            assert point_bits(from_v2._lookup[k]) == point_bits(point)
-            assert point_bits(from_v3._lookup[k]) == point_bits(point)
-        assert frontier_bits(from_v2) == frontier_bits(from_v3) \
-            == frontier_bits(frontier)
-        # Re-encoding what a version-2 file decodes to gives the
-        # version-3 payload the crawl wrote.
-        assert frontier_to_dict(from_v2) == v3
+            for restored in decoded:
+                assert point_bits(restored._lookup[k]) == point_bits(point)
+        assert [frontier_bits(restored) for restored in decoded] \
+            == [frontier_bits(frontier)] * 3
+        # Re-encoding what a version-2 or -3 file decodes to gives the
+        # version-4 payload the crawl wrote, which packs version 3's
+        # columns.
+        assert frontier_to_dict(decoded[0]) == frontier_to_dict(
+            decoded[1]) == v4
+        assert v3_lists(v4) == dict(v3, version=4)
 
     def test_iteration_applies_each_delta_entry_once(self):
         spec = PlanSpec("gpt3-13b", stages=8, microbatches=32,
                         freq_stride=4, exactness="fast")
         frontier = Planner().frontier_for(spec)
-        payload = json.loads(json.dumps(frontier_to_dict(frontier)))
+        payload = json.loads(json.dumps(frontier_to_dict_v3(frontier)))
         read = []
 
         class Column(list):
@@ -334,13 +345,16 @@ class TestMalformedPayloads:
 
     @pytest.fixture
     def payloads(self, small_optimizer, small_profile, small_partition):
+        dag = small_optimizer.dag
+        baseline = execute_frequency_plan(
+            dag, max_frequency_plan(dag, small_profile), small_profile)
         return {
             "frontier": payload_to_dict(small_optimizer.frontier),
             "pipeline_profile": payload_to_dict(small_profile),
             "partition": payload_to_dict(small_partition),
             "stage_sweep": payload_to_dict(
                 small_profile.ops[next(iter(small_profile.ops))].measurements),
-            "tau": payload_to_dict(0.25),
+            "tau": payload_to_dict(TauRecord(0.25, baseline.price())),
         }
 
     def test_every_kind_with_each_field_missing(self, payloads):
@@ -467,7 +481,7 @@ class TestMalformedPayloads:
             "trailing-deltas", "numeric-string-duration"])
     def test_hostile_v3_frontiers(self, small_optimizer, corrupt):
         payload = json.loads(json.dumps(
-            frontier_to_dict(small_optimizer.frontier)))
+            frontier_to_dict_v3(small_optimizer.frontier)))
         assert payload["version"] == 3 and len(payload["rows"]) == 1
         assert deltas(payload, 1) and deltas(payload, 2) \
             and deltas(payload, -1)
@@ -488,10 +502,153 @@ class TestMalformedPayloads:
             point({2: 0.5, 1: 0.5}, {2: 900, 1: 1410}, 1.2),
             point({2: 0.5, 1: 0.25}, {2: 900, 1: 705}, 1.3),
         ], tau=0.1)
-        payload = json.loads(json.dumps(frontier_to_dict(frontier)))
+        payload = json.loads(json.dumps(frontier_to_dict_v3(frontier)))
         assert [row["at"] for row in payload["rows"]] == [0, 2]
         assert frontier_from_dict(json.loads(json.dumps(payload)))  # intact
         self._assert_rejected(payload, corrupt)
+
+
+def repack(edit):
+    """A corruption editing the version-3 lists a version-4 payload
+    packs, then packing them again."""
+    def corrupt(payload):
+        lists = v3_lists(payload)
+        edit(lists)
+        payload.update(packed(lists))
+    return corrupt
+
+
+def replace_column(column, text, row=None):
+    """A corruption replacing one packed column's text."""
+    def corrupt(payload):
+        (payload if row is None else payload["rows"][row])[column] = text
+    return corrupt
+
+
+class TestPackedFrontiers:
+    """Version 4 packs version 3's columns: a packing fault, and every
+    fault version 3 rejects, ends in SerializationError."""
+
+    @pytest.mark.parametrize("corrupt", [
+        replace_column("delta_index", "AAAA*AAA"),
+        replace_column("iteration_time", "AAAAA"),
+        replace_column("ids", "not base64!", row=0),
+        replace_column("iteration_time", [0.5, 1.0]),
+        replace_column("delta_duration", None),
+        replace_column("delta_duration", pack([1, 2, 3], "i")),
+        replace_column("frequencies", pack([1.0], "d")[:-4] + "AA==",
+                       row=0),
+        repack(lambda p: p["delta_index"].append(0)),
+        repack(lambda p: p["delta_frequency"].pop()),
+        repack(lambda p: p["delta_offsets"].pop()),
+        repack(lambda p: p["delta_index"].__setitem__(-1, 10 ** 6)),
+        repack(lambda p: p["delta_index"].__setitem__(0, -1)),
+        repack(lambda p: p["delta_frequency"].__setitem__(-1, None)),
+        repack(lambda p: p["delta_offsets"].__setitem__(1, 1)),
+        repack(lambda p: p["iteration_time"].reverse()),
+        repack(lambda p: p["rows"][0]["ids"].__setitem__(
+            1, p["rows"][0]["ids"][0])),
+        repack(lambda p: p["rows"][0]["frequencies"].pop()),
+    ], ids=["bad-base64", "bad-padding", "not-base64", "json-list",
+            "null-column", "doubles-of-ints-length", "short-last-item",
+            "index-count-vs-offsets", "clock-count-vs-offsets",
+            "short-offsets", "last-index-high", "index-negative",
+            "missing-clock", "full-row-with-deltas", "unsorted-times",
+            "repeated-id", "short-frequencies"])
+    def test_hostile_v4_frontiers(self, small_optimizer, corrupt):
+        payload = json.loads(json.dumps(
+            frontier_to_dict(small_optimizer.frontier)))
+        assert payload["version"] == 4
+        intact = frontier_from_dict(json.loads(json.dumps(payload)))
+        assert frontier_bits(intact) == frontier_bits(
+            small_optimizer.frontier)
+        TestMalformedPayloads._assert_rejected(payload, corrupt)
+
+    def test_byte_length_must_be_whole_items(self, small_optimizer):
+        payload = frontier_to_dict(small_optimizer.frontier)
+        replace_column("delta_duration", pack([1, 2, 3], "i"))(payload)
+        with pytest.raises(SerializationError, match="whole number"):
+            frontier_from_dict(payload)
+
+    def test_unrealized_layout_packs_clockless_deltas(self):
+        frontier = Frontier(points=[
+            point({1: 0.5, 2: 0.25}, {}, 1.0),
+            point({1: 0.5, 2: 0.5}, {}, 1.1),
+        ], tau=0.1)
+        payload = frontier_to_dict(frontier)
+        assert v3_lists(payload)["delta_frequency"] == [None]
+        assert frontier_bits(json_round_trip(frontier)) == \
+            frontier_bits(frontier)
+
+
+class TestTauRecord:
+    """Tau payload version 2 carries the all-max baseline's price."""
+
+    @pytest.fixture
+    def record(self, small_optimizer, small_profile):
+        dag = small_optimizer.dag
+        baseline = execute_frequency_plan(
+            dag, max_frequency_plan(dag, small_profile), small_profile)
+        return TauRecord(0.25, baseline.price()), baseline
+
+    def test_round_trip_prices_bit_for_bit(self, record):
+        record, baseline = record
+        payload = json.loads(json.dumps(payload_to_dict(record)))
+        assert payload["version"] == 2
+        restored = payload_from_dict(payload)
+        assert restored == record
+        assert list(restored.baseline.stage_busy) == \
+            list(record.baseline.stage_busy)
+        for floor in (None, 0.0, baseline.iteration_time * 1.3):
+            assert restored.baseline.energy_at(floor).hex() == \
+                baseline.energy_at(floor).hex()
+
+    def test_mixed_blocking_powers_round_trip(self, record):
+        record, _ = record
+        price = record.baseline._replace(stage_blocking_w={0: 90.0, 3: 70.5})
+        restored = payload_from_dict(json.loads(json.dumps(
+            payload_to_dict(TauRecord(0.5, price)))))
+        assert restored.baseline == price
+        assert restored.baseline.energy_at(2.0).hex() == \
+            price.energy_at(2.0).hex()
+
+    def test_version_1_reads_without_a_price(self):
+        assert payload_from_dict({"version": 1, "kind": "tau",
+                                  "value": 0.25}) == TauRecord(0.25)
+        assert payload_to_dict(TauRecord(0.25)) == {
+            "version": 1, "kind": "tau", "value": 0.25}
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda b: b.pop("stage_busy"),
+        lambda b: b.__setitem__("stage_busy", [[0, 1.0, 2.0]]),
+        lambda b: b.__setitem__("stage_busy", [[0, 1.0], [0, 2.0]]),
+        lambda b: b.__setitem__("stage_busy", [["0", 1.0]]),
+        lambda b: b.__setitem__("stage_busy", {"0": 1.0}),
+        lambda b: b.__setitem__("iteration_time", "0.5"),
+        lambda b: b.__setitem__("compute_energy", None),
+        lambda b: b.__setitem__("num_devices", 0),
+        lambda b: b.__setitem__("num_devices", 4.0),
+        lambda b: b.__setitem__("p_blocking_w", True),
+        lambda b: b.__setitem__("stage_blocking_w", [[-1, 90.0]]),
+        lambda b: b.__setitem__("stage_blocking_w", 90.0),
+        lambda b: b.clear(),
+    ], ids=["no-busy", "busy-triple", "repeated-stage", "string-stage",
+            "busy-object", "string-time", "null-energy", "no-devices",
+            "float-devices", "bool-power", "negative-stage",
+            "scalar-blocking", "empty-block"])
+    def test_malformed_price_block(self, record, corrupt):
+        payload = json.loads(json.dumps(payload_to_dict(record[0])))
+        corrupt(payload["baseline"])
+        with pytest.raises(SerializationError):
+            payload_from_dict(payload)
+        with pytest.raises(SerializationError):
+            load_json(io.StringIO(json.dumps(payload)))
+
+    def test_price_block_must_be_an_object(self, record):
+        payload = payload_to_dict(record[0])
+        for block in (None, [], "x", 1.0):
+            with pytest.raises(SerializationError):
+                payload_from_dict(dict(payload, baseline=block))
 
 
 class TestCLI:

@@ -851,6 +851,7 @@ repro_service_request_latency_seconds_bucket{method="report_measurement",le="+In
 repro_service_request_latency_seconds_sum{method="report_measurement"} 0
 repro_service_request_latency_seconds_count{method="report_measurement"} 4
 # TYPE repro_planner_work_total counter
+repro_planner_work_total{stage="baseline"} 1
 repro_planner_work_total{stage="dag"} 1
 repro_planner_work_total{stage="frontier"} 1
 repro_planner_work_total{stage="model"} 1
@@ -898,7 +899,7 @@ repro_drift_state{job="team-b::job",state="tracking"} 1
 SESSION_STATS = {
     "planner": {"model": 1, "partition": 1, "profile": 1,
                 "stage_profile": 0, "dag": 1, "tau": 1,
-                "optimizer": 1, "frontier": 1},
+                "optimizer": 1, "frontier": 1, "baseline": 1},
     "cache": {"hits": 18, "misses": 8},
     "cache_hit_rate": 0.6923076923076923,
     "coalesce": {"leaders": 1, "followers": 0, "warm": 1, "ratio": 2.0},

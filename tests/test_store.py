@@ -17,6 +17,7 @@ import sys
 
 import pytest
 from reference.frontier_v2 import frontier_to_dict_v2
+from reference.frontier_v3 import frontier_to_dict_v3
 from reference.keys import key_text
 
 from repro.api import PlanSpec, Planner, mixed_cluster_specs
@@ -39,6 +40,7 @@ from repro.core.store import (
 from repro.exceptions import ConfigurationError
 from repro.runtime.server import PerseusServer
 from repro.service.wire import reports_equal
+from repro.sim.executor import PipelineExecution
 
 #: Tiny/fast planning request reused across the module.
 SMALL = PlanSpec("bert-large", gpu="a100", stages=2, microbatches=3,
@@ -577,6 +579,116 @@ class TestWarmPathMemo:
         assert reports_equal(warm, cold)
 
 
+def scalar_bits(report) -> tuple:
+    return tuple(value.hex() for value in (
+        report.iteration_time_s, report.energy_j, report.baseline_time_s,
+        report.baseline_energy_j))
+
+
+def store_files(root) -> dict:
+    """Every file under a store root and its bytes."""
+    files = {}
+    for directory, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as fp:
+                files[path] = fp.read()
+    return files
+
+
+class TestWarmBaseline:
+    """A warm plan prices the all-max baseline from the tau record."""
+
+    SPECS = [SMALL, SMALL.replace(strategy="envpipe"),
+             SMALL.replace(strategy="zeus-global"), MIXED]
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        import repro.api.planner as planner_module
+
+        calls = []
+        original = getattr(planner_module, name)
+        monkeypatch.setattr(planner_module, name,
+                            lambda *a: calls.append(a) or original(*a))
+        return calls
+
+    def test_warm_perseus_plan_simulates_only_its_plan(self, tmp_path,
+                                                       monkeypatch):
+        cold = Planner(cache=tmp_path / "store")
+        reference = cold.plan(SMALL)
+        assert cold.stats["baseline"] == 1
+        simulated = self._count(monkeypatch, "execute_frequency_plan")
+        all_max = self._count(monkeypatch, "max_frequency_plan")
+        warm = Planner(cache=tmp_path / "store")
+        report = warm.plan(SMALL)
+        assert len(simulated) == 1 and all_max == []
+        assert warm.stats["baseline"] == 0
+        assert scalar_bits(report) == scalar_bits(reference)
+        assert report.plan == reference.plan
+
+    @pytest.mark.parametrize("straggler", [None, 1.3])
+    def test_warm_scalars_are_hex_identical(self, tmp_path, straggler):
+        cold = Planner(cache=tmp_path / "store")
+        reports = []
+        for spec in self.SPECS:
+            t_prime = (None if straggler is None else straggler
+                       * cold.baseline_execution(spec).iteration_time)
+            reports.append((spec, t_prime, cold.plan(spec, t_prime)))
+        warm = Planner(cache=tmp_path / "store")
+        for spec, t_prime, reference in reports:
+            assert scalar_bits(warm.plan(spec, t_prime)) == \
+                scalar_bits(reference)
+        assert warm.stats["baseline"] == 0
+
+    def test_old_store_serves_without_rewrites(self, tmp_path):
+        root = tmp_path / "store"
+        cold = {spec: Planner().plan(spec) for spec in self.SPECS}
+        filler = Planner(cache=root)
+        for spec in self.SPECS:
+            filler.plan(spec)
+        # The store as an older build left it: version-3 frontiers and
+        # tau records that carry the value alone.
+        for name in os.listdir(root / "frontier"):
+            path = root / "frontier" / name
+            payload = json.loads(path.read_text("utf-8"))
+            path.write_text(json.dumps(frontier_to_dict_v3(
+                payload_from_dict(payload))), "utf-8")
+        for name in os.listdir(root / "tau"):
+            path = root / "tau" / name
+            payload = json.loads(path.read_text("utf-8"))
+            assert payload["version"] == 2 and payload["baseline"]
+            path.write_text(json.dumps(
+                {"version": 1, "kind": "tau", "value": payload["value"]}),
+                "utf-8")
+        before = store_files(root)
+        old = Planner(cache=root)
+        for spec in self.SPECS:
+            report = old.plan(spec)
+            assert scalar_bits(report) == scalar_bits(cold[spec])
+            assert report.plan == cold[spec].plan
+        # One simulated baseline per stack (SMALL's and MIXED's).
+        assert old.stats["baseline"] == 2 and old.stats["tau"] == 0
+        assert old.cache.counters.get("disk_writes", 0) == 0
+        assert store_files(root) == before
+
+    def test_explicit_tau_simulates_the_baseline(self, tmp_path):
+        spec = SMALL.replace(tau=0.002)
+        reference = Planner(cache=tmp_path / "store").plan(spec)
+        warm = Planner(cache=tmp_path / "store")
+        assert scalar_bits(warm.plan(spec)) == scalar_bits(reference)
+        assert warm.stats["baseline"] == 1
+
+    def test_baseline_execution_is_still_simulated(self, tmp_path):
+        Planner(cache=tmp_path / "store").plan(SMALL)
+        warm = Planner(cache=tmp_path / "store")
+        report = warm.plan(SMALL)
+        baseline = warm.baseline_execution(SMALL)
+        assert isinstance(baseline, PipelineExecution)
+        assert warm.stats["baseline"] == 1
+        assert baseline.iteration_time == report.baseline_time_s
+        assert baseline.energy_at().hex() == report.baseline_energy_j.hex()
+
+
 class TestMalformedEntries:
     """A store file of the right kind but the wrong shape is a miss."""
 
@@ -659,6 +771,7 @@ class TestMalformedEntries:
             "full-row-with-deltas"])
     def test_hostile_v3_frontier_is_a_miss(self, tmp_path, corrupt):
         def rewrite(payload):
+            payload = frontier_to_dict_v3(payload_from_dict(payload))
             assert payload["version"] == 3 and payload["delta_index"]
             corrupt(payload)
             return json.dumps(payload)
