@@ -9,7 +9,7 @@ host.  Every probe run is a fresh interpreter on the exported tree's
 
 * ``store-warm`` -- a warm plan from the store: each side's store is
   filled once (perfbench's eight pp4 specs plus gpt3-13b pp8), then
-  each round plans every spec ``--plans`` times, a new ``Planner``
+  each round plans every spec :data:`PLANS` times, a new ``Planner``
   over the store per plan.  The round's figure is the median plan
   latency.
 * ``cli-cold`` -- ``python -m repro plan gpt3-xl --stages 4
@@ -21,16 +21,16 @@ each plan in the store-warm child, just before each cli-cold child in
 this process.  Pairs compare figures in probe units, so a host whose
 speed drifts between the two sides of a pair moves both.
 
-Per probe it reports each side's median, the median of the paired
-calibrated head/base ratios, how many pairs the head won, and a
-bootstrap 95% interval of the median ratio.  An A/A run (``--base HEAD --head
-HEAD``) shows what spread the host alone gives.
+Both probes run :data:`ROUNDS` rounds.  Per probe it reports each
+side's median, the median of the paired calibrated head/base ratios,
+how many pairs the head won, and a bootstrap 95% interval of the
+median ratio.  An A/A run (``--base HEAD --head HEAD``) shows what
+spread the host alone gives.
 
 Usage (from anywhere inside the repository; stdlib only)::
 
     python benchmarks/ab.py                        # HEAD~1 vs worktree
-    python benchmarks/ab.py --base HEAD --head HEAD --rounds 6
-    python benchmarks/ab.py --probe store-warm --rounds 10
+    python benchmarks/ab.py --base HEAD --head HEAD  # A/A
 
 The working tree is exported through ``git stash create``: tracked
 files as they are (new files once ``git add``-ed), untracked ones not.
@@ -58,6 +58,10 @@ STORE_SPECS = [
     for m in ("gpt3-xl", "bert-huge", "t5-3b", "bloom-3b") for mb in (8, 12)
 ] + [dict(model="gpt3-13b", stages=8, microbatches=32, freq_stride=4,
           exactness="fast")]
+
+#: Interleaved rounds per probe, and store-warm plans per spec per round.
+ROUNDS = 10
+PLANS = 5
 
 CLI_COLD = ["plan", "gpt3-xl", "--stages", "4", "--microbatches", "12"]
 
@@ -150,9 +154,6 @@ def run(side: str, argv: list, work: str) -> tuple:
 class StoreWarm:
     name = "store-warm"
 
-    def __init__(self, plans: int) -> None:
-        self.plans = plans
-
     def setup(self, side: str, work: str) -> None:
         run(side, ["-c", FILL.format(specs=STORE_SPECS),
                    os.path.join(work, "store")], work)
@@ -160,7 +161,7 @@ class StoreWarm:
     def measure(self, side: str, work: str) -> tuple:
         out, _ = run(side, ["-c", WARM.format(specs=STORE_SPECS, here=HERE),
                             os.path.join(work, "store"),
-                            str(self.plans)], work)
+                            str(PLANS)], work)
         seconds, probes = json.loads(out)
         return (statistics.median(seconds) * 1e3,
                 statistics.median(probes) * 1e3)
@@ -206,15 +207,8 @@ def main(argv=None) -> int:
                         help="base revision (default HEAD~1)")
     parser.add_argument("--head", default="WORKTREE",
                         help="head revision (default: the working tree)")
-    parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--plans", type=int, default=5,
-                        help="store-warm plans per spec per round")
-    parser.add_argument("--probe", action="append",
-                        choices=("store-warm", "cli-cold"),
-                        help="probe to run (repeatable; default both)")
     args = parser.parse_args(argv)
-    probes = [p for p in (StoreWarm(args.plans), CliCold())
-              if args.probe is None or p.name in args.probe]
+    probes = [StoreWarm(), CliCold()]
     try:  # one CPU for every child: both sides run on one core's speed
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     except (AttributeError, OSError):
@@ -233,7 +227,7 @@ def main(argv=None) -> int:
         results = []
         for probe in probes:
             times = {"base": [], "head": []}
-            for round_ in range(args.rounds):
+            for round_ in range(ROUNDS):
                 order = ("base", "head") if round_ % 2 == 0 else ("head",
                                                                   "base")
                 for label in order:

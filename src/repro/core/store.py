@@ -97,10 +97,9 @@ class StoreError(ReproError):
 #: order, and whether it is frozen (only frozen instances are memoized).
 _FIELDS: Dict[type, tuple] = {}
 
-#: ``id(instance) -> (instance, field-object text)`` for frozen
-#: dataclasses, at the top level of a key or nested (a plan hashes its
-#: ``ModelSpec`` in most of its keys, and a model's blocks share one
-#: ``WorkProfile``).  Holding the instance keeps its id from being
+#: ``id(instance) -> (instance, key text)`` for frozen dataclasses
+#: hashed at the top level of a key (a plan hashes its ``ModelSpec`` in
+#: most of its keys).  Holding the instance keeps its id from being
 #: reused while the entry lives; the table is cleared when it reaches
 #: :data:`_MEMO_SIZE`.  Threads share it unlocked: a lost entry only
 #: costs a recompute, and every entry stored is correct.
@@ -124,12 +123,12 @@ def _dataclass_fields(cls: type):
     return entry
 
 
-def _fields_text(value, fields: tuple) -> str:
-    return "{" + ",".join([label + _key_text(getattr(value, name), True)
+def _fields_text(value, fields: tuple, seen: Dict[int, str]) -> str:
+    return "{" + ",".join([label + _key_text(getattr(value, name), seen)
                            for label, name in fields]) + "}"
 
 
-def _key_text(value, nested: bool = False) -> str:
+def _key_text(value, seen: Optional[Dict[int, str]] = None) -> str:
     """Canonical JSON text of one planner cache-key constituent.
 
     The text is what ``json.dumps(form, sort_keys=True,
@@ -138,9 +137,11 @@ def _key_text(value, nested: bool = False) -> str:
     ``WorkProfile``, ...) canonicalize by type name plus *field
     values*, ``[name, {field: value}]``, so a derated custom A100 never
     collides with the registry spec sharing its name; a dataclass
-    nested inside another one contributes its field object alone
-    (``nested``), the shape ``dataclasses.asdict`` gives.  Frozen
-    dataclasses are values: their text is memoized by identity.  Floats
+    nested inside another one contributes its field object alone, the
+    shape ``dataclasses.asdict`` gives.  Frozen dataclasses are values:
+    a top-level one's text is memoized by identity in :data:`_MEMO`,
+    and a nested one's in ``seen``, which lives for one top-level value
+    (a model's blocks share one ``WorkProfile``).  Floats
     are the string of ``float.hex`` -- exact, locale-free,
     round-trippable; dict keys are ``str`` of the key.
     """
@@ -157,24 +158,29 @@ def _key_text(value, nested: bool = False) -> str:
     dataclass = _dataclass_fields(type(value))
     if dataclass is not None:
         fields, frozen = dataclass
+        if seen is not None:
+            text = seen.get(id(value)) if frozen else None
+            if text is None:
+                text = _fields_text(value, fields, seen)
+                if frozen:
+                    seen[id(value)] = text
+            return text
         hit = _MEMO.get(id(value))
         if hit is not None:
-            text = hit[1]
-        else:
-            text = _fields_text(value, fields)
-            if frozen:
-                if len(_MEMO) >= _MEMO_SIZE:
-                    _MEMO.clear()
-                _MEMO[id(value)] = (value, text)
-        if nested:
-            return text
-        return "[" + _quote(type(value).__name__) + "," + text + "]"
+            return hit[1]
+        text = ("[" + _quote(type(value).__name__) + ","
+                + _fields_text(value, fields, {}) + "]")
+        if frozen:
+            if len(_MEMO) >= _MEMO_SIZE:
+                _MEMO.clear()
+            _MEMO[id(value)] = (value, text)
+        return text
     if isinstance(value, (tuple, list)):
-        return "[" + ",".join([_key_text(v, nested) for v in value]) + "]"
+        return "[" + ",".join([_key_text(v, seen) for v in value]) + "]"
     if isinstance(value, dict):
         # str() keys, later keys winning a clash, written in key order.
         table = {str(k): v for k, v in sorted(value.items())}
-        return "{" + ",".join([_quote(k) + ":" + _key_text(v, nested)
+        return "{" + ",".join([_quote(k) + ":" + _key_text(v, seen)
                                for k, v in sorted(table.items())]) + "}"
     raise TypeError(f"cannot canonicalize {type(value).__name__} for a "
                     f"store key")

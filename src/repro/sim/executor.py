@@ -135,12 +135,6 @@ class PipelineExecution:
             {s: self.stage_busy_time(s) for s in self._by_stage},
             self.num_devices(), self.p_blocking_w, self.stage_blocking_w)
 
-    def blocking_energy(self) -> float:
-        """Energy burned blocking on communication inside the iteration
-        (Eq. 3's intra-pipeline gaps); :meth:`energy_at` adds the wait
-        for a straggler-gated gradient sync."""
-        return self.price().blocking_until(self.iteration_time)
-
     def energy_at(self, floor_s: Optional[float] = None) -> float:
         """Eq. 3: computation plus blocking energy until gradient sync
         (:meth:`ExecutionPrice.energy_at` of :meth:`price`)."""

@@ -472,8 +472,9 @@ class TestSavingsAccounting:
         execution = planner.plan(self.SPEC).execution
         assert execution.energy_at(0.5 * execution.iteration_time) == (
             execution.energy_at())
+        blocking = execution.price().blocking_until(execution.iteration_time)
         assert execution.energy_at() == (execution.compute_energy()
-                                         + execution.blocking_energy())
+                                         + blocking)
 
     def test_straggler_free_report_is_eq3_at_own_horizon(self, planner):
         report = planner.plan(self.SPEC)

@@ -80,14 +80,14 @@ class TestExecute:
         execution = execute(dag, durations, powers, p_blocking_w=80.0)
         t = execution.iteration_time
         busy = sum(durations.values())
-        assert execution.blocking_energy() == pytest.approx(
-            80.0 * (4 * t - busy)
-        )
+        blocking = execution.price().blocking_until(t)
+        assert blocking == pytest.approx(80.0 * (4 * t - busy))
 
     def test_blocking_energy_nonnegative(self, dag):
         durations, powers = uniform(dag)
         execution = execute(dag, durations, powers, p_blocking_w=80.0)
-        assert execution.blocking_energy() >= 0
+        price = execution.price()
+        assert price.blocking_until(execution.iteration_time) >= 0
 
     def test_repr_prints_each_record_once(self, dag):
         durations, powers = uniform(dag)

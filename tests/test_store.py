@@ -114,6 +114,22 @@ class TestStableKey:
             with pytest.raises(TypeError):
                 stable_key(value)
 
+    def test_a_model_key_adds_one_memo_entry(self):
+        """Nested values (each block, the shared block work) are written
+        once per key and never enter the process-wide memo, so one plan
+        cannot clear it."""
+        from repro.core import store
+        from repro.models.registry import build_model
+
+        model = build_model("t5-3b", None)
+        works = {id(layer.forward) for layer in model.layers}
+        assert len(works) < len(model.layers)  # blocks share their work
+        store._MEMO.clear()
+        key = ("model", model)
+        assert stable_key(key) == hashlib.sha256(
+            key_text(key).encode("utf-8")).hexdigest()
+        assert list(store._MEMO) == [id(model)]
+
     def test_concurrent_hashing_through_memo_evictions(self):
         import dataclasses
         import threading
@@ -555,14 +571,17 @@ class TestWarmPathMemo:
             "assert fresh in {loaded: 1}\n", "1", path)
 
     def test_memoized_energy_is_eq3_bit_for_bit(self):
+        def blocking(execution):
+            return execution.price().blocking_until(execution.iteration_time)
+
         planner = Planner()
         for report in (planner.plan(SMALL), planner.plan(SMALL)):
             execution = report.execution
             assert report.energy_j == (execution.compute_energy()
-                                       + execution.blocking_energy())
+                                       + blocking(execution))
             baseline = planner.baseline_execution(SMALL)
             assert report.baseline_energy_j == (
-                baseline.compute_energy() + baseline.blocking_energy())
+                baseline.compute_energy() + blocking(baseline))
 
     def test_warm_plan_sums_no_energy(self, monkeypatch):
         from repro.sim.executor import PipelineExecution
