@@ -26,7 +26,7 @@ Quickstart::
         print(name, report.iteration_time_s, report.energy_j)
 """
 
-from ..core.store import CacheBackend, MemoryCache, PlanStore
+from ..core.store import MemoryCache, PlanStore
 from .planner import (
     CACHE_DIR_ENV,
     DEFAULT_STEP_TARGET,
@@ -51,7 +51,6 @@ from .strategies import (
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "CacheBackend",
     "DEFAULT_STEP_TARGET",
     "FIDELITY_STRIDES",
     "MemoryCache",

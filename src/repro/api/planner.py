@@ -15,8 +15,7 @@ sweep over strategies or microbatch counts profiles each unique
 plan itself (strategy output plus its simulation) is the last memoized
 stage, so a warm :meth:`Planner.plan` is a lookup.
 
-Memoization lives behind a pluggable
-:class:`~repro.core.store.CacheBackend`: the default is the in-process
+Memoization lives in a cache: the default is the in-process
 :class:`~repro.core.store.MemoryCache`; pass a directory (or a
 :class:`~repro.core.store.PlanStore`) and partitions, profiles,
 per-stage sweeps, taus and characterized frontiers additionally persist
@@ -47,7 +46,7 @@ from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
 from ..core.frontier import Frontier
 from ..core.optimizer import PerseusOptimizer
 from ..core.serialization import TauRecord
-from ..core.store import MISS, CacheBackend, PlanStore, as_backend, stable_key
+from ..core.store import MISS, MemoryCache, PlanStore, as_backend, stable_key
 from ..obs.provenance import ProvenanceBuilder, provenance_path
 from ..obs.trace import current_trace_id, set_trace_id
 from ..obs.trace import span as obs_span
@@ -194,16 +193,14 @@ class PlanResult:
     profile: PipelineProfile
     dag: ComputationDag
     optimizer: PerseusOptimizer
+    #: The all-max baseline's Eq. 3 price from the stack's tau record.
+    baseline_price: ExecutionPrice = field(repr=False)
     #: One resolved spec per stage; ``gpu`` stays the first stage's device
     #: for legacy consumers (identical to it on homogeneous pipelines).
     gpus: Tuple[GPUSpec, ...] = ()
     #: The raw cache keys each stage was memoized under (namespace ->
     #: tuple key); what ties a stack back to its store entries.
     keys: Dict[str, tuple] = field(default_factory=dict, repr=False)
-    #: The all-max baseline's Eq. 3 price from the stack's tau record;
-    #: ``None`` for an explicit tau or a record stored without one.
-    baseline_price: Optional[ExecutionPrice] = field(default=None,
-                                                     repr=False)
 
     @property
     def frontier(self) -> Frontier:
@@ -337,11 +334,11 @@ class Planner:
 
     ``cache`` is ``None`` (private in-memory tier), a directory path
     (content-addressed persistent :class:`~repro.core.store.PlanStore`)
-    or any :class:`~repro.core.store.CacheBackend` (shared stores).
+    or any :class:`~repro.core.store.MemoryCache` (shared stores).
     """
 
     def __init__(self, cache: Union[None, str, os.PathLike,
-                                    CacheBackend] = None) -> None:
+                                    MemoryCache] = None) -> None:
         self._cache = as_backend(cache)
         #: Guards the ``stats`` bumps: server and daemon threads resolve
         #: stages (frontiers above all) concurrently.
@@ -356,8 +353,8 @@ class Planner:
         }
 
     @property
-    def cache(self) -> CacheBackend:
-        """The backend behind the memo tables (counters, store root)."""
+    def cache(self) -> MemoryCache:
+        """The cache behind the memo tables (counters, store root)."""
         return self._cache
 
     def clear(self) -> None:
@@ -486,7 +483,8 @@ class Planner:
         profile: PipelineProfile,
     ) -> TauRecord:
         if tau is not None:
-            return TauRecord(tau)
+            return TauRecord(tau, self._baseline_for(
+                dag_key, profile_key, dag, profile).price())
         # The step target stays in the key so persisted taus keep their
         # store addresses.
         key = (dag_key, profile_key, DEFAULT_STEP_TARGET)
@@ -673,9 +671,8 @@ class Planner:
         the sync floor both sides are priced at: the plan and the
         all-max baseline each pay Eq. 3 up to ``max(own time, T')``
         (:meth:`ExecutionPrice.energy_at`).  The baseline is priced from
-        the stack's tau record when it carries a price, so a warm plan
-        simulates only its own plan; otherwise it is simulated (and
-        memoized) as :meth:`baseline_execution` returns it.
+        the stack's tau record, so a warm plan simulates only its own
+        plan.
 
         The plan itself is the last memoized stage: ``(frequencies,
         execution, energy, baseline energy)`` under ``(optimizer key,
@@ -699,13 +696,7 @@ class Planner:
                 stack = self.result(spec)
                 optimizer = stack.optimizer
 
-                baseline: Union[ExecutionPrice, PipelineExecution]
                 baseline = stack.baseline_price
-                if baseline is None:
-                    baseline = self._baseline_for(
-                        stack.keys["dag"], stack.keys["profile"],
-                        stack.dag, stack.profile)
-
                 run_key = (stack.keys["frontier"], _Identity(strategy))
 
                 def build() -> Tuple[FrequencyPlan, PipelineExecution,

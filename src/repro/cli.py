@@ -71,7 +71,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
 from typing import List, Optional
 
 import json
@@ -85,7 +84,7 @@ from .api import (
     mixed_cluster_specs,
     strategy_description,
 )
-from .core.serialization import load_json, save_json
+from .core.serialization import frontier_from_dict, save_json
 from .core.unified import select_schedule, straggler_floor
 from .exceptions import ReproError
 from .gpu.specs import list_gpus
@@ -208,8 +207,8 @@ def cmd_plan(args) -> int:
         frontier = planner.frontier_for(spec)
         _print_timings(frontier.stats.get("timings"))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fp:
-            save_json(stack.frontier, fp)
+        _write_output(args.output, "frontier",
+                      lambda fp: save_json(stack.frontier, fp))
         print(f"frontier saved to {args.output}")
     if recorder is not None:
         from .obs.export import save_chrome_trace
@@ -217,7 +216,8 @@ def cmd_plan(args) -> int:
 
         spans = recorder.spans
         disable_tracing()
-        save_chrome_trace(args.trace, spans)
+        _write_output(args.trace, "trace",
+                      lambda fp: save_chrome_trace(fp, spans))
         trace_id = (report.provenance or {}).get("trace_id")
         print(f"trace saved to {args.trace} ({len(spans)} spans"
               + (f", trace id {trace_id}" if trace_id else "") + ")")
@@ -267,6 +267,17 @@ def _read_input(path: str, what: str, load=json.load):
         raise ReproError(f"{path} is not a valid {what}: {exc}") from exc
 
 
+def _write_output(path: str, what: str, write) -> None:
+    """``write(fp)`` into an output file; a path that cannot be opened
+    or written ends in a :class:`ReproError` naming the file, never a
+    traceback (the twin of :func:`_read_input`)."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fp:
+            write(fp)
+    except OSError as exc:
+        raise ReproError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def _planner(args) -> Planner:
     """The planner a ``--cache-dir`` command plans through."""
     return Planner(cache=args.cache_dir) if args.cache_dir \
@@ -301,8 +312,8 @@ def _write_report(args, payload, rows: List[dict]) -> None:
         return
     # the printed table is not a file format; default exports to CSV
     fmt = "csv" if args.format == "table" else args.format
-    with (open(args.output, "w", encoding="utf-8", newline="")
-          if args.output else nullcontext(sys.stdout)) as fp:
+
+    def write(fp) -> None:
         if fmt == "json":
             json.dump(payload, fp, indent=2)
             fp.write("\n")
@@ -311,8 +322,12 @@ def _write_report(args, payload, rows: List[dict]) -> None:
 
             headers = list(rows[0].keys()) if rows else []
             write_series(fp, headers, ([d[h] for h in headers] for d in rows))
+
     if args.output:
+        _write_output(args.output, "report", write)
         print(f"report ({fmt}) saved to {args.output}")
+    else:
+        write(sys.stdout)
 
 
 def _load_manifest(path: str) -> List[PlanSpec]:
@@ -412,11 +427,8 @@ def cmd_timeline(args) -> int:
 
 
 def cmd_straggler(args) -> int:
-    with open(args.frontier, encoding="utf-8") as fp:
-        frontier = load_json(fp)
-    if not hasattr(frontier, "schedule_for"):
-        print("error: file does not contain a frontier", file=sys.stderr)
-        return 2
+    frontier = _read_input(args.frontier, "frontier",
+                           lambda fp: frontier_from_dict(json.load(fp)))
     # Every degree is checked before the first row is printed.
     floors = [straggler_floor(frontier.t_min, d) for d in args.degrees]
     print(f"frontier: T_min={frontier.t_min:.4f}s T*={frontier.t_star:.4f}s")
@@ -536,9 +548,8 @@ def cmd_fleet(args) -> int:
         from .obs.export import fleet_timeline_to_chrome
 
         document = fleet_timeline_to_chrome(sim.timeline)
-        with open(args.trace_out, "w", encoding="utf-8") as fp:
-            json.dump(document, fp, indent=2, sort_keys=True)
-            fp.write("\n")
+        _write_output(args.trace_out, "timeline", lambda fp: fp.write(
+            json.dumps(document, indent=2, sort_keys=True) + "\n"))
         print(f"timeline saved to {args.trace_out} "
               f"({len(sim.timeline)} entries)", file=human)
 

@@ -18,7 +18,6 @@ from .serialization import (
 )
 from .store import (
     MISS,
-    CacheBackend,
     MemoryCache,
     PlanStore,
     StoreError,
@@ -34,7 +33,6 @@ from .unified import energy_optimal_iteration_time, select_schedule
 
 __all__ = [
     "DEFAULT_TAU",
-    "CacheBackend",
     "EnergySchedule",
     "Frontier",
     "MISS",

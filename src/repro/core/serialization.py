@@ -16,10 +16,9 @@ starts or changes, and four flat delta columns with per-point offsets
 text of a little-endian machine array, which the reader unpacks in one
 C call with every float's exact bits.  Reading one checks the whole
 payload with a few whole-list calls and builds a point only when it is
-looked up, so a warm plan builds one.  Version 3 payloads (the same
-columns as JSON lists) and version 2 payloads (one inline delta row per
-point, regrouped into those columns) are read the same way; version 1
-payloads (a list of full points) are read eagerly.
+looked up, so a warm plan builds one.  Each reader accepts exactly the
+version this build writes; an older payload raises
+:class:`SerializationError`, which the plan store treats as a miss.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import math
 import sys
 from array import array
 from bisect import bisect_right
-from typing import IO, Dict, List, NamedTuple, Optional, Sequence
+from typing import IO, Dict, List, NamedTuple, Sequence
 
 from ..exceptions import ReproError
 from ..partition.algorithms import PartitionResult
@@ -42,14 +41,10 @@ from .schedule import EnergySchedule
 FORMAT_VERSION = 1
 
 #: Frontier payloads are columnar with flat per-point delta columns,
-#: packed (see :func:`frontier_to_dict`); versions 3 (the same columns
-#: as JSON lists), 2 (one delta row per point) and 1 (a list of full
-#: points) stay readable because existing stores hold frontiers that
-#: take minutes to re-crawl.
+#: packed (see :func:`frontier_to_dict`).
 FRONTIER_FORMAT_VERSION = 4
 
-#: Tau payloads carry the all-max baseline's Eq. 3 price since version
-#: 2; version 1 (the value alone) stays readable.
+#: Tau payloads carry the all-max baseline's Eq. 3 price.
 TAU_FORMAT_VERSION = 2
 
 #: Pipeline-profile payloads carrying the per-stage ``stage_blocking_w``
@@ -178,27 +173,14 @@ def _layout(point: EnergySchedule):
     return None
 
 
-def _full_row(point: EnergySchedule, regular: bool) -> dict:
-    row = {"ids": list(point.durations),
-           "durations": list(point.durations.values()),
-           "frequencies": list(point.frequencies.values())}
+def _full_row(point: EnergySchedule, at: int, regular: bool) -> dict:
+    """Point ``at`` as a packed full row."""
+    row = {"ids": _pack(point.durations, "i"),
+           "durations": _pack(point.durations.values(), "d"),
+           "frequencies": _pack(point.frequencies.values(), "i")}
     if not regular:
-        row["frequency_ids"] = list(point.frequencies)
-    return row
-
-
-def _delta_row(point: EnergySchedule, prev: EnergySchedule) -> list:
-    """Flat ``[index, duration, frequency, ...]`` of the entries that
-    changed from ``prev`` (same layout; frequency ``None`` when the
-    layout carries none)."""
-    row = []
-    none = [None] * len(point.durations)
-    for i, (d, pd, f, pf) in enumerate(zip(
-            point.durations.values(), prev.durations.values(),
-            point.frequencies.values() or none,
-            prev.frequencies.values() or none)):
-        if not (_same(d, pd) and f == pf):
-            row += (i, d, f)
+        row["frequency_ids"] = _pack(point.frequencies, "i")
+    row["at"] = at
     return row
 
 
@@ -222,55 +204,40 @@ def frontier_to_dict(frontier: Frontier) -> dict:
     for ids, indices, offsets and clocks.
     """
     points = frontier.points
-    rows = []
+    rows, offsets, index, durations, clocks = [], [0], [], [], []
     prev = prev_layout = None
-    for point in points:
+    for k, point in enumerate(points):
         layout = _layout(point)
         if layout is not None and layout == prev_layout:
-            rows.append(_delta_row(point, prev))
+            none = [_NO_CLOCK] * len(point.durations)
+            for i, (d, pd, f, pf) in enumerate(zip(
+                    point.durations.values(), prev.durations.values(),
+                    point.frequencies.values() or none,
+                    prev.frequencies.values() or none)):
+                if not (_same(d, pd) and f == pf):
+                    index.append(i)
+                    durations.append(d)
+                    clocks.append(f)
         else:
-            rows.append(_full_row(point, layout is not None))
+            rows.append(_full_row(point, k, layout is not None))
+        offsets.append(len(index))
         prev, prev_layout = point, layout
-    payload = _columns({
+    return {
         "version": FRONTIER_FORMAT_VERSION,
         "kind": "frontier",
         "tau": frontier.tau,
         "optimizer_runtime_s": frontier.optimizer_runtime_s,
         "steps": frontier.steps,
         "stats": dict(frontier.stats),
-        "iteration_time": [p.iteration_time for p in points],
-        "effective_energy": [p.effective_energy for p in points],
-        "compute_energy": [p.compute_energy for p in points],
+        "iteration_time": _pack([p.iteration_time for p in points], "d"),
+        "effective_energy": _pack([p.effective_energy for p in points], "d"),
+        "compute_energy": _pack([p.compute_energy for p in points], "d"),
         "rows": rows,
-    })
-    payload["delta_frequency"] = [_NO_CLOCK if f is None else f
-                                  for f in payload["delta_frequency"]]
-    for name, code in _COLUMNS.items():
-        payload[name] = _pack(payload[name], code)
-    payload["rows"] = [
-        {name: _pack(value, _ROW_COLUMNS[name]) if name in _ROW_COLUMNS
-         else value for name, value in row.items()}
-        for row in payload["rows"]]
-    return payload
-
-
-def _columns(payload: dict) -> dict:
-    """``payload`` with its ``rows`` -- one per point, a full row or a
-    flat ``[index, duration, frequency, ...]`` delta, as version 2
-    stores them -- regrouped into version 3's full rows and delta
-    columns.  The writer and the version-2 reader both regroup here, so
-    :class:`_StoredPoints` checks one layout."""
-    rows, offsets, index, durations, clocks = [], [0], [], [], []
-    for k, row in enumerate(payload["rows"]):
-        if isinstance(row, dict):
-            rows.append(dict(row, at=k))
-        else:  # a row that is no list of triples misaligns the columns
-            index += row[0::3]
-            durations += row[1::3]
-            clocks += row[2::3]
-        offsets.append(len(index))
-    return dict(payload, rows=rows, delta_offsets=offsets, delta_index=index,
-                delta_duration=durations, delta_frequency=clocks)
+        "delta_offsets": _pack(offsets, "i"),
+        "delta_index": _pack(index, "i"),
+        "delta_duration": _pack(durations, "d"),
+        "delta_frequency": _pack(clocks, "i"),
+    }
 
 
 #: A version-4 payload's packed columns and their array type codes:
@@ -281,8 +248,7 @@ _COLUMNS = {"iteration_time": "d", "effective_energy": "d",
 _ROW_COLUMNS = {"ids": "i", "durations": "d", "frequencies": "i",
                 "frequency_ids": "i"}
 
-#: What a packed ``delta_frequency`` holds where version 3 holds ``None``
-#: (a layout without clocks).
+#: What ``delta_frequency`` holds for a layout without clocks.
 _NO_CLOCK = -1
 
 #: Packed columns are little-endian whatever the host's byte order.
@@ -312,14 +278,9 @@ def _unpack(text, code: str) -> list:
 
 
 def _unpacked(payload: dict) -> dict:
-    """A version-4 payload with its packed columns as version 3's typed
-    lists, so :class:`_StoredPoints` makes every version-3 check on it."""
+    """A frontier payload with its packed columns as lists."""
     columns = {name: _unpack(payload[name], code)
                for name, code in _COLUMNS.items()}
-    clocks = columns["delta_frequency"]
-    if _NO_CLOCK in clocks:
-        columns["delta_frequency"] = [None if f == _NO_CLOCK else f
-                                      for f in clocks]
     rows = [dict(row, **{name: _unpack(row[name], code)
                          for name, code in _ROW_COLUMNS.items()
                          if name in row})
@@ -327,42 +288,9 @@ def _unpacked(payload: dict) -> dict:
     return dict(payload, rows=rows, **columns)
 
 
-def _types(column) -> set:
-    return set(map(type, column))
-
-
-def _typed(payload: dict) -> dict:
-    """A payload with version 3's JSON-list columns, each checked for
-    and converted to the item type :class:`_StoredPoints` reads: floats
-    for times, energies and durations (an integral duration reads as a
-    float), ints for ids, indices, offsets and clocks (``None`` for a
-    layout without clocks).  A version-4 column is typed by its
-    packing, so :func:`_unpacked` needs none of this."""
-    offsets, index, clocks, durations = (payload[name] for name in (
-        "delta_offsets", "delta_index", "delta_frequency", "delta_duration"))
-    kinds = _types(durations)
-    if not (_types(offsets) <= {int} and _types(index) <= {int}
-            and _types(clocks) <= {int, type(None)}
-            and kinds <= {float, int}):
-        raise SerializationError("malformed frontier delta columns")
-    if int in kinds:
-        durations = list(map(float, durations))
-    rows = []
-    for row in payload["rows"]:
-        row = dict(row, ids=list(map(int, row["ids"])),
-                   durations=list(map(float, row["durations"])),
-                   frequencies=list(map(int, row["frequencies"])))
-        if "frequency_ids" in row:
-            row["frequency_ids"] = list(map(int, row["frequency_ids"]))
-        rows.append(row)
-    return dict(payload, rows=rows, delta_duration=durations, **{
-        name: list(map(float, payload[name]))
-        for name in ("iteration_time", "effective_energy", "compute_energy")})
-
-
 class _StoredPoints:
-    """The points of a frontier payload with version 3's columns as
-    typed lists (:func:`_typed`, :func:`_unpacked`), decoded lazily.
+    """The points of a frontier payload with its columns unpacked
+    (:func:`_unpacked`), decoded lazily.
 
     Construction checks the whole payload but builds no schedule: each
     column and each full row's segment of the delta columns is checked
@@ -393,7 +321,8 @@ class _StoredPoints:
             raise SerializationError("malformed frontier delta columns")
         rows = payload["rows"]
         starts = self._starts = [row["at"] for row in rows]
-        if not (starts and starts[0] == 0 and _types(starts) <= {int}
+        if not (starts and starts[0] == 0
+                and all(type(at) is int for at in starts)
                 and all(map(int.__lt__, starts, starts[1:]))):
             raise SerializationError(
                 "frontier full rows must start at point 0 and ascend")
@@ -422,7 +351,7 @@ class _StoredPoints:
                     or ("frequency_ids" in row and end > at + 1)
                     or segment and (min(segment) < 0
                                     or max(segment) >= len(ids))
-                    or clocks[lo:hi].count(None)
+                    or clocks[lo:hi].count(_NO_CLOCK)
                     != (0 if frequencies else hi - lo)):
                 raise SerializationError(
                     f"malformed frontier deltas after full row {at}")
@@ -462,38 +391,28 @@ class _StoredPoints:
 
 
 def frontier_from_dict(payload: dict) -> Frontier:
-    """Inverse of :func:`frontier_to_dict`; also reads version 3 (the
-    same columns as JSON lists), version 2 (one ``rows`` entry per
-    point, deltas inline) and version 1 (a ``points`` list of
-    :func:`schedule_to_dict` rows).
+    """Inverse of :func:`frontier_to_dict`.
 
-    A version-2, -3 or -4 payload is checked whole here but decoded
-    lazily: the frontier builds only the points it is asked for (see
-    :class:`_StoredPoints`).
+    The payload is checked whole here but decoded lazily: the frontier
+    builds only the points it is asked for (see :class:`_StoredPoints`).
     """
-    _expect(payload, "frontier", versions=(1, 2, 3, FRONTIER_FORMAT_VERSION))
+    _expect(payload, "frontier", versions=(FRONTIER_FORMAT_VERSION,))
     try:
-        if payload["version"] == 1:
-            points = [schedule_from_dict(p) for p in payload["points"]]
-        elif payload["version"] == 2:
-            points = _StoredPoints(_typed(_columns(payload)))
-        elif payload["version"] == 3:
-            points = _StoredPoints(_typed(payload))
-        else:
-            points = _StoredPoints(_unpacked(payload))
+        points = _StoredPoints(_unpacked(payload))
+        if not len(points):
+            raise SerializationError("frontier payload has no points")
+        return Frontier(
+            points=points,
+            tau=float(payload["tau"]),
+            optimizer_runtime_s=float(payload.get("optimizer_runtime_s",
+                                                  0.0)),
+            steps=int(payload.get("steps", 0)),
+            stats=dict(payload.get("stats", {})),
+        )
     except _MALFORMED as exc:
         raise SerializationError(
             f"malformed frontier payload: {type(exc).__name__}: {exc}"
         ) from exc
-    if not len(points):
-        raise SerializationError("frontier payload has no points")
-    return Frontier(
-        points=points,
-        tau=float(payload["tau"]),
-        optimizer_runtime_s=float(payload.get("optimizer_runtime_s", 0.0)),
-        steps=int(payload.get("steps", 0)),
-        stats=dict(payload.get("stats", {})),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -552,12 +471,11 @@ class TauRecord(NamedTuple):
 
     ``baseline`` is the Eq. 3 price of the all-max execution simulated
     to derive ``tau``, so a warm plan prices its baseline without
-    simulating it; ``None`` for a version-1 record, which carries the
-    value alone.
+    simulating it.
     """
 
     tau: float
-    baseline: Optional[ExecutionPrice] = None
+    baseline: ExecutionPrice
 
 
 def tau_to_dict(record: TauRecord) -> dict:
@@ -566,12 +484,10 @@ def tau_to_dict(record: TauRecord) -> dict:
     Tiny, but persisted: tau is part of the frontier's content address,
     so reusing the recorded value (instead of re-deriving it) is what
     guarantees a warm process addresses the exact same frontier file.
-    Version 2 adds the baseline's price; per-stage maps are
+    The baseline's price rides along; per-stage maps are
     ``[stage, value]`` pairs in the price's order.
     """
     price = record.baseline
-    if price is None:
-        return {"version": FORMAT_VERSION, "kind": "tau", "value": record.tau}
     blocking = price.stage_blocking_w
     return {"version": TAU_FORMAT_VERSION, "kind": "tau", "value": record.tau,
             "baseline": {
@@ -587,10 +503,8 @@ def tau_to_dict(record: TauRecord) -> dict:
 
 def tau_from_dict(payload: dict) -> TauRecord:
     """Inverse of :func:`tau_to_dict`."""
-    _expect(payload, "tau", versions=(FORMAT_VERSION, TAU_FORMAT_VERSION))
+    _expect(payload, "tau", versions=(TAU_FORMAT_VERSION,))
     tau = float(payload["value"])
-    if payload["version"] == FORMAT_VERSION:
-        return TauRecord(tau)
     block = payload["baseline"]
     blocking = block["stage_blocking_w"]
     price = ExecutionPrice(
@@ -724,5 +638,6 @@ def _expect(payload: dict, kind: str, versions=(FORMAT_VERSION,)) -> None:
         )
     if payload.get("version") not in versions:
         raise SerializationError(
-            f"unsupported format version {payload.get('version')!r}"
+            f"unsupported {kind} format version {payload.get('version')!r}; "
+            f"this build reads {' or '.join(map(str, versions))}"
         )

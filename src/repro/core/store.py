@@ -1,14 +1,13 @@
-"""Pluggable planner cache backends + the persistent plan store.
+"""The planner's memory cache and the persistent plan store.
 
 The :class:`~repro.api.planner.Planner` runs a staged pipeline (model ->
 partition -> profile -> DAG -> frontier) and memoizes every stage on the
 sub-key of the spec that determines it.  Those memo tables used to be
-five ad-hoc dicts inside the planner; they are now a
-:class:`CacheBackend` with two implementations:
+five ad-hoc dicts inside the planner; now they live in one of two caches:
 
 * :class:`MemoryCache` -- the in-process tier (exactly the old dicts).
 * :class:`PlanStore`  -- a content-addressed on-disk store layered over
-  a memory tier, so partitions, profiles, per-stage frequency sweeps,
+  that memory tier, so partitions, profiles, per-stage frequency sweeps,
   taus and characterized frontiers persist *across processes*.  A sweep
   service (or a second figure-reproduction run) warm-starts from disk
   with zero re-profiling and zero re-characterization.
@@ -38,9 +37,10 @@ hit.  What keys cannot see is a change to the *algorithms themselves*:
 edit the partitioner, profiler or optimizer code and previously
 persisted artifacts still match their keys -- delete the store
 directory after such upgrades (it is a pure cache).  Payloads carry
-their own format versions (``core.serialization``); an unreadable,
-malformed or version-incompatible file is treated as a miss and
-recomputed, never an error.  Only a mismatched *layout* stamp raises,
+their own format versions (``core.serialization``), and each reader
+accepts only the version this build writes; an unreadable, malformed
+or older-version file is treated as a miss, recomputed and rewritten,
+never an error.  Only a mismatched *layout* stamp raises,
 since silently mixing layouts could alias keys.
 """
 
@@ -64,7 +64,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback (no-op locks)
 from ..exceptions import ReproError
 from .serialization import payload_from_dict, payload_to_dict
 
-#: Sentinel returned by :meth:`CacheBackend.get` on a miss (``None`` is a
+#: Sentinel returned by :meth:`MemoryCache.get` on a miss (``None`` is a
 #: legitimate cached value, e.g. an unresolved optional field).
 MISS = object()
 
@@ -235,51 +235,15 @@ def store_lock(root: str, exclusive: bool):
             os.close(fd)
 
 
-class CacheBackend:
-    """Namespace -> key -> value storage behind the planner's memo tables.
+class MemoryCache:
+    """Namespace -> key -> value storage behind the planner's memo tables:
+    the in-process tier, plain dicts.
 
     Keys are the planner's tuple keys (hashable, content-determined);
     values are stage artifacts.  ``get`` returns :data:`MISS` on a miss
     so ``None`` stays a valid value.  ``counters`` tallies hits/misses
-    (and, for persistent backends, disk traffic) for §6.5-style overhead
+    (and, for :class:`PlanStore`, disk traffic) for §6.5-style overhead
     accounting and the CI persistence guard.
-    """
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, int] = {"hits": 0, "misses": 0}
-        #: key -> ``stable_key(key)``: store paths and provenance digests
-        #: read this one memo, so each key is hashed once per backend.
-        self._hashes: Dict[Any, str] = {}
-
-    def digest(self, key) -> str:
-        """``stable_key(key)``, computed once per key for this backend."""
-        digest = self._hashes.get(key)
-        if digest is None:
-            digest = self._hashes[key] = stable_key(key)
-        return digest
-
-    def get(self, namespace: str, key) -> Any:
-        raise NotImplementedError
-
-    def get_with_source(self, namespace: str, key):
-        """``(value, source)`` where source is provenance-grade.
-
-        ``source`` is ``"miss"``, ``"memory"`` or (for persistent
-        backends) ``"disk"`` -- the fact :mod:`repro.obs.provenance`
-        records per stage.  The default covers any single-tier backend.
-        """
-        value = self.get(namespace, key)
-        return value, ("miss" if value is MISS else "memory")
-
-    def put(self, namespace: str, key, value) -> None:
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        raise NotImplementedError
-
-
-class MemoryCache(CacheBackend):
-    """The in-process tier: plain dicts, exactly the planner's old memos.
 
     Mutations take a small lock so a background characterization (e.g.
     a non-blocking server registration) can insert entries while
@@ -287,9 +251,19 @@ class MemoryCache(CacheBackend):
     """
 
     def __init__(self) -> None:
-        super().__init__()
+        self.counters: Dict[str, int] = {"hits": 0, "misses": 0}
+        #: key -> ``stable_key(key)``: store paths and provenance digests
+        #: read this one memo, so each key is hashed once per cache.
+        self._hashes: Dict[Any, str] = {}
         self._tables: Dict[str, Dict[Any, Any]] = {}
         self._mutex = threading.Lock()
+
+    def digest(self, key) -> str:
+        """``stable_key(key)``, computed once per key for this cache."""
+        digest = self._hashes.get(key)
+        if digest is None:
+            digest = self._hashes[key] = stable_key(key)
+        return digest
 
     def _table(self, namespace: str) -> Dict[Any, Any]:
         return self._tables.setdefault(namespace, {})
@@ -301,6 +275,16 @@ class MemoryCache(CacheBackend):
             return table[key]
         self.counters["misses"] += 1
         return MISS
+
+    def get_with_source(self, namespace: str, key):
+        """``(value, source)`` where source is provenance-grade.
+
+        ``source`` is ``"miss"``, ``"memory"`` or (for :class:`PlanStore`)
+        ``"disk"`` -- the fact :mod:`repro.obs.provenance` records per
+        stage.
+        """
+        value = self.get(namespace, key)
+        return value, ("miss" if value is MISS else "memory")
 
     def put(self, namespace: str, key, value) -> None:
         with self._mutex:
@@ -620,21 +604,21 @@ def parse_size(text: Union[str, int]) -> int:
     return int(value * _SIZE_SUFFIXES[suffix])
 
 
-def as_backend(cache) -> CacheBackend:
-    """Coerce a user-facing ``cache`` argument to a backend.
+def as_backend(cache) -> MemoryCache:
+    """Coerce a user-facing ``cache`` argument to a cache.
 
     ``None`` -> fresh :class:`MemoryCache`; a path -> :class:`PlanStore`
     rooted there (capped at ``REPRO_CACHE_MAX_BYTES`` when that is
-    set); an existing backend passes through (shared stores).
+    set); an existing cache passes through (shared stores).
     """
     if cache is None:
         return MemoryCache()
-    if isinstance(cache, CacheBackend):
+    if isinstance(cache, MemoryCache):
         return cache
     if isinstance(cache, (str, os.PathLike)):
         cap = os.environ.get(CACHE_MAX_BYTES_ENV)
         return PlanStore(cache, max_bytes=parse_size(cap) if cap else None)
     raise TypeError(
-        f"cache must be None, a directory path or a CacheBackend, "
+        f"cache must be None, a directory path or a MemoryCache, "
         f"got {type(cache).__name__}"
     )

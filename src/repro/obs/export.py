@@ -113,13 +113,16 @@ def fleet_timeline_to_chrome(timeline: Sequence[dict]) -> dict:
     return _chrome_document(marks())
 
 
-def save_chrome_trace(path: str, spans: Sequence[Span],
+def save_chrome_trace(target: Union[str, IO[str]], spans: Sequence[Span],
                       events: Iterable[dict] = ()) -> dict:
-    """Write :func:`spans_to_chrome` output to ``path``; returns it."""
+    """Write :func:`spans_to_chrome` output to a path or an open text
+    file; returns it."""
+    if isinstance(target, str):
+        with open(target, "w", encoding="utf-8") as fp:
+            return save_chrome_trace(fp, spans, events)
     document = spans_to_chrome(spans, events)
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(document, fp, indent=2, sort_keys=True, default=str)
-        fp.write("\n")
+    json.dump(document, target, indent=2, sort_keys=True, default=str)
+    target.write("\n")
     return document
 
 

@@ -4,9 +4,12 @@
   extraction (what :class:`~repro.graph.compiled.CompiledDag` replaces);
 * :mod:`.fit` -- the numpy exponential fit (what the stdlib
   ``repro.profiler.fit`` replaces);
-* :mod:`.frontier_v2` -- the version-2 frontier writer (one delta row
-  per point), which builds the fixtures the version-2 reader is tested
-  on;
+* :mod:`.frontier_v2` and :mod:`.frontier_v3` -- the version-2 (one
+  delta row per point) and version-3 (the same changes as flat delta
+  columns, JSON lists) frontier writers: the oracle the one-pass
+  version-4 writer's columns are checked against, and the older files
+  the store must treat as misses; :mod:`.frontier_v3` also reads a
+  version-4 payload's packing back as lists;
 * :mod:`.keys` -- the store-key text built form first, then
   ``json.dumps`` (what :func:`repro.core.store.stable_key`'s one-pass
   text must equal);

@@ -1,8 +1,9 @@
 """The version-2 frontier writer: one ``rows`` entry per point.
 
-Stores written before the flat delta columns hold these payloads, and
-:func:`repro.core.serialization.frontier_from_dict` still reads them;
-the tests build their version-2 fixtures here.  The first point is a
+Stores written by older builds hold these payloads, which
+:func:`repro.core.serialization.frontier_from_dict` rejects; the tests
+build their version-2 files here, and :mod:`.frontier_v3` regroups
+them into the oracle for the current writer.  The first point is a
 full row (``ids``, ``durations``, ``frequencies``); each later point is
 a flat ``[index, duration, frequency, ...]`` list of the entries that
 changed from its predecessor, or a full row again where the key set or

@@ -4,15 +4,17 @@ Version 3 regroups version 2's points into columns: one list per
 scalar, a full row where the schedule's layout starts or changes
 (carrying the index of its point in ``at``), and four flat delta
 columns with per-point offsets, every column a JSON list.  Stores
-written before the packed columns hold these payloads, and
-:func:`repro.core.serialization.frontier_from_dict` still reads them;
-the tests build their version-3 fixtures here.
+written by older builds hold these payloads, which
+:func:`repro.core.serialization.frontier_from_dict` rejects; the
+version-4 writer packs exactly these columns, so this writer is the
+oracle the tests check it against.
 
 Version 4 packs those columns as base64 of little-endian doubles and
 32-bit ints, with ``-1`` for a clock the layout lacks.
 :func:`v3_lists` reads them back with :mod:`struct`, not the
 ``array`` calls the reader under test uses, so a test can inspect a
-version-4 payload as the version-3 lists it packs.
+version-4 payload as the version-3 lists it packs, and :func:`repack`
+corrupts one through them.
 """
 
 from __future__ import annotations
@@ -88,3 +90,13 @@ def packed(lists: dict) -> dict:
                      for name, code in ROW_COLUMNS.items() if name in row})
         for row in lists["rows"]]
     return payload
+
+
+def repack(edit):
+    """A corruption (of a version-4 payload, in place) editing the
+    version-3 lists it packs, then packing them again."""
+    def corrupt(payload):
+        lists = v3_lists(payload)
+        edit(lists)
+        payload.update(packed(lists))
+    return corrupt

@@ -9,11 +9,12 @@ from dataclasses import replace
 
 import pytest
 from reference.frontier_v2 import frontier_to_dict_v2
-from reference.frontier_v3 import (frontier_to_dict_v3, pack, packed,
+from reference.frontier_v3 import (frontier_to_dict_v3, pack, repack,
                                    v3_lists)
 
 from repro.api import PlanSpec, Planner
 from repro.cli import main
+from repro.core import serialization
 from repro.core.frontier import Frontier
 from repro.core.schedule import EnergySchedule
 from repro.core.serialization import (
@@ -210,16 +211,22 @@ class TestFrontierV2:
         assert frontier_bits(json_round_trip(frontier)) == \
             frontier_bits(frontier)
 
-    def test_version_1_payload_still_loads(self, small_optimizer):
+    def test_older_versions_are_rejected(self, small_optimizer):
         frontier = small_optimizer.frontier
         v1 = {"version": 1, "kind": "frontier", "tau": frontier.tau,
               "optimizer_runtime_s": frontier.optimizer_runtime_s,
               "steps": frontier.steps, "stats": dict(frontier.stats),
               "points": [schedule_to_dict(p) for p in frontier.points]}
-        restored = frontier_from_dict(json.loads(json.dumps(v1)))
-        assert frontier_bits(restored) == frontier_bits(frontier)
-        assert frontier_bits(restored) == \
-            frontier_bits(json_round_trip(frontier))
+        for version, payload in ((1, v1), (2, frontier_to_dict_v2(frontier)),
+                                 (3, frontier_to_dict_v3(frontier))):
+            payload = json.loads(json.dumps(payload))
+            assert payload["version"] == version
+            message = (f"unsupported frontier format version {version}; "
+                       f"this build reads 4")
+            with pytest.raises(SerializationError, match=message):
+                frontier_from_dict(payload)
+            with pytest.raises(SerializationError, match=message):
+                load_json(io.StringIO(json.dumps(payload)))
 
 
 class TestLazyDecode:
@@ -258,51 +265,44 @@ class TestLazyDecode:
         assert restored.points is restored.points
         assert isinstance(restored.points, list)
 
-    def test_version_2_and_its_version_3_rewrite_decode_identically(
-            self, crawled):
+    def test_writer_packs_the_version_3_columns(self, crawled):
+        # The reference version-3 writer (regrouping version 2's rows)
+        # is the oracle for the one-pass writer's columns.
         frontier, v4 = crawled
-        v2 = json.loads(json.dumps(frontier_to_dict_v2(frontier)))
         v3 = json.loads(json.dumps(frontier_to_dict_v3(frontier)))
-        decoded = [frontier_from_dict(p) for p in (v2, v3, v4)]
-        assert [p["version"] for p in (v2, v3, v4)] == [2, 3, 4]
-        for k, point in enumerate(frontier.points):
-            for restored in decoded:
-                assert point_bits(restored._lookup[k]) == point_bits(point)
-        assert [frontier_bits(restored) for restored in decoded] \
-            == [frontier_bits(frontier)] * 3
-        # Re-encoding what a version-2 or -3 file decodes to gives the
-        # version-4 payload the crawl wrote, which packs version 3's
-        # columns.
-        assert frontier_to_dict(decoded[0]) == frontier_to_dict(
-            decoded[1]) == v4
         assert v3_lists(v4) == dict(v3, version=4)
+        restored = frontier_from_dict(v4)
+        for k, point in enumerate(frontier.points):
+            assert point_bits(restored._lookup[k]) == point_bits(point)
+        assert frontier_to_dict(restored) == v4
 
-    def test_iteration_applies_each_delta_entry_once(self):
+    def test_iteration_applies_each_delta_entry_once(self, monkeypatch):
         spec = PlanSpec("gpt3-13b", stages=8, microbatches=32,
                         freq_stride=4, exactness="fast")
         frontier = Planner().frontier_for(spec)
-        payload = json.loads(json.dumps(frontier_to_dict_v3(frontier)))
+        payload = json.loads(json.dumps(frontier_to_dict(frontier)))
         read = []
 
         class Column(list):
-            """A delta column recording each slice read from it."""
+            """An unpacked column recording each slice read from it."""
 
             def __getitem__(self, item):
                 if isinstance(item, slice):
                     read.append((self, item.start, item.stop))
                 return super().__getitem__(item)
 
-        columns = ("delta_index", "delta_duration", "delta_frequency")
-        for column in columns:
-            payload[column] = Column(payload[column])
+        unpack = serialization._unpack
+        monkeypatch.setattr(serialization, "_unpack",
+                            lambda text, code: Column(unpack(text, code)))
         restored = frontier_from_dict(payload)
+        stored = restored._lookup
         del read[:]  # the whole-payload checks
         assert frontier_bits(restored) == frontier_bits(frontier)
-        n = len(payload["delta_index"])
+        n = len(stored._index)
         assert n > 1000
-        for column in columns:
+        for column in (stored._index, stored._durations, stored._clocks):
             spans = sorted((lo, hi) for seen, lo, hi in read
-                           if seen is payload[column])
+                           if seen is column)
             assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
             assert (spans[0][0], spans[-1][1]) == (0, n)
 
@@ -338,6 +338,41 @@ class TestLazyDecode:
         assert failures == []
         assert len(lists) == 8
         assert all(points is restored.points for points in lists)
+
+
+def replace_column(column, text, row=None):
+    """A corruption replacing one packed column's text."""
+    def corrupt(payload):
+        (payload if row is None else payload["rows"][row])[column] = text
+    return corrupt
+
+
+def retype(column, code):
+    """A corruption packing one column's items as another item type."""
+    def corrupt(payload):
+        payload[column] = pack(v3_lists(payload)[column], code)
+    return corrupt
+
+
+def garble(column):
+    """A corruption putting text that is no base64 in a packed column's
+    last item."""
+    def corrupt(payload):
+        payload[column] = payload[column][:-4] + "*!*="
+    return corrupt
+
+
+#: Three layouts: clocked deltas after the full rows at points 0 and 3,
+#: clockless ones after the full row at point 5, the last point a delta.
+LAYOUTS = Frontier(points=[
+    point({1: 0.5, 2: 0.25}, {1: 1410, 2: 705}, 1.0),
+    point({1: 0.5, 2: 0.5}, {1: 1410, 2: 900}, 1.1),
+    point({1: 0.25, 2: 0.5}, {1: 705, 2: 900}, 1.2),
+    point({2: 0.5, 1: 0.25}, {2: 900, 1: 705}, 1.3),
+    point({2: 0.25, 1: 0.25}, {2: 705, 1: 705}, 1.4),
+    point({2: 0.25, 1: 0.25, 7: 0.1}, {}, 1.5),
+    point({2: 0.25, 1: 0.5, 7: 0.1}, {}, 1.6),
+], tau=0.1)
 
 
 class TestMalformedPayloads:
@@ -387,37 +422,45 @@ class TestMalformedPayloads:
         with pytest.raises(SerializationError, match="not valid JSON"):
             load_json(io.StringIO("{not json"))
 
+    # The hostile-payload tests keep the names and case ids of the
+    # version-2 and version-3 layouts their faults were first written
+    # for.  Every case now corrupts a version-4 payload: a structural
+    # fault through the version-3 lists it packs (``repack``), a type
+    # fault through the packed text itself, since a packed column
+    # holds items of its own type only.
+
     @pytest.mark.parametrize("corrupt", [
-        lambda p: p["rows"][1].__setitem__(0, 10 ** 6),
-        lambda p: p["rows"][1].__setitem__(0, -1),
-        lambda p: p["rows"][1].__setitem__(0, 1.5),
-        lambda p: p["rows"][1].append(0),
-        lambda p: p["rows"].__setitem__(0, p["rows"][1]),
-        lambda p: p["iteration_time"].pop(),
-        lambda p: p["rows"][0]["durations"].pop(),
-        lambda p: p["rows"][0]["frequencies"].pop(),
-        lambda p: p["rows"][0]["ids"].__setitem__(1, p["rows"][0]["ids"][0]),
+        repack(set_delta("delta_index", 1, 10 ** 6)),
+        repack(set_delta("delta_index", 1, -1)),
+        retype("delta_index", "d"),
+        repack(lambda p: p["delta_index"].insert(1, 0)),
+        lambda p: p["rows"].pop(0),
+        repack(lambda p: p["iteration_time"].pop()),
+        repack(lambda p: p["rows"][0]["durations"].pop()),
+        repack(lambda p: p["rows"][0]["frequencies"].pop()),
+        repack(lambda p: p["rows"][0]["ids"].__setitem__(
+            1, p["rows"][0]["ids"][0])),
         lambda p: p["rows"].__setitem__(1, "oops"),
         lambda p: p.__setitem__("rows", []),
-        lambda p: p.__setitem__("compute_energy", None),
-        # The T_min lookup never replays the last row: decoding must
-        # still reject it.
-        lambda p: p["rows"][-1].__setitem__(0, 10 ** 6),
-        lambda p: p["rows"][-1].__setitem__(1, "x"),
-        lambda p: p["rows"][-1].pop(),
-        lambda p: p["iteration_time"].reverse(),
+        replace_column("compute_energy", None),
+        # The T_min lookup never replays the last point's (clockless)
+        # deltas: decoding must still reject them.
+        repack(set_delta("delta_index", -1, 10 ** 6, last=True)),
+        garble("delta_duration"),
+        repack(lambda p: p["delta_frequency"].pop()),
+        repack(lambda p: p["iteration_time"].reverse()),
     ], ids=["index-high", "index-negative", "index-float", "short-delta",
             "leading-delta", "short-column", "short-durations",
             "short-frequencies", "repeated-id", "string-row", "no-rows",
             "null-column", "last-index-high", "last-string-duration",
             "last-short-delta", "unsorted-times"])
-    def test_hostile_v2_frontiers(self, small_optimizer, corrupt):
-        payload = json.loads(json.dumps(
-            frontier_to_dict_v2(small_optimizer.frontier)))
-        assert payload["version"] == 2
-        assert isinstance(payload["rows"][1], list) and payload["rows"][1]
-        assert isinstance(payload["rows"][-1], list) and payload["rows"][-1]
-        assert frontier_from_dict(json.loads(json.dumps(payload)))  # intact
+    def test_hostile_v2_frontiers(self, corrupt):
+        payload = json.loads(json.dumps(frontier_to_dict(LAYOUTS)))
+        lists = v3_lists(payload)
+        assert [row["at"] for row in payload["rows"]] == [0, 3, 5]
+        assert deltas(lists, -1) == [(1, 0.5, None)]
+        assert frontier_bits(frontier_from_dict(json.loads(json.dumps(
+            payload)))) == frontier_bits(LAYOUTS)  # intact
         self._assert_rejected(payload, corrupt)
 
     @staticmethod
@@ -431,43 +474,45 @@ class TestMalformedPayloads:
             load_json(io.StringIO(json.dumps(payload)))
 
     @pytest.mark.parametrize("corrupt", [
-        set_delta("delta_index", 1, 10 ** 6),
-        set_delta("delta_index", 1, -1),
-        set_delta("delta_index", 1, 1.5),
-        set_delta("delta_index", 1, True),
-        lambda p: p["delta_index"].append(0),
+        repack(set_delta("delta_index", 1, 10 ** 6)),
+        repack(set_delta("delta_index", 1, -1)),
+        retype("delta_index", "d"),
+        replace_column("delta_index", True),
+        repack(lambda p: p["delta_index"].append(0)),
         lambda p: p["rows"][0].__setitem__("at", 1),
-        lambda p: p["iteration_time"].pop(),
-        lambda p: p["rows"][0]["durations"].pop(),
-        lambda p: p["rows"][0]["frequencies"].pop(),
-        lambda p: p["rows"][0]["ids"].__setitem__(1, p["rows"][0]["ids"][0]),
+        repack(lambda p: p["iteration_time"].pop()),
+        repack(lambda p: p["rows"][0]["durations"].pop()),
+        repack(lambda p: p["rows"][0]["frequencies"].pop()),
+        repack(lambda p: p["rows"][0]["ids"].__setitem__(
+            1, p["rows"][0]["ids"][0])),
         lambda p: p["rows"].__setitem__(0, "oops"),
         lambda p: p.__setitem__("rows", []),
-        lambda p: p.__setitem__("compute_energy", None),
+        replace_column("compute_energy", None),
         # The T_min lookup never replays the last point's deltas:
         # decoding must still reject them.
-        set_delta("delta_index", -1, 10 ** 6, last=True),
-        set_delta("delta_duration", -1, "x", last=True),
-        set_delta("delta_frequency", -1, None, last=True),
-        set_delta("delta_frequency", -1, 1410.0, last=True),
-        lambda p: p["delta_duration"].pop(),
-        lambda p: p["iteration_time"].reverse(),
-        lambda p: p["delta_offsets"].pop(),
-        lambda p: p["delta_offsets"].__setitem__(0, 1),
-        lambda p: p["delta_offsets"].__setitem__(
-            -2, p["delta_offsets"][-1] + 1),
-        lambda p: p["delta_offsets"].__setitem__(1, 1),
+        repack(set_delta("delta_index", -1, 10 ** 6, last=True)),
+        garble("delta_duration"),
+        repack(set_delta("delta_frequency", -1, None, last=True)),
+        retype("delta_frequency", "d"),
+        repack(lambda p: p["delta_duration"].pop()),
+        repack(lambda p: p["iteration_time"].reverse()),
+        repack(lambda p: p["delta_offsets"].pop()),
+        repack(lambda p: p["delta_offsets"].__setitem__(0, 1)),
+        repack(lambda p: p["delta_offsets"].__setitem__(
+            -2, p["delta_offsets"][-1] + 1)),
+        repack(lambda p: p["delta_offsets"].__setitem__(1, 1)),
         lambda p: p["rows"].append(dict(p["rows"][0], at=0)),
         lambda p: p["rows"].append(dict(p["rows"][0], at=10 ** 6)),
         lambda p: p["rows"].append(dict(p["rows"][0], at=2)),
         lambda p: p["rows"][0].__setitem__("frequency_ids",
                                            p["rows"][0]["ids"]),
-        lambda p: p.__setitem__("delta_offsets", "x"),
-        lambda p: p["delta_offsets"].__setitem__(1, False),
-        lambda p: p["delta_offsets"].__setitem__(slice(0, 2), [-1, -1]),
-        lambda p: [p[column].append(p[column][-1]) for column in (
-            "delta_index", "delta_duration", "delta_frequency")],
-        set_delta("delta_duration", 1, "0.5"),
+        replace_column("delta_offsets", "x"),
+        replace_column("delta_offsets", False),
+        repack(lambda p: p["delta_offsets"].__setitem__(
+            slice(0, 2), [-1, -1])),
+        repack(lambda p: [p[column].append(p[column][-1]) for column in (
+            "delta_index", "delta_duration", "delta_frequency")]),
+        replace_column("delta_duration", "0.5"),
     ], ids=["index-high", "index-negative", "index-float", "index-bool",
             "long-index-column", "leading-delta", "short-column",
             "short-durations", "short-frequencies", "repeated-id",
@@ -481,10 +526,10 @@ class TestMalformedPayloads:
             "trailing-deltas", "numeric-string-duration"])
     def test_hostile_v3_frontiers(self, small_optimizer, corrupt):
         payload = json.loads(json.dumps(
-            frontier_to_dict_v3(small_optimizer.frontier)))
-        assert payload["version"] == 3 and len(payload["rows"]) == 1
-        assert deltas(payload, 1) and deltas(payload, 2) \
-            and deltas(payload, -1)
+            frontier_to_dict(small_optimizer.frontier)))
+        lists = v3_lists(payload)
+        assert len(payload["rows"]) == 1
+        assert deltas(lists, 1) and deltas(lists, 2) and deltas(lists, -1)
         assert frontier_from_dict(json.loads(json.dumps(payload)))  # intact
         self._assert_rejected(payload, corrupt)
 
@@ -502,27 +547,10 @@ class TestMalformedPayloads:
             point({2: 0.5, 1: 0.5}, {2: 900, 1: 1410}, 1.2),
             point({2: 0.5, 1: 0.25}, {2: 900, 1: 705}, 1.3),
         ], tau=0.1)
-        payload = json.loads(json.dumps(frontier_to_dict_v3(frontier)))
+        payload = json.loads(json.dumps(frontier_to_dict(frontier)))
         assert [row["at"] for row in payload["rows"]] == [0, 2]
         assert frontier_from_dict(json.loads(json.dumps(payload)))  # intact
         self._assert_rejected(payload, corrupt)
-
-
-def repack(edit):
-    """A corruption editing the version-3 lists a version-4 payload
-    packs, then packing them again."""
-    def corrupt(payload):
-        lists = v3_lists(payload)
-        edit(lists)
-        payload.update(packed(lists))
-    return corrupt
-
-
-def replace_column(column, text, row=None):
-    """A corruption replacing one packed column's text."""
-    def corrupt(payload):
-        (payload if row is None else payload["rows"][row])[column] = text
-    return corrupt
 
 
 class TestPackedFrontiers:
@@ -612,11 +640,10 @@ class TestTauRecord:
         assert restored.baseline.energy_at(2.0).hex() == \
             price.energy_at(2.0).hex()
 
-    def test_version_1_reads_without_a_price(self):
-        assert payload_from_dict({"version": 1, "kind": "tau",
-                                  "value": 0.25}) == TauRecord(0.25)
-        assert payload_to_dict(TauRecord(0.25)) == {
-            "version": 1, "kind": "tau", "value": 0.25}
+    def test_version_1_is_rejected(self):
+        with pytest.raises(SerializationError, match=(
+                "unsupported tau format version 1; this build reads 2")):
+            payload_from_dict({"version": 1, "kind": "tau", "value": 0.25})
 
     @pytest.mark.parametrize("corrupt", [
         lambda b: b.pop("stage_busy"),
@@ -687,6 +714,46 @@ class TestCLI:
             captured = capsys.readouterr()
             assert "degree" not in captured.out  # no row printed
             assert captured.err.startswith("error: ")
+
+    def test_straggler_names_a_file_that_is_no_frontier(
+            self, tmp_path, capsys, small_optimizer, small_profile):
+        missing = tmp_path / "missing.json"
+        bad = tmp_path / "bad.json"
+        bad.write_text("{oops", encoding="utf-8")
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(frontier_to_dict_v3(
+            small_optimizer.frontier)), encoding="utf-8")
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(profile_to_dict(small_profile)),
+                           encoding="utf-8")
+        for path, message in (
+                (missing, f"cannot read frontier {missing}: "),
+                (bad, f"{bad} is not valid JSON: "),
+                (old, f"{old} is not a valid frontier: unsupported "
+                      f"frontier format version 3; this build reads 4\n"),
+                (profile, f"{profile} is not a valid frontier: expected "
+                          f"kind 'frontier', got 'pipeline_profile'\n")):
+            assert main(["straggler", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("argv, what", [
+        (["plan", "--output"], "frontier"),
+        (["plan", "--trace"], "trace"),
+        (["sweep", "--format", "json", "-o"], "report"),
+        (["fleet", "--count", "1", "--models", "bert-large", "--trace-out"],
+         "timeline"),
+    ], ids=["plan-output", "plan-trace", "report", "fleet-trace-out"])
+    def test_unwritable_outputs_are_named(self, tmp_path, capsys, argv,
+                                          what):
+        target = tmp_path / "no-such-dir" / "out.json"
+        if argv[0] != "fleet":
+            argv = [argv[0], "bert-large", "--stages", "2",
+                    "--microbatches", "3", "--freq-stride", "24", *argv[1:]]
+        assert main([*argv, str(target)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {what} {target}: ")
 
     def test_trace_view_names_a_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -17,7 +17,7 @@ import sys
 
 import pytest
 from reference.frontier_v2 import frontier_to_dict_v2
-from reference.frontier_v3 import frontier_to_dict_v3
+from reference.frontier_v3 import frontier_to_dict_v3, repack, v3_lists
 from reference.keys import key_text
 
 from repro.api import PlanSpec, Planner, mixed_cluster_specs
@@ -411,42 +411,6 @@ class TestPlanStore:
         healed.plan(SMALL)
         assert healed.stats["profile"] == 0
 
-    def test_version_1_frontier_files_serve_warm_plans(self, tmp_path):
-        root = tmp_path / "store"
-        cold = Planner(cache=root)
-        report = cold.plan(SMALL)
-        for name in os.listdir(root / "frontier"):
-            path = root / "frontier" / name
-            frontier = payload_from_dict(json.loads(path.read_text("utf-8")))
-            path.write_text(json.dumps({
-                "version": 1, "kind": "frontier", "tau": frontier.tau,
-                "optimizer_runtime_s": frontier.optimizer_runtime_s,
-                "steps": frontier.steps, "stats": frontier.stats,
-                "points": [schedule_to_dict(p) for p in frontier.points],
-            }), "utf-8")
-        warm = Planner(cache=root)
-        assert reports_equal(warm.plan(SMALL), report)
-        assert warm.stats["frontier"] == 0
-        assert warm.cache.counters["disk_hits"] > 0
-        assert frontier_to_dict(warm.frontier_for(SMALL))["rows"] == \
-            frontier_to_dict(cold.frontier_for(SMALL))["rows"]
-
-    def test_version_2_frontier_files_serve_warm_plans(self, tmp_path):
-        root = tmp_path / "store"
-        cold = Planner(cache=root)
-        report = cold.plan(SMALL)
-        for name in os.listdir(root / "frontier"):
-            path = root / "frontier" / name
-            frontier = payload_from_dict(json.loads(path.read_text("utf-8")))
-            path.write_text(json.dumps(frontier_to_dict_v2(frontier)),
-                            "utf-8")
-        warm = Planner(cache=root)
-        assert reports_equal(warm.plan(SMALL), report)
-        assert warm.stats["frontier"] == 0
-        assert warm.cache.counters["disk_hits"] > 0
-        assert frontier_to_dict(warm.frontier_for(SMALL)) == \
-            frontier_to_dict(cold.frontier_for(SMALL))
-
     def test_layout_mismatch_raises(self, tmp_path):
         root = tmp_path / "store"
         PlanStore(root)
@@ -604,15 +568,16 @@ def scalar_bits(report) -> tuple:
         report.baseline_energy_j))
 
 
-def store_files(root) -> dict:
-    """Every file under a store root and its bytes."""
-    files = {}
-    for directory, _, names in os.walk(root):
-        for name in names:
-            path = os.path.join(directory, name)
-            with open(path, "rb") as fp:
-                files[path] = fp.read()
-    return files
+#: The frontier payloads older builds wrote, by version.
+OLD_FRONTIERS = {
+    1: lambda frontier: {
+        "version": 1, "kind": "frontier", "tau": frontier.tau,
+        "optimizer_runtime_s": frontier.optimizer_runtime_s,
+        "steps": frontier.steps, "stats": frontier.stats,
+        "points": [schedule_to_dict(p) for p in frontier.points]},
+    2: frontier_to_dict_v2,
+    3: frontier_to_dict_v3,
+}
 
 
 class TestWarmBaseline:
@@ -659,36 +624,49 @@ class TestWarmBaseline:
                 scalar_bits(reference)
         assert warm.stats["baseline"] == 0
 
-    def test_old_store_serves_without_rewrites(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_older_files_are_rewritten(self, tmp_path, version):
         root = tmp_path / "store"
-        cold = {spec: Planner().plan(spec) for spec in self.SPECS}
         filler = Planner(cache=root)
-        for spec in self.SPECS:
-            filler.plan(spec)
-        # The store as an older build left it: version-3 frontiers and
-        # tau records that carry the value alone.
-        for name in os.listdir(root / "frontier"):
+        cold = {spec: filler.plan(spec) for spec in self.SPECS}
+        # The store as an older build left it: version-1, -2 or -3
+        # frontiers and tau records that carry the value alone.
+        frontiers = os.listdir(root / "frontier")
+        taus = os.listdir(root / "tau")
+        for name in frontiers:
             path = root / "frontier" / name
-            payload = json.loads(path.read_text("utf-8"))
-            path.write_text(json.dumps(frontier_to_dict_v3(
-                payload_from_dict(payload))), "utf-8")
-        for name in os.listdir(root / "tau"):
+            frontier = payload_from_dict(json.loads(path.read_text("utf-8")))
+            path.write_text(json.dumps(OLD_FRONTIERS[version](frontier)),
+                            "utf-8")
+        for name in taus:
             path = root / "tau" / name
             payload = json.loads(path.read_text("utf-8"))
-            assert payload["version"] == 2 and payload["baseline"]
             path.write_text(json.dumps(
                 {"version": 1, "kind": "tau", "value": payload["value"]}),
                 "utf-8")
-        before = store_files(root)
         old = Planner(cache=root)
         for spec in self.SPECS:
             report = old.plan(spec)
             assert scalar_bits(report) == scalar_bits(cold[spec])
             assert report.plan == cold[spec].plan
-        # One simulated baseline per stack (SMALL's and MIXED's).
-        assert old.stats["baseline"] == 2 and old.stats["tau"] == 0
-        assert old.cache.counters.get("disk_writes", 0) == 0
-        assert store_files(root) == before
+        # Each older file is a miss, recomputed and rewritten in place
+        # at the current version.
+        assert (old.stats["frontier"], old.stats["tau"]) == \
+            (len(frontiers), len(taus))
+        assert old.cache.counters["disk_misses"] >= len(frontiers) + len(
+            taus)
+        assert sorted(os.listdir(root / "frontier")) == sorted(frontiers)
+        assert sorted(os.listdir(root / "tau")) == sorted(taus)
+        for namespace, current in (("frontier", 4), ("tau", 2)):
+            for name in os.listdir(root / namespace):
+                payload = json.loads(
+                    (root / namespace / name).read_text("utf-8"))
+                assert payload["version"] == current
+        warm = Planner(cache=root)
+        for spec in self.SPECS:
+            assert scalar_bits(warm.plan(spec)) == scalar_bits(cold[spec])
+        assert expensive_work(warm) == dict.fromkeys(expensive_work(warm), 0)
+        assert warm.stats["baseline"] == 0
 
     def test_explicit_tau_simulates_the_baseline(self, tmp_path):
         spec = SMALL.replace(tau=0.002)
@@ -762,41 +740,43 @@ class TestMalformedEntries:
         self._corrupt_and_replan(tmp_path / "store", SMALL, "frontier",
                                  lambda _: "[" * 100_000)
 
+    # The hostile-file tests keep the names and case ids of the
+    # version-2 and version-3 layouts their faults were first written
+    # for; each corrupts a version-4 file, through the version-3 lists
+    # it packs or (a string where a number belongs) its packed text.
+
+    @staticmethod
+    def _rewrite(corrupt):
+        def rewrite(payload):
+            assert v3_lists(payload)["delta_index"]
+            corrupt(payload)
+            return json.dumps(payload)
+        return rewrite
+
     @pytest.mark.parametrize("corrupt", [
-        lambda p: p["rows"][-1].__setitem__(0, 10 ** 6),
-        lambda p: p["rows"][-1].__setitem__(1, "x"),
-        lambda p: p["rows"][-1].pop(),
-        lambda p: p["effective_energy"].append(1.0),
+        repack(lambda p: p["delta_index"].__setitem__(-1, 10 ** 6)),
+        lambda p: p.__setitem__("delta_duration", "x"),
+        repack(lambda p: p["delta_frequency"].pop()),
+        repack(lambda p: p["effective_energy"].append(1.0)),
     ], ids=["delta-index-out-of-range", "delta-string-duration",
             "short-last-delta", "column-lengths-differ"])
     def test_hostile_v2_frontier_is_a_miss(self, tmp_path, corrupt):
-        def rewrite(payload):
-            payload = frontier_to_dict_v2(payload_from_dict(payload))
-            assert payload["version"] == 2 and payload["rows"][-1]
-            corrupt(payload)
-            return json.dumps(payload)
-
-        self._corrupt_and_replan(tmp_path / "store", SMALL, "frontier",
-                                 rewrite)
+        self._corrupt_and_replan(tmp_path / "store", MIXED, "frontier",
+                                 self._rewrite(corrupt))
 
     @pytest.mark.parametrize("corrupt", [
-        lambda p: p["delta_index"].__setitem__(-1, 10 ** 6),
-        lambda p: p["delta_duration"].__setitem__(-1, "x"),
-        lambda p: p["delta_frequency"].pop(),
-        lambda p: p["effective_energy"].append(1.0),
-        lambda p: p["delta_offsets"].__setitem__(1, 1),
+        repack(lambda p: p["delta_index"].__setitem__(-1, 10 ** 6)),
+        lambda p: p.__setitem__("delta_duration",
+                                p["delta_duration"][:-4] + "*!*="),
+        repack(lambda p: p["delta_frequency"].pop()),
+        repack(lambda p: p["effective_energy"].append(1.0)),
+        repack(lambda p: p["delta_offsets"].__setitem__(1, 1)),
     ], ids=["delta-index-out-of-range", "delta-string-duration",
             "short-clock-column", "column-lengths-differ",
             "full-row-with-deltas"])
     def test_hostile_v3_frontier_is_a_miss(self, tmp_path, corrupt):
-        def rewrite(payload):
-            payload = frontier_to_dict_v3(payload_from_dict(payload))
-            assert payload["version"] == 3 and payload["delta_index"]
-            corrupt(payload)
-            return json.dumps(payload)
-
         self._corrupt_and_replan(tmp_path / "store", SMALL, "frontier",
-                                 rewrite)
+                                 self._rewrite(corrupt))
 
 
 class TestSweepErrorIsolation:
