@@ -207,10 +207,6 @@ class PlanResult:
         return self.optimizer.frontier
 
     @property
-    def tau(self) -> float:
-        return self.optimizer.tau
-
-    @property
     def is_heterogeneous(self) -> bool:
         return bool(self.gpus) and not is_homogeneous(self.gpus)
 

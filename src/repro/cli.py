@@ -169,6 +169,8 @@ def _print_timings(timings: Optional[dict]) -> None:
 
 def cmd_plan(args) -> int:
     spec = _spec_of(args)
+    _check_writable(args.output, "frontier")
+    _check_writable(args.trace, "trace")
     planner = default_planner()
     recorder = None
     if args.trace:
@@ -265,6 +267,28 @@ def _read_input(path: str, what: str, load=json.load):
         raise ReproError(f"{path} is not valid JSON: {exc}") from exc
     except (ValueError, ReproError) as exc:
         raise ReproError(f"{path} is not a valid {what}: {exc}") from exc
+
+
+def _check_writable(path: Optional[str], what: str) -> None:
+    """Fail before any planning if output ``path`` cannot be written.
+
+    The probe opens the file for appending, which truncates nothing, and
+    removes it again if the probe created it; the output itself is
+    written only once the command's work has succeeded.
+    """
+    if not path:
+        return
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ReproError(f"cannot write {what} {path}: {exc}") from exc
+    if not existed:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
 
 
 def _write_output(path: str, what: str, write) -> None:
@@ -372,6 +396,7 @@ def cmd_sweep(args) -> int:
     from .experiments.report import format_table
 
     specs = _sweep_specs(args)
+    _check_writable(args.output, "report")
     planner = _planner(args)
     rows = planner.sweep(specs, jobs=args.jobs, errors="report")
     human = _human_stream(args)
@@ -471,6 +496,8 @@ def cmd_fleet(args) -> int:
     from .fleet import FleetSimulator, StepTrace
 
     trace = _fleet_trace(args)
+    _check_writable(args.trace_out, "timeline")
+    _check_writable(args.output, "report")
     observers = None
     if args.drift:
         from .drift.scenarios import ScenarioDriver, get_scenario

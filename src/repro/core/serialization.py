@@ -9,21 +9,23 @@ payloads (kind ``plan_spec``) take part in the same
 ``save_json``/``load_json`` dispatch so sweep manifests live next to
 their artifacts.
 
-Frontiers are by far the largest payloads.  Version 4 stores them as
+Frontiers are by far the largest payloads.  Version 5 stores them as
 columns: one column per scalar, a full row where the schedule's layout
 starts or changes, and four flat delta columns with per-point offsets
-(:func:`frontier_to_dict`).  Every numeric column is packed: the base64
-text of a little-endian machine array, which the reader unpacks in one
-C call with every float's exact bits.  Reading one checks the whole
-payload with a few whole-list calls and builds a point only when it is
-looked up, so a warm plan builds one.  Each reader accepts exactly the
-version this build writes; an older payload raises
-:class:`SerializationError`, which the plan store treats as a miss.
+(:func:`frontier_to_dict`).  Every numeric column is packed: the hex
+text of a little-endian machine array, which the reader unpacks with
+two C calls (``bytes.fromhex``, ``array.frombytes``) and every float's
+exact bits.  Reading one checks the whole payload with a few
+whole-list calls and builds a point only when it is looked up, so a
+warm plan builds one.  Profiles and per-stage sweeps pack their
+measurements the same way: one clock, one time and one energy column
+(:func:`_pack_measurements`).  Each reader accepts exactly the version
+this build writes; an older payload raises :class:`SerializationError`,
+which the plan store treats as a miss.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import sys
@@ -41,17 +43,19 @@ from .schedule import EnergySchedule
 FORMAT_VERSION = 1
 
 #: Frontier payloads are columnar with flat per-point delta columns,
-#: packed (see :func:`frontier_to_dict`).
-FRONTIER_FORMAT_VERSION = 4
+#: hex-packed (see :func:`frontier_to_dict`).
+FRONTIER_FORMAT_VERSION = 5
 
 #: Tau payloads carry the all-max baseline's Eq. 3 price.
 TAU_FORMAT_VERSION = 2
 
-#: Pipeline-profile payloads carrying the per-stage ``stage_blocking_w``
-#: map (mixed-GPU clusters) are stamped version 2 so pre-mixed-cluster
-#: readers reject them loudly instead of silently averaging the per-stage
-#: blocking powers; homogeneous profiles keep writing version 1.
-PROFILE_FORMAT_VERSION_MIXED = 2
+#: Pipeline-profile payloads pack each op's measurements
+#: (:func:`_pack_measurements`), homogeneous and mixed-GPU profiles
+#: alike; a mixed one also carries ``stage_blocking_w``.
+PROFILE_FORMAT_VERSION = 3
+
+#: Per-stage sweep payloads pack their measurements the same way.
+STAGE_SWEEP_FORMAT_VERSION = 2
 
 
 class SerializationError(ReproError):
@@ -76,15 +80,14 @@ def _op_key_from_json(raw) -> tuple:
 
 
 def profile_to_dict(profile: PipelineProfile) -> dict:
-    """JSON-ready representation of a pipeline profile.
+    """JSON-ready representation of a pipeline profile (version 3).
 
-    Mixed-GPU profiles carry the optional ``stage_blocking_w`` map
-    (absent for homogeneous profiles, so old payloads stay valid).
+    Each op's measurements are packed columns
+    (:func:`_pack_measurements`).  Mixed-GPU profiles carry the
+    optional ``stage_blocking_w`` map (absent for homogeneous ones).
     """
     payload = {
-        "version": (PROFILE_FORMAT_VERSION_MIXED
-                    if profile.stage_blocking_w is not None
-                    else FORMAT_VERSION),
+        "version": PROFILE_FORMAT_VERSION,
         "kind": "pipeline_profile",
         "p_blocking_w": profile.p_blocking_w,
     }
@@ -96,10 +99,7 @@ def profile_to_dict(profile: PipelineProfile) -> dict:
             {
                 "op": _op_key_to_json(op),
                 "fixed": op_profile.fixed,
-                "measurements": [
-                    [m.freq_mhz, m.time_s, m.energy_j]
-                    for m in op_profile.measurements
-                ],
+                "measurements": _pack_measurements(op_profile.measurements),
             }
             for op, op_profile in profile.ops.items()
         ]
@@ -108,8 +108,7 @@ def profile_to_dict(profile: PipelineProfile) -> dict:
 
 def profile_from_dict(payload: dict) -> PipelineProfile:
     """Inverse of :func:`profile_to_dict` (validates the result)."""
-    _expect(payload, "pipeline_profile",
-            versions=(FORMAT_VERSION, PROFILE_FORMAT_VERSION_MIXED))
+    _expect(payload, "pipeline_profile", versions=(PROFILE_FORMAT_VERSION,))
     stage_blocking = payload.get("stage_blocking_w")
     profile = PipelineProfile(
         p_blocking_w=float(payload["p_blocking_w"]),
@@ -121,13 +120,9 @@ def profile_from_dict(payload: dict) -> PipelineProfile:
     )
     for entry in payload["ops"]:
         op = _op_key_from_json(entry["op"])
-        op_profile = OpProfile(op=op, fixed=bool(entry["fixed"]))
-        for freq, t, e in entry["measurements"]:
-            op_profile.add(
-                Measurement(freq_mhz=int(freq), time_s=float(t),
-                            energy_j=float(e))
-            )
-        profile.ops[op] = op_profile
+        profile.ops[op] = OpProfile(
+            op=op, measurements=_unpack_measurements(entry["measurements"]),
+            fixed=bool(entry["fixed"]))
     profile.validate()
     return profile
 
@@ -185,7 +180,7 @@ def _full_row(point: EnergySchedule, at: int, regular: bool) -> dict:
 
 
 def frontier_to_dict(frontier: Frontier) -> dict:
-    """JSON-ready representation of a characterized frontier (version 4).
+    """JSON-ready representation of a characterized frontier (version 5).
 
     Columnar: one column per scalar (``iteration_time``,
     ``effective_energy``, ``compute_energy``), a few full ``rows`` and
@@ -240,7 +235,7 @@ def frontier_to_dict(frontier: Frontier) -> dict:
     }
 
 
-#: A version-4 payload's packed columns and their array type codes:
+#: A version-5 payload's packed columns and their array type codes:
 #: ``"d"`` a double, ``"i"`` a 32-bit signed int.
 _COLUMNS = {"iteration_time": "d", "effective_energy": "d",
             "compute_energy": "d", "delta_offsets": "i", "delta_index": "i",
@@ -256,16 +251,19 @@ _SWAP = sys.byteorder != "little"
 
 
 def _pack(values, code: str) -> str:
-    """``values`` as the base64 text of a little-endian array."""
+    """``values`` as the hex text of a little-endian array."""
     column = array(code, values)
     if _SWAP:
         column.byteswap()
-    return base64.b64encode(column.tobytes()).decode("ascii")
+    return column.tobytes().hex()
 
 
 def _unpack(text, code: str) -> list:
-    """Inverse of :func:`_pack`: strict base64 of whole items only."""
-    raw = base64.b64decode(text, validate=True)
+    """Inverse of :func:`_pack`: hex digits only (``bytes.fromhex``
+    would skip whitespace), of whole items only."""
+    raw = bytes.fromhex(text)
+    if 2 * len(raw) != len(text):
+        raise SerializationError("a packed column holds more than hex digits")
     column = array(code)
     if len(raw) % column.itemsize:
         raise SerializationError(
@@ -442,28 +440,45 @@ def partition_from_dict(payload: dict) -> PartitionResult:
 
 
 def stage_sweep_to_dict(measurements: Sequence[Measurement]) -> dict:
-    """One (device, stage-workload) frequency sweep, JSON-ready.
+    """One (device, stage-workload) frequency sweep, JSON-ready
+    (version 2: packed columns, :func:`_pack_measurements`).
 
     This is the unit the planner memoizes per ``(gpu, work, stride)`` to
     compose mixed-cluster profiles; persisting it lets a second process
     assemble new GPU mixes from sweeps measured by a first.
     """
     return {
-        "version": FORMAT_VERSION,
+        "version": STAGE_SWEEP_FORMAT_VERSION,
         "kind": "stage_sweep",
-        "measurements": [
-            [m.freq_mhz, m.time_s, m.energy_j] for m in measurements
-        ],
+        "measurements": _pack_measurements(measurements),
     }
 
 
 def stage_sweep_from_dict(payload: dict) -> List[Measurement]:
     """Inverse of :func:`stage_sweep_to_dict`."""
-    _expect(payload, "stage_sweep")
-    return [
-        Measurement(freq_mhz=int(f), time_s=float(t), energy_j=float(e))
-        for f, t, e in payload["measurements"]
-    ]
+    _expect(payload, "stage_sweep", versions=(STAGE_SWEEP_FORMAT_VERSION,))
+    return _unpack_measurements(payload["measurements"])
+
+
+def _pack_measurements(measurements: Sequence[Measurement]) -> dict:
+    """Measurements as three packed columns (:func:`_pack`): ``freq_mhz``
+    of 32-bit ints, ``time_s`` and ``energy_j`` of doubles."""
+    return {
+        "freq_mhz": _pack([m.freq_mhz for m in measurements], "i"),
+        "time_s": _pack([m.time_s for m in measurements], "d"),
+        "energy_j": _pack([m.energy_j for m in measurements], "d"),
+    }
+
+
+def _unpack_measurements(columns: dict) -> List[Measurement]:
+    """Inverse of :func:`_pack_measurements`; each measurement checks
+    itself (a non-positive time or energy is a ``ProfilingError``)."""
+    clocks = _unpack(columns["freq_mhz"], "i")
+    times = _unpack(columns["time_s"], "d")
+    energies = _unpack(columns["energy_j"], "d")
+    if not len(clocks) == len(times) == len(energies):
+        raise SerializationError("measurement columns differ in length")
+    return list(map(Measurement, clocks, times, energies))
 
 
 class TauRecord(NamedTuple):

@@ -43,7 +43,3 @@ class PowerModel:
         floor = self.spec.active_floor_w
         dynamic = (self.spec.tdp_w - floor) * utilization
         return floor + dynamic * x**self.spec.power_exponent
-
-    def blocking_power(self) -> float:
-        """Power while blocking on communication (busy-loop in NCCL)."""
-        return self.spec.blocking_w

@@ -110,10 +110,6 @@ class EventLog:
         with self._lock:
             return len(self._ring)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._ring.clear()
-
     def close(self) -> None:
         with self._lock:
             if self._jsonl_fp is not None:
@@ -122,13 +118,3 @@ class EventLog:
                 except OSError:
                     pass
                 self._jsonl_fp = None
-
-
-#: Process-wide convenience log (library-level emitters that have no
-#: daemon to hand them a log land here; the daemon owns its own).
-EVENTS = EventLog()
-
-
-def emit(kind: str, **fields) -> dict:
-    """Emit on the process-wide :data:`EVENTS` log."""
-    return EVENTS.emit(kind, **fields)

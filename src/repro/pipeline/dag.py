@@ -15,7 +15,6 @@ assignment.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -74,13 +73,14 @@ class ComputationDag:
         self._walk = None
 
     def seal(self) -> None:
-        """Connect roots to SOURCE, leaves to SINK, and verify acyclicity."""
+        """Connect roots to SOURCE, leaves to SINK, and build the walk
+        (raises on cycles)."""
         for node_id in self.nodes:
             if not self.pred[node_id]:
                 self.add_edge(SOURCE, node_id)
             if not self.succ[node_id]:
                 self.add_edge(node_id, SINK)
-        self.topological_order()  # raises on cycles
+        self._topological_walk()
 
     # -- queries ---------------------------------------------------------------
     @property
@@ -103,19 +103,19 @@ class ComputationDag:
 
     def _topological_walk(self) -> List[Tuple[int, Tuple[int, ...]]]:
         if self._walk is None:
-            indeg = {v: len(self.pred[v]) for v in self.succ}
-            queue = deque(v for v, d in indeg.items() if d == 0)
-            order: List[int] = []
-            while queue:
-                u = queue.popleft()
-                order.append(u)
-                for v in self.succ[u]:
-                    indeg[v] -= 1
-                    if indeg[v] == 0:
-                        queue.append(v)
-            if len(order) != len(self.succ):
+            succ, pred = self.succ, self.pred
+            indeg = {v: len(pred[v]) for v in succ}
+            order = [v for v, d in indeg.items() if not d]
+            # Kahn's algorithm, FIFO: ``order`` doubles as the queue.
+            for u in order:
+                for v in succ[u]:
+                    d = indeg[v] - 1
+                    indeg[v] = d
+                    if not d:
+                        order.append(v)
+            if len(order) != len(succ):
                 raise GraphError("computation graph contains a cycle")
-            self._walk = [(v, tuple(self.pred[v])) for v in order]
+            self._walk = [(v, tuple(pred[v])) for v in order]
         return self._walk
 
     def longest_path(
@@ -125,9 +125,9 @@ class ComputationDag:
         under a duration assignment, from one pass over the walk."""
         start: Dict[int, float] = {}
         finish: Dict[int, float] = {}
-        duration = durations.get
+        duration, finished = durations.get, finish.__getitem__
         for v, preds in self._topological_walk():
-            at = max([finish[u] for u in preds]) if preds else 0.0
+            at = max(map(finished, preds)) if preds else 0.0
             start[v] = at
             finish[v] = at + duration(v, 0.0)
         return start, finish[SINK]
@@ -156,57 +156,97 @@ def build_pipeline_dag(
         device_of_stage: Optional map from stage id to device id.  Stages on
             the same device get sequential-execution edges merged across
             their instruction lists (one GPU, one stream).
+
+    Edges are written straight into ``succ``/``pred`` (every generated
+    edge joins two distinct known nodes, so none needs ``add_edge``'s
+    checks), in a fixed order: each stage's execution order first, then
+    each node's activation, gradient and const-op edges in node order,
+    then the devices' merge edges and the SOURCE/SINK edges.  A set's
+    iteration order depends on the order its elements were added, and
+    edge-centric numbering and crawl ties follow set order, so that
+    order is part of the result.  An instruction listed twice is a
+    :class:`GraphError`.
     """
     n = len(schedule) if num_stages is None else num_stages
     if len(schedule) != n:
         raise GraphError("schedule length disagrees with num_stages")
-    microbatches: Set[int] = set()
-    for order in schedule:
-        for ins in order:
-            if ins.kind is not InstrKind.CONST:
-                microbatches.add(ins.microbatch)
-    m = len(microbatches)
-
-    dag = ComputationDag(num_stages=n, num_microbatches=m)
-    ids: Dict[Tuple[int, int, InstrKind, str], int] = {}
-    per_stage: Dict[int, List[int]] = {}
+    FORWARD, BACKWARD, CONST = (InstrKind.FORWARD, InstrKind.BACKWARD,
+                                InstrKind.CONST)
+    dag = ComputationDag(num_stages=n)
+    nodes, succ, pred = dag.nodes, dag.succ, dag.pred
+    # Stage -> microbatch -> node of its unlabelled forward (backward):
+    # the only nodes an activation, gradient or const-op edge points at.
+    forwards: Dict[int, Dict[int, int]] = {}
+    backwards: Dict[int, Dict[int, int]] = {}
+    others: Set[Instruction] = set()  # const ops and labelled computations
     per_device: Dict[int, List[int]] = {}
-
+    node = 0
     for s, order in enumerate(schedule):
-        device = s if device_of_stage is None else device_of_stage[s]
-        stage_seq = per_stage.setdefault(s, [])
+        first = node
         for ins in order:
-            node = dag.add_node(ins)
-            ids[(ins.stage, ins.microbatch, ins.kind, ins.label)] = node
-            stage_seq.append(node)
-            per_device.setdefault(device, []).append(node)
+            nodes[node] = ins
+            kind = ins.kind
+            if ins.label or (kind is not FORWARD and kind is not BACKWARD):
+                duplicate = ins in others
+                others.add(ins)
+            else:
+                tables = forwards if kind is FORWARD else backwards
+                table = tables.get(ins.stage)
+                if table is None:
+                    table = tables[ins.stage] = {}
+                duplicate = table.setdefault(ins.microbatch, node) != node
+            if duplicate:
+                raise GraphError(f"{ins} appears twice in the schedule")
+            node += 1
+        # Each stage executes its own instructions in schedule order.
+        if node > first:
+            pred[first] = set()
+            for v in range(first + 1, node):
+                succ[v - 1] = {v}
+                pred[v] = {v - 1}
+            succ[node - 1] = set()
+        device = s if device_of_stage is None else device_of_stage[s]
+        per_device.setdefault(device, []).extend(range(first, node))
+    microbatches = set().union(*forwards.values(), *backwards.values())
+    microbatches.update(ins.microbatch for ins in others
+                        if ins.kind is not CONST)
+    dag.num_microbatches = len(microbatches)
 
-    # Each stage executes its own instructions in schedule order.
-    for seq in per_stage.values():
-        for u, v in zip(seq, seq[1:]):
-            dag.add_edge(u, v)
-
-    # Activation / gradient flow between adjacent stages.
-    for (stage, mb, kind, _label), node in ids.items():
-        if kind is InstrKind.FORWARD:
-            nxt = ids.get((stage + 1, mb, InstrKind.FORWARD, ""))
-            if nxt is not None:
-                dag.add_edge(node, nxt)
-            if stage == n - 1:
-                turn = ids.get((stage, mb, InstrKind.BACKWARD, ""))
-                if turn is not None:
-                    dag.add_edge(node, turn)
-        elif kind is InstrKind.BACKWARD:
-            prv = ids.get((stage - 1, mb, InstrKind.BACKWARD, ""))
-            if prv is not None:
-                dag.add_edge(node, prv)
-            fwd = ids.get((stage, mb, InstrKind.FORWARD, ""))
-            if fwd is not None:
-                dag.add_edge(fwd, node)
+    # Activation / gradient flow between adjacent stages, in node order;
+    # the tables of a node's stage and its neighbours' are looked up
+    # once per run of nodes on one stage.
+    last, none, stage = n - 1, {}, None
+    for u, ins in nodes.items():
+        if ins.stage != stage:
+            stage = ins.stage
+            here_f = forwards.get(stage, none)
+            next_f = forwards.get(stage + 1, none)
+            prev_b = backwards.get(stage - 1, none)
+            turn_b = backwards.get(stage, none) if stage == last else none
+        kind, mb = ins.kind, ins.microbatch
+        if kind is FORWARD:
+            v = next_f.get(mb)
+            if v is not None:
+                succ[u].add(v)
+                pred[v].add(u)
+            v = turn_b.get(mb)
+            if v is not None:  # the turn-around at the last stage
+                succ[u].add(v)
+                pred[v].add(u)
+        elif kind is BACKWARD:
+            v = prev_b.get(mb)
+            if v is not None:
+                succ[u].add(v)
+                pred[v].add(u)
+            v = here_f.get(mb)
+            if v is not None:
+                succ[v].add(u)
+                pred[u].add(v)
         else:  # CONST op gates the matching forward on the same stage
-            fwd = ids.get((stage, mb, InstrKind.FORWARD, ""))
-            if fwd is not None:
-                dag.add_edge(node, fwd)
+            v = here_f.get(mb)
+            if v is not None:
+                succ[u].add(v)
+                pred[v].add(u)
 
     # Devices hosting several (virtual) stages -- interleaved schedules --
     # run one instruction at a time.  Sequentialize each device's nodes in
@@ -214,20 +254,18 @@ def build_pipeline_dag(
     # durations (two nodes with a path between them always differ in
     # earliest start, so these edges can never close a cycle).
     multi_stage_devices = [
-        nodes for nodes in per_device.values()
-        if len({dag.nodes[x].stage for x in nodes}) > 1
+        ids for ids in per_device.values()
+        if len({nodes[x].stage for x in ids}) > 1
     ]
     if multi_stage_devices:
-        unit = {node: 1.0 for node in dag.nodes}
-        est = dag.earliest_start_times(unit)
-        position = {node: i for i, node in enumerate(dag.nodes)}
-        for nodes in multi_stage_devices:
-            ordered = sorted(
-                nodes, key=lambda x: (est[x], dag.nodes[x].stage, position[x])
-            )
+        est = dag.earliest_start_times(dict.fromkeys(nodes, 1.0))
+        for ids in multi_stage_devices:
+            ordered = sorted(ids, key=lambda x: (est[x], nodes[x].stage, x))
             for u, v in zip(ordered, ordered[1:]):
-                if v not in dag.succ[u]:
-                    dag.add_edge(u, v)
+                if v not in succ[u]:
+                    succ[u].add(v)
+                    pred[v].add(u)
+        dag._walk = None  # the unit-duration pass walked the graph before
 
     dag.seal()
     return dag

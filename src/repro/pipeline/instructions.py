@@ -24,7 +24,12 @@ class InstrKind(str, Enum):
     CONST = "const"
 
 
-@dataclass(frozen=True, order=True)
+#: Module-level alias: an attribute read on the enum class costs more
+#: than a global read, and every simulation reads each node's key.
+_CONST = InstrKind.CONST
+
+
+@dataclass(frozen=True, order=True, init=False)
 class Instruction:
     """One unit of pipeline work: ``kind`` on ``microbatch`` at ``stage``."""
 
@@ -33,11 +38,21 @@ class Instruction:
     kind: InstrKind
     label: str = ""
 
-    def __post_init__(self) -> None:
-        if self.stage < 0:
+    def __init__(self, stage: int, microbatch: int, kind: InstrKind,
+                 label: str = "") -> None:
+        if stage < 0:
             raise ValueError("stage must be non-negative")
-        if self.microbatch < 0:
+        if microbatch < 0:
             raise ValueError("microbatch must be non-negative")
+        # Frozen: the fields go straight into the instance dict.  The
+        # generated ``__init__`` calls ``object.__setattr__`` per field,
+        # about three times the cost, and a plan builds one Instruction
+        # per computation.
+        fields = self.__dict__
+        fields["stage"] = stage
+        fields["microbatch"] = microbatch
+        fields["kind"] = kind
+        fields["label"] = label
 
     @property
     def op_key(self) -> Tuple:
@@ -47,6 +62,9 @@ class Instruction:
         of microbatch index, so they share one profile (§5).  Constant ops
         are keyed by their label.
         """
-        if self.kind is InstrKind.CONST:
-            return (self.stage, self.kind.value, self.label)
-        return (self.stage, self.kind.value)
+        # ``_value_`` is what the ``value`` property returns, without
+        # the property's cost.
+        kind = self.kind
+        if kind is _CONST:
+            return (self.stage, kind._value_, self.label)
+        return (self.stage, kind._value_)

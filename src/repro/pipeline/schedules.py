@@ -30,20 +30,21 @@ def schedule_1f1b(num_stages: int, num_microbatches: int) -> Schedule:
     the remaining backwards -- reproducing the timelines of Figure 1.
     """
     _check(num_stages, num_microbatches)
+    forward, backward = InstrKind.FORWARD, InstrKind.BACKWARD
     per_stage: Schedule = []
     for s in range(num_stages):
         warmup = min(num_microbatches, num_stages - 1 - s)
         order: List[Instruction] = [
-            Instruction(s, m, InstrKind.FORWARD) for m in range(warmup)
+            Instruction(s, m, forward) for m in range(warmup)
         ]
         next_fwd, next_bwd = warmup, 0
         while next_fwd < num_microbatches:
-            order.append(Instruction(s, next_fwd, InstrKind.FORWARD))
+            order.append(Instruction(s, next_fwd, forward))
             next_fwd += 1
-            order.append(Instruction(s, next_bwd, InstrKind.BACKWARD))
+            order.append(Instruction(s, next_bwd, backward))
             next_bwd += 1
         while next_bwd < num_microbatches:
-            order.append(Instruction(s, next_bwd, InstrKind.BACKWARD))
+            order.append(Instruction(s, next_bwd, backward))
             next_bwd += 1
         per_stage.append(order)
     return per_stage

@@ -16,7 +16,7 @@ from ..exceptions import ProfilingError
 OpKey = Tuple  # (stage, kind) or (stage, "const", label)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class Measurement:
     """Time/energy of one computation type at one locked SM clock."""
 
@@ -24,11 +24,17 @@ class Measurement:
     time_s: float
     energy_j: float
 
-    def __post_init__(self) -> None:
-        if self.time_s <= 0:
-            raise ProfilingError(f"non-positive time at {self.freq_mhz} MHz")
-        if self.energy_j <= 0:
-            raise ProfilingError(f"non-positive energy at {self.freq_mhz} MHz")
+    def __init__(self, freq_mhz: int, time_s: float, energy_j: float) -> None:
+        if time_s <= 0:
+            raise ProfilingError(f"non-positive time at {freq_mhz} MHz")
+        if energy_j <= 0:
+            raise ProfilingError(f"non-positive energy at {freq_mhz} MHz")
+        # Frozen, like Instruction: the fields go straight into the
+        # instance dict rather than through ``object.__setattr__``.
+        fields = self.__dict__
+        fields["freq_mhz"] = freq_mhz
+        fields["time_s"] = time_s
+        fields["energy_j"] = energy_j
 
 
 def pareto_filter(measurements: Sequence[Measurement]) -> List[Measurement]:

@@ -14,6 +14,7 @@ engine does, so the timeline is the longest-path schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..exceptions import SimulationError
@@ -110,7 +111,7 @@ class PipelineExecution:
         for rec in self.records:
             self._by_stage.setdefault(rec.instruction.stage, []).append(rec)
         for recs in self._by_stage.values():
-            recs.sort(key=lambda r: r.start)
+            recs.sort(key=attrgetter("start"))
 
     def stage_records(self, stage: int) -> List[NodeExecution]:
         return list(self._by_stage.get(stage, []))
@@ -121,12 +122,16 @@ class PipelineExecution:
             return self.stage_blocking_w[stage]
         return self.p_blocking_w
 
+    # The sums below spell out ``duration`` and ``energy_j`` (the same
+    # float operations) instead of calling the properties: every plan
+    # prices its execution, two Python calls per record each time.
+
     def stage_busy_time(self, stage: int) -> float:
-        return sum(r.duration for r in self._by_stage.get(stage, []))
+        return sum([r.end - r.start for r in self._by_stage.get(stage, [])])
 
     def compute_energy(self) -> float:
         """Energy spent in computations (term 1 of Eq. 3 before blocking)."""
-        return sum(r.energy_j for r in self.records)
+        return sum([r.power_w * (r.end - r.start) for r in self.records])
 
     def price(self) -> ExecutionPrice:
         """What Eq. 3 reads from this execution (:class:`ExecutionPrice`)."""
@@ -162,9 +167,12 @@ def execute(
         raise SimulationError(f"missing durations/powers for nodes {missing[:5]}")
     starts, makespan = dag.longest_path(durations)
     clocks = {} if freqs is None else freqs
+    # ``_make`` builds each record in C, skipping the generated Python
+    # ``__new__`` (one record per computation per simulation).
+    record = NodeExecution._make
     records = [
-        NodeExecution(n, ins, starts[n], starts[n] + durations[n], powers[n],
-                      clocks.get(n, 0))
+        record((n, ins, starts[n], starts[n] + durations[n], powers[n],
+                clocks.get(n, 0)))
         for n, ins in dag.nodes.items()
     ]
     return PipelineExecution(

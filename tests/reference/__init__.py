@@ -4,12 +4,20 @@
   extraction (what :class:`~repro.graph.compiled.CompiledDag` replaces);
 * :mod:`.fit` -- the numpy exponential fit (what the stdlib
   ``repro.profiler.fit`` replaces);
+* :mod:`.dag_v1` -- the DAG builder before the one-pass rewrite
+  (tuple-keyed node ids, ``add_edge`` per edge): the structure
+  :func:`repro.pipeline.dag.build_pipeline_dag` must reproduce, set
+  iteration order included;
 * :mod:`.frontier_v2` and :mod:`.frontier_v3` -- the version-2 (one
-  delta row per point) and version-3 (the same changes as flat delta
-  columns, JSON lists) frontier writers: the oracle the one-pass
-  version-4 writer's columns are checked against, and the older files
-  the store must treat as misses; :mod:`.frontier_v3` also reads a
-  version-4 payload's packing back as lists;
+  delta row per point), version-3 (the same changes as flat delta
+  columns, JSON lists) and version-4 (those columns packed as base64)
+  frontier writers: the oracle the one-pass version-5 writer's columns
+  are checked against, and the older files the store must treat as
+  misses; :mod:`.frontier_v3` also reads a version-5 payload's packing
+  back as lists;
+* :mod:`.measurements_v1` -- profile and stage-sweep payloads with
+  ``[clock, time, energy]`` rows, as builds before the packed
+  measurement layout wrote them (misses for the store);
 * :mod:`.keys` -- the store-key text built form first, then
   ``json.dumps`` (what :func:`repro.core.store.stable_key`'s one-pass
   text must equal);

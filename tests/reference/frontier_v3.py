@@ -1,4 +1,5 @@
-"""The version-3 frontier writer, and a reader of version 4's packing.
+"""The version-3 and -4 frontier writers, and a reader of version 5's
+packing.
 
 Version 3 regroups version 2's points into columns: one list per
 scalar, a full row where the schedule's layout starts or changes
@@ -9,12 +10,13 @@ written by older builds hold these payloads, which
 version-4 writer packs exactly these columns, so this writer is the
 oracle the tests check it against.
 
-Version 4 packs those columns as base64 of little-endian doubles and
-32-bit ints, with ``-1`` for a clock the layout lacks.
+Version 4 packed those columns as base64 of little-endian doubles and
+32-bit ints, with ``-1`` for a clock the layout lacks
+(:func:`frontier_to_dict_v4`); version 5 packs the same bytes as hex.
 :func:`v3_lists` reads them back with :mod:`struct`, not the
-``array`` calls the reader under test uses, so a test can inspect a
-version-4 payload as the version-3 lists it packs, and :func:`repack`
-corrupts one through them.
+``bytes.fromhex``/``array`` calls the reader under test uses, so a test
+can inspect a version-5 payload as the version-3 lists it packs, and
+:func:`repack` corrupts one through them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from reference.frontier_v2 import frontier_to_dict_v2
 
 from repro.core.frontier import Frontier
 
-#: The packed columns of a version-4 payload, by :mod:`struct` code.
+#: The packed columns of a version-4 or -5 payload, by :mod:`struct` code.
 COLUMNS = {"iteration_time": "d", "effective_energy": "d",
            "compute_energy": "d", "delta_offsets": "i", "delta_index": "i",
            "delta_duration": "d", "delta_frequency": "i"}
@@ -52,20 +54,31 @@ def frontier_to_dict_v3(frontier: Frontier) -> dict:
 
 
 def unpack(text: str, code: str) -> list:
-    """One packed column as a list."""
-    raw = base64.b64decode(text)
+    """One hex-packed column as a list."""
+    raw = bytes.fromhex(text)
     return list(struct.unpack(f"<{len(raw) // struct.calcsize(code)}{code}",
                               raw))
 
 
 def pack(values, code: str) -> str:
     """Inverse of :func:`unpack`."""
+    return struct.pack(f"<{len(values)}{code}", *values).hex()
+
+
+def pack_base64(values, code: str) -> str:
+    """:func:`pack`'s bytes as version 4 wrote them."""
     return base64.b64encode(
         struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")
 
 
+def frontier_to_dict_v4(frontier: Frontier) -> dict:
+    """``frontier`` as a version-4 payload."""
+    return dict(packed(frontier_to_dict_v3(frontier), pack_base64),
+                version=4)
+
+
 def v3_lists(payload: dict) -> dict:
-    """A version-4 payload with its columns as version 3's lists."""
+    """A version-5 payload with its columns as version 3's lists."""
     lists = {name: unpack(payload[name], code)
              for name, code in COLUMNS.items()}
     lists["delta_frequency"] = [None if f == -1 else f
@@ -77,7 +90,7 @@ def v3_lists(payload: dict) -> dict:
     return dict(payload, rows=rows, **lists)
 
 
-def packed(lists: dict) -> dict:
+def packed(lists: dict, pack=pack) -> dict:
     """Inverse of :func:`v3_lists`."""
     payload = dict(lists)
     for name, code in COLUMNS.items():
@@ -93,7 +106,7 @@ def packed(lists: dict) -> dict:
 
 
 def repack(edit):
-    """A corruption (of a version-4 payload, in place) editing the
+    """A corruption (of a version-5 payload, in place) editing the
     version-3 lists it packs, then packing them again."""
     def corrupt(payload):
         lists = v3_lists(payload)

@@ -44,10 +44,14 @@ from reference.maxflow import (
     max_flow_with_lower_bounds_reference,
 )
 
-#: One spec per pipeline flavor the ISSUE's equivalence suite names:
-#: homogeneous, heterogeneous GPU tuple, and a straggler mix (one stage
-#: on slower silicon, the SlowGPUType deployment planned natively).
+#: One spec per pipeline flavor: homogeneous, heterogeneous GPU tuple,
+#: a straggler mix (one stage on slower silicon, the SlowGPUType
+#: deployment planned natively), and a branching one.  The first three
+#: make only chain cuts; "branching" makes 413 cuts, none of them chain
+#: cuts, so the general cut path meets the seed oracle too.
 SPECS = {
+    "branching": PlanSpec(model="bloom-3b", gpu="a100", stages=4,
+                          microbatches=4, freq_stride=16),
     "homogeneous": PlanSpec(model="gpt3-xl", gpu="a100", stages=2,
                             microbatches=4, freq_stride=8),
     "hetero": PlanSpec(model="gpt3-xl", gpu=("a100", "a40"), stages=2,
@@ -101,6 +105,9 @@ class TestFrontierEquivalence:
         assert _point_key(slow) == _point_key(fast)
         assert fast.stats["timings"]["kernel"] == "flat"
         assert slow.stats["timings"]["kernel"] == "dict"
+        if flavor == "branching":
+            timings = fast.stats["timings"]
+            assert timings["cuts"] > 400 and timings["chain_cuts"] == 0
 
     def test_timings_are_recorded(self):
         stack = _stack("homogeneous")

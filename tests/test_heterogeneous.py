@@ -241,20 +241,24 @@ class TestHeterogeneousProfile:
         profile = planner.result(MIXED).profile
         buf = io.StringIO()
         save_json(profile, buf)
-        # Mixed profiles are stamped version 2 so pre-mixed-cluster
-        # readers reject them instead of silently averaging blocking
-        # powers; homogeneous profiles keep writing version 1.
-        assert json.loads(buf.getvalue())["version"] == 2
+        # Mixed and homogeneous profiles share version 3 (packed
+        # measurement columns); a mixed one also carries its per-stage
+        # blocking powers, which no reader may average away.
+        payload = json.loads(buf.getvalue())
+        assert payload["version"] == 3
+        assert len(payload["stage_blocking_w"]) == 2
         buf.seek(0)
         restored = load_json(buf)
         assert restored.stage_blocking_w == profile.stage_blocking_w
         assert restored.p_blocking_w == profile.p_blocking_w
 
-    def test_homogeneous_profile_keeps_version_1(self):
+    def test_homogeneous_profile_shares_version_3(self):
         planner = Planner()
         buf = io.StringIO()
         save_json(planner.result(SINGLE).profile, buf)
-        assert json.loads(buf.getvalue())["version"] == 1
+        payload = json.loads(buf.getvalue())
+        assert payload["version"] == 3
+        assert "stage_blocking_w" not in payload
 
     def test_homogeneous_profile_has_no_stage_map(self):
         planner = Planner()

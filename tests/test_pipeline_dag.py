@@ -1,11 +1,17 @@
 """Computation DAG: dependency structure, longest paths, const ops."""
 
 import pytest
+from reference.dag_v1 import build_pipeline_dag_v1
 
 from repro.exceptions import GraphError
 from repro.pipeline.dag import SINK, SOURCE, ComputationDag, build_pipeline_dag
 from repro.pipeline.instructions import InstrKind, Instruction
-from repro.pipeline.schedules import schedule_1f1b, with_data_loading
+from repro.pipeline.schedules import (
+    schedule_1f1b,
+    schedule_gpipe,
+    schedule_interleaved_1f1b,
+    with_data_loading,
+)
 
 
 @pytest.fixture()
@@ -165,3 +171,77 @@ class TestHelpers:
         a = dag.add_node(Instruction(0, 0, InstrKind.FORWARD))
         with pytest.raises(GraphError):
             dag.add_edge(a, a)
+
+
+def _interleaved(stages, microbatches, chunks):
+    schedule = schedule_interleaved_1f1b(stages, microbatches, chunks)
+    return schedule, dict(num_stages=stages * chunks,
+                          device_of_stage=[v % stages
+                                           for v in range(stages * chunks)])
+
+
+#: (schedule, builder keyword arguments) for every schedule family.
+PINNED_SCHEDULES = {
+    "1f1b-pp1": (schedule_1f1b(1, 4), {}),
+    "1f1b-pp1-mb1": (schedule_1f1b(1, 1), {}),
+    "1f1b-2x3": (schedule_1f1b(2, 3), {}),
+    "1f1b-m-below-n": (schedule_1f1b(4, 2), {}),
+    "1f1b-4x8": (schedule_1f1b(4, 8), {}),
+    "1f1b-8x32": (schedule_1f1b(8, 32), {}),
+    "gpipe-3x4": (schedule_gpipe(3, 4), {}),
+    "gpipe-m-below-n": (schedule_gpipe(4, 1), {}),
+    "interleaved-2x4x2": _interleaved(2, 4, 2),
+    "interleaved-4x8x2": _interleaved(4, 8, 2),
+    "interleaved-3x6x3": _interleaved(3, 6, 3),
+    "interleaved-without-devices": (schedule_interleaved_1f1b(2, 4), {}),
+    "const-1f1b": (with_data_loading(schedule_1f1b(4, 6)), {}),
+    "const-gpipe": (with_data_loading(schedule_gpipe(2, 3)), {}),
+    "const-interleaved": (with_data_loading(_interleaved(2, 4, 2)[0]),
+                          _interleaved(2, 4, 2)[1]),
+    "labelled-computations": ([
+        [Instruction(0, 0, InstrKind.FORWARD),
+         Instruction(0, 0, InstrKind.FORWARD, "recompute"),
+         Instruction(0, 0, InstrKind.BACKWARD)],
+        [Instruction(1, 0, InstrKind.FORWARD),
+         Instruction(1, 0, InstrKind.BACKWARD, "wgrad"),
+         Instruction(1, 0, InstrKind.BACKWARD)],
+    ], {}),
+}
+
+
+class TestMatchesTheTupleKeyedBuilder:
+    """The one-pass builder reproduces the builder it replaced
+    (``tests/reference/dag_v1.py``) structure for structure: edge-centric
+    numbering and crawl ties follow the iteration order of the
+    ``succ``/``pred`` sets, so that order is pinned too."""
+
+    @staticmethod
+    def structure(dag):
+        return (list(dag.nodes.items()),
+                [(v, list(us)) for v, us in dag.succ.items()],
+                [(v, list(us)) for v, us in dag.pred.items()],
+                dag._topological_walk(),
+                dag.num_stages, dag.num_microbatches)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SCHEDULES))
+    def test_same_structure(self, name):
+        schedule, kwargs = PINNED_SCHEDULES[name]
+        built = build_pipeline_dag(schedule, **kwargs)
+        assert built._walk is not None  # sealed: the walk is built
+        assert self.structure(built) == self.structure(
+            build_pipeline_dag_v1(schedule, **kwargs))
+
+    def test_a_cyclic_schedule_raises_in_both(self):
+        schedule = schedule_1f1b(2, 2)
+        schedule[1][:2] = schedule[1][1::-1]  # B(1, 0) before F(1, 0)
+        for build in (build_pipeline_dag, build_pipeline_dag_v1):
+            with pytest.raises(GraphError, match="cycle"):
+                build(schedule)
+
+    def test_an_instruction_listed_twice_is_rejected(self):
+        for extra in (Instruction(0, 1, InstrKind.FORWARD),
+                      Instruction(0, 1, InstrKind.CONST, "dataload")):
+            schedule = with_data_loading(schedule_1f1b(2, 2))
+            schedule[0].append(extra)
+            with pytest.raises(GraphError, match="twice"):
+                build_pipeline_dag(schedule)

@@ -3,20 +3,24 @@
 import io
 import json
 import random
+import struct
 import sys
 import threading
 from dataclasses import replace
 
 import pytest
 from reference.frontier_v2 import frontier_to_dict_v2
-from reference.frontier_v3 import (frontier_to_dict_v3, pack, repack,
-                                   v3_lists)
+from reference.frontier_v3 import (COLUMNS, frontier_to_dict_v3,
+                                   frontier_to_dict_v4, pack, repack,
+                                   unpack, v3_lists)
+from reference.measurements_v1 import as_old_payload
 
 from repro.api import PlanSpec, Planner
 from repro.cli import main
 from repro.core import serialization
 from repro.core.frontier import Frontier
 from repro.core.schedule import EnergySchedule
+from repro.exceptions import ProfilingError, ReproError
 from repro.core.serialization import (
     FRONTIER_FORMAT_VERSION,
     SerializationError,
@@ -54,6 +58,88 @@ class TestProfileRoundTrip:
         payload["version"] = 999
         with pytest.raises(SerializationError):
             profile_from_dict(payload)
+
+
+class TestPackedMeasurements:
+    """Profiles (version 3) and stage sweeps (version 2) share one packed
+    measurement layout: a clock, a time and an energy column."""
+
+    @pytest.fixture
+    def mixed_profile(self):
+        return Planner().result(PlanSpec(
+            "bert-large", gpu=("a100", "a40"), stages=2, microbatches=3,
+            freq_stride=24)).profile
+
+    def test_homogeneous_and_mixed_profiles_round_trip(self, small_profile,
+                                                       mixed_profile):
+        for profile in (small_profile, mixed_profile):
+            payload = json.loads(json.dumps(profile_to_dict(profile)))
+            assert payload["version"] == 3
+            assert set(payload["ops"][0]["measurements"]) == \
+                {"freq_mhz", "time_s", "energy_j"}
+            restored = profile_from_dict(payload)
+            assert restored.stage_blocking_w == profile.stage_blocking_w
+            assert list(restored.ops) == list(profile.ops)
+            for op, op_profile in profile.ops.items():
+                assert restored.ops[op].fixed == op_profile.fixed
+                assert [(m.freq_mhz, m.time_s.hex(), m.energy_j.hex())
+                        for m in restored.ops[op].measurements] == \
+                    [(m.freq_mhz, m.time_s.hex(), m.energy_j.hex())
+                     for m in op_profile.measurements]
+        assert "stage_blocking_w" in profile_to_dict(mixed_profile)
+
+    def test_stage_sweep_round_trip(self, small_profile):
+        sweep = next(iter(small_profile.ops.values())).measurements
+        payload = json.loads(json.dumps(payload_to_dict(sweep)))
+        assert (payload["kind"], payload["version"]) == ("stage_sweep", 2)
+        assert payload_from_dict(payload) == sweep
+
+    def test_older_versions_are_rejected(self, small_profile, mixed_profile):
+        sweep = next(iter(small_profile.ops.values())).measurements
+        for obj, kind, version, current in (
+                (small_profile, "pipeline_profile", 1, 3),
+                (mixed_profile, "pipeline_profile", 2, 3),
+                (sweep, "stage_sweep", 1, 2)):
+            old = as_old_payload(payload_to_dict(obj))
+            assert old["version"] == version
+            with pytest.raises(SerializationError, match=(
+                    f"unsupported {kind} format version {version}; "
+                    f"this build reads {current}")):
+                payload_from_dict(json.loads(json.dumps(old)))
+
+    @pytest.mark.parametrize("column, edit, message", [
+        ("freq_mhz", lambda text: text[:-1] + "g", "non-hexadecimal"),
+        ("time_s", lambda text: text[:-1], "malformed"),
+        ("time_s", lambda text: text[:-2], "whole number"),
+        ("energy_j", lambda text: text[:-16], "differ in length"),
+        ("freq_mhz", lambda text: text + "00000000", "differ in length"),
+        ("time_s", lambda text: text[:2] + " " + text[2:],
+         "more than hex digits"),
+        ("energy_j", lambda text: [1.0], "malformed"),
+    ], ids=["bad-hex", "odd-length", "partial-item", "short-column",
+            "long-column", "spaced-hex", "json-list"])
+    def test_hostile_measurement_columns(self, small_profile, column, edit,
+                                         message):
+        sweep = next(iter(small_profile.ops.values())).measurements
+        for payload in (profile_to_dict(small_profile),
+                        payload_to_dict(sweep)):
+            columns = (payload["measurements"]
+                       if payload["kind"] == "stage_sweep"
+                       else payload["ops"][-1]["measurements"])
+            columns[column] = edit(columns[column])
+            with pytest.raises(SerializationError, match=message):
+                payload_from_dict(payload)
+            with pytest.raises(SerializationError):
+                load_json(io.StringIO(json.dumps(payload)))
+
+    def test_non_positive_measurement_is_a_profiling_error(
+            self, small_profile):
+        payload = profile_to_dict(small_profile)
+        columns = payload["ops"][0]["measurements"]
+        times = unpack(columns["time_s"], "d")
+        columns["time_s"] = pack([0.0] + times[1:], "d")
+        with pytest.raises(ProfilingError, match="non-positive time"):
+            payload_from_dict(payload)
 
 
 class TestFrontierRoundTrip:
@@ -110,7 +196,7 @@ def frontier_bits(frontier):
 
 def json_round_trip(frontier):
     payload = json.loads(json.dumps(frontier_to_dict(frontier)))
-    assert payload["version"] == FRONTIER_FORMAT_VERSION == 4
+    assert payload["version"] == FRONTIER_FORMAT_VERSION == 5
     return frontier_from_dict(payload)
 
 
@@ -172,8 +258,10 @@ class TestFrontierV2:
         assert changed < len(first["ids"]) * (len(offsets) - 2) / 4
         assert len(json.dumps(packed_payload)) * 5 < len(json.dumps(
             [schedule_to_dict(p) for p in frontier.points]))
-        assert len(json.dumps(packed_payload)) < len(json.dumps(
-            frontier_to_dict_v3(frontier)))
+        # Hex packing: two digits per byte of a column's items.
+        for name, code in COLUMNS.items():
+            assert len(packed_payload[name]) == \
+                2 * struct.calcsize(code) * len(payload[name])
 
     def test_unrealized_points_without_frequencies(self, small_optimizer):
         points = [replace(p, frequencies={})
@@ -218,11 +306,12 @@ class TestFrontierV2:
               "steps": frontier.steps, "stats": dict(frontier.stats),
               "points": [schedule_to_dict(p) for p in frontier.points]}
         for version, payload in ((1, v1), (2, frontier_to_dict_v2(frontier)),
-                                 (3, frontier_to_dict_v3(frontier))):
+                                 (3, frontier_to_dict_v3(frontier)),
+                                 (4, frontier_to_dict_v4(frontier))):
             payload = json.loads(json.dumps(payload))
             assert payload["version"] == version
             message = (f"unsupported frontier format version {version}; "
-                       f"this build reads 4")
+                       f"this build reads 5")
             with pytest.raises(SerializationError, match=message):
                 frontier_from_dict(payload)
             with pytest.raises(SerializationError, match=message):
@@ -268,13 +357,13 @@ class TestLazyDecode:
     def test_writer_packs_the_version_3_columns(self, crawled):
         # The reference version-3 writer (regrouping version 2's rows)
         # is the oracle for the one-pass writer's columns.
-        frontier, v4 = crawled
+        frontier, v5 = crawled
         v3 = json.loads(json.dumps(frontier_to_dict_v3(frontier)))
-        assert v3_lists(v4) == dict(v3, version=4)
-        restored = frontier_from_dict(v4)
+        assert v3_lists(v5) == dict(v3, version=5)
+        restored = frontier_from_dict(v5)
         for k, point in enumerate(frontier.points):
             assert point_bits(restored._lookup[k]) == point_bits(point)
-        assert frontier_to_dict(restored) == v4
+        assert frontier_to_dict(restored) == v5
 
     def test_iteration_applies_each_delta_entry_once(self, monkeypatch):
         spec = PlanSpec("gpt3-13b", stages=8, microbatches=32,
@@ -355,7 +444,7 @@ def retype(column, code):
 
 
 def garble(column):
-    """A corruption putting text that is no base64 in a packed column's
+    """A corruption putting text that is no hex in a packed column's
     last item."""
     def corrupt(payload):
         payload[column] = payload[column][:-4] + "*!*="
@@ -424,7 +513,7 @@ class TestMalformedPayloads:
 
     # The hostile-payload tests keep the names and case ids of the
     # version-2 and version-3 layouts their faults were first written
-    # for.  Every case now corrupts a version-4 payload: a structural
+    # for.  Every case now corrupts a version-5 payload: a structural
     # fault through the version-3 lists it packs (``repack``), a type
     # fault through the packed text itself, since a packed column
     # holds items of its own type only.
@@ -554,18 +643,18 @@ class TestMalformedPayloads:
 
 
 class TestPackedFrontiers:
-    """Version 4 packs version 3's columns: a packing fault, and every
-    fault version 3 rejects, ends in SerializationError."""
+    """Version 5 packs version 3's columns as hex: a packing fault, and
+    every fault version 3 rejects, ends in SerializationError.  (The
+    test keeps the name it had when version 4 packed them as base64.)"""
 
     @pytest.mark.parametrize("corrupt", [
-        replace_column("delta_index", "AAAA*AAA"),
-        replace_column("iteration_time", "AAAAA"),
-        replace_column("ids", "not base64!", row=0),
+        replace_column("delta_index", "0000*000"),
+        replace_column("iteration_time", "00000"),
+        replace_column("ids", "not hex!", row=0),
         replace_column("iteration_time", [0.5, 1.0]),
         replace_column("delta_duration", None),
         replace_column("delta_duration", pack([1, 2, 3], "i")),
-        replace_column("frequencies", pack([1.0], "d")[:-4] + "AA==",
-                       row=0),
+        replace_column("frequencies", pack([1.0], "d")[:-2], row=0),
         repack(lambda p: p["delta_index"].append(0)),
         repack(lambda p: p["delta_frequency"].pop()),
         repack(lambda p: p["delta_offsets"].pop()),
@@ -577,16 +666,22 @@ class TestPackedFrontiers:
         repack(lambda p: p["rows"][0]["ids"].__setitem__(
             1, p["rows"][0]["ids"][0])),
         repack(lambda p: p["rows"][0]["frequencies"].pop()),
-    ], ids=["bad-base64", "bad-padding", "not-base64", "json-list",
+        lambda p: p.__setitem__("iteration_time", " ".join(
+            p["iteration_time"][i:i + 2]
+            for i in range(0, len(p["iteration_time"]), 2))),
+        lambda p: p.__setitem__("iteration_time",
+                                p["iteration_time"] + "\n"),
+    ], ids=["bad-hex", "odd-length", "not-hex", "json-list",
             "null-column", "doubles-of-ints-length", "short-last-item",
             "index-count-vs-offsets", "clock-count-vs-offsets",
             "short-offsets", "last-index-high", "index-negative",
             "missing-clock", "full-row-with-deltas", "unsorted-times",
-            "repeated-id", "short-frequencies"])
+            "repeated-id", "short-frequencies", "spaced-hex",
+            "trailing-newline"])
     def test_hostile_v4_frontiers(self, small_optimizer, corrupt):
         payload = json.loads(json.dumps(
             frontier_to_dict(small_optimizer.frontier)))
-        assert payload["version"] == 4
+        assert payload["version"] == 5
         intact = frontier_from_dict(json.loads(json.dumps(payload)))
         assert frontier_bits(intact) == frontier_bits(
             small_optimizer.frontier)
@@ -730,7 +825,7 @@ class TestCLI:
                 (missing, f"cannot read frontier {missing}: "),
                 (bad, f"{bad} is not valid JSON: "),
                 (old, f"{old} is not a valid frontier: unsupported "
-                      f"frontier format version 3; this build reads 4\n"),
+                      f"frontier format version 3; this build reads 5\n"),
                 (profile, f"{profile} is not a valid frontier: expected "
                           f"kind 'frontier', got 'pipeline_profile'\n")):
             assert main(["straggler", str(path)]) == 2
@@ -752,8 +847,38 @@ class TestCLI:
             argv = [argv[0], "bert-large", "--stages", "2",
                     "--microbatches", "3", "--freq-stride", "24", *argv[1:]]
         assert main([*argv, str(target)]) == 2
-        assert capsys.readouterr().err.startswith(
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
             f"error: cannot write {what} {target}: ")
+        # The target is checked before any planning: no summary, table
+        # or counters were printed.
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("option", ["--output", "--trace"])
+    def test_a_failed_plan_leaves_its_outputs_alone(self, tmp_path, capsys,
+                                                    monkeypatch, option):
+        import repro.cli as cli
+        import repro.obs.trace as trace
+
+        class Failing:
+            def result(self, spec):
+                raise ReproError("planning failed")
+
+        monkeypatch.setattr(cli, "default_planner", Failing)
+        # ``--trace`` turns recording on before the plan fails; restore
+        # the process-wide switch afterwards.
+        monkeypatch.setattr(trace, "_enabled", trace._enabled)
+        monkeypatch.setattr(trace, "_recorder", trace._recorder)
+        kept = tmp_path / "kept.json"
+        kept.write_text("earlier output", encoding="utf-8")
+        fresh = tmp_path / "fresh.json"
+        for target in (kept, fresh):
+            assert main(["plan", "bert-large", "--stages", "2",
+                         "--microbatches", "3", "--freq-stride", "24",
+                         option, str(target)]) == 2
+            assert capsys.readouterr().err == "error: planning failed\n"
+        assert kept.read_text(encoding="utf-8") == "earlier output"
+        assert not fresh.exists()
 
     def test_trace_view_names_a_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

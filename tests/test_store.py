@@ -17,8 +17,10 @@ import sys
 
 import pytest
 from reference.frontier_v2 import frontier_to_dict_v2
-from reference.frontier_v3 import frontier_to_dict_v3, repack, v3_lists
+from reference.frontier_v3 import (frontier_to_dict_v3, frontier_to_dict_v4,
+                                   repack, v3_lists)
 from reference.keys import key_text
+from reference.measurements_v1 import as_old_payload
 
 from repro.api import PlanSpec, Planner, mixed_cluster_specs
 from repro.core.serialization import (
@@ -577,6 +579,7 @@ OLD_FRONTIERS = {
         "points": [schedule_to_dict(p) for p in frontier.points]},
     2: frontier_to_dict_v2,
     3: frontier_to_dict_v3,
+    4: frontier_to_dict_v4,
 }
 
 
@@ -624,15 +627,25 @@ class TestWarmBaseline:
                 scalar_bits(reference)
         assert warm.stats["baseline"] == 0
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_older_files_are_rewritten(self, tmp_path, version):
         root = tmp_path / "store"
         filler = Planner(cache=root)
         cold = {spec: filler.plan(spec) for spec in self.SPECS}
-        # The store as an older build left it: version-1, -2 or -3
-        # frontiers and tau records that carry the value alone.
+        # The store as an older build left it: version-1 to -4
+        # frontiers, tau records that carry the value alone, and
+        # profiles and stage sweeps with measurement rows.
         frontiers = os.listdir(root / "frontier")
         taus = os.listdir(root / "tau")
+        profiles = os.listdir(root / "profile")
+        sweeps = os.listdir(root / "stage_sweep")
+        assert len(profiles) == 2 and sweeps
+        for namespace, names in (("profile", profiles),
+                                 ("stage_sweep", sweeps)):
+            for name in names:
+                path = root / namespace / name
+                path.write_text(json.dumps(as_old_payload(
+                    json.loads(path.read_text("utf-8")))), "utf-8")
         for name in frontiers:
             path = root / "frontier" / name
             frontier = payload_from_dict(json.loads(path.read_text("utf-8")))
@@ -651,13 +664,17 @@ class TestWarmBaseline:
             assert report.plan == cold[spec].plan
         # Each older file is a miss, recomputed and rewritten in place
         # at the current version.
-        assert (old.stats["frontier"], old.stats["tau"]) == \
-            (len(frontiers), len(taus))
+        assert (old.stats["frontier"], old.stats["tau"],
+                old.stats["profile"], old.stats["stage_profile"]) == \
+            (len(frontiers), len(taus), len(profiles), len(sweeps))
         assert old.cache.counters["disk_misses"] >= len(frontiers) + len(
-            taus)
+            taus) + len(profiles) + len(sweeps)
         assert sorted(os.listdir(root / "frontier")) == sorted(frontiers)
         assert sorted(os.listdir(root / "tau")) == sorted(taus)
-        for namespace, current in (("frontier", 4), ("tau", 2)):
+        assert sorted(os.listdir(root / "profile")) == sorted(profiles)
+        assert sorted(os.listdir(root / "stage_sweep")) == sorted(sweeps)
+        for namespace, current in (("frontier", 5), ("tau", 2),
+                                   ("profile", 3), ("stage_sweep", 2)):
             for name in os.listdir(root / namespace):
                 payload = json.loads(
                     (root / namespace / name).read_text("utf-8"))
@@ -742,7 +759,7 @@ class TestMalformedEntries:
 
     # The hostile-file tests keep the names and case ids of the
     # version-2 and version-3 layouts their faults were first written
-    # for; each corrupts a version-4 file, through the version-3 lists
+    # for; each corrupts a version-5 file, through the version-3 lists
     # it packs or (a string where a number belongs) its packed text.
 
     @staticmethod
