@@ -177,47 +177,52 @@ def cmd_plan(args) -> int:
         from .obs.trace import enable_tracing
 
         recorder = enable_tracing()
-    stack = planner.result(spec)
-    report = planner.plan(spec)
-    print(f"model      : {stack.model.name} "
-          f"({stack.model.params / 1e9:.2f}B params)")
-    if stack.is_heterogeneous:
-        mix = ", ".join(f"stage{i}={g.name}" for i, g in enumerate(stack.gpus))
-        print(f"gpus       : {mix}")
-    else:
-        print(f"gpu        : {stack.gpu.name}")
-    print(f"strategy   : {spec.strategy}")
-    print(f"partition  : {list(stack.partition.boundaries)} "
-          f"(imbalance {stack.partition.ratio:.2f})")
-    if spec.strategy == "perseus" or args.output:
-        # frontier_for (not stack.frontier) so a persistent store, if
-        # attached via REPRO_CACHE_DIR, records the characterization.
-        frontier = planner.frontier_for(spec)
-        print(f"frontier   : {len(frontier.points)} schedules, "
-              f"T_min={frontier.t_min:.4f}s, T*={frontier.t_star:.4f}s")
-        print(f"optimizer  : {frontier.steps} steps, "
-              f"{frontier.optimizer_runtime_s:.2f}s")
-    # "intrinsic" is the paper's term for bloat Perseus removes without
-    # slowing the iteration; other strategies get a neutral label.
-    label = "intrinsic" if spec.strategy == "perseus" else "savings"
-    print(f"{label:11s}: {report.energy_savings_pct:.1f}% energy saved at "
-          f"{report.slowdown_pct:+.2f}% iteration time")
-    if args.timings:
-        # Force characterization so there is a crawl to report on, then
-        # show where its time went (flat or fast kernel, event passes,
-        # instance builds, max-flow solves).
-        frontier = planner.frontier_for(spec)
-        _print_timings(frontier.stats.get("timings"))
-    if args.output:
-        _write_output(args.output, "frontier",
-                      lambda fp: save_json(stack.frontier, fp))
-        print(f"frontier saved to {args.output}")
+    try:
+        stack = planner.result(spec)
+        report = planner.plan(spec)
+        print(f"model      : {stack.model.name} "
+              f"({stack.model.params / 1e9:.2f}B params)")
+        if stack.is_heterogeneous:
+            mix = ", ".join(f"stage{i}={g.name}"
+                            for i, g in enumerate(stack.gpus))
+            print(f"gpus       : {mix}")
+        else:
+            print(f"gpu        : {stack.gpu.name}")
+        print(f"strategy   : {spec.strategy}")
+        print(f"partition  : {list(stack.partition.boundaries)} "
+              f"(imbalance {stack.partition.ratio:.2f})")
+        if spec.strategy == "perseus" or args.output:
+            # frontier_for (not stack.frontier) so a persistent store, if
+            # attached via REPRO_CACHE_DIR, records the characterization.
+            frontier = planner.frontier_for(spec)
+            print(f"frontier   : {len(frontier.points)} schedules, "
+                  f"T_min={frontier.t_min:.4f}s, T*={frontier.t_star:.4f}s")
+            print(f"optimizer  : {frontier.steps} steps, "
+                  f"{frontier.optimizer_runtime_s:.2f}s")
+        # "intrinsic" is the paper's term for bloat Perseus removes without
+        # slowing the iteration; other strategies get a neutral label.
+        label = "intrinsic" if spec.strategy == "perseus" else "savings"
+        print(f"{label:11s}: {report.energy_savings_pct:.1f}% energy saved at "
+              f"{report.slowdown_pct:+.2f}% iteration time")
+        if args.timings:
+            # Force characterization so there is a crawl to report on, then
+            # show where its time went (flat or fast kernel, event passes,
+            # instance builds, max-flow solves).
+            frontier = planner.frontier_for(spec)
+            _print_timings(frontier.stats.get("timings"))
+        if args.output:
+            _write_output(args.output, "frontier",
+                          lambda fp: save_json(stack.frontier, fp))
+            print(f"frontier saved to {args.output}")
+    finally:
+        if recorder is not None:
+            from .obs.trace import disable_tracing
+
+            disable_tracing()
     if recorder is not None:
         from .obs.export import save_chrome_trace
-        from .obs.trace import disable_tracing
 
         spans = recorder.spans
-        disable_tracing()
         _write_output(args.trace, "trace",
                       lambda fp: save_chrome_trace(fp, spans))
         trace_id = (report.provenance or {}).get("trace_id")
@@ -493,14 +498,13 @@ def _fleet_trace(args):
 
 def cmd_fleet(args) -> int:
     from .experiments.report import format_table
-    from .fleet import FleetSimulator, StepTrace
+    from .fleet import FleetSimulator, FleetTrace, StepTrace
 
     trace = _fleet_trace(args)
     _check_writable(args.trace_out, "timeline")
     _check_writable(args.output, "report")
-    observers = None
     if args.drift:
-        from .drift.scenarios import ScenarioDriver, get_scenario
+        from .drift.scenarios import get_scenario
 
         try:
             overrides = json.loads(args.drift_params) \
@@ -511,17 +515,19 @@ def cmd_fleet(args) -> int:
         if not isinstance(overrides, dict):
             raise ReproError("--drift-params must be a JSON object")
         scenario = get_scenario(args.drift, **overrides)
-        # One driver per job, with the fault clock starting at that
-        # job's arrival -- every job sees the same relative timeline.
-        observers = [ScenarioDriver(job.job_id, scenario,
-                                    start_s=job.arrival_s)
-                     for job in trace.jobs]
+        # Bake the scenario into every job, its fault clock starting at
+        # that job's arrival -- every job sees the same relative timeline.
+        baked = [event for job in trace.jobs
+                 for event in scenario.to_events(job.job_id,
+                                                 start_s=job.arrival_s)]
+        trace = FleetTrace(jobs=trace.jobs, events=sorted(
+            [*trace.events, *baked], key=lambda event: event.time_s))
     cap = args.cap_watts
     if args.cap_trace:
         cap = _read_input(args.cap_trace, "cap trace", StepTrace.from_json)
     sim = FleetSimulator(
         trace, policy=args.policy, cap_w=cap, carbon=args.carbon,
-        planner=_planner(args), plan_jobs=args.jobs, observers=observers,
+        planner=_planner(args), plan_jobs=args.jobs,
         record_timeline=bool(args.trace_out),
     )
     report = sim.run()
@@ -561,13 +567,13 @@ def cmd_fleet(args) -> int:
     # must keep the steady-state scenario strictly under its cap.
     print(f"cap        : violation {report.cap_violation_s:.2f} s, "
           f"deadline misses {report.deadline_misses}", file=human)
-    if observers is not None:
+    if args.drift:
         # The drift-smoke CI guard greps this line for a nonzero
-        # replans_total: online notifications must re-point jobs.
+        # replans_total: baked notifications must re-point jobs.
         stats = sim.drift_stats
         print(f"drift      : replans_total={stats['replans']} "
               f"notifications={stats['notifications']} "
-              f"wakes={stats['wakes']} scenario={args.drift}", file=human)
+              f"scenario={args.drift}", file=human)
     if report.carbon_g:
         print(f"carbon     : {report.carbon_g:.1f} gCO2", file=human)
 
@@ -844,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default="waterfill",
                    help="registered fleet policy (see 'policies')")
     p.add_argument("--drift", default=None, metavar="SCENARIO",
-                   help="inject a drift scenario online into every job "
+                   help="bake a drift scenario into every job's trace "
                         "(thermal-ramp, stale-profile, "
                         "checkpoint-restart, flapping)")
     p.add_argument("--drift-params", default=None, metavar="JSON",
@@ -870,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the fleet report to this file")
     p.add_argument("--trace-out", default=None, metavar="FILE",
                    help="record the run's event timeline (arrivals, "
-                        "re-plans, cap changes, drift wakes) and save "
+                        "stragglers, re-plans, cap changes) and save "
                         "it as Chrome trace-event JSON (--trace is the "
                         "fleet *input* trace)")
     p.set_defaults(func=cmd_fleet)

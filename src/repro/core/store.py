@@ -78,12 +78,6 @@ STORE_LAYOUT_VERSION = 1
 PERSISTENT_NAMESPACES = ("partition", "profile", "stage_sweep", "tau",
                          "frontier")
 
-#: Set to ``"0"`` to skip the fsync-before-rename in
-#: :meth:`PlanStore._atomic_write` (defaults to on): faster for
-#: throwaway test stores, at the cost of crash durability.
-FSYNC_ENV = "REPRO_STORE_FSYNC"
-
-
 class StoreError(ReproError):
     """The on-disk plan store is unusable (layout mismatch, bad root)."""
 
@@ -362,32 +356,28 @@ class PlanStore(MemoryCache):
         return self.digest_path(namespace, self.digest(key))
 
     def _atomic_write(self, path: str, text: str) -> None:
-        """Temp file + ``os.replace``, durably when :data:`FSYNC_ENV` allows.
+        """Temp file + ``os.replace``, durably.
 
         ``os.replace`` alone is atomic against concurrent *readers* but
         not against power loss: without an fsync the rename can reach
         disk before the data, leaving a zero-length or truncated file
-        under the final name after a crash.  So (unless
-        ``REPRO_STORE_FSYNC=0`` opts out, e.g. for throwaway test
-        stores) the temp file is fsynced before the rename and the
-        directory after it -- the POSIX recipe for "either the old
-        state or the complete new file".  A reader that still finds
-        garbage (crash with fsync off, torn disk) hits the corrupt-
-        payload path in :meth:`get`, which records a miss and marks
-        the path for rewrite -- never a crash.
+        under the final name after a crash.  So the temp file is
+        fsynced before the rename and the directory after it -- the
+        POSIX recipe for "either the old state or the complete new
+        file".  A reader that still finds garbage (a torn disk) hits
+        the corrupt-payload path in :meth:`get`, which records a miss
+        and marks the path for rewrite -- never a crash.
         """
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        fsync = os.environ.get(FSYNC_ENV, "1") != "0"
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                    suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fp:
                 fp.write(text)
-                if fsync:
-                    fp.flush()
-                    os.fsync(fp.fileno())
+                fp.flush()
+                os.fsync(fp.fileno())
             os.replace(tmp, path)
-            if fsync and hasattr(os, "O_DIRECTORY"):
+            if hasattr(os, "O_DIRECTORY"):
                 # Persist the rename itself (POSIX only; harmless to
                 # skip where directories cannot be opened).
                 try:

@@ -24,9 +24,9 @@ produced the original schedule:
   :class:`DriftScenario` describes thermal-throttle ramps,
   checkpoint/restarts with plan re-adoption, stale-profile arrivals
   and flapping stragglers; the same scenario drives the analytic
-  closed-loop simulator (:func:`simulate_scenario`), a *running*
-  :class:`~repro.fleet.simulator.FleetSimulator` (via
-  :class:`ScenarioDriver`), and the chaos tests.
+  closed-loop simulator (:func:`simulate_scenario`), a
+  :class:`~repro.fleet.simulator.FleetSimulator` (baked into its trace
+  by :meth:`DriftScenario.to_events`), and the chaos tests.
 """
 
 from .detector import DriftBand, DriftDetector, DriftSignal
@@ -46,7 +46,6 @@ from .scenarios import (
     DriftPhase,
     DriftRunReport,
     DriftScenario,
-    ScenarioDriver,
     checkpoint_restart,
     flapping,
     get_scenario,
@@ -71,7 +70,6 @@ __all__ = [
     "DriftPhase",
     "DriftScenario",
     "DriftRunReport",
-    "ScenarioDriver",
     "SCENARIOS",
     "get_scenario",
     "simulate_scenario",

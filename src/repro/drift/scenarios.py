@@ -17,11 +17,10 @@ One scenario drives three harnesses:
   energy ``Eq. 3`` at the realized time, scaled by the phase's energy
   factor), so hold / closed-loop / oracle comparisons are exact and
   deterministic.
-* :class:`ScenarioDriver` -- an observer for a *running*
-  :class:`~repro.fleet.simulator.FleetSimulator`: it wakes the event
-  loop at each phase boundary and applies ``set_straggler``
-  notifications online (equivalent, by construction, to baking the
-  same events into the trace -- a property the tests assert).
+* :meth:`DriftScenario.to_events` -- the scenario as
+  :class:`~repro.fleet.jobs.StragglerEvent` rows baked into a
+  :class:`~repro.fleet.jobs.FleetTrace`, which is how
+  ``repro fleet --drift`` injects it into every job.
 * Chaos tests -- the same phases, with the re-plan path made to
   fail/timeout, exercise the degradation contract.
 """
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..core.unified import straggler_floor
 from ..exceptions import ConfigurationError
@@ -102,19 +101,13 @@ class DriftScenario:
     def degree_at(self, t: float) -> float:
         return self.phase_at(t).degree
 
-    def boundaries(self) -> List[float]:
-        """Every instant the fault state changes (phases + restarts)."""
-        times = {p.start_s for p in self.phases} | set(self.restarts)
-        return sorted(times)
-
     def to_events(self, job_id: str, start_s: float = 0.0) -> list:
         """The scenario as trace-bakeable ``StragglerEvent`` rows.
 
-        Used both to drive fleets from static traces and to assert the
-        online/offline equivalence (a :class:`ScenarioDriver` applied
-        to a running simulation must reproduce the report a trace with
-        these events produces).  Energy factors do not survive the
-        translation -- the fleet model prices time floors only.
+        ``start_s`` shifts the fault clock (``repro fleet --drift``
+        passes each job's arrival).  Energy factors and ``restarts``
+        do not survive the translation -- the fleet model prices time
+        floors only and deploys plans instantaneously.
         """
         from ..fleet.jobs import StragglerEvent
 
@@ -276,45 +269,6 @@ def get_scenario(name: str, **overrides) -> DriftScenario:
             f"choose from {sorted(SCENARIOS)}"
         ) from None
     return factory(**overrides)
-
-
-# -- driving a running fleet simulation --------------------------------------
-
-class ScenarioDriver:
-    """Applies a scenario to a *running* fleet simulation.
-
-    Attach via ``FleetSimulator(..., observers=[driver])``.  The
-    driver schedules a wake-up for each phase boundary (so the event
-    loop advances to exactly those instants) and calls
-    ``sim.set_straggler`` as each boundary comes due -- the online
-    twin of baking :meth:`DriftScenario.to_events` into the trace.
-    ``restarts`` have no fleet meaning (the fleet model deploys plans
-    instantaneously) and are ignored here.
-    """
-
-    def __init__(self, job_id: str, scenario: DriftScenario,
-                 start_s: float = 0.0) -> None:
-        self.job_id = job_id
-        self.scenario = scenario
-        self.start_s = float(start_s)
-        self._pending: List[Tuple[float, float]] = [
-            (self.start_s + phase.start_s, phase.degree)
-            for phase in scenario.phases
-            if not (phase.start_s == 0.0 and phase.degree == 1.0)
-        ]
-        self.applied = 0
-
-    def attach(self, sim) -> None:
-        if self._pending:
-            sim.schedule_wake(self._pending[0][0])
-
-    def __call__(self, sim, now: float) -> None:
-        while self._pending and self._pending[0][0] <= now + _TIME_EPS:
-            _, degree = self._pending.pop(0)
-            sim.set_straggler(self.job_id, degree)
-            self.applied += 1
-        if self._pending:
-            sim.schedule_wake(self._pending[0][0])
 
 
 # -- the analytic closed-loop simulator --------------------------------------

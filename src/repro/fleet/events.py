@@ -34,12 +34,8 @@ from ..exceptions import SimulationError
 #: batch, so ordering within a batch never changes the outcome.
 ARRIVAL = "arrival"
 COMPLETION = "completion"
-TRACE = "trace"  # a cap/carbon/price trace breakpoint (resample point)
+TRACE = "trace"  # a cap/carbon trace breakpoint (resample point)
 STRAGGLER = "straggler"
-#: An observer-requested wake-up: advances the loop to a chosen instant
-#: so online drivers (e.g. :class:`repro.drift.ScenarioDriver`) can
-#: inject ``set_straggler`` notifications into a *running* simulation.
-WAKE = "wake"
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ class Event:
             raise SimulationError(
                 f"event time must be non-negative, got {self.time_s}"
             )
-        if self.kind not in (ARRIVAL, COMPLETION, TRACE, STRAGGLER, WAKE):
+        if self.kind not in (ARRIVAL, COMPLETION, TRACE, STRAGGLER):
             raise SimulationError(f"unknown event kind {self.kind!r}")
 
 

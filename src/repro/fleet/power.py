@@ -19,9 +19,9 @@ by the same ``EnergySchedule.energy_at``, so fleet policies inherit the
 paper's straggler behaviour for free.
 
 The datacenter side is :class:`StepTrace`: a right-continuous
-piecewise-constant time series used for the cluster power cap (watts),
-grid carbon intensity (gCO2/kWh) and energy price.  Breakpoints double
-as simulator resample events, which keeps every integral exact.
+piecewise-constant time series used for the cluster power cap (watts)
+and grid carbon intensity (gCO2/kWh).  Breakpoints double as simulator
+resample events, which keeps every integral exact.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..exceptions import ConfigurationError
 #: Serialized step-trace schema version.
 TRACE_FORMAT_VERSION = 1
 
-#: Joules per kilowatt-hour (carbon/price integrals).
+#: Joules per kilowatt-hour (carbon integrals).
 J_PER_KWH = 3.6e6
 
 
@@ -122,8 +122,8 @@ class StepTrace:
 
     ``value_at(t)`` returns ``values[i]`` for the largest breakpoint
     ``times[i] <= t``; before the first breakpoint the first value
-    holds.  Used for power caps (watts), carbon intensity (gCO2/kWh)
-    and energy price; breakpoints become simulator resample events.
+    holds.  Used for power caps (watts) and carbon intensity
+    (gCO2/kWh); breakpoints become simulator resample events.
     """
 
     times: Tuple[float, ...]
@@ -228,7 +228,7 @@ TraceLike = Union[None, float, int, StepTrace]
 
 
 def as_trace(value: TraceLike, what: str) -> Optional[StepTrace]:
-    """Coerce a user-facing cap/carbon/price argument to a trace."""
+    """Coerce a user-facing cap/carbon argument to a trace."""
     if value is None or isinstance(value, StepTrace):
         return value
     if isinstance(value, (int, float)):

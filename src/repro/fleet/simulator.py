@@ -6,8 +6,8 @@ through a discrete-event loop: jobs arrive, get admitted with their
 configured allocation policy re-points each running job along its own
 frontier so the fleet's aggregate draw respects the power cap in force.
 Between events every job runs at a fixed
-:class:`~repro.core.schedule.EnergySchedule`, so energy, carbon, cost
-and cap-violation integrals are exact piecewise products -- no
+:class:`~repro.core.schedule.EnergySchedule`, so energy, carbon and
+cap-violation integrals are exact piecewise products -- no
 numerical integration, and therefore bit-identical reports for a fixed
 (trace, policy, cap) triple.
 
@@ -15,7 +15,7 @@ The output is a :class:`FleetReport`: per-job energy/time/deadline
 accounting plus the fleet-level numbers the paper's discussion asks
 about at datacenter scale -- total energy against the all-max-clock
 counterfactual (fleet energy bloat), seconds spent above the cap, and
-grid carbon/cost when intensity/price traces are supplied.
+grid carbon when an intensity trace is supplied.
 """
 
 from __future__ import annotations
@@ -23,20 +23,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Dict, Optional, Sequence
+from typing import IO, Dict, Optional
 
 from ..api.planner import Planner
 from ..core.unified import straggler_floor
 from ..exceptions import ConfigurationError, SimulationError
-from .events import (
-    ARRIVAL,
-    COMPLETION,
-    STRAGGLER,
-    TRACE,
-    WAKE,
-    Event,
-    EventQueue,
-)
+from .events import ARRIVAL, COMPLETION, STRAGGLER, TRACE, Event, EventQueue
 from .jobs import FleetJob, FleetTrace, JobPlan, plan_trace
 from .policy import AllocationContext, FleetPolicy, JobView, get_policy
 from .power import (
@@ -66,7 +58,6 @@ class _ActiveJob:
     point: Optional[OperatingPoint] = None
     energy_j: float = 0.0
     carbon_g: float = 0.0
-    cost: float = 0.0
     end_s: Optional[float] = None
 
     def view(self) -> JobView:
@@ -97,7 +88,6 @@ class JobRecord:
     deadline_s: Optional[float]
     deadline_missed: bool
     carbon_g: float = 0.0
-    cost: float = 0.0
 
     @property
     def duration_s(self) -> float:
@@ -130,7 +120,6 @@ class JobRecord:
             "deadline_s": self.deadline_s,
             "deadline_missed": self.deadline_missed,
             "carbon_g": self.carbon_g,
-            "cost": self.cost,
         }
 
 
@@ -153,7 +142,6 @@ class FleetReport:
     cap_violation_s: float
     makespan_s: float
     carbon_g: float = 0.0
-    cost: float = 0.0
 
     @property
     def deadline_misses(self) -> int:
@@ -191,7 +179,6 @@ class FleetReport:
             "cap_violation_s": self.cap_violation_s,
             "makespan_s": self.makespan_s,
             "carbon_g": self.carbon_g,
-            "cost": self.cost,
             "deadline_misses": self.deadline_misses,
             "jobs": [r.to_dict() for r in self.jobs],
         }
@@ -213,24 +200,17 @@ class FleetSimulator:
             :class:`StepTrace`, or ``None`` for uncapped operation.
         carbon: Grid carbon intensity in gCO2/kWh (constant or trace);
             ``None`` disables carbon accounting.
-        price: Energy price per kWh (constant or trace); ``None``
-            disables cost accounting.
         planner: Shared :class:`~repro.api.Planner` (defaults to the
             process-wide one, so ``REPRO_CACHE_DIR`` persists fleet
             frontiers like every other entry point).
         plan_jobs: Worker processes for the up-front planning sweep
             over a persistent store (``None``/1, or no store = serial;
             results are bit-identical either way).
-        observers: Callables invoked as ``observer(sim, now)`` after
-            every event batch.  An observer with an ``attach(sim)``
-            method is attached at run start; observers may call
-            :meth:`set_straggler` / :meth:`schedule_wake` to drive the
-            *running* simulation (drift scenario injection).
         record_timeline: When True, :meth:`run` appends one dict per
             notable moment to :attr:`timeline` -- job lifespans
             (``kind="job"`` with ``start_s``/``end_s``), arrivals,
-            stragglers, re-points, cap/trace breakpoints and drift
-            wakes (instants with ``t_s``).  The list feeds
+            stragglers, re-points and cap/trace breakpoints
+            (instants with ``t_s``).  The list feeds
             :func:`repro.obs.export.fleet_timeline_to_chrome`.
     """
 
@@ -240,10 +220,8 @@ class FleetSimulator:
         policy: object = "waterfill",
         cap_w: TraceLike = None,
         carbon: TraceLike = None,
-        price: TraceLike = None,
         planner: Optional[Planner] = None,
         plan_jobs: Optional[int] = None,
-        observers: Optional[Sequence] = None,
         record_timeline: bool = False,
     ) -> None:
         self.trace = trace
@@ -256,87 +234,20 @@ class FleetSimulator:
             )
         self.cap_trace = as_trace(cap_w, "cap_w")
         self.carbon_trace = as_trace(carbon, "carbon")
-        self.price_trace = as_trace(price, "price")
         self._planner = planner
         self._plan_jobs = plan_jobs
-        self.observers = tuple(observers or ())
-        #: Online-notification counters (the CLI's ``--drift`` line):
-        #: every ``set_straggler`` is a notification; the ones that
+        #: Straggler-notification counters (the CLI's ``--drift`` line):
+        #: every straggler event is a notification; the ones that
         #: re-pointed a *running* job count as replans.
-        self.drift_stats: Dict[str, int] = {
-            "notifications": 0, "replans": 0, "wakes": 0,
-        }
+        self.drift_stats: Dict[str, int] = {"notifications": 0, "replans": 0}
         self.record_timeline = record_timeline
         #: Recorded run timeline (empty unless ``record_timeline``).
         self.timeline: list = []
-        # Loop state, promoted to attributes so observers can reach a
-        # *running* simulation through the public methods below.
-        self._queue: Optional[EventQueue] = None
-        self._plans: Optional[Dict] = None
-        self._running: Dict[str, _ActiveJob] = {}
-        self._records: Dict[str, JobRecord] = {}
-        self._pending_stragglers: Dict[str, float] = {}
-        self._now = 0.0
-        self._dirty = False
-
-    # -- online drift surface ------------------------------------------------
-    def schedule_wake(self, at_s: float) -> None:
-        """Ask the event loop to advance to ``at_s`` (observers only).
-
-        Without a wake the loop would jump straight between organic
-        events and an observer's boundary in the gap would be applied
-        late.  Wakes never travel into the past.
-        """
-        if self._queue is None:
-            raise SimulationError(
-                "schedule_wake needs a running simulation"
-            )
-        self._queue.push(Event(time_s=max(at_s, self._now), kind=WAKE))
-
-    def set_straggler(self, job_id: str, degree: float) -> None:
-        """Table 2 notification delivered to the *running* simulation.
-
-        Exactly the semantics of a trace-baked
-        :class:`~repro.fleet.jobs.StragglerEvent` at the current
-        instant: a running job's floor moves (and the fleet re-points
-        at this timestamp); a not-yet-arrived job's floor is held and
-        applied on admission; a completed job's notification is a
-        no-op.  ``degree`` 1.0 clears the floor.
-        """
-        if degree < 1.0:
-            raise SimulationError("straggler degree must be >= 1.0")
-        if self._plans is None:
-            raise SimulationError(
-                "set_straggler needs a running simulation"
-            )
-        self.trace.job(job_id)  # raises for unknown ids
-        self.drift_stats["notifications"] += 1
-        self._mark("straggler", t_s=self._now, job=job_id, degree=degree)
-        if self._apply_straggler(job_id, degree):
-            self.drift_stats["replans"] += 1
-            self._dirty = True
 
     def _mark(self, kind: str, **fields) -> None:
         """Append one timeline entry (no-op unless recording)."""
         if self.record_timeline:
             self.timeline.append({"kind": kind, **fields})
-
-    def _apply_straggler(self, job_id: str, degree: float) -> bool:
-        """Move one job's floor; True if a *running* job was touched."""
-        plan = self._plans[self.trace.job(job_id).plan_spec]
-        floor = straggler_floor(plan.model.t_min, degree)
-        state = self._running.get(job_id)
-        if state is not None:
-            state.floor_time_s = floor
-            return True
-        if job_id not in self._records:
-            # Straggler fired before arrival: apply on admit
-            # (a degree-1.0 notification clears any pending).
-            if floor is None:
-                self._pending_stragglers.pop(job_id, None)
-            else:
-                self._pending_stragglers[job_id] = floor
-        return False
 
     # -- accounting ----------------------------------------------------------
     def _accrue(self, running: Dict[str, _ActiveJob], t0: float,
@@ -344,7 +255,7 @@ class FleetSimulator:
         """Integrate one constant-power interval ``[t0, t1)``.
 
         Returns the totals accrued (violation seconds and fleet
-        energy); per-job energy/carbon/cost land on the jobs.  Rates
+        energy); per-job energy/carbon land on the jobs.  Rates
         are sampled at ``t0`` -- traces are right-continuous and every
         breakpoint is an event, so the value holds over the interval.
         """
@@ -354,7 +265,6 @@ class FleetSimulator:
             return totals
         intensity = (self.carbon_trace.value_at(t0)
                      if self.carbon_trace else 0.0)
-        rate = self.price_trace.value_at(t0) if self.price_trace else 0.0
         for state in running.values():
             point = state.point
             if point is None:
@@ -366,7 +276,6 @@ class FleetSimulator:
             state.remaining_iterations -= dt / point.iteration_time_s
             state.energy_j += energy
             state.carbon_g += energy / J_PER_KWH * intensity
-            state.cost += energy / J_PER_KWH * rate
             totals["energy_j"] += energy
         if self.cap_trace is not None:
             draw = aggregate_power_w(
@@ -406,41 +315,36 @@ class FleetSimulator:
 
     # -- the event loop ------------------------------------------------------
     def run(self) -> FleetReport:
-        self._plans = plan_trace(self.trace, planner=self._planner,
-                                 jobs=self._plan_jobs)
+        plans = plan_trace(self.trace, planner=self._planner,
+                           jobs=self._plan_jobs)
         queue = EventQueue()
-        self._queue = queue
         for job in self.trace.jobs:
             queue.push(Event(time_s=job.arrival_s, kind=ARRIVAL,
                              job_id=job.job_id))
         for event in self.trace.events:
             queue.push(Event(time_s=event.time_s, kind=STRAGGLER,
                              job_id=event.job_id, degree=event.degree))
-        for trace in (self.cap_trace, self.carbon_trace, self.price_trace):
+        for trace in (self.cap_trace, self.carbon_trace):
             if trace is not None:
                 for bp in trace.breakpoints_after(0.0):
                     queue.push(Event(time_s=bp, kind=TRACE))
 
-        running = self._running = {}
-        records = self._records = {}
-        self._pending_stragglers = {}
-        self._now = 0.0
-        self._dirty = False
+        running: Dict[str, _ActiveJob] = {}
+        records: Dict[str, JobRecord] = {}
+        pending_stragglers: Dict[str, Optional[float]] = {}
+        self.drift_stats = {"notifications": 0, "replans": 0}
         self.timeline = []
         violation_s = 0.0
         fleet_energy = 0.0
-        for observer in self.observers:
-            attach = getattr(observer, "attach", None)
-            if attach is not None:
-                attach(self)
+        now = 0.0
 
         while queue:
             batch = queue.pop_batch()
             when = batch[0].time_s
-            accrued = self._accrue(running, self._now, when)
+            accrued = self._accrue(running, now, when)
             violation_s += accrued["violation_s"]
             fleet_energy += accrued["energy_j"]
-            self._now = now = when
+            now = when
 
             dirty = False
             for event in batch:
@@ -448,21 +352,30 @@ class FleetSimulator:
                     job = self.trace.job(event.job_id)
                     state = _ActiveJob(
                         job=job,
-                        plan=self._plans[job.plan_spec],
+                        plan=plans[job.plan_spec],
                         start_s=now,
                         remaining_iterations=float(job.iterations),
+                        floor_time_s=pending_stragglers.pop(job.job_id,
+                                                            None),
                     )
-                    floor = self._pending_stragglers.pop(job.job_id, None)
-                    if floor is not None:
-                        state.floor_time_s = floor
                     running[job.job_id] = state
                     self._mark("arrival", t_s=now, job=job.job_id)
                     dirty = True
                 elif event.kind == STRAGGLER:
+                    self.drift_stats["notifications"] += 1
                     self._mark("straggler", t_s=now, job=event.job_id,
                                degree=event.degree)
-                    if self._apply_straggler(event.job_id, event.degree):
+                    plan = plans[self.trace.job(event.job_id).plan_spec]
+                    floor = straggler_floor(plan.model.t_min, event.degree)
+                    state = running.get(event.job_id)
+                    if state is not None:
+                        state.floor_time_s = floor
+                        self.drift_stats["replans"] += 1
                         dirty = True
+                    elif event.job_id not in records:
+                        # Straggler fired before arrival: apply on admit
+                        # (a degree-1.0 notification clears any pending).
+                        pending_stragglers[event.job_id] = floor
                 elif event.kind == COMPLETION:
                     state = running.get(event.job_id)
                     if state is None or state.epoch != event.epoch:
@@ -485,19 +398,9 @@ class FleetSimulator:
                 elif event.kind == TRACE:
                     self._mark("cap", t_s=now)
                     dirty = True
-                elif event.kind == WAKE:
-                    self.drift_stats["wakes"] += 1
-                    self._mark("wake", t_s=now)
-            # Observers see the post-batch state at this instant; a
-            # set_straggler they issue lands in the same reallocation
-            # a trace-baked event at this timestamp would have joined.
-            for observer in self.observers:
-                observer(self, now)
-            if dirty or self._dirty:
+            if dirty:
                 self._reallocate(running, now, queue)
-                self._dirty = False
 
-        self._queue = None
         if running:
             raise SimulationError(
                 f"event queue drained with {sorted(running)} still running"
@@ -517,7 +420,6 @@ class FleetSimulator:
             # carbon curve on a 1 h run) must not stretch the makespan.
             makespan_s=max(r.end_s for r in ordered),
             carbon_g=math.fsum(r.carbon_g for r in ordered),
-            cost=math.fsum(r.cost for r in ordered),
         )
 
     def _record(self, state: _ActiveJob) -> JobRecord:
@@ -542,7 +444,6 @@ class FleetSimulator:
             deadline_s=deadline,
             deadline_missed=(deadline is not None and state.end_s > deadline),
             carbon_g=state.carbon_g,
-            cost=state.cost,
         )
 
 

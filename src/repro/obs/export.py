@@ -9,7 +9,7 @@ format, loadable in Perfetto (https://ui.perfetto.dev) or
 The emitted document is the standard ``{"traceEvents": [...]}`` object
 form.  Spans become ``"X"`` (complete) events with microsecond ``ts`` /
 ``dur``; point-in-time records (structured events, fleet re-plans, cap
-changes, drift wakes) become ``"i"`` (instant) events.  Span attributes
+changes, straggler onsets) become ``"i"`` (instant) events.  Span attributes
 and the trace id ride in ``args`` so they are searchable in the viewer.
 
 :func:`format_trace` is the terminal fallback (``repro trace view``):
@@ -93,7 +93,7 @@ def fleet_timeline_to_chrome(timeline: Sequence[dict]) -> dict:
     Timeline entries are the dicts the simulator appends when run with
     ``record_timeline=True``: ``{"kind": "job", "job": ..., "start_s":
     ..., "end_s": ...}`` become per-job ``"X"`` tracks; everything else
-    (re-plans, cap changes, drift wakes, straggler onsets) becomes an
+    (arrivals, re-plans, cap changes, straggler onsets) becomes an
     ``"i"`` instant on a shared control track.
     """
     def marks():

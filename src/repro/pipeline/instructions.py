@@ -44,6 +44,9 @@ class Instruction:
             raise ValueError("stage must be non-negative")
         if microbatch < 0:
             raise ValueError("microbatch must be non-negative")
+        if type(kind) is not InstrKind:
+            raise ValueError(
+                f"instruction kind must be an InstrKind, got {kind!r}")
         # Frozen: the fields go straight into the instance dict.  The
         # generated ``__init__`` calls ``object.__setattr__`` per field,
         # about three times the cost, and a plan builds one Instruction

@@ -12,13 +12,13 @@ Four layers, mirroring the package:
 * the Perseus server's drift surface (``report_measurement``,
   ``enable_drift``, the energy re-profile path, announced-straggler
   handoff) runs against a real characterized frontier;
-* the fleet simulator's online injection (``set_straggler`` into a
-  *running* simulation via :class:`ScenarioDriver`) must be
-  bit-identical to baking the same events into the trace.
+* ``repro fleet --drift`` bakes a scenario into every job's trace:
+  its report must equal a plain simulation of the hand-baked trace.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -727,73 +727,51 @@ class TestSessionDriftLoop:
         assert settled <= planned * 1.05
 
 
-# ----------------------------------------------------------- fleet injection
+# ------------------------------------------------------------- fleet baking
 
-class TestFleetOnlineInjection:
-    @pytest.fixture(scope="class")
-    def trace(self):
-        from repro.fleet import synthetic_trace
+#: CI's drift-smoke case: ``repro fleet`` with these flags.
+DRIFT_CLI = [
+    "fleet", "--count", "3", "--models", "bert-large", "--stages", "2",
+    "--microbatches", "4", "--freq-stride", "32", "--iterations", "120",
+    "--drift", "thermal-ramp",
+    "--drift-params", '{"start_s": 20, "step_s": 10, "hold_s": 30}',
+]
 
-        return synthetic_trace(["bert-large"], 3, seed=7, stages=2,
-                               microbatches=4, freq_stride=32)
 
-    def test_driver_matches_baked_events_bit_for_bit(self, trace):
-        from repro.drift import ScenarioDriver
-        from repro.fleet import FleetSimulator, FleetTrace
+class TestFleetDriftBaking:
+    def test_cli_report_equals_hand_baked_trace(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.fleet import FleetSimulator, FleetTrace, synthetic_trace
 
-        sc = thermal_ramp(peak=1.3, start_s=5.0, ramp_steps=1,
-                          step_s=10.0, hold_s=20.0)
-        job_id = trace.jobs[0].job_id
-        baked = FleetTrace(jobs=trace.jobs, events=tuple(sorted(
-            [*trace.events, *sc.to_events(job_id)],
-            key=lambda event: event.time_s)))
-        offline = FleetSimulator(baked).run()
+        out = tmp_path / "drift.json"
+        assert main([*DRIFT_CLI, "--format", "json", "-o", str(out)]) == 0
+        assert ("drift      : replans_total=15 notifications=18 "
+                "scenario=thermal-ramp") in capsys.readouterr().out
 
-        driver = ScenarioDriver(job_id, sc)
-        sim = FleetSimulator(trace, observers=[driver])
-        online = sim.run()
-        assert online.to_dict() == offline.to_dict()
-        assert sim.drift_stats["replans"] >= 1
-        assert sim.drift_stats["notifications"] == driver.applied
+        # The trace the CLI synthesizes from its flag defaults.
+        trace = synthetic_trace(["bert-large"], 3, seed=0,
+                                gpus=["a100", "a40"], interval_s=5.0,
+                                iterations=(120, 400), stages=2,
+                                microbatches=4, freq_stride=32)
+        sc = thermal_ramp(start_s=20.0, step_s=10.0, hold_s=30.0)
+        baked = [event for job in trace.jobs
+                 for event in sc.to_events(job.job_id,
+                                           start_s=job.arrival_s)]
+        sim = FleetSimulator(FleetTrace(jobs=trace.jobs, events=sorted(
+            baked, key=lambda event: event.time_s)))
+        expected = sim.run().to_dict()
+        assert json.loads(out.read_text()) == expected
+        assert sim.drift_stats == {"notifications": 18, "replans": 15}
 
-    def test_set_straggler_outside_run_raises(self, trace):
-        from repro.fleet import FleetSimulator
+    def test_baked_unknown_job_raises(self):
+        from repro.fleet import FleetTrace, synthetic_trace
 
-        sim = FleetSimulator(trace)
-        with pytest.raises(SimulationError):
-            sim.schedule_wake(10.0)
-        with pytest.raises(SimulationError):
-            sim.set_straggler(trace.jobs[0].job_id, 1.3)
-
-    def test_online_unknown_job_raises(self, trace):
-        from repro.drift import ScenarioDriver
-        from repro.fleet import FleetSimulator
-
-        sc = stale_profile(degree=1.3)
-        driver = ScenarioDriver("no-such-job", sc)
-        sim = FleetSimulator(trace, observers=[driver])
-        with pytest.raises(ConfigurationError, match="unknown fleet job"):
-            sim.run()
-
-    def test_wake_events_do_not_change_an_undriven_run(self, trace):
-        from repro.fleet import FleetSimulator
-
-        plain = FleetSimulator(trace).run()
-
-        class Waker:
-            def __init__(self):
-                self.done = False
-
-            def attach(self, sim):
-                sim.schedule_wake(3.0)
-
-            def __call__(self, sim, now):
-                if not self.done and now >= 3.0:
-                    self.done = True
-                    sim.schedule_wake(now + 5.0)
-
-        woken = FleetSimulator(trace, observers=[Waker()]).run()
-        assert woken.to_dict() == plain.to_dict()
+        trace = synthetic_trace(["bert-large"], 1, seed=7, stages=2,
+                                microbatches=4, freq_stride=32)
+        with pytest.raises(ConfigurationError, match="unknown job"):
+            FleetTrace(jobs=trace.jobs,
+                       events=stale_profile(degree=1.3).to_events(
+                           "no-such-job"))
 
 
 # -------------------------------------------------------------- daemon wire

@@ -383,6 +383,20 @@ def test_format_trace_tree_and_footer():
     assert format_trace({"traceEvents": []}) == "(empty trace)"
 
 
+def test_failed_plan_turns_tracing_off(tmp_path, capsys):
+    from repro.cli import main
+
+    out = tmp_path / "trace.json"
+    # bert-large has fewer layers than 64 stages: planning fails
+    # after --trace turned recording on.
+    assert main(["plan", "bert-large", "--stages", "64",
+                 "--microbatches", "3", "--freq-stride", "24",
+                 "--trace", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not tracing_enabled()
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- provenance
 def test_provenance_builder_first_note_wins():
     builder = ProvenanceBuilder(tiny_spec())

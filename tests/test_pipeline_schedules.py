@@ -153,3 +153,8 @@ class TestInstruction:
         a = Instruction(0, 0, InstrKind.CONST, "dataload")
         b = Instruction(0, 0, InstrKind.CONST, "checkpoint")
         assert a.op_key != b.op_key
+
+    @pytest.mark.parametrize("kind", ["forward", "const", None])
+    def test_kind_must_be_an_instr_kind(self, kind):
+        with pytest.raises(ValueError, match=repr(kind)):
+            Instruction(0, 0, kind)

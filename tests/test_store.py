@@ -32,7 +32,6 @@ from repro.core.serialization import (
 from repro.api.planner import _sweep_store_worker
 from repro.core.store import (
     CACHE_MAX_BYTES_ENV,
-    FSYNC_ENV,
     MISS,
     MemoryCache,
     PlanStore,
@@ -1232,7 +1231,6 @@ class TestCrashDurability:
 
     def test_fsyncs_file_and_directory_by_default(self, tmp_path,
                                                   monkeypatch):
-        monkeypatch.delenv(FSYNC_ENV, raising=False)
         store = PlanStore(tmp_path / "store")  # init writes its format file
         real_fsync = os.fsync
         fds = []
@@ -1245,15 +1243,6 @@ class TestCrashDurability:
         path = tmp_path / "store" / "frontier" / "x.json"
         store._atomic_write(str(path), "{}")
         assert len(fds) == 2  # the temp file, then the parent dir
-        assert path.read_text("utf-8") == "{}"
-
-    def test_fsync_env_opts_out(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(FSYNC_ENV, "0")
-        monkeypatch.setattr(os, "fsync",
-                            lambda fd: pytest.fail("fsync despite opt-out"))
-        store = PlanStore(tmp_path / "store")
-        path = tmp_path / "store" / "frontier" / "x.json"
-        store._atomic_write(str(path), "{}")
         assert path.read_text("utf-8") == "{}"
 
     def test_interrupted_write_keeps_old_value_and_no_temp(self, tmp_path,
